@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 
 from . import formulas
 from .conormal import (bidegree_class, joint_correspondence_ideal,
@@ -398,9 +399,18 @@ def _cmd_crossvalidate(job, variety, budget, timings):
             variety, p, seed=job["seed"], budget=budget)
         timings.stage("polar-pipeline", t0)
         if len(variety.generators) == 1:
-            d = variety.generators[0].total_degree()
-            values["hypersurface_formula"] = formulas.hypersurface_formula(
-                d, variety.n, p)
+            # the closed form holds for a smooth hypersurface, whose cone is
+            # singular at the vertex alone; a codim override does not change
+            # which hypersurface the generator defines
+            hypersurface = replace(variety, codim_override=None)
+            sing = singular_locus_ideal(hypersurface, budget)
+            if dimension(sing, budget) > 0:
+                notes.append("hypersurface is singular; hypersurface formula "
+                             "skipped")
+            else:
+                d = variety.generators[0].total_degree()
+                values["hypersurface_formula"] = formulas.hypersurface_formula(
+                    d, variety.n, p)
         if "curve" in options:
             cd = options["curve"]
             values["curve_formula"] = (p - 1) * (

@@ -18,8 +18,8 @@ from .errors import (ContainedInIsotropic, DenominatorVanishesOnX,
                      PositiveDimensionalFiber, RingMismatch)
 from .fields import PrimeField
 from .groebner import (GREVLEX, Ideal, as_budget, degree_zero_dim, dimension,
-                       eliminate, groebner_basis, intersect, normal_form,
-                       saturate, vanishes_on_variety)
+                       eliminate, groebner_basis, normal_form, saturate,
+                       vanishes_on_variety)
 from .matrices import PolyMatrix, derationalize, jacobian
 from .rings import Polynomial, RationalFunction, RingContext
 
@@ -350,25 +350,34 @@ def _projective_system(X: VarietySpec, p, budget):
     return big, gens + minors + collinear, ynames, unames, q_p
 
 
-def _saturate_and_drop_y(ideal, ynames, sing, q_p, budget):
-    """Saturate by the singular locus, the isotropic polynomial, and the
-    y-origin, then eliminate the y variables.
+def _affine_chart(ring, names, rng):
+    """h - 1 for a random nonzero linear form h in the named variables, with
+    coefficients drawn from [-100, 100]: the affine chart {h = 1}."""
+    while True:
+        coeffs = [rng.randint(-100, 100) for _ in names]
+        if any(coeffs):
+            break
+    form = -ring.one()
+    for name, cf in zip(names, coeffs):
+        if cf:
+            form = form + ring.var(name).scale(cf)
+    return form
 
-    Saturation by <y_1..y_n> is the intersection of the single-variable
-    saturations; elimination commutes with intersection, so y is eliminated
-    inside each piece and the pieces are intersected in the smaller ring.
+
+def _saturate_and_drop_y(ideal, ynames, sing, q_p, chart_rng, budget):
+    """Saturate by the singular locus and the isotropic polynomial, remove
+    the y-origin, and eliminate the y variables.
+
+    The system is homogeneous in y, so adding l(y) - 1 for a linear form l
+    drawn from chart_rng and eliminating y gives (ideal : l^infinity) in the
+    remaining variables.  That equals the saturation by <y_1..y_n> unless l
+    lies in an associated prime, which a random l avoids.
     """
     ring = ideal.ring
     ideal = saturate(ideal, sing.transfer(ring), budget)
     ideal = saturate(ideal, Ideal(ring, [q_p.transfer(ring)]), budget)
-    pieces = []
-    for yn in ynames:
-        part = saturate(ideal, Ideal(ring, [ring.var(yn)]), budget)
-        pieces.append(eliminate(part, ynames, budget))
-    result = pieces[0]
-    for part in pieces[1:]:
-        result = intersect(result, part, budget)
-    return result
+    return eliminate(ideal + [_affine_chart(ring, ynames, chart_rng)], ynames,
+                     budget)
 
 
 def projective_critical_ideal(X: VarietySpec, p, budget=None) -> Ideal:
@@ -376,49 +385,50 @@ def projective_critical_ideal(X: VarietySpec, p, budget=None) -> Ideal:
 
     Auxiliary direction variables y are adjoined, the gradient row is replaced
     by y^(p-1), collinearity of (y, u, x) is imposed by 3x3 minors, and the
-    singular locus, the isotropic hypersurface q_p(x), and the y-origin are
-    saturated away.  Eliminating y leaves the correspondence ideal in the
-    (point, data) variables.
+    singular locus and the isotropic hypersurface q_p(x) are saturated away.
+    The y-origin is removed in the chart l(y) = 1 of a linear form l drawn
+    from the fixed stream "projcrit|chart"; eliminating y leaves the
+    correspondence ideal in the (point, data) variables.
     """
     budget = as_budget(budget)
     big, raw_gens, ynames, unames, q_p = _projective_system(X, p, budget)
     sing = singular_locus_ideal(X, budget)
-    return _saturate_and_drop_y(Ideal(big, raw_gens), ynames, sing, q_p, budget)
+    return _saturate_and_drop_y(Ideal(big, raw_gens), ynames, sing, q_p,
+                                random.Random("projcrit|chart"), budget)
 
 
 def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
                             budget=None) -> DegreeReport:
     """p-norm distance degree of a projective variety (given as its affine
     cone): specialize random data in the homogenized critical system, cut
-    with a random affine hyperplane, and count.
+    with a random affine hyperplane h(x) = 1, and count.
 
     The data point is bound before the saturations, which is equivalent for
     generic data and keeps every Groebner run in the smaller (x, y) ring;
     agreement across independent samples is still enforced.
+
+    Both cones are counted in affine charts.  The slice h(x) - 1 (stream
+    "projdeg|{seed}|forms") joins the system before the saturations, which is
+    exact because dehomogenizing commutes with saturation and elimination.
+    As h - 1 then lies in the ideal, saturating by sing + <h - 1> equals
+    saturating by sing, and for a smooth variety, whose cone is singular at
+    the vertex alone, that saturand is the unit ideal and the saturation is
+    skipped.  The y-origin is removed in the chart l(y) = 1 (stream
+    "projdeg|{seed}|chart"), exact unless l lies in an associated prime.
     """
     budget = as_budget(budget)
     big, raw_gens, ynames, unames, q_p = _projective_system(X, p, budget)
-    sing = singular_locus_ideal(X, budget)
-    ring = X.ring
-    xnames = ring.variables
-    xy_ring = ring.extend(ynames)
+    xy_ring = X.ring.extend(ynames)
+    sing = singular_locus_ideal(X, budget).transfer(xy_ring)
     rng_forms = random.Random(f"projdeg|{seed}|forms")
+    rng_chart = random.Random(f"projdeg|{seed}|chart")
 
     def count_for(u):
+        slice_ = _affine_chart(xy_ring, X.ring.variables, rng_forms)
         bindings = {un: big.const(val) for un, val in zip(unames, u)}
         gens = [g.substitute(bindings).transfer(xy_ring) for g in raw_gens]
-        corr = _saturate_and_drop_y(Ideal(xy_ring, gens), ynames, sing, q_p,
-                                    budget)
-        gens_x = [g.transfer(ring) for g in corr.generators]
-        while True:
-            coeffs = [rng_forms.randint(-100, 100) for _ in xnames]
-            if any(coeffs):
-                break
-        form = -ring.one()
-        for xn, cf in zip(xnames, coeffs):
-            if cf:
-                form = form + ring.var(xn).scale(cf)
-        sliced = Ideal(ring, gens_x + [form])
+        sliced = _saturate_and_drop_y(Ideal(xy_ring, gens + [slice_]), ynames,
+                                      sing + [slice_], q_p, rng_chart, budget)
         gb = sliced.groebner(GREVLEX, budget)
         if gb.is_unit():
             return 0

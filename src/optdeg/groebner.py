@@ -1,7 +1,7 @@
 """Reduced Groebner bases and the ideal-theoretic toolbox.
 
-Buchberger's algorithm with Gebauer-Moeller pair pruning and the normal
-selection strategy, plus the derived operations everything else is built on:
+Buchberger's algorithm with Gebauer-Moeller pair pruning and sugar-degree
+pair selection, plus the derived operations everything else is built on:
 normal forms, elimination (block orders), saturation (Rabinowitsch trick),
 intersection, Krull dimension, and degree counts (standard monomials for
 zero-dimensional ideals, random linear sections otherwise).
@@ -265,12 +265,12 @@ def _pair_sugar(pair, L, lmG, sugars, degree):
                sugars[j] + degL - degree(lmG[j]))
 
 
-def _buchberger(seed_terms, ring, budget, strategy="sugar"):
+def _buchberger(seed_terms, ring, budget):
     """Core loop on packed term dicts; returns the reduced monic basis.
 
-    Pair selection follows the sugar strategy by default (min sugar degree,
-    ties broken by the normal strategy); plain normal selection is available
-    but degrades badly on block elimination orders.
+    Pair selection follows the sugar strategy: min sugar degree, ties broken
+    by the smaller lcm (the normal strategy).  Every new basis element is
+    checked against the packer's field widths.
     """
     packer = ring.packer()
     fld = ring.field
@@ -283,6 +283,7 @@ def _buchberger(seed_terms, ring, budget, strategy="sugar"):
                                   sugar, sugars)
         if not red:
             return False
+        packer.check_fits(red)
         lead, tail = _monic_parts(red, fld)
         leads.append(lead)
         tails.append(tail)
@@ -295,7 +296,6 @@ def _buchberger(seed_terms, ring, budget, strategy="sugar"):
             continue
         if insert(terms, max(degree(e) for e in terms)):
             P = _gm_update(P, leads, len(leads) - 1, packer)
-    use_sugar = strategy == "sugar"
     while P:
         best = None
         best_key = None
@@ -303,7 +303,7 @@ def _buchberger(seed_terms, ring, budget, strategy="sugar"):
             if sugar is None:
                 sugar = _pair_sugar(pair, L, leads, sugars, degree)
                 P[pair] = (sugar, L)
-            k = (sugar, L, pair) if use_sugar else (L, pair)
+            k = (sugar, L, pair)
             if best_key is None or k < best_key:
                 best, best_key = pair, k
         sugar, L = P.pop(best)
@@ -354,7 +354,7 @@ def _unpack_terms(terms, packer):
     return {unpack(e): c for e, c in terms.items()}
 
 
-def groebner_basis(ideal, order=None, budget=None, strategy="sugar") -> GroebnerBasis:
+def groebner_basis(ideal, order=None, budget=None) -> GroebnerBasis:
     """Reduced Groebner basis of an ideal for the given monomial order.
 
     Deterministic and canonical: any generating list of the same ideal yields
@@ -367,7 +367,7 @@ def groebner_basis(ideal, order=None, budget=None, strategy="sugar") -> Groebner
     packer = work_ring.packer()
     seed = [_pack_terms(g.transfer(work_ring).terms, packer)
             for g in ideal.generators]
-    basis_terms = _buchberger(seed, work_ring, budget, strategy)
+    basis_terms = _buchberger(seed, work_ring, budget)
     basis = [Polynomial(work_ring, _unpack_terms(t, packer))
              for t in basis_terms]
     return GroebnerBasis(work_ring, basis, order)
@@ -386,10 +386,6 @@ def normal_form(f, gb: GroebnerBasis, budget=None) -> Polynomial:
     red, _ = _reduce_full(_pack_terms(work.terms, packer), leads, tails,
                           packer, budget)
     return Polynomial(gb.ring, _unpack_terms(red, packer)).transfer(f.ring)
-
-
-def in_ideal(f, ideal, budget=None) -> bool:
-    return normal_form(f, ideal.groebner(GREVLEX, budget), budget).is_zero()
 
 
 # --------------------------------------------------------------------------

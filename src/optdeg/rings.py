@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import RingMismatch, ZeroDenominator
+from .errors import RingMismatch, SizeOutOfRange, ZeroDenominator
 from .fields import RationalField
 
 
@@ -46,7 +46,7 @@ def _grevlex_key(exp):
 class RingContext:
     """An ordered polynomial ring: variable names, coefficient field, order."""
 
-    __slots__ = ("variables", "field", "order", "nvars", "_pos", "key", "negkey",
+    __slots__ = ("variables", "field", "order", "nvars", "_pos", "key",
                  "_zero_exp", "_hash", "_packer")
 
     def __init__(self, variables, field=None, order=GREVLEX):
@@ -62,7 +62,6 @@ class RingContext:
         self._zero_exp = (0,) * self.nvars
         self.order = order
         self.key = self._make_key(order)
-        self.negkey = lambda exp, _k=self.key: tuple(-v for v in _k(exp))
         self._hash = hash((variables, self.field, order))
         self._packer = None
 
@@ -113,9 +112,7 @@ class RingContext:
         if isinstance(c, int):
             return self.field.from_int(c)
         num = getattr(c, "numerator", None)
-        if num is not None and not isinstance(self.field, RationalField):
-            return self.field.fraction(int(num), int(c.denominator))
-        if num is not None and isinstance(self.field, RationalField):
+        if num is not None:
             return self.field.fraction(int(num), int(c.denominator))
         return c
 
@@ -193,7 +190,10 @@ class MonomialPacker:
     the packed product, and a masked subtraction tests divisibility.  Each
     variable gets a 16-bit field (15-bit value plus a guard bit that traps
     borrows); degree fields ride above the complemented exponent fields for
-    the graded orders.
+    the graded orders.  Exponents and the topmost degree field hold at most
+    VMASK; an inner degree field (the back block of a block order) holds less
+    than 2^14, so the divisibility offset never borrows across it.  pack
+    raises SizeOutOfRange beyond these widths.
     """
 
     WIDTH = 16
@@ -241,18 +241,42 @@ class MonomialPacker:
         for shift, _vars in self._deg_shifts:
             self.div_offset += (1 << 14) << shift
         self._plain = all(kind == "plain" for kind, _i, _s in self._layout)
+        # the last degree field, else the first variable's field, is on top;
+        # a packed value fits iff it lies below the top field's bit 15 and has
+        # no guard bit and no inner-degree bit 14 or 15 set
+        deg_fields = [shift for shift, _vars in self._deg_shifts]
+        inner = deg_fields[:-1]
+        top = deg_fields[-1] if deg_fields else self._layout[0][2]
+        self._deg_caps = ([(1 << 14) - 1] * len(inner)
+                          + [self.VMASK] * len(deg_fields[-1:]))
+        self._limit = 1 << (top + 15)
+        self._overflow = self.guards
+        for shift in inner:
+            self._overflow |= (3 << 14) << shift
 
     def pack(self, exp):
+        if max(exp) > self.VMASK:
+            raise SizeOutOfRange(f"exponent in {exp} exceeds {self.VMASK}")
         v = 0
         for kind, i, shift in self._layout:
             e = exp[i]
             v += (e if kind == "plain" else self.VMASK - e) << shift
-        for shift, var_idx in self._deg_shifts:
+        for (shift, var_idx), cap in zip(self._deg_shifts, self._deg_caps):
             d = 0
             for i in var_idx:
                 d += exp[i]
+            if d > cap:
+                raise SizeOutOfRange(f"block degree {d} of {exp} exceeds {cap}")
             v += d << shift
         return v
+
+    def check_fits(self, packed_values):
+        """Raise SizeOutOfRange unless every packed value lies within the
+        field widths (arithmetic on packed values does not check them)."""
+        limit, overflow = self._limit, self._overflow
+        for v in packed_values:
+            if v >= limit or v & overflow:
+                raise SizeOutOfRange("monomial exceeds the packed field widths")
 
     def unpack(self, packed):
         n = self.ring.nvars
@@ -280,24 +304,6 @@ class MonomialPacker:
 
     def mul(self, a, b):
         return a + b - self.mul_offset
-
-
-def exp_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def exp_div(a, b):
-    """a / b, or None when b does not divide a."""
-    out = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
-
-
-def exp_lcm(a, b):
-    return tuple(x if x > y else y for x, y in zip(a, b))
 
 
 def exp_divides(b, a):

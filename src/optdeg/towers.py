@@ -156,7 +156,7 @@ def build_tower_system(tower: TowerSpec, parametrization: ParametrizationSpec,
                        tower, parametrization)
 
 
-def _restriction_obstruction(system: TowerSystem, X: VarietySpec):
+def _restriction_obstruction(system: TowerSystem):
     """Product of the alpha numerators/denominators and coordinate
     denominators, in the (t, D) ring."""
     ring = system.tower.ring
@@ -189,7 +189,7 @@ def tower_incidence_ideals(system: TowerSystem, X: VarietySpec = None,
         # over an empty restriction the obstruction check is vacuous; the
         # dimension check downstream reports the emptiness instead
         if not locus.groebner(budget=budget).is_unit():
-            obstruction = _restriction_obstruction(system, X)
+            obstruction = _restriction_obstruction(system)
             if vanishes_on_variety(obstruction, locus, budget):
                 raise RestrictionIllDefined(
                     "tower numerators or denominators vanish identically on "

@@ -208,6 +208,28 @@ def test_crossvalidate_projective_conic(tmp_path, capsys):
     assert out["result"]["verdict"] == "AGREE"
 
 
+@pytest.mark.parametrize("field", ["prime:2147483647", "rational"])
+def test_crossvalidate_singular_cone_skips_hypersurface_formula(
+        tmp_path, capsys, field):
+    # the nodal cubic has 7 critical points; the smooth-cubic closed form
+    # would say 9
+    job = {
+        "schema_version": 1,
+        "ring": {"variables": ["x1", "x2", "x3"], "field": field},
+        "variety": {"generators": ["x2^2*x3-x1^2*(x1+x3)"]},
+        "options": {"p": 2, "curve": {"d": 3, "g": 0}},
+        "seed": 1,
+        "trials": 2,
+    }
+    rc = run_cli(tmp_path, "crossvalidate", job)
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert rc == EXIT_OK
+    assert result["values"] == {"symbolic_projective": 7, "polar_pipeline": 7,
+                                "curve_formula": 7}
+    assert result["verdict"] == "AGREE"
+    assert any("hypersurface formula skipped" in n for n in result["notes"])
+
+
 def test_polar_command(tmp_path, capsys):
     job = {
         "schema_version": 1,

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from optdeg import (GREVLEX, ContainedInIsotropic, Ideal, NotHomogeneous,
-                    PrimeField, RingContext, degree_zero_dim, dimension,
-                    normal_form, parse_polynomial, parse_rational_function,
+                    PrimeField, RationalField, RingContext, degree_zero_dim,
+                    dimension, normal_form, parse_polynomial,
+                    parse_rational_function, pnorm_degree_via_polar,
                     random_linear_change, vanishes_on_variety)
 from optdeg.critical import (PNorm, RationalGradient, VarietySpec,
                              algebraic_degree, ci_degree_bound_check,
@@ -257,6 +258,29 @@ def test_projective_conic_degree_general_coords(prime_field):
     assert rep.degree == 4
     rep3 = projective_pnorm_degree(conic, 3, trials=2, seed=3)
     assert rep3.degree == 12
+
+
+def test_projective_conic_p3_reduction_budget(prime_field):
+    """Counting in the charts h(x) = 1 and l(y) = 1 needs about 10,000
+    reduction steps here; saturating the vertex and each y_i took 58,023."""
+    ring = RingContext(("x1", "x2", "x3"), field=prime_field)
+    base = P("x1^2+x2^2+2*x3^2", ring)
+    _, subs = random_linear_change(ring, ring.variables, seed=7)
+    conic = VarietySpec(ring, (base.substitute(subs),))
+    rep = projective_pnorm_degree(conic, 3, trials=2, seed=3, budget=25_000)
+    assert rep.degree == 12
+
+
+@pytest.mark.parametrize("field", [PrimeField(), RationalField()])
+def test_nodal_cubic_cone_singular_saturand(field):
+    """The singular locus of this cone is the line over the node, so the
+    saturand sing + <h - 1> is not the unit ideal."""
+    ring = RingContext(("x1", "x2", "x3"), field=field)
+    nodal = variety(ring, "x2^2*x3-x1^2*(x1+x3)")
+    assert dimension(singular_locus_ideal(nodal)) == 1
+    rep = projective_pnorm_degree(nodal, 2, trials=2, seed=1)
+    assert rep.degree == 7
+    assert pnorm_degree_via_polar(nodal, 2, seed=1) == rep.degree
 
 
 def test_veronese_conic_ed_degree(prime_field):

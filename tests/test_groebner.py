@@ -5,9 +5,10 @@ import pytest
 
 from optdeg import (GREVLEX, LEX, BudgetExceeded, Ideal, InconsistentSlices,
                     NotZeroDimensional, OrderSpec, PrimeField, RingContext,
-                    degree_via_sections, degree_zero_dim, dimension, eliminate,
-                    groebner_basis, intersect, normal_form, parse_polynomial,
-                    saturate, vanishes_on_variety)
+                    SizeOutOfRange, degree_via_sections, degree_zero_dim,
+                    dimension, eliminate, groebner_basis, intersect,
+                    normal_form, parse_polynomial, saturate,
+                    vanishes_on_variety)
 
 
 def P(text, ring):
@@ -66,20 +67,6 @@ def test_gb_canonicity_random_ideals():
         a = groebner_basis(Ideal(ring, gens)).basis
         b = groebner_basis(Ideal(ring, perm)).basis
         assert a == b
-
-
-def test_gb_strategies_agree(rxy):
-    ideal = I(rxy, "x^3-2*x*y", "x^2*y-2*y^2+x")
-    assert groebner_basis(ideal, strategy="sugar").basis == \
-        groebner_basis(ideal, strategy="normal").basis
-
-
-def test_gb_strategies_agree_block_order():
-    ring = RingContext(("t", "x", "y"))
-    ideal = I(ring, "x-t^2", "y-t^3", "t*x*y-4")
-    order = OrderSpec("block", ("t",))
-    assert groebner_basis(ideal, order, strategy="sugar").basis == \
-        groebner_basis(ideal, order, strategy="normal").basis
 
 
 def test_budget_exceeded():
@@ -237,6 +224,22 @@ def test_degree_zero_dim_examples(rxy):
     assert degree_zero_dim(I(r1, "x^2")) == 2
     with pytest.raises(NotZeroDimensional):
         degree_zero_dim(I(rxy, "x"))
+
+
+def test_degree_zero_dim_rejects_exponent_overflow():
+    # exponents above 15 bits used to wrap into the next variable's field
+    ring = RingContext(("x", "y"), field=PrimeField())
+    x, y = ring.var("x"), ring.var("y")
+    assert degree_zero_dim(Ideal(ring, [x ** 3000 - 1, y - 1])) == 3000
+    with pytest.raises(SizeOutOfRange):
+        degree_zero_dim(Ideal(ring, [x ** 33000 - 1, y - 1]))
+
+
+def test_buchberger_rejects_overflowing_basis_element():
+    # every input packs, but reducing x^2 by x - y^20000 yields y^40000
+    ring = RingContext(("x", "y"), order=LEX)
+    with pytest.raises(SizeOutOfRange):
+        groebner_basis(I(ring, "x-y^20000", "x^2"))
 
 
 def test_degree_order_invariance():

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from optdeg import (PrimeField, RationalField, RingMismatch, RingContext,
-                    SizeOutOfRange, derationalize, jacobian, parse_polynomial,
-                    parse_rational_function, random_linear_change)
+from optdeg import (GREVLEX, LEX, OrderSpec, PrimeField, RationalField,
+                    RingContext, RingMismatch, SizeOutOfRange, derationalize,
+                    jacobian, parse_polynomial, parse_rational_function,
+                    random_linear_change)
 from optdeg.matrices import PolyMatrix, poly_exact_div
 from optdeg.rings import RationalFunction
 
@@ -261,3 +262,31 @@ def test_rational_function_constant_denominator_folds(ring):
     r = RationalFunction(P("2*x1", ring), ring.const(2))
     assert r.den == ring.one()
     assert r.num == P("x1", ring)
+
+
+# --- monomial packing ------------------------------------------------------
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, OrderSpec("block", ("y",))])
+def test_packer_round_trip_at_the_field_widths(order):
+    packer = RingContext(("x", "y"), order=order).packer()
+    for exp in [(0, 0), (3, 5), (16383, 0), (0, 16383)]:
+        assert packer.unpack(packer.pack(exp)) == exp
+
+
+def test_packer_rejects_exponent_overflow():
+    packer = RingContext(("x", "y")).packer()
+    assert packer.unpack(packer.pack((32767, 0))) == (32767, 0)
+    with pytest.raises(SizeOutOfRange):
+        packer.pack((32768, 0))
+
+
+def test_packer_rejects_degree_field_overflow():
+    # grevlex: the total degree on top holds 15 bits
+    with pytest.raises(SizeOutOfRange):
+        RingContext(("x", "y")).packer().pack((20000, 20000))
+    # block order: the back block's degree sits below the front fields
+    packer = RingContext(("x", "y", "z"),
+                         order=OrderSpec("block", ("z",))).packer()
+    packer.pack((16383, 0, 32767))
+    with pytest.raises(SizeOutOfRange):
+        packer.pack((10000, 10000, 0))
