@@ -1,17 +1,18 @@
 """Exact coefficient fields.
 
-Two fields are supported: the rationals (arbitrary-precision, gmpy2-backed
-when available) and large prime fields with machine-word arithmetic.  The
-prime field is a fast generic proxy for characteristic-zero computations;
-counts obtained over both fields should agree for generic inputs.
+Two fields are supported: the rationals (`fractions.Fraction`) and large
+prime fields with machine-word arithmetic.  The prime field is a fast generic
+proxy for characteristic-zero computations; counts obtained over both fields
+should agree for generic inputs.  Groebner runs over the rationals do not use
+this class's arithmetic in their inner loop: the kernel in `groebner` clears
+denominators and works fraction-free on integers, building rationals only for
+its results.
 """
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as _ratio
-except ImportError:  # pragma: no cover - gmpy2 is normally present
-    from fractions import Fraction as _ratio
+# the rational type; the benchmark records its module as the field backend
+from fractions import Fraction as _ratio
 
 DEFAULT_PRIME = 2147483647  # 2^31 - 1, large enough for desk-scale genericity
 _MIN_PRIME = 1 << 20

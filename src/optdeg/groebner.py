@@ -5,12 +5,20 @@ pair selection, plus the derived operations everything else is built on:
 normal forms, elimination (block orders), saturation (Rabinowitsch trick),
 intersection, Krull dimension, and degree counts (standard monomials for
 zero-dimensional ideals, random linear sections otherwise).
+
+Over GF(q) the kernel runs on monic polynomials with field arithmetic.  Over
+QQ it is fraction-free: inputs are cleared of denominators, basis elements
+are primitive integer polynomials, and each reduction step scales by
+integers instead of dividing.  Every integer polynomial is a nonzero multiple
+of the rational one the field kernel would hold, so both take the same
+reduction steps; the monic rational basis is built only on exit.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from math import gcd, lcm
 
 from .errors import (BudgetExceeded, InconsistentSlices, NotZeroDimensional,
                      NotZeroDimensionalAfterSlicing, RingMismatch)
@@ -127,17 +135,29 @@ class GroebnerBasis:
 # --------------------------------------------------------------------------
 # kernel
 # --------------------------------------------------------------------------
+#
+# A basis element is kept as its packed lead monomial, lead coefficient lc
+# and packed tail term dict.  Over GF(q) it is monic (lc = 1).  Over QQ it is
+# a primitive integer polynomial with lc > 0, a nonzero multiple of the monic
+# rational element, so supports, divisor choices, sugar degrees and budget
+# ticks are those of the rational computation.
 
-def _reduce_full(fterms, leads, tails, packer, budget, sugar=0, basis_sugars=None):
-    """Full multivariate division remainder against a monic basis.
+def _reduce_full(fterms, leads, lcs, tails, packer, budget, sugar=0,
+                 basis_sugars=None):
+    """Full multivariate division remainder against a basis.
 
-    Works on packed-monomial term dicts; returns (remainder, sugar).  The
+    Works on packed-monomial term dicts; returns (remainder, sugar, scale).
+    Over GF(q) each step is F <- F - c*x^shift*tail and scale is 1.  Over QQ
+    F holds integers and each step is F <- a*F - b*x^shift*tail with
+    a = lc/gcd(lc, c), b = c/gcd(lc, c), scaling the remainder terms already
+    emitted too; the remainder is then scale times the rational one.  The
     sugar degree is tracked through each cancellation when basis_sugars is
     supplied.
     """
     if not fterms:
-        return {}, sugar
+        return {}, sugar, 1
     fld = packer.ring.field
+    integral = fld.kind == "rational"
     sub, mul, neg, is_zero = fld.sub, fld.mul, fld.neg, fld.is_zero
     plain = packer._plain
     guards = packer.guards
@@ -147,6 +167,7 @@ def _reduce_full(fterms, leads, tails, packer, budget, sugar=0, basis_sugars=Non
     heap = [-e for e in terms]
     heapq.heapify(heap)
     out = {}
+    scale = 1
     push = heapq.heappush
     pop = heapq.heappop
     remaining = budget
@@ -178,6 +199,28 @@ def _reduce_full(fterms, leads, tails, packer, budget, sugar=0, basis_sugars=Non
             s = degree(e) - degree(leads[hit]) + basis_sugars[hit]
             if s > sugar:
                 sugar = s
+        if integral:
+            lc = lcs[hit]
+            g = gcd(lc, c)
+            if g != lc:
+                a = lc // g
+                scale *= a
+                terms = {te: tc * a for te, tc in terms.items()}
+                out = {te: tc * a for te, tc in out.items()}
+            b = c // g
+            for te, tc in tails[hit].items():
+                ne = te + shift
+                prev = terms.get(ne)
+                if prev is None:
+                    terms[ne] = -b * tc
+                    push(heap, -ne)
+                else:
+                    val = prev - b * tc
+                    if val:
+                        terms[ne] = val
+                    else:
+                        del terms[ne]
+            continue
         for te, tc in tails[hit].items():
             ne = te + shift
             prev = terms.get(ne)
@@ -192,29 +235,59 @@ def _reduce_full(fterms, leads, tails, packer, budget, sugar=0, basis_sugars=Non
                     del terms[ne]
                 else:
                     terms[ne] = val
-    return out, sugar
+    return out, sugar, scale
 
 
-def _monic_parts(terms, field):
-    """Split a packed term dict into (lead, tail_dict) after scaling monic."""
+def _clear_denominators(terms):
+    """(integer terms, d): d times the rational term dict, d the lcm of its
+    denominators."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
+
+
+def _split(terms, field):
+    """(lead, lc, tail) of a nonzero packed term dict as a basis element:
+    scaled monic over GF(q), divided by its content over QQ (integer terms)."""
     lead = max(terms)
     lc = terms[lead]
-    if lc == field.one:
+    if field.kind == "rational":
+        g = gcd(*terms.values())
+        if lc < 0:
+            g = -g
+        if g != 1:
+            terms = {e: c // g for e, c in terms.items()}
+            lc = terms[lead]
+        tail = {e: c for e, c in terms.items() if e != lead}
+    elif lc == field.one:
         tail = {e: c for e, c in terms.items() if e != lead}
     else:
         inv = field.inv(lc)
+        lc = field.one
         tail = {e: field.mul(c, inv) for e, c in terms.items() if e != lead}
-    return lead, tail
+    return lead, lc, tail
 
 
-def _spoly_terms(lead_i, tail_i, lead_j, tail_j, packer):
-    """S-polynomial of two monic basis elements (packed term dicts)."""
+def _spoly_terms(i, j, leads, lcs, tails, packer):
+    """S-polynomial of basis elements i and j (packed term dicts): over QQ
+    (lc_j/g)*x^si*tail_i - (lc_i/g)*x^sj*tail_j with g = gcd(lc_i, lc_j)."""
     fld = packer.ring.field
-    L = packer.lcm(lead_i, lead_j)
-    si = L - lead_i
-    sj = L - lead_j
-    terms = {te + si: tc for te, tc in tail_i.items()}
-    for te, tc in tail_j.items():
+    L = packer.lcm(leads[i], leads[j])
+    si = L - leads[i]
+    sj = L - leads[j]
+    if fld.kind == "rational":
+        g = gcd(lcs[i], lcs[j])
+        mi, mj = lcs[j] // g, lcs[i] // g
+        terms = {te + si: mi * tc for te, tc in tails[i].items()}
+        for te, tc in tails[j].items():
+            ne = te + sj
+            val = terms.get(ne, 0) - mj * tc
+            if val:
+                terms[ne] = val
+            else:
+                del terms[ne]
+        return terms
+    terms = {te + si: tc for te, tc in tails[i].items()}
+    for te, tc in tails[j].items():
         ne = te + sj
         prev = terms.get(ne)
         if prev is None:
@@ -268,24 +341,28 @@ def _pair_sugar(pair, L, lmG, sugars, degree):
 def _buchberger(seed_terms, ring, budget):
     """Core loop on packed term dicts; returns the reduced monic basis.
 
-    Pair selection follows the sugar strategy: min sugar degree, ties broken
-    by the smaller lcm (the normal strategy).  Every new basis element is
-    checked against the packer's field widths.
+    Over QQ the seeds lose their denominators on entry and the loop runs on
+    integer coefficients (see the kernel note above).  Pair selection follows
+    the sugar strategy: min sugar degree, ties broken by the smaller lcm (the
+    normal strategy).  Every new basis element is checked against the
+    packer's field widths.
     """
     packer = ring.packer()
     fld = ring.field
+    integral = fld.kind == "rational"
     degree = packer.degree
-    leads, tails, sugars = [], [], []
+    leads, lcs, tails, sugars = [], [], [], []
     P = {}
 
     def insert(terms, sugar):
-        red, sugar = _reduce_full(terms, leads, tails, packer, budget,
-                                  sugar, sugars)
+        red, sugar, _ = _reduce_full(terms, leads, lcs, tails, packer, budget,
+                                     sugar, sugars)
         if not red:
             return False
         packer.check_fits(red)
-        lead, tail = _monic_parts(red, fld)
+        lead, lc, tail = _split(red, fld)
         leads.append(lead)
+        lcs.append(lc)
         tails.append(tail)
         deg_red = max(degree(e) for e in red)
         sugars.append(sugar if sugar > deg_red else deg_red)
@@ -294,6 +371,8 @@ def _buchberger(seed_terms, ring, budget):
     for terms in seed_terms:
         if not terms:
             continue
+        if integral:
+            terms = _clear_denominators(terms)[0]
         if insert(terms, max(degree(e) for e in terms)):
             P = _gm_update(P, leads, len(leads) - 1, packer)
     while P:
@@ -308,37 +387,45 @@ def _buchberger(seed_terms, ring, budget):
                 best, best_key = pair, k
         sugar, L = P.pop(best)
         i, j = best
-        s = _spoly_terms(leads[i], tails[i], leads[j], tails[j], packer)
+        s = _spoly_terms(i, j, leads, lcs, tails, packer)
         if insert(s, sugar):
             P = _gm_update(P, leads, len(leads) - 1, packer)
-    return _autoreduce(leads, tails, packer, budget)
+    return _autoreduce(leads, lcs, tails, packer, budget)
 
 
-def _autoreduce(leads, tails, packer, budget):
-    """Minimalize then tail-reduce: the canonical reduced basis.
+def _autoreduce(leads, lcs, tails, packer, budget):
+    """Minimalize then tail-reduce: the canonical reduced basis, as monic
+    field-coefficient term dicts.
 
     Elements are processed in ascending lead order and reduced against the
     already-reduced prefix; a tail monomial can only be divisible by a
     smaller lead (a divisor precedes its multiple in any monomial order),
-    so one pass yields the reduced basis.
+    so one pass yields the reduced basis.  Over QQ the integer elements are
+    divided by their lead coefficients only here.
     """
-    one = packer.ring.field.one
+    fld = packer.ring.field
     divides = packer.divides
     order_idx = sorted(range(len(leads)), key=lambda i: leads[i])
-    min_leads, min_tails = [], []
+    minimal = []
     for i in order_idx:
-        if not any(divides(le, leads[i]) for le in min_leads):
-            min_leads.append(leads[i])
-            min_tails.append(tails[i])
-    red_leads, red_tails = [], []
-    for lead, tail in zip(min_leads, min_tails):
-        red, _ = _reduce_full(tail, red_leads, red_tails, packer, budget)
-        red_tails.append(red)
+        if not any(divides(leads[m], leads[i]) for m in minimal):
+            minimal.append(i)
+    red_leads, red_lcs, red_tails = [], [], []
+    for i in minimal:
+        red, _, scale = _reduce_full(tails[i], red_leads, red_lcs, red_tails,
+                                     packer, budget)
+        red[leads[i]] = lcs[i] * scale
+        lead, lc, tail = _split(red, fld)
         red_leads.append(lead)
+        red_lcs.append(lc)
+        red_tails.append(tail)
     reduced = []
-    for lead, tail in zip(red_leads, red_tails):
-        t = dict(tail)
-        t[lead] = one
+    for lead, lc, tail in zip(red_leads, red_lcs, red_tails):
+        if fld.kind == "rational":
+            t = {e: fld.fraction(c, lc) for e, c in tail.items()}
+        else:
+            t = dict(tail)
+        t[lead] = fld.one
         reduced.append(t)
     reduced.sort(key=max, reverse=True)
     return reduced
@@ -374,18 +461,33 @@ def groebner_basis(ideal, order=None, budget=None) -> GroebnerBasis:
 
 
 def normal_form(f, gb: GroebnerBasis, budget=None) -> Polynomial:
-    """Remainder of multivariate division by a Groebner basis (zero iff member)."""
+    """Remainder of multivariate division by a Groebner basis (zero iff member).
+
+    Over QQ the division runs fraction-free on f times its common
+    denominator; the remainder is divided by the accumulated scale on exit.
+    """
     budget = as_budget(budget)
-    packer = gb.ring.packer()
-    work = f.transfer(gb.ring)
-    leads, tails = [], []
+    ring = gb.ring
+    fld = ring.field
+    integral = fld.kind == "rational"
+    packer = ring.packer()
+    leads, lcs, tails = [], [], []
     for g in gb.basis:
-        lead, tail = _monic_parts(_pack_terms(g.terms, packer), gb.ring.field)
+        terms = _pack_terms(g.terms, packer)
+        if integral:
+            terms = _clear_denominators(terms)[0]
+        lead, lc, tail = _split(terms, fld)
         leads.append(lead)
+        lcs.append(lc)
         tails.append(tail)
-    red, _ = _reduce_full(_pack_terms(work.terms, packer), leads, tails,
-                          packer, budget)
-    return Polynomial(gb.ring, _unpack_terms(red, packer)).transfer(f.ring)
+    terms = _pack_terms(f.transfer(ring).terms, packer)
+    den = 1
+    if integral and terms:
+        terms, den = _clear_denominators(terms)
+    red, _, scale = _reduce_full(terms, leads, lcs, tails, packer, budget)
+    if integral:
+        red = {e: fld.fraction(c, den * scale) for e, c in red.items()}
+    return Polynomial(ring, _unpack_terms(red, packer)).transfer(f.ring)
 
 
 # --------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from optdeg.critical import (PNorm, RationalGradient, VarietySpec,
                              projective_critical_ideal,
                              projective_pnorm_degree, singular_locus_ideal)
 from optdeg.errors import DenominatorVanishesOnX
+from optdeg.groebner import DEFAULT_BUDGET, _Budget
 
 from conftest import variety
 
@@ -301,9 +302,75 @@ def test_evolute_classical(ellipse):
     assert ev.poly.total_degree() == 6
 
 
+# Evolute polynomials over QQ as exact Fraction arithmetic printed them; the
+# fraction-free kernel must reproduce them exactly.
+ELLIPSE_P3_EVOLUTE = (
+    "u1^12+3/4*u1^8*u2^4+3/16*u1^4*u2^8+1/64*u2^12-5*u1^10+13/2*u1^9*u2"
+    "-23/16*u1^8*u2^2+20*u1^6*u2^4-41/4*u1^5*u2^5+5/4*u1^4*u2^6"
+    "-23/16*u1^2*u2^8+13/32*u1*u2^9-5/256*u2^10+1279/128*u1^8"
+    "-79/4*u1^7*u2+231/16*u1^6*u2^2-267/64*u1^5*u2^3"
+    "+13585/512*u1^4*u2^4-267/16*u1^3*u2^5+231/64*u1^2*u2^6"
+    "-79/256*u1*u2^7-11/512*u2^8-2561/256*u1^6+10355/512*u1^5*u2"
+    "-64609/4096*u1^4*u2^2+365/64*u1^3*u2^3+487/512*u1^2*u2^4"
+    "-335/1024*u1*u2^5-13/2048*u2^6+329793/65536*u1^4-1879/256*u1^3*u2"
+    "+23205/8192*u1^2*u2^2-1501/4096*u1*u2^3+393/16384*u2^4"
+    "-33473/32768*u1^2+4257/16384*u1*u2-601/65536*u2^2+65/65536")
+
+
 def test_evolute_p3(ellipse):
     ev = evolute_curve(ellipse, 3, seed=1)
     assert ev.reduced_degree == 12
+    assert str(ev.poly) == ELLIPSE_P3_EVOLUTE
+
+
+# More pinned evolutes: large and odd coefficients, a cusp (a singular locus
+# that is not the unit ideal) and a node.
+PINNED_EVOLUTES = {
+    ("x1^2+12345*x2^2-67891", 2): (
+        "u1^6+1/4115*u1^4*u2^2+1/50799675*u1^2*u2^4+1/1881365963625*u2^6"
+        "-10344846045376/50799675*u1^4"
+        "+72413922317632/627121987875*u1^2*u2^2"
+        "-10344846045376/7741820940316875*u2^4"
+        "+107015839702531466250981376/7741820940316875*u1^2"
+        "+107015839702531466250981376/95572779508211821875*u2^2"
+        "-1107062386139324570862667496192626917376/3539537889086624823140625"),
+    ("x2^2-x1^3", 3): (
+        "u2^7+823543/157464*u1^6+2401/486*u1^3*u2^3-1/2*u2^6"
+        "-6517/2916*u1^3*u2^2+1/12*u2^5+784/2187*u1^3*u2-1/216*u2^4"
+        "-128/6561*u1^3"),
+    ("x2^2-x1^2*(x1+1)", 2): (
+        "u1^2*u2^4+3*u2^6+2048/729*u1^5+2624/243*u1^3*u2^2+64/9*u1*u2^4"
+        "+17408/2187*u1^4+18016/729*u1^2*u2^2+1040/243*u2^4+58880/6561*u1^3"
+        "+13504/729*u1*u2^2+11008/2187*u1^2+3328/729*u2^2+1024/729*u1"
+        "+1024/6561"),
+    ("x1^2+1/2147483647*x2^2-1", 2): (
+        "u1^6+6442450941*u1^4*u2^2+13835058042397261827*u1^2*u2^4"
+        "+9903520300447984150353281023*u2^6-13835058029512359948*u1^4"
+        "+207973926115716854608954392492*u1^2*u2^2"
+        "-63802943619412596422143733949341368332*u2^4"
+        "+63802943559991474688631119233438187568*u1^2"
+        "+137015777925545655353249745369115683387598700496*u2^2"
+        "-98079714067353774211904489780193964292165841457283858496"),
+}
+
+
+@pytest.mark.parametrize("curve, p", list(PINNED_EVOLUTES))
+def test_evolute_pinned_over_qq(curve, p):
+    ev = evolute_curve(variety(RingContext(("x1", "x2")), curve), p, seed=1)
+    assert str(ev.poly) == PINNED_EVOLUTES[curve, p]
+
+
+def test_evolute_reductions_agree_across_fields(ellipse, prime_field):
+    """The QQ kernel works on nonzero integer multiples of the polynomials
+    the GF(q) kernel holds, so both take the same reduction steps."""
+    gf_ellipse = variety(RingContext(("x1", "x2"), field=prime_field),
+                         "x1^2+4*x2^2-1")
+    steps = []
+    for X in (ellipse, gf_ellipse):
+        budget = _Budget(DEFAULT_BUDGET)
+        evolute_curve(X, 3, seed=1, budget=budget)
+        steps.append(DEFAULT_BUDGET - budget.remaining)
+    assert steps[0] == steps[1]
 
 
 def test_evolute_requires_plane_curve():

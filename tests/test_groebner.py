@@ -1,7 +1,11 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optdeg import (GREVLEX, LEX, BudgetExceeded, Ideal, InconsistentSlices,
                     NotZeroDimensional, OrderSpec, PrimeField, RingContext,
@@ -294,3 +298,69 @@ def test_dimension_degree_field_agreement():
     assert dimension(I(rq, *texts)) == dimension(I(rp, *texts))
     assert degree_via_sections(I(rq, *texts), seed=4) == \
         degree_via_sections(I(rp, *texts), seed=4)
+
+
+# --- differential tests against sympy -------------------------------------------------
+
+_COEFFS = st.builds(Fraction,
+                    st.one_of(st.integers(-12, -1), st.integers(1, 12)),
+                    st.integers(1, 6))
+
+
+@st.composite
+def _qq_ideals(draw):
+    """(nvars, generators): 1-3 generators in 2-3 variables, each a dict
+    exponent -> nonzero Fraction of total degree at most 5 - nvars."""
+    n = draw(st.integers(2, 3))
+    exps = st.tuples(*[st.integers(0, 2)] * n).filter(
+        lambda e: sum(e) <= 5 - n)
+    poly = st.dictionaries(exps, _COEFFS, min_size=1, max_size=4)
+    return n, draw(st.lists(poly, min_size=1, max_size=3))
+
+
+def _optdeg_ideal(n, gens, order):
+    ring = RingContext(tuple(f"x{i + 1}" for i in range(n)), order=order)
+    return ring, Ideal(ring, [ring.poly_from_terms(dict(g)) for g in gens])
+
+
+def _sympy_exprs(n, gens):
+    syms = sympy.symbols(f"x1:{n + 1}")
+    exprs = [sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                         * sympy.Mul(*(s ** k for s, k in zip(syms, e)))
+                         for e, c in g.items()))
+             for g in gens]
+    return syms, exprs
+
+
+def _sympy_terms(poly):
+    return {e: Fraction(int(c.p), int(c.q)) for e, c in poly.terms()}
+
+
+@pytest.mark.parametrize("order, name", [(GREVLEX, "grevlex"), (LEX, "lex")])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_qq_ideals())
+def test_gb_matches_sympy_over_qq(order, name, ideal):
+    n, gens = ideal
+    _, ours = _optdeg_ideal(n, gens, order)
+    syms, exprs = _sympy_exprs(n, gens)
+    theirs = sympy.groebner(exprs, *syms, order=name, domain="QQ")
+    got = sorted(sorted(g.terms.items()) for g in groebner_basis(ours, order))
+    want = sorted(sorted(_sympy_terms(p).items()) for p in theirs.polys)
+    assert got == want
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_qq_ideals(), st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3),
+                                     _COEFFS, min_size=1, max_size=5))
+def test_normal_form_matches_sympy_reduced(ideal, f):
+    n, gens = ideal
+    f = {e[:n]: c for e, c in f.items()}
+    ring, ours = _optdeg_ideal(n, gens, GREVLEX)
+    syms, exprs = _sympy_exprs(n, gens)
+    gb = sympy.groebner(exprs, *syms, order="grevlex", domain="QQ")
+    (fexpr,) = _sympy_exprs(n, [f])[1]
+    _, rem = sympy.reduced(fexpr, gb.exprs, *syms, order="grevlex",
+                           domain="QQ")
+    got = normal_form(ring.poly_from_terms(f), groebner_basis(ours))
+    want = sympy.Poly(rem, *syms, domain="QQ")
+    assert got.terms == ({} if want.is_zero else _sympy_terms(want))
