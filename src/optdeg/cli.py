@@ -20,7 +20,7 @@ from .conormal import (bidegree_class, joint_correspondence_ideal,
 from .critical import (PNorm, RationalGradient, VarietySpec, algebraic_degree,
                        critical_ideal_affine, data_ring, evolute_curve,
                        projective_pnorm_degree, singular_locus_ideal)
-from .errors import BudgetExceeded, OptdegError, SchemaError
+from .errors import BudgetExceeded, OptdegError, SchemaError, ZeroDenominator
 from .fields import field_from_spec
 from .groebner import (DEFAULT_BUDGET, GREVLEX, Ideal, as_budget,
                        degree_zero_dim, dimension)
@@ -65,6 +65,8 @@ def _parse_poly(text, ring, where):
         raise SchemaError(f"{where} must be a string in the polynomial grammar")
     try:
         return parse_polynomial(text, ring)
+    except ZeroDenominator:
+        raise
     except OptdegError as exc:
         raise SchemaError(f"{where}: {exc}") from None
 
@@ -117,6 +119,8 @@ def _load_objective(doc, ring):
                 raise SchemaError(f"{where} must be a string or num/den object")
             try:
                 partials.append(parse_rational_function(text, big))
+            except ZeroDenominator:
+                raise
             except OptdegError as exc:
                 raise SchemaError(f"{where}: {exc}") from None
         return RationalGradient(tuple(partials))
@@ -320,6 +324,8 @@ def _load_tower(job, ring_field):
         alpha_text = _require(level_doc, "alpha", str, where)
         try:
             alpha = parse_rational_function(alpha_text, ring)
+        except ZeroDenominator:
+            raise
         except OptdegError as exc:
             raise SchemaError(f"{where}.alpha: {exc}") from None
         try:
@@ -338,6 +344,8 @@ def _load_tower(job, ring_field):
     for i, text in enumerate(coords_doc):
         try:
             coords.append(parse_rational_function(text, ring))
+        except ZeroDenominator:
+            raise
         except OptdegError as exc:
             raise SchemaError(f"tower.parametrization[{i}]: {exc}") from None
     try:

@@ -3,10 +3,10 @@
 Two fields are supported: the rationals (`fractions.Fraction`) and large
 prime fields with machine-word arithmetic.  The prime field is a fast generic
 proxy for characteristic-zero computations; counts obtained over both fields
-should agree for generic inputs.  Groebner runs over the rationals do not use
-this class's arithmetic in their inner loop: the kernel in `groebner` clears
-denominators and works fraction-free on integers, building rationals only for
-its results.
+should agree for generic inputs.  Groebner runs use neither class's arithmetic
+methods in their inner loop: over GF(q) the kernel in `groebner` computes on
+plain ints mod q itself, and over the rationals it clears denominators and
+works fraction-free on integers, building rationals only for its results.
 """
 
 from __future__ import annotations

@@ -6,12 +6,13 @@ normal forms, elimination (block orders), saturation (Rabinowitsch trick),
 intersection, Krull dimension, and degree counts (standard monomials for
 zero-dimensional ideals, random linear sections otherwise).
 
-Over GF(q) the kernel runs on monic polynomials with field arithmetic.  Over
-QQ it is fraction-free: inputs are cleared of denominators, basis elements
-are primitive integer polynomials, and each reduction step scales by
-integers instead of dividing.  Every integer polynomial is a nonzero multiple
-of the rational one the field kernel would hold, so both take the same
-reduction steps; the monic rational basis is built only on exit.
+Over GF(q) the kernel runs on monic polynomials whose coefficients are plain
+ints reduced mod q inline, with no field-method calls.  Over QQ it is
+fraction-free: inputs are cleared of denominators, basis elements are
+primitive integer polynomials, and each reduction step scales by integers
+instead of dividing.  Every integer polynomial is a nonzero multiple of the
+rational one the field kernel would hold, so both take the same reduction
+steps; the monic rational basis is built only on exit.
 """
 
 from __future__ import annotations
@@ -137,28 +138,30 @@ class GroebnerBasis:
 # --------------------------------------------------------------------------
 #
 # A basis element is kept as its packed lead monomial, lead coefficient lc
-# and packed tail term dict.  Over GF(q) it is monic (lc = 1).  Over QQ it is
-# a primitive integer polynomial with lc > 0, a nonzero multiple of the monic
-# rational element, so supports, divisor choices, sugar degrees and budget
-# ticks are those of the rational computation.
+# and packed tail term dict; the driver also keeps its unpacked lead exponents
+# for the Gebauer-Moeller lcms.  Over GF(q) it is monic (lc = 1) with int
+# coefficients in [0, q), and the kernel computes mod q = field.q itself.
+# Over QQ it is a primitive integer polynomial with lc > 0, a nonzero
+# multiple of the monic rational element, so supports, divisor choices, sugar
+# degrees and budget ticks are those of the rational computation.
 
 def _reduce_full(fterms, leads, lcs, tails, packer, budget, sugar=0,
                  basis_sugars=None):
     """Full multivariate division remainder against a basis.
 
     Works on packed-monomial term dicts; returns (remainder, sugar, scale).
-    Over GF(q) each step is F <- F - c*x^shift*tail and scale is 1.  Over QQ
-    F holds integers and each step is F <- a*F - b*x^shift*tail with
-    a = lc/gcd(lc, c), b = c/gcd(lc, c), scaling the remainder terms already
-    emitted too; the remainder is then scale times the rational one.  The
-    sugar degree is tracked through each cancellation when basis_sugars is
-    supplied.
+    Over GF(q) each step is F <- F - c*x^shift*tail on ints mod q and scale
+    is 1.  Over QQ F holds integers and each step is F <- a*F - b*x^shift*tail
+    with a = lc/gcd(lc, c), b = c/gcd(lc, c), scaling the remainder terms
+    already emitted too; the remainder is then scale times the rational one.
+    The sugar degree is tracked through each cancellation when basis_sugars
+    is supplied.
     """
     if not fterms:
         return {}, sugar, 1
     fld = packer.ring.field
     integral = fld.kind == "rational"
-    sub, mul, neg, is_zero = fld.sub, fld.mul, fld.neg, fld.is_zero
+    q = None if integral else fld.q
     plain = packer._plain
     guards = packer.guards
     div_off = packer.div_offset
@@ -221,20 +224,19 @@ def _reduce_full(fterms, leads, lcs, tails, packer, budget, sugar=0,
                     else:
                         del terms[ne]
             continue
+        # q is prime and c, tc are nonzero residues, so a new term is nonzero
         for te, tc in tails[hit].items():
             ne = te + shift
             prev = terms.get(ne)
             if prev is None:
-                val = neg(mul(c, tc))
-                if not is_zero(val):
-                    terms[ne] = val
-                    push(heap, -ne)
+                terms[ne] = -c * tc % q
+                push(heap, -ne)
             else:
-                val = sub(prev, mul(c, tc))
-                if is_zero(val):
-                    del terms[ne]
-                else:
+                val = (prev - c * tc) % q
+                if val:
                     terms[ne] = val
+                else:
+                    del terms[ne]
     return out, sugar, scale
 
 
@@ -258,20 +260,21 @@ def _split(terms, field):
             terms = {e: c // g for e, c in terms.items()}
             lc = terms[lead]
         tail = {e: c for e, c in terms.items() if e != lead}
-    elif lc == field.one:
+    elif lc == 1:
         tail = {e: c for e, c in terms.items() if e != lead}
     else:
-        inv = field.inv(lc)
-        lc = field.one
-        tail = {e: field.mul(c, inv) for e, c in terms.items() if e != lead}
+        q = field.q
+        inv = pow(lc, -1, q)
+        lc = 1
+        tail = {e: c * inv % q for e, c in terms.items() if e != lead}
     return lead, lc, tail
 
 
-def _spoly_terms(i, j, leads, lcs, tails, packer):
-    """S-polynomial of basis elements i and j (packed term dicts): over QQ
-    (lc_j/g)*x^si*tail_i - (lc_i/g)*x^sj*tail_j with g = gcd(lc_i, lc_j)."""
+def _spoly_terms(i, j, L, leads, lcs, tails, packer):
+    """S-polynomial of basis elements i and j (packed term dicts) with lead
+    lcm L: over QQ (lc_j/g)*x^si*tail_i - (lc_i/g)*x^sj*tail_j with
+    g = gcd(lc_i, lc_j), over GF(q) x^si*tail_i - x^sj*tail_j mod q."""
     fld = packer.ring.field
-    L = packer.lcm(leads[i], leads[j])
     si = L - leads[i]
     sj = L - leads[j]
     if fld.kind == "rational":
@@ -286,47 +289,48 @@ def _spoly_terms(i, j, leads, lcs, tails, packer):
             else:
                 del terms[ne]
         return terms
+    q = fld.q
     terms = {te + si: tc for te, tc in tails[i].items()}
     for te, tc in tails[j].items():
         ne = te + sj
-        prev = terms.get(ne)
-        if prev is None:
-            terms[ne] = fld.neg(tc)
+        val = (terms.get(ne, 0) - tc) % q
+        if val:
+            terms[ne] = val
         else:
-            val = fld.sub(prev, tc)
-            if fld.is_zero(val):
-                del terms[ne]
-            else:
-                terms[ne] = val
+            del terms[ne]
     return terms
 
 
-def _gm_update(P, lmG, t, packer):
+def _gm_update(P, leads, exps, t, packer):
     """Gebauer-Moeller pair update when basis element t is appended.
 
-    P maps pairs (i, j) to their cached (sugar, lcm) selection data; sugars
-    holds the sugar degree of each basis element.
+    P maps pairs (i, j) to their cached (sugar, lcm) selection data; exps
+    holds the unpacked lead exponents next to the packed leads, so each
+    lcm(lead_i, lead_t) is packed once and coprimality is read off the
+    tuples.
     """
-    lmf = lmG[t]
+    lmf = leads[t]
+    et = exps[t]
     divides = packer.divides
-    lcm = packer.lcm
+    pack = packer.pack
+    lcms = [pack(tuple(map(max, exps[i], et))) for i in range(t)]
     kept = {}
     for pair, data in P.items():
         lij = data[1]
         if (not divides(lmf, lij)
-                or lij == lcm(lmG[pair[0]], lmf)
-                or lij == lcm(lmG[pair[1]], lmf)):
+                or lij == lcms[pair[0]]
+                or lij == lcms[pair[1]]):
             kept[pair] = data
     classes = {}
-    for i in range(t):
-        classes.setdefault(lcm(lmG[i], lmf), []).append(i)
+    for i, L in enumerate(lcms):
+        classes.setdefault(L, []).append(i)
     minimal = []
     for L in sorted(classes):
         if not any(divides(Lp, L) for Lp in minimal):
             minimal.append(L)
     for L in minimal:
         members = classes[L]
-        if not any(lcm(lmG[i], lmf) == packer.mul(lmG[i], lmf) for i in members):
+        if all(any(map(min, exps[i], et)) for i in members):
             kept[(min(members), t)] = (None, L)
     return kept
 
@@ -351,7 +355,8 @@ def _buchberger(seed_terms, ring, budget):
     fld = ring.field
     integral = fld.kind == "rational"
     degree = packer.degree
-    leads, lcs, tails, sugars = [], [], [], []
+    unpack = packer.unpack
+    leads, exps, lcs, tails, sugars = [], [], [], [], []
     P = {}
 
     def insert(terms, sugar):
@@ -362,6 +367,7 @@ def _buchberger(seed_terms, ring, budget):
         packer.check_fits(red)
         lead, lc, tail = _split(red, fld)
         leads.append(lead)
+        exps.append(unpack(lead))
         lcs.append(lc)
         tails.append(tail)
         deg_red = max(degree(e) for e in red)
@@ -374,7 +380,7 @@ def _buchberger(seed_terms, ring, budget):
         if integral:
             terms = _clear_denominators(terms)[0]
         if insert(terms, max(degree(e) for e in terms)):
-            P = _gm_update(P, leads, len(leads) - 1, packer)
+            P = _gm_update(P, leads, exps, len(leads) - 1, packer)
     while P:
         best = None
         best_key = None
@@ -387,9 +393,9 @@ def _buchberger(seed_terms, ring, budget):
                 best, best_key = pair, k
         sugar, L = P.pop(best)
         i, j = best
-        s = _spoly_terms(i, j, leads, lcs, tails, packer)
+        s = _spoly_terms(i, j, L, leads, lcs, tails, packer)
         if insert(s, sugar):
-            P = _gm_update(P, leads, len(leads) - 1, packer)
+            P = _gm_update(P, leads, exps, len(leads) - 1, packer)
     return _autoreduce(leads, lcs, tails, packer, budget)
 
 

@@ -120,10 +120,15 @@ class _Parser:
                 k3, v3, p3 = self.tokens[self.i + 1]
                 if k3 == "int":
                     self.i += 2
-                    if v3 == 0:
+                    field = self.ring.field
+                    try:
+                        c = field.fraction(value, v3)
+                    except ZeroDivisionError:
+                        # 0, or a multiple of q over GF(q)
                         raise ZeroDenominator(
-                            f"zero denominator in literal at position {p3}")
-                    return self.ring.const(self.ring.field.fraction(value, v3))
+                            f"denominator {v3} of the literal at position "
+                            f"{p3} is zero in {field!r}") from None
+                    return self.ring.const(c)
             return self.ring.const(value)
         if kind == "name":
             if value not in self.ring._pos:

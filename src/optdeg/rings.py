@@ -186,14 +186,15 @@ class MonomialPacker:
     Buchberger's algorithm run on machine integers.
 
     The layout is chosen per monomial order so that integer comparison of
-    packed values agrees with the order, packed(a) + packed(b) - offset is
-    the packed product, and a masked subtraction tests divisibility.  Each
-    variable gets a 16-bit field (15-bit value plus a guard bit that traps
-    borrows); degree fields ride above the complemented exponent fields for
-    the graded orders.  Exponents and the topmost degree field hold at most
-    VMASK; an inner degree field (the back block of a block order) holds less
-    than 2^14, so the divisibility offset never borrows across it.  pack
-    raises SizeOutOfRange beyond these widths.
+    packed values agrees with the order, packed(a) + packed(b) - packed(c) is
+    the packed a*b/c when c divides b (so a shift by a difference of packed
+    values multiplies by a monomial), and a masked subtraction tests
+    divisibility.  Each variable gets a 16-bit field (15-bit value plus a
+    guard bit that traps borrows); degree fields ride above the complemented
+    exponent fields for the graded orders.  Exponents and the topmost degree
+    field hold at most VMASK; an inner degree field (the back block of a
+    block order) holds less than 2^14, so the divisibility offset never
+    borrows across it.  pack raises SizeOutOfRange beyond these widths.
     """
 
     WIDTH = 16
@@ -231,12 +232,9 @@ class MonomialPacker:
             front_deg = pos
             self._layout = layout
             self._deg_shifts = [(back_deg, tuple(back)), (front_deg, tuple(front))]
-        self.mul_offset = 0
         self.guards = 0
-        for kind, _i, shift in self._layout:
+        for _kind, _i, shift in self._layout:
             self.guards |= (1 << 15) << shift
-            if kind == "compl":
-                self.mul_offset += self.VMASK << shift
         self.div_offset = 0
         for shift, _vars in self._deg_shifts:
             self.div_offset += (1 << 14) << shift
@@ -253,6 +251,14 @@ class MonomialPacker:
         self._overflow = self.guards
         for shift in inner:
             self._overflow |= (3 << 14) << shift
+        vmask = self.VMASK
+        if len(deg_fields) == 1:
+            (shift,) = deg_fields
+            self.degree = lambda packed: (packed >> shift) & vmask
+        elif len(deg_fields) == 2:
+            lo, hi = deg_fields
+            self.degree = lambda packed: (((packed >> lo) & vmask)
+                                          + ((packed >> hi) & vmask))
 
     def pack(self, exp):
         if max(exp) > self.VMASK:
@@ -287,9 +293,8 @@ class MonomialPacker:
         return tuple(out)
 
     def degree(self, packed):
-        if self._deg_shifts:
-            return sum((packed >> shift) & self.VMASK
-                       for shift, _vars in self._deg_shifts)
+        """Total degree of a packed lex monomial; the graded orders replace
+        this per packer with a read of their degree field(s)."""
         return sum(self.unpack(packed))
 
     def divides(self, small, big):
@@ -299,11 +304,7 @@ class MonomialPacker:
         return not ((small - big + self.div_offset) & self.guards)
 
     def lcm(self, a, b):
-        ea, eb = self.unpack(a), self.unpack(b)
-        return self.pack(tuple(x if x > y else y for x, y in zip(ea, eb)))
-
-    def mul(self, a, b):
-        return a + b - self.mul_offset
+        return self.pack(tuple(map(max, self.unpack(a), self.unpack(b))))
 
 
 def exp_divides(b, a):

@@ -85,6 +85,25 @@ def test_domain_error_exit_code(tmp_path, capsys):
     assert rc == EXIT_DOMAIN
 
 
+@pytest.mark.parametrize("job_part", [
+    {"variety": {"generators": ["x1^2+1/2147483647*x2^2-1"]}},
+    {"variety": {"generators": ["x1^2+4*x2^2-1"]},
+     "options": {"u": ["1/2147483647", "3"]}},
+])
+def test_denominator_zero_mod_q_is_domain_error(tmp_path, capsys, job_part):
+    job = {
+        "schema_version": 1,
+        "ring": {"variables": ["x1", "x2"], "field": "prime:2147483647"},
+        "objective": {"pnorm": 2},
+        "seed": 0,
+        **job_part,
+    }
+    rc = run_cli(tmp_path, "degree", job)
+    err = capsys.readouterr().err
+    assert rc == EXIT_DOMAIN
+    assert err.startswith("error:") and "zero in GF(2147483647)" in err
+
+
 def test_budget_exit_code(tmp_path, capsys):
     job = {
         "schema_version": 1,

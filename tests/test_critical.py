@@ -272,6 +272,22 @@ def test_projective_conic_p3_reduction_budget(prime_field):
     assert rep.degree == 12
 
 
+@pytest.mark.parametrize("names, gens, p, degree, steps", [
+    (("x1", "x2", "x3"), ["x1^2+x2^2-3*x3^2"], 3, 12, 10_528),
+    (("x1", "x2", "x3", "x4"), ["x1*x3-x2^2", "x1*x4-x2*x3", "x2*x4-x3^2"],
+     2, 7, 10_398),
+])
+def test_projective_reduction_steps_pinned_over_gf(prime_field, names, gens,
+                                                   p, degree, steps):
+    """The GF(q) kernel's reduction steps are pinned exactly: a change to its
+    arithmetic or pair bookkeeping must not change the steps it takes."""
+    X = variety(RingContext(names, field=prime_field), *gens)
+    budget = _Budget(DEFAULT_BUDGET)
+    rep = projective_pnorm_degree(X, p, seed=0, budget=budget)
+    assert rep.degree == degree
+    assert DEFAULT_BUDGET - budget.remaining == steps
+
+
 @pytest.mark.parametrize("field", [PrimeField(), RationalField()])
 def test_nodal_cubic_cone_singular_saturand(field):
     """The singular locus of this cone is the line over the node, so the

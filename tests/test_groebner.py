@@ -307,20 +307,32 @@ _COEFFS = st.builds(Fraction,
                     st.integers(1, 6))
 
 
+_Q = 2147483647
+# integers nonzero mod q: small ones of both signs and ones near +-q
+_GF_COEFFS = st.one_of(
+    st.integers(-12, -1), st.integers(1, 12),
+    st.integers(_Q - 12, _Q + 12).filter(lambda c: c % _Q),
+    st.integers(-_Q - 12, -_Q + 12).filter(lambda c: c % _Q))
+
+
 @st.composite
-def _qq_ideals(draw):
+def _ideals(draw, coeffs=_COEFFS):
     """(nvars, generators): 1-3 generators in 2-3 variables, each a dict
-    exponent -> nonzero Fraction of total degree at most 5 - nvars."""
+    exponent -> nonzero coefficient of total degree at most 5 - nvars."""
     n = draw(st.integers(2, 3))
     exps = st.tuples(*[st.integers(0, 2)] * n).filter(
         lambda e: sum(e) <= 5 - n)
-    poly = st.dictionaries(exps, _COEFFS, min_size=1, max_size=4)
+    poly = st.dictionaries(exps, coeffs, min_size=1, max_size=4)
     return n, draw(st.lists(poly, min_size=1, max_size=3))
 
 
-def _optdeg_ideal(n, gens, order):
-    ring = RingContext(tuple(f"x{i + 1}" for i in range(n)), order=order)
-    return ring, Ideal(ring, [ring.poly_from_terms(dict(g)) for g in gens])
+def _poly(ring, terms):
+    return ring.poly_from_terms({e: ring.coeff(c) for e, c in terms.items()})
+
+
+def _optdeg_ideal(n, gens, order, field=None):
+    ring = RingContext(tuple(f"x{i + 1}" for i in range(n)), field, order)
+    return ring, Ideal(ring, [_poly(ring, g) for g in gens])
 
 
 def _sympy_exprs(n, gens):
@@ -338,7 +350,7 @@ def _sympy_terms(poly):
 
 @pytest.mark.parametrize("order, name", [(GREVLEX, "grevlex"), (LEX, "lex")])
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(_qq_ideals())
+@given(_ideals())
 def test_gb_matches_sympy_over_qq(order, name, ideal):
     n, gens = ideal
     _, ours = _optdeg_ideal(n, gens, order)
@@ -350,8 +362,8 @@ def test_gb_matches_sympy_over_qq(order, name, ideal):
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(_qq_ideals(), st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3),
-                                     _COEFFS, min_size=1, max_size=5))
+@given(_ideals(), st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3),
+                                  _COEFFS, min_size=1, max_size=5))
 def test_normal_form_matches_sympy_reduced(ideal, f):
     n, gens = ideal
     f = {e[:n]: c for e, c in f.items()}
@@ -364,3 +376,39 @@ def test_normal_form_matches_sympy_reduced(ideal, f):
     got = normal_form(ring.poly_from_terms(f), groebner_basis(ours))
     want = sympy.Poly(rem, *syms, domain="QQ")
     assert got.terms == ({} if want.is_zero else _sympy_terms(want))
+
+
+def _gf_terms(poly):
+    """sympy's symmetric residues mod q as optdeg's residues in [0, q)."""
+    return {e: int(c) % _Q for e, c in poly.terms()}
+
+
+@pytest.mark.parametrize("order, name", [(GREVLEX, "grevlex"), (LEX, "lex")])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_ideals(_GF_COEFFS))
+def test_gb_matches_sympy_over_gf(order, name, ideal):
+    n, gens = ideal
+    _, ours = _optdeg_ideal(n, gens, order, PrimeField(_Q))
+    syms, exprs = _sympy_exprs(n, gens)
+    theirs = sympy.groebner(exprs, *syms, order=name, modulus=_Q)
+    got = sorted(sorted(g.terms.items()) for g in groebner_basis(ours, order))
+    want = sorted(sorted(_gf_terms(p).items()) for p in theirs.polys)
+    assert got == want
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_ideals(_GF_COEFFS),
+       st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), _GF_COEFFS,
+                       min_size=1, max_size=5))
+def test_normal_form_matches_sympy_reduced_over_gf(ideal, f):
+    n, gens = ideal
+    f = {e[:n]: c for e, c in f.items()}
+    ring, ours = _optdeg_ideal(n, gens, GREVLEX, PrimeField(_Q))
+    syms, exprs = _sympy_exprs(n, gens)
+    gb = sympy.groebner(exprs, *syms, order="grevlex", modulus=_Q)
+    (fexpr,) = _sympy_exprs(n, [f])[1]
+    _, rem = sympy.reduced(fexpr, gb.exprs, *syms, order="grevlex",
+                           modulus=_Q)
+    got = normal_form(_poly(ring, f), groebner_basis(ours))
+    want = sympy.Poly(rem, *syms, modulus=_Q)
+    assert got.terms == ({} if want.is_zero else _gf_terms(want))

@@ -84,6 +84,17 @@ def test_rational_function_zero_denominator(ring):
         parse_rational_function("u1/(x1-x1)", ring)
 
 
+def test_literal_denominator_zero_mod_q():
+    ring = RingContext(("x1", "x2"), PrimeField(2147483647))
+    with pytest.raises(ZeroDenominator):
+        parse_polynomial("x1^2+1/2147483647*x2^2-1", ring)
+    with pytest.raises(ZeroDenominator):
+        parse_polynomial("3/4294967294", ring)
+    with pytest.raises(ZeroDenominator):
+        parse_polynomial("x1+1/0", ring)
+    assert parse_polynomial("1/2147483648", ring) == ring.one()
+
+
 def test_format_zero(ring):
     assert format_polynomial(ring.zero()) == "0"
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optdeg import (GREVLEX, LEX, OrderSpec, PrimeField, RationalField,
                     RingContext, RingMismatch, SizeOutOfRange, derationalize,
@@ -290,3 +292,17 @@ def test_packer_rejects_degree_field_overflow():
     packer.pack((16383, 0, 32767))
     with pytest.raises(SizeOutOfRange):
         packer.pack((10000, 10000, 0))
+
+
+_EXPS = st.tuples(*[st.integers(0, 2000)] * 4)
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, OrderSpec("block", ("w",)),
+                                   OrderSpec("block", ("x", "z"))])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_EXPS, _EXPS)
+def test_packer_degree_and_lcm(order, a, b):
+    packer = RingContext(("w", "x", "y", "z"), order=order).packer()
+    assert packer.degree(packer.pack(a)) == sum(a)
+    assert (packer.lcm(packer.pack(a), packer.pack(b))
+            == packer.pack(tuple(map(max, a, b))))
