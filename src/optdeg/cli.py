@@ -60,11 +60,13 @@ def _load_ring(doc):
     return RingContext(tuple(variables), field)
 
 
-def _parse_poly(text, ring, where):
+def _parse(parse, text, ring, where):
+    """parse(text, ring), with a grammar error reported as a schema error; a
+    zero denominator stays a domain error."""
     if not isinstance(text, str):
         raise SchemaError(f"{where} must be a string in the polynomial grammar")
     try:
-        return parse_polynomial(text, ring)
+        return parse(text, ring)
     except ZeroDenominator:
         raise
     except OptdegError as exc:
@@ -74,7 +76,7 @@ def _parse_poly(text, ring, where):
 def _load_variety(doc, ring):
     var_doc = _require(doc, "variety", dict, "job")
     gen_texts = _require(var_doc, "generators", list, "variety")
-    gens = [_parse_poly(t, ring, f"variety.generators[{i}]")
+    gens = [_parse(parse_polynomial, t, ring, f"variety.generators[{i}]")
             for i, t in enumerate(gen_texts)]
     codim = var_doc.get("codim")
     if codim is not None and not isinstance(codim, int):
@@ -84,7 +86,8 @@ def _load_variety(doc, ring):
         sing_texts = var_doc["singular_ideal"]
         if not isinstance(sing_texts, list):
             raise SchemaError("variety.singular_ideal must be a list")
-        sing = Ideal(ring, [_parse_poly(t, ring, "variety.singular_ideal")
+        sing = Ideal(ring, [_parse(parse_polynomial, t, ring,
+                                   "variety.singular_ideal")
                             for t in sing_texts])
     try:
         return VarietySpec(ring, tuple(gens), codim_override=codim,
@@ -117,12 +120,7 @@ def _load_objective(doc, ring):
                 text = entry
             else:
                 raise SchemaError(f"{where} must be a string or num/den object")
-            try:
-                partials.append(parse_rational_function(text, big))
-            except ZeroDenominator:
-                raise
-            except OptdegError as exc:
-                raise SchemaError(f"{where}: {exc}") from None
+            partials.append(_parse(parse_rational_function, text, big, where))
         return RationalGradient(tuple(partials))
     raise SchemaError("objective must contain 'pnorm' or 'rational_gradient'")
 
@@ -135,17 +133,18 @@ def _load_point(values, ring, where):
         if isinstance(v, int):
             out.append(v)
         elif isinstance(v, str):
-            out.append(_parse_poly(v, ring, where).constant_value())
+            out.append(_parse(parse_polynomial, v, ring, where).constant_value())
         else:
             raise SchemaError(f"{where} coordinates must be integers or "
                               "rational strings")
     return tuple(out)
 
 
-def _option_p(options):
+def _option_p(options, least=1):
+    """options.p; the projective constructions need p >= 2."""
     p = options.get("p")
-    if not isinstance(p, int) or p < 1:
-        raise SchemaError("options.p must be an integer >= 1")
+    if not isinstance(p, int) or p < least:
+        raise SchemaError(f"options.p must be an integer >= {least}")
     return p
 
 
@@ -186,7 +185,7 @@ def _cmd_degree(job, variety, budget, timings):
 
 
 def _cmd_projective_degree(job, variety, budget, timings):
-    p = _option_p(job.get("options", {}))
+    p = _option_p(job.get("options", {}), 2)
     t0 = time.perf_counter()
     rep = projective_pnorm_degree(variety, p, trials=job["trials"],
                                   seed=job["seed"], budget=budget)
@@ -233,7 +232,7 @@ def _cmd_conormal(job, variety, budget, timings):
 
 
 def _cmd_joint(job, variety, budget, timings):
-    p = _option_p(job.get("options", {}))
+    p = _option_p(job.get("options", {}), 2)
     t0 = time.perf_counter()
     ideal = joint_correspondence_ideal(variety, p, budget)
     timings.stage("joint-ideal", t0)
@@ -322,12 +321,8 @@ def _load_tower(job, ring_field):
         where = f"tower.levels[{i}]"
         power = _require(level_doc, "power", int, where)
         alpha_text = _require(level_doc, "alpha", str, where)
-        try:
-            alpha = parse_rational_function(alpha_text, ring)
-        except ZeroDenominator:
-            raise
-        except OptdegError as exc:
-            raise SchemaError(f"{where}.alpha: {exc}") from None
+        alpha = _parse(parse_rational_function, alpha_text, ring,
+                       f"{where}.alpha")
         try:
             levels.append(TowerLevel(power, alpha))
         except (ValueError, OptdegError) as exc:
@@ -340,14 +335,9 @@ def _load_tower(job, ring_field):
     except (ValueError, OptdegError) as exc:
         raise SchemaError(str(exc)) from None
     coords_doc = _require(doc, "parametrization", list, "tower")
-    coords = []
-    for i, text in enumerate(coords_doc):
-        try:
-            coords.append(parse_rational_function(text, ring))
-        except ZeroDenominator:
-            raise
-        except OptdegError as exc:
-            raise SchemaError(f"tower.parametrization[{i}]: {exc}") from None
+    coords = [_parse(parse_rational_function, text, ring,
+                     f"tower.parametrization[{i}]")
+              for i, text in enumerate(coords_doc)]
     try:
         param = ParametrizationSpec(tuple(coords))
     except ValueError as exc:
@@ -393,7 +383,7 @@ def _cmd_gb(job, variety, budget, timings):
 
 def _cmd_crossvalidate(job, variety, budget, timings):
     options = job.get("options", {})
-    p = _option_p(options)
+    p = _option_p(options, 2 if variety.is_homogeneous() else 1)
     values = {}
     notes = []
     if variety.is_homogeneous():
@@ -460,8 +450,16 @@ def _cmd_crossvalidate(job, variety, budget, timings):
     return {"p": p, "values": values, "verdict": verdict, "notes": notes}
 
 
-_COMMANDS = ("degree", "projective-degree", "polar", "conormal", "joint",
-             "formula", "evolute", "tower-check", "crossvalidate", "gb")
+_VARIETY_COMMANDS = {
+    "degree": _cmd_degree,
+    "projective-degree": _cmd_projective_degree,
+    "polar": _cmd_polar,
+    "conormal": _cmd_conormal,
+    "joint": _cmd_joint,
+    "evolute": _cmd_evolute,
+    "crossvalidate": _cmd_crossvalidate,
+    "gb": _cmd_gb,
+}
 
 
 def run_job(command, job, timings_wanted=False):
@@ -484,27 +482,11 @@ def run_job(command, job, timings_wanted=False):
         result = _cmd_formula(job, timings)
     elif command == "tower-check":
         result = _cmd_tower_check(job, budget, timings)
+    elif command in _VARIETY_COMMANDS:
+        variety = _load_variety(job, _load_ring(job))
+        result = _VARIETY_COMMANDS[command](job, variety, budget, timings)
     else:
-        ring = _load_ring(job)
-        variety = _load_variety(job, ring)
-        if command == "degree":
-            result = _cmd_degree(job, variety, budget, timings)
-        elif command == "projective-degree":
-            result = _cmd_projective_degree(job, variety, budget, timings)
-        elif command == "polar":
-            result = _cmd_polar(job, variety, budget, timings)
-        elif command == "conormal":
-            result = _cmd_conormal(job, variety, budget, timings)
-        elif command == "joint":
-            result = _cmd_joint(job, variety, budget, timings)
-        elif command == "evolute":
-            result = _cmd_evolute(job, variety, budget, timings)
-        elif command == "crossvalidate":
-            result = _cmd_crossvalidate(job, variety, budget, timings)
-        elif command == "gb":
-            result = _cmd_gb(job, variety, budget, timings)
-        else:
-            raise SchemaError(f"unknown command {command!r}")
+        raise SchemaError(f"unknown command {command!r}")
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -522,7 +504,8 @@ def main(argv=None) -> int:
         prog="optdeg",
         description="Exact computation of algebraic degrees of optimization "
                     "over varieties")
-    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("command",
+                        choices=["formula", "tower-check", *_VARIETY_COMMANDS])
     parser.add_argument("--job", required=True, help="job JSON document")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--trials", type=int, default=None)

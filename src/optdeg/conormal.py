@@ -14,11 +14,13 @@ from dataclasses import dataclass
 
 from .errors import (CollapsedToUnit, InconsistentSlices, NotHomogeneous,
                      NotZeroDimensionalAfterSlicing)
-from .critical import VarietySpec, isotropic_polynomial, singular_locus_ideal
+from .critical import (VarietySpec, _conormal_generators, isotropic_polynomial,
+                       singular_locus_ideal)
 from .formulas import polar_formula
-from .groebner import (GREVLEX, Ideal, as_budget, degree_zero_dim, dimension,
+from .groebner import (GREVLEX, Ideal, _count_points, as_budget, dimension,
                        saturate)
 from .matrices import PolyMatrix
+from .rings import random_linear_form
 
 
 @dataclass(frozen=True)
@@ -62,22 +64,9 @@ def s_conormal_ideal(X: VarietySpec, s, budget=None) -> Ideal:
         raise ValueError("the conormal power s must be an integer >= 1")
     if not X.is_homogeneous():
         raise NotHomogeneous("the variety generators must be homogeneous")
-    ring = X.ring
-    n = X.n
-    ynames = tuple(f"y{i + 1}" for i in range(n))
-    for name in ynames:
-        if name in ring._pos:
-            raise ValueError(f"auxiliary name {name!r} collides with a ring "
-                             "variable; rename the ring variables")
-    big = ring.extend(ynames)
-    c = X.codimension(budget)
-    gens = [g.transfer(big) for g in X.generators]
-    yrow = [big.var(yn) ** s for yn in ynames]
-    jac_rows = [[g.derivative(xn) for xn in ring.variables] for g in gens]
-    stacked = PolyMatrix([yrow] + jac_rows)
-    k = c + 1
-    minors = stacked.minors(k) if k <= min(stacked.rows, stacked.cols) else []
-    ideal = Ideal(big, gens + minors)
+    ynames = tuple(f"y{i + 1}" for i in range(X.n))
+    big = X.ring.extend(ynames)
+    ideal = Ideal(big, _conormal_generators(X, s, big, ynames, budget))
     sing = singular_locus_ideal(X, budget).transfer(big)
     return saturate(ideal, sing, budget)
 
@@ -89,16 +78,12 @@ def joint_correspondence_ideal(X: VarietySpec, p, budget=None) -> Ideal:
     budget = as_budget(budget)
     if not isinstance(p, int) or p < 2:
         raise ValueError("the joint correspondence needs an integer p >= 2")
-    conormal = s_conormal_ideal(X, p - 1, budget)
     ring = X.ring
     n = X.n
     ynames = tuple(f"y{i + 1}" for i in range(n))
     unames = tuple(f"u{i + 1}" for i in range(n))
-    for name in unames:
-        if name in ring._pos:
-            raise ValueError(f"auxiliary name {name!r} collides with a ring "
-                             "variable; rename the ring variables")
     big = ring.extend(ynames + unames)
+    conormal = s_conormal_ideal(X, p - 1, budget)
     gens = [g.transfer(big) for g in conormal.generators]
     collinear = []
     if n >= 3:
@@ -118,33 +103,18 @@ def joint_correspondence_ideal(X: VarietySpec, p, budget=None) -> Ideal:
     return result
 
 
-def _random_homogeneous_form(ring, names, rng):
-    while True:
-        coeffs = [rng.randint(-100, 100) for _ in names]
-        if any(coeffs):
-            break
-    form = ring.zero()
-    for name, c in zip(names, coeffs):
-        if c:
-            form = form + ring.var(name).scale(c)
-    return form
-
-
 def _sliced_count(ideal, x_names, y_names, a, b, rng, budget):
     ring = ideal.ring
     n = len(x_names)
-    forms = [_random_homogeneous_form(ring, x_names, rng) for _ in range(n - 1 - a)]
-    forms += [_random_homogeneous_form(ring, y_names, rng) for _ in range(n - 1 - b)]
-    forms.append(_random_homogeneous_form(ring, x_names, rng) - ring.one())
-    forms.append(_random_homogeneous_form(ring, y_names, rng) - ring.one())
-    sliced = Ideal(ring, list(ideal.generators) + forms)
-    gb = sliced.groebner(GREVLEX, budget)
-    if gb.is_unit():
-        return 0
-    if dimension(sliced, budget) != 0:
+    forms = [random_linear_form(ring, x_names, rng) for _ in range(n - 1 - a)]
+    forms += [random_linear_form(ring, y_names, rng) for _ in range(n - 1 - b)]
+    forms.append(random_linear_form(ring, x_names, rng) - ring.one())
+    forms.append(random_linear_form(ring, y_names, rng) - ring.one())
+    count = _count_points(Ideal(ring, list(ideal.generators) + forms), budget)
+    if count is None:
         raise NotZeroDimensionalAfterSlicing(
             "random multidegree slices did not reach dimension zero")
-    return degree_zero_dim(sliced, budget)
+    return count
 
 
 def bidegree_class(ideal: Ideal, x_names, y_names, seed=0, budget=None) -> BidegreeClass:

@@ -17,11 +17,12 @@ from .errors import (ContainedInIsotropic, DenominatorVanishesOnX,
                      NotHomogeneous, NotPrincipalWarning,
                      PositiveDimensionalFiber, RingMismatch)
 from .fields import PrimeField
-from .groebner import (GREVLEX, Ideal, as_budget, degree_zero_dim, dimension,
-                       eliminate, groebner_basis, normal_form, saturate,
+from .groebner import (Ideal, _count_points, as_budget, dimension, eliminate,
+                       groebner_basis, normal_form, saturate,
                        vanishes_on_variety)
 from .matrices import PolyMatrix, derationalize, jacobian
-from .rings import Polynomial, RationalFunction, RingContext
+from .rings import (Polynomial, RationalFunction, RingContext,
+                    random_linear_form)
 
 
 @dataclass
@@ -115,11 +116,6 @@ class EvolutePolynomial:
 def data_ring(ring, prefix="u"):
     """Extend an x-ring by one data variable per coordinate (u1, u2, ...)."""
     names = tuple(f"{prefix}{i + 1}" for i in range(ring.nvars))
-    for name in names:
-        if name in ring._pos:
-            raise ValueError(
-                f"data variable name {name!r} collides with a ring variable; "
-                "rename the ring variables")
     return ring.extend(names), names
 
 
@@ -293,13 +289,8 @@ def algebraic_degree(X: VarietySpec, objective, trials=2, seed=0,
                     "counts are reported as-is")
 
     def count_for(u):
-        ideal = critical_ideal_affine(X, objective, u=u, budget=budget)
-        gb = ideal.groebner(GREVLEX, budget)
-        if gb.is_unit():
-            return 0
-        if dimension(ideal, budget) != 0:
-            return None
-        return degree_zero_dim(ideal, budget)
+        return _count_points(
+            critical_ideal_affine(X, objective, u=u, budget=budget), budget)
 
     return _count_trials(count_for, X, trials, seed, budget, warn)
 
@@ -310,6 +301,19 @@ def isotropic_polynomial(ring, p):
     for v in ring.variables:
         out = out + ring.var(v) ** p
     return out
+
+
+def _conormal_generators(X: VarietySpec, s, big, ynames, budget):
+    """I(X) in the ring big, plus the (c+1) x (c+1) minors of the Jacobian of
+    its generators stacked under the row (y_1^s .. y_n^s)."""
+    c = X.codimension(budget)
+    gens = [g.transfer(big) for g in X.generators]
+    yrow = [big.var(yn) ** s for yn in ynames]
+    jac_rows = [[g.derivative(xn) for xn in X.ring.variables] for g in gens]
+    stacked = PolyMatrix([yrow] + jac_rows)
+    k = c + 1
+    minors = stacked.minors(k) if k <= min(stacked.rows, stacked.cols) else []
+    return gens + minors
 
 
 def _projective_system(X: VarietySpec, p, budget):
@@ -328,40 +332,15 @@ def _projective_system(X: VarietySpec, p, budget):
                                    "hypersurface")
     ynames = tuple(f"y{i + 1}" for i in range(n))
     unames = tuple(f"u{i + 1}" for i in range(n))
-    for name in ynames + unames:
-        if name in ring._pos:
-            raise ValueError(f"auxiliary name {name!r} collides with a ring "
-                             "variable; rename the ring variables")
     big = ring.extend(ynames + unames)
-    c = X.codimension(budget)
-
-    gens = [g.transfer(big) for g in X.generators]
-    yrow = [big.var(yn) ** (p - 1) for yn in ynames]
-    jac_rows = [[g.derivative(xn) for xn in ring.variables] for g in gens]
-    stacked = PolyMatrix([yrow] + jac_rows)
-    minors = stacked.minors(c + 1) if c + 1 <= min(stacked.rows, stacked.cols) else []
-
+    gens = _conormal_generators(X, p - 1, big, ynames, budget)
     collinear = []
     if n >= 3:
         rows = [[big.var(yn) for yn in ynames],
                 [big.var(un) for un in unames],
                 [big.var(xn) for xn in ring.variables]]
         collinear = PolyMatrix(rows).minors(3)
-    return big, gens + minors + collinear, ynames, unames, q_p
-
-
-def _affine_chart(ring, names, rng):
-    """h - 1 for a random nonzero linear form h in the named variables, with
-    coefficients drawn from [-100, 100]: the affine chart {h = 1}."""
-    while True:
-        coeffs = [rng.randint(-100, 100) for _ in names]
-        if any(coeffs):
-            break
-    form = -ring.one()
-    for name, cf in zip(names, coeffs):
-        if cf:
-            form = form + ring.var(name).scale(cf)
-    return form
+    return big, gens + collinear, ynames, unames, q_p
 
 
 def _saturate_and_drop_y(ideal, ynames, sing, q_p, chart_rng, budget):
@@ -376,8 +355,8 @@ def _saturate_and_drop_y(ideal, ynames, sing, q_p, chart_rng, budget):
     ring = ideal.ring
     ideal = saturate(ideal, sing.transfer(ring), budget)
     ideal = saturate(ideal, Ideal(ring, [q_p.transfer(ring)]), budget)
-    return eliminate(ideal + [_affine_chart(ring, ynames, chart_rng)], ynames,
-                     budget)
+    chart = random_linear_form(ring, ynames, chart_rng) - ring.one()
+    return eliminate(ideal + [chart], ynames, budget)
 
 
 def projective_critical_ideal(X: VarietySpec, p, budget=None) -> Ideal:
@@ -424,17 +403,13 @@ def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
     rng_chart = random.Random(f"projdeg|{seed}|chart")
 
     def count_for(u):
-        slice_ = _affine_chart(xy_ring, X.ring.variables, rng_forms)
+        slice_ = (random_linear_form(xy_ring, X.ring.variables, rng_forms)
+                  - xy_ring.one())
         bindings = {un: big.const(val) for un, val in zip(unames, u)}
         gens = [g.substitute(bindings).transfer(xy_ring) for g in raw_gens]
         sliced = _saturate_and_drop_y(Ideal(xy_ring, gens + [slice_]), ynames,
                                       sing + [slice_], q_p, rng_chart, budget)
-        gb = sliced.groebner(GREVLEX, budget)
-        if gb.is_unit():
-            return 0
-        if dimension(sliced, budget) != 0:
-            return None
-        return degree_zero_dim(sliced, budget)
+        return _count_points(sliced, budget)
 
     return _count_trials(count_for, X, trials, seed, budget, [])
 

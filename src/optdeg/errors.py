@@ -41,6 +41,10 @@ class RingMismatch(OptdegError):
     pass
 
 
+class VariableCollision(OptdegError, ValueError):
+    """An adjoined variable name is already a variable of the ring."""
+
+
 class SizeOutOfRange(OptdegError):
     pass
 

@@ -2,8 +2,9 @@
 
 Buchberger's algorithm with Gebauer-Moeller pair pruning and sugar-degree
 pair selection, plus the derived operations everything else is built on:
-normal forms, elimination (block orders), saturation (Rabinowitsch trick),
-intersection, Krull dimension, and degree counts (standard monomials for
+normal forms; elimination, saturation (Rabinowitsch trick), radical
+membership and intersection, which are all block-order eliminations through
+one routine; Krull dimension; and degree counts (standard monomials for
 zero-dimensional ideals, random linear sections otherwise).
 
 Over GF(q) the kernel runs on monic polynomials whose coefficients are plain
@@ -23,7 +24,8 @@ from math import gcd, lcm
 
 from .errors import (BudgetExceeded, InconsistentSlices, NotZeroDimensional,
                      NotZeroDimensionalAfterSlicing, RingMismatch)
-from .rings import (GREVLEX, OrderSpec, Polynomial, RingContext, exp_divides)
+from .rings import (GREVLEX, OrderSpec, Polynomial, RingContext, exp_divides,
+                    random_linear_form)
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -500,6 +502,21 @@ def normal_form(f, gb: GroebnerBasis, budget=None) -> Polynomial:
 # elimination, saturation, intersection
 # --------------------------------------------------------------------------
 
+def _eliminate(ideal, drop, small, budget) -> Ideal:
+    """The elements free of `drop` in the reduced basis for the block order
+    that ranks `drop` first, as an ideal of the ring `small`.  Within the
+    back block that order is grevlex, so they are cached as the reduced
+    grevlex basis when `small` is grevlex."""
+    gb = ideal.groebner(OrderSpec("block", drop), budget)
+    drop_idx = [gb.ring._pos[name] for name in drop]
+    kept = [g.transfer(small) for g in gb.basis
+            if all(all(e[i] == 0 for i in drop_idx) for e in g.terms)]
+    out = Ideal(small, kept)
+    if small.order == GREVLEX:
+        out._gb_cache[GREVLEX] = GroebnerBasis(small, kept, GREVLEX)
+    return out
+
+
 def eliminate(ideal, drop, budget=None) -> Ideal:
     """Generators of ideal ∩ k[remaining variables], as an ideal of the subring."""
     budget = as_budget(budget)
@@ -513,16 +530,18 @@ def eliminate(ideal, drop, budget=None) -> Ideal:
     keep = [v for v in ring.variables if v not in set(drop)]
     if not keep:
         raise ValueError("cannot eliminate every variable")
-    gb = ideal.groebner(OrderSpec("block", drop), budget)
-    drop_idx = [gb.ring._pos[name] for name in drop]
-    small = ring.restrict(keep)
-    kept = []
-    for g in gb.basis:
-        if all(all(e[i] == 0 for i in drop_idx) for e in g.terms):
-            kept.append(g.transfer(small))
-    out = Ideal(small, kept)
-    out._gb_cache[GREVLEX] = GroebnerBasis(small, kept, GREVLEX)
-    return out
+    return _eliminate(ideal, drop, ring.restrict(keep), budget)
+
+
+def _rabinowitsch(ideal, f, budget) -> Ideal:
+    """(ideal : f^infinity) in the ring of the ideal: adjoin a fresh w and
+    eliminate it from ideal + <1 - w*f>."""
+    ring = ideal.ring
+    w = ring.fresh_name("sat_w")
+    big = ring.extend([w])
+    gens = [g.transfer(big) for g in ideal.generators]
+    gens.append(big.one() - big.var(w) * f.transfer(big))
+    return _eliminate(Ideal(big, gens), (w,), ring, budget)
 
 
 def _saturate_single(ideal, f, budget) -> Ideal:
@@ -530,19 +549,7 @@ def _saturate_single(ideal, f, budget) -> Ideal:
             and all(g.is_homogeneous() for g in ideal.generators):
         vname = ideal.ring.variables[f.lead_monomial().index(1)]
         return _saturate_variable_homogeneous(ideal, vname, budget)
-    ring = ideal.ring
-    w = ring.fresh_name("sat_w")
-    big = ring.extend([w], OrderSpec("block", (w,)))
-    gens = [g.transfer(big) for g in ideal.generators]
-    gens.append(big.one() - big.var(w) * f.transfer(big))
-    gb = groebner_basis(Ideal(big, gens), OrderSpec("block", (w,)), budget)
-    wi = gb.ring._pos[w]
-    kept = [g.transfer(ring) for g in gb.basis
-            if all(e[wi] == 0 for e in g.terms)]
-    out = Ideal(ring, kept)
-    if ring.order == GREVLEX:
-        out._gb_cache[GREVLEX] = GroebnerBasis(ring, kept, GREVLEX)
-    return out
+    return _rabinowitsch(ideal, f, budget)
 
 
 def _saturate_variable_homogeneous(ideal, vname, budget) -> Ideal:
@@ -575,19 +582,12 @@ def intersect(a: Ideal, b: Ideal, budget=None) -> Ideal:
     if a.is_zero() or b.is_zero():
         return Ideal(ring, [])
     t = ring.fresh_name("isect_t")
-    big = ring.extend([t], OrderSpec("block", (t,)))
+    big = ring.extend([t])
     tv = big.var(t)
     one_minus_t = big.one() - tv
     gens = [tv * g.transfer(big) for g in a.generators]
     gens += [one_minus_t * g.transfer(big) for g in b.generators]
-    gb = groebner_basis(Ideal(big, gens), OrderSpec("block", (t,)), budget)
-    ti = gb.ring._pos[t]
-    kept = [g.transfer(ring) for g in gb.basis
-            if all(e[ti] == 0 for e in g.terms)]
-    out = Ideal(ring, kept)
-    if ring.order == GREVLEX:
-        out._gb_cache[GREVLEX] = GroebnerBasis(ring, kept, GREVLEX)
-    return out
+    return _eliminate(Ideal(big, gens), (t,), ring, budget)
 
 
 def saturate(ideal: Ideal, other: Ideal, budget=None) -> Ideal:
@@ -624,17 +624,13 @@ def saturate(ideal: Ideal, other: Ideal, budget=None) -> Ideal:
 
 
 def vanishes_on_variety(f, ideal: Ideal, budget=None) -> bool:
-    """True iff f vanishes on the zero set of the ideal (radical membership)."""
+    """True iff f vanishes on the zero set of the ideal (radical membership):
+    (ideal : f^infinity) is the unit ideal."""
     budget = as_budget(budget)
     if f.is_zero():
         return True
-    ring = ideal.ring
-    w = ring.fresh_name("rad_w")
-    big = ring.extend([w], OrderSpec("block", (w,)))
-    gens = [g.transfer(big) for g in ideal.generators]
-    gens.append(big.one() - big.var(w) * f.transfer(big))
-    gb = groebner_basis(Ideal(big, gens), OrderSpec("block", (w,)), budget)
-    return gb.is_unit()
+    gens = _rabinowitsch(ideal, f, budget).generators
+    return len(gens) == 1 and gens[0].is_constant()
 
 
 # --------------------------------------------------------------------------
@@ -718,19 +714,14 @@ def degree_zero_dim(ideal: Ideal, budget=None) -> int:
     return count
 
 
-def _random_affine_forms(ring, k, rng):
-    forms = []
-    for _ in range(k):
-        while True:
-            coeffs = [rng.randint(-100, 100) for _ in range(ring.nvars)]
-            if any(coeffs):
-                break
-        form = ring.const(rng.randint(-100, 100))
-        for name, c in zip(ring.variables, coeffs):
-            if c:
-                form = form + ring.var(name).scale(c)
-        forms.append(form)
-    return forms
+def _count_points(ideal, budget):
+    """Points of the zero set, counted with multiplicity: 0 for the unit
+    ideal, None when the zero set has positive dimension."""
+    if ideal.groebner(GREVLEX, budget).is_unit():
+        return 0
+    if dimension(ideal, budget) != 0:
+        return None
+    return degree_zero_dim(ideal, budget)
 
 
 def degree_via_sections(ideal: Ideal, seed=0, budget=None) -> int:
@@ -747,8 +738,10 @@ def degree_via_sections(ideal: Ideal, seed=0, budget=None) -> int:
     counts = []
     for variant in (0, 1):
         rng = random.Random(f"sections|{seed}|{variant}")
-        sliced = Ideal(ideal.ring,
-                       list(ideal.generators) + _random_affine_forms(ideal.ring, k, rng))
+        # each constant term is drawn after its form's coefficients
+        forms = [random_linear_form(ideal.ring, ideal.ring.variables, rng)
+                 + rng.randint(-100, 100) for _ in range(k)]
+        sliced = Ideal(ideal.ring, list(ideal.generators) + forms)
         if dimension(sliced, budget) != 0:
             raise NotZeroDimensionalAfterSlicing(
                 "random sections did not cut the variety to dimension zero")

@@ -110,7 +110,7 @@ def poly_exact_div(f, g):
                 rem.pop(ne, None)
             else:
                 rem[ne] = val
-    return ring.poly_from_terms(out)
+    return Polynomial(ring, out)
 
 
 def _det_bareiss(rows, ring):

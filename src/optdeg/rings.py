@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import RingMismatch, SizeOutOfRange, ZeroDenominator
+from .errors import (RingMismatch, SizeOutOfRange, VariableCollision,
+                     ZeroDenominator)
 from .fields import RationalField
 
 
@@ -130,7 +131,13 @@ class RingContext:
         return Polynomial(self, {tuple(exp): c})
 
     def poly_from_terms(self, terms):
-        clean = {e: c for e, c in terms.items() if not self.field.is_zero(c)}
+        """Polynomial from an exponent -> coefficient dict; coefficients are
+        coerced to field elements and the ones that become zero dropped."""
+        clean = {}
+        for e, c in terms.items():
+            c = self.coeff(c)
+            if not self.field.is_zero(c):
+                clean[e] = c
         return Polynomial(self, clean)
 
     def index(self, name):
@@ -147,7 +154,9 @@ class RingContext:
         """Ring with extra variables appended after the current ones."""
         for name in new_names:
             if name in self._pos:
-                raise ValueError(f"variable {name!r} already in ring")
+                raise VariableCollision(
+                    f"auxiliary name {name!r} collides with a ring variable; "
+                    "rename the ring variables")
         return RingContext(self.variables + tuple(new_names), self.field,
                            order if order is not None else self.order)
 
@@ -307,6 +316,20 @@ class MonomialPacker:
         return self.pack(tuple(map(max, self.unpack(a), self.unpack(b))))
 
 
+def random_linear_form(ring, names, rng):
+    """Linear form sum c_i * name_i with integer c_i drawn from rng in
+    [-100, 100], redrawn while all are zero."""
+    while True:
+        coeffs = [rng.randint(-100, 100) for _ in names]
+        if any(coeffs):
+            break
+    form = ring.zero()
+    for name, c in zip(names, coeffs):
+        if c:
+            form = form + ring.var(name).scale(c)
+    return form
+
+
 def exp_divides(b, a):
     return all(y <= x for x, y in zip(a, b))
 
@@ -348,9 +371,6 @@ class Polynomial:
 
     def lead_monomial(self):
         return self.lead_term()[0]
-
-    def lead_coeff(self):
-        return self.lead_term()[1]
 
     def sorted_terms(self):
         """Terms ordered leading-first."""
@@ -475,16 +495,6 @@ class Polynomial:
         if fld.is_zero(c):
             return self.ring.zero()
         return Polynomial(self.ring, {e: fld.mul(v, c) for e, v in self.terms.items()})
-
-    def monic(self):
-        if not self.terms:
-            return self
-        lc = self.lead_coeff()
-        fld = self.ring.field
-        if lc == fld.one:
-            return self
-        inv = fld.inv(lc)
-        return self.scale(inv)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):

@@ -132,9 +132,6 @@ def build_tower_system(tower: TowerSpec, parametrization: ParametrizationSpec,
                                "tower ring")
     ynames = tuple(f"Y{j + 1}" for j in range(r))
     zname = "Z"
-    for name in ynames + (zname,):
-        if name in tower.ring._pos:
-            raise ValueError(f"reserved name {name!r} already in the ring")
     big = tower.ring.extend(ynames + (zname,))
 
     roots = []

@@ -104,6 +104,71 @@ def test_denominator_zero_mod_q_is_domain_error(tmp_path, capsys, job_part):
     assert err.startswith("error:") and "zero in GF(2147483647)" in err
 
 
+@pytest.mark.parametrize("command, variables, generator, name", [
+    ("crossvalidate", ["x1", "y1", "x3"], "x1^2+y1^2-2*x3^2", "y1"),
+    ("degree", ["x1", "u1"], "x1^2+4*u1^2-1", "u1"),
+])
+def test_auxiliary_name_collision_is_domain_error(tmp_path, capsys, command,
+                                                  variables, generator, name):
+    job = {
+        "schema_version": 1,
+        "ring": {"variables": variables, "field": "prime:2147483647"},
+        "variety": {"generators": [generator]},
+        "objective": {"pnorm": 2},
+        "options": {"p": 2},
+        "seed": 0,
+    }
+    rc = run_cli(tmp_path, command, job)
+    err = capsys.readouterr().err
+    assert rc == EXIT_DOMAIN
+    assert err.startswith("error:") and f"{name!r} collides" in err
+
+
+def test_tower_base_name_collision_is_domain_error(tmp_path, capsys):
+    job = {
+        "schema_version": 1,
+        "tower": {
+            "base": ["x1", "Z"],
+            "levels": [{"power": 2, "alpha": "Z*x1"}],
+            "parametrization": ["x1", "Z", "x1+D1"],
+        },
+    }
+    rc = run_cli(tmp_path, "tower-check", job)
+    err = capsys.readouterr().err
+    assert rc == EXIT_DOMAIN
+    assert err.startswith("error:") and "'Z' collides" in err
+
+
+def test_tower_parametrization_must_be_text(tmp_path, capsys):
+    job = {
+        "schema_version": 1,
+        "tower": {
+            "base": ["x1", "s"],
+            "levels": [{"power": 2, "alpha": "s*x1"}],
+            "parametrization": ["x1", 3, "x1+D1"],
+        },
+    }
+    rc = run_cli(tmp_path, "tower-check", job)
+    assert rc == EXIT_SCHEMA
+    assert "tower.parametrization[1] must be a string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["projective-degree", "joint",
+                                     "crossvalidate"])
+def test_projective_commands_need_p_at_least_two(tmp_path, capsys, command):
+    job = {
+        "schema_version": 1,
+        "ring": {"variables": ["x1", "x2", "x3"], "field": "rational"},
+        "variety": {"generators": ["x1^2+x2^2-3*x3^2"]},
+        "options": {"p": 1},
+        "seed": 0,
+    }
+    rc = run_cli(tmp_path, command, job)
+    err = capsys.readouterr().err
+    assert rc == EXIT_SCHEMA
+    assert "options.p must be an integer >= 2" in err
+
+
 def test_budget_exit_code(tmp_path, capsys):
     job = {
         "schema_version": 1,

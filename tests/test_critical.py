@@ -288,6 +288,21 @@ def test_projective_reduction_steps_pinned_over_gf(prime_field, names, gens,
     assert DEFAULT_BUDGET - budget.remaining == steps
 
 
+@pytest.mark.parametrize("p, degree, steps", [(2, 5, 248), (3, 8, 296)])
+def test_affine_nodal_cubic_reduction_steps_pinned_over_gf(prime_field, p,
+                                                          degree, steps):
+    """The node's singular ideal is <x1, x2>, so every trial saturates by x1
+    and by x2 and intersects the two; the steps of those runs are pinned."""
+    ring = RingContext(("x1", "x2"), field=prime_field)
+    nodal = variety(ring, "x2^2-x1^2*(x1+1)")
+    assert singular_locus_ideal(nodal).generators == (P("x1", ring),
+                                                       P("x2", ring))
+    budget = _Budget(DEFAULT_BUDGET)
+    rep = algebraic_degree(nodal, PNorm(p), trials=2, seed=1, budget=budget)
+    assert rep.degree == degree
+    assert DEFAULT_BUDGET - budget.remaining == steps
+
+
 @pytest.mark.parametrize("field", [PrimeField(), RationalField()])
 def test_nodal_cubic_cone_singular_saturand(field):
     """The singular locus of this cone is the line over the node, so the

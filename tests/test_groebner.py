@@ -213,6 +213,21 @@ def test_intersect_idempotent(rxy):
     assert intersect(a, a).equals(a)
 
 
+def test_saturate_and_intersect_stay_in_a_lex_ring():
+    ring = RingContext(("x", "y"), order=LEX)
+    # a non-homogeneous ideal, so saturating by x takes the Rabinowitsch route
+    sat = saturate(I(ring, "x^2*y-x^2", "x*y^2"), I(ring, "x"))
+    assert sat.ring == ring
+    assert sat.equals(I(ring, "y-1", "y^2"))
+    # a monomial saturand <x, y> is saturated by x and y, then intersected
+    sat = saturate(I(ring, "x*y", "x^2+y^2-1"), I(ring, "x", "y"))
+    assert sat.ring == ring
+    assert sat.equals(I(ring, "x*y", "x^2+y^2-1"))
+    cap = intersect(I(ring, "x"), I(ring, "y"))
+    assert cap.ring == ring
+    assert cap.equals(I(ring, "x*y"))
+
+
 # --- dimension and degree -----------------------------------------------------------
 
 def test_dimension_examples():
@@ -287,6 +302,21 @@ def test_vanishes_on_variety(rxy):
     assert vanishes_on_variety(P("x^2+4*y^2-1", rxy), ellipse)
     assert vanishes_on_variety(P("x", rxy), I(rxy, "x^2"))
     assert not vanishes_on_variety(P("x", rxy), I(rxy, "y"))
+    assert vanishes_on_variety(P("x", rxy), I(rxy, "1"))
+    assert not vanishes_on_variety(P("3", rxy), I(rxy))
+
+
+def test_poly_from_terms_reduces_prime_field_coefficients():
+    q = 2147483647
+    ring = RingContext(("y", "z"), field=PrimeField(q))
+    raw = ring.poly_from_terms({(2, 0): 1, (0, 0): q + 3, (1, 0): q,
+                                (0, 1): -1})
+    reduced = ring.poly_from_terms({(2, 0): 1, (0, 0): 3, (0, 1): q - 1})
+    assert raw.terms == {(2, 0): 1, (0, 0): 3, (0, 1): q - 1}
+    assert raw == reduced
+    ours = groebner_basis(Ideal(ring, [raw, P("z", ring)])).basis
+    assert ours == groebner_basis(Ideal(ring, [reduced, P("z", ring)])).basis
+    assert ours == [P("y^2+3", ring), P("z", ring)]
 
 
 # --- field agreement -------------------------------------------------------------------

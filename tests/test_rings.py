@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optdeg import (GREVLEX, LEX, OrderSpec, PrimeField, RationalField,
-                    RingContext, RingMismatch, SizeOutOfRange, derationalize,
-                    jacobian, parse_polynomial, parse_rational_function,
+from optdeg import (GREVLEX, LEX, OptdegError, OrderSpec, PrimeField,
+                    RationalField, RingContext, RingMismatch, SizeOutOfRange,
+                    VariableCollision, derationalize, jacobian,
+                    parse_polynomial, parse_rational_function,
                     random_linear_change)
 from optdeg.matrices import PolyMatrix, poly_exact_div
 from optdeg.rings import RationalFunction
@@ -37,6 +38,15 @@ def test_field_axioms_randomized(field):
                                                           field.mul(a, c))
         if not field.is_zero(a):
             assert field.mul(a, field.inv(a)) == field.one
+
+
+def test_extend_rejects_a_colliding_name():
+    ring = RingContext(("x1", "u1"))
+    with pytest.raises(VariableCollision, match="'u1' collides"):
+        ring.extend(("u1", "u2"))
+    # callers that catch either family see it
+    assert issubclass(VariableCollision, OptdegError)
+    assert issubclass(VariableCollision, ValueError)
 
 
 def test_prime_field_validation():

@@ -3,6 +3,7 @@ import pytest
 from optdeg import RingContext, dimension, normal_form, parse_polynomial, \
     parse_rational_function
 from optdeg.errors import RestrictionIllDefined, ZeroAlpha
+from optdeg.groebner import DEFAULT_BUDGET, _Budget
 from optdeg.towers import (ParametrizationSpec, TowerLevel, TowerSpec,
                            build_tower_system, tower_dimension_check,
                            tower_incidence_ideals, tower_jacobian_rank,
@@ -128,6 +129,26 @@ def test_projection_consistency(ellipse_tower, ellipse_restriction):
     stepwise = eliminate(z_free, ("D1", "D2"))
     joint = eliminate(incidence, ("Z", "D1", "D2"))
     assert stepwise.equals(joint)
+
+
+def test_benchmark_tower_reduction_steps_pinned():
+    """The tower job of the benchmark's affine sweep (seed 2); its restriction
+    check is a radical-membership test, whose steps are pinned with the
+    rest."""
+    ring = tower_ring(("x1", "x2", "s"), 2)
+    tower = TowerSpec(ring, ("x1", "x2", "s"),
+                      (TowerLevel(2, RF("s*x1", ring)),
+                       TowerLevel(2, RF("8*s*x2", ring))))
+    param = ParametrizationSpec(tuple(RF(t, ring) for t in
+                                      ("x1", "x2", "x1+D1", "x2+D2")))
+    X = variety(RingContext(("x1", "x2", "s")), "x1^2+4*x2^2-6")
+    budget = _Budget(DEFAULT_BUDGET)
+    report = tower_dimension_check(build_tower_system(tower, param), X, budget)
+    assert (report.dimension, report.expected, report.passed) == (2, 2, True)
+    assert DEFAULT_BUDGET - budget.remaining == 195
+    budget = _Budget(DEFAULT_BUDGET)
+    assert tower_jacobian_rank(tower, param, X, budget) == 3
+    assert DEFAULT_BUDGET - budget.remaining == 38
 
 
 def test_jacobian_rank_ellipse(ellipse_tower, ellipse_restriction):
