@@ -47,17 +47,19 @@ def _require(doc, key, kind, where):
     return value
 
 
+def _load_field(ring_doc):
+    try:
+        return field_from_spec(ring_doc.get("field", "rational"))
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
+
+
 def _load_ring(doc):
     ring_doc = _require(doc, "ring", dict, "job")
     variables = _require(ring_doc, "variables", list, "ring")
     if not variables or not all(isinstance(v, str) for v in variables):
         raise SchemaError("ring.variables must be a non-empty list of names")
-    field_spec = ring_doc.get("field", "rational")
-    try:
-        field = field_from_spec(field_spec)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
-    return RingContext(tuple(variables), field)
+    return RingContext(tuple(variables), _load_field(ring_doc))
 
 
 def _parse(parse, text, ring, where):
@@ -347,8 +349,7 @@ def _load_tower(job, ring_field):
 
 def _cmd_tower_check(job, budget, timings):
     ring_doc = job.get("ring", {})
-    field = field_from_spec(ring_doc.get("field", "rational")) \
-        if isinstance(ring_doc, dict) else field_from_spec("rational")
+    field = _load_field(ring_doc if isinstance(ring_doc, dict) else {})
     tower, param = _load_tower(job, field)
     variety = None
     if job.get("variety") is not None:

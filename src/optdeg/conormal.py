@@ -54,12 +54,9 @@ class PolarClassVector:
         return len(self.values)
 
 
-def s_conormal_ideal(X: VarietySpec, s, budget=None) -> Ideal:
-    """Ideal of pairs (x, y) with x in the cone and y^s normal to T_x:
-    I(X) plus the (c+1) x (c+1) minors of the Jacobian stacked under the row
-    (y_1^s .. y_n^s), saturated by the singular locus.  s = 1 gives the
-    classical conormal ideal."""
-    budget = as_budget(budget)
+def _conormal_system(X: VarietySpec, s, budget):
+    """The ring (x, y), the unsaturated s-conormal ideal in it, the y names,
+    and the singular locus of X in the x-ring."""
     if not isinstance(s, int) or s < 1:
         raise ValueError("the conormal power s must be an integer >= 1")
     if not X.is_homogeneous():
@@ -67,8 +64,17 @@ def s_conormal_ideal(X: VarietySpec, s, budget=None) -> Ideal:
     ynames = tuple(f"y{i + 1}" for i in range(X.n))
     big = X.ring.extend(ynames)
     ideal = Ideal(big, _conormal_generators(X, s, big, ynames, budget))
-    sing = singular_locus_ideal(X, budget).transfer(big)
-    return saturate(ideal, sing, budget)
+    return big, ideal, ynames, singular_locus_ideal(X, budget)
+
+
+def s_conormal_ideal(X: VarietySpec, s, budget=None) -> Ideal:
+    """Ideal of pairs (x, y) with x in the cone and y^s normal to T_x:
+    I(X) plus the (c+1) x (c+1) minors of the Jacobian stacked under the row
+    (y_1^s .. y_n^s), saturated by the singular locus.  s = 1 gives the
+    classical conormal ideal."""
+    budget = as_budget(budget)
+    big, ideal, _, sing = _conormal_system(X, s, budget)
+    return saturate(ideal, sing.transfer(big), budget)
 
 
 def joint_correspondence_ideal(X: VarietySpec, p, budget=None) -> Ideal:
@@ -117,28 +123,11 @@ def _sliced_count(ideal, x_names, y_names, a, b, rng, budget):
     return count
 
 
-def bidegree_class(ideal: Ideal, x_names, y_names, seed=0, budget=None) -> BidegreeClass:
-    """Multidegree coefficients of a bihomogeneous ideal by random sections:
-    the (a, b) coefficient counts points after n-1-a generic hyperplanes in
-    x, n-1-b in y, and one affine dehomogenization per factor.  Two
-    independent seeds must agree."""
-    budget = as_budget(budget)
-    ring = ideal.ring
-    x_names = tuple(x_names)
-    y_names = tuple(y_names)
-    if len(x_names) != len(y_names):
-        raise ValueError("the two variable groups must have equal size")
+def _bidegree_counts(ideal, x_names, y_names, codim, seed, budget):
+    """The multidegree coefficients of a bihomogeneous ideal of the given
+    codimension, each counted under two independent slicings that must
+    agree."""
     n = len(x_names)
-    xi = [ring.index(v) for v in x_names]
-    yi = [ring.index(v) for v in y_names]
-    for g in ideal.generators:
-        xdegs = {sum(e[i] for i in xi) for e in g.terms}
-        ydegs = {sum(e[i] for i in yi) for e in g.terms}
-        if len(xdegs) > 1 or len(ydegs) > 1:
-            raise NotHomogeneous("ideal is not bihomogeneous in the given "
-                                 "variable split")
-    cone_dim = dimension(ideal, budget)
-    codim = 2 * n - cone_dim
     coeffs = []
     for a in range(max(0, codim - (n - 1)), min(n - 1, codim) + 1):
         b = codim - a
@@ -154,15 +143,55 @@ def bidegree_class(ideal: Ideal, x_names, y_names, seed=0, budget=None) -> Bideg
     return BidegreeClass(n, tuple(coeffs))
 
 
+def bidegree_class(ideal: Ideal, x_names, y_names, seed=0, budget=None) -> BidegreeClass:
+    """Multidegree coefficients of a bihomogeneous ideal by random sections:
+    the (a, b) coefficient counts points after n-1-a generic hyperplanes in
+    x, n-1-b in y, and one affine dehomogenization per factor.  Two
+    independent seeds must agree.
+
+    The charts x-form = 1 and y-form = 1 keep every counted point off
+    {x = 0} and {y = 0}, so components inside those sets leave the counts
+    unchanged, provided the codimension, read from a `dimension` run, is
+    that of the part being measured.  polar_classes relies on this to slice
+    an unsaturated conormal ideal whose codimension it knows."""
+    budget = as_budget(budget)
+    ring = ideal.ring
+    x_names = tuple(x_names)
+    y_names = tuple(y_names)
+    if len(x_names) != len(y_names):
+        raise ValueError("the two variable groups must have equal size")
+    n = len(x_names)
+    xi = [ring.index(v) for v in x_names]
+    yi = [ring.index(v) for v in y_names]
+    for g in ideal.generators:
+        xdegs = {sum(e[i] for i in xi) for e in g.terms}
+        ydegs = {sum(e[i] for i in yi) for e in g.terms}
+        if len(xdegs) > 1 or len(ydegs) > 1:
+            raise NotHomogeneous("ideal is not bihomogeneous in the given "
+                                 "variable split")
+    codim = 2 * n - dimension(ideal, budget)
+    return _bidegree_counts(ideal, x_names, y_names, codim, seed, budget)
+
+
 def polar_classes(X: VarietySpec, seed=0, budget=None) -> PolarClassVector:
     """Polar classes read off the multidegree of the classical conormal ideal:
-    delta_k is the coefficient at (a, b) = (n-1-k, k+1)."""
+    delta_k is the coefficient at (a, b) = (n-1-k, k+1).
+
+    When the singular locus of X has dimension at most 0, the cone is
+    singular at most at its vertex.  Away from {x = 0} the conormal ideal
+    then equals its saturation by the singular locus, and the charts of the
+    slicing exclude {x = 0}, so the unsaturated ideal is sliced directly;
+    its codimension is n, the codimension of every conormal cone.  Cones
+    with a larger singular locus are sliced after that saturation."""
     budget = as_budget(budget)
-    conormal = s_conormal_ideal(X, 1, budget)
+    big, conormal, ynames, sing = _conormal_system(X, 1, budget)
     n = X.n
     xnames = X.ring.variables
-    ynames = tuple(f"y{i + 1}" for i in range(n))
-    cls = bidegree_class(conormal, xnames, ynames, seed, budget)
+    if dimension(sing, budget) <= 0:
+        cls = _bidegree_counts(conormal, xnames, ynames, n, seed, budget)
+    else:
+        cls = bidegree_class(saturate(conormal, sing.transfer(big), budget),
+                             xnames, ynames, seed, budget)
     table = cls.as_dict()
     return PolarClassVector(tuple(table.get((n - 1 - k, k + 1), 0)
                                   for k in range(n - 1)))

@@ -8,6 +8,7 @@ p-norm evolutes of plane curves.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 import warnings as _warnings
@@ -17,8 +18,8 @@ from .errors import (ContainedInIsotropic, DenominatorVanishesOnX,
                      NotHomogeneous, NotPrincipalWarning,
                      PositiveDimensionalFiber, RingMismatch)
 from .fields import PrimeField
-from .groebner import (Ideal, _count_points, as_budget, dimension, eliminate,
-                       groebner_basis, normal_form, saturate,
+from .groebner import (GREVLEX, Ideal, _count_points, as_budget, dimension,
+                       eliminate, groebner_basis, normal_form, saturate,
                        vanishes_on_variety)
 from .matrices import PolyMatrix, derationalize, jacobian
 from .rings import (Polynomial, RationalFunction, RingContext,
@@ -343,22 +344,6 @@ def _projective_system(X: VarietySpec, p, budget):
     return big, gens + collinear, ynames, unames, q_p
 
 
-def _saturate_and_drop_y(ideal, ynames, sing, q_p, chart_rng, budget):
-    """Saturate by the singular locus and the isotropic polynomial, remove
-    the y-origin, and eliminate the y variables.
-
-    The system is homogeneous in y, so adding l(y) - 1 for a linear form l
-    drawn from chart_rng and eliminating y gives (ideal : l^infinity) in the
-    remaining variables.  That equals the saturation by <y_1..y_n> unless l
-    lies in an associated prime, which a random l avoids.
-    """
-    ring = ideal.ring
-    ideal = saturate(ideal, sing.transfer(ring), budget)
-    ideal = saturate(ideal, Ideal(ring, [q_p.transfer(ring)]), budget)
-    chart = random_linear_form(ring, ynames, chart_rng) - ring.one()
-    return eliminate(ideal + [chart], ynames, budget)
-
-
 def projective_critical_ideal(X: VarietySpec, p, budget=None) -> Ideal:
     """Homogeneous version of the p-norm critical ideal for an affine cone.
 
@@ -366,14 +351,38 @@ def projective_critical_ideal(X: VarietySpec, p, budget=None) -> Ideal:
     by y^(p-1), collinearity of (y, u, x) is imposed by 3x3 minors, and the
     singular locus and the isotropic hypersurface q_p(x) are saturated away.
     The y-origin is removed in the chart l(y) = 1 of a linear form l drawn
-    from the fixed stream "projcrit|chart"; eliminating y leaves the
-    correspondence ideal in the (point, data) variables.
+    from the fixed stream "projcrit|chart": the system is homogeneous in y,
+    so adding l(y) - 1 and eliminating y gives the saturation by l, which
+    equals the saturation by <y_1..y_n> unless l lies in an associated prime.
+    What remains is the correspondence ideal in the (point, data) variables.
     """
     budget = as_budget(budget)
     big, raw_gens, ynames, unames, q_p = _projective_system(X, p, budget)
-    sing = singular_locus_ideal(X, budget)
-    return _saturate_and_drop_y(Ideal(big, raw_gens), ynames, sing, q_p,
-                                random.Random("projcrit|chart"), budget)
+    sing = singular_locus_ideal(X, budget).transfer(big)
+    ideal = saturate(Ideal(big, raw_gens), sing, budget)
+    ideal = saturate(ideal, Ideal(big, [q_p.transfer(big)]), budget)
+    chart = (random_linear_form(big, ynames, random.Random("projcrit|chart"))
+             - big.one())
+    return eliminate(ideal + [chart], ynames, budget)
+
+
+def _generic_member(ideal, rng, budget):
+    """1 if the ideal is the unit ideal, else sum c_i g_i over its reduced
+    grevlex basis with nonzero c_i drawn from rng: the whole field over
+    GF(q), the integers in [-2^20, 2^20] over QQ."""
+    gb = ideal.groebner(GREVLEX, budget)
+    ring = ideal.ring
+    if gb.is_unit():
+        return ring.one()
+    field = ring.field
+    out = ring.zero()
+    for g in gb.basis:
+        if isinstance(field, PrimeField):
+            c = rng.randrange(1, field.q)
+        else:
+            c = rng.choice((-1, 1)) * rng.randint(1, 2 ** 20)
+        out = out + g.transfer(ring).scale(c)
+    return out
 
 
 def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
@@ -382,34 +391,49 @@ def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
     cone): specialize random data in the homogenized critical system, cut
     with a random affine hyperplane h(x) = 1, and count.
 
-    The data point is bound before the saturations, which is equivalent for
-    generic data and keeps every Groebner run in the smaller (x, y) ring;
-    agreement across independent samples is still enforced.
+    The data point is bound first, which is equivalent for generic data and
+    keeps every Groebner run in the (x, y) variables; agreement across
+    independent samples is still enforced.  Both cones are counted in affine
+    charts: the slice h(x) - 1 (stream "projdeg|{seed}|forms") and the chart
+    l(y) - 1 (stream "projdeg|{seed}|chart") join the bound system.
 
-    Both cones are counted in affine charts.  The slice h(x) - 1 (stream
-    "projdeg|{seed}|forms") joins the system before the saturations, which is
-    exact because dehomogenizing commutes with saturation and elimination.
-    As h - 1 then lies in the ideal, saturating by sing + <h - 1> equals
-    saturating by sing, and for a smooth variety, whose cone is singular at
-    the vertex alone, that saturand is the unit ideal and the saturation is
-    skipped.  The y-origin is removed in the chart l(y) = 1 (stream
-    "projdeg|{seed}|chart"), exact unless l lies in an associated prime.
+    Nothing is saturated.  When K = (I : f^infinity) is zero-dimensional,
+    k[x, y, w]/(I + <1 - w*f>) is isomorphic to k[x, y]/K, because f is a
+    unit in that Artinian ring; so one more variable w with 1 - w*q_p*f_sing
+    localizes the system, and one elimination of (y, w) leaves the counted
+    ideal in x.  It equals the ideal that saturating by the singular locus
+    and by q_p and then eliminating y would give: the chart l(y) - 1
+    dehomogenizes a system that is homogeneous in y, which commutes with
+    saturating by a polynomial in x.  Here f_sing = 1 when sing + <h - 1> is
+    the unit ideal, as for a smooth variety, whose cone is singular at the
+    vertex alone.  Otherwise f_sing is a random combination of the reduced
+    basis of sing + <h - 1> (stream "loc|{seed}|{call}", one per data
+    point), which saturates like that ideal unless f_sing vanishes at a
+    counted point; the trial-agreement check catches that case.
     """
     budget = as_budget(budget)
     big, raw_gens, ynames, unames, q_p = _projective_system(X, p, budget)
     xy_ring = X.ring.extend(ynames)
-    sing = singular_locus_ideal(X, budget).transfer(xy_ring)
+    w = xy_ring.fresh_name("w")
+    work = xy_ring.extend([w])
+    sing = singular_locus_ideal(X, budget).transfer(work)
+    q_p = q_p.transfer(work)
     rng_forms = random.Random(f"projdeg|{seed}|forms")
     rng_chart = random.Random(f"projdeg|{seed}|chart")
+    calls = itertools.count()
 
     def count_for(u):
-        slice_ = (random_linear_form(xy_ring, X.ring.variables, rng_forms)
-                  - xy_ring.one())
+        call = next(calls)
+        slice_ = (random_linear_form(work, X.ring.variables, rng_forms)
+                  - work.one())
+        chart = random_linear_form(work, ynames, rng_chart) - work.one()
+        f_sing = _generic_member(sing + [slice_],
+                                 random.Random(f"loc|{seed}|{call}"), budget)
         bindings = {un: big.const(val) for un, val in zip(unames, u)}
-        gens = [g.substitute(bindings).transfer(xy_ring) for g in raw_gens]
-        sliced = _saturate_and_drop_y(Ideal(xy_ring, gens + [slice_]), ynames,
-                                      sing + [slice_], q_p, rng_chart, budget)
-        return _count_points(sliced, budget)
+        gens = [g.substitute(bindings).transfer(work) for g in raw_gens]
+        gens += [slice_, chart, work.one() - work.var(w) * q_p * f_sing]
+        return _count_points(eliminate(Ideal(work, gens), ynames + (w,),
+                                       budget), budget)
 
     return _count_trials(count_for, X, trials, seed, budget, [])
 

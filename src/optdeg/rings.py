@@ -55,7 +55,10 @@ class RingContext:
         if not variables:
             raise ValueError("a ring needs at least one variable")
         if len(set(variables)) != len(variables):
-            raise ValueError("variable names must be unique")
+            name = next(v for i, v in enumerate(variables)
+                        if v in variables[:i])
+            raise VariableCollision(
+                f"variable name {name!r} appears twice in the ring")
         self.variables = variables
         self.field = field if field is not None else RationalField()
         self.nvars = len(variables)

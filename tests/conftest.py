@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import strategies as st
 
-from optdeg import PrimeField, RingContext, parse_polynomial
+from optdeg import PrimeField, RationalField, RingContext, parse_polynomial
 from optdeg.critical import VarietySpec
 
 
@@ -26,3 +27,23 @@ def prime_field():
 
 def variety(ring, *texts, **kw):
     return VarietySpec(ring, tuple(parse_polynomial(t, ring) for t in texts), **kw)
+
+
+def _plane_curve_cone(field, d, coeffs):
+    ring = RingContext(("x1", "x2", "x3"), field=field)
+    exps = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
+    g = ring.poly_from_terms({e: c for e, c in zip(exps, coeffs) if c})
+    return VarietySpec(ring, (g,))
+
+
+def plane_curve_cones():
+    """Cones over plane conics and cubics in x1, x2, x3, over GF(2^31 - 1)
+    or QQ, with coefficients in [-3, 3]: mostly smooth, sometimes singular
+    or reducible."""
+    return st.tuples(st.sampled_from((PrimeField(), RationalField())),
+                     st.sampled_from((2, 3))).flatmap(
+        lambda fd: st.lists(st.integers(-3, 3),
+                            min_size=(fd[1] + 1) * (fd[1] + 2) // 2,
+                            max_size=(fd[1] + 1) * (fd[1] + 2) // 2)
+        .filter(any)
+        .map(lambda coeffs: _plane_curve_cone(*fd, coeffs)))

@@ -139,6 +139,38 @@ def test_tower_base_name_collision_is_domain_error(tmp_path, capsys):
     assert err.startswith("error:") and "'Z' collides" in err
 
 
+@pytest.mark.parametrize("command, job_part, name", [
+    ("degree", {"ring": {"variables": ["x1", "x1"]},
+                "variety": {"generators": ["x1^2-1"]},
+                "objective": {"pnorm": 2}}, "x1"),
+    ("tower-check", {"tower": {"base": ["x1", "D1"],
+                               "levels": [{"power": 2, "alpha": "x1"}],
+                               "parametrization": ["x1", "D1"]}}, "D1"),
+])
+def test_repeated_variable_name_is_domain_error(tmp_path, capsys, command,
+                                                job_part, name):
+    rc = run_cli(tmp_path, command, {"schema_version": 1, **job_part})
+    err = capsys.readouterr().err
+    assert rc == EXIT_DOMAIN
+    assert err.startswith("error:") and f"{name!r} appears twice" in err
+
+
+def test_tower_check_bad_field_is_schema_error(tmp_path, capsys):
+    job = {
+        "schema_version": 1,
+        "ring": {"field": "prime:91"},
+        "tower": {
+            "base": ["x1", "s"],
+            "levels": [{"power": 2, "alpha": "s*x1"}],
+            "parametrization": ["x1", "s", "x1+D1"],
+        },
+    }
+    rc = run_cli(tmp_path, "tower-check", job)
+    err = capsys.readouterr().err
+    assert rc == EXIT_SCHEMA
+    assert err.startswith("schema error:") and "91" in err
+
+
 def test_tower_parametrization_must_be_text(tmp_path, capsys):
     job = {
         "schema_version": 1,

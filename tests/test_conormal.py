@@ -1,14 +1,18 @@
 import pytest
+from hypothesis import given, settings
 
-from optdeg import (Ideal, NotHomogeneous, PrimeField, RingContext, dimension,
-                    parse_polynomial, random_linear_change)
+from optdeg import (Ideal, NotHomogeneous, OptdegError, PrimeField,
+                    RationalField, RingContext, dimension, parse_polynomial,
+                    random_linear_change, saturate)
 from optdeg.conormal import (bidegree_class, joint_correspondence_ideal,
                              polar_classes, pnorm_degree_via_polar,
                              s_conormal_ideal)
-from optdeg.critical import VarietySpec, projective_pnorm_degree
+from optdeg.critical import (VarietySpec, _conormal_generators,
+                             projective_pnorm_degree, singular_locus_ideal)
 from optdeg.formulas import ChernDegrees, polar_from_chern
+from optdeg.groebner import DEFAULT_BUDGET, _Budget
 
-from conftest import variety
+from conftest import plane_curve_cones, variety
 
 
 def P(text, ring):
@@ -107,6 +111,58 @@ def test_polar_classes_twisted_cubic(prime_field):
     tc = VarietySpec(ring, tuple(g.substitute(subs) for g in gens))
     assert tuple(polar_classes(tc, seed=5)) == (4, 3, 0)
     assert polar_from_chern(ChernDegrees(1, (3, 2)), 4) == (4, 3, 0)
+
+
+def test_polar_classes_twisted_cubic_steps_pinned_over_gf(prime_field):
+    """The twisted cubic's cone is singular at the vertex alone, so its
+    conormal ideal is sliced unsaturated; the steps of those runs are
+    pinned."""
+    ring = RingContext(("x1", "x2", "x3", "x4"), field=prime_field)
+    tc = variety(ring, "x1*x3-x2^2", "x1*x4-x2*x3", "x2*x4-x3^2")
+    budget = _Budget(DEFAULT_BUDGET)
+    assert tuple(polar_classes(tc, seed=0, budget=budget)) == (4, 3, 0)
+    assert DEFAULT_BUDGET - budget.remaining == 1_678
+
+
+# --- unsaturated slicing against the saturating path ----------------------------------------
+
+def _saturated_polar_classes(X, seed):
+    """polar_classes rebuilt with the saturation by the singular locus and
+    the codimension from a `dimension` run."""
+    ynames = tuple(f"y{i + 1}" for i in range(X.n))
+    big = X.ring.extend(ynames)
+    conormal = saturate(
+        Ideal(big, _conormal_generators(X, 1, big, ynames, None)),
+        singular_locus_ideal(X).transfer(big))
+    table = bidegree_class(conormal, X.ring.variables, ynames, seed).as_dict()
+    return tuple(table.get((X.n - 1 - k, k + 1), 0) for k in range(X.n - 1))
+
+
+def _outcome(fn, *args):
+    try:
+        return tuple(fn(*args))
+    except OptdegError as exc:
+        return type(exc).__name__
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(plane_curve_cones())
+def test_polar_classes_match_saturations_on_drawn_curves(X):
+    assert _outcome(polar_classes, X, 1) == _outcome(_saturated_polar_classes,
+                                                     X, 1)
+
+
+@pytest.mark.parametrize("field", [PrimeField(), RationalField()])
+@pytest.mark.parametrize("names, gen", [
+    (("x1", "x2", "x3"), "x2^2*x3-x1^2*(x1+x3)"),
+    (("x1", "x2", "x3", "x4"), "x1^2+2*x2^2-3*x3^2"),
+])
+def test_polar_classes_match_saturations_on_singular_cones(field, names, gen):
+    """Both cones are singular beyond the vertex, so polar_classes
+    saturates before slicing."""
+    X = variety(RingContext(names, field=field), gen)
+    assert dimension(singular_locus_ideal(X)) >= 1
+    assert tuple(polar_classes(X, seed=1)) == _saturated_polar_classes(X, 1)
 
 
 # --- degree pipeline ---------------------------------------------------------------------

@@ -2,21 +2,25 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings
 
 from optdeg import (GREVLEX, ContainedInIsotropic, Ideal, NotHomogeneous,
-                    PrimeField, RationalField, RingContext, degree_zero_dim,
-                    dimension, normal_form, parse_polynomial,
-                    parse_rational_function, pnorm_degree_via_polar,
-                    random_linear_change, vanishes_on_variety)
+                    PositiveDimensionalFiber, PrimeField, RationalField,
+                    RingContext, degree_zero_dim, dimension, eliminate,
+                    normal_form, parse_polynomial, parse_rational_function,
+                    pnorm_degree_via_polar, random_linear_change, saturate,
+                    vanishes_on_variety)
 from optdeg.critical import (PNorm, RationalGradient, VarietySpec,
-                             algebraic_degree, ci_degree_bound_check,
-                             critical_ideal_affine, data_ring, evolute_curve,
+                             _projective_system, algebraic_degree,
+                             ci_degree_bound_check, critical_ideal_affine,
+                             data_ring, evolute_curve,
                              projective_critical_ideal,
                              projective_pnorm_degree, singular_locus_ideal)
 from optdeg.errors import DenominatorVanishesOnX
-from optdeg.groebner import DEFAULT_BUDGET, _Budget
+from optdeg.groebner import DEFAULT_BUDGET, _Budget, _count_points
+from optdeg.rings import random_linear_form
 
-from conftest import variety
+from conftest import plane_curve_cones, variety
 
 
 def P(text, ring):
@@ -262,8 +266,9 @@ def test_projective_conic_degree_general_coords(prime_field):
 
 
 def test_projective_conic_p3_reduction_budget(prime_field):
-    """Counting in the charts h(x) = 1 and l(y) = 1 needs about 10,000
-    reduction steps here; saturating the vertex and each y_i took 58,023."""
+    """Counting in the charts h(x) = 1 and l(y) = 1 without saturations needs
+    about 2,000 reduction steps here; saturating by q_p took about 10,000,
+    and saturating the vertex and each y_i took 58,023."""
     ring = RingContext(("x1", "x2", "x3"), field=prime_field)
     base = P("x1^2+x2^2+2*x3^2", ring)
     _, subs = random_linear_change(ring, ring.variables, seed=7)
@@ -272,10 +277,20 @@ def test_projective_conic_p3_reduction_budget(prime_field):
     assert rep.degree == 12
 
 
+def test_projective_conic_p3_tight_budget(prime_field):
+    """The localized count fits in 5,000 steps, half the saturating one."""
+    ring = RingContext(("x1", "x2", "x3"), field=prime_field)
+    base = P("x1^2+x2^2+2*x3^2", ring)
+    _, subs = random_linear_change(ring, ring.variables, seed=7)
+    conic = VarietySpec(ring, (base.substitute(subs),))
+    rep = projective_pnorm_degree(conic, 3, trials=2, seed=3, budget=5_000)
+    assert rep.degree == 12
+
+
 @pytest.mark.parametrize("names, gens, p, degree, steps", [
-    (("x1", "x2", "x3"), ["x1^2+x2^2-3*x3^2"], 3, 12, 10_528),
+    (("x1", "x2", "x3"), ["x1^2+x2^2-3*x3^2"], 3, 12, 1_884),
     (("x1", "x2", "x3", "x4"), ["x1*x3-x2^2", "x1*x4-x2*x3", "x2*x4-x3^2"],
-     2, 7, 10_398),
+     2, 7, 3_100),
 ])
 def test_projective_reduction_steps_pinned_over_gf(prime_field, names, gens,
                                                    p, degree, steps):
@@ -313,6 +328,58 @@ def test_nodal_cubic_cone_singular_saturand(field):
     rep = projective_pnorm_degree(nodal, 2, trials=2, seed=1)
     assert rep.degree == 7
     assert pnorm_degree_via_polar(nodal, 2, seed=1) == rep.degree
+
+
+# --- localized counts against the saturating path ----------------------------
+
+def _saturating_counts(X, p, seed, points):
+    """The count of projective_pnorm_degree at each data point, rebuilt with
+    saturations: saturate by sing + <h - 1> and by q_p, then eliminate y in
+    the chart l(y) = 1, with the same slice and chart streams."""
+    big, raw_gens, ynames, unames, q_p = _projective_system(X, p, None)
+    xy = X.ring.extend(ynames)
+    sing = singular_locus_ideal(X).transfer(xy)
+    rng_forms = random.Random(f"projdeg|{seed}|forms")
+    rng_chart = random.Random(f"projdeg|{seed}|chart")
+    counts = []
+    for u in points:
+        slice_ = random_linear_form(xy, X.ring.variables, rng_forms) - xy.one()
+        bindings = {un: big.const(val) for un, val in zip(unames, u)}
+        gens = [g.substitute(bindings).transfer(xy) for g in raw_gens]
+        ideal = saturate(Ideal(xy, gens + [slice_]), sing + [slice_])
+        ideal = saturate(ideal, Ideal(xy, [q_p.transfer(xy)]))
+        chart = random_linear_form(xy, ynames, rng_chart) - xy.one()
+        counts.append(_count_points(eliminate(ideal + [chart], ynames), None))
+    return counts
+
+
+def _assert_localized_count_saturates(X, p, seed):
+    try:
+        rep = projective_pnorm_degree(X, p, trials=2, seed=seed)
+    except (ContainedInIsotropic, PositiveDimensionalFiber):
+        reject()
+    points = [u for u, _ in rep.trials]
+    assert [c for _, c in rep.trials] == _saturating_counts(X, p, seed, points)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(plane_curve_cones())
+def test_localized_count_matches_saturations_on_drawn_curves(X):
+    _assert_localized_count_saturates(X, 2, seed=1)
+
+
+@pytest.mark.parametrize("field", [PrimeField(), RationalField()])
+@pytest.mark.parametrize("names, gen", [
+    (("x1", "x2", "x3"), "x2^2*x3-x1^2*(x1+x3)"),
+    (("x1", "x2", "x3", "x4"), "x1^2+2*x2^2-3*x3^2"),
+])
+def test_localized_count_matches_saturations_on_singular_cones(field, names,
+                                                               gen):
+    """Both cones are singular beyond the vertex, so sing + <h - 1> is not
+    the unit ideal and each trial draws its random f_sing."""
+    X = variety(RingContext(names, field=field), gen)
+    assert dimension(singular_locus_ideal(X)) >= 1
+    _assert_localized_count_saturates(X, 2, seed=1)
 
 
 def test_veronese_conic_ed_degree(prime_field):
