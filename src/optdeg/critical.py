@@ -35,6 +35,7 @@ class VarietySpec:
     generators: tuple
     codim_override: int = None
     singular_ideal_override: Ideal = None
+    _ideal: Ideal = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gens = tuple(self.generators)
@@ -49,13 +50,15 @@ class VarietySpec:
         n = self.ring.nvars
         if self.codim_override is not None and not 1 <= self.codim_override <= n:
             raise ValueError("codimension override out of range")
+        self._ideal = Ideal(self.ring, gens)
 
     @property
     def n(self):
         return self.ring.nvars
 
     def ideal(self):
-        return Ideal(self.ring, self.generators)
+        """I(X), built once, so its Groebner bases are computed once."""
+        return self._ideal
 
     def codimension(self, budget=None):
         if self.codim_override is not None:
@@ -447,14 +450,14 @@ def ci_degree_bound_check(X: VarietySpec, p, report: DegreeReport) -> bool:
     return report.degree <= ci_bound(degrees, X.n, p)
 
 
-def _univariate_squarefree_degree(f):
+def _univariate_squarefree_degree(f, budget):
     """Degree of the squarefree part of a univariate polynomial via gcd with
     its derivative (monic Euclid)."""
     tname = f.ring.variables[0]
     a, b = f, f.derivative(tname)
     while not b.is_zero():
-        gb = groebner_basis(Ideal(b.ring, [b]))
-        a, b = b, normal_form(a, gb)
+        gb = groebner_basis(Ideal(b.ring, [b]), budget=budget)
+        a, b = b, normal_form(a, gb, budget)
     return f.total_degree() - a.total_degree()
 
 
@@ -513,6 +516,6 @@ def evolute_curve(X: VarietySpec, p, seed=0, budget=None) -> EvolutePolynomial:
             restricted = restricted + piece
         if restricted.total_degree() == target:
             break
-    reduced = _univariate_squarefree_degree(restricted)
+    reduced = _univariate_squarefree_degree(restricted, budget)
     return EvolutePolynomial(poly=poly, reduced_degree=reduced,
                              generators=gens, warnings=warn)

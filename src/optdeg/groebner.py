@@ -2,10 +2,12 @@
 
 Buchberger's algorithm with Gebauer-Moeller pair pruning and sugar-degree
 pair selection, plus the derived operations everything else is built on:
-normal forms; elimination, saturation (Rabinowitsch trick), radical
-membership and intersection, which are all block-order eliminations through
-one routine; Krull dimension; and degree counts (standard monomials for
-zero-dimensional ideals, random linear sections otherwise).
+normal forms; elimination, saturation, radical membership and intersection,
+which are all block-order eliminations through one routine (a saturation by
+<g_1..g_m> is one Rabinowitsch run that adjoins a w_i per g_i and eliminates
+them from ideal + <1 - sum_i w_i*g_i>); Krull dimension; and degree counts
+(standard monomials for zero-dimensional ideals, random linear sections
+otherwise).
 
 Over GF(q) the kernel runs on monic polynomials whose coefficients are plain
 ints reduced mod q inline, with no field-method calls.  Over QQ it is
@@ -24,7 +26,7 @@ from math import gcd, lcm
 
 from .errors import (BudgetExceeded, InconsistentSlices, NotZeroDimensional,
                      NotZeroDimensionalAfterSlicing, RingMismatch)
-from .rings import (GREVLEX, OrderSpec, Polynomial, RingContext, exp_divides,
+from .rings import (GREVLEX, OrderSpec, Polynomial, exp_divides,
                     random_linear_form)
 
 DEFAULT_BUDGET = 10_000_000
@@ -533,44 +535,30 @@ def eliminate(ideal, drop, budget=None) -> Ideal:
     return _eliminate(ideal, drop, ring.restrict(keep), budget)
 
 
-def _rabinowitsch(ideal, f, budget) -> Ideal:
-    """(ideal : f^infinity) in the ring of the ideal: adjoin a fresh w and
-    eliminate it from ideal + <1 - w*f>."""
+def _rabinowitsch(ideal, fs, budget) -> Ideal:
+    """(ideal : <f_1..f_m>^infinity) in the ring of the ideal: adjoin one
+    fresh w_i per f_i and eliminate them all from ideal + <1 - s>, where
+    s = sum_i w_i*f_i, in one block-order run.  A single f keeps the one
+    name sat_w.
+
+    This is exact.  If h*J^k lies in the ideal, J = <f_1..f_m>, then so does
+    h*s^k, and h = h*(1 - s^k) + h*s^k with 1 - s^k a multiple of 1 - s.
+    Conversely, w_i -> 1/f_i and w_j -> 0 for j != i sends s to 1, so an h
+    in the elimination has h*f_i^k in the ideal for some k, for every i;
+    that puts h in (ideal : J^infinity).
+    """
     ring = ideal.ring
-    w = ring.fresh_name("sat_w")
-    big = ring.extend([w])
+    big = ring
+    ws = []
+    for _ in fs:
+        ws.append(big.fresh_name("sat_w"))
+        big = big.extend(ws[-1:])
     gens = [g.transfer(big) for g in ideal.generators]
-    gens.append(big.one() - big.var(w) * f.transfer(big))
-    return _eliminate(Ideal(big, gens), (w,), ring, budget)
-
-
-def _saturate_single(ideal, f, budget) -> Ideal:
-    if len(f) == 1 and sum(f.lead_monomial()) == 1 \
-            and all(g.is_homogeneous() for g in ideal.generators):
-        vname = ideal.ring.variables[f.lead_monomial().index(1)]
-        return _saturate_variable_homogeneous(ideal, vname, budget)
-    return _rabinowitsch(ideal, f, budget)
-
-
-def _saturate_variable_homogeneous(ideal, vname, budget) -> Ideal:
-    """Saturation of a (total-degree) homogeneous ideal by one variable:
-    compute a grevlex basis with that variable cheapest, then divide each
-    element by the variable power it contains."""
-    ring = ideal.ring
-    names = tuple(v for v in ring.variables if v != vname) + (vname,)
-    work = RingContext(names, ring.field, GREVLEX)
-    gb = groebner_basis(Ideal(work, [g.transfer(work) for g in ideal.generators]),
-                        GREVLEX, budget)
-    vi = work.nvars - 1
-    divided = []
-    for g in gb.basis:
-        k = min(e[vi] for e in g.terms)
-        if k:
-            terms = {e[:vi] + (e[vi] - k,): c for e, c in g.terms.items()}
-            divided.append(Polynomial(work, terms))
-        else:
-            divided.append(g)
-    return Ideal(ring, [g.transfer(ring) for g in divided]).normalized(budget)
+    rel = big.one()
+    for w, f in zip(ws, fs):
+        rel = rel - big.var(w) * f.transfer(big)
+    gens.append(rel)
+    return _eliminate(Ideal(big, gens), tuple(ws), ring, budget)
 
 
 def intersect(a: Ideal, b: Ideal, budget=None) -> Ideal:
@@ -591,13 +579,15 @@ def intersect(a: Ideal, b: Ideal, budget=None) -> Ideal:
 
 
 def saturate(ideal: Ideal, other: Ideal, budget=None) -> Ideal:
-    """(ideal : other^infinity).
+    """(ideal : other^infinity), with one elimination.
 
-    Multi-generator saturands are handled as the intersection of the
-    single-generator saturations, each computed with the Rabinowitsch trick.
-    The saturand is first replaced by its reduced Groebner basis; a monomial
-    basis is further replaced by its squarefree (radical) generators, which
-    leaves the saturation unchanged and keeps the pieces cheap.
+    The saturand J is replaced by its reduced Groebner basis g_1..g_m; a
+    monomial basis is further replaced by its squarefree (radical)
+    generators, which leaves the saturation unchanged and keeps the run
+    cheap.  Then (ideal : J^infinity) = (ideal + <1 - sum_i w_i*g_i>) ∩ k[x]:
+    if h*J^k lies in the ideal, so does h*s^k for s = sum_i w_i*g_i, and
+    1 - s^k is a multiple of 1 - s; conversely w_i -> 1/g_i, w_j -> 0 sends
+    s to 1, so h*g_i^k lies in the ideal for every i (see _rabinowitsch).
     """
     budget = as_budget(budget)
     if ideal.ring != other.ring:
@@ -616,11 +606,7 @@ def saturate(ideal: Ideal, other: Ideal, budget=None) -> Ideal:
             if not any(exp_divides(m, e) for m in minimal):
                 minimal.append(e)
         sat_gens = [ring.monomial(e) for e in minimal]
-    result = None
-    for f in sat_gens:
-        part = _saturate_single(ideal, f, budget)
-        result = part if result is None else intersect(result, part, budget)
-    return result
+    return _rabinowitsch(ideal, sat_gens, budget)
 
 
 def vanishes_on_variety(f, ideal: Ideal, budget=None) -> bool:
@@ -629,7 +615,7 @@ def vanishes_on_variety(f, ideal: Ideal, budget=None) -> bool:
     budget = as_budget(budget)
     if f.is_zero():
         return True
-    gens = _rabinowitsch(ideal, f, budget).generators
+    gens = _rabinowitsch(ideal, [f], budget).generators
     return len(gens) == 1 and gens[0].is_constant()
 
 

@@ -49,8 +49,7 @@ class TowerSpec:
     def __post_init__(self):
         object.__setattr__(self, "base", tuple(self.base))
         object.__setattr__(self, "levels", tuple(self.levels))
-        m = len(self.levels)
-        dnames = tuple(f"D{i + 1}" for i in range(m))
+        dnames = self.delta_names
         expected = self.base + dnames
         if self.ring.variables != expected:
             raise ValueError(
@@ -136,8 +135,8 @@ def build_tower_system(tower: TowerSpec, parametrization: ParametrizationSpec,
 
     roots = []
     den_product = big.one()
-    for i, level in enumerate(tower.levels):
-        dvar = big.var(f"D{i + 1}")
+    for dname, level in zip(tower.delta_names, tower.levels):
+        dvar = big.var(dname)
         num = level.alpha.num.transfer(big)
         den = level.alpha.den.transfer(big)
         roots.append(dvar ** level.power * den - num)
@@ -250,8 +249,7 @@ def tower_jacobian_rank(tower: TowerSpec, parametrization: ParametrizationSpec,
     ring = tower.ring
     base = tower.base
     delta_partials = {}
-    for i, level in enumerate(tower.levels):
-        dname = f"D{i + 1}"
+    for dname, level in zip(tower.delta_names, tower.levels):
         dvar = ring.var(dname)
         denom = RationalFunction(dvar ** (level.power - 1) * ring.const(level.power))
         partials = {}
@@ -266,8 +264,8 @@ def tower_jacobian_rank(tower: TowerSpec, parametrization: ParametrizationSpec,
                      for tname in base])
 
     locus_gens = []
-    for i, level in enumerate(tower.levels):
-        dvar = ring.var(f"D{i + 1}")
+    for dname, level in zip(tower.delta_names, tower.levels):
+        dvar = ring.var(dname)
         locus_gens.append(dvar ** level.power * level.alpha.den.transfer(ring)
                           - level.alpha.num.transfer(ring))
     if X is not None:

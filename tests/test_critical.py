@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, reject, settings
 
-from optdeg import (GREVLEX, ContainedInIsotropic, Ideal, NotHomogeneous,
-                    PositiveDimensionalFiber, PrimeField, RationalField,
-                    RingContext, degree_zero_dim, dimension, eliminate,
-                    normal_form, parse_polynomial, parse_rational_function,
-                    pnorm_degree_via_polar, random_linear_change, saturate,
-                    vanishes_on_variety)
+from optdeg import (GREVLEX, BudgetExceeded, ContainedInIsotropic, Ideal,
+                    NotHomogeneous, PositiveDimensionalFiber, PrimeField,
+                    RationalField, RingContext, degree_zero_dim, dimension,
+                    eliminate, normal_form, parse_polynomial,
+                    parse_rational_function, pnorm_degree_via_polar,
+                    random_linear_change, saturate, vanishes_on_variety)
 from optdeg.critical import (PNorm, RationalGradient, VarietySpec,
                              _projective_system, algebraic_degree,
                              ci_degree_bound_check, critical_ideal_affine,
@@ -290,7 +290,7 @@ def test_projective_conic_p3_tight_budget(prime_field):
 @pytest.mark.parametrize("names, gens, p, degree, steps", [
     (("x1", "x2", "x3"), ["x1^2+x2^2-3*x3^2"], 3, 12, 1_884),
     (("x1", "x2", "x3", "x4"), ["x1*x3-x2^2", "x1*x4-x2*x3", "x2*x4-x3^2"],
-     2, 7, 3_100),
+     2, 7, 3_098),
 ])
 def test_projective_reduction_steps_pinned_over_gf(prime_field, names, gens,
                                                    p, degree, steps):
@@ -303,11 +303,12 @@ def test_projective_reduction_steps_pinned_over_gf(prime_field, names, gens,
     assert DEFAULT_BUDGET - budget.remaining == steps
 
 
-@pytest.mark.parametrize("p, degree, steps", [(2, 5, 248), (3, 8, 296)])
+@pytest.mark.parametrize("p, degree, steps", [(2, 5, 146), (3, 8, 170)])
 def test_affine_nodal_cubic_reduction_steps_pinned_over_gf(prime_field, p,
                                                           degree, steps):
-    """The node's singular ideal is <x1, x2>, so every trial saturates by x1
-    and by x2 and intersects the two; the steps of those runs are pinned."""
+    """The node's singular ideal is <x1, x2>, so every trial saturates by
+    <x1, x2> in one elimination of w_1, w_2 from the critical ideal plus
+    1 - w_1*x1 - w_2*x2; the steps of those runs are pinned."""
     ring = RingContext(("x1", "x2"), field=prime_field)
     nodal = variety(ring, "x2^2-x1^2*(x1+1)")
     assert singular_locus_ideal(nodal).generators == (P("x1", ring),
@@ -469,6 +470,15 @@ def test_evolute_reductions_agree_across_fields(ellipse, prime_field):
         evolute_curve(X, 3, seed=1, budget=budget)
         steps.append(DEFAULT_BUDGET - budget.remaining)
     assert steps[0] == steps[1]
+
+
+def test_evolute_squarefree_loop_draws_on_the_job_budget(ellipse):
+    """The classical evolute takes 242 steps up to its elimination and 12
+    in the Euclid loop of its reduced degree, which spends the job's
+    budget, not a fresh one."""
+    assert evolute_curve(ellipse, 2, seed=1, budget=254).reduced_degree == 6
+    with pytest.raises(BudgetExceeded):
+        evolute_curve(ellipse, 2, seed=1, budget=253)
 
 
 def test_evolute_requires_plane_curve():

@@ -215,11 +215,12 @@ def test_intersect_idempotent(rxy):
 
 def test_saturate_and_intersect_stay_in_a_lex_ring():
     ring = RingContext(("x", "y"), order=LEX)
-    # a non-homogeneous ideal, so saturating by x takes the Rabinowitsch route
+    # one fresh w, eliminated from the ideal plus 1 - w*x
     sat = saturate(I(ring, "x^2*y-x^2", "x*y^2"), I(ring, "x"))
     assert sat.ring == ring
     assert sat.equals(I(ring, "y-1", "y^2"))
-    # a monomial saturand <x, y> is saturated by x and y, then intersected
+    # two fresh w_1, w_2, eliminated together from the ideal plus
+    # 1 - w_1*x - w_2*y
     sat = saturate(I(ring, "x*y", "x^2+y^2-1"), I(ring, "x", "y"))
     assert sat.ring == ring
     assert sat.equals(I(ring, "x*y", "x^2+y^2-1"))
@@ -346,10 +347,12 @@ _GF_COEFFS = st.one_of(
 
 
 @st.composite
-def _ideals(draw, coeffs=_COEFFS):
-    """(nvars, generators): 1-3 generators in 2-3 variables, each a dict
-    exponent -> nonzero coefficient of total degree at most 5 - nvars."""
-    n = draw(st.integers(2, 3))
+def _ideals(draw, coeffs=_COEFFS, n=None):
+    """(nvars, generators): 1-3 generators in n variables (2-3 if not given),
+    each a dict exponent -> nonzero coefficient of total degree at most
+    5 - nvars."""
+    if n is None:
+        n = draw(st.integers(2, 3))
     exps = st.tuples(*[st.integers(0, 2)] * n).filter(
         lambda e: sum(e) <= 5 - n)
     poly = st.dictionaries(exps, coeffs, min_size=1, max_size=4)
@@ -442,3 +445,64 @@ def test_normal_form_matches_sympy_reduced_over_gf(ideal, f):
     got = normal_form(_poly(ring, f), groebner_basis(ours))
     want = sympy.Poly(rem, *syms, modulus=_Q)
     assert got.terms == ({} if want.is_zero else _gf_terms(want))
+
+
+# --- saturation against the intersection of single saturations ---------------------
+
+def _saturate_by_intersection(ideal, other):
+    """(ideal : other^infinity) the long way: one Rabinowitsch run per
+    generator g of other's reduced basis, eliminating w from
+    ideal + <1 - w*g>, then the intersection of those results."""
+    ring = ideal.ring
+    w = ring.fresh_name("w")
+    big = ring.extend([w])
+    result = None
+    for g in other.groebner(GREVLEX).basis:
+        gens = [f.transfer(big) for f in ideal.generators]
+        gens.append(big.one() - big.var(w) * g.transfer(big))
+        part = eliminate(Ideal(big, gens), [w])
+        result = part if result is None else intersect(result, part)
+    return result
+
+
+def _assert_saturate_matches_intersection(ideal, other):
+    got = saturate(ideal, other)
+    want = _saturate_by_intersection(ideal, other)
+    assert got.ring == want.ring == ideal.ring
+    assert [g.terms for g in got.generators] == \
+        [g.terms for g in want.generators]
+    return got
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_saturate_matches_intersection_of_single_saturations(field, data):
+    coeffs = _COEFFS if field is None else _GF_COEFFS
+    n, gens = data.draw(_ideals(coeffs))
+    _, sat = data.draw(_ideals(coeffs, n))
+    ring, ideal = _optdeg_ideal(n, gens, GREVLEX, field)
+    _assert_saturate_matches_intersection(
+        ideal, Ideal(ring, [_poly(ring, g) for g in sat]))
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
+@pytest.mark.parametrize("names, ideal, other, expected", [
+    # a non-radical monomial saturand, replaced by its radical <x, y>: the
+    # two axes stay, the embedded point at the origin goes
+    (("x", "y"), ["x^2*y", "x*y^2"], ["x^2", "y"], ["x*y"]),
+    # a homogeneous ideal saturated by one variable
+    (("x", "y", "z"), ["x^2*(y-z)", "x*(y^2-z^2)"], ["x"], ["y-z"]),
+    # a saturand whose reduced basis has three generators: three lines
+    # through (1, 2, 0) stay, the point embedded there goes
+    (("x", "y", "z"),
+     ["(x-1)^2*(y-2)", "(x-1)*(y-2)^2", "(x-1)^2*z", "(x-1)*z^2",
+      "(y-2)^2*z", "(y-2)*z^2", "(x-1)*(y-2)*z"],
+     ["x-1", "y-2", "z"], ["(x-1)*(y-2)", "(x-1)*z", "(y-2)*z"]),
+])
+def test_saturate_pinned_against_intersection(field, names, ideal, other,
+                                              expected):
+    ring = RingContext(names, field)
+    got = _assert_saturate_matches_intersection(I(ring, *ideal),
+                                                I(ring, *other))
+    assert got.equals(I(ring, *expected))
