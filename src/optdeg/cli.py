@@ -17,13 +17,15 @@ from dataclasses import replace
 from . import formulas
 from .conormal import (bidegree_class, joint_correspondence_ideal,
                        polar_classes, pnorm_degree_via_polar, s_conormal_ideal)
-from .critical import (PNorm, RationalGradient, VarietySpec, algebraic_degree,
+from .critical import (PNorm, RationalGradient, VarietySpec,
+                       _singular_beyond_vertex, algebraic_degree,
                        critical_ideal_affine, data_ring, evolute_curve,
                        projective_pnorm_degree, singular_locus_ideal)
-from .errors import BudgetExceeded, OptdegError, SchemaError, ZeroDenominator
+from .errors import (BudgetExceeded, OptdegError, PositiveDimensionalFiber,
+                     SchemaError, ZeroDenominator)
 from .fields import field_from_spec
-from .groebner import (DEFAULT_BUDGET, GREVLEX, Ideal, as_budget,
-                       degree_zero_dim, dimension)
+from .groebner import (DEFAULT_BUDGET, GREVLEX, Ideal, _count_points,
+                       as_budget, dimension)
 from .parsing import format_polynomial, parse_polynomial, parse_rational_function
 from .rings import RingContext
 from .towers import (ParametrizationSpec, TowerLevel, TowerSpec,
@@ -176,10 +178,16 @@ def _cmd_degree(job, variety, budget, timings):
     t0 = time.perf_counter()
     if "u" in options:
         u = _load_point(options["u"], variety.ring, "options.u")
-        ideal = critical_ideal_affine(variety, objective, u=u, budget=budget)
-        count = degree_zero_dim(ideal, budget)
+        u_text = [str(c) for c in u]
+        count = _count_points(
+            critical_ideal_affine(variety, objective, u=u, budget=budget),
+            budget)
+        if count is None:
+            raise PositiveDimensionalFiber(
+                f"the critical locus at the pinned data point u = {u_text} "
+                "is positive-dimensional")
         timings.stage("pinned-count", t0)
-        return {"degree": count, "u": [str(c) for c in u], "pinned": True}
+        return {"degree": count, "u": u_text, "pinned": True}
     rep = algebraic_degree(variety, objective, trials=job["trials"],
                            seed=job["seed"], budget=budget)
     timings.stage("degree-trials", t0)
@@ -401,9 +409,9 @@ def _cmd_crossvalidate(job, variety, budget, timings):
             # the closed form holds for a smooth hypersurface, whose cone is
             # singular at the vertex alone; a codim override does not change
             # which hypersurface the generator defines
-            hypersurface = replace(variety, codim_override=None)
-            sing = singular_locus_ideal(hypersurface, budget)
-            if dimension(sing, budget) > 0:
+            hypersurface = (variety if variety.codim_override is None
+                            else replace(variety, codim_override=None))
+            if _singular_beyond_vertex(hypersurface, budget):
                 notes.append("hypersurface is singular; hypersurface formula "
                              "skipped")
             else:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .errors import (CollapsedToUnit, InconsistentSlices, NotHomogeneous,
                      NotZeroDimensionalAfterSlicing)
-from .critical import (VarietySpec, _conormal_generators, isotropic_polynomial,
+from .critical import (VarietySpec, _conormal_generators,
+                       _singular_beyond_vertex, isotropic_polynomial,
                        singular_locus_ideal)
 from .formulas import polar_formula
 from .groebner import (GREVLEX, Ideal, _count_points, as_budget, dimension,
@@ -55,16 +56,14 @@ class PolarClassVector:
 
 
 def _conormal_system(X: VarietySpec, s, budget):
-    """The ring (x, y), the unsaturated s-conormal ideal in it, the y names,
-    and the singular locus of X in the x-ring."""
+    """The unsaturated s-conormal ideal in the ring (x, y), and the y names."""
     if not isinstance(s, int) or s < 1:
         raise ValueError("the conormal power s must be an integer >= 1")
     if not X.is_homogeneous():
         raise NotHomogeneous("the variety generators must be homogeneous")
     ynames = tuple(f"y{i + 1}" for i in range(X.n))
     big = X.ring.extend(ynames)
-    ideal = Ideal(big, _conormal_generators(X, s, big, ynames, budget))
-    return big, ideal, ynames, singular_locus_ideal(X, budget)
+    return Ideal(big, _conormal_generators(X, s, big, ynames, budget)), ynames
 
 
 def s_conormal_ideal(X: VarietySpec, s, budget=None) -> Ideal:
@@ -73,8 +72,9 @@ def s_conormal_ideal(X: VarietySpec, s, budget=None) -> Ideal:
     (y_1^s .. y_n^s), saturated by the singular locus.  s = 1 gives the
     classical conormal ideal."""
     budget = as_budget(budget)
-    big, ideal, _, sing = _conormal_system(X, s, budget)
-    return saturate(ideal, sing.transfer(big), budget)
+    ideal, _ = _conormal_system(X, s, budget)
+    return saturate(ideal, singular_locus_ideal(X, budget).transfer(ideal.ring),
+                    budget)
 
 
 def joint_correspondence_ideal(X: VarietySpec, p, budget=None) -> Ideal:
@@ -177,21 +177,22 @@ def polar_classes(X: VarietySpec, seed=0, budget=None) -> PolarClassVector:
     """Polar classes read off the multidegree of the classical conormal ideal:
     delta_k is the coefficient at (a, b) = (n-1-k, k+1).
 
-    When the singular locus of X has dimension at most 0, the cone is
-    singular at most at its vertex.  Away from {x = 0} the conormal ideal
-    then equals its saturation by the singular locus, and the charts of the
-    slicing exclude {x = 0}, so the unsaturated ideal is sliced directly;
-    its codimension is n, the codimension of every conormal cone.  Cones
-    with a larger singular locus are sliced after that saturation."""
+    When the cone is singular at most at its vertex (see
+    _singular_beyond_vertex), the conormal ideal equals its saturation by
+    the singular locus away from {x = 0}, and the charts of the slicing
+    exclude {x = 0}, so the unsaturated ideal is sliced directly; its
+    codimension is n, the codimension of every conormal cone.  Other cones
+    are sliced after that saturation."""
     budget = as_budget(budget)
-    big, conormal, ynames, sing = _conormal_system(X, 1, budget)
+    conormal, ynames = _conormal_system(X, 1, budget)
     n = X.n
     xnames = X.ring.variables
-    if dimension(sing, budget) <= 0:
-        cls = _bidegree_counts(conormal, xnames, ynames, n, seed, budget)
+    if _singular_beyond_vertex(X, budget):
+        sing = singular_locus_ideal(X, budget).transfer(conormal.ring)
+        cls = bidegree_class(saturate(conormal, sing, budget), xnames, ynames,
+                             seed, budget)
     else:
-        cls = bidegree_class(saturate(conormal, sing.transfer(big), budget),
-                             xnames, ynames, seed, budget)
+        cls = _bidegree_counts(conormal, xnames, ynames, n, seed, budget)
     table = cls.as_dict()
     return PolarClassVector(tuple(table.get((n - 1 - k, k + 1), 0)
                                   for k in range(n - 1)))

@@ -8,7 +8,6 @@ p-norm evolutes of plane curves.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 import warnings as _warnings
@@ -18,9 +17,9 @@ from .errors import (ContainedInIsotropic, DenominatorVanishesOnX,
                      NotHomogeneous, NotPrincipalWarning,
                      PositiveDimensionalFiber, RingMismatch)
 from .fields import PrimeField
-from .groebner import (GREVLEX, Ideal, _count_points, as_budget, dimension,
-                       eliminate, groebner_basis, normal_form, saturate,
-                       vanishes_on_variety)
+from .groebner import (GREVLEX, Ideal, _count_points, _localizer, as_budget,
+                       dimension, eliminate, groebner_basis, normal_form,
+                       saturate, vanishes_on_variety)
 from .matrices import PolyMatrix, derationalize, jacobian
 from .rings import (Polynomial, RationalFunction, RingContext,
                     random_linear_form)
@@ -29,13 +28,15 @@ from .rings import (Polynomial, RationalFunction, RingContext,
 @dataclass
 class VarietySpec:
     """A variety given by generators, with optional codimension and singular
-    ideal overrides for inputs the automatic computation would misjudge."""
+    ideal overrides for inputs the automatic computation would misjudge.
+    Its ideal and singular locus are built once and shared by every caller."""
 
     ring: RingContext
     generators: tuple
     codim_override: int = None
     singular_ideal_override: Ideal = None
     _ideal: Ideal = dc_field(init=False, repr=False, compare=False)
+    _singular: Ideal = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gens = tuple(self.generators)
@@ -51,6 +52,7 @@ class VarietySpec:
         if self.codim_override is not None and not 1 <= self.codim_override <= n:
             raise ValueError("codimension override out of range")
         self._ideal = Ideal(self.ring, gens)
+        self._singular = self.singular_ideal_override
 
     @property
     def n(self):
@@ -125,19 +127,28 @@ def data_ring(ring, prefix="u"):
 
 def singular_locus_ideal(X: VarietySpec, budget=None) -> Ideal:
     """Ideal cutting out the singular locus: I(X) plus the c x c minors of the
-    Jacobian of the generators (or the user override)."""
-    budget = as_budget(budget)
-    if X.singular_ideal_override is not None:
-        return X.singular_ideal_override
-    c = X.codimension(budget)
-    if c <= 0:
-        return Ideal(X.ring, [X.ring.one()])
-    jac = jacobian(X.generators, X.ring.variables)
-    if c > min(jac.rows, jac.cols):
+    Jacobian of the generators, regenerated by its reduced grevlex basis (or
+    the user override).  It is built on the first call and kept on X."""
+    if X._singular is None:
+        budget = as_budget(budget)
+        c = X.codimension(budget)
+        jac = jacobian(X.generators, X.ring.variables)
         gens = list(X.generators)
-    else:
-        gens = list(X.generators) + jac.minors(c)
-    return Ideal(X.ring, gens).normalized(budget)
+        if c <= min(jac.rows, jac.cols):
+            gens += jac.minors(c)
+        X._singular = Ideal(X.ring, gens).normalized(budget)
+    return X._singular
+
+
+def _singular_beyond_vertex(X: VarietySpec, budget) -> bool:
+    """False when the cone over X is singular at most at its vertex, that is
+    when its singular locus is homogeneous of dimension at most 0 and so lies
+    in {x = 0}, inside every isotropic hypersurface q_p = 0.  A saturation
+    depends only on the radical of the saturand, so then saturating by q_p
+    alone also saturates by the singular locus."""
+    sing = singular_locus_ideal(X, budget)
+    return dimension(sing, budget) > 0 or not all(
+        g.is_homogeneous() for g in sing.groebner(GREVLEX, budget).basis)
 
 
 def _pnorm_gradients(ring, xnames, u_values, p):
@@ -170,20 +181,14 @@ def _check_rational_gradient(obj: RationalGradient, big_ring, unames):
                     "among the data variables")
 
 
-def critical_ideal_affine(X: VarietySpec, objective, u=None, budget=None) -> Ideal:
-    """The critical ideal of X for the objective: I(X) plus the maximal minors
-    of the derationalized augmented Jacobian, saturated by the singular locus
-    and the gradient denominators.
-
-    With u=None the result lives in the combined (point, data) ring and cuts
-    out the optimization correspondence; with a bound data point u it lives
-    in the x-ring and cuts out the critical locus itself.
-    """
-    budget = as_budget(budget)
+def _critical_ideals(X: VarietySpec, objective, budget):
+    """The data-independent part of the affine critical ideal, built once:
+    the codimension, the gradient checks, the Jacobian and the singular
+    locus.  Returns the function of the data point (None for symbolic data)
+    that binds it, takes the minors and runs the one saturation."""
     ring = X.ring
     xnames = ring.variables
-    n = X.n
-    c = X.codimension(budget)
+    k = X.codimension(budget) + 1
     big, unames = data_ring(ring)
 
     if isinstance(objective, PNorm):
@@ -197,49 +202,49 @@ def critical_ideal_affine(X: VarietySpec, objective, u=None, budget=None) -> Ide
     den_product = big.one()
     for g in grads_sym:
         den_product = den_product * g.den
-    if not den_product.is_constant():
-        if vanishes_on_variety(den_product,
-                               Ideal(big, [g.transfer(big) for g in X.generators]),
-                               budget):
-            raise DenominatorVanishesOnX(
-                "gradient denominators vanish identically on the variety")
+    if not den_product.is_constant() and vanishes_on_variety(
+            den_product, Ideal(big, [g.transfer(big) for g in X.generators]),
+            budget):
+        raise DenominatorVanishesOnX(
+            "gradient denominators vanish identically on the variety")
+    jac_rows = [[g.derivative(v) for v in xnames] for g in X.generators]
+    sing = singular_locus_ideal(X, budget)
 
-    if u is None:
-        work = big
-        grads = grads_sym
-    else:
-        work = ring
-        if len(u) != n:
-            raise ValueError("data point has wrong length")
-        bindings = {un: big.const(val) for un, val in zip(unames, u)}
+    def critical_ideal(u):
+        if u is None:
+            work, bindings = big, {}
+        else:
+            if len(u) != X.n:
+                raise ValueError("data point has wrong length")
+            work = ring
+            bindings = {un: big.const(val) for un, val in zip(unames, u)}
         grads = []
+        den = work.one()
         for g in grads_sym:
-            spec = g.substitute(bindings)
-            grads.append(RationalFunction(spec.num.transfer(work),
-                                          spec.den.transfer(work)))
+            grads.append(g.substitute(bindings).transfer(work))
+            den = den * grads[-1].den
+        jac = PolyMatrix([[e.transfer(work) for e in row] for row in jac_rows])
+        stacked = derationalize(grads, jac)
+        minors = stacked.minors(k) if k <= min(stacked.rows, stacked.cols) else []
+        base = Ideal(work, [g.transfer(work) for g in X.generators] + minors)
+        saturand = sing.transfer(work)
+        if not den.is_constant() or saturand.is_zero():
+            saturand = Ideal(work, [s * den for s in saturand.generators] or [den])
+        return saturate(base, saturand, budget)
 
-    gens = [g.transfer(work) for g in X.generators]
-    jac = PolyMatrix([[p.derivative(v) for v in xnames] for p in gens])
-    stacked = derationalize(grads, jac)
-    k = c + 1
-    if k <= min(stacked.rows, stacked.cols):
-        minors = stacked.minors(k)
-    else:
-        minors = []
-    base = Ideal(work, gens + minors)
-
-    sing = singular_locus_ideal(X, budget).transfer(work)
-    dens = den_product.transfer(work) if u is None else _product(
-        [g.den for g in grads], work)
-    sat_gens = [s * dens for s in sing.generators] or [dens]
-    return saturate(base, Ideal(work, sat_gens), budget)
+    return critical_ideal
 
 
-def _product(polys, ring):
-    out = ring.one()
-    for p in polys:
-        out = out * p
-    return out
+def critical_ideal_affine(X: VarietySpec, objective, u=None, budget=None) -> Ideal:
+    """The critical ideal of X for the objective: I(X) plus the maximal minors
+    of the derationalized augmented Jacobian, saturated by the singular locus
+    and the gradient denominators.
+
+    With u=None the result lives in the combined (point, data) ring and cuts
+    out the optimization correspondence; with a bound data point u it lives
+    in the x-ring and cuts out the critical locus itself.
+    """
+    return _critical_ideals(X, objective, as_budget(budget))(u)
 
 
 def _sample_point(field, n, rng):
@@ -292,11 +297,9 @@ def algebraic_degree(X: VarietySpec, objective, trials=2, seed=0,
         warn.append("p=1 is outside the supported objective family; "
                     "counts are reported as-is")
 
-    def count_for(u):
-        return _count_points(
-            critical_ideal_affine(X, objective, u=u, budget=budget), budget)
-
-    return _count_trials(count_for, X, trials, seed, budget, warn)
+    critical_ideal = _critical_ideals(X, objective, budget)
+    return _count_trials(lambda u: _count_points(critical_ideal(u), budget),
+                         X, trials, seed, budget, warn)
 
 
 def isotropic_polynomial(ring, p):
@@ -353,39 +356,25 @@ def projective_critical_ideal(X: VarietySpec, p, budget=None) -> Ideal:
     Auxiliary direction variables y are adjoined, the gradient row is replaced
     by y^(p-1), collinearity of (y, u, x) is imposed by 3x3 minors, and the
     singular locus and the isotropic hypersurface q_p(x) are saturated away.
-    The y-origin is removed in the chart l(y) = 1 of a linear form l drawn
-    from the fixed stream "projcrit|chart": the system is homogeneous in y,
-    so adding l(y) - 1 and eliminating y gives the saturation by l, which
-    equals the saturation by <y_1..y_n> unless l lies in an associated prime.
-    What remains is the correspondence ideal in the (point, data) variables.
+    A cone singular at most at its vertex is saturated by q_p alone, which
+    gives the same ideal (see _singular_beyond_vertex); any other cone is
+    saturated by its singular locus first.  The y-origin is removed in the
+    chart l(y) = 1 of a linear form l drawn from the fixed stream
+    "projcrit|chart": the system is homogeneous in y, so adding l(y) - 1 and
+    eliminating y gives the saturation by l, which equals the saturation by
+    <y_1..y_n> unless l lies in an associated prime.  What remains is the
+    correspondence ideal in the (point, data) variables.
     """
     budget = as_budget(budget)
     big, raw_gens, ynames, unames, q_p = _projective_system(X, p, budget)
-    sing = singular_locus_ideal(X, budget).transfer(big)
-    ideal = saturate(Ideal(big, raw_gens), sing, budget)
+    ideal = Ideal(big, raw_gens)
+    if _singular_beyond_vertex(X, budget):
+        ideal = saturate(ideal, singular_locus_ideal(X, budget).transfer(big),
+                         budget)
     ideal = saturate(ideal, Ideal(big, [q_p.transfer(big)]), budget)
     chart = (random_linear_form(big, ynames, random.Random("projcrit|chart"))
              - big.one())
     return eliminate(ideal + [chart], ynames, budget)
-
-
-def _generic_member(ideal, rng, budget):
-    """1 if the ideal is the unit ideal, else sum c_i g_i over its reduced
-    grevlex basis with nonzero c_i drawn from rng: the whole field over
-    GF(q), the integers in [-2^20, 2^20] over QQ."""
-    gb = ideal.groebner(GREVLEX, budget)
-    ring = ideal.ring
-    if gb.is_unit():
-        return ring.one()
-    field = ring.field
-    out = ring.zero()
-    for g in gb.basis:
-        if isinstance(field, PrimeField):
-            c = rng.randrange(1, field.q)
-        else:
-            c = rng.choice((-1, 1)) * rng.randint(1, 2 ** 20)
-        out = out + g.transfer(ring).scale(c)
-    return out
 
 
 def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
@@ -400,42 +389,35 @@ def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
     charts: the slice h(x) - 1 (stream "projdeg|{seed}|forms") and the chart
     l(y) - 1 (stream "projdeg|{seed}|chart") join the bound system.
 
-    Nothing is saturated.  When K = (I : f^infinity) is zero-dimensional,
-    k[x, y, w]/(I + <1 - w*f>) is isomorphic to k[x, y]/K, because f is a
-    unit in that Artinian ring; so one more variable w with 1 - w*q_p*f_sing
-    localizes the system, and one elimination of (y, w) leaves the counted
-    ideal in x.  It equals the ideal that saturating by the singular locus
-    and by q_p and then eliminating y would give: the chart l(y) - 1
-    dehomogenizes a system that is homogeneous in y, which commutes with
-    saturating by a polynomial in x.  Here f_sing = 1 when sing + <h - 1> is
-    the unit ideal, as for a smooth variety, whose cone is singular at the
-    vertex alone.  Otherwise f_sing is a random combination of the reduced
-    basis of sing + <h - 1> (stream "loc|{seed}|{call}", one per data
-    point), which saturates like that ideal unless f_sing vanishes at a
-    counted point; the trial-agreement check catches that case.
+    Nothing is saturated.  One variable w_i per f_i joins the system with
+    1 - sum_i w_i*f_i, and one elimination of (y, w) leaves the saturation
+    by <f_1..f_m> with y eliminated (see _rabinowitsch), the counted ideal
+    in x.  It equals the ideal that saturating by the singular locus and by
+    q_p and then eliminating y would give: the chart l(y) - 1 dehomogenizes
+    a system that is homogeneous in y, which commutes with saturating by
+    polynomials in x.  The f_i are q_p alone when the cone is singular at
+    most at its vertex (see _singular_beyond_vertex), and otherwise q_p*g_i
+    over the reduced basis g_i of the singular locus; both are exact, and
+    nothing is drawn.
     """
     budget = as_budget(budget)
     big, raw_gens, ynames, unames, q_p = _projective_system(X, p, budget)
-    xy_ring = X.ring.extend(ynames)
-    w = xy_ring.fresh_name("w")
-    work = xy_ring.extend([w])
-    sing = singular_locus_ideal(X, budget).transfer(work)
-    q_p = q_p.transfer(work)
+    fs = [q_p]
+    if _singular_beyond_vertex(X, budget):
+        sing = singular_locus_ideal(X, budget).groebner(GREVLEX, budget)
+        fs = [q_p * g for g in sing.basis]
+    work, ws, localizer = _localizer(X.ring.extend(ynames), fs)
     rng_forms = random.Random(f"projdeg|{seed}|forms")
     rng_chart = random.Random(f"projdeg|{seed}|chart")
-    calls = itertools.count()
 
     def count_for(u):
-        call = next(calls)
         slice_ = (random_linear_form(work, X.ring.variables, rng_forms)
                   - work.one())
         chart = random_linear_form(work, ynames, rng_chart) - work.one()
-        f_sing = _generic_member(sing + [slice_],
-                                 random.Random(f"loc|{seed}|{call}"), budget)
         bindings = {un: big.const(val) for un, val in zip(unames, u)}
         gens = [g.substitute(bindings).transfer(work) for g in raw_gens]
-        gens += [slice_, chart, work.one() - work.var(w) * q_p * f_sing]
-        return _count_points(eliminate(Ideal(work, gens), ynames + (w,),
+        gens += [slice_, chart, localizer]
+        return _count_points(eliminate(Ideal(work, gens), ynames + ws,
                                        budget), budget)
 
     return _count_trials(count_for, X, trials, seed, budget, [])

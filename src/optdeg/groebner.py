@@ -97,6 +97,9 @@ class Ideal:
         return Ideal(self.ring, self.generators + tuple(other))
 
     def transfer(self, ring):
+        """The ideal in `ring`: itself, cached bases included, if unchanged."""
+        if ring == self.ring:
+            return self
         return Ideal(ring, [g.transfer(ring) for g in self.generators])
 
     def equals(self, other, budget=None):
@@ -535,11 +538,23 @@ def eliminate(ideal, drop, budget=None) -> Ideal:
     return _eliminate(ideal, drop, ring.restrict(keep), budget)
 
 
+def _localizer(ring, fs):
+    """The ring with one fresh w_i per f_i appended (a single f keeps the one
+    name sat_w), the w names, and 1 - sum_i w_i*f_i in that ring."""
+    big, ws = ring, ()
+    for _ in fs:
+        ws += (big.fresh_name("sat_w"),)
+        big = big.extend(ws[-1:])
+    rel = big.one()
+    for w, f in zip(ws, fs):
+        rel = rel - big.var(w) * f.transfer(big)
+    return big, ws, rel
+
+
 def _rabinowitsch(ideal, fs, budget) -> Ideal:
     """(ideal : <f_1..f_m>^infinity) in the ring of the ideal: adjoin one
     fresh w_i per f_i and eliminate them all from ideal + <1 - s>, where
-    s = sum_i w_i*f_i, in one block-order run.  A single f keeps the one
-    name sat_w.
+    s = sum_i w_i*f_i, in one block-order run (see _localizer).
 
     This is exact.  If h*J^k lies in the ideal, J = <f_1..f_m>, then so does
     h*s^k, and h = h*(1 - s^k) + h*s^k with 1 - s^k a multiple of 1 - s.
@@ -547,18 +562,9 @@ def _rabinowitsch(ideal, fs, budget) -> Ideal:
     in the elimination has h*f_i^k in the ideal for some k, for every i;
     that puts h in (ideal : J^infinity).
     """
-    ring = ideal.ring
-    big = ring
-    ws = []
-    for _ in fs:
-        ws.append(big.fresh_name("sat_w"))
-        big = big.extend(ws[-1:])
-    gens = [g.transfer(big) for g in ideal.generators]
-    rel = big.one()
-    for w, f in zip(ws, fs):
-        rel = rel - big.var(w) * f.transfer(big)
-    gens.append(rel)
-    return _eliminate(Ideal(big, gens), tuple(ws), ring, budget)
+    big, ws, rel = _localizer(ideal.ring, fs)
+    gens = [g.transfer(big) for g in ideal.generators] + [rel]
+    return _eliminate(Ideal(big, gens), ws, ideal.ring, budget)
 
 
 def intersect(a: Ideal, b: Ideal, budget=None) -> Ideal:

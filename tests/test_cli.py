@@ -50,6 +50,33 @@ def test_degree_pinned_u(tmp_path, capsys, ellipse_job):
     assert out["result"]["pinned"] is True
 
 
+def _pinned_job(generator, objective, u):
+    return {"schema_version": 1,
+            "ring": {"variables": ["x1", "x2"], "field": "rational"},
+            "variety": {"generators": [generator]},
+            "objective": objective, "options": {"u": u}}
+
+
+def test_degree_pinned_u_without_critical_points(tmp_path, capsys):
+    # the likelihood equations u1/x1 = u2/x2 on x1 + x2 = 1 force u1 + u2 = 1
+    job = _pinned_job("x1+x2-1", {"rational_gradient": ["u1/x1", "u2/x2"]},
+                      [1, -1])
+    rc = run_cli(tmp_path, "degree", job)
+    out = json.loads(capsys.readouterr().out)
+    assert rc == EXIT_OK
+    assert out["result"] == {"degree": 0, "u": ["1", "-1"], "pinned": True}
+
+
+def test_degree_pinned_u_positive_dimensional_fiber(tmp_path, capsys):
+    # every point of the circle is critical for its center
+    job = _pinned_job("x1^2+x2^2-1", {"pnorm": 2}, [0, 0])
+    rc = run_cli(tmp_path, "degree", job)
+    err = capsys.readouterr().err
+    assert rc == EXIT_DOMAIN
+    assert "positive-dimensional" in err
+    assert "u = ['0', '0']" in err
+
+
 def test_formula_command(tmp_path, capsys):
     job = {"schema_version": 1,
            "options": {"kind": "hypersurface", "d": 2, "n": 3, "p": 3}}

@@ -10,10 +10,11 @@ from optdeg import (GREVLEX, BudgetExceeded, ContainedInIsotropic, Ideal,
                     eliminate, normal_form, parse_polynomial,
                     parse_rational_function, pnorm_degree_via_polar,
                     random_linear_change, saturate, vanishes_on_variety)
+from optdeg import groebner
 from optdeg.critical import (PNorm, RationalGradient, VarietySpec,
-                             _projective_system, algebraic_degree,
-                             ci_degree_bound_check, critical_ideal_affine,
-                             data_ring, evolute_curve,
+                             _projective_system, _singular_beyond_vertex,
+                             algebraic_degree, ci_degree_bound_check,
+                             critical_ideal_affine, data_ring, evolute_curve,
                              projective_critical_ideal,
                              projective_pnorm_degree, singular_locus_ideal)
 from optdeg.errors import DenominatorVanishesOnX
@@ -288,10 +289,10 @@ def test_projective_conic_p3_tight_budget(prime_field):
 
 
 @pytest.mark.parametrize("names, gens, p, degree, steps", [
-    (("x1", "x2", "x3"), ["x1^2+x2^2-3*x3^2"], 3, 12, 1_884),
+    (("x1", "x2", "x3"), ["x1^2+x2^2-3*x3^2"], 3, 12, 1_878),
     (("x1", "x2", "x3", "x4"), ["x1*x3-x2^2", "x1*x4-x2*x3", "x2*x4-x3^2"],
-     2, 7, 3_098),
-])
+     2, 7, 3_066),
+], ids=["conic-p3", "twisted-cubic-p2"])
 def test_projective_reduction_steps_pinned_over_gf(prime_field, names, gens,
                                                    p, degree, steps):
     """The GF(q) kernel's reduction steps are pinned exactly: a change to its
@@ -303,32 +304,69 @@ def test_projective_reduction_steps_pinned_over_gf(prime_field, names, gens,
     assert DEFAULT_BUDGET - budget.remaining == steps
 
 
-@pytest.mark.parametrize("p, degree, steps", [(2, 5, 146), (3, 8, 170)])
+@pytest.mark.parametrize("p, degree, steps", [(2, 5, 143), (3, 8, 167)],
+                         ids=["p2", "p3"])
 def test_affine_nodal_cubic_reduction_steps_pinned_over_gf(prime_field, p,
                                                           degree, steps):
-    """The node's singular ideal is <x1, x2>, so every trial saturates by
-    <x1, x2> in one elimination of w_1, w_2 from the critical ideal plus
-    1 - w_1*x1 - w_2*x2; the steps of those runs are pinned."""
+    """The node's singular ideal is <x1, x2>, built once per job, so every
+    trial saturates by <x1, x2> in one elimination of w_1, w_2 from the
+    critical ideal plus 1 - w_1*x1 - w_2*x2; the steps of the job are
+    pinned."""
     ring = RingContext(("x1", "x2"), field=prime_field)
     nodal = variety(ring, "x2^2-x1^2*(x1+1)")
-    assert singular_locus_ideal(nodal).generators == (P("x1", ring),
-                                                       P("x2", ring))
     budget = _Budget(DEFAULT_BUDGET)
     rep = algebraic_degree(nodal, PNorm(p), trials=2, seed=1, budget=budget)
     assert rep.degree == degree
     assert DEFAULT_BUDGET - budget.remaining == steps
+    assert singular_locus_ideal(nodal).generators == (P("x1", ring),
+                                                       P("x2", ring))
+
+
+def test_affine_degree_builds_the_data_independent_part_once(monkeypatch,
+                                                             prime_field):
+    """Three trials on the nodal cubic take five Groebner runs: the
+    codimension, the singular locus and one saturating elimination per
+    trial."""
+    runs = []
+    original = groebner.groebner_basis
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "groebner_basis", counted)
+    nodal = variety(RingContext(("x1", "x2"), field=prime_field),
+                    "x2^2-x1^2*(x1+1)")
+    rep = algebraic_degree(nodal, PNorm(2), trials=3, seed=1)
+    assert rep.degree == 5
+    assert len(runs) == 5
 
 
 @pytest.mark.parametrize("field", [PrimeField(), RationalField()])
 def test_nodal_cubic_cone_singular_saturand(field):
     """The singular locus of this cone is the line over the node, so the
-    saturand sing + <h - 1> is not the unit ideal."""
+    count localizes at q_p*g_i over the reduced basis g_i of the singular
+    locus, not at q_p alone."""
     ring = RingContext(("x1", "x2", "x3"), field=field)
     nodal = variety(ring, "x2^2*x3-x1^2*(x1+x3)")
     assert dimension(singular_locus_ideal(nodal)) == 1
     rep = projective_pnorm_degree(nodal, 2, trials=2, seed=1)
     assert rep.degree == 7
     assert pnorm_degree_via_polar(nodal, 2, seed=1) == rep.degree
+
+
+def test_vertex_rule():
+    """A cone is singular beyond its vertex unless its singular locus is
+    homogeneous of dimension at most 0."""
+    ring = RingContext(("x1", "x2", "x3"))
+    assert not _singular_beyond_vertex(variety(ring, "x1^2+x2^2-2*x3^2"),
+                                       None)
+    assert _singular_beyond_vertex(variety(ring, "x2^2*x3-x1^2*(x1+x3)"), None)
+    # an override naming the point (1, 1, 1) of the cone is zero-dimensional
+    # but not at the vertex
+    point = Ideal(ring, [P(t, ring) for t in ("x1-1", "x2-1", "x3-1")])
+    assert _singular_beyond_vertex(
+        variety(ring, "x1^2+x2^2-2*x3^2", singular_ideal_override=point), None)
 
 
 # --- localized counts against the saturating path ----------------------------
@@ -376,11 +414,40 @@ def test_localized_count_matches_saturations_on_drawn_curves(X):
 ])
 def test_localized_count_matches_saturations_on_singular_cones(field, names,
                                                                gen):
-    """Both cones are singular beyond the vertex, so sing + <h - 1> is not
-    the unit ideal and each trial draws its random f_sing."""
+    """Both cones are singular beyond the vertex, so each trial localizes at
+    q_p*g_i over the reduced basis g_i of the singular locus."""
     X = variety(RingContext(names, field=field), gen)
     assert dimension(singular_locus_ideal(X)) >= 1
     _assert_localized_count_saturates(X, 2, seed=1)
+
+
+def _saturating_critical_ideal(X, p):
+    """projective_critical_ideal saturating by the singular locus and then
+    by q_p whatever the singular locus is, with the same chart."""
+    big, raw_gens, ynames, _, q_p = _projective_system(X, p, None)
+    ideal = saturate(Ideal(big, raw_gens), singular_locus_ideal(X).transfer(big))
+    ideal = saturate(ideal, Ideal(big, [q_p.transfer(big)]))
+    chart = (random_linear_form(big, ynames, random.Random("projcrit|chart"))
+             - big.one())
+    return eliminate(ideal + [chart], ynames)
+
+
+@pytest.mark.parametrize("field", [PrimeField(), RationalField()])
+@pytest.mark.parametrize("names, gen", [
+    (("x1", "x2", "x3"), "x1^2+x2^2-3*x3^2"),
+    (("x1", "x2", "x3"), "x2^2*x3-x1^2*(x1+x3)"),
+    (("x1", "x2", "x3", "x4"), "x1^2+2*x2^2-3*x3^2"),
+])
+def test_projective_critical_ideal_matches_saturating_oracle(field, names,
+                                                             gen):
+    """The smooth conic is saturated by q_p alone; the nodal cubic cone and
+    the quadric cone, singular beyond the vertex, by both."""
+    ring = RingContext(names, field=field)
+    got = projective_critical_ideal(variety(ring, gen), 2)
+    want = _saturating_critical_ideal(variety(ring, gen), 2)
+    assert got.ring == want.ring
+    assert [g.terms for g in got.generators] == [g.terms
+                                                 for g in want.generators]
 
 
 def test_veronese_conic_ed_degree(prime_field):
@@ -472,11 +539,14 @@ def test_evolute_reductions_agree_across_fields(ellipse, prime_field):
     assert steps[0] == steps[1]
 
 
-def test_evolute_squarefree_loop_draws_on_the_job_budget(ellipse):
+def test_evolute_squarefree_loop_draws_on_the_job_budget(ring_x12):
     """The classical evolute takes 242 steps up to its elimination and 12
     in the Euclid loop of its reduced degree, which spends the job's
-    budget, not a fresh one."""
+    budget, not a fresh one.  Each call gets a fresh spec, because a spec
+    keeps its singular locus and a second call would skip that run."""
+    ellipse = variety(ring_x12, "x1^2+4*x2^2-1")
     assert evolute_curve(ellipse, 2, seed=1, budget=254).reduced_degree == 6
+    ellipse = variety(ring_x12, "x1^2+4*x2^2-1")
     with pytest.raises(BudgetExceeded):
         evolute_curve(ellipse, 2, seed=1, budget=253)
 

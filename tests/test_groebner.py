@@ -447,6 +447,39 @@ def test_normal_form_matches_sympy_reduced_over_gf(ideal, f):
     assert got.terms == ({} if want.is_zero else _gf_terms(want))
 
 
+def _sympy_expr(poly):
+    syms = sympy.symbols(poly.ring.variables)
+    return sympy.Add(*(sympy.Rational(c) * sympy.Mul(*(s ** k for s, k in
+                                                       zip(syms, e)))
+                       for e, c in poly.terms.items()))
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_eliminate_matches_sympy_by_membership(field, data):
+    """eliminate's ideal and the elements free of the dropped variables in
+    sympy's lex basis, dropped variables first, contain each other."""
+    coeffs = _COEFFS if field is None else _GF_COEFFS
+    n, gens = data.draw(_ideals(coeffs))
+    ring, ideal = _optdeg_ideal(n, gens, GREVLEX, field)
+    drop = data.draw(st.lists(st.sampled_from(ring.variables), min_size=1,
+                              max_size=n - 1, unique=True))
+    ours = eliminate(ideal, drop)
+    kept = ours.ring.variables
+    _, exprs = _sympy_exprs(n, gens)
+    domain = {"domain": "QQ"} if field is None else {"modulus": _Q}
+    theirs = sympy.groebner(exprs, *sympy.symbols(tuple(drop) + kept),
+                            order="lex", **domain)
+    assert all(theirs.contains(_sympy_expr(g)) for g in ours.generators)
+    gb = ours.groebner(GREVLEX)
+    for p in theirs.polys:
+        terms = _sympy_terms(p) if field is None else _gf_terms(p)
+        if all(not any(e[:len(drop)]) for e in terms):
+            free = {e[len(drop):]: c for e, c in terms.items()}
+            assert normal_form(_poly(ours.ring, free), gb).is_zero()
+
+
 # --- saturation against the intersection of single saturations ---------------------
 
 def _saturate_by_intersection(ideal, other):

@@ -1,0 +1,94 @@
+"""Pinned report bytes: one small job per variety command.
+
+Each report of `cli.run_job` is serialized as `json.dumps(report,
+sort_keys=True)` and compared by its sha256 with the value it had when the
+pin was taken.  A refactor that must keep reports byte-identical keeps these
+hashes; a change that alters a report on purpose re-pins it and says so.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from optdeg import cli
+
+GF = "prime:2147483647"
+CONIC = "3*x1^2+2*x1*x2+5*x2^2+x2*x3+4*x3^2"
+NODAL_CONE = "x2^2*x3-x1^2*(x1+x3)"
+
+
+def _job(variables, field, generators, seed=1, trials=2, **extra):
+    doc = {"schema_version": 1,
+           "ring": {"variables": list(variables), "field": field},
+           "variety": {"generators": list(generators)},
+           "seed": seed, "trials": trials}
+    doc.update(extra)
+    return doc
+
+
+XY = ("x1", "x2")
+XYZ = ("x1", "x2", "x3")
+
+JOBS = {
+    "degree": ("degree", _job(XY, "rational", ["x1^2+4*x2^2-1"],
+                              objective={"pnorm": 4})),
+    "degree-pinned": ("degree", _job(XY, "rational", ["x1^2+4*x2^2-1"],
+                                     objective={"pnorm": 3},
+                                     options={"u": ["-6/10", "6/10"]})),
+    "projective-degree": ("projective-degree",
+                          _job(XYZ, GF, [CONIC], seed=5, options={"p": 2})),
+    "polar": ("polar", _job(XYZ, GF, [CONIC], seed=2,
+                            options={"pnorms": [2, 3]})),
+    "conormal": ("conormal", _job(XYZ, GF, [CONIC], options={"s": 1})),
+    "joint": ("joint", _job(XYZ, GF, [CONIC], options={"p": 2})),
+    "evolute": ("evolute", _job(XY, "rational", ["x1^2+4*x2^2-1"],
+                                options={"p": 2})),
+    "gb": ("gb", _job(XY, "rational", ["x1^2+4*x2^2-1"])),
+    "crossvalidate-affine": ("crossvalidate",
+                             _job(XY, "rational", ["x2^2-x1^2*(x1+1)"],
+                                  options={"p": 2})),
+    "crossvalidate-projective": ("crossvalidate",
+                                 _job(XYZ, GF, [CONIC], seed=5,
+                                      options={"p": 3})),
+    "crossvalidate-nodal-cone": ("crossvalidate",
+                                 _job(XYZ, GF, [NODAL_CONE],
+                                      options={"p": 2,
+                                               "curve": {"d": 3, "g": 0}})),
+}
+
+HASHES = {
+    "degree":
+        "b02cac0e2e3815a1a70a9965aac4cbe0f1820c548950eb8b7a9b018db5c285dd",
+    "degree-pinned":
+        "c8d37afce62df58226385938f4071ca37dc4994b3b1be5687104299650e26036",
+    "projective-degree":
+        "6eacd5eb9d3c8cbc4235aef7d4717c8e5c60ade0bab6be03c7d3015653a9c24d",
+    "polar":
+        "e66a3107e4bd3c8def7a47b333975a4ca2f8f035da902e3e3651cc2dbc5d8ddf",
+    "conormal":
+        "4e297cbfa657004680a68855e89b5ae5e3657231d9517d4f07c53b1b96e39470",
+    "joint":
+        "2e676ceabecb8f1e1f65d00a79e8cc7d30d084248fc4b1ae4b3ccc7c7b53ae00",
+    "evolute":
+        "e22f63f547c1d48bb9e978cd77f97077688eb9d4ea4c68dc74c41ecbe69ef29f",
+    "gb":
+        "de600da478fd230b83c9d02b932ea306ed596360d255092b795e761b66b6bde8",
+    "crossvalidate-affine":
+        "a6d06baf37eed94db1e1243e748bd0333c252c1f2964df85117143a23823d666",
+    "crossvalidate-projective":
+        "a787fd3e75354230fb3b92422dc26209142337ea897c6a4f52ca1f888ec8646c",
+    "crossvalidate-nodal-cone":
+        "9d3e9f1dbc4c43d7300e655aefa964a6ac2c5cac61697db7c6ec768cae99e5f8",
+}
+
+
+def report_sha256(command, doc):
+    report = cli.run_job(command, json.loads(json.dumps(doc)))
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(JOBS))
+def test_report_bytes_pinned(name):
+    command, doc = JOBS[name]
+    assert report_sha256(command, doc) == HASHES[name]
