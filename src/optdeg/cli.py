@@ -40,11 +40,16 @@ EXIT_DOMAIN = 3
 EXIT_BUDGET = 4
 
 
+def _is_int(value):
+    """True for a JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(doc, key, kind, where):
     if key not in doc:
         raise SchemaError(f"missing {key!r} in {where}")
     value = doc[key]
-    if kind is not None and not isinstance(value, kind):
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise SchemaError(f"{where}.{key} has the wrong type")
     return value
 
@@ -83,7 +88,7 @@ def _load_variety(doc, ring):
     gens = [_parse(parse_polynomial, t, ring, f"variety.generators[{i}]")
             for i, t in enumerate(gen_texts)]
     codim = var_doc.get("codim")
-    if codim is not None and not isinstance(codim, int):
+    if codim is not None and not _is_int(codim):
         raise SchemaError("variety.codim must be an integer")
     sing = None
     if var_doc.get("singular_ideal") is not None:
@@ -104,7 +109,7 @@ def _load_objective(doc, ring):
     obj_doc = _require(doc, "objective", dict, "job")
     if "pnorm" in obj_doc:
         p = obj_doc["pnorm"]
-        if not isinstance(p, int) or p < 1:
+        if not _is_int(p) or p < 1:
             raise SchemaError("objective.pnorm must be an integer >= 1")
         return PNorm(p)
     if "rational_gradient" in obj_doc:
@@ -134,7 +139,7 @@ def _load_point(values, ring, where):
         raise SchemaError(f"{where} must list one coordinate per variable")
     out = []
     for v in values:
-        if isinstance(v, int):
+        if _is_int(v):
             out.append(v)
         elif isinstance(v, str):
             out.append(_parse(parse_polynomial, v, ring, where).constant_value())
@@ -147,7 +152,7 @@ def _load_point(values, ring, where):
 def _option_p(options, least=1):
     """options.p; the projective constructions need p >= 2."""
     p = options.get("p")
-    if not isinstance(p, int) or p < least:
+    if not _is_int(p) or p < least:
         raise SchemaError(f"options.p must be an integer >= {least}")
     return p
 
@@ -213,7 +218,7 @@ def _cmd_polar(job, variety, budget, timings):
     if ps:
         values = {}
         for p in ps:
-            if not isinstance(p, int) or p < 1:
+            if not _is_int(p) or p < 1:
                 raise SchemaError("options.pnorms must list integers >= 1")
             values[str(p)] = formulas.polar_formula(p, pc.values, variety.n)
         result["pnorm_degrees"] = values
@@ -223,7 +228,7 @@ def _cmd_polar(job, variety, budget, timings):
 def _cmd_conormal(job, variety, budget, timings):
     options = job.get("options", {})
     s = options.get("s", 1)
-    if not isinstance(s, int) or s < 1:
+    if not _is_int(s) or s < 1:
         raise SchemaError("options.s must be an integer >= 1")
     t0 = time.perf_counter()
     ideal = s_conormal_ideal(variety, s, budget)
@@ -480,11 +485,14 @@ def run_job(command, job, timings_wanted=False):
         raise SchemaError(f"unsupported schema_version {version}")
     job.setdefault("seed", 0)
     job.setdefault("trials", 2)
-    if not isinstance(job["seed"], int):
+    if not _is_int(job["seed"]):
         raise SchemaError("seed must be an integer")
-    if not isinstance(job["trials"], int) or job["trials"] < 2:
+    if not _is_int(job["trials"]) or job["trials"] < 2:
         raise SchemaError("trials must be an integer >= 2")
-    budget = as_budget(job.get("budget", DEFAULT_BUDGET))
+    budget = job.get("budget", DEFAULT_BUDGET)
+    if not _is_int(budget):
+        raise SchemaError("budget must be an integer")
+    budget = as_budget(budget)
     timings = _Timings()
 
     if command == "formula":

@@ -18,8 +18,8 @@ from .critical import (VarietySpec, _conormal_generators,
                        _singular_beyond_vertex, isotropic_polynomial,
                        singular_locus_ideal)
 from .formulas import polar_formula
-from .groebner import (GREVLEX, Ideal, _count_points, as_budget, dimension,
-                       saturate)
+from .groebner import (GREVLEX, Ideal, _count_points, _cut_linear, as_budget,
+                       dimension, saturate)
 from .matrices import PolyMatrix
 from .rings import random_linear_form
 
@@ -110,13 +110,17 @@ def joint_correspondence_ideal(X: VarietySpec, p, budget=None) -> Ideal:
 
 
 def _sliced_count(ideal, x_names, y_names, a, b, rng, budget):
+    """Points of the ideal cut by n-1-a random hyperplanes in x, n-1-b in y
+    and the charts x-form = 1 and y-form = 1.  The 2n - a - b forms are
+    substituted (see _cut_linear), so the count runs in a + b variables
+    when they are independent."""
     ring = ideal.ring
     n = len(x_names)
     forms = [random_linear_form(ring, x_names, rng) for _ in range(n - 1 - a)]
     forms += [random_linear_form(ring, y_names, rng) for _ in range(n - 1 - b)]
     forms.append(random_linear_form(ring, x_names, rng) - ring.one())
     forms.append(random_linear_form(ring, y_names, rng) - ring.one())
-    count = _count_points(Ideal(ring, list(ideal.generators) + forms), budget)
+    count = _count_points(_cut_linear(ideal, forms, budget), budget)
     if count is None:
         raise NotZeroDimensionalAfterSlicing(
             "random multidegree slices did not reach dimension zero")
@@ -146,8 +150,10 @@ def _bidegree_counts(ideal, x_names, y_names, codim, seed, budget):
 def bidegree_class(ideal: Ideal, x_names, y_names, seed=0, budget=None) -> BidegreeClass:
     """Multidegree coefficients of a bihomogeneous ideal by random sections:
     the (a, b) coefficient counts points after n-1-a generic hyperplanes in
-    x, n-1-b in y, and one affine dehomogenization per factor.  Two
-    independent seeds must agree.
+    x, n-1-b in y, and one affine dehomogenization per factor.  The forms
+    are substituted for their pivots, not adjoined (see _cut_linear), so
+    each count runs in a + b of the 2n variables.  Two independent seeds
+    must agree.
 
     The charts x-form = 1 and y-form = 1 keep every counted point off
     {x = 0} and {y = 0}, so components inside those sets leave the counts

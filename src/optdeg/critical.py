@@ -17,9 +17,9 @@ from .errors import (ContainedInIsotropic, DenominatorVanishesOnX,
                      NotHomogeneous, NotPrincipalWarning,
                      PositiveDimensionalFiber, RingMismatch)
 from .fields import PrimeField
-from .groebner import (GREVLEX, Ideal, _count_points, _localizer, as_budget,
-                       dimension, eliminate, groebner_basis, normal_form,
-                       saturate, vanishes_on_variety)
+from .groebner import (GREVLEX, Ideal, _count_points, _cut_linear, _localizer,
+                       as_budget, dimension, eliminate, groebner_basis,
+                       normal_form, saturate, vanishes_on_variety)
 from .matrices import PolyMatrix, derationalize, jacobian
 from .rings import (Polynomial, RationalFunction, RingContext,
                     random_linear_form)
@@ -350,6 +350,12 @@ def _projective_system(X: VarietySpec, p, budget):
     return big, gens + collinear, ynames, unames, q_p
 
 
+def _eliminate_left(ideal, names, budget):
+    """eliminate the variables among `names` that a linear cut left in the
+    ideal's ring."""
+    return eliminate(ideal, [v for v in names if v in ideal.ring._pos], budget)
+
+
 def projective_critical_ideal(X: VarietySpec, p, budget=None) -> Ideal:
     """Homogeneous version of the p-norm critical ideal for an affine cone.
 
@@ -362,8 +368,12 @@ def projective_critical_ideal(X: VarietySpec, p, budget=None) -> Ideal:
     chart l(y) = 1 of a linear form l drawn from the fixed stream
     "projcrit|chart": the system is homogeneous in y, so adding l(y) - 1 and
     eliminating y gives the saturation by l, which equals the saturation by
-    <y_1..y_n> unless l lies in an associated prime.  What remains is the
-    correspondence ideal in the (point, data) variables.
+    <y_1..y_n> unless l lies in an associated prime.  The chart is
+    substituted for its pivot y_j (see _cut_linear) and the other y are
+    eliminated; the substitution is the identity on the (point, data)
+    variables, so the eliminated ideal is the one adding the chart gives,
+    generator for generator.  What remains is the correspondence ideal in
+    the (point, data) variables.
     """
     budget = as_budget(budget)
     big, raw_gens, ynames, unames, q_p = _projective_system(X, p, budget)
@@ -374,7 +384,7 @@ def projective_critical_ideal(X: VarietySpec, p, budget=None) -> Ideal:
     ideal = saturate(ideal, Ideal(big, [q_p.transfer(big)]), budget)
     chart = (random_linear_form(big, ynames, random.Random("projcrit|chart"))
              - big.one())
-    return eliminate(ideal + [chart], ynames, budget)
+    return _eliminate_left(_cut_linear(ideal, [chart], budget), ynames, budget)
 
 
 def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
@@ -383,17 +393,23 @@ def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
     cone): specialize random data in the homogenized critical system, cut
     with a random affine hyperplane h(x) = 1, and count.
 
-    The data point is bound first, which is equivalent for generic data and
-    keeps every Groebner run in the (x, y) variables; agreement across
-    independent samples is still enforced.  Both cones are counted in affine
-    charts: the slice h(x) - 1 (stream "projdeg|{seed}|forms") and the chart
-    l(y) - 1 (stream "projdeg|{seed}|chart") join the bound system.
+    The data point is bound first, by evaluation (see
+    Polynomial.substitute), which is equivalent for generic data and keeps
+    every Groebner run in the (x, y) variables; agreement across
+    independent samples is still enforced.  Both cones are counted in
+    affine charts: the slice h(x) - 1 (stream "projdeg|{seed}|forms") and
+    the chart l(y) - 1 (stream "projdeg|{seed}|chart") are substituted for
+    their pivots, an x_i and a y_j (see _cut_linear), so the bound system
+    loses two variables instead of gaining two generators.
 
     Nothing is saturated.  One variable w_i per f_i joins the system with
     1 - sum_i w_i*f_i, and one elimination of (y, w) leaves the saturation
-    by <f_1..f_m> with y eliminated (see _rabinowitsch), the counted ideal
-    in x.  It equals the ideal that saturating by the singular locus and by
-    q_p and then eliminating y would give: the chart l(y) - 1 dehomogenizes
+    by <f_1..f_m> with the remaining y eliminated (see _rabinowitsch), the
+    counted ideal in the remaining x.  The cut is exact here: its kernel
+    <h - 1, l - 1> lies in the system S, so it maps S ∩ k[x] onto
+    phi(S) ∩ k[x'] and the counted quotient is unchanged.  That ideal is
+    the one saturating by the singular locus and by q_p and then
+    eliminating y would give: the chart l(y) - 1 dehomogenizes
     a system that is homogeneous in y, which commutes with saturating by
     polynomials in x.  The f_i are q_p alone when the cone is singular at
     most at its vertex (see _singular_beyond_vertex), and otherwise q_p*g_i
@@ -416,9 +432,10 @@ def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
         chart = random_linear_form(work, ynames, rng_chart) - work.one()
         bindings = {un: big.const(val) for un, val in zip(unames, u)}
         gens = [g.substitute(bindings).transfer(work) for g in raw_gens]
-        gens += [slice_, chart, localizer]
-        return _count_points(eliminate(Ideal(work, gens), ynames + ws,
-                                       budget), budget)
+        cut = _cut_linear(Ideal(work, gens + [localizer]), [slice_, chart],
+                          budget)
+        return _count_points(_eliminate_left(cut, ynames + ws, budget),
+                             budget)
 
     return _count_trials(count_for, X, trials, seed, budget, [])
 

@@ -7,7 +7,8 @@ which are all block-order eliminations through one routine (a saturation by
 <g_1..g_m> is one Rabinowitsch run that adjoins a w_i per g_i and eliminates
 them from ideal + <1 - sum_i w_i*g_i>); Krull dimension; and degree counts
 (standard monomials for zero-dimensional ideals, random linear sections
-otherwise).
+otherwise).  Affine-linear sections and charts are substituted for their
+pivot variables rather than adjoined as generators (_cut_linear).
 
 Over GF(q) the kernel runs on monic polynomials whose coefficients are plain
 ints reduced mod q inline, with no field-method calls.  Over QQ it is
@@ -475,17 +476,24 @@ def groebner_basis(ideal, order=None, budget=None) -> GroebnerBasis:
 
 def normal_form(f, gb: GroebnerBasis, budget=None) -> Polynomial:
     """Remainder of multivariate division by a Groebner basis (zero iff member).
-
-    Over QQ the division runs fraction-free on f times its common
-    denominator; the remainder is divided by the accumulated scale on exit.
     """
-    budget = as_budget(budget)
-    ring = gb.ring
+    return _remainders([f], gb.basis, gb.ring,
+                       as_budget(budget))[0].transfer(f.ring)
+
+
+def _remainders(polys, basis, ring, budget):
+    """Remainders of the polynomials divided by `basis`, in `ring`: the
+    basis is packed once, then one _reduce_full per polynomial.
+
+    Over QQ each division runs fraction-free on the polynomial times its
+    common denominator; the remainder is divided by the accumulated scale on
+    exit.
+    """
     fld = ring.field
     integral = fld.kind == "rational"
     packer = ring.packer()
     leads, lcs, tails = [], [], []
-    for g in gb.basis:
+    for g in basis:
         terms = _pack_terms(g.terms, packer)
         if integral:
             terms = _clear_denominators(terms)[0]
@@ -493,14 +501,17 @@ def normal_form(f, gb: GroebnerBasis, budget=None) -> Polynomial:
         leads.append(lead)
         lcs.append(lc)
         tails.append(tail)
-    terms = _pack_terms(f.transfer(ring).terms, packer)
-    den = 1
-    if integral and terms:
-        terms, den = _clear_denominators(terms)
-    red, _, scale = _reduce_full(terms, leads, lcs, tails, packer, budget)
-    if integral:
-        red = {e: fld.fraction(c, den * scale) for e, c in red.items()}
-    return Polynomial(ring, _unpack_terms(red, packer)).transfer(f.ring)
+    out = []
+    for f in polys:
+        terms = _pack_terms(f.transfer(ring).terms, packer)
+        den = 1
+        if integral and terms:
+            terms, den = _clear_denominators(terms)
+        red, _, scale = _reduce_full(terms, leads, lcs, tails, packer, budget)
+        if integral:
+            red = {e: fld.fraction(c, den * scale) for e, c in red.items()}
+        out.append(Polynomial(ring, _unpack_terms(red, packer)))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -536,6 +547,72 @@ def eliminate(ideal, drop, budget=None) -> Ideal:
     if not keep:
         raise ValueError("cannot eliminate every variable")
     return _eliminate(ideal, drop, ring.restrict(keep), budget)
+
+
+def _linear_rows(ring, forms):
+    """The reduced row echelon form of affine-linear forms over the field,
+    pivots leftmost: one (pivot index, row) per rank, the row monic at its
+    pivot with the constant term as its last entry, sorted by pivot; and
+    whether the forms are inconsistent (some combination is a nonzero
+    constant)."""
+    fld = ring.field
+    n = ring.nvars
+    sub, mul, is_zero = fld.sub, fld.mul, fld.is_zero
+    pivots = []
+    inconsistent = False
+    for f in forms:
+        if f.total_degree() > 1:
+            raise ValueError("a linear cut needs forms of degree at most 1")
+        row = [fld.zero] * (n + 1)
+        for e, c in f.terms.items():
+            row[e.index(1) if any(e) else n] = c
+        for col, prow in pivots:
+            c = row[col]
+            if not is_zero(c):
+                row = [sub(a, mul(c, b)) for a, b in zip(row, prow)]
+        col = next((j for j, c in enumerate(row) if not is_zero(c)), None)
+        if col is None:
+            continue
+        if col == n:
+            inconsistent = True
+            continue
+        inv = fld.inv(row[col])
+        row = [mul(inv, a) for a in row]
+        pivots = [(pc, [sub(a, mul(pr[col], b)) for a, b in zip(pr, row)]
+                   if not is_zero(pr[col]) else pr) for pc, pr in pivots]
+        pivots.append((col, row))
+    return sorted(pivots, key=lambda pr: pr[0]), inconsistent
+
+
+def _cut_linear(ideal, forms, budget) -> Ideal:
+    """ideal + <forms>, for affine-linear forms, as an ideal of the ring
+    without the forms' pivot variables: the forms are solved for their
+    pivots and substituted, and inconsistent forms give <1>.
+
+    The forms are row-reduced over the field, the pivot of each row being
+    the grevlex-leading variable it involves, so the rows are the reduced
+    grevlex basis of <forms>.  Each generator is reduced against those
+    rows (see _remainders) on the job's budget; that remainder is the
+    substitution.  This is exact: the substitution is a surjection
+    phi: k[x] -> k[x'] with kernel <forms>, so k[x]/(ideal + <forms>) and
+    k[x']/phi(ideal) are isomorphic, with the same points, multiplicities
+    and dimension.  Should the forms fix every variable, the last pivot is
+    kept, its row the one generator added, so that a ring remains.
+    """
+    budget = as_budget(budget)
+    ring = ideal.ring
+    work = ring.with_order(GREVLEX)
+    pivots, inconsistent = _linear_rows(ring, forms)
+    rows = [work.const(row[-1]) + sum(
+        (work.var(v).scale(c) for v, c in zip(ring.variables, row)),
+        work.zero()) for _, row in pivots]
+    kept = [rows.pop()] if len(rows) == ring.nvars else []
+    cut = {ring.variables[col] for col, _ in pivots[:len(rows)]}
+    small = ring.restrict([v for v in ring.variables if v not in cut])
+    if inconsistent:
+        return Ideal(small, [small.one()])
+    rems = _remainders(ideal.generators, rows, work, budget)
+    return Ideal(small, [r.transfer(small) for r in rems + kept])
 
 
 def _localizer(ring, fs):
@@ -719,7 +796,9 @@ def _count_points(ideal, budget):
 def degree_via_sections(ideal: Ideal, seed=0, budget=None) -> int:
     """Degree of a k-dimensional zero set by k random affine-linear sections.
 
-    Two independent slicings must agree, otherwise InconsistentSlices.
+    The sections are substituted, not adjoined (see _cut_linear): each count
+    runs in k fewer variables.  Two independent slicings must agree,
+    otherwise InconsistentSlices.
     """
     budget = as_budget(budget)
     k = dimension(ideal, budget)
@@ -733,7 +812,7 @@ def degree_via_sections(ideal: Ideal, seed=0, budget=None) -> int:
         # each constant term is drawn after its form's coefficients
         forms = [random_linear_form(ideal.ring, ideal.ring.variables, rng)
                  + rng.randint(-100, 100) for _ in range(k)]
-        sliced = Ideal(ideal.ring, list(ideal.generators) + forms)
+        sliced = _cut_linear(ideal, forms, budget)
         if dimension(sliced, budget) != 0:
             raise NotZeroDimensionalAfterSlicing(
                 "random sections did not cut the variety to dimension zero")

@@ -528,7 +528,10 @@ class Polynomial:
 
     def substitute(self, bindings):
         """Exact specialization; bindings map variable names to polynomials
-        in this ring or to numeric values."""
+        in this ring or to numeric values.  When every value is constant (a
+        number or a constant polynomial) each term is evaluated directly on
+        field elements; otherwise powers of the bound polynomials are
+        multiplied out."""
         if not bindings:
             return self
         ring = self.ring
@@ -541,6 +544,9 @@ class Polynomial:
                 subs[i] = value
             else:
                 subs[i] = ring.const(value)
+        if all(v.is_constant() for v in subs.values()):
+            return self._evaluate({i: v.constant_value()
+                                   for i, v in subs.items()})
         powers = {i: {0: ring.one()} for i in subs}
         fld = ring.field
         add, mul, is_zero = fld.add, fld.mul, fld.is_zero
@@ -577,6 +583,37 @@ class Polynomial:
                     else:
                         acc[ne] = s
         return Polynomial(ring, acc)
+
+    def _evaluate(self, values):
+        """substitute for constant bindings: values maps variable indices to
+        field elements, whose powers are cached as they are needed."""
+        fld = self.ring.field
+        add, mul, is_zero = fld.add, fld.mul, fld.is_zero
+        powers = {i: [fld.one] for i in values}
+        acc = {}
+        for e, c in self.terms.items():
+            rest = list(e)
+            for i, val in values.items():
+                k = e[i]
+                if k:
+                    rest[i] = 0
+                    pw = powers[i]
+                    while len(pw) <= k:
+                        pw.append(mul(pw[-1], val))
+                    c = mul(c, pw[k])
+            if is_zero(c):
+                continue
+            ne = tuple(rest)
+            prev = acc.get(ne)
+            if prev is None:
+                acc[ne] = c
+            else:
+                s = add(prev, c)
+                if is_zero(s):
+                    del acc[ne]
+                else:
+                    acc[ne] = s
+        return Polynomial(self.ring, acc)
 
     def transfer(self, target):
         """Re-express this polynomial in another ring by variable name.

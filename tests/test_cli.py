@@ -228,6 +228,62 @@ def test_projective_commands_need_p_at_least_two(tmp_path, capsys, command):
     assert "options.p must be an integer >= 2" in err
 
 
+def _crossvalidate_ellipse():
+    return {"schema_version": 1,
+            "ring": {"variables": ["x1", "x2"], "field": "rational"},
+            "variety": {"generators": ["x1^2+4*x2^2-4"]},
+            "options": {"p": 2}, "seed": 1, "trials": 2}
+
+
+def _set(doc, path, value):
+    *outer, key = path
+    for k in outer:
+        doc = doc[k]
+    doc[key] = value
+
+
+# JSON integers only: a bool is an int in Python, and a float or a string
+# used to be truncated, coerced or end in a traceback
+@pytest.mark.parametrize("command, path, value, message", [
+    ("crossvalidate", ("options", "p"), True, "options.p must be an integer"),
+    ("crossvalidate", ("options", "p"), 2.0, "options.p must be an integer"),
+    ("crossvalidate", ("variety", "codim"), True,
+     "variety.codim must be an integer"),
+    ("crossvalidate", ("seed",), True, "seed must be an integer"),
+    ("crossvalidate", ("seed",), 1.5, "seed must be an integer"),
+    ("crossvalidate", ("trials",), True, "trials must be an integer"),
+    ("crossvalidate", ("trials",), 2.0, "trials must be an integer"),
+    ("crossvalidate", ("budget",), 2.7, "budget must be an integer"),
+    ("crossvalidate", ("budget",), True, "budget must be an integer"),
+    ("crossvalidate", ("budget",), "abc", "budget must be an integer"),
+    ("degree", ("options", "u"), [True, 1],
+     "options.u coordinates must be integers"),
+    ("degree", ("objective", "pnorm"), True,
+     "objective.pnorm must be an integer"),
+], ids=["p-bool", "p-float", "codim-bool", "seed-bool", "seed-float",
+        "trials-bool", "trials-float", "budget-float", "budget-bool",
+        "budget-string", "u-bool", "pnorm-bool"])
+def test_job_integers_reject_bools_floats_and_strings(tmp_path, capsys,
+                                                      command, path, value,
+                                                      message):
+    job = _crossvalidate_ellipse()
+    job["objective"] = {"pnorm": 2}
+    _set(job, path, value)
+    rc = run_cli(tmp_path, command, job)
+    assert rc == EXIT_SCHEMA
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["d", "n", "p"])
+def test_formula_integers_reject_bools(tmp_path, capsys, key):
+    options = {"kind": "hypersurface", "d": 2, "n": 3, "p": 3}
+    options[key] = True
+    rc = run_cli(tmp_path, "formula", {"schema_version": 1,
+                                       "options": options})
+    assert rc == EXIT_SCHEMA
+    assert f"options.{key} has the wrong type" in capsys.readouterr().err
+
+
 def test_budget_exit_code(tmp_path, capsys):
     job = {
         "schema_version": 1,

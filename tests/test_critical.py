@@ -289,9 +289,9 @@ def test_projective_conic_p3_tight_budget(prime_field):
 
 
 @pytest.mark.parametrize("names, gens, p, degree, steps", [
-    (("x1", "x2", "x3"), ["x1^2+x2^2-3*x3^2"], 3, 12, 1_878),
+    (("x1", "x2", "x3"), ["x1^2+x2^2-3*x3^2"], 3, 12, 1_930),
     (("x1", "x2", "x3", "x4"), ["x1*x3-x2^2", "x1*x4-x2*x3", "x2*x4-x3^2"],
-     2, 7, 3_066),
+     2, 7, 2_634),
 ], ids=["conic-p3", "twisted-cubic-p2"])
 def test_projective_reduction_steps_pinned_over_gf(prime_field, names, gens,
                                                    p, degree, steps):

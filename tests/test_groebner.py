@@ -13,6 +13,7 @@ from optdeg import (GREVLEX, LEX, BudgetExceeded, Ideal, InconsistentSlices,
                     dimension, eliminate, groebner_basis, intersect,
                     normal_form, parse_polynomial, saturate,
                     vanishes_on_variety)
+from optdeg.groebner import _count_points, _cut_linear
 
 
 def P(text, ring):
@@ -296,6 +297,32 @@ def test_degree_via_sections_rejects_empty(rxy):
         degree_via_sections(I(rxy, "1"), seed=0)
 
 
+def test_degree_via_sections_of_the_whole_plane(rxy):
+    """Two sections fix both variables; the cut keeps one of them."""
+    assert degree_via_sections(Ideal(rxy, []), seed=0) == 1
+
+
+# --- linear cuts ----------------------------------------------------------------------
+
+def test_cut_linear_substitutes_the_pivots(rxy):
+    """x = (y - 1)/3 substituted exactly, not up to a scalar."""
+    cut = _cut_linear(I(rxy, "x^2+y^2-1"), [P("3*x-y+1", rxy)], None)
+    assert cut.ring.variables == ("y",)
+    assert cut.generators == (P("10/9*y^2-2/9*y-8/9", cut.ring),)
+
+
+def test_cut_linear_inconsistent_and_fixing_every_variable(rxy):
+    circle = I(rxy, "x^2+y^2-1")
+    cut = _cut_linear(circle, [P("x+y", rxy), P("2*x+2*y-1", rxy)], None)
+    assert cut.ring.variables == ("y",)
+    assert cut.generators == (cut.ring.one(),)
+    # both variables fixed: the last pivot stays, with its row
+    cut = _cut_linear(circle, [P("x-1", rxy), P("y", rxy)], None)
+    assert cut.ring.variables == ("y",)
+    assert cut.generators == (P("y^2", cut.ring), P("y", cut.ring))
+    assert _count_points(cut, None) == 1
+
+
 # --- radical membership ---------------------------------------------------------------
 
 def test_vanishes_on_variety(rxy):
@@ -539,3 +566,83 @@ def test_saturate_pinned_against_intersection(field, names, ideal, other,
     got = _assert_saturate_matches_intersection(I(ring, *ideal),
                                                 I(ring, *other))
     assert got.equals(I(ring, *expected))
+
+
+# --- linear cuts against the adjoined forms -----------------------------------------
+
+@st.composite
+def _linear_forms(draw, ring, names, coeffs, most):
+    """Affine-linear forms in `names`: up to `most` drawn ones, then up to
+    two combinations of them plus a constant, which are dependent forms for
+    the constant 0 and make the set inconsistent otherwise."""
+    coef = st.one_of(st.just(0), coeffs)
+    base = []
+    for _ in range(draw(st.integers(0, most))):
+        form = ring.const(draw(coef))
+        for name in names:
+            form = form + ring.var(name).scale(draw(coef))
+        base.append(form)
+    forms = list(base)
+    for _ in range(draw(st.integers(0, 2))):
+        form = ring.const(draw(coef))
+        for b in base:
+            form = form + b.scale(draw(coef))
+        forms.append(form)
+    return draw(st.permutations(forms))
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_cut_linear_counts_like_the_adjoined_forms(field, data):
+    """Substituting the forms leaves the count with multiplicity, the empty
+    set and positive dimension (None) as adjoining them does."""
+    coeffs = _COEFFS if field is None else _GF_COEFFS
+    n, gens = data.draw(_ideals(coeffs))
+    ring, ideal = _optdeg_ideal(n, gens, GREVLEX, field)
+    forms = data.draw(_linear_forms(ring, ring.variables, coeffs, n))
+    cut = _cut_linear(ideal, forms, None)
+    assert _count_points(cut, None) == _count_points(ideal + forms, None)
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_cut_linear_in_the_dropped_block_keeps_eliminate(field, data):
+    """Forms in the eliminated variables alone: eliminating the ones the cut
+    leaves gives the generators of eliminating them all from ideal +
+    <forms>."""
+    coeffs = _COEFFS if field is None else _GF_COEFFS
+    n, gens = data.draw(_ideals(coeffs))
+    ring, ideal = _optdeg_ideal(n, gens, GREVLEX, field)
+    drop = data.draw(st.lists(st.sampled_from(ring.variables), min_size=1,
+                              max_size=n - 1, unique=True))
+    forms = data.draw(_linear_forms(ring, drop, coeffs, len(drop) - 1))
+    cut = _cut_linear(ideal, forms, None)
+    got = eliminate(cut, [v for v in drop if v in cut.ring.variables])
+    want = eliminate(ideal + forms, drop)
+    assert got.ring == want.ring
+    assert [g.terms for g in got.generators] == \
+        [g.terms for g in want.generators]
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_substitute_constants_match_the_general_path(field, data):
+    """Numbers and constant polynomials are evaluated directly; binding a
+    spare variable to itself sends the same bindings down the general
+    path, which multiplies out powers of the bound polynomials."""
+    coeffs = _COEFFS if field is None else _GF_COEFFS
+    n, gens = data.draw(_ideals(coeffs))
+    ring = RingContext(tuple(f"x{i + 1}" for i in range(n)), field)
+    f = _poly(ring, gens[0])
+    bound = data.draw(st.lists(st.sampled_from(ring.variables), min_size=1,
+                               max_size=n - 1, unique=True))
+    values = {v: data.draw(st.one_of(st.just(0), coeffs)) for v in bound}
+    spare = next(v for v in ring.variables if v not in values)
+    fast = f.substitute(values)
+    general = f.substitute({**values, spare: ring.var(spare)})
+    assert fast.terms == general.terms
+    consts = {v: ring.const(c) for v, c in values.items()}
+    assert f.substitute(consts).terms == fast.terms
