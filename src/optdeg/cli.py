@@ -54,6 +54,23 @@ def _require(doc, key, kind, where):
     return value
 
 
+def _ints(options, key):
+    """options[key], a list of JSON integers, as a tuple."""
+    values = _require(options, key, list, "options")
+    if not all(map(_is_int, values)):
+        raise SchemaError(f"options.{key} must be a list of integers")
+    return tuple(values)
+
+
+def _int_pairs(options, key):
+    """options[key], a list of two-integer lists, as a tuple of pairs."""
+    pairs = _require(options, key, list, "options")
+    if not all(isinstance(q, list) and len(q) == 2 and all(map(_is_int, q))
+               for q in pairs):
+        raise SchemaError(f"options.{key} must be a list of two-integer lists")
+    return tuple(map(tuple, pairs))
+
+
 def _load_field(ring_doc):
     try:
         return field_from_spec(ring_doc.get("field", "rational"))
@@ -211,7 +228,7 @@ def _cmd_projective_degree(job, variety, budget, timings):
 def _cmd_polar(job, variety, budget, timings):
     options = job.get("options", {})
     t0 = time.perf_counter()
-    pc = polar_classes(variety, seed=job["seed"], budget=budget)
+    pc = polar_classes(variety, budget=budget)
     timings.stage("polar-classes", t0)
     result = {"polar_classes": list(pc.values)}
     ps = options.get("pnorms", [])
@@ -236,7 +253,7 @@ def _cmd_conormal(job, variety, budget, timings):
     xnames = variety.ring.variables
     ynames = tuple(f"y{i + 1}" for i in range(variety.n))
     t0 = time.perf_counter()
-    cls = bidegree_class(ideal, xnames, ynames, seed=job["seed"], budget=budget)
+    cls = bidegree_class(ideal, xnames, ynames, budget=budget)
     timings.stage("bidegree", t0)
     return {
         "s": s,
@@ -266,10 +283,10 @@ def _cmd_formula(job, timings):
         if kind == "polar":
             value = formulas.polar_formula(
                 _require(options, "p", int, "options"),
-                tuple(_require(options, "delta", list, "options")),
+                _ints(options, "delta"),
                 _require(options, "n", int, "options"))
         elif kind == "chern":
-            degs = tuple(_require(options, "chern_degrees", list, "options"))
+            degs = _ints(options, "chern_degrees")
             value = formulas.chern_formula(
                 _require(options, "p", int, "options"),
                 formulas.ChernDegrees(len(degs) - 1, degs))
@@ -280,19 +297,19 @@ def _cmd_formula(job, timings):
                 _require(options, "p", int, "options"))
         elif kind == "ci-bound":
             value = formulas.ci_bound(
-                tuple(_require(options, "degrees", list, "options")),
+                _ints(options, "degrees"),
                 _require(options, "n", int, "options"),
                 _require(options, "p", int, "options"))
         elif kind == "toric":
-            volumes = tuple(_require(options, "volumes", list, "options"))
+            volumes = _ints(options, "volumes")
             value = formulas.toric_formula(
                 _require(options, "p", int, "options"),
                 formulas.ToricVolumes(len(volumes) - 1, volumes))
         elif kind == "segre-veronese":
-            pairs = _require(options, "factors", list, "options")
+            pairs = _int_pairs(options, "factors")
             value = formulas.segre_veronese_formula(
                 _require(options, "p", int, "options"),
-                formulas.SegreVeroneseSpec(tuple(tuple(q) for q in pairs)))
+                formulas.SegreVeroneseSpec(pairs))
         elif kind == "veronese":
             value = formulas.veronese_formula(
                 _require(options, "p", int, "options"),
@@ -408,7 +425,7 @@ def _cmd_crossvalidate(job, variety, budget, timings):
         values["symbolic_projective"] = rep.degree
         t0 = time.perf_counter()
         values["polar_pipeline"] = pnorm_degree_via_polar(
-            variety, p, seed=job["seed"], budget=budget)
+            variety, p, budget=budget)
         timings.stage("polar-pipeline", t0)
         if len(variety.generators) == 1:
             # the closed form holds for a smooth hypersurface, whose cone is
@@ -428,14 +445,18 @@ def _cmd_crossvalidate(job, variety, budget, timings):
             values["curve_formula"] = (p - 1) * (
                 (p + 1) * _require(cd, "d", int, "options.curve")
                 + 2 * _require(cd, "g", int, "options.curve") - 2)
-        if "toric_volumes" in options:
-            volumes = tuple(options["toric_volumes"])
-            values["toric_formula"] = formulas.toric_formula(
-                p, formulas.ToricVolumes(len(volumes) - 1, volumes))
-        if "segre_veronese" in options:
-            pairs = tuple(tuple(q) for q in options["segre_veronese"])
-            values["segre_veronese_formula"] = formulas.segre_veronese_formula(
-                p, formulas.SegreVeroneseSpec(pairs))
+        try:
+            if "toric_volumes" in options:
+                volumes = _ints(options, "toric_volumes")
+                values["toric_formula"] = formulas.toric_formula(
+                    p, formulas.ToricVolumes(len(volumes) - 1, volumes))
+            if "segre_veronese" in options:
+                pairs = _int_pairs(options, "segre_veronese")
+                values["segre_veronese_formula"] = \
+                    formulas.segre_veronese_formula(
+                        p, formulas.SegreVeroneseSpec(pairs))
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from None
     else:
         t0 = time.perf_counter()
         rep = algebraic_degree(variety, PNorm(p), trials=job["trials"],

@@ -1,27 +1,28 @@
 """Conormal-type ideals and polar classes via biprojective multidegrees.
 
 The s-conormal ideal pairs points of a cone with directions whose entrywise
-s-th power is normal to the tangent space; its multidegree in the product of
-projective spaces is extracted by random linear sections, and for s = 1 the
-coefficients are the classical polar classes that feed the weighted degree
-formula.
+s-th power is normal to the tangent space.  For s = 1 its multidegree in the
+product of projective spaces holds the classical polar classes
+(Draisma-Horobet-Ottaviani-Sturmfels-Thomas, FoCM 2016) that feed the
+weighted degree formula.  A multidegree equals that of the initial ideal
+under any term order, and for a monomial ideal it is a sum over the minimum
+hitting sets of the lead supports (Miller-Sturmfels, Combinatorial
+Commutative Algebra, ch. 8), so it is read exactly off one grevlex basis
+(see groebner._multidegree); nothing is drawn.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
-from .errors import (CollapsedToUnit, InconsistentSlices, NotHomogeneous,
-                     NotZeroDimensionalAfterSlicing)
+from .errors import CollapsedToUnit, NotHomogeneous
 from .critical import (VarietySpec, _conormal_generators,
                        _singular_beyond_vertex, isotropic_polynomial,
                        singular_locus_ideal)
 from .formulas import polar_formula
-from .groebner import (GREVLEX, Ideal, _count_points, _cut_linear, as_budget,
-                       dimension, saturate)
+from .groebner import (GREVLEX, Ideal, _multidegree, as_budget, dimension,
+                       saturate)
 from .matrices import PolyMatrix
-from .rings import random_linear_form
 
 
 @dataclass(frozen=True)
@@ -109,63 +110,24 @@ def joint_correspondence_ideal(X: VarietySpec, p, budget=None) -> Ideal:
     return result
 
 
-def _sliced_count(ideal, x_names, y_names, a, b, rng, budget):
-    """Points of the ideal cut by n-1-a random hyperplanes in x, n-1-b in y
-    and the charts x-form = 1 and y-form = 1.  The 2n - a - b forms are
-    substituted (see _cut_linear), so the count runs in a + b variables
-    when they are independent."""
-    ring = ideal.ring
-    n = len(x_names)
-    forms = [random_linear_form(ring, x_names, rng) for _ in range(n - 1 - a)]
-    forms += [random_linear_form(ring, y_names, rng) for _ in range(n - 1 - b)]
-    forms.append(random_linear_form(ring, x_names, rng) - ring.one())
-    forms.append(random_linear_form(ring, y_names, rng) - ring.one())
-    count = _count_points(_cut_linear(ideal, forms, budget), budget)
-    if count is None:
-        raise NotZeroDimensionalAfterSlicing(
-            "random multidegree slices did not reach dimension zero")
-    return count
-
-
-def _bidegree_counts(ideal, x_names, y_names, codim, seed, budget):
-    """The multidegree coefficients of a bihomogeneous ideal of the given
-    codimension, each counted under two independent slicings that must
-    agree."""
-    n = len(x_names)
-    coeffs = []
-    for a in range(max(0, codim - (n - 1)), min(n - 1, codim) + 1):
-        b = codim - a
-        counts = []
-        for variant in (0, 1):
-            rng = random.Random(f"bidegree|{seed}|{a}|{b}|{variant}")
-            counts.append(_sliced_count(ideal, x_names, y_names, a, b, rng,
-                                        budget))
-        if counts[0] != counts[1]:
-            raise InconsistentSlices(
-                f"bidegree slice counts at (a,b)=({a},{b}) disagree: {counts}")
-        coeffs.append(((a, b), counts[0]))
-    return BidegreeClass(n, tuple(coeffs))
-
-
-def bidegree_class(ideal: Ideal, x_names, y_names, seed=0, budget=None) -> BidegreeClass:
-    """Multidegree coefficients of a bihomogeneous ideal by random sections:
-    the (a, b) coefficient counts points after n-1-a generic hyperplanes in
-    x, n-1-b in y, and one affine dehomogenization per factor.  The forms
-    are substituted for their pivots, not adjoined (see _cut_linear), so
-    each count runs in a + b of the 2n variables.  Two independent seeds
-    must agree.
-
-    The charts x-form = 1 and y-form = 1 keep every counted point off
-    {x = 0} and {y = 0}, so components inside those sets leave the counts
-    unchanged, provided the codimension, read from a `dimension` run, is
-    that of the part being measured.  polar_classes relies on this to slice
-    an unsaturated conormal ideal whose codimension it knows."""
+def bidegree_class(ideal: Ideal, x_names, y_names, budget=None) -> BidegreeClass:
+    """Multidegree coefficients of a bihomogeneous ideal in the ring (x, y),
+    read off its grevlex basis (see groebner._multidegree): for a + b the
+    biprojective codimension and a, b <= n - 1, zeros included, the (a, b)
+    coefficient counts the points cut out by n-1-a generic hyperplanes in x
+    and n-1-b in y.  Terms with a = n or b = n come from components inside
+    {x = 0} or {y = 0}, empty in the product of projective spaces, and are
+    dropped; polar_classes relies on this to read an unsaturated conormal
+    ideal, whose component {x = 0} x A^n adds only the (n, 0) term."""
     budget = as_budget(budget)
     ring = ideal.ring
     x_names = tuple(x_names)
     y_names = tuple(y_names)
     if len(x_names) != len(y_names):
         raise ValueError("the two variable groups must have equal size")
+    if sorted(x_names + y_names) != sorted(ring.variables):
+        raise ValueError("the two variable groups must partition the ring "
+                         "variables")
     n = len(x_names)
     xi = [ring.index(v) for v in x_names]
     yi = [ring.index(v) for v in y_names]
@@ -176,36 +138,35 @@ def bidegree_class(ideal: Ideal, x_names, y_names, seed=0, budget=None) -> Bideg
             raise NotHomogeneous("ideal is not bihomogeneous in the given "
                                  "variable split")
     codim = 2 * n - dimension(ideal, budget)
-    return _bidegree_counts(ideal, x_names, y_names, codim, seed, budget)
+    degrees = _multidegree(ideal, (x_names, y_names), budget)
+    return BidegreeClass(n, tuple(
+        ((a, codim - a), degrees.get((a, codim - a), 0))
+        for a in range(max(0, codim - (n - 1)), min(n - 1, codim) + 1)))
 
 
-def polar_classes(X: VarietySpec, seed=0, budget=None) -> PolarClassVector:
+def polar_classes(X: VarietySpec, budget=None) -> PolarClassVector:
     """Polar classes read off the multidegree of the classical conormal ideal:
     delta_k is the coefficient at (a, b) = (n-1-k, k+1).
 
     When the cone is singular at most at its vertex (see
-    _singular_beyond_vertex), the conormal ideal equals its saturation by
-    the singular locus away from {x = 0}, and the charts of the slicing
-    exclude {x = 0}, so the unsaturated ideal is sliced directly; its
-    codimension is n, the codimension of every conormal cone.  Other cones
-    are sliced after that saturation."""
+    _singular_beyond_vertex), the conormal ideal agrees with its saturation
+    by the singular locus away from {x = 0}, and bidegree_class drops the
+    one term {x = 0} x A^n adds, so the unsaturated ideal is read directly.
+    Other cones are read after that saturation."""
     budget = as_budget(budget)
     conormal, ynames = _conormal_system(X, 1, budget)
     n = X.n
-    xnames = X.ring.variables
     if _singular_beyond_vertex(X, budget):
         sing = singular_locus_ideal(X, budget).transfer(conormal.ring)
-        cls = bidegree_class(saturate(conormal, sing, budget), xnames, ynames,
-                             seed, budget)
-    else:
-        cls = _bidegree_counts(conormal, xnames, ynames, n, seed, budget)
-    table = cls.as_dict()
+        conormal = saturate(conormal, sing, budget)
+    table = bidegree_class(conormal, X.ring.variables, ynames,
+                           budget).as_dict()
     return PolarClassVector(tuple(table.get((n - 1 - k, k + 1), 0)
                                   for k in range(n - 1)))
 
 
-def pnorm_degree_via_polar(X: VarietySpec, p, seed=0, budget=None) -> int:
+def pnorm_degree_via_polar(X: VarietySpec, p, budget=None) -> int:
     """Weighted polar-class evaluation of the p-norm distance degree."""
     budget = as_budget(budget)
-    delta = polar_classes(X, seed, budget)
+    delta = polar_classes(X, budget)
     return polar_formula(p, tuple(delta), X.n)

@@ -59,14 +59,6 @@ class NotZeroDimensional(OptdegError):
     pass
 
 
-class InconsistentSlices(OptdegError):
-    """Two independent random slicings produced different counts."""
-
-
-class NotZeroDimensionalAfterSlicing(OptdegError):
-    pass
-
-
 # --- critical ideals -----------------------------------------------------
 
 class PositiveDimensionalFiber(OptdegError):

@@ -27,7 +27,7 @@ class ChernDegrees:
         object.__setattr__(self, "degs", tuple(self.degs))
         if len(self.degs) != self.m + 1:
             raise LengthMismatch("need m+1 Chern degrees")
-        if self.degs[0] <= 0:
+        if not self.degs or self.degs[0] <= 0:
             raise ValueError("deg c_0 is the degree of the variety and must be positive")
 
 
@@ -42,7 +42,7 @@ class ToricVolumes:
         object.__setattr__(self, "volumes", tuple(self.volumes))
         if len(self.volumes) != self.m + 1:
             raise LengthMismatch("need V_0..V_m")
-        if self.volumes[self.m] <= 0:
+        if not self.volumes or self.volumes[self.m] <= 0:
             raise ValueError("top-dimensional volume must be positive")
 
 
@@ -54,6 +54,8 @@ class SegreVeroneseSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
+        if not self.pairs:
+            raise ValueError("a Segre-Veronese variety needs a factor")
         for n, w in self.pairs:
             if n < 1 or w < 1:
                 raise ValueError("factors need n_l >= 1 and omega_l >= 1")

@@ -5,10 +5,14 @@ pair selection, plus the derived operations everything else is built on:
 normal forms; elimination, saturation, radical membership and intersection,
 which are all block-order eliminations through one routine (a saturation by
 <g_1..g_m> is one Rabinowitsch run that adjoins a w_i per g_i and eliminates
-them from ideal + <1 - sum_i w_i*g_i>); Krull dimension; and degree counts
-(standard monomials for zero-dimensional ideals, random linear sections
-otherwise).  Affine-linear sections and charts are substituted for their
-pivot variables rather than adjoined as generators (_cut_linear).
+them from ideal + <1 - sum_i w_i*g_i>); and Krull dimensions, degrees and
+multidegrees, all read off the one cached grevlex basis.  A multidegree is
+that of the initial ideal under any term order, and for a monomial ideal it
+sums the multiplicities of its top-dimensional components, the primes <x_S>
+of the minimum hitting sets S of the lead supports (Miller-Sturmfels,
+Combinatorial Commutative Algebra, ch. 8).  Affine-linear sections and
+charts are substituted for their pivot variables rather than adjoined as
+generators (_cut_linear).
 
 Over GF(q) the kernel runs on monic polynomials whose coefficients are plain
 ints reduced mod q inline, with no field-method calls.  Over QQ it is
@@ -22,13 +26,10 @@ steps; the monic rational basis is built only on exit.
 from __future__ import annotations
 
 import heapq
-import random
 from math import gcd, lcm
 
-from .errors import (BudgetExceeded, InconsistentSlices, NotZeroDimensional,
-                     NotZeroDimensionalAfterSlicing, RingMismatch)
-from .rings import (GREVLEX, OrderSpec, Polynomial, exp_divides,
-                    random_linear_form)
+from .errors import BudgetExceeded, NotZeroDimensional, RingMismatch
+from .rings import GREVLEX, OrderSpec, Polynomial, exp_divides
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -706,23 +707,37 @@ def vanishes_on_variety(f, ideal: Ideal, budget=None) -> bool:
 # dimension and degree
 # --------------------------------------------------------------------------
 
-def _min_hitting_set_size(supports, nvars):
-    supports = [s for s in supports if s]
-    best = nvars + 1
+def _min_hitting_sets(supports):
+    """Every minimum-size set of indices that meets each support (a set of
+    variable indices), as frozensets; [frozenset()] for no support.  The
+    i-th branch on a smallest unmet support takes its i-th index and
+    excludes the earlier ones, so each set is reached once."""
+    found = []
+    best = len(set().union(*supports))
 
-    def rec(remaining, count):
+    def rec(remaining, chosen):
         nonlocal best
-        if count >= best:
-            return
         if not remaining:
-            best = count
+            if len(chosen) < best:
+                best = len(chosen)
+                found.clear()
+            found.append(frozenset(chosen))
             return
-        pivot = min(remaining, key=len)
-        for v in sorted(pivot):
-            rec([s for s in remaining if v not in s], count + 1)
+        if len(chosen) >= best:
+            return
+        pivot = sorted(min(remaining, key=len))
+        for i, v in enumerate(pivot):
+            rest = [s.difference(pivot[:i]) for s in remaining if v not in s]
+            if all(rest):
+                rec(rest, chosen + [v])
 
-    rec(supports, 0)
-    return best
+    rec([frozenset(s) for s in supports], [])
+    return found
+
+
+def _lead_supports(gb):
+    return {frozenset(i for i, v in enumerate(e) if v)
+            for e in gb.lead_exponents()}
 
 
 def dimension(ideal: Ideal, budget=None) -> int:
@@ -735,11 +750,7 @@ def dimension(ideal: Ideal, budget=None) -> int:
     gb = ideal.groebner(GREVLEX, budget)
     if gb.is_unit():
         return -1
-    supports = {frozenset(i for i, v in enumerate(lead) if v)
-                for lead in gb.lead_exponents()}
-    if not supports:
-        return ideal.ring.nvars
-    return ideal.ring.nvars - _min_hitting_set_size(supports, ideal.ring.nvars)
+    return ideal.ring.nvars - len(_min_hitting_sets(_lead_supports(gb))[0])
 
 
 _COUNT_GUARD = 2_000_000
@@ -763,6 +774,12 @@ def degree_zero_dim(ideal: Ideal, budget=None) -> int:
                    for le in leads):
             raise NotZeroDimensional(
                 f"no pure power of {ideal.ring.variables[i]!r} in the lead ideal")
+    return _standard_monomials(leads, n)
+
+
+def _standard_monomials(leads, n):
+    """Number of exponent vectors in n variables divisible by none of the
+    leads, by a walk up from 1; NotZeroDimensional past _COUNT_GUARD."""
     zero = (0,) * n
     seen = {zero}
     stack = [zero]
@@ -793,30 +810,36 @@ def _count_points(ideal, budget):
     return degree_zero_dim(ideal, budget)
 
 
-def degree_via_sections(ideal: Ideal, seed=0, budget=None) -> int:
-    """Degree of a k-dimensional zero set by k random affine-linear sections.
-
-    The sections are substituted, not adjoined (see _cut_linear): each count
-    runs in k fewer variables.  Two independent slicings must agree,
-    otherwise InconsistentSlices.
+def _multidegree(ideal, groups, budget):
+    """The multidegree for the grading by `groups` (tuples of variable
+    names): {(|S ∩ group| for each group): multiplicity}, summed over the
+    minimum hitting sets S of the grevlex lead supports; {} for <1>.  The
+    multiplicity at S, the length of the lead ideal localized at <x_S>, is
+    the number of standard monomials of the lead exponents projected on S.
     """
-    budget = as_budget(budget)
-    k = dimension(ideal, budget)
-    if k < 0:
+    gb = ideal.groebner(GREVLEX, as_budget(budget))
+    if gb.is_unit():
+        return {}
+    leads = gb.lead_exponents()
+    members = [frozenset(ideal.ring.index(v) for v in g) for g in groups]
+    out = {}
+    for hit in _min_hitting_sets(_lead_supports(gb)):
+        idx = sorted(hit)
+        projected = {tuple(le[i] for i in idx) for le in leads}
+        key = tuple(len(hit & m) for m in members)
+        out[key] = out.get(key, 0) + _standard_monomials(projected, len(idx))
+    return out
+
+
+def affine_degree(ideal: Ideal, budget=None) -> int:
+    """Degree of the top-dimensional part of the affine zero set, with
+    multiplicity: the points dim-many generic affine-linear sections cut
+    out.  It is the one-group multidegree, as for a degree-compatible order
+    the affine Hilbert function of an ideal is that of its initial ideal
+    (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 9 §3).
+    """
+    degrees = _multidegree(ideal, [ideal.ring.variables], budget)
+    if not degrees:
         raise NotZeroDimensional("degree of the empty variety is undefined")
-    if k == 0:
-        return degree_zero_dim(ideal, budget)
-    counts = []
-    for variant in (0, 1):
-        rng = random.Random(f"sections|{seed}|{variant}")
-        # each constant term is drawn after its form's coefficients
-        forms = [random_linear_form(ideal.ring, ideal.ring.variables, rng)
-                 + rng.randint(-100, 100) for _ in range(k)]
-        sliced = _cut_linear(ideal, forms, budget)
-        if dimension(sliced, budget) != 0:
-            raise NotZeroDimensionalAfterSlicing(
-                "random sections did not cut the variety to dimension zero")
-        counts.append(degree_zero_dim(sliced, budget))
-    if counts[0] != counts[1]:
-        raise InconsistentSlices(f"slice counts disagree: {counts}")
-    return counts[0]
+    (degree,) = degrees.values()
+    return degree

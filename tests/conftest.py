@@ -36,14 +36,39 @@ def _plane_curve_cone(field, d, coeffs):
     return VarietySpec(ring, (g,))
 
 
+def _curve_coefficients(d):
+    n = (d + 1) * (d + 2) // 2
+    return st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any)
+
+
 def plane_curve_cones():
     """Cones over plane conics and cubics in x1, x2, x3, over GF(2^31 - 1)
     or QQ, with coefficients in [-3, 3]: mostly smooth, sometimes singular
     or reducible."""
     return st.tuples(st.sampled_from((PrimeField(), RationalField())),
                      st.sampled_from((2, 3))).flatmap(
-        lambda fd: st.lists(st.integers(-3, 3),
-                            min_size=(fd[1] + 1) * (fd[1] + 2) // 2,
-                            max_size=(fd[1] + 1) * (fd[1] + 2) // 2)
-        .filter(any)
+        lambda fd: _curve_coefficients(fd[1])
         .map(lambda coeffs: _plane_curve_cone(*fd, coeffs)))
+
+
+def _line_times_conic(field, line, conic):
+    a = _plane_curve_cone(field, 1, line).generators[0]
+    b = _plane_curve_cone(field, 2, conic).generators[0]
+    return VarietySpec(a.ring, (a * b,))
+
+
+def reducible_plane_curve_cones():
+    """Cones over a drawn line times a drawn conic, over GF(2^31 - 1) or QQ:
+    singular where the two meet, so beyond the vertex."""
+    return st.builds(_line_times_conic,
+                     st.sampled_from((PrimeField(), RationalField())),
+                     _curve_coefficients(1), _curve_coefficients(2))
+
+
+def plane_curve_twins():
+    """One drawn integer plane conic or cubic cone (as in plane_curve_cones),
+    built over GF(2^31 - 1) and over QQ: a pair (over GF, over QQ)."""
+    return st.sampled_from((2, 3)).flatmap(
+        lambda d: _curve_coefficients(d).map(
+            lambda coeffs: tuple(_plane_curve_cone(field, d, coeffs)
+                                 for field in (PrimeField(), RationalField()))))

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from optdeg import (GREVLEX, Ideal, PrimeField, RingContext, degree_via_sections,
+from optdeg import (GREVLEX, Ideal, PrimeField, RingContext, affine_degree,
                     degree_zero_dim, dimension, eliminate, groebner_basis,
                     normal_form, parse_polynomial, parse_rational_function,
                     random_linear_change, saturate)
@@ -125,7 +125,7 @@ def _general_conic():
 def test_criterion_5_conic_polar_pipeline():
     conic = _general_conic()
     with Timer(120) as t:
-        pc = tuple(polar_classes(conic, seed=2))
+        pc = tuple(polar_classes(conic))
         values = {}
         for p in (2, 3, 4):
             via_polar = polar_formula(p, pc, conic.n)
@@ -139,7 +139,7 @@ def test_criterion_6_s_conormal_class_law():
     conic = _general_conic()
     with Timer(120) as t:
         N2 = s_conormal_ideal(conic, 2)
-        cls = bidegree_class(N2, ("x1", "x2", "x3"), ("y1", "y2", "y3"), seed=3)
+        cls = bidegree_class(N2, ("x1", "x2", "x3"), ("y1", "y2", "y3"))
         table = cls.as_dict()
     got = (table.get((2, 1)), table.get((1, 2)))
     ok = got == (4, 8)  # ((p-1) delta_0, (p-1)^2 delta_1) at p = 3
@@ -235,12 +235,12 @@ def test_criterion_10_correspondence_dimensions():
             ring4, (parse_polynomial("x1^3+x2^3+x3^2*x4-1", ring4),))
         corr = critical_ideal_affine(threefold, PNorm(3))
         dims["cubic threefold p=3"] = dimension(corr)
-        sliced_degree = degree_via_sections(corr, seed=9)
+        threefold_degree = affine_degree(corr)
     expected = {"ellipse p=3": 2, "ellipse p=4": 2, "cardioid": 2,
                 "cubic threefold p=3": 4}
-    ok = dims == expected and sliced_degree == 84
-    report(10, ok, f"correspondence dims {dims}, threefold sliced degree "
-                   f"{sliced_degree} (extended)", t)
+    ok = dims == expected and threefold_degree == 84
+    report(10, ok, f"correspondence dims {dims}, threefold degree "
+                   f"{threefold_degree} (extended)", t)
 
 
 def test_criterion_11_radical_tower():

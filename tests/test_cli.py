@@ -284,6 +284,60 @@ def test_formula_integers_reject_bools(tmp_path, capsys, key):
     assert f"options.{key} has the wrong type" in capsys.readouterr().err
 
 
+def _formula(kind, **options):
+    return "formula", {"schema_version": 1,
+                       "options": {"kind": kind, "p": 3, **options}}
+
+
+def _crossvalidate_line(**options):
+    return "crossvalidate", {
+        "schema_version": 1,
+        "ring": {"variables": ["x1", "x2", "x3"],
+                 "field": "prime:2147483647"},
+        "variety": {"generators": ["x3"]},
+        "options": {"p": 2, **options}}
+
+
+# every element of a list-valued integer option is a JSON integer; floats
+# and bools used to reach the formulas and give non-integer or wrong values
+@pytest.mark.parametrize("command, job, message", [
+    (*_formula("polar", n=3, delta=[2.5, 2]),
+     "options.delta must be a list of integers"),
+    (*_formula("polar", n=3, delta=[True, 2]),
+     "options.delta must be a list of integers"),
+    (*_formula("chern", chern_degrees=[2, 0.5]),
+     "options.chern_degrees must be a list of integers"),
+    (*_formula("ci-bound", n=3, degrees=[2.5]),
+     "options.degrees must be a list of integers"),
+    (*_formula("toric", volumes=[1, "2"]),
+     "options.volumes must be a list of integers"),
+    (*_formula("segre-veronese", factors=[[1, 2, 1]]),
+     "options.factors must be a list of two-integer lists"),
+    (*_formula("segre-veronese", factors=[[1, 1.5]]),
+     "options.factors must be a list of two-integer lists"),
+    (*_crossvalidate_line(toric_volumes=[1, 2.5]),
+     "options.toric_volumes must be a list of integers"),
+    (*_crossvalidate_line(segre_veronese=[2, 1]),
+     "options.segre_veronese must be a list of two-integer lists"),
+    # empty lists and values the formulas reject used to end in tracebacks
+    (*_formula("chern", chern_degrees=[]), "deg c_0 is the degree"),
+    (*_formula("toric", volumes=[]), "top-dimensional volume must be"),
+    (*_formula("segre-veronese", factors=[]), "needs a factor"),
+    (*_crossvalidate_line(toric_volumes=[0]),
+     "top-dimensional volume must be positive"),
+    (*_crossvalidate_line(segre_veronese=[]), "needs a factor"),
+], ids=["delta-float", "delta-bool", "chern-float", "degrees-float",
+        "volumes-string", "factors-triple", "factors-float",
+        "toric-volumes-float", "segre-veronese-flat", "chern-empty",
+        "volumes-empty", "factors-empty", "toric-volumes-zero",
+        "segre-veronese-empty"])
+def test_list_options_reject_bad_elements(tmp_path, capsys, command, job,
+                                          message):
+    rc = run_cli(tmp_path, command, job)
+    assert rc == EXIT_SCHEMA
+    assert message in capsys.readouterr().err
+
+
 def test_budget_exit_code(tmp_path, capsys):
     job = {
         "schema_version": 1,

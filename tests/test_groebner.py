@@ -7,13 +7,15 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optdeg import (GREVLEX, LEX, BudgetExceeded, Ideal, InconsistentSlices,
-                    NotZeroDimensional, OrderSpec, PrimeField, RingContext,
-                    SizeOutOfRange, degree_via_sections, degree_zero_dim,
-                    dimension, eliminate, groebner_basis, intersect,
-                    normal_form, parse_polynomial, saturate,
-                    vanishes_on_variety)
-from optdeg.groebner import _count_points, _cut_linear
+from optdeg import (GREVLEX, LEX, BudgetExceeded, Ideal, NotZeroDimensional,
+                    OrderSpec, PrimeField, RingContext, SizeOutOfRange,
+                    affine_degree, degree_zero_dim, dimension, eliminate,
+                    groebner_basis, intersect, normal_form, parse_polynomial,
+                    saturate, vanishes_on_variety)
+from optdeg.groebner import (_Budget, _count_points, _cut_linear,
+                             _min_hitting_sets)
+
+from slicing import sections_degree
 
 
 def P(text, ring):
@@ -271,12 +273,12 @@ def test_degree_order_invariance():
     assert degree_zero_dim(I(ring_g, *texts)) == degree_zero_dim(I(ring_l, *texts))
 
 
-def test_degree_via_sections_conic():
+def test_affine_degree_conic():
     ring = RingContext(("x1", "x2"))
-    assert degree_via_sections(I(ring, "x1^2+4*x2^2-1"), seed=1) == 2
+    assert affine_degree(I(ring, "x1^2+4*x2^2-1")) == 2
 
 
-def test_degree_via_sections_twisted_cubic_with_oracle():
+def test_affine_degree_twisted_cubic_with_oracle():
     ring = RingContext(("x1", "x2", "x3"))
     ideal = I(ring, "x2^2-x1*x3", "x1*x2-x3", "x1^2-x2")
     # independent oracle: restrict a generic affine-linear form to the
@@ -289,17 +291,54 @@ def test_degree_via_sections_twisted_cubic_with_oracle():
                   + (t_ring.var("t") ** 2).scale(c[2])
                   + (t_ring.var("t") ** 3).scale(c[3]))
     assert restricted.total_degree() == 3
-    assert degree_via_sections(ideal, seed=2) == 3
+    assert affine_degree(ideal) == 3
 
 
-def test_degree_via_sections_rejects_empty(rxy):
+def test_affine_degree_rejects_empty(rxy):
     with pytest.raises(NotZeroDimensional):
-        degree_via_sections(I(rxy, "1"), seed=0)
+        affine_degree(I(rxy, "1"))
 
 
-def test_degree_via_sections_of_the_whole_plane(rxy):
-    """Two sections fix both variables; the cut keeps one of them."""
-    assert degree_via_sections(Ideal(rxy, []), seed=0) == 1
+def test_affine_degree_of_the_whole_plane(rxy):
+    """No lead monomial: the one minimum hitting set is empty."""
+    assert affine_degree(Ideal(rxy, [])) == 1
+
+
+def test_affine_degree_counts_the_top_dimension_only():
+    """The plane z = 0 with the line x = y = 0 through it: degree 1, as two
+    generic sections miss the line; a double plane counts twice."""
+    ring = RingContext(("x", "y", "z"))
+    assert affine_degree(I(ring, "x*z", "y*z")) == 1
+    assert sections_degree(I(ring, "x*z", "y*z"), 0) == 1
+    assert affine_degree(I(ring, "z^2", "x*z")) == 1
+    assert affine_degree(I(ring, "z^2")) == 2
+
+
+def test_affine_degree_reuses_the_cached_basis():
+    ring = RingContext(("x", "y", "z"), field=PrimeField())
+    ideal = I(ring, "x^2+y^2+z^2-1", "x*y-z")
+    dimension(ideal)
+    budget = _Budget(100)
+    assert affine_degree(ideal, budget) == 4
+    assert budget.remaining == 100
+
+
+# --- minimum hitting sets --------------------------------------------------------------
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.frozensets(st.integers(0, n - 1), min_size=1),
+                         max_size=6))))
+def test_min_hitting_sets_match_brute_force(drawn):
+    n, supports = drawn
+    hitting = [frozenset(c) for k in range(n + 1)
+               for c in itertools.combinations(range(n), k)
+               if all(s & set(c) for s in supports)]
+    least = min(len(h) for h in hitting)
+    want = {h for h in hitting if len(h) == least}
+    got = _min_hitting_sets(supports)
+    assert len(got) == len(want)
+    assert set(got) == want
 
 
 # --- linear cuts ----------------------------------------------------------------------
@@ -354,8 +393,7 @@ def test_dimension_degree_field_agreement():
     rq = RingContext(("x", "y"))
     rp = RingContext(("x", "y"), field=PrimeField())
     assert dimension(I(rq, *texts)) == dimension(I(rp, *texts))
-    assert degree_via_sections(I(rq, *texts), seed=4) == \
-        degree_via_sections(I(rp, *texts), seed=4)
+    assert affine_degree(I(rq, *texts)) == affine_degree(I(rp, *texts))
 
 
 # --- differential tests against sympy -------------------------------------------------
@@ -566,6 +604,47 @@ def test_saturate_pinned_against_intersection(field, names, ideal, other,
     got = _assert_saturate_matches_intersection(I(ring, *ideal),
                                                 I(ring, *other))
     assert got.equals(I(ring, *expected))
+
+
+# --- affine degrees against random sections -----------------------------------------
+
+def _degree_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotZeroDimensional:
+        return "empty"
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_affine_degree_matches_sections(field, data):
+    """Ideals in 3 variables; half are multiplied by a drawn f, which adds
+    the surface f = 0 and gives components of mixed dimension.  The
+    read-out counts what dim-many generic sections cut out."""
+    coeffs = _COEFFS if field is None else _GF_COEFFS
+    n, gens = data.draw(_ideals(coeffs, n=3))
+    ring, ideal = _optdeg_ideal(n, gens, GREVLEX, field)
+    if data.draw(st.booleans()):
+        f = _poly(ring, data.draw(_ideals(coeffs, n=3))[1][0])
+        ideal = Ideal(ring, [f * g for g in ideal.generators])
+    if dimension(ideal) < 0:
+        with pytest.raises(NotZeroDimensional):
+            affine_degree(ideal)
+    else:
+        assert affine_degree(ideal) == sections_degree(ideal, 4)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_ideals(st.one_of(st.integers(-12, -1), st.integers(1, 12))))
+def test_affine_degree_agrees_over_qq_and_gf(ideal):
+    """affine_degree draws nothing, so one integer ideal has the same degree
+    over QQ and GF(2^31 - 1)."""
+    n, gens = ideal
+    _, over_qq = _optdeg_ideal(n, gens, GREVLEX)
+    _, over_gf = _optdeg_ideal(n, gens, GREVLEX, PrimeField(_Q))
+    assert _degree_outcome(affine_degree, over_qq) == \
+        _degree_outcome(affine_degree, over_gf)
 
 
 # --- linear cuts against the adjoined forms -----------------------------------------
