@@ -412,12 +412,37 @@ def _cmd_gb(job, variety, budget, timings):
     }
 
 
+def _projective_formulas(options, p):
+    """The closed forms that crossvalidate's options ask for on a projective
+    variety, checked and evaluated before any count runs."""
+    values = {}
+    if "curve" in options:
+        cd = _require(options, "curve", dict, "options")
+        values["curve_formula"] = (p - 1) * (
+            (p + 1) * _require(cd, "d", int, "options.curve")
+            + 2 * _require(cd, "g", int, "options.curve") - 2)
+    try:
+        if "toric_volumes" in options:
+            volumes = _ints(options, "toric_volumes")
+            values["toric_formula"] = formulas.toric_formula(
+                p, formulas.ToricVolumes(len(volumes) - 1, volumes))
+        if "segre_veronese" in options:
+            pairs = _int_pairs(options, "segre_veronese")
+            values["segre_veronese_formula"] = \
+                formulas.segre_veronese_formula(
+                    p, formulas.SegreVeroneseSpec(pairs))
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
+    return values
+
+
 def _cmd_crossvalidate(job, variety, budget, timings):
     options = job.get("options", {})
     p = _option_p(options, 2 if variety.is_homogeneous() else 1)
     values = {}
     notes = []
     if variety.is_homogeneous():
+        closed_forms = _projective_formulas(options, p)
         t0 = time.perf_counter()
         rep = projective_pnorm_degree(variety, p, trials=job["trials"],
                                       seed=job["seed"], budget=budget)
@@ -440,23 +465,7 @@ def _cmd_crossvalidate(job, variety, budget, timings):
                 d = variety.generators[0].total_degree()
                 values["hypersurface_formula"] = formulas.hypersurface_formula(
                     d, variety.n, p)
-        if "curve" in options:
-            cd = options["curve"]
-            values["curve_formula"] = (p - 1) * (
-                (p + 1) * _require(cd, "d", int, "options.curve")
-                + 2 * _require(cd, "g", int, "options.curve") - 2)
-        try:
-            if "toric_volumes" in options:
-                volumes = _ints(options, "toric_volumes")
-                values["toric_formula"] = formulas.toric_formula(
-                    p, formulas.ToricVolumes(len(volumes) - 1, volumes))
-            if "segre_veronese" in options:
-                pairs = _int_pairs(options, "segre_veronese")
-                values["segre_veronese_formula"] = \
-                    formulas.segre_veronese_formula(
-                        p, formulas.SegreVeroneseSpec(pairs))
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from None
+        values.update(closed_forms)
     else:
         t0 = time.perf_counter()
         rep = algebraic_degree(variety, PNorm(p), trials=job["trials"],

@@ -270,8 +270,9 @@ def _count_trials(count_for_u, X, trials, seed, budget, extra_warnings):
                 break
         if count is None:
             raise PositiveDimensionalFiber(
-                "two consecutive data samples gave a positive-dimensional "
-                "critical locus")
+                "two consecutive data samples could not be counted: each "
+                "gave a positive-dimensional critical locus or lay on the "
+                "cone of a projective count")
         records.append((u, count))
         elapsed.append(dt)
     counts = {c for _, c in records}
@@ -310,33 +311,48 @@ def isotropic_polynomial(ring, p):
     return out
 
 
-def _conormal_generators(X: VarietySpec, s, big, ynames, budget):
+def _stacked_generators(X: VarietySpec, row, big, budget):
     """I(X) in the ring big, plus the (c+1) x (c+1) minors of the Jacobian of
-    its generators stacked under the row (y_1^s .. y_n^s)."""
+    its generators stacked under `row`."""
     c = X.codimension(budget)
     gens = [g.transfer(big) for g in X.generators]
-    yrow = [big.var(yn) ** s for yn in ynames]
     jac_rows = [[g.derivative(xn) for xn in X.ring.variables] for g in gens]
-    stacked = PolyMatrix([yrow] + jac_rows)
+    stacked = PolyMatrix([row] + jac_rows)
     k = c + 1
     minors = stacked.minors(k) if k <= min(stacked.rows, stacked.cols) else []
     return gens + minors
 
 
-def _projective_system(X: VarietySpec, p, budget):
-    """Shared setup of the homogenized critical system: the ambient ring with
-    direction and data variables adjoined, its raw generators, and the
-    saturation targets."""
+def _conormal_generators(X: VarietySpec, s, big, ynames, budget):
+    """I(X) in the ring big, plus the (c+1) x (c+1) minors of the Jacobian of
+    its generators stacked under the row (y_1^s .. y_n^s)."""
+    return _stacked_generators(X, [big.var(yn) ** s for yn in ynames], big,
+                               budget)
+
+
+def _projective_isotropic(X: VarietySpec, p, budget):
+    """q_p of the projective constructions, once their input is checked: an
+    integer p >= 2, homogeneous generators, and X not inside q_p = 0."""
     if not isinstance(p, int) or p < 2:
         raise ValueError("the projective construction needs an integer p >= 2")
     if not X.is_homogeneous():
         raise NotHomogeneous("the variety generators must be homogeneous")
-    ring = X.ring
-    n = X.n
-    q_p = isotropic_polynomial(ring, p)
+    q_p = isotropic_polynomial(X.ring, p)
     if vanishes_on_variety(q_p, X.ideal(), budget):
         raise ContainedInIsotropic("the variety lies inside the isotropic "
                                    "hypersurface")
+    return q_p
+
+
+def _projective_system(X: VarietySpec, p, budget):
+    """The homogenized critical system of projective_critical_ideal, for
+    symbolic data: the ambient ring with direction variables y and data
+    variables u adjoined, its raw generators (I(X), the conormal minors of
+    the row y^(p-1), and the 3x3 minors of (y; u; x), which put y in
+    span(u, x)), the y and u names, and q_p."""
+    q_p = _projective_isotropic(X, p, budget)
+    ring = X.ring
+    n = X.n
     ynames = tuple(f"y{i + 1}" for i in range(n))
     unames = tuple(f"u{i + 1}" for i in range(n))
     big = ring.extend(ynames + unames)
@@ -390,61 +406,84 @@ def projective_critical_ideal(X: VarietySpec, p, budget=None) -> Ideal:
 def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
                             budget=None) -> DegreeReport:
     """p-norm distance degree of a projective variety (given as its affine
-    cone): specialize random data in the homogenized critical system, cut
-    with a random affine hyperplane h(x) = 1, and count.
+    cone): the critical points of the p-norm distance from random data u,
+    counted on a random affine slice h(x) = 1 of the cone.
 
-    The data point is bound first, by evaluation (see
-    Polynomial.substitute), which is equivalent for generic data and keeps
-    every Groebner run in the (x, y) variables; agreement across
-    independent samples is still enforced.  Both cones are counted in
-    affine charts: the slice h(x) - 1 (stream "projdeg|{seed}|forms") and
-    the chart l(y) - 1 (stream "projdeg|{seed}|chart") are substituted for
-    their pivots, an x_i and a y_j (see _cut_linear), so the bound system
-    loses two variables instead of gaining two generators.
+    A point x of the cone is critical when some y in span(u, x) has y^(p-1)
+    in the conormal space N_x.  The count takes y in the one chart
+    y = u + b*x, with one fresh variable b: the (c+1)-minors of the row
+    ((u_i + b*x_i)^(p-1))_i stacked over the Jacobian of X are built once
+    per job in the ring (x, b, u), and each trial binds u by evaluation
+    (see Polynomial.substitute).  The chart is exact:
+    - The directions it misses are the y = b*x.  There y^(p-1) lies in
+      N_x, while x lies in T_x by Euler's relation, so
+      q_p(x) = x . x^(p-1) = 0, and the localization below removes the
+      point.
+    - For u off the cone, u and x are independent, and (x, b) -> y is a
+      local isomorphism onto {y in span(u, x)}, so multiplicities carry
+      over.
+    - For u on the cone, x = lambda*u gives y = 0, the row vanishes and
+      spurious points appear: on the conic x1^2+x2^2-2*x3^2 at
+      u = (1, 1, 1) and p = 3 over GF(2^31 - 1) the chart counts 10
+      points where the n direction variables count 8.  Whether u lies on
+      the cone is decided exactly, by evaluating the generators of X at u;
+      such a u is never counted, and _count_trials redraws it once, as for
+      a positive-dimensional fiber.
 
     Nothing is saturated.  One variable w_i per f_i joins the system with
-    1 - sum_i w_i*f_i, and one elimination of (y, w) leaves the saturation
-    by <f_1..f_m> with the remaining y eliminated (see _rabinowitsch), the
-    counted ideal in the remaining x.  The cut is exact here: its kernel
-    <h - 1, l - 1> lies in the system S, so it maps S ∩ k[x] onto
-    phi(S) ∩ k[x'] and the counted quotient is unchanged.  That ideal is
-    the one saturating by the singular locus and by q_p and then
-    eliminating y would give: the chart l(y) - 1 dehomogenizes
-    a system that is homogeneous in y, which commutes with saturating by
-    polynomials in x.  The f_i are q_p alone when the cone is singular at
-    most at its vertex (see _singular_beyond_vertex), and otherwise q_p*g_i
-    over the reduced basis g_i of the singular locus; both are exact, and
-    nothing is drawn.
+    1 - sum_i w_i*f_i, and one elimination of (b, w) leaves the saturation
+    by <f_1..f_m> (see _rabinowitsch), the counted ideal in the remaining
+    x.  The f_i are q_p alone when the cone is singular at most at its
+    vertex (see _singular_beyond_vertex), and otherwise q_p*g_i over the
+    reduced basis g_i of the singular locus; both are exact.  The slice
+    h(x) - 1 (stream "projdeg|{seed}|forms") is substituted for its pivot
+    x_i (see _cut_linear).  The cut is exact here: its kernel <h - 1> lies
+    in the system S, so it maps S ∩ k[x] onto phi(S) ∩ k[x'] and the
+    counted quotient is unchanged.  The data points (stream
+    "degree|{seed}") and the slices are the only draws; agreement across
+    independent samples is still enforced.
     """
     budget = as_budget(budget)
-    big, raw_gens, ynames, unames, q_p = _projective_system(X, p, budget)
+    q_p = _projective_isotropic(X, p, budget)
+    ring = X.ring
+    bname = ring.fresh_name("b")
+    unames = tuple(f"u{i + 1}" for i in range(X.n))
+    big = ring.extend((bname,) + unames)
+    row = [(big.var(un) + big.var(bname) * big.var(xn)) ** (p - 1)
+           for un, xn in zip(unames, ring.variables)]
+    raw_gens = _stacked_generators(X, row, big, budget)
     fs = [q_p]
     if _singular_beyond_vertex(X, budget):
         sing = singular_locus_ideal(X, budget).groebner(GREVLEX, budget)
         fs = [q_p * g for g in sing.basis]
-    work, ws, localizer = _localizer(X.ring.extend(ynames), fs)
+    work, ws, localizer = _localizer(ring.extend((bname,)), fs)
     rng_forms = random.Random(f"projdeg|{seed}|forms")
-    rng_chart = random.Random(f"projdeg|{seed}|chart")
 
     def count_for(u):
-        slice_ = (random_linear_form(work, X.ring.variables, rng_forms)
+        point = dict(zip(ring.variables, u))
+        if all(g.substitute(point).is_zero() for g in X.generators):
+            return None
+        slice_ = (random_linear_form(work, ring.variables, rng_forms)
                   - work.one())
-        chart = random_linear_form(work, ynames, rng_chart) - work.one()
         bindings = {un: big.const(val) for un, val in zip(unames, u)}
         gens = [g.substitute(bindings).transfer(work) for g in raw_gens]
-        cut = _cut_linear(Ideal(work, gens + [localizer]), [slice_, chart],
-                          budget)
-        return _count_points(_eliminate_left(cut, ynames + ws, budget),
-                             budget)
+        cut = _cut_linear(Ideal(work, gens + [localizer]), [slice_], budget)
+        return _count_points(eliminate(cut, (bname,) + ws, budget), budget)
 
     return _count_trials(count_for, X, trials, seed, budget, [])
 
 
-def ci_degree_bound_check(X: VarietySpec, p, report: DegreeReport) -> bool:
-    """True iff the reported degree respects the complete-intersection bound."""
+def ci_degree_bound_check(X: VarietySpec, p, report: DegreeReport,
+                          budget=None) -> bool:
+    """True iff the reported degree respects the complete-intersection
+    bound; the codimension is computed on the given budget."""
     from .formulas import ci_bound
+    if report.degree is None:
+        raise ValueError("the trials disagree, so there is no degree to "
+                         "bound: counts "
+                         f"{sorted({c for _, c in report.trials})}")
     degrees = [g.total_degree() for g in X.generators]
-    if len(degrees) != X.codimension():
+    if len(degrees) != X.codimension(as_budget(budget)):
         raise ValueError("the bound applies to complete intersections only")
     return report.degree <= ci_bound(degrees, X.n, p)
 

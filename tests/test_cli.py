@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from optdeg import cli
 from optdeg.cli import (EXIT_BUDGET, EXIT_DOMAIN, EXIT_OK, EXIT_SCHEMA, main,
                         run_job)
 from optdeg.errors import SchemaError
@@ -336,6 +337,27 @@ def test_list_options_reject_bad_elements(tmp_path, capsys, command, job,
     rc = run_cli(tmp_path, command, job)
     assert rc == EXIT_SCHEMA
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("options", [
+    {"toric_volumes": [1.5]},
+    {"segre_veronese": [[2, 1.5]]},
+    {"curve": {"d": 3}},
+    {"curve": 5},
+], ids=["toric-volumes", "segre-veronese", "curve-without-genus",
+        "curve-not-object"])
+def test_crossvalidate_checks_closed_form_options_before_counting(
+        tmp_path, capsys, monkeypatch, options):
+    """A malformed closed-form option exits 2 before any count runs; a
+    non-object curve used to end in a TypeError traceback."""
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a count ran before the options were checked")
+
+    monkeypatch.setattr(cli, "projective_pnorm_degree", must_not_run)
+    monkeypatch.setattr(cli, "pnorm_degree_via_polar", must_not_run)
+    _, job = _crossvalidate_line(**options)
+    assert run_cli(tmp_path, "crossvalidate", job) == EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith("schema error:")
 
 
 def test_budget_exit_code(tmp_path, capsys):

@@ -10,9 +10,10 @@ from optdeg import (GREVLEX, BudgetExceeded, ContainedInIsotropic, Ideal,
                     eliminate, normal_form, parse_polynomial,
                     parse_rational_function, pnorm_degree_via_polar,
                     random_linear_change, saturate, vanishes_on_variety)
-from optdeg import groebner
-from optdeg.critical import (PNorm, RationalGradient, VarietySpec,
-                             _projective_system, _singular_beyond_vertex,
+from optdeg import critical, groebner
+from optdeg.critical import (DegreeReport, PNorm, RationalGradient,
+                             VarietySpec, _projective_system,
+                             _singular_beyond_vertex,
                              algebraic_degree, ci_degree_bound_check,
                              critical_ideal_affine, data_ring, evolute_curve,
                              projective_critical_ideal,
@@ -21,7 +22,7 @@ from optdeg.errors import DenominatorVanishesOnX
 from optdeg.groebner import DEFAULT_BUDGET, _Budget, _count_points
 from optdeg.rings import random_linear_form
 
-from conftest import plane_curve_cones, variety
+from conftest import plane_curve_cones, plane_curve_twins, variety
 
 
 def P(text, ring):
@@ -183,6 +184,27 @@ def test_ci_bound_check_ellipse(ellipse):
     assert ci_degree_bound_check(ellipse, 2, rep2)
 
 
+def test_ci_bound_check_rejects_disagreeing_trials(ellipse):
+    """Trials that disagree report no degree; the check names that instead
+    of comparing None with the bound."""
+    rep = algebraic_degree(ellipse, PNorm(3), trials=2, seed=7)
+    rep.trials[1] = (rep.trials[1][0], 5)
+    rep.degree, rep.agreement = None, False
+    with pytest.raises(ValueError, match="trials disagree"):
+        ci_degree_bound_check(ellipse, 3, rep)
+
+
+def test_ci_bound_check_spends_the_given_budget():
+    """The codimension is computed on the caller's budget."""
+    ring = RingContext(("x1", "x2", "x3"))
+    report = DegreeReport(degree=4, trials=[], field="rational", seed=0,
+                          agreement=True, elapsed=[])
+    X = variety(ring, "x1^2+x2^2+x3^2-1", "x1*x2-x3")
+    with pytest.raises(BudgetExceeded):
+        ci_degree_bound_check(X, 2, report, budget=1)
+    assert ci_degree_bound_check(X, 2, report, budget=1_000)
+
+
 # --- projective constructions --------------------------------------------------------------
 
 def test_projective_requires_homogeneous(ellipse):
@@ -267,9 +289,10 @@ def test_projective_conic_degree_general_coords(prime_field):
 
 
 def test_projective_conic_p3_reduction_budget(prime_field):
-    """Counting in the charts h(x) = 1 and l(y) = 1 without saturations needs
-    about 2,000 reduction steps here; saturating by q_p took about 10,000,
-    and saturating the vertex and each y_i took 58,023."""
+    """Counting on the slice h(x) = 1 in the chart y = u + b*x without
+    saturations needs about 1,900 reduction steps here; saturating by q_p
+    took about 10,000, and saturating the vertex and each y_i took
+    58,023."""
     ring = RingContext(("x1", "x2", "x3"), field=prime_field)
     base = P("x1^2+x2^2+2*x3^2", ring)
     _, subs = random_linear_change(ring, ring.variables, seed=7)
@@ -289,9 +312,9 @@ def test_projective_conic_p3_tight_budget(prime_field):
 
 
 @pytest.mark.parametrize("names, gens, p, degree, steps", [
-    (("x1", "x2", "x3"), ["x1^2+x2^2-3*x3^2"], 3, 12, 1_930),
+    (("x1", "x2", "x3"), ["x1^2+x2^2-3*x3^2"], 3, 12, 1_866),
     (("x1", "x2", "x3", "x4"), ["x1*x3-x2^2", "x1*x4-x2*x3", "x2*x4-x3^2"],
-     2, 7, 2_634),
+     2, 7, 1_638),
 ], ids=["conic-p3", "twisted-cubic-p2"])
 def test_projective_reduction_steps_pinned_over_gf(prime_field, names, gens,
                                                    p, degree, steps):
@@ -372,9 +395,11 @@ def test_vertex_rule():
 # --- localized counts against the saturating path ----------------------------
 
 def _saturating_counts(X, p, seed, points):
-    """The count of projective_pnorm_degree at each data point, rebuilt with
-    saturations: saturate by sing + <h - 1> and by q_p, then eliminate y in
-    the chart l(y) = 1, with the same slice and chart streams."""
+    """The count of projective_pnorm_degree at each data point, rebuilt in
+    the n direction variables y of _projective_system, with the collinearity
+    minors, and with saturations: saturate by sing + <h - 1> and by q_p,
+    then eliminate y in a chart l(y) = 1.  The slices come from the count's
+    stream, the charts from a stream of their own."""
     big, raw_gens, ynames, unames, q_p = _projective_system(X, p, None)
     xy = X.ring.extend(ynames)
     sing = singular_locus_ideal(X).transfer(xy)
@@ -399,6 +424,59 @@ def _assert_localized_count_saturates(X, p, seed):
         reject()
     points = [u for u, _ in rep.trials]
     assert [c for _, c in rep.trials] == _saturating_counts(X, p, seed, points)
+
+
+@pytest.mark.parametrize("field", [PrimeField(), RationalField()])
+@pytest.mark.parametrize("names, gens, p", [
+    (("x1", "x2", "x3"), ["x1^2+x2^2-3*x3^2"], 3),
+    (("x1", "x2", "x3"), ["x2^2*x3-x1^2*(x1+x3)"], 3),
+    (("x1", "x2", "x3", "x4"), ["x1*x3-x2^2", "x1*x4-x2*x3", "x2*x4-x3^2"],
+     2),
+], ids=["smooth-conic-p3", "nodal-cubic-cone-p3", "twisted-cubic-p2"])
+def test_one_direction_variable_counts_as_the_y_system(field, names, gens,
+                                                       p):
+    """The chart y = u + b*x counts what the n direction variables, the
+    collinearity minors and a y-chart count, at p = 3 and on a curve of
+    codimension 2."""
+    X = variety(RingContext(names, field=field), *gens)
+    _assert_localized_count_saturates(X, p, seed=1)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_data_on_the_cone_is_redrawn(monkeypatch, prime_field, p):
+    """At u = (1, 1, 1) on the cone, x = u/(-b) gives y = u + b*x = 0, the
+    conormal row vanishes and the chart counts spurious points (10 where
+    the n direction variables count 8 at p = 3, and 12 for generic u).
+    Such a u is never counted: the trial redraws."""
+    X = variety(RingContext(("x1", "x2", "x3"), field=prime_field),
+                "x1^2+x2^2-2*x3^2")
+    generic = (123456789, 987654321, 55555)
+    draws = iter([(1, 1, 1), generic] * 2)
+    monkeypatch.setattr(critical, "_sample_point", lambda *args: next(draws))
+    rep = projective_pnorm_degree(X, p, trials=2, seed=1)
+    assert [u for u, _ in rep.trials] == [generic, generic]
+    assert rep.degree == _saturating_counts(X, p, 1, [generic])[0]
+
+
+def test_two_draws_on_the_cone_raise(monkeypatch, prime_field):
+    X = variety(RingContext(("x1", "x2", "x3"), field=prime_field),
+                "x1^2+x2^2-2*x3^2")
+    monkeypatch.setattr(critical, "_sample_point", lambda *args: (1, 1, 1))
+    with pytest.raises(PositiveDimensionalFiber, match="lay on the cone"):
+        projective_pnorm_degree(X, 3, trials=2, seed=1)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(plane_curve_twins())
+def test_projective_degree_agrees_across_fields(twins):
+    """The same integer cone reports the same degree over GF(2^31 - 1) and
+    over QQ, although the two draw different data points."""
+    try:
+        degrees = [projective_pnorm_degree(X, 2, trials=2, seed=1).degree
+                   for X in twins]
+    except (ContainedInIsotropic, PositiveDimensionalFiber):
+        reject()
+    assert degrees[0] is not None and degrees[0] == degrees[1]
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)

@@ -16,6 +16,7 @@ from optdeg import cli
 GF = "prime:2147483647"
 CONIC = "3*x1^2+2*x1*x2+5*x2^2+x2*x3+4*x3^2"
 NODAL_CONE = "x2^2*x3-x1^2*(x1+x3)"
+TWISTED_CUBIC = ["x1*x3-x2^2", "x1*x4-x2*x3", "x2*x4-x3^2"]
 
 
 def _job(variables, field, generators, seed=1, trials=2, **extra):
@@ -29,6 +30,7 @@ def _job(variables, field, generators, seed=1, trials=2, **extra):
 
 XY = ("x1", "x2")
 XYZ = ("x1", "x2", "x3")
+XYZW = ("x1", "x2", "x3", "x4")
 
 JOBS = {
     "degree": ("degree", _job(XY, "rational", ["x1^2+4*x2^2-1"],
@@ -38,6 +40,9 @@ JOBS = {
                                      options={"u": ["-6/10", "6/10"]})),
     "projective-degree": ("projective-degree",
                           _job(XYZ, GF, [CONIC], seed=5, options={"p": 2})),
+    "projective-degree-twisted-cubic": ("projective-degree",
+                                        _job(XYZW, GF, TWISTED_CUBIC,
+                                             options={"p": 3})),
     "polar": ("polar", _job(XYZ, GF, [CONIC], seed=2,
                             options={"pnorms": [2, 3]})),
     "conormal": ("conormal", _job(XYZ, GF, [CONIC], options={"s": 1})),
@@ -64,6 +69,8 @@ HASHES = {
         "c8d37afce62df58226385938f4071ca37dc4994b3b1be5687104299650e26036",
     "projective-degree":
         "6eacd5eb9d3c8cbc4235aef7d4717c8e5c60ade0bab6be03c7d3015653a9c24d",
+    "projective-degree-twisted-cubic":
+        "3e046b3472cb24c04d3187d334c59bbb578a4a9d7c67f5a63ba23e83b3451d68",
     "polar":
         "e66a3107e4bd3c8def7a47b333975a4ca2f8f035da902e3e3651cc2dbc5d8ddf",
     "conormal":
