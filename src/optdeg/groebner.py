@@ -14,6 +14,14 @@ Combinatorial Commutative Algebra, ch. 8).  Affine-linear sections and
 charts are substituted for their pivot variables rather than adjoined as
 generators (_cut_linear).
 
+A lex or block basis of an ideal that already caches its grevlex basis is
+converted from it rather than computed from the generators: the grevlex
+basis is homogenized, its Hilbert function is known from its leads, and
+the one driver drops every S-pair that function proves to reduce to zero
+(Traverso's Hilbert-driven Buchberger algorithm, JSC 1996; see
+_convert_grevlex).  The Hilbert numerators come from pivot recursion on
+the lead monomials (_hilbert_numerator).
+
 Over GF(q) the kernel runs on monic polynomials whose coefficients are plain
 ints reduced mod q inline, with no field-method calls.  Over QQ it is
 fraction-free: inputs are cleared of denominators, basis elements are
@@ -26,9 +34,11 @@ steps; the monic rational basis is built only on exit.
 from __future__ import annotations
 
 import heapq
-from math import gcd, lcm
+from math import comb, gcd, lcm
+from operator import le
 
-from .errors import BudgetExceeded, NotZeroDimensional, RingMismatch
+from .errors import (BudgetExceeded, NotZeroDimensional, RingMismatch,
+                     SizeOutOfRange)
 from .rings import GREVLEX, OrderSpec, Polynomial, exp_divides
 
 DEFAULT_BUDGET = 10_000_000
@@ -351,22 +361,93 @@ def _pair_sugar(pair, L, lmG, sugars, degree):
                sugars[j] + degL - degree(lmG[j]))
 
 
-def _buchberger(seed_terms, ring, budget):
-    """Core loop on packed term dicts; returns the reduced monic basis.
+def _hilbert_numerator(monomials):
+    """The numerator N of the Hilbert series N(t)/(1-t)^m of k[x]/M, for the
+    monomial ideal M generated by the exponent tuples, as a coefficient list
+    of t^0, t^1, ...; it does not depend on m.  Computed by pivot recursion
+    (Bigatti, JPAA 1997): N(M) = N(M + <x_i^e>) + t^e * N(M : x_i^e), for
+    the variable x_i in most minimal generators and e the median of its
+    positive exponents among those that are not pure powers, down to
+    pairwise coprime generators, where N is the product of the 1 - t^deg."""
+    return _numerator(_minimal(monomials))
+
+
+def _minimal(monomials):
+    """The minimal generators among exponent tuples, by ascending degree
+    and then ascending exponents."""
+    gens = []
+    for a in sorted(set(monomials), key=lambda a: (sum(a), a)):
+        if not any(all(map(le, b, a)) for b in gens):
+            gens.append(a)
+    return gens
+
+
+def _numerator(gens):
+    """_hilbert_numerator of minimal generators."""
+    used = [i for a in gens for i, v in enumerate(a) if v]
+    if len(used) == len(set(used)):
+        out = [1]
+        for a in gens:
+            d = sum(a)
+            shifted = [0] * d + out
+            out = [c - s for c, s in zip(out + [0] * d, shifted)]
+        return out
+    counts = {}
+    for i in used:
+        counts[i] = counts.get(i, 0) + 1
+    i = max(counts, key=lambda v: (counts[v], -v))
+    powers = sorted(a[i] for a in gens if a[i] and sum(a) != a[i])
+    e = powers[len(powers) // 2]
+    pivot = tuple(e if k == i else 0 for k in range(len(gens[0])))
+    # x_i^e lies outside M (a pure power of x_i in M exceeds every e drawn),
+    # so adding it keeps the generators it does not divide minimal
+    added = _numerator([a for a in gens if a[i] < e] + [pivot])
+    quotient = _numerator(_minimal(
+        [a[:i] + (max(a[i] - e, 0),) + a[i + 1:] for a in gens]))
+    out = added + [0] * (len(quotient) + e - len(added))
+    for k, c in enumerate(quotient):
+        out[k + e] += c
+    return out
+
+
+def _hilbert_value(numerator, m, d):
+    """Coefficient of t^d in numerator(t)/(1-t)^m: the Hilbert function in
+    degree d of the quotient of m variables by the numerator's monomial
+    ideal."""
+    return sum(c * comb(d - k + m - 1, m - 1)
+               for k, c in enumerate(numerator[:d + 1]))
+
+
+def _buchberger(seed_terms, ring, budget, hilbert=None):
+    """Core loop on packed term dicts; returns the unreduced basis as the
+    kernel lists (leads, lcs, tails) for _autoreduce.
 
     Over QQ the seeds lose their denominators on entry and the loop runs on
     integer coefficients (see the kernel note above).  Pair selection follows
     the sugar strategy: min sugar degree, ties broken by the smaller lcm (the
     normal strategy).  Every new basis element is checked against the
     packer's field widths.
+
+    `hilbert` is None when the Hilbert function is unknown.  Otherwise the
+    seeds are homogeneous and `hilbert` is the Hilbert numerator of the
+    ideal they generate (Traverso, JSC 1996).  Sugar is then degree, so
+    pairs come out degree by degree.  At the start of degree d the driver
+    counts the degree-d monomials the ideal's initial ideal has and the
+    current leads lack, HF_d(leads) - HF_d(ideal); each element inserted
+    at degree d adds exactly one degree-d lead.  The current leads lie in
+    the initial ideal, so once none is missing they span it in degree d,
+    and the remainder of a degree-d pair, homogeneous of degree d with no
+    lead among them, is zero: the remaining degree-d pairs are dropped.
     """
     packer = ring.packer()
     fld = ring.field
     integral = fld.kind == "rational"
     degree = packer.degree
     unpack = packer.unpack
+    nvars = ring.nvars
     leads, exps, lcs, tails, sugars = [], [], [], [], []
     P = {}
+    current, missing = None, 0
 
     def insert(terms, sugar):
         red, sugar, _ = _reduce_full(terms, leads, lcs, tails, packer, budget,
@@ -401,11 +482,21 @@ def _buchberger(seed_terms, ring, budget):
             if best_key is None or k < best_key:
                 best, best_key = pair, k
         sugar, L = P.pop(best)
+        if hilbert is not None:
+            if sugar != current:
+                current = sugar
+                have = _hilbert_value(_hilbert_numerator(exps), nvars, sugar)
+                missing = have - _hilbert_value(hilbert, nvars, sugar)
+            if not missing:
+                P = {pair: data for pair, data in P.items()
+                     if data[0] != sugar}
+                continue
         i, j = best
         s = _spoly_terms(i, j, L, leads, lcs, tails, packer)
         if insert(s, sugar):
+            missing -= 1
             P = _gm_update(P, leads, exps, len(leads) - 1, packer)
-    return _autoreduce(leads, lcs, tails, packer, budget)
+    return leads, lcs, tails
 
 
 def _autoreduce(leads, lcs, tails, packer, budget):
@@ -456,22 +547,80 @@ def _unpack_terms(terms, packer):
     return {unpack(e): c for e, c in terms.items()}
 
 
+def _convert_grevlex(gb, work_ring, budget):
+    """A Groebner basis for the order of `work_ring` (lex or block) of the
+    ideal whose reduced grevlex basis is `gb`, as kernel lists for
+    _autoreduce: the homogenized basis, run under that order with the
+    Hilbert numerator of the grevlex leads as the driver's target, then
+    dehomogenized.
+
+    This is exact, in three steps.  (1) The homogenized grevlex basis of I
+    is a grevlex basis of I^h, h last (Cox-Little-O'Shea, Ideals,
+    Varieties, and Algorithms, ch. 8 §4), and its leads carry no h; so
+    HF(I^h)_d is the number of x-monomials of degree <= d standard for the
+    grevlex leads, the coefficient of t^d in N(t)/(1-t)^(n+1) for their
+    Hilbert numerator N.  (2) With h appended last, in the back block of a
+    block order, the terms x^a*h^(d-|a|) of a homogeneous polynomial of
+    degree d compare as the x^a do under the affine order (>_h): the front
+    block decides first in both; on a tie the back degrees, h included,
+    are equal, and a smaller power of h is a larger back x-degree; then
+    grevlex on the back x decides.  Lex with h last compares the a first.
+    So LT(f^h) = LT(f)*h^k, and for f in I an element of the >_h basis of
+    I^h whose lead divides LT(f^h) dehomogenizes to one whose lead divides
+    LT(f): the dehomogenized basis is a basis of I.  (3) The driver's
+    leads span a subspace of in(I^h)_d; when their counts agree they span
+    all of it, and a remainder of degree d has lead 0 (see _buchberger).
+    """
+    ring = work_ring.extend([work_ring.fresh_name("hom_h")])
+    packer = ring.packer()
+    seed = []
+    for g in gb.basis:
+        d = g.total_degree()
+        seed.append(_pack_terms({e + (d - sum(e),): c
+                                 for e, c in g.terms.items()}, packer))
+    leads, lcs, tails = _buchberger(seed, ring, budget,
+                                    _hilbert_numerator(gb.lead_exponents()))
+    unpack, pack = packer.unpack, work_ring.packer().pack
+
+    def dehomogenize(e):
+        return pack(unpack(e)[:-1])
+
+    return ([dehomogenize(e) for e in leads], lcs,
+            [{dehomogenize(e): c for e, c in t.items()} for t in tails])
+
+
 def groebner_basis(ideal, order=None, budget=None) -> GroebnerBasis:
     """Reduced Groebner basis of an ideal for the given monomial order.
 
     Deterministic and canonical: any generating list of the same ideal yields
-    the identical reduced basis.
+    the identical reduced basis.  A lex or block basis of an ideal that
+    already holds its reduced grevlex basis is converted from that basis
+    (_convert_grevlex), with the S-pairs the Hilbert function proves to
+    reduce to zero never reduced; otherwise Buchberger's algorithm starts
+    from the generators.  So it does too when the homogenized run leaves
+    the packed field widths, which the affine run may not: with h, a
+    term's back-block degree is the element's degree less the term's
+    front degree, and that field holds less than 2^14.  The steps the
+    conversion took stay spent.
     """
     budget = as_budget(budget)
     ring = ideal.ring
     order = order if order is not None else ring.order
     work_ring = ring.with_order(order)
     packer = work_ring.packer()
-    seed = [_pack_terms(g.transfer(work_ring).terms, packer)
-            for g in ideal.generators]
-    basis_terms = _buchberger(seed, work_ring, budget)
+    grevlex = ideal._gb_cache.get(GREVLEX) if order != GREVLEX else None
+    kernel = None
+    if grevlex is not None:
+        try:
+            kernel = _convert_grevlex(grevlex, work_ring, budget)
+        except SizeOutOfRange:
+            pass
+    if kernel is None:
+        seed = [_pack_terms(g.transfer(work_ring).terms, packer)
+                for g in ideal.generators]
+        kernel = _buchberger(seed, work_ring, budget)
     basis = [Polynomial(work_ring, _unpack_terms(t, packer))
-             for t in basis_terms]
+             for t in _autoreduce(*kernel, packer, budget)]
     return GroebnerBasis(work_ring, basis, order)
 
 
@@ -685,11 +834,7 @@ def saturate(ideal: Ideal, other: Ideal, budget=None) -> Ideal:
     sat_gens = list(gbJ.basis)
     if all(len(g) == 1 for g in sat_gens):
         exps = [tuple(1 if v else 0 for v in g.lead_monomial()) for g in sat_gens]
-        minimal = []
-        for e in sorted(set(exps), key=lambda e: (sum(e), e)):
-            if not any(exp_divides(m, e) for m in minimal):
-                minimal.append(e)
-        sat_gens = [ring.monomial(e) for e in minimal]
+        sat_gens = [ring.monomial(e) for e in _minimal(exps)]
     return _rabinowitsch(ideal, sat_gens, budget)
 
 

@@ -72,3 +72,20 @@ def plane_curve_twins():
         lambda d: _curve_coefficients(d).map(
             lambda coeffs: tuple(_plane_curve_cone(field, d, coeffs)
                                  for field in (PrimeField(), RationalField()))))
+
+
+def _affine_plane_curve(field, d, coeffs):
+    ring = RingContext(("x1", "x2"), field=field)
+    exps = [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
+    g = ring.poly_from_terms({e: c for e, c in zip(exps, coeffs) if c})
+    return VarietySpec(ring, (g,))
+
+
+def affine_plane_curve_twins():
+    """One drawn integer affine plane curve of degree at most 2 or 3 in x1,
+    x2, coefficients in [-3, 3], built over GF(2^31 - 1) and over QQ: a pair
+    (over GF, over QQ)."""
+    return st.sampled_from((2, 3)).flatmap(
+        lambda d: _curve_coefficients(d).map(
+            lambda coeffs: tuple(_affine_plane_curve(field, d, coeffs)
+                                 for field in (PrimeField(), RationalField()))))

@@ -12,8 +12,11 @@ from optdeg import (GREVLEX, LEX, BudgetExceeded, Ideal, NotZeroDimensional,
                     affine_degree, degree_zero_dim, dimension, eliminate,
                     groebner_basis, intersect, normal_form, parse_polynomial,
                     saturate, vanishes_on_variety)
-from optdeg.groebner import (_Budget, _count_points, _cut_linear,
+from optdeg import groebner
+from optdeg.groebner import (DEFAULT_BUDGET, _Budget, _count_points,
+                             _cut_linear, _hilbert_numerator, _hilbert_value,
                              _min_hitting_sets)
+from optdeg.rings import exp_divides
 
 from slicing import sections_degree
 
@@ -645,6 +648,109 @@ def test_affine_degree_agrees_over_qq_and_gf(ideal):
     _, over_gf = _optdeg_ideal(n, gens, GREVLEX, PrimeField(_Q))
     assert _degree_outcome(affine_degree, over_qq) == \
         _degree_outcome(affine_degree, over_gf)
+
+
+# --- conversion of a cached grevlex basis -------------------------------------------
+
+def _monomials(n, d):
+    for combo in itertools.combinations_with_replacement(range(n), d):
+        yield tuple(combo.count(i) for i in range(n))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=6))))
+def test_hilbert_numerator_counts_standard_monomials(ideal):
+    """The Hilbert function read off the numerator is, in each degree up to
+    8, the number of monomials no generator divides."""
+    n, gens = ideal
+    numerator = _hilbert_numerator(gens)
+    for d in range(9):
+        standard = sum(1 for m in _monomials(n, d)
+                       if not any(exp_divides(g, m) for g in gens))
+        assert _hilbert_value(numerator, n, d) == standard
+
+
+def _converted(ideal, order, budget=None):
+    """The ideal's basis for `order`, converted from its grevlex basis,
+    computed first in a copy of the ideal."""
+    copy = Ideal(ideal.ring, ideal.generators)
+    copy.groebner(GREVLEX)
+    return copy.groebner(order, budget)
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_converted_bases_match_the_plain_driver(field, data):
+    """Block and lex bases converted from the cached grevlex basis are the
+    ones Buchberger's algorithm computes from the generators of a fresh
+    copy.  Half the drawn ideals are multiplied by a drawn f, which adds
+    the surface f = 0; so points, curves, surfaces and mixtures of them
+    all occur."""
+    coeffs = _COEFFS if field is None else _GF_COEFFS
+    n, gens = data.draw(_ideals(coeffs))
+    ring, ideal = _optdeg_ideal(n, gens, GREVLEX, field)
+    if data.draw(st.booleans()):
+        f = _poly(ring, data.draw(_ideals(coeffs, n=n))[1][0])
+        ideal = Ideal(ring, [f * g for g in ideal.generators])
+    front = data.draw(st.lists(st.sampled_from(ring.variables), min_size=1,
+                               max_size=n - 1, unique=True))
+    for order in (OrderSpec("block", front), LEX):
+        got = _converted(ideal, order)
+        want = groebner_basis(Ideal(ring, ideal.generators), order)
+        assert got.ring == want.ring
+        assert [g.terms for g in got.basis] == [g.terms for g in want.basis]
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_converted_lex_basis_matches_sympy(field, data):
+    coeffs = _COEFFS if field is None else _GF_COEFFS
+    n, gens = data.draw(_ideals(coeffs))
+    _, ideal = _optdeg_ideal(n, gens, GREVLEX, field)
+    syms, exprs = _sympy_exprs(n, gens)
+    domain = {"domain": "QQ"} if field is None else {"modulus": _Q}
+    theirs = sympy.groebner(exprs, *syms, order="lex", **domain)
+    terms = _sympy_terms if field is None else _gf_terms
+    got = sorted(sorted(g.terms.items()) for g in _converted(ideal, LEX))
+    want = sorted(sorted(terms(p).items()) for p in theirs.polys)
+    assert got == want
+
+
+def test_budget_exceeded_inside_a_conversion(monkeypatch):
+    """The conversion ticks the caller's budget: it completes on exactly
+    the steps it takes, and one step short it raises BudgetExceeded from
+    inside the conversion and caches nothing."""
+    ring = RingContext(("x", "y", "z"))
+    ideal = I(ring, "x^5+y^4+z^3-1", "x^3+y^3+z^2-1")
+    order = OrderSpec("block", ("x",))
+    budget = _Budget(DEFAULT_BUDGET)
+    want = _converted(ideal, order, budget)
+    steps = DEFAULT_BUDGET - budget.remaining
+    calls = []
+    convert = groebner._convert_grevlex
+    monkeypatch.setattr(groebner, "_convert_grevlex",
+                        lambda *args: calls.append(args) or convert(*args))
+    assert _converted(ideal, order, steps).basis == want.basis
+    copy = Ideal(ring, ideal.generators)
+    copy.groebner(GREVLEX)
+    with pytest.raises(BudgetExceeded):
+        copy.groebner(order, steps - 1)
+    assert len(calls) == 2
+    assert order not in copy._gb_cache
+
+
+def test_conversion_past_the_packed_widths_runs_from_the_generators():
+    """Homogenized, x^17000 - y has the term y*h^16999, whose back-block
+    degree the packer cannot hold; the block basis then comes from the
+    generators, where the back block holds only y."""
+    ring = RingContext(("x", "y"))
+    ideal = I(ring, "x^17000-y")
+    order = OrderSpec("block", ("x",))
+    (g,) = _converted(ideal, order).basis
+    assert g.terms == P("x^17000-y", ring).terms
 
 
 # --- linear cuts against the adjoined forms -----------------------------------------
