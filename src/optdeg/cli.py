@@ -72,8 +72,11 @@ def _int_pairs(options, key):
 
 
 def _load_field(ring_doc):
+    spec = ring_doc.get("field", "rational")
+    if not isinstance(spec, str):
+        raise SchemaError("ring.field must be a string")
     try:
-        return field_from_spec(ring_doc.get("field", "rational"))
+        return field_from_spec(spec)
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
 
@@ -227,18 +230,17 @@ def _cmd_projective_degree(job, variety, budget, timings):
 
 def _cmd_polar(job, variety, budget, timings):
     options = job.get("options", {})
+    ps = options.get("pnorms", [])
+    if not isinstance(ps, list) or not all(_is_int(p) and p >= 1 for p in ps):
+        raise SchemaError("options.pnorms must list integers >= 1")
     t0 = time.perf_counter()
     pc = polar_classes(variety, budget=budget)
     timings.stage("polar-classes", t0)
     result = {"polar_classes": list(pc.values)}
-    ps = options.get("pnorms", [])
     if ps:
-        values = {}
-        for p in ps:
-            if not _is_int(p) or p < 1:
-                raise SchemaError("options.pnorms must list integers >= 1")
-            values[str(p)] = formulas.polar_formula(p, pc.values, variety.n)
-        result["pnorm_degrees"] = values
+        result["pnorm_degrees"] = {
+            str(p): formulas.polar_formula(p, pc.values, variety.n)
+            for p in ps}
     return result
 
 
@@ -251,7 +253,7 @@ def _cmd_conormal(job, variety, budget, timings):
     ideal = s_conormal_ideal(variety, s, budget)
     timings.stage("conormal-ideal", t0)
     xnames = variety.ring.variables
-    ynames = tuple(f"y{i + 1}" for i in range(variety.n))
+    ynames = ideal.ring.variables[variety.n:]
     t0 = time.perf_counter()
     cls = bidegree_class(ideal, xnames, ynames, budget=budget)
     timings.stage("bidegree", t0)
@@ -320,7 +322,8 @@ def _cmd_formula(job, timings):
                 _require(options, "mode", str, "options"),
                 _require(options, "m", int, "options"),
                 _require(options, "chi", int, "options"),
-                options.get("p"))
+                None if options.get("p") is None
+                else _require(options, "p", int, "options"))
         else:
             raise SchemaError(f"unknown formula kind {kind!r}")
     except (ValueError, TypeError) as exc:
@@ -331,6 +334,9 @@ def _cmd_formula(job, timings):
 
 def _cmd_evolute(job, variety, budget, timings):
     p = _option_p(job.get("options", {}))
+    if variety.n != 2 or len(variety.generators) != 1:
+        raise SchemaError("evolute needs a plane curve: one generator in two "
+                          "variables")
     t0 = time.perf_counter()
     ev = evolute_curve(variety, p, seed=job["seed"], budget=budget)
     timings.stage("evolute", t0)
@@ -346,6 +352,8 @@ def _cmd_evolute(job, variety, budget, timings):
 def _load_tower(job, ring_field):
     doc = _require(job, "tower", dict, "job")
     base = _require(doc, "base", list, "tower")
+    if not all(isinstance(v, str) for v in base):
+        raise SchemaError("tower.base must be a list of names")
     levels_doc = _require(doc, "levels", list, "tower")
     ring = tower_ring(tuple(base), len(levels_doc), ring_field)
     levels = []
@@ -361,7 +369,7 @@ def _load_tower(job, ring_field):
             raise SchemaError(f"{where}: {exc}") from None
     branch = None
     if doc.get("branch") is not None:
-        branch = tuple(str(v) for v in doc["branch"])
+        branch = tuple(str(v) for v in _require(doc, "branch", list, "tower"))
     try:
         tower = TowerSpec(ring, tuple(base), tuple(levels), branch)
     except (ValueError, OptdegError) as exc:
@@ -374,6 +382,9 @@ def _load_tower(job, ring_field):
         param = ParametrizationSpec(tuple(coords))
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
+    if param.r <= len(tower.base):
+        raise SchemaError("tower.parametrization needs more coordinates than "
+                          "tower.base has variables")
     return tower, param
 
 
@@ -522,6 +533,8 @@ def run_job(command, job, timings_wanted=False):
     budget = job.get("budget", DEFAULT_BUDGET)
     if not _is_int(budget):
         raise SchemaError("budget must be an integer")
+    if not isinstance(job.get("options", {}), dict):
+        raise SchemaError("options must be an object")
     budget = as_budget(budget)
     timings = _Timings()
 
@@ -573,6 +586,8 @@ def main(argv=None) -> int:
             raise SchemaError(f"cannot read job file: {exc}") from None
         except json.JSONDecodeError as exc:
             raise SchemaError(f"job file is not valid JSON: {exc}") from None
+        if not isinstance(job, dict):
+            raise SchemaError("job document must be a JSON object")
         if args.seed is not None:
             job["seed"] = args.seed
         if args.trials is not None:

@@ -2,8 +2,9 @@
 
 Builds the correspondence between points of a variety and the data vectors
 for which they are critical, counts the generic fiber size (the algebraic
-degree), homogenizes the construction for projective varieties, and computes
-p-norm evolutes of plane curves.
+degree), and computes p-norm evolutes of plane curves.  For a projective
+variety one system, in the direction chart y = u + b*x, gives both the
+correspondence ideal (u symbolic) and the count (u bound per trial).
 """
 
 from __future__ import annotations
@@ -344,63 +345,68 @@ def _projective_isotropic(X: VarietySpec, p, budget):
     return q_p
 
 
-def _projective_system(X: VarietySpec, p, budget):
-    """The homogenized critical system of projective_critical_ideal, for
-    symbolic data: the ambient ring with direction variables y and data
-    variables u adjoined, its raw generators (I(X), the conormal minors of
-    the row y^(p-1), and the 3x3 minors of (y; u; x), which put y in
-    span(u, x)), the y and u names, and q_p."""
+def _projective_chart_system(X: VarietySpec, p, budget):
+    """The p-norm critical system of a projective variety in the chart
+    y = u + b*x, with u symbolic: the ring (x, b, u, w), its generators, and
+    the names (b, w) that the correspondence eliminates.
+
+    The generators are I(X), the (c+1)-minors of the row
+    ((u_i + b*x_i)^(p-1))_i stacked over the Jacobian of X, and, last,
+    1 - sum_i w_i*f_i (see _localizer).  The f_i are q_p alone when the cone
+    is singular at most at its vertex (see _singular_beyond_vertex), and
+    otherwise q_p*g_i over the reduced basis g_i of the singular locus;
+    eliminating (b, w) saturates by <f_1..f_m> (see _rabinowitsch), and so
+    by q_p and the singular locus.
+    """
     q_p = _projective_isotropic(X, p, budget)
     ring = X.ring
-    n = X.n
-    ynames = tuple(f"y{i + 1}" for i in range(n))
-    unames = tuple(f"u{i + 1}" for i in range(n))
-    big = ring.extend(ynames + unames)
-    gens = _conormal_generators(X, p - 1, big, ynames, budget)
-    collinear = []
-    if n >= 3:
-        rows = [[big.var(yn) for yn in ynames],
-                [big.var(un) for un in unames],
-                [big.var(xn) for xn in ring.variables]]
-        collinear = PolyMatrix(rows).minors(3)
-    return big, gens + collinear, ynames, unames, q_p
-
-
-def _eliminate_left(ideal, names, budget):
-    """eliminate the variables among `names` that a linear cut left in the
-    ideal's ring."""
-    return eliminate(ideal, [v for v in names if v in ideal.ring._pos], budget)
+    bname = ring.fresh_name("b")
+    unames = tuple(f"u{i + 1}" for i in range(X.n))
+    xbu = ring.extend((bname,) + unames)
+    row = [(xbu.var(un) + xbu.var(bname) * xbu.var(xn)) ** (p - 1)
+           for un, xn in zip(unames, ring.variables)]
+    raw_gens = _stacked_generators(X, row, xbu, budget)
+    fs = [q_p]
+    if _singular_beyond_vertex(X, budget):
+        sing = singular_locus_ideal(X, budget).groebner(GREVLEX, budget)
+        fs = [q_p * g for g in sing.basis]
+    big, ws, localizer = _localizer(xbu, fs)
+    gens = [g.transfer(big) for g in raw_gens] + [localizer]
+    return big, gens, (bname,) + ws
 
 
 def projective_critical_ideal(X: VarietySpec, p, budget=None) -> Ideal:
-    """Homogeneous version of the p-norm critical ideal for an affine cone.
+    """The p-norm optimization correspondence of a projective variety, given
+    as its affine cone: the ideal in the (point, data) variables (x, u) of
+    the pairs where x is critical for the p-norm distance from u.
 
-    Auxiliary direction variables y are adjoined, the gradient row is replaced
-    by y^(p-1), collinearity of (y, u, x) is imposed by 3x3 minors, and the
-    singular locus and the isotropic hypersurface q_p(x) are saturated away.
-    A cone singular at most at its vertex is saturated by q_p alone, which
-    gives the same ideal (see _singular_beyond_vertex); any other cone is
-    saturated by its singular locus first.  The y-origin is removed in the
-    chart l(y) = 1 of a linear form l drawn from the fixed stream
-    "projcrit|chart": the system is homogeneous in y, so adding l(y) - 1 and
-    eliminating y gives the saturation by l, which equals the saturation by
-    <y_1..y_n> unless l lies in an associated prime.  The chart is
-    substituted for its pivot y_j (see _cut_linear) and the other y are
-    eliminated; the substitution is the identity on the (point, data)
-    variables, so the eliminated ideal is the one adding the chart gives,
-    generator for generator.  What remains is the correspondence ideal in
-    the (point, data) variables.
+    A point x of the cone is critical when some y != 0 in span(u, x) has
+    y^(p-1) in the conormal space N_x, with x off the singular locus and
+    off q_p = 0.  In n direction variables y that is the y-system: the
+    conormal minors of the row y^(p-1), the 3x3 minors of (y; u; x), the
+    saturations by the singular locus and by q_p, and a chart l(y) = 1.
+    Here it is one elimination of (b, w) from _projective_chart_system, the
+    count's system with u symbolic, which takes y = u + b*x:
+    - On u ∧ x != 0, y in span(u, x) is y = s*u + t*x.  If s = 0, then
+      t^(p-1)*x^(p-1) in N_x and x in T_x (Euler's relation) give
+      q_p(x) = x . x^(p-1) = 0, and the localization removes the point.
+      Otherwise y = s*(u + b*x) with b = t/s; the conormal condition is
+      homogeneous in y, and l(y) = 1 fixes s, so the two systems are
+      identified there.
+    - On u ∥ x the zero sets agree.  The vertex x = 0 lies on q_p = 0.
+      For u = lambda*x with q_p(x) != 0, every y in span(u, x) is a
+      multiple of x, so the y-system has no point there, and the chart
+      has only b = -lambda, where y = 0.  Yet (x, lambda*x) is a limit of
+      the correspondence: for y0 != 0 with y0^(p-1) in N_x, the data
+      u = lambda*x + e*y0 has y = e*y0 for every e != 0.
+    So the two eliminated ideals have the same zero set, and are equal
+    away from u ∥ x.  That neither has a further component, embedded or
+    not, supported on u ∥ x is not proved: the tests check the reduced
+    bases against the y-system, generator for generator.
     """
     budget = as_budget(budget)
-    big, raw_gens, ynames, unames, q_p = _projective_system(X, p, budget)
-    ideal = Ideal(big, raw_gens)
-    if _singular_beyond_vertex(X, budget):
-        ideal = saturate(ideal, singular_locus_ideal(X, budget).transfer(big),
-                         budget)
-    ideal = saturate(ideal, Ideal(big, [q_p.transfer(big)]), budget)
-    chart = (random_linear_form(big, ynames, random.Random("projcrit|chart"))
-             - big.one())
-    return _eliminate_left(_cut_linear(ideal, [chart], budget), ynames, budget)
+    big, gens, drop = _projective_chart_system(X, p, budget)
+    return eliminate(Ideal(big, gens), drop, budget)
 
 
 def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
@@ -409,19 +415,15 @@ def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
     cone): the critical points of the p-norm distance from random data u,
     counted on a random affine slice h(x) = 1 of the cone.
 
-    A point x of the cone is critical when some y in span(u, x) has y^(p-1)
-    in the conormal space N_x.  The count takes y in the one chart
-    y = u + b*x, with one fresh variable b: the (c+1)-minors of the row
-    ((u_i + b*x_i)^(p-1))_i stacked over the Jacobian of X are built once
-    per job in the ring (x, b, u), and each trial binds u by evaluation
-    (see Polynomial.substitute).  The chart is exact:
-    - The directions it misses are the y = b*x.  There y^(p-1) lies in
-      N_x, while x lies in T_x by Euler's relation, so
-      q_p(x) = x . x^(p-1) = 0, and the localization below removes the
-      point.
-    - For u off the cone, u and x are independent, and (x, b) -> y is a
-      local isomorphism onto {y in span(u, x)}, so multiplicities carry
-      over.
+    The system of projective_critical_ideal, in the chart y = u + b*x (see
+    _projective_chart_system), is built once per job; each trial binds u by
+    evaluation (see Polynomial.substitute) into the ring (x, b, w), and one
+    elimination of (b, w) leaves the localized ideal to count in x.
+    Nothing is saturated.  The chart is exact for the count:
+    - For u off the cone, u and x are independent, so the chart misses
+      only the directions y = b*x, which lie on q_p = 0 (see
+      projective_critical_ideal), and (x, b) -> y is a local isomorphism
+      onto {y in span(u, x)}, so multiplicities carry over.
     - For u on the cone, x = lambda*u gives y = 0, the row vanishes and
       spurious points appear: on the conic x1^2+x2^2-2*x3^2 at
       u = (1, 1, 1) and p = 3 over GF(2^31 - 1) the chart counts 10
@@ -430,33 +432,18 @@ def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
       such a u is never counted, and _count_trials redraws it once, as for
       a positive-dimensional fiber.
 
-    Nothing is saturated.  One variable w_i per f_i joins the system with
-    1 - sum_i w_i*f_i, and one elimination of (b, w) leaves the saturation
-    by <f_1..f_m> (see _rabinowitsch), the counted ideal in the remaining
-    x.  The f_i are q_p alone when the cone is singular at most at its
-    vertex (see _singular_beyond_vertex), and otherwise q_p*g_i over the
-    reduced basis g_i of the singular locus; both are exact.  The slice
-    h(x) - 1 (stream "projdeg|{seed}|forms") is substituted for its pivot
-    x_i (see _cut_linear).  The cut is exact here: its kernel <h - 1> lies
-    in the system S, so it maps S ∩ k[x] onto phi(S) ∩ k[x'] and the
-    counted quotient is unchanged.  The data points (stream
+    The slice h(x) - 1 (stream "projdeg|{seed}|forms") is substituted for
+    its pivot x_i (see _cut_linear).  The cut is exact here: its kernel
+    <h - 1> lies in the system S, so it maps S ∩ k[x] onto phi(S) ∩ k[x']
+    and the counted quotient is unchanged.  The data points (stream
     "degree|{seed}") and the slices are the only draws; agreement across
     independent samples is still enforced.
     """
     budget = as_budget(budget)
-    q_p = _projective_isotropic(X, p, budget)
+    big, system, drop = _projective_chart_system(X, p, budget)
     ring = X.ring
-    bname = ring.fresh_name("b")
-    unames = tuple(f"u{i + 1}" for i in range(X.n))
-    big = ring.extend((bname,) + unames)
-    row = [(big.var(un) + big.var(bname) * big.var(xn)) ** (p - 1)
-           for un, xn in zip(unames, ring.variables)]
-    raw_gens = _stacked_generators(X, row, big, budget)
-    fs = [q_p]
-    if _singular_beyond_vertex(X, budget):
-        sing = singular_locus_ideal(X, budget).groebner(GREVLEX, budget)
-        fs = [q_p * g for g in sing.basis]
-    work, ws, localizer = _localizer(ring.extend((bname,)), fs)
+    unames = big.variables[X.n + 1:2 * X.n + 1]  # big is (x, b, u, w)
+    work = ring.extend(drop)
     rng_forms = random.Random(f"projdeg|{seed}|forms")
 
     def count_for(u):
@@ -466,9 +453,9 @@ def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
         slice_ = (random_linear_form(work, ring.variables, rng_forms)
                   - work.one())
         bindings = {un: big.const(val) for un, val in zip(unames, u)}
-        gens = [g.substitute(bindings).transfer(work) for g in raw_gens]
-        cut = _cut_linear(Ideal(work, gens + [localizer]), [slice_], budget)
-        return _count_points(eliminate(cut, (bname,) + ws, budget), budget)
+        gens = [g.substitute(bindings).transfer(work) for g in system]
+        cut = _cut_linear(Ideal(work, gens), [slice_], budget)
+        return _count_points(eliminate(cut, drop, budget), budget)
 
     return _count_trials(count_for, X, trials, seed, budget, [])
 

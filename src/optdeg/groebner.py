@@ -10,9 +10,9 @@ multidegrees, all read off the one cached grevlex basis.  A multidegree is
 that of the initial ideal under any term order, and for a monomial ideal it
 sums the multiplicities of its top-dimensional components, the primes <x_S>
 of the minimum hitting sets S of the lead supports (Miller-Sturmfels,
-Combinatorial Commutative Algebra, ch. 8).  Affine-linear sections and
-charts are substituted for their pivot variables rather than adjoined as
-generators (_cut_linear).
+Combinatorial Commutative Algebra, ch. 8).  Affine-linear sections are
+substituted for their pivot variables rather than adjoined as generators
+(_cut_linear).
 
 A lex or block basis of an ideal that already caches its grevlex basis is
 converted from it rather than computed from the generators: the grevlex

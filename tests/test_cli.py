@@ -360,6 +360,65 @@ def test_crossvalidate_checks_closed_form_options_before_counting(
     assert capsys.readouterr().err.startswith("schema error:")
 
 
+def _tower_job(**tower):
+    return {"schema_version": 1,
+            "tower": {"base": ["x1", "s"],
+                      "levels": [{"power": 2, "alpha": "s*x1"}],
+                      "parametrization": ["x1", "s", "x1+D1"], **tower}}
+
+
+def _cone_polar(**options):
+    return {"schema_version": 1,
+            "ring": {"variables": ["x1", "x2", "x3"]},
+            "variety": {"generators": ["x1^2+x2^2-3*x3^2"]},
+            "options": options}
+
+
+def _evolute(variables, *generators):
+    return {"schema_version": 1, "ring": {"variables": variables},
+            "variety": {"generators": list(generators)},
+            "options": {"p": 2}}
+
+
+# job documents of the wrong shape used to end in AttributeError, TypeError
+# or ValueError tracebacks, or (euler's p, a tower base name) be accepted
+@pytest.mark.parametrize("command, job, extra, message", [
+    ("degree", dict(_pinned_job("x1^2+4*x2^2-1", {"pnorm": 2}, [1, 1]),
+                    options=[1]), (), "options must be an object"),
+    ("formula", {"schema_version": 1, "options": ["hypersurface"]}, (),
+     "options must be an object"),
+    ("degree", [1, 2], ("--field", "rational"),
+     "job document must be a JSON object"),
+    ("degree", dict(_pinned_job("x1^2+4*x2^2-1", {"pnorm": 2}, [1, 1]),
+                    ring={"variables": ["x1", "x2"], "field": 5}), (),
+     "ring.field must be a string"),
+    ("tower-check", dict(_tower_job(), ring={"field": 5}), (),
+     "ring.field must be a string"),
+    ("polar", _cone_polar(pnorms=3), (),
+     "options.pnorms must list integers >= 1"),
+    ("tower-check", _tower_job(branch=5), (), "tower.branch has the wrong type"),
+    ("tower-check", _tower_job(base=["x1", 7]), (),
+     "tower.base must be a list of names"),
+    (*_formula("euler", mode="projective", m=1, chi=2, p=True), (),
+     "options.p has the wrong type"),
+    ("evolute", _evolute(["x1", "x2"], "x1^2+4*x2^2-1", "x1-x2"), (),
+     "evolute needs a plane curve"),
+    ("evolute", _evolute(["x1", "x2", "x3"], "x1^2+4*x2^2-x3"), (),
+     "evolute needs a plane curve"),
+    ("tower-check", _tower_job(parametrization=["x1", "x1+D1"]), (),
+     "needs more coordinates than tower.base has variables"),
+], ids=["options-list", "formula-options-list", "job-list-field-override",
+        "field-int", "tower-field-int", "pnorms-int", "branch-int",
+        "base-name-int", "euler-p-bool", "evolute-two-generators",
+        "evolute-three-variables", "tower-too-few-coordinates"])
+def test_job_shape_errors_exit_2(tmp_path, capsys, command, job, extra,
+                                 message):
+    rc = run_cli(tmp_path, command, job, *extra)
+    err = capsys.readouterr().err
+    assert rc == EXIT_SCHEMA
+    assert err.startswith("schema error:") and message in err
+
+
 def test_budget_exit_code(tmp_path, capsys):
     job = {
         "schema_version": 1,

@@ -5,26 +5,25 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from optdeg import (GREVLEX, BudgetExceeded, ContainedInIsotropic, Ideal,
+from optdeg import (BudgetExceeded, ContainedInIsotropic, Ideal,
                     NotHomogeneous, PositiveDimensionalFiber, PrimeField,
                     RationalField, RingContext, degree_zero_dim, dimension,
-                    eliminate, normal_form, parse_polynomial,
-                    parse_rational_function, pnorm_degree_via_polar,
-                    random_linear_change, saturate, vanishes_on_variety)
+                    normal_form, parse_polynomial, parse_rational_function,
+                    pnorm_degree_via_polar, random_linear_change,
+                    vanishes_on_variety)
 from optdeg import critical, groebner
 from optdeg.critical import (DegreeReport, PNorm, RationalGradient,
-                             VarietySpec, _projective_system,
-                             _singular_beyond_vertex,
+                             VarietySpec, _singular_beyond_vertex,
                              algebraic_degree, ci_degree_bound_check,
                              critical_ideal_affine, data_ring, evolute_curve,
                              projective_critical_ideal,
                              projective_pnorm_degree, singular_locus_ideal)
 from optdeg.errors import DenominatorVanishesOnX
 from optdeg.groebner import DEFAULT_BUDGET, _Budget, _count_points
-from optdeg.rings import random_linear_form
 
 from conftest import (affine_plane_curve_twins, plane_curve_cones,
                       plane_curve_twins, variety)
+from ysystem import saturating_counts, saturating_critical_ideal
 
 
 def P(text, ring):
@@ -407,34 +406,7 @@ def test_affine_count_agrees_across_fields(twins, p, u):
     assert counts[0] == counts[1]
 
 
-# --- localized counts against the saturating path ----------------------------
-
-def _saturating_counts(X, p, seed, points):
-    """The count of projective_pnorm_degree at each data point, rebuilt in
-    the n direction variables y of _projective_system, with the collinearity
-    minors, and with saturations: saturate by sing + <h - 1> and by q_p,
-    then eliminate y in a chart l(y) = 1.  The slices come from the count's
-    stream, the charts from a stream of their own.  The grevlex basis of
-    the charted ideal comes first, so that its elimination is converted
-    from it."""
-    big, raw_gens, ynames, unames, q_p = _projective_system(X, p, None)
-    xy = X.ring.extend(ynames)
-    sing = singular_locus_ideal(X).transfer(xy)
-    rng_forms = random.Random(f"projdeg|{seed}|forms")
-    rng_chart = random.Random(f"projdeg|{seed}|chart")
-    counts = []
-    for u in points:
-        slice_ = random_linear_form(xy, X.ring.variables, rng_forms) - xy.one()
-        bindings = {un: big.const(val) for un, val in zip(unames, u)}
-        gens = [g.substitute(bindings).transfer(xy) for g in raw_gens]
-        ideal = saturate(Ideal(xy, gens + [slice_]), sing + [slice_])
-        ideal = saturate(ideal, Ideal(xy, [q_p.transfer(xy)]))
-        chart = random_linear_form(xy, ynames, rng_chart) - xy.one()
-        charted = ideal + [chart]
-        charted.groebner(GREVLEX)
-        counts.append(_count_points(eliminate(charted, ynames), None))
-    return counts
-
+# --- localized counts and ideals against the y-system -----------------------
 
 def _assert_localized_count_saturates(X, p, seed):
     try:
@@ -442,7 +414,7 @@ def _assert_localized_count_saturates(X, p, seed):
     except (ContainedInIsotropic, PositiveDimensionalFiber):
         reject()
     points = [u for u, _ in rep.trials]
-    assert [c for _, c in rep.trials] == _saturating_counts(X, p, seed, points)
+    assert [c for _, c in rep.trials] == saturating_counts(X, p, seed, points)
 
 
 @pytest.mark.parametrize("field", [PrimeField(), RationalField()])
@@ -474,7 +446,7 @@ def test_data_on_the_cone_is_redrawn(monkeypatch, prime_field, p):
     monkeypatch.setattr(critical, "_sample_point", lambda *args: next(draws))
     rep = projective_pnorm_degree(X, p, trials=2, seed=1)
     assert [u for u, _ in rep.trials] == [generic, generic]
-    assert rep.degree == _saturating_counts(X, p, 1, [generic])[0]
+    assert rep.degree == saturating_counts(X, p, 1, [generic])[0]
 
 
 def test_two_draws_on_the_cone_raise(monkeypatch, prime_field):
@@ -518,15 +490,12 @@ def test_localized_count_matches_saturations_on_singular_cones(field, names,
     _assert_localized_count_saturates(X, 2, seed=1)
 
 
-def _saturating_critical_ideal(X, p):
-    """projective_critical_ideal saturating by the singular locus and then
-    by q_p whatever the singular locus is, with the same chart."""
-    big, raw_gens, ynames, _, q_p = _projective_system(X, p, None)
-    ideal = saturate(Ideal(big, raw_gens), singular_locus_ideal(X).transfer(big))
-    ideal = saturate(ideal, Ideal(big, [q_p.transfer(big)]))
-    chart = (random_linear_form(big, ynames, random.Random("projcrit|chart"))
-             - big.one())
-    return eliminate(ideal + [chart], ynames)
+def _assert_critical_ideal_matches_y_system(X, p):
+    got = projective_critical_ideal(X, p)
+    want = saturating_critical_ideal(X, p)
+    assert got.ring == want.ring
+    assert [g.terms for g in got.generators] == [g.terms
+                                                 for g in want.generators]
 
 
 @pytest.mark.parametrize("field", [PrimeField(), RationalField()])
@@ -534,17 +503,37 @@ def _saturating_critical_ideal(X, p):
     (("x1", "x2", "x3"), "x1^2+x2^2-3*x3^2"),
     (("x1", "x2", "x3"), "x2^2*x3-x1^2*(x1+x3)"),
     (("x1", "x2", "x3", "x4"), "x1^2+2*x2^2-3*x3^2"),
+    (("x1", "x2", "x3", "x4"), "x1^2+2*x2^2-3*x3^2+5*x4^2"),
+    (("x1", "x2", "x3", "x4"), "x1*x4-x2*x3"),
 ])
 def test_projective_critical_ideal_matches_saturating_oracle(field, names,
                                                              gen):
-    """The smooth conic is saturated by q_p alone; the nodal cubic cone and
-    the quadric cone, singular beyond the vertex, by both."""
-    ring = RingContext(names, field=field)
-    got = projective_critical_ideal(variety(ring, gen), 2)
-    want = _saturating_critical_ideal(variety(ring, gen), 2)
-    assert got.ring == want.ring
-    assert [g.terms for g in got.generators] == [g.terms
-                                                 for g in want.generators]
+    """The chart y = u + b*x gives the y-system's reduced basis.  The smooth
+    conic and the two smooth quadric surfaces are saturated by q_p alone;
+    the nodal cubic cone and the quadric cone, singular beyond the vertex,
+    by both."""
+    _assert_critical_ideal_matches_y_system(
+        variety(RingContext(names, field=field), gen), 2)
+
+
+def test_projective_critical_ideal_matches_saturating_oracle_at_p3(
+        prime_field):
+    """At p = 3 the chart costs 87,920 steps on this conic, against 27,179
+    for the y-system path it replaced, and gives the same reduced basis."""
+    _assert_critical_ideal_matches_y_system(
+        variety(RingContext(("x1", "x2", "x3"), field=prime_field),
+                "x1^2+x2^2-3*x3^2"), 3)
+
+
+def test_projective_critical_ideal_steps_pinned_over_gf(prime_field):
+    """The twisted cubic's correspondence ideal takes 921 steps in the chart
+    y = u + b*x; the y-system's saturations and chart took 574,490."""
+    X = variety(RingContext(("x1", "x2", "x3", "x4"), field=prime_field),
+                "x1*x3-x2^2", "x1*x4-x2*x3", "x2*x4-x3^2")
+    budget = _Budget(DEFAULT_BUDGET)
+    corr = projective_critical_ideal(X, 2, budget=budget)
+    assert corr.ring.variables == X.ring.variables + ("u1", "u2", "u3", "u4")
+    assert DEFAULT_BUDGET - budget.remaining == 921
 
 
 def test_veronese_conic_ed_degree(prime_field):
