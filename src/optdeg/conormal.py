@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CollapsedToUnit, NotHomogeneous
-from .critical import (VarietySpec, _conormal_generators,
-                       _singular_beyond_vertex, isotropic_polynomial,
+from .critical import (VarietySpec, _singular_beyond_vertex,
+                       _stacked_generators, isotropic_polynomial,
                        singular_locus_ideal)
 from .formulas import polar_formula
 from .groebner import (GREVLEX, Ideal, _multidegree, as_budget, dimension,
@@ -64,7 +64,8 @@ def _conormal_system(X: VarietySpec, s, budget):
         raise NotHomogeneous("the variety generators must be homogeneous")
     ynames = tuple(f"y{i + 1}" for i in range(X.n))
     big = X.ring.extend(ynames)
-    return Ideal(big, _conormal_generators(X, s, big, ynames, budget)), ynames
+    row = [big.var(yn) ** s for yn in ynames]
+    return Ideal(big, _stacked_generators(X, row, big, budget)), ynames
 
 
 def s_conormal_ideal(X: VarietySpec, s, budget=None) -> Ideal:

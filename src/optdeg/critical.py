@@ -2,9 +2,10 @@
 
 Builds the correspondence between points of a variety and the data vectors
 for which they are critical, counts the generic fiber size (the algebraic
-degree), and computes p-norm evolutes of plane curves.  For a projective
-variety one system, in the direction chart y = u + b*x, gives both the
-correspondence ideal (u symbolic) and the count (u bound per trial).
+degree), and computes p-norm evolutes of plane curves.  One localized
+system per side, affine or projective (in the direction chart y = u + b*x),
+gives both the correspondence ideal (u symbolic) and the count (u bound
+per trial).
 """
 
 from __future__ import annotations
@@ -15,15 +16,15 @@ import warnings as _warnings
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (ContainedInIsotropic, DenominatorVanishesOnX,
-                     NotHomogeneous, NotPrincipalWarning,
-                     PositiveDimensionalFiber, RingMismatch)
+                     EvoluteDegenerate, NotHomogeneous, NotPrincipalWarning,
+                     PositiveDimensionalFiber, RingMismatch, ZeroDenominator)
 from .fields import PrimeField
-from .groebner import (GREVLEX, Ideal, _count_points, _cut_linear, _localizer,
-                       as_budget, dimension, eliminate, groebner_basis,
-                       normal_form, saturate, vanishes_on_variety)
-from .matrices import PolyMatrix, derationalize, jacobian
-from .rings import (Polynomial, RationalFunction, RingContext,
-                    random_linear_form)
+from .groebner import (GREVLEX, Ideal, _count_points, _cut_linear, _eliminate,
+                       _localizer, _saturand, as_budget, dimension, eliminate,
+                       groebner_basis, normal_form, saturate,
+                       vanishes_on_variety)
+from .matrices import derationalize, jacobian
+from .rings import Polynomial, RingContext, random_linear_form
 
 
 @dataclass
@@ -152,19 +153,6 @@ def _singular_beyond_vertex(X: VarietySpec, budget) -> bool:
         g.is_homogeneous() for g in sing.groebner(GREVLEX, budget).basis)
 
 
-def _pnorm_gradients(ring, xnames, u_values, p):
-    """Gradient entries (u_i - x_i)^(p-1) with u symbolic or bound."""
-    grads = []
-    for i, xn in enumerate(xnames):
-        u_i = u_values[i] if not isinstance(u_values[i], str) else ring.var(u_values[i])
-        if isinstance(u_i, Polynomial):
-            base = u_i - ring.var(xn)
-        else:
-            base = ring.const(u_i) - ring.var(xn)
-        grads.append(RationalFunction(base ** (p - 1)))
-    return grads
-
-
 def _check_rational_gradient(obj: RationalGradient, big_ring, unames):
     if len(obj.partials) != len(unames):
         raise ValueError("need exactly one partial per coordinate")
@@ -182,70 +170,84 @@ def _check_rational_gradient(obj: RationalGradient, big_ring, unames):
                     "among the data variables")
 
 
-def _critical_ideals(X: VarietySpec, objective, budget):
-    """The data-independent part of the affine critical ideal, built once:
-    the codimension, the gradient checks, the Jacobian and the singular
-    locus.  Returns the function of the data point (None for symbolic data)
-    that binds it, takes the minors and runs the one saturation."""
-    ring = X.ring
-    xnames = ring.variables
-    k = X.codimension(budget) + 1
-    big, unames = data_ring(ring)
+def _affine_system(X: VarietySpec, objective, budget):
+    """The critical system of X for the objective, with u symbolic: the ring
+    (x, u, w), its generators, and the names u and w.
 
+    The generators are I(X), the (c+1)-minors of the gradient row stacked
+    over the Jacobian of X (see _stacked_generators) and, last,
+    1 - sum_i w_i*f_i (see _localizer).  The f_i are the generators that
+    _saturand gives for the singular locus times the product d of the
+    gradient denominators; f is d alone if there are none, and there is no
+    f_i at all if d is constant too.  Eliminating w saturates by
+    <f_1..f_m> (see _rabinowitsch).
+    """
+    ring = X.ring
+    xu, unames = data_ring(ring)
+    den = xu.one()
     if isinstance(objective, PNorm):
-        grads_sym = _pnorm_gradients(big, xnames, unames, objective.p)
+        row = [(xu.var(un) - xu.var(xn)) ** (objective.p - 1)
+               for un, xn in zip(unames, ring.variables)]
     elif isinstance(objective, RationalGradient):
-        _check_rational_gradient(objective, big, unames)
-        grads_sym = objective.partials
+        _check_rational_gradient(objective, xu, unames)
+        row = objective.partials
+        for g in row:
+            den = den * g.den
     else:
         raise TypeError("objective must be PNorm or RationalGradient")
-
-    den_product = big.one()
-    for g in grads_sym:
-        den_product = den_product * g.den
-    if not den_product.is_constant() and vanishes_on_variety(
-            den_product, Ideal(big, [g.transfer(big) for g in X.generators]),
-            budget):
+    if not den.is_constant() and vanishes_on_variety(
+            den, Ideal(xu, [g.transfer(xu) for g in X.generators]), budget):
         raise DenominatorVanishesOnX(
             "gradient denominators vanish identically on the variety")
-    jac_rows = [[g.derivative(v) for v in xnames] for g in X.generators]
-    sing = singular_locus_ideal(X, budget)
+    raw_gens = _stacked_generators(X, row, xu, budget)
+    fs = _saturand(singular_locus_ideal(X, budget), budget)
+    if not den.is_constant():
+        fs = [g.transfer(xu) * den for g in fs] or [den]
+    big, ws, localizer = _localizer(xu, fs)
+    gens = [g.transfer(big) for g in raw_gens] + ([localizer] if ws else [])
+    return big, gens, unames, ws
 
-    def critical_ideal(u):
-        if u is None:
-            work, bindings = big, {}
-        else:
-            if len(u) != X.n:
-                raise ValueError("data point has wrong length")
-            work = ring
-            bindings = {un: big.const(val) for un, val in zip(unames, u)}
-        grads = []
-        den = work.one()
-        for g in grads_sym:
-            grads.append(g.substitute(bindings).transfer(work))
-            den = den * grads[-1].den
-        jac = PolyMatrix([[e.transfer(work) for e in row] for row in jac_rows])
-        stacked = derationalize(grads, jac)
-        minors = stacked.minors(k) if k <= min(stacked.rows, stacked.cols) else []
-        base = Ideal(work, [g.transfer(work) for g in X.generators] + minors)
-        saturand = sing.transfer(work)
-        if not den.is_constant() or saturand.is_zero():
-            saturand = Ideal(work, [s * den for s in saturand.generators] or [den])
-        return saturate(base, saturand, budget)
 
-    return critical_ideal
+def _bind(big, system, names, values, work):
+    """The generators `system` of the ring big with the variables `names`
+    bound to `values` by evaluation (see Polynomial.substitute), as
+    polynomials of the ring work."""
+    bindings = {name: big.const(val) for name, val in zip(names, values)}
+    return [g.substitute(bindings).transfer(work) for g in system]
+
+
+def _critical_ideal(X: VarietySpec, system, u, budget) -> Ideal:
+    """The ideal of the system of _affine_system with w eliminated: in the
+    ring (x, u) for u=None, and otherwise in the x-ring, with u bound."""
+    big, gens, unames, ws = system
+    if u is None:
+        small = X.ring.extend(unames)
+    else:
+        if len(u) != X.n:
+            raise ValueError("data point has wrong length")
+        small = X.ring
+        gens = _bind(big, gens, unames, u, small.extend(ws))
+        # the denominator product divides every f_i, so the localizer binds
+        # to 1 exactly when u zeroes a gradient denominator
+        if ws and gens[-1].is_constant():
+            raise ZeroDenominator("a gradient denominator vanishes at the "
+                                  "data point")
+    if not ws:
+        return Ideal(small, gens).normalized(budget)
+    return _eliminate(Ideal(small.extend(ws), gens), ws, small, budget)
 
 
 def critical_ideal_affine(X: VarietySpec, objective, u=None, budget=None) -> Ideal:
     """The critical ideal of X for the objective: I(X) plus the maximal minors
     of the derationalized augmented Jacobian, saturated by the singular locus
-    and the gradient denominators.
+    and the gradient denominators (see _affine_system).
 
     With u=None the result lives in the combined (point, data) ring and cuts
     out the optimization correspondence; with a bound data point u it lives
     in the x-ring and cuts out the critical locus itself.
     """
-    return _critical_ideals(X, objective, as_budget(budget))(u)
+    budget = as_budget(budget)
+    return _critical_ideal(X, _affine_system(X, objective, budget), u, budget)
 
 
 def _sample_point(field, n, rng):
@@ -292,16 +294,17 @@ def _count_trials(count_for_u, X, trials, seed, budget, extra_warnings):
 def algebraic_degree(X: VarietySpec, objective, trials=2, seed=0,
                      budget=None) -> DegreeReport:
     """Number of critical points of the objective on X over random data,
-    reported per trial with an agreement flag."""
+    reported per trial with an agreement flag; one _affine_system per job."""
     budget = as_budget(budget)
     warn = []
     if isinstance(objective, PNorm) and objective.p == 1:
         warn.append("p=1 is outside the supported objective family; "
                     "counts are reported as-is")
 
-    critical_ideal = _critical_ideals(X, objective, budget)
-    return _count_trials(lambda u: _count_points(critical_ideal(u), budget),
-                         X, trials, seed, budget, warn)
+    system = _affine_system(X, objective, budget)
+    return _count_trials(
+        lambda u: _count_points(_critical_ideal(X, system, u, budget), budget),
+        X, trials, seed, budget, warn)
 
 
 def isotropic_polynomial(ring, p):
@@ -314,21 +317,15 @@ def isotropic_polynomial(ring, p):
 
 def _stacked_generators(X: VarietySpec, row, big, budget):
     """I(X) in the ring big, plus the (c+1) x (c+1) minors of the Jacobian of
-    its generators stacked under `row`."""
+    its generators stacked under `row`, a row of polynomials or rational
+    functions whose denominators are cleared column by column (see
+    derationalize)."""
     c = X.codimension(budget)
     gens = [g.transfer(big) for g in X.generators]
-    jac_rows = [[g.derivative(xn) for xn in X.ring.variables] for g in gens]
-    stacked = PolyMatrix([row] + jac_rows)
+    stacked = derationalize(row, jacobian(gens, X.ring.variables))
     k = c + 1
     minors = stacked.minors(k) if k <= min(stacked.rows, stacked.cols) else []
     return gens + minors
-
-
-def _conormal_generators(X: VarietySpec, s, big, ynames, budget):
-    """I(X) in the ring big, plus the (c+1) x (c+1) minors of the Jacobian of
-    its generators stacked under the row (y_1^s .. y_n^s)."""
-    return _stacked_generators(X, [big.var(yn) ** s for yn in ynames], big,
-                               budget)
 
 
 def _projective_isotropic(X: VarietySpec, p, budget):
@@ -417,7 +414,7 @@ def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
 
     The system of projective_critical_ideal, in the chart y = u + b*x (see
     _projective_chart_system), is built once per job; each trial binds u by
-    evaluation (see Polynomial.substitute) into the ring (x, b, w), and one
+    evaluation (see _bind) into the ring (x, b, w), and one
     elimination of (b, w) leaves the localized ideal to count in x.
     Nothing is saturated.  The chart is exact for the count:
     - For u off the cone, u and x are independent, so the chart misses
@@ -452,8 +449,7 @@ def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
             return None
         slice_ = (random_linear_form(work, ring.variables, rng_forms)
                   - work.one())
-        bindings = {un: big.const(val) for un, val in zip(unames, u)}
-        gens = [g.substitute(bindings).transfer(work) for g in system]
+        gens = _bind(big, system, unames, u, work)
         cut = _cut_linear(Ideal(work, gens), [slice_], budget)
         return _count_points(eliminate(cut, drop, budget), budget)
 
@@ -516,7 +512,8 @@ def evolute_curve(X: VarietySpec, p, seed=0, budget=None) -> EvolutePolynomial:
     warn = []
     gens = result.generators
     if not gens:
-        raise ValueError("the evolute system eliminated to the zero ideal")
+        raise EvoluteDegenerate("the evolute system eliminated to the zero "
+                                "ideal")
     if len(gens) > 1:
         _warnings.warn("evolute elimination ideal is not principal; using its "
                        "first generator", NotPrincipalWarning)

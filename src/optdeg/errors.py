@@ -77,6 +77,10 @@ class ContainedInIsotropic(OptdegError):
     pass
 
 
+class EvoluteDegenerate(OptdegError, ValueError):
+    """The evolute system eliminated to the zero ideal (a line at p >= 3)."""
+
+
 class NotPrincipalWarning(UserWarning):
     """Elimination ideal expected to be principal has several generators."""
 

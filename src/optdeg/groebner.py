@@ -811,30 +811,32 @@ def intersect(a: Ideal, b: Ideal, budget=None) -> Ideal:
     return _eliminate(Ideal(big, gens), (t,), ring, budget)
 
 
-def saturate(ideal: Ideal, other: Ideal, budget=None) -> Ideal:
-    """(ideal : other^infinity), with one elimination.
+def _saturand(other, budget):
+    """Generators, with the radical of `other`, to saturate by: its reduced
+    grevlex basis, or the squarefree generators of a monomial basis, which
+    keep the run cheap.  There are none for the unit or the zero ideal."""
+    gb = other.groebner(GREVLEX, budget)
+    if gb.is_unit():
+        return []
+    fs = list(gb.basis)
+    if all(len(g) == 1 for g in fs):
+        exps = [tuple(1 if v else 0 for v in g.lead_monomial()) for g in fs]
+        fs = [other.ring.monomial(e) for e in _minimal(exps)]
+    return fs
 
-    The saturand J is replaced by its reduced Groebner basis g_1..g_m; a
-    monomial basis is further replaced by its squarefree (radical)
-    generators, which leaves the saturation unchanged and keeps the run
-    cheap.  Then (ideal : J^infinity) = (ideal + <1 - sum_i w_i*g_i>) ∩ k[x]:
-    if h*J^k lies in the ideal, so does h*s^k for s = sum_i w_i*g_i, and
-    1 - s^k is a multiple of 1 - s; conversely w_i -> 1/g_i, w_j -> 0 sends
-    s to 1, so h*g_i^k lies in the ideal for every i (see _rabinowitsch).
-    """
+
+def saturate(ideal: Ideal, other: Ideal, budget=None) -> Ideal:
+    """(ideal : other^infinity), with one elimination (see _rabinowitsch).
+    A saturation depends only on the radical of the saturand, so it is
+    taken by the generators of _saturand."""
     budget = as_budget(budget)
     if ideal.ring != other.ring:
         raise RingMismatch("saturate across rings")
-    ring = ideal.ring
     if other.is_zero():
-        return Ideal(ring, [ring.one()])
-    gbJ = other.groebner(GREVLEX, budget)
-    if gbJ.is_unit():
+        return Ideal(ideal.ring, [ideal.ring.one()])
+    sat_gens = _saturand(other, budget)
+    if not sat_gens:
         return ideal.normalized(budget)
-    sat_gens = list(gbJ.basis)
-    if all(len(g) == 1 for g in sat_gens):
-        exps = [tuple(1 if v else 0 for v in g.lead_monomial()) for g in sat_gens]
-        sat_gens = [ring.monomial(e) for e in _minimal(exps)]
     return _rabinowitsch(ideal, sat_gens, budget)
 
 

@@ -717,15 +717,6 @@ class RationalFunction:
         return RationalFunction(n.derivative(var) * d - n * d.derivative(var),
                                 d * d)
 
-    def transfer(self, target):
-        return RationalFunction(self.num.transfer(target), self.den.transfer(target))
-
-    def substitute(self, bindings):
-        den = self.den.substitute(bindings)
-        if den.is_zero():
-            raise ZeroDenominator("denominator vanished under substitution")
-        return RationalFunction(self.num.substitute(bindings), den)
-
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
             return NotImplemented

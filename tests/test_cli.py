@@ -101,16 +101,25 @@ def test_missing_objective_is_schema_error(tmp_path, capsys, ellipse_job):
     assert rc == EXIT_SCHEMA
 
 
-def test_domain_error_exit_code(tmp_path, capsys):
+# a line at p >= 3 has no evolute: the envelope condition fixes x2 = u2 and
+# leaves u1 free, and the elimination used to end in a ValueError traceback
+@pytest.mark.parametrize("command, generator, p, message", [
+    ("projective-degree", "x1^2+4*x2^2-1", 2, "must be homogeneous"),
+    ("evolute", "x1-1", 3, "eliminated to the zero ideal"),
+], ids=["not-homogeneous", "evolute-of-a-line"])
+def test_domain_error_exit_code(tmp_path, capsys, command, generator, p,
+                                message):
     job = {
         "schema_version": 1,
         "ring": {"variables": ["x1", "x2"], "field": "rational"},
-        "variety": {"generators": ["x1^2+4*x2^2-1"]},
-        "options": {"p": 2},
+        "variety": {"generators": [generator]},
+        "options": {"p": p},
         "seed": 0,
     }
-    rc = run_cli(tmp_path, "projective-degree", job)  # not homogeneous
+    rc = run_cli(tmp_path, command, job)
+    err = capsys.readouterr().err
     assert rc == EXIT_DOMAIN
+    assert err.startswith("error:") and message in err
 
 
 @pytest.mark.parametrize("job_part", [

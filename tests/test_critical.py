@@ -18,8 +18,9 @@ from optdeg.critical import (DegreeReport, PNorm, RationalGradient,
                              critical_ideal_affine, data_ring, evolute_curve,
                              projective_critical_ideal,
                              projective_pnorm_degree, singular_locus_ideal)
-from optdeg.errors import DenominatorVanishesOnX
+from optdeg.errors import DenominatorVanishesOnX, ZeroDenominator
 from optdeg.groebner import DEFAULT_BUDGET, _Budget, _count_points
+from optdeg.matrices import PolyMatrix
 
 from conftest import (affine_plane_curve_twins, plane_curve_cones,
                       plane_curve_twins, variety)
@@ -88,6 +89,17 @@ def test_critical_ideal_ml_line(ring_x12):
     gb = pinned.groebner()
     assert normal_form(P("3*x1-1", ring_x12), gb).is_zero()
     assert normal_form(P("3*x2-2", ring_x12), gb).is_zero()
+
+
+def test_bound_data_zeroing_a_denominator_raises(ring_x12):
+    """u1 = 0 zeroes the denominator of the first partial; counting the
+    ideal anyway would report 0 critical points."""
+    circle = variety(ring_x12, "x1^2+x2^2-1")
+    big, _ = data_ring(ring_x12)
+    grad = RationalGradient((parse_rational_function("(u1-x1)/u1", big),
+                             parse_rational_function("u2-x2", big)))
+    with pytest.raises(ZeroDenominator):
+        critical_ideal_affine(circle, grad, u=(0, 5))
 
 
 def test_denominator_vanishes_on_variety(ring_x12):
@@ -350,20 +362,29 @@ def test_affine_degree_builds_the_data_independent_part_once(monkeypatch,
                                                              prime_field):
     """Three trials on the nodal cubic take five Groebner runs: the
     codimension, the singular locus and one saturating elimination per
-    trial."""
+    trial.  Minors are taken twice per job, not per trial: the Jacobian's
+    for the singular locus and the stacked ones, with u symbolic."""
     runs = []
-    original = groebner.groebner_basis
+    minors = []
+    original_gb = groebner.groebner_basis
+    original_minors = PolyMatrix.minors
 
-    def counted(*args, **kwargs):
+    def counted_gb(*args, **kwargs):
         runs.append(1)
-        return original(*args, **kwargs)
+        return original_gb(*args, **kwargs)
 
-    monkeypatch.setattr(groebner, "groebner_basis", counted)
+    def counted_minors(self, k):
+        minors.append(k)
+        return original_minors(self, k)
+
+    monkeypatch.setattr(groebner, "groebner_basis", counted_gb)
+    monkeypatch.setattr(PolyMatrix, "minors", counted_minors)
     nodal = variety(RingContext(("x1", "x2"), field=prime_field),
                     "x2^2-x1^2*(x1+1)")
     rep = algebraic_degree(nodal, PNorm(2), trials=3, seed=1)
     assert rep.degree == 5
     assert len(runs) == 5
+    assert sorted(minors) == [1, 2]
 
 
 @pytest.mark.parametrize("field", [PrimeField(), RationalField()])

@@ -38,6 +38,11 @@ JOBS = {
     "degree-pinned": ("degree", _job(XY, "rational", ["x1^2+4*x2^2-1"],
                                      objective={"pnorm": 3},
                                      options={"u": ["-6/10", "6/10"]})),
+    # the gradient denominators x1*x2 vanish at the node, so the count
+    # localizes at the singular locus <x1, x2> times x1*x2
+    "degree-rational-gradient": ("degree", _job(
+        XY, "rational", ["x2^2-x1^2*(x1+1)"],
+        objective={"rational_gradient": ["u1/x1", "u2/x2"]})),
     "projective-degree": ("projective-degree",
                           _job(XYZ, GF, [CONIC], seed=5, options={"p": 2})),
     "projective-degree-twisted-cubic": ("projective-degree",
@@ -67,6 +72,8 @@ HASHES = {
         "b02cac0e2e3815a1a70a9965aac4cbe0f1820c548950eb8b7a9b018db5c285dd",
     "degree-pinned":
         "c8d37afce62df58226385938f4071ca37dc4994b3b1be5687104299650e26036",
+    "degree-rational-gradient":
+        "2f6ca4c005ccdba760096890fc0d0eb75fce4e7a026891f2bbaf9f5dab10d90a",
     "projective-degree":
         "6eacd5eb9d3c8cbc4235aef7d4717c8e5c60ade0bab6be03c7d3015653a9c24d",
     "projective-degree-twisted-cubic":

@@ -11,7 +11,7 @@ l(y) = 1 for y != 0.
 import random
 
 from optdeg import GREVLEX, Ideal, eliminate, saturate
-from optdeg.critical import (_conormal_generators, _projective_isotropic,
+from optdeg.critical import (_projective_isotropic, _stacked_generators,
                              singular_locus_ideal)
 from optdeg.groebner import _count_points
 from optdeg.matrices import PolyMatrix
@@ -29,7 +29,8 @@ def y_system(X, p):
     ynames = tuple(f"y{i + 1}" for i in range(n))
     unames = tuple(f"u{i + 1}" for i in range(n))
     big = ring.extend(ynames + unames)
-    gens = _conormal_generators(X, p - 1, big, ynames, None)
+    gens = _stacked_generators(X, [big.var(yn) ** (p - 1) for yn in ynames],
+                               big, None)
     collinear = []
     if n >= 3:
         rows = [[big.var(yn) for yn in ynames],
