@@ -5,10 +5,10 @@ s-th power is normal to the tangent space.  For s = 1 its multidegree in the
 product of projective spaces holds the classical polar classes
 (Draisma-Horobet-Ottaviani-Sturmfels-Thomas, FoCM 2016) that feed the
 weighted degree formula.  A multidegree equals that of the initial ideal
-under any term order, and for a monomial ideal it is a sum over the minimum
-hitting sets of the lead supports (Miller-Sturmfels, Combinatorial
-Commutative Algebra, ch. 8), so it is read exactly off one grevlex basis
-(see groebner._multidegree); nothing is drawn.
+under any term order, and for a monomial ideal it is the lowest-degree part
+of its K-polynomial (Miller-Sturmfels, Combinatorial Commutative Algebra,
+ch. 8), so it is read exactly off the Hilbert numerator of one grevlex
+basis, bigraded by x and y (see groebner._multidegree); nothing is drawn.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from .critical import (VarietySpec, _singular_beyond_vertex,
                        _stacked_generators, isotropic_polynomial,
                        singular_locus_ideal)
 from .formulas import polar_formula
-from .groebner import (GREVLEX, Ideal, _multidegree, as_budget, dimension,
-                       saturate)
+from .groebner import GREVLEX, Ideal, _multidegree, as_budget, saturate
 from .matrices import PolyMatrix
 
 
@@ -138,8 +137,9 @@ def bidegree_class(ideal: Ideal, x_names, y_names, budget=None) -> BidegreeClass
         if len(xdegs) > 1 or len(ydegs) > 1:
             raise NotHomogeneous("ideal is not bihomogeneous in the given "
                                  "variable split")
-    codim = 2 * n - dimension(ideal, budget)
     degrees = _multidegree(ideal, (x_names, y_names), budget)
+    # each key's total is the codimension; <1>, of dimension -1, has none
+    codim = sum(next(iter(degrees))) if degrees else 2 * n + 1
     return BidegreeClass(n, tuple(
         ((a, codim - a), degrees.get((a, codim - a), 0))
         for a in range(max(0, codim - (n - 1)), min(n - 1, codim) + 1)))

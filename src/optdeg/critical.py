@@ -121,9 +121,9 @@ class EvolutePolynomial:
     warnings: list = dc_field(default_factory=list)
 
 
-def data_ring(ring, prefix="u"):
+def data_ring(ring):
     """Extend an x-ring by one data variable per coordinate (u1, u2, ...)."""
-    names = tuple(f"{prefix}{i + 1}" for i in range(ring.nvars))
+    names = tuple(f"u{i + 1}" for i in range(ring.nvars))
     return ring.extend(names), names
 
 

@@ -5,22 +5,25 @@ pair selection, plus the derived operations everything else is built on:
 normal forms; elimination, saturation, radical membership and intersection,
 which are all block-order eliminations through one routine (a saturation by
 <g_1..g_m> is one Rabinowitsch run that adjoins a w_i per g_i and eliminates
-them from ideal + <1 - sum_i w_i*g_i>); and Krull dimensions, degrees and
-multidegrees, all read off the one cached grevlex basis.  A multidegree is
-that of the initial ideal under any term order, and for a monomial ideal it
-sums the multiplicities of its top-dimensional components, the primes <x_S>
-of the minimum hitting sets S of the lead supports (Miller-Sturmfels,
-Combinatorial Commutative Algebra, ch. 8).  Affine-linear sections are
-substituted for their pivot variables rather than adjoined as generators
-(_cut_linear).
+them from ideal + <1 - sum_i w_i*g_i>); and Krull dimensions, point counts,
+degrees and multidegrees, all read off the one cached grevlex basis.
+Affine-linear sections are substituted for their pivot variables rather
+than adjoined as generators (_cut_linear).
+
+One routine reads the lead monomials: the Hilbert numerator N, by pivot
+recursion (_hilbert_numerator), graded by degree or by groups of
+variables.  A multidegree is that of the initial ideal under any term
+order, and for a monomial ideal it is the lowest-degree part of its
+K-polynomial N(1 - s) (Miller-Sturmfels, Combinatorial Commutative Algebra,
+ch. 8); its degree is the codimension, so dimensions, zero-dimensional
+point counts and affine degrees are one-group multidegrees (_multidegree).
 
 A lex or block basis of an ideal that already caches its grevlex basis is
 converted from it rather than computed from the generators: the grevlex
 basis is homogenized, its Hilbert function is known from its leads, and
 the one driver drops every S-pair that function proves to reduce to zero
 (Traverso's Hilbert-driven Buchberger algorithm, JSC 1996; see
-_convert_grevlex).  The Hilbert numerators come from pivot recursion on
-the lead monomials (_hilbert_numerator).
+_convert_grevlex).
 
 Over GF(q) the kernel runs on monic polynomials whose coefficients are plain
 ints reduced mod q inline, with no field-method calls.  Over QQ it is
@@ -34,12 +37,13 @@ steps; the monic rational basis is built only on exit.
 from __future__ import annotations
 
 import heapq
-from math import comb, gcd, lcm
-from operator import le
+from itertools import groupby, product
+from math import comb, gcd, lcm, prod
+from operator import le, mul
 
 from .errors import (BudgetExceeded, NotZeroDimensional, RingMismatch,
                      SizeOutOfRange)
-from .rings import GREVLEX, OrderSpec, Polynomial, exp_divides
+from .rings import GREVLEX, OrderSpec, Polynomial
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -361,15 +365,24 @@ def _pair_sugar(pair, L, lmG, sugars, degree):
                sugars[j] + degL - degree(lmG[j]))
 
 
-def _hilbert_numerator(monomials):
-    """The numerator N of the Hilbert series N(t)/(1-t)^m of k[x]/M, for the
-    monomial ideal M generated by the exponent tuples, as a coefficient list
-    of t^0, t^1, ...; it does not depend on m.  Computed by pivot recursion
-    (Bigatti, JPAA 1997): N(M) = N(M + <x_i^e>) + t^e * N(M : x_i^e), for
-    the variable x_i in most minimal generators and e the median of its
-    positive exponents among those that are not pure powers, down to
-    pairwise coprime generators, where N is the product of the 1 - t^deg."""
-    return _numerator(_minimal(monomials))
+def _hilbert_numerator(monomials, weights=None):
+    """The numerator N of the Hilbert series of k[x]/M, for the monomial
+    ideal M generated by the exponent tuples, as {degree: coefficient} with
+    no zero coefficient; it does not depend on the number of variables.
+    x^a has degree sum_i a_i*weights[i], or |a| by default, where the
+    series is N(t)/(1-t)^m.  Weights holding one bit field per group of
+    variables make the degrees packed multidegrees (see _multidegree).
+    Computed by pivot recursion (Bigatti, JPAA 1997):
+    N(M) = N(M + <x_i^e>) + t^deg(x_i^e) * N(M : x_i^e), for the variable
+    x_i in most minimal generators and e the median of its positive
+    exponents among those that are not pure powers, down to pairwise
+    coprime generators, where N is the product of the 1 - t^deg."""
+    if weights is None:
+        degree = sum
+    else:
+        def degree(a):
+            return sum(map(mul, a, weights))
+    return _numerator(_minimal(monomials), degree)
 
 
 def _minimal(monomials):
@@ -382,15 +395,24 @@ def _minimal(monomials):
     return gens
 
 
-def _numerator(gens):
+def _shift_add(out, poly, shift, sign):
+    """out += sign * t^shift * poly, in place, dropping zero terms."""
+    for k, c in poly.items():
+        k += shift
+        v = out.get(k, 0) + sign * c
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+
+
+def _numerator(gens, degree):
     """_hilbert_numerator of minimal generators."""
     used = [i for a in gens for i, v in enumerate(a) if v]
     if len(used) == len(set(used)):
-        out = [1]
+        out = {0: 1}
         for a in gens:
-            d = sum(a)
-            shifted = [0] * d + out
-            out = [c - s for c, s in zip(out + [0] * d, shifted)]
+            _shift_add(out, dict(out), degree(a), -1)
         return out
     counts = {}
     for i in used:
@@ -401,21 +423,19 @@ def _numerator(gens):
     pivot = tuple(e if k == i else 0 for k in range(len(gens[0])))
     # x_i^e lies outside M (a pure power of x_i in M exceeds every e drawn),
     # so adding it keeps the generators it does not divide minimal
-    added = _numerator([a for a in gens if a[i] < e] + [pivot])
+    out = _numerator([a for a in gens if a[i] < e] + [pivot], degree)
     quotient = _numerator(_minimal(
-        [a[:i] + (max(a[i] - e, 0),) + a[i + 1:] for a in gens]))
-    out = added + [0] * (len(quotient) + e - len(added))
-    for k, c in enumerate(quotient):
-        out[k + e] += c
+        [a[:i] + (max(a[i] - e, 0),) + a[i + 1:] for a in gens]), degree)
+    _shift_add(out, quotient, degree(pivot), 1)
     return out
 
 
 def _hilbert_value(numerator, m, d):
-    """Coefficient of t^d in numerator(t)/(1-t)^m: the Hilbert function in
-    degree d of the quotient of m variables by the numerator's monomial
-    ideal."""
+    """Coefficient of t^d in numerator(t)/(1-t)^m, for a standard-graded
+    numerator: the Hilbert function in degree d of the quotient of m
+    variables by the numerator's monomial ideal."""
     return sum(c * comb(d - k + m - 1, m - 1)
-               for k, c in enumerate(numerator[:d + 1]))
+               for k, c in numerator.items() if k <= d)
 
 
 def _buchberger(seed_terms, ring, budget, hilbert=None):
@@ -658,6 +678,7 @@ def _remainders(polys, basis, ring, budget):
         if integral and terms:
             terms, den = _clear_denominators(terms)
         red, _, scale = _reduce_full(terms, leads, lcs, tails, packer, budget)
+        packer.check_fits(red)
         if integral:
             red = {e: fld.fraction(c, den * scale) for e, c in red.items()}
         out.append(Polynomial(ring, _unpack_terms(red, packer)))
@@ -854,97 +875,70 @@ def vanishes_on_variety(f, ideal: Ideal, budget=None) -> bool:
 # dimension and degree
 # --------------------------------------------------------------------------
 
-def _min_hitting_sets(supports):
-    """Every minimum-size set of indices that meets each support (a set of
-    variable indices), as frozensets; [frozenset()] for no support.  The
-    i-th branch on a smallest unmet support takes its i-th index and
-    excludes the earlier ones, so each set is reached once."""
-    found = []
-    best = len(set().union(*supports))
+def _multidegree(ideal, groups, budget):
+    """The multidegree for the grading by `groups` (tuples of variable
+    names partitioning the ring's): {(r_1..r_k): coefficient of
+    s_1^r_1..s_k^r_k}, all with total degree the codimension; {} for <1>.
 
-    def rec(remaining, chosen):
-        nonlocal best
-        if not remaining:
-            if len(chosen) < best:
-                best = len(chosen)
-                found.clear()
-            found.append(frozenset(chosen))
-            return
-        if len(chosen) >= best:
-            return
-        pivot = sorted(min(remaining, key=len))
-        for i, v in enumerate(pivot):
-            rest = [s.difference(pivot[:i]) for s in remaining if v not in s]
-            if all(rest):
-                rec(rest, chosen + [v])
+    It is that of the grevlex lead ideal, the lowest-degree part of the
+    K-polynomial N(1 - s) for N the Hilbert numerator of the leads graded
+    by the groups (Miller-Sturmfels, Combinatorial Commutative Algebra,
+    ch. 8): the coefficient of s^r is (-1)^|r| sum_e c_e prod_j C(e_j, r_j)
+    over the terms c_e t^e of N.  Each r_j is at most the size of group j.
+    The grading packs e_j into bits width*j and up: every e_j is at most
+    the degree in group j of the lcm of the leads, below 2^width.
+    """
+    gb = ideal.groebner(GREVLEX, as_budget(budget))
+    leads = gb.lead_exponents()
+    width = sum(map(max, zip(*leads))).bit_length()
+    weights = [0] * ideal.ring.nvars
+    for j, group in enumerate(groups):
+        for v in group:
+            weights[ideal.ring.index(v)] = 1 << (width * j)
+    mask = (1 << width) - 1
+    terms = [(tuple((k >> (width * j)) & mask for j in range(len(groups))), c)
+             for k, c in _hilbert_numerator(leads, weights).items()]
+    levels = sorted(product(*(range(len(g) + 1) for g in groups)), key=sum)
+    for total, level in groupby(levels, key=sum):
+        out = {}
+        for r in level:
+            v = sum(c * prod(map(comb, e, r)) for e, c in terms)
+            if v:
+                out[r] = -v if total % 2 else v
+        if out:
+            return out
+    return {}
 
-    rec([frozenset(s) for s in supports], [])
-    return found
 
-
-def _lead_supports(gb):
-    return {frozenset(i for i, v in enumerate(e) if v)
-            for e in gb.lead_exponents()}
+def _codim_degree(ideal, budget):
+    """(codimension, degree) of the zero set, read off the one-group
+    multidegree; None for the unit ideal."""
+    degrees = _multidegree(ideal, [ideal.ring.variables], budget)
+    return next(((r, c) for (r,), c in degrees.items()), None)
 
 
 def dimension(ideal: Ideal, budget=None) -> int:
-    """Krull dimension of the affine zero set; -1 for the unit ideal.
-
-    Computed as the maximum size of a variable subset S such that no leading
-    monomial of the grevlex basis is supported inside S.
-    """
-    budget = as_budget(budget)
-    gb = ideal.groebner(GREVLEX, budget)
-    if gb.is_unit():
-        return -1
-    return ideal.ring.nvars - len(_min_hitting_sets(_lead_supports(gb))[0])
-
-
-_COUNT_GUARD = 2_000_000
+    """Krull dimension of the affine zero set; -1 for the unit ideal: the
+    number of variables less the codimension, the total degree of the
+    one-group multidegree (see _multidegree)."""
+    top = _codim_degree(ideal, budget)
+    return -1 if top is None else ideal.ring.nvars - top[0]
 
 
 def degree_zero_dim(ideal: Ideal, budget=None) -> int:
-    """Number of standard monomials of a zero-dimensional ideal.
-
-    Counts points with multiplicity (the vector-space dimension of the
-    quotient ring).
-    """
-    budget = as_budget(budget)
-    gb = ideal.groebner(GREVLEX, budget)
-    if gb.is_unit():
+    """Number of points of a zero-dimensional ideal, counted with
+    multiplicity (the vector-space dimension of the quotient ring): the
+    one-group multidegree when the codimension is the number of variables.
+    NotZeroDimensional for the unit ideal and for a positive-dimensional
+    zero set."""
+    top = _codim_degree(ideal, budget)
+    if top is None:
         raise NotZeroDimensional("empty variety has no zero-dimensional degree")
-    leads = gb.lead_exponents()
-    n = ideal.ring.nvars
-    # zero-dimensional iff some pure power of every variable leads the basis
-    for i in range(n):
-        if not any(le[i] and all(v == 0 for j, v in enumerate(le) if j != i)
-                   for le in leads):
-            raise NotZeroDimensional(
-                f"no pure power of {ideal.ring.variables[i]!r} in the lead ideal")
-    return _standard_monomials(leads, n)
-
-
-def _standard_monomials(leads, n):
-    """Number of exponent vectors in n variables divisible by none of the
-    leads, by a walk up from 1; NotZeroDimensional past _COUNT_GUARD."""
-    zero = (0,) * n
-    seen = {zero}
-    stack = [zero]
-    count = 0
-    while stack:
-        m = stack.pop()
-        if any(exp_divides(le, m) for le in leads):
-            continue
-        count += 1
-        if count > _COUNT_GUARD:
-            raise NotZeroDimensional("standard-monomial count diverges; "
-                                     "ideal is not zero-dimensional")
-        for i in range(n):
-            nm = m[:i] + (m[i] + 1,) + m[i + 1:]
-            if nm not in seen:
-                seen.add(nm)
-                stack.append(nm)
-    return count
+    codim, degree = top
+    if codim != ideal.ring.nvars:
+        raise NotZeroDimensional(
+            f"the zero set has dimension {ideal.ring.nvars - codim}")
+    return degree
 
 
 def _count_points(ideal, budget):
@@ -952,30 +946,10 @@ def _count_points(ideal, budget):
     ideal, None when the zero set has positive dimension."""
     if ideal.groebner(GREVLEX, budget).is_unit():
         return 0
-    if dimension(ideal, budget) != 0:
+    try:
+        return degree_zero_dim(ideal, budget)
+    except NotZeroDimensional:
         return None
-    return degree_zero_dim(ideal, budget)
-
-
-def _multidegree(ideal, groups, budget):
-    """The multidegree for the grading by `groups` (tuples of variable
-    names): {(|S ∩ group| for each group): multiplicity}, summed over the
-    minimum hitting sets S of the grevlex lead supports; {} for <1>.  The
-    multiplicity at S, the length of the lead ideal localized at <x_S>, is
-    the number of standard monomials of the lead exponents projected on S.
-    """
-    gb = ideal.groebner(GREVLEX, as_budget(budget))
-    if gb.is_unit():
-        return {}
-    leads = gb.lead_exponents()
-    members = [frozenset(ideal.ring.index(v) for v in g) for g in groups]
-    out = {}
-    for hit in _min_hitting_sets(_lead_supports(gb)):
-        idx = sorted(hit)
-        projected = {tuple(le[i] for i in idx) for le in leads}
-        key = tuple(len(hit & m) for m in members)
-        out[key] = out.get(key, 0) + _standard_monomials(projected, len(idx))
-    return out
 
 
 def affine_degree(ideal: Ideal, budget=None) -> int:
@@ -985,8 +959,7 @@ def affine_degree(ideal: Ideal, budget=None) -> int:
     the affine Hilbert function of an ideal is that of its initial ideal
     (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 9 §3).
     """
-    degrees = _multidegree(ideal, [ideal.ring.variables], budget)
-    if not degrees:
+    top = _codim_degree(ideal, budget)
+    if top is None:
         raise NotZeroDimensional("degree of the empty variety is undefined")
-    (degree,) = degrees.values()
-    return degree
+    return top[1]

@@ -153,7 +153,7 @@ class RingContext:
             return self
         return RingContext(self.variables, self.field, order)
 
-    def extend(self, new_names, order=None):
+    def extend(self, new_names):
         """Ring with extra variables appended after the current ones."""
         for name in new_names:
             if name in self._pos:
@@ -161,16 +161,16 @@ class RingContext:
                     f"auxiliary name {name!r} collides with a ring variable; "
                     "rename the ring variables")
         return RingContext(self.variables + tuple(new_names), self.field,
-                           order if order is not None else self.order)
+                           self.order)
 
-    def restrict(self, keep_names, order=None):
-        """Subring on `keep_names` (kept in this ring's variable order)."""
+    def restrict(self, keep_names):
+        """Grevlex subring on `keep_names` (kept in this ring's variable
+        order)."""
         keep = set(keep_names)
         names = tuple(v for v in self.variables if v in keep)
         if len(names) != len(keep):
             raise ValueError("restrict: unknown variable names")
-        return RingContext(names, self.field,
-                           order if order is not None else GREVLEX)
+        return RingContext(names, self.field, GREVLEX)
 
     def fresh_name(self, stem):
         if stem not in self._pos:
@@ -331,10 +331,6 @@ def random_linear_form(ring, names, rng):
         if c:
             form = form + ring.var(name).scale(c)
     return form
-
-
-def exp_divides(b, a):
-    return all(y <= x for x, y in zip(a, b))
 
 
 class Polynomial:

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from operator import le
 
 import pytest
 import sympy
@@ -15,10 +16,14 @@ from optdeg import (GREVLEX, LEX, BudgetExceeded, Ideal, NotZeroDimensional,
 from optdeg import groebner
 from optdeg.groebner import (DEFAULT_BUDGET, _Budget, _count_points,
                              _cut_linear, _hilbert_numerator, _hilbert_value,
-                             _min_hitting_sets)
-from optdeg.rings import exp_divides
+                             _multidegree)
 
 from slicing import sections_degree
+
+
+def _divides(a, b):
+    """Whether the exponent tuple a divides b."""
+    return all(map(le, a, b))
 
 
 def P(text, ring):
@@ -103,6 +108,14 @@ def test_normal_form_membership(rxy):
 def test_normal_form_no_reduction(rxy):
     gb = groebner_basis(I(rxy, "y"))
     assert normal_form(P("x", rxy), gb) == P("x", rxy)
+
+
+def test_normal_form_rejects_an_overflowing_remainder():
+    # x^2 reduces to y^40000 modulo x - y^20000, past the 15-bit field
+    ring = RingContext(("x", "y"), order=LEX)
+    gb = groebner_basis(I(ring, "x-y^20000"))
+    with pytest.raises(SizeOutOfRange):
+        normal_form(P("x^2", ring), gb)
 
 
 def test_normal_form_cofactor_certificates(rxy):
@@ -261,6 +274,14 @@ def test_degree_zero_dim_rejects_exponent_overflow():
         degree_zero_dim(Ideal(ring, [x ** 33000 - 1, y - 1]))
 
 
+def test_point_counts_are_read_off_the_numerator():
+    """(1 - t^1500)^2 is the Hilbert numerator: 1500^2 points, no walk."""
+    ring = RingContext(("x", "y"), field=PrimeField())
+    ideal = I(ring, "x^1500", "y^1500")
+    assert degree_zero_dim(ideal) == 2_250_000
+    assert _count_points(ideal, None) == 2_250_000
+
+
 def test_buchberger_rejects_overflowing_basis_element():
     # every input packs, but reducing x^2 by x - y^20000 yields y^40000
     ring = RingContext(("x", "y"), order=LEX)
@@ -326,22 +347,44 @@ def test_affine_degree_reuses_the_cached_basis():
     assert budget.remaining == 100
 
 
-# --- minimum hitting sets --------------------------------------------------------------
+# --- multidegrees ----------------------------------------------------------------------
+
+def _standard_count(gens):
+    """Monomials no generator divides, for generators with a pure power of
+    every variable: a walk over the box below those powers."""
+    bounds = [min(g[i] for g in gens if sum(g) == g[i] > 0)
+              for i in range(len(gens[0]))] if gens else []
+    return sum(1 for m in itertools.product(*map(range, bounds))
+               if not any(_divides(g, m) for g in gens))
+
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
-    st.just(n), st.lists(st.frozensets(st.integers(0, n - 1), min_size=1),
-                         max_size=6))))
-def test_min_hitting_sets_match_brute_force(drawn):
-    n, supports = drawn
-    hitting = [frozenset(c) for k in range(n + 1)
-               for c in itertools.combinations(range(n), k)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=6),
+    st.integers(0, n))))
+def test_multidegree_sums_the_minimum_hitting_sets(drawn):
+    """The multidegree of a monomial ideal sums its top-dimensional
+    components <x_S>, S a minimum hitting set of the generator supports,
+    each weighted by the standard monomials of the generators projected on
+    S; with one group, and with the first k variables split from the rest."""
+    n, gens, k = drawn
+    names = tuple(f"x{i}" for i in range(n))
+    ring = RingContext(names)
+    ideal = Ideal(ring, [ring.monomial(g) for g in gens])
+    supports = [{i for i, v in enumerate(g) if v} for g in gens]
+    hitting = [set(c) for size in range(n + 1)
+               for c in itertools.combinations(range(n), size)
                if all(s & set(c) for s in supports)]
-    least = min(len(h) for h in hitting)
-    want = {h for h in hitting if len(h) == least}
-    got = _min_hitting_sets(supports)
-    assert len(got) == len(want)
-    assert set(got) == want
+    least = min(map(len, hitting), default=None)
+    for groups in ([names], [names[:k], names[k:]]):
+        want = {}
+        for hit in hitting:
+            if len(hit) != least:
+                continue
+            key = tuple(sum(1 for i in hit if names[i] in g) for g in groups)
+            projected = [tuple(g[i] for i in sorted(hit)) for g in gens]
+            want[key] = want.get(key, 0) + _standard_count(projected)
+        assert _multidegree(ideal, groups, None) == want
 
 
 # --- linear cuts ----------------------------------------------------------------------
@@ -667,7 +710,7 @@ def test_hilbert_numerator_counts_standard_monomials(ideal):
     numerator = _hilbert_numerator(gens)
     for d in range(9):
         standard = sum(1 for m in _monomials(n, d)
-                       if not any(exp_divides(g, m) for g in gens))
+                       if not any(_divides(g, m) for g in gens))
         assert _hilbert_value(numerator, n, d) == standard
 
 
