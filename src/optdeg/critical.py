@@ -16,7 +16,8 @@ import warnings as _warnings
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (ContainedInIsotropic, DenominatorVanishesOnX,
-                     EvoluteDegenerate, NotHomogeneous, NotPrincipalWarning,
+                     EvoluteDegenerate, EvoluteLinesDegenerate,
+                     NotHomogeneous, NotPrincipalWarning,
                      PositiveDimensionalFiber, RingMismatch, ZeroDenominator)
 from .fields import PrimeField
 from .groebner import (GREVLEX, Ideal, _count_points, _cut_linear, _eliminate,
@@ -488,7 +489,9 @@ def evolute_curve(X: VarietySpec, p, seed=0, budget=None) -> EvolutePolynomial:
 
     The locus where the data point coincides with the curve point solves the
     envelope system trivially for p >= 3 and is saturated away so that the
-    reduced degree measures the envelope alone.
+    reduced degree measures the envelope alone.  That degree is the
+    squarefree degree of the evolute restricted to a drawn line on which it
+    keeps its total degree; EvoluteLinesDegenerate if none of four does.
     """
     budget = as_budget(budget)
     if X.n != 2:
@@ -521,23 +524,24 @@ def evolute_curve(X: VarietySpec, p, seed=0, budget=None) -> EvolutePolynomial:
     poly = gens[0]
 
     rng = random.Random(f"evolute|{seed}")
+    lifted = result.ring.extend(["t"])
+    t = lifted.var("t")
     tring = RingContext(("t",), field=ring.field)
-    t = tring.var("t")
+    poly_t = poly.transfer(lifted)
     target = poly.total_degree()
     for _ in range(4):
         a1, a2 = rng.randint(-60, 60), rng.randint(-60, 60)
         b1, b2 = rng.randint(1, 60), rng.randint(1, 60)
-        line = {result.ring.variables[0]: tring.const(a1) + t.scale(b1),
-                result.ring.variables[1]: tring.const(a2) + t.scale(b2)}
-        restricted = tring.zero()
-        for exp, cval in poly.terms.items():
-            piece = tring.const(cval)
-            for uvar, e in zip(result.ring.variables, exp):
-                if e:
-                    piece = piece * line[uvar] ** e
-            restricted = restricted + piece
+        # the forms hold t alone, so substituting them one at a time is the
+        # same and multiplies no two polynomials
+        restricted = poly_t.substitute(
+            {u1: lifted.const(a1) + t.scale(b1)}).substitute(
+            {u2: lifted.const(a2) + t.scale(b2)}).transfer(tring)
         if restricted.total_degree() == target:
             break
+    else:
+        raise EvoluteLinesDegenerate(
+            "every drawn line lowered the degree of the restricted evolute")
     reduced = _univariate_squarefree_degree(restricted, budget)
     return EvolutePolynomial(poly=poly, reduced_degree=reduced,
                              generators=gens, warnings=warn)

@@ -81,6 +81,11 @@ class EvoluteDegenerate(OptdegError, ValueError):
     """The evolute system eliminated to the zero ideal (a line at p >= 3)."""
 
 
+class EvoluteLinesDegenerate(OptdegError):
+    """Every drawn line lowered the degree of the evolute restricted to it,
+    so its squarefree degree would not be the evolute's."""
+
+
 class NotPrincipalWarning(UserWarning):
     """Elimination ideal expected to be principal has several generators."""
 

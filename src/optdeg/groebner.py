@@ -161,8 +161,7 @@ class GroebnerBasis:
 # --------------------------------------------------------------------------
 #
 # A basis element is kept as its packed lead monomial, lead coefficient lc
-# and packed tail term dict; the driver also keeps its unpacked lead exponents
-# for the Gebauer-Moeller lcms.  Over GF(q) it is monic (lc = 1) with int
+# and packed tail term dict.  Over GF(q) it is monic (lc = 1) with int
 # coefficients in [0, q), and the kernel computes mod q = field.q itself.
 # Over QQ it is a primitive integer polynomial with lc > 0, a nonzero
 # multiple of the monic rational element, so supports, divisor choices, sugar
@@ -324,19 +323,20 @@ def _spoly_terms(i, j, L, leads, lcs, tails, packer):
     return terms
 
 
-def _gm_update(P, leads, exps, t, packer):
+def _gm_update(P, leads, t, packer):
     """Gebauer-Moeller pair update when basis element t is appended.
 
-    P maps pairs (i, j) to their cached (sugar, lcm) selection data; exps
-    holds the unpacked lead exponents next to the packed leads, so each
-    lcm(lead_i, lead_t) is packed once and coprimality is read off the
-    tuples.
+    P maps pairs (i, j) to their cached (sugar, lcm) selection data.  Each
+    lcm(lead_i, lead_t) is taken once on the packed leads (packer.lcm), and
+    lead_i is coprime to lead_t iff that lcm is their product, packed
+    lead_i + lead_t - one: each unit of each exponent adds a positive
+    constant to a packed value, so the two differ unless the gcd is 1.
     """
     lmf = leads[t]
-    et = exps[t]
     divides = packer.divides
-    pack = packer.pack
-    lcms = [pack(tuple(map(max, exps[i], et))) for i in range(t)]
+    lcm = packer.lcm
+    one = packer.one
+    lcms = [lcm(leads[i], lmf) for i in range(t)]
     kept = {}
     for pair, data in P.items():
         lij = data[1]
@@ -353,7 +353,8 @@ def _gm_update(P, leads, exps, t, packer):
             minimal.append(L)
     for L in minimal:
         members = classes[L]
-        if all(any(map(min, exps[i], et)) for i in members):
+        coprime = L - lmf + one
+        if all(leads[i] != coprime for i in members):
             kept[(min(members), t)] = (None, L)
     return kept
 
@@ -383,6 +384,19 @@ def _hilbert_numerator(monomials, weights=None):
         def degree(a):
             return sum(map(mul, a, weights))
     return _numerator(_minimal(monomials), degree)
+
+
+def _numerator_plus(numerator, gens, a):
+    """(numerator, gens) for M + <a>, from those of the monomial ideal M:
+    its _hilbert_numerator and its minimal generators, exponent tuples.
+    N(M + <a>) = N(M) - t^|a| * N(M : a) (Bigatti, JPAA 1997), where M : a
+    is generated by the g/gcd(g, a); nothing changes for a in M."""
+    if any(all(map(le, g, a)) for g in gens):
+        return numerator, gens
+    colon = [tuple(x - y if x > y else 0 for x, y in zip(g, a)) for g in gens]
+    out = dict(numerator)
+    _shift_add(out, _hilbert_numerator(colon), sum(a), -1)
+    return out, [g for g in gens if not all(map(le, a, g))] + [a]
 
 
 def _minimal(monomials):
@@ -458,6 +472,8 @@ def _buchberger(seed_terms, ring, budget, hilbert=None):
     the initial ideal, so once none is missing they span it in degree d,
     and the remainder of a degree-d pair, homogeneous of degree d with no
     lead among them, is zero: the remaining degree-d pairs are dropped.
+    The leads' numerator is kept from degree to degree: each lead inserted
+    since the last degree is unpacked once and folded in (_numerator_plus).
     """
     packer = ring.packer()
     fld = ring.field
@@ -465,7 +481,8 @@ def _buchberger(seed_terms, ring, budget, hilbert=None):
     degree = packer.degree
     unpack = packer.unpack
     nvars = ring.nvars
-    leads, exps, lcs, tails, sugars = [], [], [], [], []
+    leads, lcs, tails, sugars = [], [], [], []
+    numerator, gens, folded = {0: 1}, [], 0
     P = {}
     current, missing = None, 0
 
@@ -477,7 +494,6 @@ def _buchberger(seed_terms, ring, budget, hilbert=None):
         packer.check_fits(red)
         lead, lc, tail = _split(red, fld)
         leads.append(lead)
-        exps.append(unpack(lead))
         lcs.append(lc)
         tails.append(tail)
         deg_red = max(degree(e) for e in red)
@@ -490,7 +506,7 @@ def _buchberger(seed_terms, ring, budget, hilbert=None):
         if integral:
             terms = _clear_denominators(terms)[0]
         if insert(terms, max(degree(e) for e in terms)):
-            P = _gm_update(P, leads, exps, len(leads) - 1, packer)
+            P = _gm_update(P, leads, len(leads) - 1, packer)
     while P:
         best = None
         best_key = None
@@ -505,8 +521,12 @@ def _buchberger(seed_terms, ring, budget, hilbert=None):
         if hilbert is not None:
             if sugar != current:
                 current = sugar
-                have = _hilbert_value(_hilbert_numerator(exps), nvars, sugar)
-                missing = have - _hilbert_value(hilbert, nvars, sugar)
+                for lead in leads[folded:]:
+                    numerator, gens = _numerator_plus(numerator, gens,
+                                                      unpack(lead))
+                folded = len(leads)
+                missing = (_hilbert_value(numerator, nvars, sugar)
+                           - _hilbert_value(hilbert, nvars, sugar))
             if not missing:
                 P = {pair: data for pair, data in P.items()
                      if data[0] != sugar}
@@ -515,7 +535,7 @@ def _buchberger(seed_terms, ring, budget, hilbert=None):
         s = _spoly_terms(i, j, L, leads, lcs, tails, packer)
         if insert(s, sugar):
             missing -= 1
-            P = _gm_update(P, leads, exps, len(leads) - 1, packer)
+            P = _gm_update(P, leads, len(leads) - 1, packer)
     return leads, lcs, tails
 
 
@@ -567,12 +587,33 @@ def _unpack_terms(terms, packer):
     return {unpack(e): c for e, c in terms.items()}
 
 
+def _dehomogenizer(packer):
+    """The map from packed monomials of `packer`'s ring, a lex or block
+    order with h its last variable, to packed monomials of that ring
+    without h, setting h = 1 on the packed values.  Under lex h is the
+    lowest field, so the map is a shift.  Under a block order h is the last
+    back-block field, just below the back-degree field: its field is cut
+    out and its exponent, VMASK less the field, taken off that degree."""
+    width, vmask = packer.WIDTH, packer.VMASK
+    h = packer.ring.nvars - 1
+    kind, shift = next((kind, s) for kind, i, s in packer._layout if i == h)
+    if kind == "plain":
+        return lambda e: e >> width
+    low = (1 << shift) - 1
+    up = shift + width
+
+    def drop(e):
+        return (e & low) | (((e >> up) - vmask + ((e >> shift) & vmask))
+                            << shift)
+    return drop
+
+
 def _convert_grevlex(gb, work_ring, budget):
     """A Groebner basis for the order of `work_ring` (lex or block) of the
     ideal whose reduced grevlex basis is `gb`, as kernel lists for
     _autoreduce: the homogenized basis, run under that order with the
     Hilbert numerator of the grevlex leads as the driver's target, then
-    dehomogenized.
+    dehomogenized on the packed values (_dehomogenizer).
 
     This is exact, in three steps.  (1) The homogenized grevlex basis of I
     is a grevlex basis of I^h, h last (Cox-Little-O'Shea, Ideals,
@@ -600,13 +641,9 @@ def _convert_grevlex(gb, work_ring, budget):
                                  for e, c in g.terms.items()}, packer))
     leads, lcs, tails = _buchberger(seed, ring, budget,
                                     _hilbert_numerator(gb.lead_exponents()))
-    unpack, pack = packer.unpack, work_ring.packer().pack
-
-    def dehomogenize(e):
-        return pack(unpack(e)[:-1])
-
-    return ([dehomogenize(e) for e in leads], lcs,
-            [{dehomogenize(e): c for e, c in t.items()} for t in tails])
+    drop = _dehomogenizer(packer)
+    return ([drop(e) for e in leads], lcs,
+            [{drop(e): c for e, c in t.items()} for t in tails])
 
 
 def groebner_basis(ideal, order=None, budget=None) -> GroebnerBasis:

@@ -200,13 +200,15 @@ class MonomialPacker:
     The layout is chosen per monomial order so that integer comparison of
     packed values agrees with the order, packed(a) + packed(b) - packed(c) is
     the packed a*b/c when c divides b (so a shift by a difference of packed
-    values multiplies by a monomial), and a masked subtraction tests
-    divisibility.  Each variable gets a 16-bit field (15-bit value plus a
-    guard bit that traps borrows); degree fields ride above the complemented
-    exponent fields for the graded orders.  Exponents and the topmost degree
-    field hold at most VMASK; an inner degree field (the back block of a
-    block order) holds less than 2^14, so the divisibility offset never
-    borrows across it.  pack raises SizeOutOfRange beyond these widths.
+    values multiplies by a monomial, and packed(a) + packed(b) - one is the
+    packed a*b), a masked subtraction tests divisibility, and one more picks
+    the fields of an lcm (lcm).  Each variable gets a 16-bit field (15-bit
+    value plus a guard bit that traps borrows); degree fields ride above the
+    complemented exponent fields for the graded orders.  Exponents and the
+    topmost degree field hold at most VMASK; an inner degree field (the back
+    block of a block order) holds less than 2^14, so the divisibility offset
+    never borrows across it.  pack and lcm raise SizeOutOfRange beyond these
+    widths.
     """
 
     WIDTH = 16
@@ -251,6 +253,10 @@ class MonomialPacker:
         for shift, _vars in self._deg_shifts:
             self.div_offset += (1 << 14) << shift
         self._plain = all(kind == "plain" for kind, _i, _s in self._layout)
+        # the packed monomial 1, so that packed(a) + packed(b) - one is the
+        # packed a*b
+        self.one = sum(self.VMASK << shift
+                       for kind, _i, shift in self._layout if kind == "compl")
         # the last degree field, else the first variable's field, is on top;
         # a packed value fits iff it lies below the top field's bit 15 and has
         # no guard bit and no inner-degree bit 14 or 15 set
@@ -263,6 +269,13 @@ class MonomialPacker:
         self._overflow = self.guards
         for shift in inner:
             self._overflow |= (3 << 14) << shift
+        self._fields = sum(self.VMASK << shift
+                           for _kind, _i, shift in self._layout)
+        field_shift = {i: shift for _kind, i, shift in self._layout}
+        self._blocks = [(shift, tuple(field_shift[i] for i in var_idx),
+                         len(var_idx) * self.VMASK, cap)
+                        for (shift, var_idx), cap
+                        in zip(self._deg_shifts, self._deg_caps)]
         vmask = self.VMASK
         if len(deg_fields) == 1:
             (shift,) = deg_fields
@@ -316,7 +329,30 @@ class MonomialPacker:
         return not ((small - big + self.div_offset) & self.guards)
 
     def lcm(self, a, b):
-        return self.pack(tuple(map(max, self.unpack(a), self.unpack(b))))
+        """The lcm of the packed monomials a and b, packed, without
+        unpacking them.  (a | guards) - b sets the guard bit of each field
+        where a's entry is at least b's; a field never borrows from the one
+        above, and a degree field's borrow can only turn a tie in the field
+        above it, whose pick is the same either way.  Spread over the value
+        bits, those guards pick the larger exponent of a plain field and the
+        smaller entry, so the larger exponent, of a complemented one.  Each
+        block degree is then summed from the picked fields.  Raises
+        SizeOutOfRange exactly where packing the lcm's exponents would: a
+        block degree past its field."""
+        ge = ((a | self.guards) - b) & self.guards
+        pick = (a ^ b) & (ge - (ge >> 15))
+        if self._plain:
+            return b ^ pick
+        v = (a ^ pick) & self._fields
+        vmask = self.VMASK
+        for shift, fields, full, cap in self._blocks:
+            d = full
+            for s in fields:
+                d -= (v >> s) & vmask
+            if d > cap:
+                raise SizeOutOfRange(f"block degree {d} of an lcm exceeds {cap}")
+            v |= d << shift
+        return v
 
 
 def random_linear_form(ring, names, rng):

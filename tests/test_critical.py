@@ -1,4 +1,5 @@
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,8 @@ from optdeg.critical import (DegreeReport, PNorm, RationalGradient,
                              critical_ideal_affine, data_ring, evolute_curve,
                              projective_critical_ideal,
                              projective_pnorm_degree, singular_locus_ideal)
-from optdeg.errors import DenominatorVanishesOnX, ZeroDenominator
+from optdeg.errors import (DenominatorVanishesOnX, EvoluteLinesDegenerate,
+                           ZeroDenominator)
 from optdeg.groebner import DEFAULT_BUDGET, _Budget, _count_points
 from optdeg.matrices import PolyMatrix
 
@@ -719,6 +721,30 @@ def test_evolute_squarefree_loop_draws_on_the_job_budget(ring_x12):
     ellipse = variety(ring_x12, "x1^2+4*x2^2-1")
     with pytest.raises(BudgetExceeded):
         evolute_curve(ellipse, 2, seed=1, budget=183)
+
+
+class _EqualSlopes(random.Random):
+    """A seeded stream whose every fourth draw repeats the third: each line
+    the evolute draws as (a1, a2, b1, b2) has b2 = b1."""
+
+    def randint(self, lo, hi):
+        self._draws = getattr(self, "_draws", 0) + 1
+        if self._draws % 4:
+            self._last = super().randint(lo, hi)
+        return self._last
+
+
+def test_evolute_lines_that_all_lower_the_degree_raise(ring_x12,
+                                                        monkeypatch):
+    """The classical evolute of the hyperbola x1^2 - x2^2 = 1 has degree 6
+    and leading form (u1^2 - u2^2)^3, which vanishes on every line of
+    direction (1, 1); with only such lines drawn the reduced degree used to
+    be read off the last one (4).  The CLI exits 3 on the error."""
+    monkeypatch.setattr(critical, "random",
+                        types.SimpleNamespace(Random=_EqualSlopes))
+    hyperbola = variety(ring_x12, "x1^2-x2^2-1")
+    with pytest.raises(EvoluteLinesDegenerate):
+        evolute_curve(hyperbola, 2, seed=1)
 
 
 def test_evolute_requires_plane_curve():

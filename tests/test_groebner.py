@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from operator import le
+from operator import add, le
 
 import pytest
 import sympy
@@ -15,8 +15,9 @@ from optdeg import (GREVLEX, LEX, BudgetExceeded, Ideal, NotZeroDimensional,
                     saturate, vanishes_on_variety)
 from optdeg import groebner
 from optdeg.groebner import (DEFAULT_BUDGET, _Budget, _count_points,
-                             _cut_linear, _hilbert_numerator, _hilbert_value,
-                             _multidegree)
+                             _cut_linear, _dehomogenizer, _hilbert_numerator,
+                             _hilbert_value, _minimal, _multidegree,
+                             _numerator_plus)
 
 from slicing import sections_degree
 
@@ -712,6 +713,52 @@ def test_hilbert_numerator_counts_standard_monomials(ideal):
         standard = sum(1 for m in _monomials(n, d)
                        if not any(_divides(g, m) for g in gens))
         assert _hilbert_value(numerator, n, d) == standard
+
+
+@st.composite
+def _monomial_sequences(draw):
+    """Exponent tuples in one ring, each new, a repeat of an earlier one, a
+    multiple of one (already in the ideal) or a divisor of one."""
+    n = draw(st.integers(1, 5))
+    monomial = st.tuples(*[st.integers(0, 3)] * n)
+    seq = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(("new", "repeat", "multiple", "divisor"))
+                    if seq else st.just("new"))
+        a = draw(monomial)
+        if kind != "new":
+            b = draw(st.sampled_from(seq))
+            a = {"repeat": b, "multiple": tuple(map(add, b, a)),
+                 "divisor": tuple(max(x - y, 0) for x, y in zip(b, a))}[kind]
+        seq.append(a)
+    return seq
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_monomial_sequences())
+def test_incremental_numerator_matches_the_recomputed_one(seq):
+    """Folding the monomials in one at a time keeps, after each, the
+    numerator computed from scratch and the minimal generators."""
+    numerator, gens = {0: 1}, []
+    for k, a in enumerate(seq):
+        numerator, gens = _numerator_plus(numerator, gens, a)
+        assert numerator == _hilbert_numerator(seq[:k + 1])
+        assert sorted(gens) == sorted(_minimal(seq[:k + 1]))
+
+
+@pytest.mark.parametrize("front", [None, ("a", "b", "c"), ("a", "c"), ("b",),
+                                   ("a", "b", "c", "d")],
+                         ids=["lex", "block-one-back", "block-two-back",
+                              "block-three-back", "block-no-back"])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, 4095))] * 5))
+def test_dehomogenizer_drops_h_on_packed_values(front, e):
+    """Setting h = 1 on a packed monomial of the ring with h last packs
+    the monomial's other exponents in the ring without h."""
+    work = RingContext(("a", "b", "c", "d"),
+                       order=LEX if front is None else OrderSpec("block", front))
+    packer = work.extend(["h"]).packer()
+    assert _dehomogenizer(packer)(packer.pack(e)) == work.packer().pack(e[:-1])
 
 
 def _converted(ideal, order, budget=None):

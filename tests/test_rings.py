@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from optdeg import (GREVLEX, LEX, OptdegError, OrderSpec, PrimeField,
@@ -304,15 +304,52 @@ def test_packer_rejects_degree_field_overflow():
         packer.pack((10000, 10000, 0))
 
 
-_EXPS = st.tuples(*[st.integers(0, 2000)] * 4)
+# exponents up to the field width, with small ones often enough that pairs
+# share variables and that block degrees fit
+_EXPS = st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, 32767))] * 4)
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX, OrderSpec("block", ("w",)),
-                                   OrderSpec("block", ("x", "z"))])
-@settings(derandomize=True, max_examples=100, deadline=None)
+                                   OrderSpec("block", ("x", "z")),
+                                   OrderSpec("block", ("z",)),
+                                   OrderSpec("block", ("w", "x", "y", "z"))])
+@settings(derandomize=True, max_examples=200, deadline=None)
 @given(_EXPS, _EXPS)
 def test_packer_degree_and_lcm(order, a, b):
+    """The degree field reads the degree; lcm on packed values packs the
+    exponent-wise max, raises SizeOutOfRange exactly where packing it does,
+    and is the product a + b - one packed exactly when a and b are
+    coprime."""
     packer = RingContext(("w", "x", "y", "z"), order=order).packer()
-    assert packer.degree(packer.pack(a)) == sum(a)
-    assert (packer.lcm(packer.pack(a), packer.pack(b))
-            == packer.pack(tuple(map(max, a, b))))
+    try:
+        pa, pb = packer.pack(a), packer.pack(b)
+    except SizeOutOfRange:
+        assume(False)
+    assert packer.degree(pa) == sum(a)
+    try:
+        want = packer.pack(tuple(map(max, a, b)))
+    except SizeOutOfRange:
+        with pytest.raises(SizeOutOfRange):
+            packer.lcm(pa, pb)
+        return
+    got = packer.lcm(pa, pb)
+    assert got == want
+    assert (got == pa + pb - packer.one) == (not any(map(min, a, b)))
+
+
+@pytest.mark.parametrize("order, a, b", [
+    (OrderSpec("block", ("z",)), (10000, 0, 0, 0), (0, 10000, 0, 0)),
+    (OrderSpec("block", ("w", "x")), (0, 0, 16383, 0), (0, 0, 0, 1)),
+    (GREVLEX, (20000, 0, 0, 0), (0, 20000, 0, 0)),
+    (OrderSpec("block", ("x", "z")), (0, 20000, 0, 0), (0, 0, 0, 20000)),
+], ids=["inner-degree-20000", "inner-degree-16384", "total-degree",
+        "front-degree"])
+def test_packed_lcm_raises_where_packing_does(order, a, b):
+    """Each input packs and its lcm does not: a block degree past its field,
+    the inner (back-block) one included."""
+    packer = RingContext(("w", "x", "y", "z"), order=order).packer()
+    pa, pb = packer.pack(a), packer.pack(b)
+    with pytest.raises(SizeOutOfRange):
+        packer.pack(tuple(map(max, a, b)))
+    with pytest.raises(SizeOutOfRange):
+        packer.lcm(pa, pb)
