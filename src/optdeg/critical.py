@@ -2,10 +2,10 @@
 
 Builds the correspondence between points of a variety and the data vectors
 for which they are critical, counts the generic fiber size (the algebraic
-degree), and computes p-norm evolutes of plane curves.  One localized
-system per side, affine or projective (in the direction chart y = u + b*x),
-gives both the correspondence ideal (u symbolic) and the count (u bound
-per trial).
+degree), and computes p-norm evolutes of plane curves.  One system per
+side gives both the correspondence ideal (u symbolic) and the count (u
+bound per trial): the affine one localized at its saturand, the projective
+one (in the direction chart y = u + b*x) saturated once b is eliminated.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from .errors import (ContainedInIsotropic, DenominatorVanishesOnX,
                      NotHomogeneous, NotPrincipalWarning,
                      PositiveDimensionalFiber, RingMismatch, ZeroDenominator)
 from .fields import PrimeField
-from .groebner import (GREVLEX, Ideal, _count_points, _cut_linear, _eliminate,
-                       _localizer, _saturand, as_budget, dimension, eliminate,
-                       groebner_basis, normal_form, saturate,
-                       vanishes_on_variety)
+from .groebner import (GREVLEX, Ideal, _count_points, _eliminate, _linear_cut,
+                       _localizer, _rabinowitsch, _saturand, as_budget,
+                       dimension, eliminate, groebner_basis, normal_form,
+                       saturate, vanishes_on_variety)
 from .matrices import derationalize, jacobian
 from .rings import Polynomial, RingContext, random_linear_form
 
@@ -32,13 +32,15 @@ from .rings import Polynomial, RingContext, random_linear_form
 class VarietySpec:
     """A variety given by generators, with optional codimension and singular
     ideal overrides for inputs the automatic computation would misjudge.
-    Its ideal and singular locus are built once and shared by every caller."""
+    Its ideal, codimension and singular locus are built once and shared by
+    every caller."""
 
     ring: RingContext
     generators: tuple
     codim_override: int = None
     singular_ideal_override: Ideal = None
     _ideal: Ideal = dc_field(init=False, repr=False, compare=False)
+    _codim: int = dc_field(init=False, repr=False, compare=False)
     _singular: Ideal = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -55,6 +57,7 @@ class VarietySpec:
         if self.codim_override is not None and not 1 <= self.codim_override <= n:
             raise ValueError("codimension override out of range")
         self._ideal = Ideal(self.ring, gens)
+        self._codim = self.codim_override
         self._singular = self.singular_ideal_override
 
     @property
@@ -66,9 +69,11 @@ class VarietySpec:
         return self._ideal
 
     def codimension(self, budget=None):
-        if self.codim_override is not None:
-            return self.codim_override
-        return self.n - dimension(self.ideal(), budget)
+        """The override, or n - dim I(X), computed on the first call and
+        kept."""
+        if self._codim is None:
+            self._codim = self.n - dimension(self.ideal(), budget)
+        return self._codim
 
     def is_homogeneous(self):
         return all(g.is_homogeneous() for g in self.generators)
@@ -345,16 +350,22 @@ def _projective_isotropic(X: VarietySpec, p, budget):
 
 def _projective_chart_system(X: VarietySpec, p, budget):
     """The p-norm critical system of a projective variety in the chart
-    y = u + b*x, with u symbolic: the ring (x, b, u, w), its generators, and
-    the names (b, w) that the correspondence eliminates.
+    y = u + b*x, with u symbolic: the ring (x, b, u), its generators, the
+    name b, and the polynomials f_i of the x-ring to saturate by.
 
-    The generators are I(X), the (c+1)-minors of the row
-    ((u_i + b*x_i)^(p-1))_i stacked over the Jacobian of X, and, last,
-    1 - sum_i w_i*f_i (see _localizer).  The f_i are q_p alone when the cone
-    is singular at most at its vertex (see _singular_beyond_vertex), and
-    otherwise q_p*g_i over the reduced basis g_i of the singular locus;
-    eliminating (b, w) saturates by <f_1..f_m> (see _rabinowitsch), and so
-    by q_p and the singular locus.
+    The generators are I(X) and the (c+1)-minors of the row
+    ((u_i + b*x_i)^(p-1))_i stacked over the Jacobian of X.  The f_i are
+    q_p alone when the cone is singular at most at its vertex (see
+    _singular_beyond_vertex), and otherwise q_p*g_i over the reduced basis
+    g_i of the singular locus; saturating by <f_1..f_m> saturates by q_p
+    and by the singular locus.
+
+    The callers eliminate b first and saturate after, in the smaller ring:
+    for S the system and J = <f_1..f_m>, (S : J^inf) ∩ k[x, u] is
+    (S ∩ k[x, u]) : J^inf, since J lies in k[x] and, for h in k[x, u],
+    h*J^m lies in S exactly when it lies in S ∩ k[x, u].  So the block-order
+    run that eliminates b carries no localizer 1 - sum_i w_i*f_i, and the
+    w_i are eliminated from the eliminated ideal (see _rabinowitsch).
     """
     q_p = _projective_isotropic(X, p, budget)
     ring = X.ring
@@ -363,14 +374,12 @@ def _projective_chart_system(X: VarietySpec, p, budget):
     xbu = ring.extend((bname,) + unames)
     row = [(xbu.var(un) + xbu.var(bname) * xbu.var(xn)) ** (p - 1)
            for un, xn in zip(unames, ring.variables)]
-    raw_gens = _stacked_generators(X, row, xbu, budget)
+    gens = _stacked_generators(X, row, xbu, budget)
     fs = [q_p]
     if _singular_beyond_vertex(X, budget):
         sing = singular_locus_ideal(X, budget).groebner(GREVLEX, budget)
         fs = [q_p * g for g in sing.basis]
-    big, ws, localizer = _localizer(xbu, fs)
-    gens = [g.transfer(big) for g in raw_gens] + [localizer]
-    return big, gens, (bname,) + ws
+    return xbu, gens, bname, fs
 
 
 def projective_critical_ideal(X: VarietySpec, p, budget=None) -> Ideal:
@@ -383,11 +392,13 @@ def projective_critical_ideal(X: VarietySpec, p, budget=None) -> Ideal:
     off q_p = 0.  In n direction variables y that is the y-system: the
     conormal minors of the row y^(p-1), the 3x3 minors of (y; u; x), the
     saturations by the singular locus and by q_p, and a chart l(y) = 1.
-    Here it is one elimination of (b, w) from _projective_chart_system, the
-    count's system with u symbolic, which takes y = u + b*x:
+    Here b is eliminated from _projective_chart_system, the count's system
+    with u symbolic, which takes y = u + b*x, and the result is saturated
+    by its f_i in (x, u) (see _rabinowitsch), which is the system saturated
+    by q_p and the singular locus with b eliminated:
     - On u ∧ x != 0, y in span(u, x) is y = s*u + t*x.  If s = 0, then
       t^(p-1)*x^(p-1) in N_x and x in T_x (Euler's relation) give
-      q_p(x) = x . x^(p-1) = 0, and the localization removes the point.
+      q_p(x) = x . x^(p-1) = 0, and the saturation removes the point.
       Otherwise y = s*(u + b*x) with b = t/s; the conormal condition is
       homogeneous in y, and l(y) = 1 fixes s, so the two systems are
       identified there.
@@ -403,8 +414,9 @@ def projective_critical_ideal(X: VarietySpec, p, budget=None) -> Ideal:
     bases against the y-system, generator for generator.
     """
     budget = as_budget(budget)
-    big, gens, drop = _projective_chart_system(X, p, budget)
-    return eliminate(Ideal(big, gens), drop, budget)
+    xbu, gens, bname, fs = _projective_chart_system(X, p, budget)
+    return _rabinowitsch(eliminate(Ideal(xbu, gens), (bname,), budget), fs,
+                         budget)
 
 
 def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
@@ -414,10 +426,13 @@ def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
     counted on a random affine slice h(x) = 1 of the cone.
 
     The system of projective_critical_ideal, in the chart y = u + b*x (see
-    _projective_chart_system), is built once per job; each trial binds u by
-    evaluation (see _bind) into the ring (x, b, w), and one
-    elimination of (b, w) leaves the localized ideal to count in x.
-    Nothing is saturated.  The chart is exact for the count:
+    _projective_chart_system), is built once per job.  Each trial binds u
+    by evaluation (see _bind) into the ring (x, b), cuts the system and the
+    f_i by the same slice, eliminates b, and saturates what is left by the
+    cut f_i in x (see _rabinowitsch) before counting it.  For phi the cut
+    and S the bound system, that is (phi(S) : phi(J)^inf) ∩ k[x'], the
+    count of the localization (see _projective_chart_system).  The chart
+    is exact for the count:
     - For u off the cone, u and x are independent, so the chart misses
       only the directions y = b*x, which lie on q_p = 0 (see
       projective_critical_ideal), and (x, b) -> y is a local isomorphism
@@ -431,17 +446,17 @@ def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
       a positive-dimensional fiber.
 
     The slice h(x) - 1 (stream "projdeg|{seed}|forms") is substituted for
-    its pivot x_i (see _cut_linear).  The cut is exact here: its kernel
+    its pivot x_i (see _linear_cut).  The cut is exact here: its kernel
     <h - 1> lies in the system S, so it maps S ∩ k[x] onto phi(S) ∩ k[x']
     and the counted quotient is unchanged.  The data points (stream
     "degree|{seed}") and the slices are the only draws; agreement across
     independent samples is still enforced.
     """
     budget = as_budget(budget)
-    big, system, drop = _projective_chart_system(X, p, budget)
+    xbu, system, bname, fs = _projective_chart_system(X, p, budget)
     ring = X.ring
-    unames = big.variables[X.n + 1:2 * X.n + 1]  # big is (x, b, u, w)
-    work = ring.extend(drop)
+    unames = xbu.variables[X.n + 1:]  # xbu is (x, b, u)
+    work = ring.extend((bname,))
     rng_forms = random.Random(f"projdeg|{seed}|forms")
 
     def count_for(u):
@@ -450,9 +465,11 @@ def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
             return None
         slice_ = (random_linear_form(work, ring.variables, rng_forms)
                   - work.one())
-        gens = _bind(big, system, unames, u, work)
-        cut = _cut_linear(Ideal(work, gens), [slice_], budget)
-        return _count_points(eliminate(cut, drop, budget), budget)
+        small, substitute, added = _linear_cut(work, [slice_], budget)
+        gens = substitute(_bind(xbu, system, unames, u, work)) + added
+        eliminated = eliminate(Ideal(small, gens), (bname,), budget)
+        return _count_points(
+            _rabinowitsch(eliminated, substitute(fs), budget), budget)
 
     return _count_trials(count_for, X, trials, seed, budget, [])
 

@@ -792,6 +792,34 @@ def _linear_rows(ring, forms):
     return sorted(pivots, key=lambda pr: pr[0]), inconsistent
 
 
+def _linear_cut(ring, forms, budget):
+    """The cut of _cut_linear as a map: the ring without the forms' pivot
+    variables, a function sending a list of polynomials of `ring` to their
+    substitutions in that ring, one per polynomial with zeros kept, and the
+    generators the cut itself adds (the kept row, or 1 for inconsistent
+    forms, which send every polynomial to 0).
+
+    Two lists cut by the same map, such as a system and the polynomials to
+    saturate it by, keep their positions; one Ideal of both would not, as
+    it drops zero generators.
+    """
+    work = ring.with_order(GREVLEX)
+    pivots, inconsistent = _linear_rows(ring, forms)
+    rows = [work.const(row[-1]) + sum(
+        (work.var(v).scale(c) for v, c in zip(ring.variables, row)),
+        work.zero()) for _, row in pivots]
+    kept = [rows.pop()] if len(rows) == ring.nvars else []
+    cut = {ring.variables[col] for col, _ in pivots[:len(rows)]}
+    small = ring.restrict([v for v in ring.variables if v not in cut])
+    if inconsistent:
+        return small, lambda polys: [small.zero() for _ in polys], [small.one()]
+
+    def substitute(polys):
+        return [r.transfer(small)
+                for r in _remainders(polys, rows, work, budget)]
+    return small, substitute, [r.transfer(small) for r in kept]
+
+
 def _cut_linear(ideal, forms, budget) -> Ideal:
     """ideal + <forms>, for affine-linear forms, as an ideal of the ring
     without the forms' pivot variables: the forms are solved for their
@@ -805,22 +833,12 @@ def _cut_linear(ideal, forms, budget) -> Ideal:
     phi: k[x] -> k[x'] with kernel <forms>, so k[x]/(ideal + <forms>) and
     k[x']/phi(ideal) are isomorphic, with the same points, multiplicities
     and dimension.  Should the forms fix every variable, the last pivot is
-    kept, its row the one generator added, so that a ring remains.
+    kept, its row the one generator added, so that a ring remains (see
+    _linear_cut).
     """
-    budget = as_budget(budget)
-    ring = ideal.ring
-    work = ring.with_order(GREVLEX)
-    pivots, inconsistent = _linear_rows(ring, forms)
-    rows = [work.const(row[-1]) + sum(
-        (work.var(v).scale(c) for v, c in zip(ring.variables, row)),
-        work.zero()) for _, row in pivots]
-    kept = [rows.pop()] if len(rows) == ring.nvars else []
-    cut = {ring.variables[col] for col, _ in pivots[:len(rows)]}
-    small = ring.restrict([v for v in ring.variables if v not in cut])
-    if inconsistent:
-        return Ideal(small, [small.one()])
-    rems = _remainders(ideal.generators, rows, work, budget)
-    return Ideal(small, [r.transfer(small) for r in rems + kept])
+    small, substitute, added = _linear_cut(ideal.ring, forms,
+                                           as_budget(budget))
+    return Ideal(small, substitute(ideal.generators) + added)
 
 
 def _localizer(ring, fs):
@@ -845,7 +863,8 @@ def _rabinowitsch(ideal, fs, budget) -> Ideal:
     h*s^k, and h = h*(1 - s^k) + h*s^k with 1 - s^k a multiple of 1 - s.
     Conversely, w_i -> 1/f_i and w_j -> 0 for j != i sends s to 1, so an h
     in the elimination has h*f_i^k in the ideal for some k, for every i;
-    that puts h in (ideal : J^infinity).
+    that puts h in (ideal : J^infinity).  A zero f_i adds nothing to J, and
+    a constant one makes J the unit ideal, which saturates nothing away.
     """
     big, ws, rel = _localizer(ideal.ring, fs)
     gens = [g.transfer(big) for g in ideal.generators] + [rel]

@@ -1,5 +1,6 @@
 import random
 import types
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -304,10 +305,10 @@ def test_projective_conic_degree_general_coords(prime_field):
 
 
 def test_projective_conic_p3_reduction_budget(prime_field):
-    """Counting on the slice h(x) = 1 in the chart y = u + b*x without
-    saturations needs about 1,900 reduction steps here; saturating by q_p
-    took about 10,000, and saturating the vertex and each y_i took
-    58,023."""
+    """Counting on the slice h(x) = 1 in the chart y = u + b*x, saturating
+    by q_p after eliminating b, needs 873 reduction steps here; localizing
+    before the elimination took 1,941, saturating by q_p in the y-system
+    about 10,000, and saturating the vertex and each y_i 58,023."""
     ring = RingContext(("x1", "x2", "x3"), field=prime_field)
     base = P("x1^2+x2^2+2*x3^2", ring)
     _, subs = random_linear_change(ring, ring.variables, seed=7)
@@ -317,24 +318,28 @@ def test_projective_conic_p3_reduction_budget(prime_field):
 
 
 def test_projective_conic_p3_tight_budget(prime_field):
-    """The localized count fits in 5,000 steps, half the saturating one."""
+    """The count fits in 1,200 steps: it takes 873, where localizing at q_p
+    before eliminating b took 1,941."""
     ring = RingContext(("x1", "x2", "x3"), field=prime_field)
     base = P("x1^2+x2^2+2*x3^2", ring)
     _, subs = random_linear_change(ring, ring.variables, seed=7)
     conic = VarietySpec(ring, (base.substitute(subs),))
-    rep = projective_pnorm_degree(conic, 3, trials=2, seed=3, budget=5_000)
+    rep = projective_pnorm_degree(conic, 3, trials=2, seed=3, budget=1_200)
     assert rep.degree == 12
 
 
 @pytest.mark.parametrize("names, gens, p, degree, steps", [
-    (("x1", "x2", "x3"), ["x1^2+x2^2-3*x3^2"], 3, 12, 1_866),
+    (("x1", "x2", "x3"), ["x1^2+x2^2-3*x3^2"], 3, 12, 798),
     (("x1", "x2", "x3", "x4"), ["x1*x3-x2^2", "x1*x4-x2*x3", "x2*x4-x3^2"],
-     2, 7, 1_638),
+     2, 7, 1_662),
 ], ids=["conic-p3", "twisted-cubic-p2"])
 def test_projective_reduction_steps_pinned_over_gf(prime_field, names, gens,
                                                    p, degree, steps):
     """The GF(q) kernel's reduction steps are pinned exactly: a change to its
-    arithmetic or pair bookkeeping must not change the steps it takes."""
+    arithmetic or pair bookkeeping must not change the steps it takes.
+    Saturating after eliminating b took the conic from 1,866 steps to 798,
+    and the twisted cubic from 1,638 to 1,662: there its saturations cost
+    more than its smaller eliminations save."""
     X = variety(RingContext(names, field=prime_field), *gens)
     budget = _Budget(DEFAULT_BUDGET)
     rep = projective_pnorm_degree(X, p, seed=0, budget=budget)
@@ -414,6 +419,52 @@ def test_vertex_rule():
     point = Ideal(ring, [P(t, ring) for t in ("x1-1", "x2-1", "x3-1")])
     assert _singular_beyond_vertex(
         variety(ring, "x1^2+x2^2-2*x3^2", singular_ideal_override=point), None)
+
+
+def test_count_eliminates_b_without_a_localizer(monkeypatch, prime_field):
+    """On a cone singular only at its vertex, each trial eliminates b in a
+    block order whose ring has no sat_w variable, then sat_w from the ring
+    that b has left.  The one run before them is the isotropic check."""
+    runs = []
+    original_gb = groebner.groebner_basis
+
+    def recorded_gb(ideal, order=None, budget=None):
+        runs.append((ideal.ring.variables, order))
+        return original_gb(ideal, order, budget)
+
+    monkeypatch.setattr(groebner, "groebner_basis", recorded_gb)
+    X = variety(RingContext(("x1", "x2", "x3"), field=prime_field),
+                "x1^2+x2^2-3*x3^2")
+    assert not _singular_beyond_vertex(X, None)
+    rep = projective_pnorm_degree(X, 3, trials=2, seed=0)
+    assert rep.degree == 12
+    blocks = [(names, order.front) for names, order in runs
+              if order is not None and order.kind == "block"]
+    assert [front for _, front in blocks] == \
+        [("sat_w",)] + [("b",), ("sat_w",)] * 2
+    assert not any("b" in names and "sat_w" in names for names, _ in blocks)
+
+
+def test_codimension_is_computed_once(monkeypatch):
+    """The codimension is read off I(X) on the first call and kept; an
+    override is kept as given, and a copy without it computes its own."""
+    calls = []
+    original = critical.dimension
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(critical, "dimension", counted)
+    X = variety(RingContext(("x1", "x2", "x3")), "x1^2+x2^2+x3^2-1",
+                "x1*x2-x3")
+    assert [X.codimension() for _ in range(3)] == [2, 2, 2]
+    assert len(calls) == 1
+    wrong = replace(X, codim_override=1)
+    assert wrong.codimension() == 1
+    assert len(calls) == 1
+    assert replace(wrong, codim_override=None).codimension() == 2
+    assert len(calls) == 2
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
@@ -541,22 +592,24 @@ def test_projective_critical_ideal_matches_saturating_oracle(field, names,
 
 def test_projective_critical_ideal_matches_saturating_oracle_at_p3(
         prime_field):
-    """At p = 3 the chart costs 87,920 steps on this conic, against 27,179
-    for the y-system path it replaced, and gives the same reduced basis."""
+    """At p = 3 the chart costs 3,121 steps on this conic, against 27,179
+    for the y-system path it replaced and 87,920 when it localized at q_p
+    before eliminating b, and gives the same reduced basis."""
     _assert_critical_ideal_matches_y_system(
         variety(RingContext(("x1", "x2", "x3"), field=prime_field),
                 "x1^2+x2^2-3*x3^2"), 3)
 
 
 def test_projective_critical_ideal_steps_pinned_over_gf(prime_field):
-    """The twisted cubic's correspondence ideal takes 921 steps in the chart
-    y = u + b*x; the y-system's saturations and chart took 574,490."""
+    """The twisted cubic's correspondence ideal takes 677 steps in the chart
+    y = u + b*x (921 when it localized before eliminating b); the
+    y-system's saturations and chart took 574,490."""
     X = variety(RingContext(("x1", "x2", "x3", "x4"), field=prime_field),
                 "x1*x3-x2^2", "x1*x4-x2*x3", "x2*x4-x3^2")
     budget = _Budget(DEFAULT_BUDGET)
     corr = projective_critical_ideal(X, 2, budget=budget)
     assert corr.ring.variables == X.ring.variables + ("u1", "u2", "u3", "u4")
-    assert DEFAULT_BUDGET - budget.remaining == 921
+    assert DEFAULT_BUDGET - budget.remaining == 677
 
 
 def test_veronese_conic_ed_degree(prime_field):

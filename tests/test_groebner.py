@@ -653,6 +653,93 @@ def test_saturate_pinned_against_intersection(field, names, ideal, other,
     assert got.equals(I(ring, *expected))
 
 
+# --- saturating after an elimination ----------------------------------------------
+
+@st.composite
+def _system_and_saturand(draw, field, coeffs):
+    """(S, fs): 2-3 drawn generators of S in (x1, x2, b), up to two drawn
+    f_i in (x1, x2), all of total degree at most 3, then a zero f_i by
+    drawn choice and a constant one, which makes J the unit ideal, in about
+    a third of the draws (and whenever there is no f_i yet).  With a drawn
+    flag, every generator of S is multiplied by one drawn nonconstant l(x),
+    so that over l(x) = 0 the b-fibre of S is the whole line, and so is
+    every drawn f_i, so that the saturation removes that line."""
+    ring = RingContext(("x1", "x2", "b"), field)
+    x_ring = ring.restrict(("x1", "x2"))
+
+    def polys(ctx, least, most):
+        exps = st.tuples(*[st.integers(0, 3)] * ctx.nvars).filter(
+            lambda e: sum(e) <= 3)
+        terms = st.dictionaries(exps, coeffs, min_size=1, max_size=4)
+        return [_poly(ctx, t) for t in draw(st.lists(terms, min_size=least,
+                                                      max_size=most))]
+
+    gens = polys(ring, 2, 3)
+    fs = polys(x_ring, 0, 2)
+    if draw(st.booleans()):
+        (form,) = polys(x_ring, 1, 1)
+        if form.is_constant():
+            form = form + x_ring.var("x1")
+        gens = [g * form.transfer(ring) for g in gens]
+        fs = [f * form for f in fs]
+    if draw(st.booleans()):
+        fs.append(x_ring.zero())
+    if not fs or draw(st.sampled_from((False, False, True))):
+        fs.append(x_ring.const(draw(coeffs)))
+    return Ideal(ring, gens), draw(st.permutations(fs))
+
+
+def _localize_then_eliminate(system, fs):
+    """The elimination of (b, w) from S + <1 - sum_i w_i*f_i>, with fresh
+    w_i named here."""
+    ws = tuple(f"w{i}" for i in range(len(fs)))
+    big = system.ring.extend(ws)
+    rel = big.one()
+    for w, f in zip(ws, fs):
+        rel = rel - big.var(w) * f.transfer(big)
+    gens = [g.transfer(big) for g in system.generators] + [rel]
+    return eliminate(Ideal(big, gens), ("b",) + ws)
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_saturating_after_eliminating_b_is_localizing_before(field, data):
+    """For S in k[x, b] and f_i in k[x], (S : J^inf) ∩ k[x] is
+    (S ∩ k[x]) : J^inf, J = <f_1..f_m>: for h in k[x], h*J^m lies in S
+    exactly when it lies in S ∩ k[x].  So saturating the elimination of b
+    gives the reduced grevlex basis of localizing first and eliminating
+    (b, w) in one run."""
+    system, fs = data.draw(_system_and_saturand(
+        field, _COEFFS if field is None else _GF_COEFFS))
+    got = groebner._rabinowitsch(eliminate(system, ["b"]), fs, None)
+    want = _localize_then_eliminate(system, fs)
+    assert got.ring == want.ring
+    assert [g.terms for g in got.generators] == \
+        [g.terms for g in want.generators]
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
+@pytest.mark.parametrize("fs, expected", [
+    (["0", "x1"], "x2^2-x1"),
+    (["3"], "x1*(x2^2-x1)"),
+], ids=["zero-and-x1", "constant"])
+def test_saturating_after_eliminating_b_on_a_whole_b_line(field, fs,
+                                                          expected):
+    """Over x1 = 0 every b solves S.  Saturating by x1 removes that line, a
+    zero f_i adds nothing to J, and a constant one makes J the unit ideal,
+    which saturates nothing away."""
+    ring = RingContext(("x1", "x2", "b"), field)
+    x_ring = ring.restrict(("x1", "x2"))
+    system = I(ring, "x1*(b*x2-1)", "x1*(x2^2-x1)")
+    fs = [P(f, x_ring) for f in fs]
+    got = groebner._rabinowitsch(eliminate(system, ["b"]), fs, None)
+    want = _localize_then_eliminate(system, fs)
+    assert [g.terms for g in got.generators] == \
+        [g.terms for g in want.generators]
+    assert got.equals(I(x_ring, expected))
+
+
 # --- affine degrees against random sections -----------------------------------------
 
 def _degree_outcome(fn, *args):
