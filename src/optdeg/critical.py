@@ -2,10 +2,12 @@
 
 Builds the correspondence between points of a variety and the data vectors
 for which they are critical, counts the generic fiber size (the algebraic
-degree), and computes p-norm evolutes of plane curves.  One system per
-side gives both the correspondence ideal (u symbolic) and the count (u
-bound per trial): the affine one localized at its saturand, the projective
-one (in the direction chart y = u + b*x) saturated once b is eliminated.
+degree), and computes p-norm evolutes of plane curves.  One construction
+per side gives both the correspondence ideal (u symbolic) and the count,
+which builds it at each trial's data point from the Jacobian minors the
+variety keeps: the affine one localized at its saturand, the projective
+one (in the direction chart y = u + b*x) saturated once b is eliminated,
+and in the count only when the saturation removes something.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import random
 import time
 import warnings as _warnings
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations, product
 
 from .errors import (ContainedInIsotropic, DenominatorVanishesOnX,
                      EvoluteDegenerate, EvoluteLinesDegenerate,
@@ -24,16 +27,17 @@ from .groebner import (GREVLEX, Ideal, _count_points, _eliminate, _linear_cut,
                        _localizer, _rabinowitsch, _saturand, as_budget,
                        dimension, eliminate, groebner_basis, normal_form,
                        saturate, vanishes_on_variety)
-from .matrices import derationalize, jacobian
-from .rings import Polynomial, RingContext, random_linear_form
+from .matrices import jacobian
+from .rings import (Polynomial, RationalFunction, RingContext,
+                    random_linear_form)
 
 
 @dataclass
 class VarietySpec:
     """A variety given by generators, with optional codimension and singular
     ideal overrides for inputs the automatic computation would misjudge.
-    Its ideal, codimension and singular locus are built once and shared by
-    every caller."""
+    Its ideal, codimension, Jacobian minors and singular locus are built
+    once and shared by every caller."""
 
     ring: RingContext
     generators: tuple
@@ -41,6 +45,7 @@ class VarietySpec:
     singular_ideal_override: Ideal = None
     _ideal: Ideal = dc_field(init=False, repr=False, compare=False)
     _codim: int = dc_field(init=False, repr=False, compare=False)
+    _minors: tuple = dc_field(init=False, repr=False, compare=False)
     _singular: Ideal = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -58,6 +63,7 @@ class VarietySpec:
             raise ValueError("codimension override out of range")
         self._ideal = Ideal(self.ring, gens)
         self._codim = self.codim_override
+        self._minors = None
         self._singular = self.singular_ideal_override
 
     @property
@@ -74,6 +80,20 @@ class VarietySpec:
         if self._codim is None:
             self._codim = self.n - dimension(self.ideal(), budget)
         return self._codim
+
+    def jacobian_minors(self, budget=None):
+        """The c x c and the (c+1) x (c+1) minors of the Jacobian of the
+        generators in x, for c the codimension, each list in the order of
+        PolyMatrix.minors and empty when the size exceeds the Jacobian's:
+        taken on the first call and kept.  The singular locus reads the
+        first, and every stacked system both (see _stacked_generators)."""
+        if self._minors is None:
+            c = self.codimension(budget)
+            jac = jacobian(self.generators, self.ring.variables)
+            fits = min(jac.rows, jac.cols)
+            self._minors = tuple(jac.minors(k) if k <= fits else []
+                                 for k in (c, c + 1))
+        return self._minors
 
     def is_homogeneous(self):
         return all(g.is_homogeneous() for g in self.generators)
@@ -135,15 +155,12 @@ def data_ring(ring):
 
 def singular_locus_ideal(X: VarietySpec, budget=None) -> Ideal:
     """Ideal cutting out the singular locus: I(X) plus the c x c minors of the
-    Jacobian of the generators, regenerated by its reduced grevlex basis (or
-    the user override).  It is built on the first call and kept on X."""
+    Jacobian of the generators (see VarietySpec.jacobian_minors),
+    regenerated by its reduced grevlex basis (or the user override).  It is
+    built on the first call and kept on X."""
     if X._singular is None:
         budget = as_budget(budget)
-        c = X.codimension(budget)
-        jac = jacobian(X.generators, X.ring.variables)
-        gens = list(X.generators)
-        if c <= min(jac.rows, jac.cols):
-            gens += jac.minors(c)
+        gens = list(X.generators) + X.jacobian_minors(budget)[0]
         X._singular = Ideal(X.ring, gens).normalized(budget)
     return X._singular
 
@@ -177,12 +194,16 @@ def _check_rational_gradient(obj: RationalGradient, big_ring, unames):
 
 
 def _affine_system(X: VarietySpec, objective, budget):
-    """The critical system of X for the objective, with u symbolic: the ring
-    (x, u, w), its generators, and the names u and w.
+    """The critical system of X for the objective, checked once per job, as a
+    function of the data point: for u=None the ring (x, u) with u symbolic,
+    and for a point u the x-ring with u bound; each time that ring, the
+    generators in it extended by the w_i, and the names w_i.
 
     The generators are I(X), the (c+1)-minors of the gradient row stacked
     over the Jacobian of X (see _stacked_generators) and, last,
-    1 - sum_i w_i*f_i (see _localizer).  The f_i are the generators that
+    1 - sum_i w_i*f_i (see _localizer).  The row is built at the point
+    itself: (u_i - x_i)^(p-1), or the partials with u bound, so no symbolic
+    system is evaluated per trial.  The f_i are the generators that
     _saturand gives for the singular locus times the product d of the
     gradient denominators; f is d alone if there are none, and there is no
     f_i at all if d is constant too.  Eliminating w saturates by
@@ -191,53 +212,56 @@ def _affine_system(X: VarietySpec, objective, budget):
     ring = X.ring
     xu, unames = data_ring(ring)
     den = xu.one()
-    if isinstance(objective, PNorm):
-        row = [(xu.var(un) - xu.var(xn)) ** (objective.p - 1)
-               for un, xn in zip(unames, ring.variables)]
-    elif isinstance(objective, RationalGradient):
+    if isinstance(objective, RationalGradient):
         _check_rational_gradient(objective, xu, unames)
-        row = objective.partials
-        for g in row:
+        for g in objective.partials:
             den = den * g.den
-    else:
+    elif not isinstance(objective, PNorm):
         raise TypeError("objective must be PNorm or RationalGradient")
     if not den.is_constant() and vanishes_on_variety(
             den, Ideal(xu, [g.transfer(xu) for g in X.generators]), budget):
         raise DenominatorVanishesOnX(
             "gradient denominators vanish identically on the variety")
-    raw_gens = _stacked_generators(X, row, xu, budget)
-    fs = _saturand(singular_locus_ideal(X, budget), budget)
-    if not den.is_constant():
-        fs = [g.transfer(xu) * den for g in fs] or [den]
-    big, ws, localizer = _localizer(xu, fs)
-    gens = [g.transfer(big) for g in raw_gens] + ([localizer] if ws else [])
-    return big, gens, unames, ws
+    sat = _saturand(singular_locus_ideal(X, budget), budget)
 
-
-def _bind(big, system, names, values, work):
-    """The generators `system` of the ring big with the variables `names`
-    bound to `values` by evaluation (see Polynomial.substitute), as
-    polynomials of the ring work."""
-    bindings = {name: big.const(val) for name, val in zip(names, values)}
-    return [g.substitute(bindings).transfer(work) for g in system]
-
-
-def _critical_ideal(X: VarietySpec, system, u, budget) -> Ideal:
-    """The ideal of the system of _affine_system with w eliminated: in the
-    ring (x, u) for u=None, and otherwise in the x-ring, with u bound."""
-    big, gens, unames, ws = system
-    if u is None:
-        small = X.ring.extend(unames)
-    else:
-        if len(u) != X.n:
+    def system(u):
+        if u is None:
+            small, point = xu, {}
+            data = [xu.var(un) for un in unames]
+        elif len(u) != X.n:
             raise ValueError("data point has wrong length")
-        small = X.ring
-        gens = _bind(big, gens, unames, u, small.extend(ws))
-        # the denominator product divides every f_i, so the localizer binds
-        # to 1 exactly when u zeroes a gradient denominator
-        if ws and gens[-1].is_constant():
-            raise ZeroDenominator("a gradient denominator vanishes at the "
-                                  "data point")
+        else:
+            small, point = ring, dict(zip(unames, u))
+            data = [ring.const(v) for v in u]
+
+        def bind(g):
+            return g.substitute(point).transfer(small)
+        d = bind(den)
+        if isinstance(objective, PNorm):
+            row = [(a - small.var(xn)) ** (objective.p - 1)
+                   for a, xn in zip(data, ring.variables)]
+        else:
+            # d is the product of the bound denominators, so this is the
+            # check that none of them is zero at u
+            if d.is_zero():
+                raise ZeroDenominator("a gradient denominator vanishes at "
+                                      "the data point")
+            row = [RationalFunction(bind(g.num), bind(g.den))
+                   for g in objective.partials]
+        fs = [g.transfer(small) for g in sat]
+        if not den.is_constant():
+            fs = [g * d for g in fs] or [d]
+        big, ws, localizer = _localizer(small, fs)
+        gens = [g.transfer(big)
+                for g in _stacked_generators(X, row, small, budget)]
+        return small, gens + ([localizer] if ws else []), ws
+    return system
+
+
+def _critical_ideal(system, u, budget) -> Ideal:
+    """The ideal of _affine_system's system at u with w eliminated: in the
+    ring (x, u) for u=None, and otherwise in the x-ring, with u bound."""
+    small, gens, ws = system(u)
     if not ws:
         return Ideal(small, gens).normalized(budget)
     return _eliminate(Ideal(small.extend(ws), gens), ws, small, budget)
@@ -253,7 +277,7 @@ def critical_ideal_affine(X: VarietySpec, objective, u=None, budget=None) -> Ide
     in the x-ring and cuts out the critical locus itself.
     """
     budget = as_budget(budget)
-    return _critical_ideal(X, _affine_system(X, objective, budget), u, budget)
+    return _critical_ideal(_affine_system(X, objective, budget), u, budget)
 
 
 def _sample_point(field, n, rng):
@@ -309,7 +333,7 @@ def algebraic_degree(X: VarietySpec, objective, trials=2, seed=0,
 
     system = _affine_system(X, objective, budget)
     return _count_trials(
-        lambda u: _count_points(_critical_ideal(X, system, u, budget), budget),
+        lambda u: _count_points(_critical_ideal(system, u, budget), budget),
         X, trials, seed, budget, warn)
 
 
@@ -324,14 +348,59 @@ def isotropic_polynomial(ring, p):
 def _stacked_generators(X: VarietySpec, row, big, budget):
     """I(X) in the ring big, plus the (c+1) x (c+1) minors of the Jacobian of
     its generators stacked under `row`, a row of polynomials or rational
-    functions whose denominators are cleared column by column (see
-    derationalize)."""
+    functions of big whose denominators are cleared column by column (see
+    derationalize), in the order of PolyMatrix.minors.
+
+    No minor is expanded: each is assembled from the Jacobian minors X keeps
+    (see VarietySpec.jacobian_minors).  Clearing the denominator d_j scales
+    column j, so a minor through the columns C is scaled by d_C, the
+    product of the d_j over C.  A minor on rows R of the Jacobian alone is
+    d_C*M(R, C), for M the (c+1)-minors of X.  One on the top row and rows
+    R is, by Laplace expansion along the top row,
+    sum_t (-1)^t * num_{C_t} * d_{C - C_t} * M_c(R, C - C_t), for M_c the
+    c-minors of X; these come first.
+    """
     c = X.codimension(budget)
     gens = [g.transfer(big) for g in X.generators]
-    stacked = derationalize(row, jacobian(gens, X.ring.variables))
-    k = c + 1
-    minors = stacked.minors(k) if k <= min(stacked.rows, stacked.cols) else []
-    return gens + minors
+    m, n = len(gens), X.n
+    if len(row) != n:
+        raise ValueError("one row entry per variable is required")
+    if c + 1 > min(m + 1, n):
+        return gens
+    nums, dens = [], []
+    for g in row:
+        if isinstance(g, RationalFunction):
+            nums.append(g.num)
+            dens.append(g.den if g.den != big.one() else None)
+        else:
+            nums.append(g)
+            dens.append(None)
+
+    def cleared(minor, cols):
+        for j in cols:
+            if dens[j] is not None:
+                minor = minor * dens[j]
+        return minor
+
+    small, large = X.jacobian_minors(budget)
+    lower = dict(zip(product(combinations(range(m), c),
+                             combinations(range(n), c)),
+                     (g.transfer(big) for g in small)))
+    cols = list(combinations(range(n), c + 1))
+    for rows in combinations(range(m), c):
+        for C in cols:
+            minor = big.zero()
+            for t, j in enumerate(C):
+                rest = C[:t] + C[t + 1:]
+                cof = lower[rows, rest]
+                if nums[j].is_zero() or cof.is_zero():
+                    continue
+                term = nums[j] * cleared(cof, rest)
+                minor = minor - term if t % 2 else minor + term
+            gens.append(minor)
+    gens += [cleared(g.transfer(big), cols[i % len(cols)])
+             for i, g in enumerate(large)]
+    return gens
 
 
 def _projective_isotropic(X: VarietySpec, p, budget):
@@ -350,12 +419,16 @@ def _projective_isotropic(X: VarietySpec, p, budget):
 
 def _projective_chart_system(X: VarietySpec, p, budget):
     """The p-norm critical system of a projective variety in the chart
-    y = u + b*x, with u symbolic: the ring (x, b, u), its generators, the
-    name b, and the polynomials f_i of the x-ring to saturate by.
+    y = u + b*x, checked once per job, as a function of the data point: for
+    u=None the ring (x, b, u) with u symbolic, and for a point u the ring
+    (x, b) with u bound; each time that ring and the generators.  Also the
+    name b, the polynomials f_i of the x-ring to saturate by, and whether
+    the cone is singular at most at its vertex.
 
     The generators are I(X) and the (c+1)-minors of the row
-    ((u_i + b*x_i)^(p-1))_i stacked over the Jacobian of X.  The f_i are
-    q_p alone when the cone is singular at most at its vertex (see
+    ((u_i + b*x_i)^(p-1))_i stacked over the Jacobian of X (see
+    _stacked_generators), built from the row at the point itself.  The f_i
+    are q_p alone when the cone is singular at most at its vertex (see
     _singular_beyond_vertex), and otherwise q_p*g_i over the reduced basis
     g_i of the singular locus; saturating by <f_1..f_m> saturates by q_p
     and by the singular locus.
@@ -371,15 +444,25 @@ def _projective_chart_system(X: VarietySpec, p, budget):
     ring = X.ring
     bname = ring.fresh_name("b")
     unames = tuple(f"u{i + 1}" for i in range(X.n))
-    xbu = ring.extend((bname,) + unames)
-    row = [(xbu.var(un) + xbu.var(bname) * xbu.var(xn)) ** (p - 1)
-           for un, xn in zip(unames, ring.variables)]
-    gens = _stacked_generators(X, row, xbu, budget)
+    xb = ring.extend((bname,))
+    xbu = xb.extend(unames)
+
+    def system(u):
+        if u is None:
+            work, data = xbu, [xbu.var(un) for un in unames]
+        else:
+            work, data = xb, [xb.const(v) for v in u]
+        b = work.var(bname)
+        row = [(a + b * work.var(xn)) ** (p - 1)
+               for a, xn in zip(data, ring.variables)]
+        return work, _stacked_generators(X, row, work, budget)
+
     fs = [q_p]
-    if _singular_beyond_vertex(X, budget):
+    vertex_only = not _singular_beyond_vertex(X, budget)
+    if not vertex_only:
         sing = singular_locus_ideal(X, budget).groebner(GREVLEX, budget)
         fs = [q_p * g for g in sing.basis]
-    return xbu, gens, bname, fs
+    return system, bname, fs, vertex_only
 
 
 def projective_critical_ideal(X: VarietySpec, p, budget=None) -> Ideal:
@@ -414,9 +497,27 @@ def projective_critical_ideal(X: VarietySpec, p, budget=None) -> Ideal:
     bases against the y-system, generator for generator.
     """
     budget = as_budget(budget)
-    xbu, gens, bname, fs = _projective_chart_system(X, p, budget)
+    system, bname, fs, _ = _projective_chart_system(X, p, budget)
+    xbu, gens = system(None)
     return _rabinowitsch(eliminate(Ideal(xbu, gens), (bname,), budget), fs,
                          budget)
+
+
+def _saturate_unless_unit(ideal, fs, budget) -> Ideal:
+    """(ideal : <f_1..f_m>^inf), which is the ideal itself when
+    ideal + <f_1..f_m> is the unit ideal; only otherwise is it taken, in one
+    _rabinowitsch run.
+
+    The check is exact.  If 1 = a + s with a in the ideal and s in
+    J = <f_1..f_m>, and h*J^k lies in the ideal, then
+    h = h*(a + s)^k = h*s^k + h*a*r for some r, and both terms lie in the
+    ideal.  The check's grevlex run starts from the ideal's cached basis,
+    forms only the pairs with the f_i, and stops at the first constant
+    (see Ideal.__add__).
+    """
+    if (ideal + fs).groebner(GREVLEX, budget).is_unit():
+        return ideal
+    return _rabinowitsch(ideal, fs, budget)
 
 
 def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
@@ -425,14 +526,18 @@ def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
     cone): the critical points of the p-norm distance from random data u,
     counted on a random affine slice h(x) = 1 of the cone.
 
-    The system of projective_critical_ideal, in the chart y = u + b*x (see
-    _projective_chart_system), is built once per job.  Each trial binds u
-    by evaluation (see _bind) into the ring (x, b), cuts the system and the
-    f_i by the same slice, eliminates b, and saturates what is left by the
-    cut f_i in x (see _rabinowitsch) before counting it.  For phi the cut
-    and S the bound system, that is (phi(S) : phi(J)^inf) ∩ k[x'], the
-    count of the localization (see _projective_chart_system).  The chart
-    is exact for the count:
+    Each trial builds the system of projective_critical_ideal, in the chart
+    y = u + b*x (see _projective_chart_system), at its data point, in the
+    ring (x, b).  It cuts the system and the f_i by the same slice,
+    eliminates b, and saturates what is left by the cut f_i in x before
+    counting it.  For phi the cut and S the system, that is
+    (phi(S) : phi(J)^inf) ∩ k[x'], the count of the localization (see
+    _projective_chart_system).  On a cone singular at most at its vertex
+    the saturation is skipped when it removes nothing (see
+    _saturate_unless_unit), as it does for generic data.  On any other cone
+    its singular points on the slice lie in every fiber and on every f_i,
+    so the saturation runs unchecked (see _rabinowitsch).  The chart is
+    exact for the count:
     - For u off the cone, u and x are independent, so the chart misses
       only the directions y = b*x, which lie on q_p = 0 (see
       projective_critical_ideal), and (x, b) -> y is a local isomorphism
@@ -453,9 +558,9 @@ def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
     independent samples is still enforced.
     """
     budget = as_budget(budget)
-    xbu, system, bname, fs = _projective_chart_system(X, p, budget)
+    system, bname, fs, vertex_only = _projective_chart_system(X, p, budget)
+    saturated = _saturate_unless_unit if vertex_only else _rabinowitsch
     ring = X.ring
-    unames = xbu.variables[X.n + 1:]  # xbu is (x, b, u)
     work = ring.extend((bname,))
     rng_forms = random.Random(f"projdeg|{seed}|forms")
 
@@ -466,10 +571,10 @@ def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
         slice_ = (random_linear_form(work, ring.variables, rng_forms)
                   - work.one())
         small, substitute, added = _linear_cut(work, [slice_], budget)
-        gens = substitute(_bind(xbu, system, unames, u, work)) + added
+        gens = substitute(system(u)[1]) + added
         eliminated = eliminate(Ideal(small, gens), (bname,), budget)
-        return _count_points(
-            _rabinowitsch(eliminated, substitute(fs), budget), budget)
+        cut_fs = [f.transfer(eliminated.ring) for f in substitute(fs)]
+        return _count_points(saturated(eliminated, cut_fs, budget), budget)
 
     return _count_trials(count_for, X, trials, seed, budget, [])
 

@@ -23,7 +23,8 @@ from optdeg.critical import (DegreeReport, PNorm, RationalGradient,
 from optdeg.errors import (DenominatorVanishesOnX, EvoluteLinesDegenerate,
                            ZeroDenominator)
 from optdeg.groebner import DEFAULT_BUDGET, _Budget, _count_points
-from optdeg.matrices import PolyMatrix
+from optdeg.matrices import PolyMatrix, derationalize, jacobian
+from optdeg.rings import RationalFunction
 
 from conftest import (affine_plane_curve_twins, plane_curve_cones,
                       plane_curve_twins, variety)
@@ -101,7 +102,7 @@ def test_bound_data_zeroing_a_denominator_raises(ring_x12):
     big, _ = data_ring(ring_x12)
     grad = RationalGradient((parse_rational_function("(u1-x1)/u1", big),
                              parse_rational_function("u2-x2", big)))
-    with pytest.raises(ZeroDenominator):
+    with pytest.raises(ZeroDenominator, match="at the data point"):
         critical_ideal_affine(circle, grad, u=(0, 5))
 
 
@@ -305,10 +306,11 @@ def test_projective_conic_degree_general_coords(prime_field):
 
 
 def test_projective_conic_p3_reduction_budget(prime_field):
-    """Counting on the slice h(x) = 1 in the chart y = u + b*x, saturating
-    by q_p after eliminating b, needs 873 reduction steps here; localizing
-    before the elimination took 1,941, saturating by q_p in the y-system
-    about 10,000, and saturating the vertex and each y_i 58,023."""
+    """Counting on the slice h(x) = 1 in the chart y = u + b*x, checking
+    after eliminating b that saturating by q_p removes nothing, needs 701
+    reduction steps here; saturating by q_p instead took 873, localizing
+    before the elimination 1,941, saturating by q_p in the y-system about
+    10,000, and saturating the vertex and each y_i 58,023."""
     ring = RingContext(("x1", "x2", "x3"), field=prime_field)
     base = P("x1^2+x2^2+2*x3^2", ring)
     _, subs = random_linear_change(ring, ring.variables, seed=7)
@@ -318,28 +320,29 @@ def test_projective_conic_p3_reduction_budget(prime_field):
 
 
 def test_projective_conic_p3_tight_budget(prime_field):
-    """The count fits in 1,200 steps: it takes 873, where localizing at q_p
-    before eliminating b took 1,941."""
+    """The count fits in 800 steps: it takes 701, where saturating by q_p
+    after eliminating b took 873 and localizing at q_p before it 1,941."""
     ring = RingContext(("x1", "x2", "x3"), field=prime_field)
     base = P("x1^2+x2^2+2*x3^2", ring)
     _, subs = random_linear_change(ring, ring.variables, seed=7)
     conic = VarietySpec(ring, (base.substitute(subs),))
-    rep = projective_pnorm_degree(conic, 3, trials=2, seed=3, budget=1_200)
+    rep = projective_pnorm_degree(conic, 3, trials=2, seed=3, budget=800)
     assert rep.degree == 12
 
 
 @pytest.mark.parametrize("names, gens, p, degree, steps", [
-    (("x1", "x2", "x3"), ["x1^2+x2^2-3*x3^2"], 3, 12, 798),
+    (("x1", "x2", "x3"), ["x1^2+x2^2-3*x3^2"], 3, 12, 626),
     (("x1", "x2", "x3", "x4"), ["x1*x3-x2^2", "x1*x4-x2*x3", "x2*x4-x3^2"],
-     2, 7, 1_662),
+     2, 7, 1_250),
 ], ids=["conic-p3", "twisted-cubic-p2"])
 def test_projective_reduction_steps_pinned_over_gf(prime_field, names, gens,
                                                    p, degree, steps):
     """The GF(q) kernel's reduction steps are pinned exactly: a change to its
     arithmetic or pair bookkeeping must not change the steps it takes.
     Saturating after eliminating b took the conic from 1,866 steps to 798,
-    and the twisted cubic from 1,638 to 1,662: there its saturations cost
-    more than its smaller eliminations save."""
+    and the twisted cubic from 1,638 to 1,662.  Checking first that the
+    saturation removes nothing, which it does not for generic data, took
+    them to 626 and 1,250."""
     X = variety(RingContext(names, field=prime_field), *gens)
     budget = _Budget(DEFAULT_BUDGET)
     rep = projective_pnorm_degree(X, p, seed=0, budget=budget)
@@ -369,8 +372,10 @@ def test_affine_degree_builds_the_data_independent_part_once(monkeypatch,
                                                              prime_field):
     """Three trials on the nodal cubic take five Groebner runs: the
     codimension, the singular locus and one saturating elimination per
-    trial.  Minors are taken twice per job, not per trial: the Jacobian's
-    for the singular locus and the stacked ones, with u symbolic."""
+    trial.  The Jacobian's 1 x 1 minors are taken once per variety, for
+    the singular locus and every trial's stacked system, and no minor is
+    taken per trial or per job: a second job on the same variety takes
+    none."""
     runs = []
     minors = []
     original_gb = groebner.groebner_basis
@@ -391,7 +396,9 @@ def test_affine_degree_builds_the_data_independent_part_once(monkeypatch,
     rep = algebraic_degree(nodal, PNorm(2), trials=3, seed=1)
     assert rep.degree == 5
     assert len(runs) == 5
-    assert sorted(minors) == [1, 2]
+    assert minors == [1]
+    assert algebraic_degree(nodal, PNorm(3), trials=3, seed=2).degree == 8
+    assert minors == [1]
 
 
 @pytest.mark.parametrize("field", [PrimeField(), RationalField()])
@@ -423,13 +430,15 @@ def test_vertex_rule():
 
 def test_count_eliminates_b_without_a_localizer(monkeypatch, prime_field):
     """On a cone singular only at its vertex, each trial eliminates b in a
-    block order whose ring has no sat_w variable, then sat_w from the ring
-    that b has left.  The one run before them is the isotropic check."""
+    block order whose ring has no sat_w variable, and then finds in one
+    grevlex run, started from the eliminated ideal's basis, that the cut
+    q_p and that ideal generate the unit ideal, so that no sat_w is
+    eliminated.  The one run with sat_w is the isotropic check."""
     runs = []
     original_gb = groebner.groebner_basis
 
     def recorded_gb(ideal, order=None, budget=None):
-        runs.append((ideal.ring.variables, order))
+        runs.append((ideal.ring.variables, order, ideal._based))
         return original_gb(ideal, order, budget)
 
     monkeypatch.setattr(groebner, "groebner_basis", recorded_gb)
@@ -438,11 +447,10 @@ def test_count_eliminates_b_without_a_localizer(monkeypatch, prime_field):
     assert not _singular_beyond_vertex(X, None)
     rep = projective_pnorm_degree(X, 3, trials=2, seed=0)
     assert rep.degree == 12
-    blocks = [(names, order.front) for names, order in runs
-              if order is not None and order.kind == "block"]
-    assert [front for _, front in blocks] == \
-        [("sat_w",)] + [("b",), ("sat_w",)] * 2
-    assert not any("b" in names and "sat_w" in names for names, _ in blocks)
+    assert [order.front for names, order, _ in runs
+            if "sat_w" in names] == [("sat_w",)]
+    trials = [(order.front, based > 0) for _, order, based in runs[-4:]]
+    assert trials == [(("b",), False), ((), True)] * 2
 
 
 def test_codimension_is_computed_once(monkeypatch):
@@ -465,6 +473,110 @@ def test_codimension_is_computed_once(monkeypatch):
     assert len(calls) == 1
     assert replace(wrong, codim_override=None).codimension() == 2
     assert len(calls) == 2
+
+
+# --- stacked systems built from the Jacobian minors ------------------------
+
+TWISTED_CUBIC = ("x1*x3-x2^2", "x1*x4-x2*x3", "x2*x4-x3^2")
+
+
+@st.composite
+def _varieties(draw):
+    """A drawn plane curve of degree 2 or 3 in (x1, x2), the twisted cubic,
+    or two drawn quadrics in (x1..x4), a codimension-2 complete
+    intersection unless the draw degenerates; over GF(2^31 - 1) or QQ,
+    with coefficients in [-3, 3]."""
+    field = draw(st.sampled_from((PrimeField(), RationalField())))
+    kind = draw(st.sampled_from(("plane", "twisted-cubic", "ci")))
+    if kind == "twisted-cubic":
+        return variety(RingContext(("x1", "x2", "x3", "x4"), field=field),
+                       *TWISTED_CUBIC)
+    if kind == "plane":
+        n, d, count = 2, draw(st.sampled_from((2, 3))), 1
+    else:
+        n, d, count = 4, 2, 2
+    ring = RingContext(tuple(f"x{i + 1}" for i in range(n)), field=field)
+    exps = st.tuples(*[st.integers(0, d)] * n).filter(lambda e: sum(e) <= d)
+    terms = st.dictionaries(exps, st.integers(-3, 3).filter(bool),
+                            min_size=2, max_size=5)
+    gens = [ring.poly_from_terms(t) for t in draw(
+        st.lists(terms, min_size=count, max_size=count))]
+    return VarietySpec(ring, tuple(gens))
+
+
+@st.composite
+def _rows(draw, X):
+    """(ring, row): a p-norm row (u_i - x_i)^(p-1) or a rational one
+    ((u_i - x_i)^(p-1) or u_i over a drawn denominator in x, or 1), with u
+    symbolic in the data ring or bound to drawn integers in the x-ring."""
+    xu, unames = data_ring(X.ring)
+    p = draw(st.sampled_from((2, 3)))
+    row = [(xu.var(un) - xu.var(xn)) ** (p - 1)
+           for un, xn in zip(unames, X.ring.variables)]
+    if draw(st.booleans()):
+        dens = ["1", "x1", "x1+2*x2-1", f"x{X.n}^2+3"]
+        row = [RationalFunction(draw(st.sampled_from((r, xu.var(un)))),
+                                P(draw(st.sampled_from(dens)), xu))
+               for r, un in zip(row, unames)]
+    if draw(st.booleans()):
+        return xu, row
+    point = dict(zip(unames, draw(st.lists(st.integers(-50, 50),
+                                           min_size=X.n, max_size=X.n))))
+
+    def bind(g):
+        return g.substitute(point).transfer(X.ring)
+    return X.ring, [RationalFunction(bind(r.num), bind(r.den))
+                    if isinstance(r, RationalFunction) else bind(r)
+                    for r in row]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_stacked_generators_are_the_stacked_minors(data):
+    """Assembled from the Jacobian minors X keeps, the stacked system is
+    I(X) and the (c+1)-minors of the derationalized stacked matrix,
+    generator for generator and in the same order."""
+    X = data.draw(_varieties())
+    big, row = data.draw(_rows(X))
+    c = X.codimension()
+    gens = [g.transfer(big) for g in X.generators]
+    stacked = derationalize(row, jacobian(gens, X.ring.variables))
+    minors = (stacked.minors(c + 1)
+              if c + 1 <= min(stacked.rows, stacked.cols) else [])
+    assert critical._stacked_generators(X, row, big, None) == gens + minors
+
+
+@pytest.mark.parametrize("field", [PrimeField(), RationalField()])
+def test_bound_systems_are_the_symbolic_ones_at_u(field):
+    """Each trial builds its system at its data point; that is the system
+    with u symbolic evaluated at the point, generator for generator, for
+    the affine count (p-norm and rational gradient, localizer included) and
+    for the projective one."""
+    ring = RingContext(("x1", "x2"), field=field)
+    nodal = variety(ring, "x2^2-x1^2*(x1+1)")
+    xu, unames = data_ring(ring)
+    u = (7, -3)
+    point = dict(zip(unames, u))
+    gradient = RationalGradient((parse_rational_function("u1/x1", xu),
+                                 parse_rational_function("u2/(x2+1)", xu)))
+    for objective in (PNorm(3), gradient):
+        system = critical._affine_system(nodal, objective, None)
+        _, symbolic, ws = system(None)
+        small, bound, ws_bound = system(u)
+        assert ws and ws_bound == ws
+        work = small.extend(ws)
+        assert bound == [g.substitute(point).transfer(work)
+                         for g in symbolic]
+    for names, gens, p in [(("x1", "x2", "x3"), ["x1^2+x2^2-3*x3^2"], 3),
+                           (("x1", "x2", "x3", "x4"), TWISTED_CUBIC, 2)]:
+        X = variety(RingContext(names, field=field), *gens)
+        system, _, _, _ = critical._projective_chart_system(X, p, None)
+        _, symbolic = system(None)
+        u = tuple(range(5, 5 + X.n))
+        work, bound = system(u)
+        point = {f"u{i + 1}": v for i, v in enumerate(u)}
+        assert bound == [g.substitute(point).transfer(work)
+                         for g in symbolic]
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
@@ -529,6 +641,62 @@ def test_two_draws_on_the_cone_raise(monkeypatch, prime_field):
     monkeypatch.setattr(critical, "_sample_point", lambda *args: (1, 1, 1))
     with pytest.raises(PositiveDimensionalFiber, match="lay on the cone"):
         projective_pnorm_degree(X, 3, trials=2, seed=1)
+
+
+def test_saturation_runs_when_an_isotropic_point_is_critical(monkeypatch,
+                                                            prime_field):
+    """For generic data the cut q_p and the eliminated ideal generate the
+    unit ideal, and the saturation is skipped.  Here the data put a point
+    of q_p = 0 in the fiber, so the check fails and the saturation runs.
+
+    On the conic x1*x3 = x2^2, x0 = (1, w^2, w) for w a primitive cube root
+    of unity mod q has q_2(x0) = 1 + w + w^2 = 0.  At p = 2 the chart's row
+    is y = u + b*x, so for u = grad g(x0) - 5*x0 the point x0 with b = 5
+    is critical, and so is its multiple on the slice.  The count removes
+    it, as always saturating does: 3 points, where counting without the
+    saturation gives 4, the count of generic data."""
+    q = prime_field.q
+    w = next(pow(a, (q - 1) // 3, q) for a in range(2, 100)
+             if pow(a, (q - 1) // 3, q) != 1)
+    x0 = (1, w * w % q, w)
+    grad = (x0[2], -2 * x0[1], x0[0])
+    u = tuple((g - 5 * x) % q for g, x in zip(grad, x0))
+    X = variety(RingContext(("x1", "x2", "x3"), field=prime_field),
+                "x1*x3-x2^2")
+    assert (u[0] * u[2] - u[1] ** 2) % q  # u is off the cone
+
+    def count(saturate=None):
+        draws = iter([u, u])
+        monkeypatch.setattr(critical, "_sample_point",
+                            lambda *args: next(draws))
+        if saturate is not None:
+            monkeypatch.setattr(critical, "_saturate_unless_unit", saturate)
+        rep = projective_pnorm_degree(X, 2, trials=2, seed=1)
+        return [c for _, c in rep.trials]
+
+    checks, saturations = [], []
+    original_gb = groebner.groebner_basis
+    original_rabinowitsch = critical._rabinowitsch
+
+    def recorded_gb(ideal, order=None, budget=None):
+        gb = original_gb(ideal, order, budget)
+        if ideal._based:
+            checks.append(gb.is_unit())
+        return gb
+
+    def recorded_rabinowitsch(ideal, fs, budget):
+        saturations.append(ideal.ring.variables)
+        return original_rabinowitsch(ideal, fs, budget)
+
+    monkeypatch.setattr(groebner, "groebner_basis", recorded_gb)
+    monkeypatch.setattr(critical, "_rabinowitsch", recorded_rabinowitsch)
+    assert count() == [3, 3]
+    assert checks == [False, False]
+    assert len(saturations) == 2
+    assert count(lambda ideal, fs, budget:
+                 original_rabinowitsch(ideal, fs, budget)) == [3, 3]
+    assert count(lambda ideal, fs, budget: ideal) == [4, 4]
+    assert saturating_counts(X, 2, 1, [u]) == [3]
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)

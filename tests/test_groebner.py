@@ -740,6 +740,73 @@ def test_saturating_after_eliminating_b_on_a_whole_b_line(field, fs,
     assert got.equals(I(x_ring, expected))
 
 
+# --- sums started from a cached grevlex basis ------------------------------------
+
+@st.composite
+def _ideal_and_cut(draw, field, coeffs):
+    """(J, fs): J generated by 1-3 drawn polynomials in 2 or 3 variables,
+    of total degree at most 5 - nvars, and, with a drawn flag, by
+    x_i^3 + (a drawn polynomial of lower degree) for every i too, which
+    makes it zero-dimensional (or the unit ideal); then 0-2 drawn f_i, a
+    zero f_i by drawn choice and a constant one in about a third of the
+    draws."""
+    n = draw(st.integers(2, 3))
+    ring = RingContext(tuple(f"x{i + 1}" for i in range(n)), field)
+
+    def polys(least, most, degree):
+        exps = st.tuples(*[st.integers(0, degree)] * n).filter(
+            lambda e: sum(e) <= degree)
+        terms = st.dictionaries(exps, coeffs, min_size=1, max_size=4)
+        return [_poly(ring, t) for t in draw(st.lists(terms, min_size=least,
+                                                      max_size=most))]
+
+    gens = polys(1, 3, 5 - n)
+    if draw(st.booleans()):
+        gens += [ring.var(v) ** 3 + g
+                 for v, g in zip(ring.variables, polys(n, n, 2))]
+    fs = polys(0, 2, 5 - n)
+    if draw(st.booleans()):
+        fs.append(ring.zero())
+    if draw(st.sampled_from((False, False, True))):
+        fs.append(ring.const(draw(coeffs)))
+    return Ideal(ring, gens), draw(st.permutations(fs))
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_sum_runs_from_the_cached_basis(field, data):
+    """J + <f_1..f_m>, for J holding its reduced grevlex basis, is
+    generated by that basis and the f_i, and its grevlex run forms no pair
+    of two basis elements and stops at the first constant: it is the unit
+    ideal exactly when the run from all the generators says so, and it has
+    the same reduced basis either way."""
+    J, fs = data.draw(_ideal_and_cut(
+        field, _COEFFS if field is None else _GF_COEFFS))
+    plain = groebner_basis(Ideal(J.ring, J.generators + tuple(fs)))
+    basis = J.groebner(GREVLEX)
+    total = J + fs
+    assert total._based == len(basis)
+    assert total.generators[:len(basis)] == tuple(basis)
+    got = total.groebner(GREVLEX)
+    assert got.is_unit() == plain.is_unit()
+    assert [g.terms for g in got] == [g.terms for g in plain]
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
+def test_sum_with_a_constant_stops_at_once(field):
+    """A constant f_i enters after the cached basis without a reduction
+    step and ends the run; a sum without a cached basis starts from its
+    generators."""
+    ring = RingContext(("x", "y", "z"), field)
+    J = I(ring, "x^2+y*z-1", "y^2-x*z", "z^3-x-y")
+    assert (J + [ring.one()])._based == 0
+    J.groebner(GREVLEX)
+    budget = _Budget(100)
+    assert (J + [ring.const(3)]).groebner(GREVLEX, budget).is_unit()
+    assert budget.remaining == 100
+
+
 # --- affine degrees against random sections -----------------------------------------
 
 def _degree_outcome(fn, *args):

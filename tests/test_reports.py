@@ -17,6 +17,15 @@ GF = "prime:2147483647"
 CONIC = "3*x1^2+2*x1*x2+5*x2^2+x2*x3+4*x3^2"
 NODAL_CONE = "x2^2*x3-x1^2*(x1+x3)"
 TWISTED_CUBIC = ["x1*x3-x2^2", "x1*x4-x2*x3", "x2*x4-x3^2"]
+SEEDED_CONIC = "50*x1^2+2*x1*x2-30*x1*x3+31*x2^2-14*x2*x3+35*x3^2"
+SEEDED_TWISTED_CUBIC = [
+    "-3*x1^2-11*x1*x2+10*x1*x3-6*x1*x4-16*x2^2+37*x2*x3-27*x2*x4-23*x3^2"
+    "+34*x3*x4-7*x4^2",
+    "x1^2+13*x1*x2-14*x1*x3+2*x1*x4+12*x2^2-21*x2*x3+3*x2*x4+9*x3^2"
+    "+2*x3*x4-7*x4^2",
+    "-5*x1^2-14*x1*x2+12*x1*x3+4*x1*x4-x2^2-2*x2*x3+14*x2*x4+x3^2"
+    "-6*x3*x4-7*x4^2",
+]
 
 
 def _job(variables, field, generators, seed=1, trials=2, **extra):
@@ -65,6 +74,14 @@ JOBS = {
                                  _job(XYZ, GF, [NODAL_CONE],
                                       options={"p": 2,
                                                "curve": {"d": 3, "g": 0}})),
+    # the twisted cubic at p = 2 and the conic at p = 3 in the seeded
+    # coordinates of the projective-gf benchmark at seed 1: its slowest and
+    # its median job
+    "crossvalidate-seeded-twisted-cubic": ("crossvalidate", _job(
+        XYZW, GF, SEEDED_TWISTED_CUBIC, seed=87373158,
+        options={"p": 2, "curve": {"d": 3, "g": 0}})),
+    "crossvalidate-seeded-conic": ("crossvalidate", _job(
+        XYZ, GF, [SEEDED_CONIC], seed=121524608, options={"p": 3})),
 }
 
 HASHES = {
@@ -94,6 +111,10 @@ HASHES = {
         "a787fd3e75354230fb3b92422dc26209142337ea897c6a4f52ca1f888ec8646c",
     "crossvalidate-nodal-cone":
         "9d3e9f1dbc4c43d7300e655aefa964a6ac2c5cac61697db7c6ec768cae99e5f8",
+    "crossvalidate-seeded-twisted-cubic":
+        "fce0adb929b72f0c3335e0e1cb673b03a71647d5a6f195ef98c5d9ab92191522",
+    "crossvalidate-seeded-conic":
+        "7d5526565fdfc25ff5e293e7369feff86db3dd088e42d965cea059187e6d27f9",
 }
 
 
