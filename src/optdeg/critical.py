@@ -422,8 +422,7 @@ def _projective_chart_system(X: VarietySpec, p, budget):
     y = u + b*x, checked once per job, as a function of the data point: for
     u=None the ring (x, b, u) with u symbolic, and for a point u the ring
     (x, b) with u bound; each time that ring and the generators.  Also the
-    name b, the polynomials f_i of the x-ring to saturate by, and whether
-    the cone is singular at most at its vertex.
+    name b and the polynomials f_i of the x-ring to saturate by.
 
     The generators are I(X) and the (c+1)-minors of the row
     ((u_i + b*x_i)^(p-1))_i stacked over the Jacobian of X (see
@@ -458,11 +457,10 @@ def _projective_chart_system(X: VarietySpec, p, budget):
         return work, _stacked_generators(X, row, work, budget)
 
     fs = [q_p]
-    vertex_only = not _singular_beyond_vertex(X, budget)
-    if not vertex_only:
+    if _singular_beyond_vertex(X, budget):
         sing = singular_locus_ideal(X, budget).groebner(GREVLEX, budget)
         fs = [q_p * g for g in sing.basis]
-    return system, bname, fs, vertex_only
+    return system, bname, fs
 
 
 def projective_critical_ideal(X: VarietySpec, p, budget=None) -> Ideal:
@@ -497,7 +495,7 @@ def projective_critical_ideal(X: VarietySpec, p, budget=None) -> Ideal:
     bases against the y-system, generator for generator.
     """
     budget = as_budget(budget)
-    system, bname, fs, _ = _projective_chart_system(X, p, budget)
+    system, bname, fs = _projective_chart_system(X, p, budget)
     xbu, gens = system(None)
     return _rabinowitsch(eliminate(Ideal(xbu, gens), (bname,), budget), fs,
                          budget)
@@ -511,11 +509,14 @@ def _saturate_unless_unit(ideal, fs, budget) -> Ideal:
     The check is exact.  If 1 = a + s with a in the ideal and s in
     J = <f_1..f_m>, and h*J^k lies in the ideal, then
     h = h*(a + s)^k = h*s^k + h*a*r for some r, and both terms lie in the
-    ideal.  The check's grevlex run starts from the ideal's cached basis,
+    ideal.  The check's grevlex run starts from the ideal's reduced basis,
     forms only the pairs with the f_i, and stops at the first constant
-    (see Ideal.__add__).
+    (see groebner_basis).
     """
-    if (ideal + fs).groebner(GREVLEX, budget).is_unit():
+    basis = [g.transfer(ideal.ring)
+             for g in ideal.groebner(GREVLEX, budget).basis]
+    total = Ideal(ideal.ring, basis + list(fs))
+    if groebner_basis(total, GREVLEX, budget, based=len(basis)).is_unit():
         return ideal
     return _rabinowitsch(ideal, fs, budget)
 
@@ -532,12 +533,9 @@ def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
     eliminates b, and saturates what is left by the cut f_i in x before
     counting it.  For phi the cut and S the system, that is
     (phi(S) : phi(J)^inf) ∩ k[x'], the count of the localization (see
-    _projective_chart_system).  On a cone singular at most at its vertex
-    the saturation is skipped when it removes nothing (see
-    _saturate_unless_unit), as it does for generic data.  On any other cone
-    its singular points on the slice lie in every fiber and on every f_i,
-    so the saturation runs unchecked (see _rabinowitsch).  The chart is
-    exact for the count:
+    _projective_chart_system).  The saturation is skipped when it removes
+    nothing (see _saturate_unless_unit), as it does for generic data on a
+    cone singular at most at its vertex.  The chart is exact for the count:
     - For u off the cone, u and x are independent, so the chart misses
       only the directions y = b*x, which lie on q_p = 0 (see
       projective_critical_ideal), and (x, b) -> y is a local isomorphism
@@ -558,8 +556,7 @@ def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
     independent samples is still enforced.
     """
     budget = as_budget(budget)
-    system, bname, fs, vertex_only = _projective_chart_system(X, p, budget)
-    saturated = _saturate_unless_unit if vertex_only else _rabinowitsch
+    system, bname, fs = _projective_chart_system(X, p, budget)
     ring = X.ring
     work = ring.extend((bname,))
     rng_forms = random.Random(f"projdeg|{seed}|forms")
@@ -574,7 +571,8 @@ def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
         gens = substitute(system(u)[1]) + added
         eliminated = eliminate(Ideal(small, gens), (bname,), budget)
         cut_fs = [f.transfer(eliminated.ring) for f in substitute(fs)]
-        return _count_points(saturated(eliminated, cut_fs, budget), budget)
+        return _count_points(_saturate_unless_unit(eliminated, cut_fs,
+                                                   budget), budget)
 
     return _count_trials(count_for, X, trials, seed, budget, [])
 

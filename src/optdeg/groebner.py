@@ -8,10 +8,9 @@ which are all block-order eliminations through one routine (a saturation by
 them from ideal + <1 - sum_i w_i*g_i>); and Krull dimensions, point counts,
 degrees and multidegrees, all read off the one cached grevlex basis.
 Affine-linear sections are substituted for their pivot variables rather
-than adjoined as generators (_cut_linear).  The sum of an ideal that
-caches its grevlex basis and a few polynomials is run from that basis,
-pairing only the new elements (Ideal.__add__), and every run stops at the
-first constant it finds.
+than adjoined as generators (_cut_linear).  A run whose first generators
+are a reduced basis pairs only the others with them (groebner_basis's
+`based`), and every run stops at the first constant it finds.
 
 One routine reads the lead monomials: the Hilbert numerator N, by pivot
 recursion (_hilbert_numerator), graded by degree or by groups of
@@ -74,11 +73,9 @@ def as_budget(budget):
 
 
 class Ideal:
-    """A polynomial ideal given by generators; zero generators are dropped.
-    `_based` counts the leading generators that form its reduced grevlex
-    basis, when they are known to (see __add__)."""
+    """A polynomial ideal given by generators; zero generators are dropped."""
 
-    __slots__ = ("ring", "generators", "_gb_cache", "_based")
+    __slots__ = ("ring", "generators", "_gb_cache")
 
     def __init__(self, ring, generators):
         gens = []
@@ -90,7 +87,6 @@ class Ideal:
         self.ring = ring
         self.generators = tuple(gens)
         self._gb_cache = {}
-        self._based = 0
 
     def groebner(self, order=None, budget=None):
         order = order if order is not None else self.ring.order
@@ -112,22 +108,11 @@ class Ideal:
         return not self.generators
 
     def __add__(self, other):
-        """The sum with an ideal or a list of polynomials.  When this ideal
-        caches its reduced grevlex basis, the sum is generated by that basis
-        and then the others, and its grevlex run starts from the basis:
-        its S-pairs, which reduce to zero, are never formed (see
-        _buchberger)."""
         if isinstance(other, Ideal):
             if other.ring != self.ring:
                 raise RingMismatch("ideal sum across rings")
-            other = other.generators
-        gb = self._gb_cache.get(GREVLEX)
-        if gb is None:
-            return Ideal(self.ring, self.generators + tuple(other))
-        basis = [g.transfer(self.ring) for g in gb.basis]
-        out = Ideal(self.ring, basis + list(other))
-        out._based = len(basis)
-        return out
+            return Ideal(self.ring, self.generators + other.generators)
+        return Ideal(self.ring, self.generators + tuple(other))
 
     def transfer(self, ring):
         """The ideal in `ring`: itself, cached bases included, if unchanged."""
@@ -483,12 +468,6 @@ def _buchberger(seed_terms, ring, budget, hilbert=None, based=0):
     The first `based` seeds form a reduced Groebner basis for the ring's
     order.  They enter as they are, and no pair of two of them is formed:
     each such S-pair reduces to zero against them, so against any superset.
-    Such a run selects by the degree of the lcm alone (the normal
-    strategy): an element whose degree fell under reduction keeps a high
-    sugar, which would postpone the very pairs that lead further down, to
-    a constant.  On the 60 unit checks of the projective-gf benchmark at
-    seeds 1-5 (see critical._saturate_unless_unit) the sugar strategy took
-    2,250 steps and this one 1,220.
 
     `hilbert` is None when the Hilbert function is unknown.  Otherwise the
     seeds are homogeneous and `hilbert` is the Hilbert numerator of the
@@ -546,8 +525,7 @@ def _buchberger(seed_terms, ring, budget, hilbert=None, based=0):
         best_key = None
         for pair, (sugar, L) in P.items():
             if sugar is None:
-                sugar = (degree(L) if based
-                         else _pair_sugar(pair, L, leads, sugars, degree))
+                sugar = _pair_sugar(pair, L, leads, sugars, degree)
                 P[pair] = (sugar, L)
             k = (sugar, L, pair)
             if best_key is None or k < best_key:
@@ -683,7 +661,7 @@ def _convert_grevlex(gb, work_ring, budget):
             [{drop(e): c for e, c in t.items()} for t in tails])
 
 
-def groebner_basis(ideal, order=None, budget=None) -> GroebnerBasis:
+def groebner_basis(ideal, order=None, budget=None, based=0) -> GroebnerBasis:
     """Reduced Groebner basis of an ideal for the given monomial order.
 
     Deterministic and canonical: any generating list of the same ideal yields
@@ -695,9 +673,9 @@ def groebner_basis(ideal, order=None, budget=None) -> GroebnerBasis:
     the packed field widths, which the affine run may not: with h, a
     term's back-block degree is the element's degree less the term's
     front degree, and that field holds less than 2^14.  The steps the
-    conversion took stay spent.  The grevlex run of a sum whose first
-    generators are a reduced grevlex basis (see Ideal.__add__) forms no
-    pair of two of them.
+    conversion took stay spent.  When the first `based` generators are a
+    reduced basis for `order`, Buchberger's algorithm forms no pair of two
+    of them (see _buchberger).
     """
     budget = as_budget(budget)
     ring = ideal.ring
@@ -714,8 +692,7 @@ def groebner_basis(ideal, order=None, budget=None) -> GroebnerBasis:
     if kernel is None:
         seed = [_pack_terms(g.transfer(work_ring).terms, packer)
                 for g in ideal.generators]
-        kernel = _buchberger(seed, work_ring, budget,
-                             based=ideal._based if order == GREVLEX else 0)
+        kernel = _buchberger(seed, work_ring, budget, based=based)
     basis = [Polynomial(work_ring, _unpack_terms(t, packer))
              for t in _autoreduce(*kernel, packer, budget)]
     return GroebnerBasis(work_ring, basis, order)

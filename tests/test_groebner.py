@@ -776,34 +776,29 @@ def _ideal_and_cut(draw, field, coeffs):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.data())
 def test_sum_runs_from_the_cached_basis(field, data):
-    """J + <f_1..f_m>, for J holding its reduced grevlex basis, is
-    generated by that basis and the f_i, and its grevlex run forms no pair
-    of two basis elements and stops at the first constant: it is the unit
-    ideal exactly when the run from all the generators says so, and it has
-    the same reduced basis either way."""
+    """J + <f_1..f_m>, generated by the reduced grevlex basis of J and then
+    the f_i, and run without a pair of two basis elements and up to the
+    first constant: it is the unit ideal exactly when the run from all the
+    generators says so, and it has the same reduced basis either way."""
     J, fs = data.draw(_ideal_and_cut(
         field, _COEFFS if field is None else _GF_COEFFS))
     plain = groebner_basis(Ideal(J.ring, J.generators + tuple(fs)))
-    basis = J.groebner(GREVLEX)
-    total = J + fs
-    assert total._based == len(basis)
-    assert total.generators[:len(basis)] == tuple(basis)
-    got = total.groebner(GREVLEX)
+    basis = [g.transfer(J.ring) for g in J.groebner(GREVLEX)]
+    got = groebner_basis(Ideal(J.ring, basis + fs), GREVLEX,
+                         based=len(basis))
     assert got.is_unit() == plain.is_unit()
     assert [g.terms for g in got] == [g.terms for g in plain]
 
 
 @pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
 def test_sum_with_a_constant_stops_at_once(field):
-    """A constant f_i enters after the cached basis without a reduction
-    step and ends the run; a sum without a cached basis starts from its
-    generators."""
+    """A constant f_i enters after the reduced basis without a reduction
+    step and ends the run."""
     ring = RingContext(("x", "y", "z"), field)
-    J = I(ring, "x^2+y*z-1", "y^2-x*z", "z^3-x-y")
-    assert (J + [ring.one()])._based == 0
-    J.groebner(GREVLEX)
+    basis = I(ring, "x^2+y*z-1", "y^2-x*z", "z^3-x-y").groebner(GREVLEX).basis
     budget = _Budget(100)
-    assert (J + [ring.const(3)]).groebner(GREVLEX, budget).is_unit()
+    total = Ideal(ring, basis + [ring.const(3)])
+    assert groebner_basis(total, GREVLEX, budget, based=len(basis)).is_unit()
     assert budget.remaining == 100
 
 
