@@ -18,6 +18,14 @@ CONIC = "3*x1^2+2*x1*x2+5*x2^2+x2*x3+4*x3^2"
 NODAL_CONE = "x2^2*x3-x1^2*(x1+x3)"
 TWISTED_CUBIC = ["x1*x3-x2^2", "x1*x4-x2*x3", "x2*x4-x3^2"]
 SEEDED_CONIC = "50*x1^2+2*x1*x2-30*x1*x3+31*x2^2-14*x2*x3+35*x3^2"
+SEEDED_CONIC_P2 = "10*x1^2+28*x1*x2+16*x1*x3+49*x2^2+50*x2*x3+19*x3^2"
+SEEDED_SEGRE_QUADRIC = ("12*x1^2+27*x1*x2+24*x1*x3+27*x1*x4+17*x2^2"
+                        "+33*x2*x3+30*x2*x4+16*x3^2+23*x3*x4+7*x4^2")
+SEEDED_RATIONAL_NORMAL_CONIC = ("19*x1^2+22*x1*x2+17*x1*x3-6*x2^2-5*x2*x3"
+                                "-3*x3^2")
+SEEDED_FERMAT_CUBIC = ("-54*x1^3-135*x1^2*x2+54*x1^2*x3-225*x1*x2^2"
+                       "+450*x1*x2*x3-306*x1*x3^2+525*x2^2*x3-315*x2*x3^2"
+                       "+106*x3^3")
 SEEDED_TWISTED_CUBIC = [
     "-3*x1^2-11*x1*x2+10*x1*x3-6*x1*x4-16*x2^2+37*x2*x3-27*x2*x4-23*x3^2"
     "+34*x3*x4-7*x4^2",
@@ -74,14 +82,25 @@ JOBS = {
                                  _job(XYZ, GF, [NODAL_CONE],
                                       options={"p": 2,
                                                "curve": {"d": 3, "g": 0}})),
-    # the twisted cubic at p = 2 and the conic at p = 3 in the seeded
-    # coordinates of the projective-gf benchmark at seed 1: its slowest and
-    # its median job
+    # the six jobs of the projective-gf benchmark at seed 1, in its seeded
+    # coordinates; the twisted cubic at p = 2 is its slowest job and the
+    # conic at p = 3 its median one
     "crossvalidate-seeded-twisted-cubic": ("crossvalidate", _job(
         XYZW, GF, SEEDED_TWISTED_CUBIC, seed=87373158,
         options={"p": 2, "curve": {"d": 3, "g": 0}})),
     "crossvalidate-seeded-conic": ("crossvalidate", _job(
         XYZ, GF, [SEEDED_CONIC], seed=121524608, options={"p": 3})),
+    "crossvalidate-seeded-conic-p2": ("crossvalidate", _job(
+        XYZ, GF, [SEEDED_CONIC_P2], seed=62347205, options={"p": 2})),
+    "crossvalidate-seeded-segre-quadric": ("crossvalidate", _job(
+        XYZW, GF, [SEEDED_SEGRE_QUADRIC], seed=325336078,
+        options={"p": 2, "segre_veronese": [[2, 1], [2, 1]]})),
+    "crossvalidate-seeded-rational-normal-conic": ("crossvalidate", _job(
+        XYZ, GF, [SEEDED_RATIONAL_NORMAL_CONIC], seed=18877363,
+        options={"p": 3, "curve": {"d": 2, "g": 0}})),
+    "crossvalidate-seeded-fermat-cubic": ("crossvalidate", _job(
+        XYZ, GF, [SEEDED_FERMAT_CUBIC], seed=463086742,
+        options={"p": 2, "curve": {"d": 3, "g": 1}})),
 }
 
 HASHES = {
@@ -115,6 +134,14 @@ HASHES = {
         "fce0adb929b72f0c3335e0e1cb673b03a71647d5a6f195ef98c5d9ab92191522",
     "crossvalidate-seeded-conic":
         "7d5526565fdfc25ff5e293e7369feff86db3dd088e42d965cea059187e6d27f9",
+    "crossvalidate-seeded-conic-p2":
+        "86a9c839249580ba848d1c76e9b0d76bf4595903cae262a05edd9c1d6690f819",
+    "crossvalidate-seeded-segre-quadric":
+        "8add7021b991e4392b1551f5fe6ee54ae9a65c32f417f078fcef701688f18cc2",
+    "crossvalidate-seeded-rational-normal-conic":
+        "5b0d69e0f977503626411f2b5d5bed6f972650b6e787148f24b239f0adc43868",
+    "crossvalidate-seeded-fermat-cubic":
+        "58d9cbb1db705ee02d67e51ff6c1dfaf55bbb6efc1b494e25696bc68ab4456ef",
 }
 
 
