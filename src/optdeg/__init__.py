@@ -11,7 +11,7 @@ from .parsing import (format_polynomial, format_rational_function,
 from .matrices import PolyMatrix, derationalize, jacobian, random_linear_change
 from .groebner import (DEFAULT_BUDGET, GroebnerBasis, Ideal, affine_degree,
                        degree_zero_dim, dimension, eliminate, groebner_basis,
-                       intersect, normal_form, saturate, vanishes_on_variety)
+                       normal_form, saturate, vanishes_on_variety)
 from .critical import (DegreeReport, EvolutePolynomial, PNorm, RationalGradient,
                        VarietySpec, algebraic_degree, ci_degree_bound_check,
                        critical_ideal_affine, data_ring, evolute_curve,

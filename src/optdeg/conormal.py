@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CollapsedToUnit, NotHomogeneous
-from .critical import (VarietySpec, _singular_beyond_vertex,
+from .critical import (VarietySpec, _packed_row, _singular_beyond_vertex,
                        _stacked_generators, isotropic_polynomial,
                        singular_locus_ideal)
 from .formulas import polar_formula
@@ -64,7 +64,8 @@ def _conormal_system(X: VarietySpec, s, budget):
     ynames = tuple(f"y{i + 1}" for i in range(X.n))
     big = X.ring.extend(ynames)
     row = [big.var(yn) ** s for yn in ynames]
-    return Ideal(big, _stacked_generators(X, row, big, budget)), ynames
+    return Ideal.packed(big, _stacked_generators(X, _packed_row(row, big),
+                                                 big, budget)), ynames
 
 
 def s_conormal_ideal(X: VarietySpec, s, budget=None) -> Ideal:

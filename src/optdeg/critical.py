@@ -7,7 +7,9 @@ per side gives both the correspondence ideal (u symbolic) and the count,
 which builds it at each trial's data point from the Jacobian minors the
 variety keeps: the affine one localized at its saturand, the projective
 one (in the direction chart y = u + b*x) saturated once b is eliminated,
-and in the count only when the saturation removes something.
+and in the count only when the saturation removes something.  Every system
+is assembled on packed terms that seed its Groebner run as they are, and
+the projective count assembles its system in the ring its slice cuts.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ from .errors import (ContainedInIsotropic, DenominatorVanishesOnX,
                      PositiveDimensionalFiber, RingMismatch, ZeroDenominator)
 from .fields import PrimeField
 from .groebner import (GREVLEX, Ideal, _count_points, _eliminate, _linear_cut,
-                       _localizer, _rabinowitsch, _saturand, as_budget,
-                       dimension, eliminate, groebner_basis, normal_form,
-                       saturate, vanishes_on_variety)
+                       _localizer, _pack_polys, _packed_const, _packed_power,
+                       _packed_sum, _rabinowitsch, _saturand, _unpack_polys,
+                       as_budget, dimension, eliminate, groebner_basis,
+                       normal_form, saturate, vanishes_on_variety)
 from .matrices import jacobian
-from .rings import (Polynomial, RationalFunction, RingContext,
+from .rings import (OrderSpec, Polynomial, RationalFunction, RingContext,
                     random_linear_form)
 
 
@@ -46,6 +49,7 @@ class VarietySpec:
     _ideal: Ideal = dc_field(init=False, repr=False, compare=False)
     _codim: int = dc_field(init=False, repr=False, compare=False)
     _minors: tuple = dc_field(init=False, repr=False, compare=False)
+    _packed: dict = dc_field(init=False, repr=False, compare=False)
     _singular: Ideal = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -64,6 +68,7 @@ class VarietySpec:
         self._ideal = Ideal(self.ring, gens)
         self._codim = self.codim_override
         self._minors = None
+        self._packed = {}
         self._singular = self.singular_ideal_override
 
     @property
@@ -85,15 +90,40 @@ class VarietySpec:
         """The c x c and the (c+1) x (c+1) minors of the Jacobian of the
         generators in x, for c the codimension, each list in the order of
         PolyMatrix.minors and empty when the size exceeds the Jacobian's:
-        taken on the first call and kept.  The singular locus reads the
-        first, and every stacked system both (see _stacked_generators)."""
+        taken on the first call and kept.  Only the c-minors are expanded;
+        each (c+1)-minor is their Laplace sum along its first row (see
+        _laplace_minors).  The singular locus reads the first, and every
+        stacked system both (see packed_minors)."""
         if self._minors is None:
             c = self.codimension(budget)
-            jac = jacobian(self.generators, self.ring.variables)
-            fits = min(jac.rows, jac.cols)
-            self._minors = tuple(jac.minors(k) if k <= fits else []
-                                 for k in (c, c + 1))
+            ring = self.ring
+            jac = jacobian(self.generators, ring.variables)
+            m, n = jac.rows, jac.cols
+            lower = jac.minors(c) if c <= min(m, n) else []
+            upper = []
+            if c + 1 <= min(m, n):
+                keyed = dict(zip(product(combinations(range(m), c),
+                                         combinations(range(n), c)),
+                                 _pack_polys(lower, ring)))
+                for r in range(m):
+                    upper += _laplace_minors(
+                        _pack_polys(jac.entries[r], ring),
+                        combinations(range(r + 1, m), c), keyed, n, ring)
+                upper = _unpack_polys(upper, ring)
+            self._minors = (lower, upper)
         return self._minors
+
+    def packed_minors(self, ring, budget=None):
+        """The generators and the two lists of jacobian_minors as packed
+        term dicts of ring's packer, packed on the first call for each ring
+        and kept: every later trial in that ring packs and transfers none of
+        them (see _stacked_generators)."""
+        packed = self._packed.get(ring)
+        if packed is None:
+            packed = tuple(_pack_polys(polys, ring) for polys in
+                           (self.generators, *self.jacobian_minors(budget)))
+            self._packed[ring] = packed
+        return packed
 
     def is_homogeneous(self):
         return all(g.is_homogeneous() for g in self.generators)
@@ -197,7 +227,9 @@ def _affine_system(X: VarietySpec, objective, budget):
     """The critical system of X for the objective, checked once per job, as a
     function of the data point: for u=None the ring (x, u) with u symbolic,
     and for a point u the x-ring with u bound; each time that ring, the
-    generators in it extended by the w_i, and the names w_i.
+    system as an ideal of it extended by the w_i, seeded with packed terms
+    for the block order that ranks the w_i first (see Ideal.packed), and
+    the names w_i.
 
     The generators are I(X), the (c+1)-minors of the gradient row stacked
     over the Jacobian of X (see _stacked_generators) and, last,
@@ -252,19 +284,22 @@ def _affine_system(X: VarietySpec, objective, budget):
         if not den.is_constant():
             fs = [g * d for g in fs] or [d]
         big, ws, localizer = _localizer(small, fs)
-        gens = [g.transfer(big)
-                for g in _stacked_generators(X, row, small, budget)]
-        return small, gens + ([localizer] if ws else []), ws
+        if ws:
+            big = big.with_order(OrderSpec("block", ws))
+        seeds = _stacked_generators(X, _packed_row(row, big), big, budget)
+        if ws:
+            seeds += _pack_polys([localizer], big)
+        return small, Ideal.packed(big, seeds), ws
     return system
 
 
 def _critical_ideal(system, u, budget) -> Ideal:
     """The ideal of _affine_system's system at u with w eliminated: in the
     ring (x, u) for u=None, and otherwise in the x-ring, with u bound."""
-    small, gens, ws = system(u)
+    small, ideal, ws = system(u)
     if not ws:
-        return Ideal(small, gens).normalized(budget)
-    return _eliminate(Ideal(small.extend(ws), gens), ws, small, budget)
+        return ideal.normalized(budget)
+    return _eliminate(ideal, ws, small, budget)
 
 
 def critical_ideal_affine(X: VarietySpec, objective, u=None, budget=None) -> Ideal:
@@ -345,62 +380,89 @@ def isotropic_polynomial(ring, p):
     return out
 
 
-def _stacked_generators(X: VarietySpec, row, big, budget):
-    """I(X) in the ring big, plus the (c+1) x (c+1) minors of the Jacobian of
-    its generators stacked under `row`, a row of polynomials or rational
-    functions of big whose denominators are cleared column by column (see
-    derationalize), in the order of PolyMatrix.minors.
+def _packed_row(row, ring):
+    """A row of polynomials or rational functions, in a ring whose
+    variables `ring` has, as the (numerator, denominator) pairs of packed
+    term dicts of ring's packer that _stacked_generators takes; the
+    denominator is None for 1."""
+    out = []
+    for g in row:
+        if not isinstance(g, RationalFunction):
+            g = RationalFunction(g)
+        den = None if g.den == g.ring.one() else _pack_polys([g.den], ring)[0]
+        out.append((_pack_polys([g.num], ring)[0], den))
+    return out
 
-    No minor is expanded: each is assembled from the Jacobian minors X keeps
-    (see VarietySpec.jacobian_minors).  Clearing the denominator d_j scales
-    column j, so a minor through the columns C is scaled by d_C, the
-    product of the d_j over C.  A minor on rows R of the Jacobian alone is
-    d_C*M(R, C), for M the (c+1)-minors of X.  One on the top row and rows
-    R is, by Laplace expansion along the top row,
+
+def _laplace_minors(top, row_sets, lower, n, ring):
+    """For each k-row set R of `row_sets` and each (k+1)-subset C of the n
+    columns, in lexicographic (R, C) order, the determinant of the rows R
+    below the row `top`, through the columns C, expanded along `top`:
+    sum_t (-1)^t * top[C_t] * lower[R, C - C_t], for `lower` the k-minors
+    keyed by (row set, column set).  Entries, minors and results are packed
+    term dicts of ring's packer (see _packed_sum)."""
+    out = []
+    for rows in row_sets:
+        for cols in combinations(range(n), len(rows) + 1):
+            out.append(_packed_sum(
+                [(-1 if t % 2 else 1, top[j],
+                  lower[rows, cols[:t] + cols[t + 1:]])
+                 for t, j in enumerate(cols)], ring))
+    return out
+
+
+def _stacked_generators(X: VarietySpec, row, ring, budget, cut=None):
+    """I(X) and the (c+1) x (c+1) minors of the Jacobian of its generators
+    stacked under `row`, whose denominators are cleared column by column
+    (see derationalize), in the order of PolyMatrix.minors, as packed term
+    dicts of ring's packer; for `cut` a triple of _linear_cut on ring, of
+    the cut ring's packer instead.  `row` holds one (numerator,
+    denominator) pair of packed term dicts of ring's packer per variable,
+    the denominator None for 1 (see _packed_row).  Every caller seeds its
+    Groebner run with the result (see Ideal.packed).
+
+    No minor is expanded: each is assembled from the Jacobian minors X
+    keeps, packed once per ring (see VarietySpec.packed_minors).  Clearing
+    the denominator d_j scales column j, so a minor through the columns C
+    is scaled by d_C, the product of the d_j over C.  A minor on rows R of
+    the Jacobian alone is d_C*M(R, C), for M the (c+1)-minors of X.  One on
+    the top row and rows R is, by Laplace expansion along the top row,
     sum_t (-1)^t * num_{C_t} * d_{C - C_t} * M_c(R, C - C_t), for M_c the
-    c-minors of X; these come first.
+    c-minors of X (see _laplace_minors); these come first.  A cut is a ring
+    map, so it is applied to the generators, those minors and the row, and
+    the sums are assembled in the cut ring.
     """
     c = X.codimension(budget)
-    gens = [g.transfer(big) for g in X.generators]
+    gens, lower, large = X.packed_minors(ring, budget)
     m, n = len(gens), X.n
     if len(row) != n:
         raise ValueError("one row entry per variable is required")
-    if c + 1 > min(m + 1, n):
+    stacked = c + 1 <= min(m + 1, n)
+    nums = [num for num, _ in row]
+    dens = [den for _, den in row]
+    if cut is not None:
+        ring, substitute, _ = cut
+        gens = substitute(gens)
+        if stacked:
+            lower, large, nums = (substitute(lower), substitute(large),
+                                  substitute(nums))
+            dens = [den if den is None else substitute([den])[0]
+                    for den in dens]
+    if not stacked:
         return gens
-    nums, dens = [], []
-    for g in row:
-        if isinstance(g, RationalFunction):
-            nums.append(g.num)
-            dens.append(g.den if g.den != big.one() else None)
-        else:
-            nums.append(g)
-            dens.append(None)
 
     def cleared(minor, cols):
         for j in cols:
             if dens[j] is not None:
-                minor = minor * dens[j]
+                minor = _packed_sum([(1, minor, dens[j])], ring)
         return minor
 
-    small, large = X.jacobian_minors(budget)
-    lower = dict(zip(product(combinations(range(m), c),
-                             combinations(range(n), c)),
-                     (g.transfer(big) for g in small)))
+    row_sets = list(combinations(range(m), c))
+    lower = {(rows, cols): cleared(g, cols) for (rows, cols), g in zip(
+        product(row_sets, combinations(range(n), c)), lower)}
     cols = list(combinations(range(n), c + 1))
-    for rows in combinations(range(m), c):
-        for C in cols:
-            minor = big.zero()
-            for t, j in enumerate(C):
-                rest = C[:t] + C[t + 1:]
-                cof = lower[rows, rest]
-                if nums[j].is_zero() or cof.is_zero():
-                    continue
-                term = nums[j] * cleared(cof, rest)
-                minor = minor - term if t % 2 else minor + term
-            gens.append(minor)
-    gens += [cleared(g.transfer(big), cols[i % len(cols)])
-             for i, g in enumerate(large)]
-    return gens
+    return (gens + _laplace_minors(nums, row_sets, lower, n, ring)
+            + [cleared(g, cols[i % len(cols)]) for i, g in enumerate(large)])
 
 
 def _projective_isotropic(X: VarietySpec, p, budget):
@@ -419,14 +481,18 @@ def _projective_isotropic(X: VarietySpec, p, budget):
 
 def _projective_chart_system(X: VarietySpec, p, budget):
     """The p-norm critical system of a projective variety in the chart
-    y = u + b*x, checked once per job, as a function of the data point: for
-    u=None the ring (x, b, u) with u symbolic, and for a point u the ring
-    (x, b) with u bound; each time that ring and the generators.  Also the
+    y = u + b*x, checked once per job, as a function system(u, cut=None) of
+    the data point: an ideal seeded with packed terms for the block order
+    that ranks b first (see Ideal.packed), of the ring (x, b, u) with u
+    symbolic for u=None, and of the ring (x, b) with u bound for a point u,
+    or of the ring a triple `cut` of _linear_cut on (x, b) leaves.  Also the
     name b and the polynomials f_i of the x-ring to saturate by.
 
     The generators are I(X) and the (c+1)-minors of the row
     ((u_i + b*x_i)^(p-1))_i stacked over the Jacobian of X (see
-    _stacked_generators), built from the row at the point itself.  The f_i
+    _stacked_generators), built from the row at the point itself, whose
+    entries are packed powers of u_i + b*x_i, with b*x_i packed once per
+    job.  The f_i
     are q_p alone when the cone is singular at most at its vertex (see
     _singular_beyond_vertex), and otherwise q_p*g_i over the reduced basis
     g_i of the singular locus; saturating by <f_1..f_m> saturates by q_p
@@ -443,18 +509,27 @@ def _projective_chart_system(X: VarietySpec, p, budget):
     ring = X.ring
     bname = ring.fresh_name("b")
     unames = tuple(f"u{i + 1}" for i in range(X.n))
-    xb = ring.extend((bname,))
+    xb = ring.extend((bname,)).with_order(OrderSpec("block", (bname,)))
     xbu = xb.extend(unames)
+    bx = _pack_polys([xb.var(bname) * xb.var(xn) for xn in ring.variables],
+                     xb)
 
-    def system(u):
+    def system(u, cut=None):
         if u is None:
-            work, data = xbu, [xbu.var(un) for un in unames]
+            work = xbu
+            b = xbu.var(bname)
+            bases = _pack_polys([xbu.var(un) + b * xbu.var(xn)
+                                 for un, xn in zip(unames, ring.variables)],
+                                xbu)
         else:
-            work, data = xb, [xb.const(v) for v in u]
-        b = work.var(bname)
-        row = [(a + b * work.var(xn)) ** (p - 1)
-               for a, xn in zip(data, ring.variables)]
-        return work, _stacked_generators(X, row, work, budget)
+            work = xb
+            bases = [{**_packed_const(v, xb), **t} for v, t in zip(u, bx)]
+        row = [(_packed_power(base, p - 1, work), None) for base in bases]
+        seeds = _stacked_generators(X, row, work, budget, cut)
+        if cut is None:
+            return Ideal.packed(work, seeds)
+        small, _, added = cut
+        return Ideal.packed(small, seeds + added)
 
     fs = [q_p]
     if _singular_beyond_vertex(X, budget):
@@ -496,8 +571,7 @@ def projective_critical_ideal(X: VarietySpec, p, budget=None) -> Ideal:
     """
     budget = as_budget(budget)
     system, bname, fs = _projective_chart_system(X, p, budget)
-    xbu, gens = system(None)
-    return _rabinowitsch(eliminate(Ideal(xbu, gens), (bname,), budget), fs,
+    return _rabinowitsch(eliminate(system(None), (bname,), budget), fs,
                          budget)
 
 
@@ -528,14 +602,18 @@ def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
     counted on a random affine slice h(x) = 1 of the cone.
 
     Each trial builds the system of projective_critical_ideal, in the chart
-    y = u + b*x (see _projective_chart_system), at its data point, in the
-    ring (x, b).  It cuts the system and the f_i by the same slice,
-    eliminates b, and saturates what is left by the cut f_i in x before
-    counting it.  For phi the cut and S the system, that is
-    (phi(S) : phi(J)^inf) ∩ k[x'], the count of the localization (see
-    _projective_chart_system).  The saturation is skipped when it removes
-    nothing (see _saturate_unless_unit), as it does for generic data on a
-    cone singular at most at its vertex.  The chart is exact for the count:
+    y = u + b*x (see _projective_chart_system), at its data point, cut by a
+    slice.  X's generators and Jacobian minors are packed into the ring
+    (x, b) once per job; each trial cuts them and its row by the slice and
+    assembles the system's Laplace sums in the cut ring (see
+    _stacked_generators), on packed terms that seed the block-order run
+    eliminating b.  It cuts the f_i, packed once per job, by the same map,
+    and saturates what is left by them in x before counting it.  For phi
+    the cut and S the system, that is (phi(S) : phi(J)^inf) ∩ k[x'], the
+    count of the localization (see _projective_chart_system).  The
+    saturation is skipped when it removes nothing (see
+    _saturate_unless_unit), as it does for generic data on a cone singular
+    at most at its vertex.  The chart is exact for the count:
     - For u off the cone, u and x are independent, so the chart misses
       only the directions y = b*x, which lie on q_p = 0 (see
       projective_critical_ideal), and (x, b) -> y is a local isomorphism
@@ -549,7 +627,9 @@ def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
       a positive-dimensional fiber.
 
     The slice h(x) - 1 (stream "projdeg|{seed}|forms") is substituted for
-    its pivot x_i (see _linear_cut).  The cut is exact here: its kernel
+    its pivot x_i, and the pivot's field dropped (see _linear_cut); the
+    cut is a ring map, so cutting the minors before the sums gives the cut
+    of the sums.  The cut is exact here: its kernel
     <h - 1> lies in the system S, so it maps S ∩ k[x] onto phi(S) ∩ k[x']
     and the counted quotient is unchanged.  The data points (stream
     "degree|{seed}") and the slices are the only draws; agreement across
@@ -558,7 +638,8 @@ def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
     budget = as_budget(budget)
     system, bname, fs = _projective_chart_system(X, p, budget)
     ring = X.ring
-    work = ring.extend((bname,))
+    work = ring.extend((bname,)).with_order(OrderSpec("block", (bname,)))
+    packed_fs = _pack_polys(fs, work)
     rng_forms = random.Random(f"projdeg|{seed}|forms")
 
     def count_for(u):
@@ -567,10 +648,11 @@ def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
             return None
         slice_ = (random_linear_form(work, ring.variables, rng_forms)
                   - work.one())
-        small, substitute, added = _linear_cut(work, [slice_], budget)
-        gens = substitute(system(u)[1]) + added
-        eliminated = eliminate(Ideal(small, gens), (bname,), budget)
-        cut_fs = [f.transfer(eliminated.ring) for f in substitute(fs)]
+        cut = _linear_cut(work, [slice_], budget)
+        eliminated = eliminate(system(u, cut), (bname,), budget)
+        small, substitute, _ = cut
+        cut_fs = [f.transfer(eliminated.ring)
+                  for f in _unpack_polys(substitute(packed_fs), small)]
         return _count_points(_saturate_unless_unit(eliminated, cut_fs,
                                                    budget), budget)
 

@@ -2,13 +2,16 @@
 
 Buchberger's algorithm with Gebauer-Moeller pair pruning and sugar-degree
 pair selection, plus the derived operations everything else is built on:
-normal forms; elimination, saturation, radical membership and intersection,
-which are all block-order eliminations through one routine (a saturation by
+normal forms; elimination, saturation and radical membership, which are
+all block-order eliminations through one routine (a saturation by
 <g_1..g_m> is one Rabinowitsch run that adjoins a w_i per g_i and eliminates
 them from ideal + <1 - sum_i w_i*g_i>); and Krull dimensions, point counts,
 degrees and multidegrees, all read off the one cached grevlex basis.
 Affine-linear sections are substituted for their pivot variables rather
-than adjoined as generators (_cut_linear).  A run whose first generators
+than adjoined as generators, on packed terms, the pivots' fields then
+dropped (_linear_cut).  An ideal may hold packed generators, which seed
+its run as they are (Ideal.packed); the packed product of two monomials is
+a sum of their packed values (_packed_sum).  A run whose first generators
 are a reduced basis pairs only the others with them (groebner_basis's
 `based`), and every run stops at the first constant it finds.
 
@@ -73,9 +76,13 @@ def as_budget(budget):
 
 
 class Ideal:
-    """A polynomial ideal given by generators; zero generators are dropped."""
+    """A polynomial ideal given by generators; zero generators are dropped.
 
-    __slots__ = ("ring", "generators", "_gb_cache")
+    An ideal built by Ideal.packed holds its generators as packed term dicts
+    of its ring's packer: they seed its Groebner runs for the ring's own
+    order as they are, and are unpacked only when `generators` is read."""
+
+    __slots__ = ("ring", "_generators", "_seeds", "_gb_cache")
 
     def __init__(self, ring, generators):
         gens = []
@@ -85,8 +92,24 @@ class Ideal:
             if not g.is_zero():
                 gens.append(g)
         self.ring = ring
-        self.generators = tuple(gens)
+        self._generators = tuple(gens)
+        self._seeds = None
         self._gb_cache = {}
+
+    @classmethod
+    def packed(cls, ring, terms):
+        """The ideal generated by packed term dicts of ring's packer; empty
+        ones are dropped."""
+        ideal = cls(ring, ())
+        ideal._generators = None
+        ideal._seeds = [t for t in terms if t]
+        return ideal
+
+    @property
+    def generators(self):
+        if self._generators is None:
+            self._generators = tuple(_unpack_polys(self._seeds, self.ring))
+        return self._generators
 
     def groebner(self, order=None, budget=None):
         order = order if order is not None else self.ring.order
@@ -105,7 +128,8 @@ class Ideal:
         return out
 
     def is_zero(self):
-        return not self.generators
+        return not (self._seeds if self._generators is None
+                    else self._generators)
 
     def __add__(self, other):
         if isinstance(other, Ideal):
@@ -602,24 +626,89 @@ def _unpack_terms(terms, packer):
     return {unpack(e): c for e, c in terms.items()}
 
 
-def _dehomogenizer(packer):
-    """The map from packed monomials of `packer`'s ring, a lex or block
-    order with h its last variable, to packed monomials of that ring
-    without h, setting h = 1 on the packed values.  Under lex h is the
-    lowest field, so the map is a shift.  Under a block order h is the last
-    back-block field, just below the back-degree field: its field is cut
-    out and its exponent, VMASK less the field, taken off that degree."""
+def _pack_polys(polys, ring):
+    """The polynomials, transferred to `ring`, as packed term dicts of its
+    packer."""
+    packer = ring.packer()
+    return [_pack_terms(g.transfer(ring).terms, packer) for g in polys]
+
+
+def _unpack_polys(terms, ring):
+    """The packed term dicts of ring's packer as polynomials of `ring`."""
+    packer = ring.packer()
+    return [Polynomial(ring, _unpack_terms(t, packer)) for t in terms]
+
+
+def _packed_const(c, ring):
+    """The constant c as a packed term dict of ring's packer."""
+    c = ring.coeff(c)
+    return {} if ring.field.is_zero(c) else {ring.packer().one: c}
+
+
+def _packed_sum(products, ring):
+    """sum_k s_k * a_k * b_k over the triples (s_k, a_k, b_k) of
+    `products`, s_k = 1 or -1 and a_k, b_k packed term dicts of ring's
+    packer, as one such dict.  A product of packed monomials is
+    a + b - one (see MonomialPacker); over GF(q) the coefficients are
+    reduced once, at the end.  The sum is checked against the packer's
+    field widths, which the packed arithmetic does not check."""
+    packer = ring.packer()
+    one = packer.one
+    acc = {}
+    get = acc.get
+    for sign, a, b in products:
+        if len(a) > len(b):
+            a, b = b, a
+        for ea, ca in a.items():
+            shift = ea - one
+            if sign < 0:
+                ca = -ca
+            for eb, cb in b.items():
+                e = eb + shift
+                acc[e] = get(e, 0) + ca * cb
+    fld = ring.field
+    if fld.kind == "rational":
+        out = {e: c for e, c in acc.items() if c}
+    else:
+        q = fld.q
+        out = {}
+        for e, c in acc.items():
+            c %= q
+            if c:
+                out[e] = c
+    packer.check_fits(out)
+    return out
+
+
+def _packed_power(base, k, ring):
+    """base^k for a packed term dict of ring's packer and k >= 1."""
+    out = base
+    for _ in range(k - 1):
+        out = _packed_sum([(1, out, base)], ring)
+    return out
+
+
+def _field_drop(packer, i):
+    """The map from packed monomials of `packer`'s ring to packed monomials
+    of that ring without variable i (RingContext.without), setting x_i = 1
+    on the packed values: the field of x_i is cut out, and the fields above
+    it move down by one.  Under lex that is all.  Under a graded order x_i's
+    exponent, VMASK less its complemented field, is also taken off the
+    degree field of its block, which lies above it.  Setting the last
+    variable h = 1 dehomogenizes (see _convert_grevlex); for a variable the
+    packed values do not hold, it only re-packs them in the smaller ring
+    (see _linear_cut)."""
     width, vmask = packer.WIDTH, packer.VMASK
-    h = packer.ring.nvars - 1
-    kind, shift = next((kind, s) for kind, i, s in packer._layout if i == h)
-    if kind == "plain":
-        return lambda e: e >> width
+    kind, shift = next((kind, s) for kind, j, s in packer._layout if j == i)
     low = (1 << shift) - 1
     up = shift + width
+    if kind == "plain":
+        return lambda e: (e & low) | ((e >> up) << shift)
+    deg = next(s for s, block in packer._deg_shifts if i in block) - width
 
     def drop(e):
-        return (e & low) | (((e >> up) - vmask + ((e >> shift) & vmask))
-                            << shift)
+        return (((e & low) | ((e >> up) << shift))
+                - ((vmask - ((e >> shift) & vmask)) << deg))
     return drop
 
 
@@ -628,7 +717,7 @@ def _convert_grevlex(gb, work_ring, budget):
     ideal whose reduced grevlex basis is `gb`, as kernel lists for
     _autoreduce: the homogenized basis, run under that order with the
     Hilbert numerator of the grevlex leads as the driver's target, then
-    dehomogenized on the packed values (_dehomogenizer).
+    dehomogenized on the packed values (_field_drop).
 
     This is exact, in three steps.  (1) The homogenized grevlex basis of I
     is a grevlex basis of I^h, h last (Cox-Little-O'Shea, Ideals,
@@ -656,7 +745,7 @@ def _convert_grevlex(gb, work_ring, budget):
                                  for e, c in g.terms.items()}, packer))
     leads, lcs, tails = _buchberger(seed, ring, budget,
                                     _hilbert_numerator(gb.lead_exponents()))
-    drop = _dehomogenizer(packer)
+    drop = _field_drop(packer, ring.nvars - 1)
     return ([drop(e) for e in leads], lcs,
             [{drop(e): c for e, c in t.items()} for t in tails])
 
@@ -675,7 +764,8 @@ def groebner_basis(ideal, order=None, budget=None, based=0) -> GroebnerBasis:
     front degree, and that field holds less than 2^14.  The steps the
     conversion took stay spent.  When the first `based` generators are a
     reduced basis for `order`, Buchberger's algorithm forms no pair of two
-    of them (see _buchberger).
+    of them (see _buchberger).  The packed generators of an ideal built by
+    Ideal.packed seed a run for its ring's order as they are.
     """
     budget = as_budget(budget)
     ring = ideal.ring
@@ -690,57 +780,65 @@ def groebner_basis(ideal, order=None, budget=None, based=0) -> GroebnerBasis:
         except SizeOutOfRange:
             pass
     if kernel is None:
-        seed = [_pack_terms(g.transfer(work_ring).terms, packer)
-                for g in ideal.generators]
+        if ideal._seeds is not None and work_ring == ring:
+            seed = ideal._seeds
+        else:
+            seed = _pack_polys(ideal.generators, work_ring)
         kernel = _buchberger(seed, work_ring, budget, based=based)
-    basis = [Polynomial(work_ring, _unpack_terms(t, packer))
-             for t in _autoreduce(*kernel, packer, budget)]
+    basis = _unpack_polys(_autoreduce(*kernel, packer, budget), work_ring)
     return GroebnerBasis(work_ring, basis, order)
 
 
 def normal_form(f, gb: GroebnerBasis, budget=None) -> Polynomial:
     """Remainder of multivariate division by a Groebner basis (zero iff member).
     """
-    return _remainders([f], gb.basis, gb.ring,
-                       as_budget(budget))[0].transfer(f.ring)
+    ring = gb.ring
+    divide = _packed_remainders(_pack_polys(gb.basis, ring), ring,
+                                as_budget(budget))
+    return _unpack_polys(divide(_pack_polys([f], ring)), ring)[0].transfer(
+        f.ring)
 
 
-def _remainders(polys, basis, ring, budget):
-    """Remainders of the polynomials divided by `basis`, in `ring`: the
-    basis is packed once, then one _reduce_full per polynomial.
+def _packed_remainders(basis, ring, budget):
+    """The function sending packed term dicts of ring's packer to their
+    remainders, one per dict, divided by `basis`, packed term dicts of a
+    Groebner basis for the ring's order: the basis is split once, then one
+    _reduce_full per dict.
 
-    Over QQ each division runs fraction-free on the polynomial times its
-    common denominator; the remainder is divided by the accumulated scale on
-    exit.
-    """
+    Over QQ each division runs fraction-free on the dict times its common
+    denominator; the remainder is divided by the accumulated scale on
+    exit."""
     fld = ring.field
     integral = fld.kind == "rational"
     packer = ring.packer()
     leads, lcs, tails = [], [], []
-    for g in basis:
-        terms = _pack_terms(g.terms, packer)
+    for terms in basis:
         if integral:
             terms = _clear_denominators(terms)[0]
         lead, lc, tail = _split(terms, fld)
         leads.append(lead)
         lcs.append(lc)
         tails.append(tail)
-    out = []
-    for f in polys:
-        terms = _pack_terms(f.transfer(ring).terms, packer)
-        den = 1
-        if integral and terms:
-            terms, den = _clear_denominators(terms)
-        red, _, scale = _reduce_full(terms, leads, lcs, tails, packer, budget)
-        packer.check_fits(red)
-        if integral:
-            red = {e: fld.fraction(c, den * scale) for e, c in red.items()}
-        out.append(Polynomial(ring, _unpack_terms(red, packer)))
-    return out
+
+    def divide(polys):
+        out = []
+        for terms in polys:
+            den = 1
+            if integral and terms:
+                terms, den = _clear_denominators(terms)
+            red, _, scale = _reduce_full(terms, leads, lcs, tails, packer,
+                                         budget)
+            packer.check_fits(red)
+            if integral:
+                red = {e: fld.fraction(c, den * scale)
+                       for e, c in red.items()}
+            out.append(red)
+        return out
+    return divide
 
 
 # --------------------------------------------------------------------------
-# elimination, saturation, intersection
+# elimination and saturation
 # --------------------------------------------------------------------------
 
 def _eliminate(ideal, drop, small, budget) -> Ideal:
@@ -776,13 +874,17 @@ def eliminate(ideal, drop, budget=None) -> Ideal:
 
 def _linear_rows(ring, forms):
     """The reduced row echelon form of affine-linear forms over the field,
-    pivots leftmost: one (pivot index, row) per rank, the row monic at its
-    pivot with the constant term as its last entry, sorted by pivot; and
-    whether the forms are inconsistent (some combination is a nonzero
-    constant)."""
+    its columns the variables in the ring's order, largest first, and the
+    constant last: one (pivot index, row) per rank, the row monic at its
+    pivot, which is its lead in the ring's order, with the constant term as
+    its last entry, sorted by pivot in that order; and whether the forms are
+    inconsistent (some combination is a nonzero constant).  Under grevlex
+    and lex the pivots are the leftmost variables."""
     fld = ring.field
     n = ring.nvars
     sub, mul, is_zero = fld.sub, fld.mul, fld.is_zero
+    rank = sorted(range(n), key=lambda i: ring.key(
+        tuple(int(j == i) for j in range(n))), reverse=True)
     pivots = []
     inconsistent = False
     for f in forms:
@@ -795,7 +897,7 @@ def _linear_rows(ring, forms):
             c = row[col]
             if not is_zero(c):
                 row = [sub(a, mul(c, b)) for a, b in zip(row, prow)]
-        col = next((j for j, c in enumerate(row) if not is_zero(c)), None)
+        col = next((j for j in rank + [n] if not is_zero(row[j])), None)
         if col is None:
             continue
         if col == n:
@@ -806,56 +908,75 @@ def _linear_rows(ring, forms):
         pivots = [(pc, [sub(a, mul(pr[col], b)) for a, b in zip(pr, row)]
                    if not is_zero(pr[col]) else pr) for pc, pr in pivots]
         pivots.append((col, row))
-    return sorted(pivots, key=lambda pr: pr[0]), inconsistent
+    return sorted(pivots, key=lambda pr: rank.index(pr[0])), inconsistent
 
 
 def _linear_cut(ring, forms, budget):
-    """The cut of _cut_linear as a map: the ring without the forms' pivot
-    variables, a function sending a list of polynomials of `ring` to their
-    substitutions in that ring, one per polynomial with zeros kept, and the
-    generators the cut itself adds (the kept row, or 1 for inconsistent
-    forms, which send every polynomial to 0).
+    """The substitution of affine-linear forms for their pivot variables
+    (see _cut_linear), on packed term dicts: the ring `small` of `ring`
+    without the pivots, in its order (RingContext.without); a function
+    sending a list of packed term dicts of ring's packer to their
+    substitutions, packed term dicts of small's packer, one per dict with
+    empty ones kept; and the packed generators the cut itself adds (the
+    kept row, or 1 for inconsistent forms, which send every polynomial to
+    0).
 
-    Two lists cut by the same map, such as a system and the polynomials to
+    The forms' rows (_linear_rows) are monic, each led in the ring's order
+    by its pivot, which no other row holds: so they are the reduced basis
+    of <forms> for that order, and a remainder against them (see
+    _packed_remainders) is the substitution, free of every pivot, on the
+    job's budget.  Each pivot's field is then dropped (_field_drop).  Two
+    lists cut by the same map, such as a system and the polynomials to
     saturate it by, keep their positions; one Ideal of both would not, as
     it drops zero generators.
     """
-    work = ring.with_order(GREVLEX)
+    budget = as_budget(budget)
     pivots, inconsistent = _linear_rows(ring, forms)
-    rows = [work.const(row[-1]) + sum(
-        (work.var(v).scale(c) for v, c in zip(ring.variables, row)),
-        work.zero()) for _, row in pivots]
-    kept = [rows.pop()] if len(rows) == ring.nvars else []
-    cut = {ring.variables[col] for col, _ in pivots[:len(rows)]}
-    small = ring.restrict([v for v in ring.variables if v not in cut])
-    if inconsistent:
-        return small, lambda polys: [small.zero() for _ in polys], [small.one()]
+    n = ring.nvars
+    # x_1 .. x_n, then the monomial 1 for the constant term
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n + 1)]
+    rows = _pack_polys([ring.poly_from_terms(dict(zip(units, row)))
+                        for _, row in pivots], ring)
+    kept = [rows.pop()] if len(rows) == n else []
+    small, drops = ring, []
+    for col, _ in pivots[:len(rows)]:
+        name = ring.variables[col]
+        drops.append(_field_drop(small.packer(), small.index(name)))
+        small = small.without([name])
 
-    def substitute(polys):
-        return [r.transfer(small)
-                for r in _remainders(polys, rows, work, budget)]
-    return small, substitute, [r.transfer(small) for r in kept]
+    def dropped(terms):
+        for drop in drops:
+            terms = {drop(e): c for e, c in terms.items()}
+        return terms
+    if inconsistent:
+        return (small, lambda polys: [{} for _ in polys],
+                [_packed_const(1, small)])
+    divide = _packed_remainders(rows, ring, budget)
+
+    def cut(polys):
+        return [dropped(t) for t in divide(polys)]
+    return small, cut, cut(kept)
 
 
 def _cut_linear(ideal, forms, budget) -> Ideal:
-    """ideal + <forms>, for affine-linear forms, as an ideal of the ring
-    without the forms' pivot variables: the forms are solved for their
+    """ideal + <forms>, for affine-linear forms, as an ideal of the grevlex
+    ring without the forms' pivot variables: the forms are solved for their
     pivots and substituted, and inconsistent forms give <1>.
 
     The forms are row-reduced over the field, the pivot of each row being
     the grevlex-leading variable it involves, so the rows are the reduced
     grevlex basis of <forms>.  Each generator is reduced against those
-    rows (see _remainders) on the job's budget; that remainder is the
-    substitution.  This is exact: the substitution is a surjection
+    rows on the job's budget; that remainder is the substitution (see
+    _linear_cut).  This is exact: the substitution is a surjection
     phi: k[x] -> k[x'] with kernel <forms>, so k[x]/(ideal + <forms>) and
     k[x']/phi(ideal) are isomorphic, with the same points, multiplicities
     and dimension.  Should the forms fix every variable, the last pivot is
-    kept, its row the one generator added, so that a ring remains (see
-    _linear_cut).
+    kept, its row the one generator added, so that a ring remains.
     """
-    small, substitute, added = _linear_cut(ideal.ring, forms,
-                                           as_budget(budget))
-    return Ideal(small, substitute(ideal.generators) + added)
+    ring = ideal.ring.with_order(GREVLEX)
+    small, cut, added = _linear_cut(ring, forms, budget)
+    return Ideal.packed(small, cut(_pack_polys(ideal.generators, ring))
+                        + added)
 
 
 def _localizer(ring, fs):
@@ -886,23 +1007,6 @@ def _rabinowitsch(ideal, fs, budget) -> Ideal:
     big, ws, rel = _localizer(ideal.ring, fs)
     gens = [g.transfer(big) for g in ideal.generators] + [rel]
     return _eliminate(Ideal(big, gens), ws, ideal.ring, budget)
-
-
-def intersect(a: Ideal, b: Ideal, budget=None) -> Ideal:
-    """Ideal intersection via t*A + (1-t)*B and elimination of the fresh t."""
-    budget = as_budget(budget)
-    if a.ring != b.ring:
-        raise RingMismatch("intersect across rings")
-    ring = a.ring
-    if a.is_zero() or b.is_zero():
-        return Ideal(ring, [])
-    t = ring.fresh_name("isect_t")
-    big = ring.extend([t])
-    tv = big.var(t)
-    one_minus_t = big.one() - tv
-    gens = [tv * g.transfer(big) for g in a.generators]
-    gens += [one_minus_t * g.transfer(big) for g in b.generators]
-    return _eliminate(Ideal(big, gens), (t,), ring, budget)
 
 
 def _saturand(other, budget):

@@ -163,6 +163,17 @@ class RingContext:
         return RingContext(self.variables + tuple(new_names), self.field,
                            self.order)
 
+    def without(self, names):
+        """This ring without the variables `names`, in the same order; a
+        block order keeps the rest of its front, which must not be empty."""
+        drop = set(names)
+        order = self.order
+        if order.kind == "block":
+            order = OrderSpec("block", tuple(v for v in order.front
+                                             if v not in drop))
+        return RingContext(tuple(v for v in self.variables if v not in drop),
+                           self.field, order)
+
     def restrict(self, keep_names):
         """Grevlex subring on `keep_names` (kept in this ring's variable
         order)."""

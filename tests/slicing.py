@@ -11,7 +11,8 @@ raise SlicingFailed.
 import random
 
 from optdeg import Ideal, saturate
-from optdeg.critical import _stacked_generators, singular_locus_ideal
+from optdeg.critical import (_packed_row, _stacked_generators,
+                             singular_locus_ideal)
 from optdeg.groebner import _count_points, _cut_linear, dimension
 from optdeg.rings import random_linear_form
 
@@ -75,8 +76,9 @@ def saturated_conormal(X):
     """The conormal ideal saturated by the singular locus, and its y names."""
     ynames = tuple(f"y{i + 1}" for i in range(X.n))
     big = X.ring.extend(ynames)
-    row = [big.var(yn) for yn in ynames]
-    conormal = saturate(Ideal(big, _stacked_generators(X, row, big, None)),
+    row = _packed_row([big.var(yn) for yn in ynames], big)
+    conormal = saturate(Ideal.packed(big, _stacked_generators(X, row, big,
+                                                              None)),
                         singular_locus_ideal(X).transfer(big))
     return conormal, ynames
 

@@ -7,7 +7,7 @@ from optdeg import (Ideal, NotHomogeneous, OptdegError, PrimeField,
 from optdeg.conormal import (bidegree_class, joint_correspondence_ideal,
                              polar_classes, pnorm_degree_via_polar,
                              s_conormal_ideal)
-from optdeg.critical import (VarietySpec, _stacked_generators,
+from optdeg.critical import (VarietySpec, _packed_row, _stacked_generators,
                              projective_pnorm_degree, singular_locus_ideal)
 from optdeg.formulas import ChernDegrees, polar_from_chern
 from optdeg.groebner import DEFAULT_BUDGET, _Budget
@@ -83,8 +83,8 @@ def test_bidegree_groups_must_partition_the_ring(gf_ring3):
     conic = variety(gf_ring3, "x1^2+x2^2+2*x3^2")
     xnames, ynames = ("x1", "x2", "x3"), ("y1", "y2", "y3")
     big = gf_ring3.extend(ynames + ("z",))
-    N = Ideal(big, _stacked_generators(conic, [big.var(yn) for yn in ynames],
-                                       big, None))
+    row = _packed_row([big.var(yn) for yn in ynames], big)
+    N = Ideal.packed(big, _stacked_generators(conic, row, big, None))
     with pytest.raises(ValueError, match="partition"):
         bidegree_class(N, xnames, ynames)
     with pytest.raises(ValueError, match="partition"):

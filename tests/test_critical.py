@@ -22,9 +22,11 @@ from optdeg.critical import (DegreeReport, PNorm, RationalGradient,
                              projective_pnorm_degree, singular_locus_ideal)
 from optdeg.errors import (DenominatorVanishesOnX, EvoluteLinesDegenerate,
                            ZeroDenominator)
-from optdeg.groebner import DEFAULT_BUDGET, _Budget, _count_points
+from optdeg.groebner import (DEFAULT_BUDGET, _Budget, _count_points,
+                             _cut_linear, _linear_cut, _unpack_polys)
 from optdeg.matrices import PolyMatrix, derationalize, jacobian
-from optdeg.rings import RationalFunction
+from optdeg.rings import (MonomialPacker, OrderSpec, Polynomial,
+                          RationalFunction, random_linear_form)
 
 from conftest import (affine_plane_curve_twins, plane_curve_cones,
                       plane_curve_twins, variety)
@@ -307,10 +309,12 @@ def test_projective_conic_degree_general_coords(prime_field):
 
 def test_projective_conic_p3_reduction_budget(prime_field):
     """Counting on the slice h(x) = 1 in the chart y = u + b*x, checking
-    after eliminating b that saturating by q_p removes nothing, needs 743
-    reduction steps here; saturating by q_p instead took 873, localizing
-    before the elimination 1,941, saturating by q_p in the y-system about
-    10,000, and saturating the vertex and each y_i 58,023."""
+    after eliminating b that saturating by q_p removes nothing, needs 689
+    reduction steps here (743 when the slice cut the assembled system
+    rather than the minors it is assembled from); saturating by q_p instead
+    took 873, localizing before the elimination 1,941, saturating by q_p in
+    the y-system about 10,000, and saturating the vertex and each y_i
+    58,023."""
     ring = RingContext(("x1", "x2", "x3"), field=prime_field)
     base = P("x1^2+x2^2+2*x3^2", ring)
     _, subs = random_linear_change(ring, ring.variables, seed=7)
@@ -320,7 +324,7 @@ def test_projective_conic_p3_reduction_budget(prime_field):
 
 
 def test_projective_conic_p3_tight_budget(prime_field):
-    """The count fits in 800 steps: it takes 743, where saturating by q_p
+    """The count fits in 800 steps: it takes 689, where saturating by q_p
     after eliminating b took 873 and localizing at q_p before it 1,941."""
     ring = RingContext(("x1", "x2", "x3"), field=prime_field)
     base = P("x1^2+x2^2+2*x3^2", ring)
@@ -331,9 +335,9 @@ def test_projective_conic_p3_tight_budget(prime_field):
 
 
 @pytest.mark.parametrize("names, gens, p, degree, steps", [
-    (("x1", "x2", "x3"), ["x1^2+x2^2-3*x3^2"], 3, 12, 668),
+    (("x1", "x2", "x3"), ["x1^2+x2^2-3*x3^2"], 3, 12, 656),
     (("x1", "x2", "x3", "x4"), ["x1*x3-x2^2", "x1*x4-x2*x3", "x2*x4-x3^2"],
-     2, 7, 1_286),
+     2, 7, 1_144),
 ], ids=["conic-p3", "twisted-cubic-p2"])
 def test_projective_reduction_steps_pinned_over_gf(prime_field, names, gens,
                                                    p, degree, steps):
@@ -342,7 +346,10 @@ def test_projective_reduction_steps_pinned_over_gf(prime_field, names, gens,
     Saturating after eliminating b took the conic from 1,866 steps to 798,
     and the twisted cubic from 1,638 to 1,662.  Checking first that the
     saturation removes nothing, which it does not for generic data, took
-    them to 668 and 1,286."""
+    them to 668 and 1,286.  Cutting the Jacobian minors and the row rather
+    than the assembled system took the cut's own steps from 52 to 40 and
+    from 204 to 62, and so the totals to 656 and 1,144; the Groebner runs
+    still take 616 and 1,082."""
     X = variety(RingContext(names, field=prime_field), *gens)
     budget = _Budget(DEFAULT_BUDGET)
     rep = projective_pnorm_degree(X, p, seed=0, budget=budget)
@@ -536,7 +543,9 @@ def _rows(draw, X):
 def test_stacked_generators_are_the_stacked_minors(data):
     """Assembled from the Jacobian minors X keeps, the stacked system is
     I(X) and the (c+1)-minors of the derationalized stacked matrix,
-    generator for generator and in the same order."""
+    generator for generator and in the same order.  Assembled in the ring a
+    drawn slice cuts, from the cut minors and row, it is that system cut by
+    the slice (see _cut_linear)."""
     X = data.draw(_varieties())
     big, row = data.draw(_rows(X))
     c = X.codimension()
@@ -544,7 +553,46 @@ def test_stacked_generators_are_the_stacked_minors(data):
     stacked = derationalize(row, jacobian(gens, X.ring.variables))
     minors = (stacked.minors(c + 1)
               if c + 1 <= min(stacked.rows, stacked.cols) else [])
-    assert critical._stacked_generators(X, row, big, None) == gens + minors
+    packed = critical._packed_row(row, big)
+    assembled = _unpack_polys(
+        critical._stacked_generators(X, packed, big, None), big)
+    assert assembled == gens + minors
+    coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=X.n + 1,
+                                max_size=X.n + 1).filter(
+                                    lambda cs: any(cs[1:])))
+    slice_ = big.const(coeffs[0])
+    for name, a in zip(X.ring.variables, coeffs[1:]):
+        slice_ = slice_ + big.var(name).scale(a)
+    cut = _linear_cut(big, [slice_], None)
+    got = Ideal.packed(cut[0], critical._stacked_generators(
+        X, packed, big, None, cut) + cut[2])
+    want = _cut_linear(Ideal(big, assembled), [slice_], None)
+    assert got.ring == want.ring
+    assert [g.terms for g in got.generators] == \
+        [g.terms for g in want.generators]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_jacobian_minors_are_the_expanded_minors(data):
+    """X keeps the c-minors PolyMatrix.minors expands and the (c+1)-minors
+    as Laplace sums over them, which are the expanded ones, in the same
+    order: for drawn generators and a drawn codimension below the
+    Jacobian's rank bound, over QQ and GF(2^31 - 1)."""
+    field = data.draw(st.sampled_from((PrimeField(), RationalField())))
+    n = data.draw(st.integers(2, 4))
+    m = data.draw(st.integers(2, 3))
+    ring = RingContext(tuple(f"x{i + 1}" for i in range(n)), field=field)
+    exps = st.tuples(*[st.integers(0, 2)] * n).filter(lambda e: sum(e) <= 3)
+    terms = st.dictionaries(exps, st.integers(-3, 3).filter(bool),
+                            min_size=1, max_size=4).filter(lambda t: any(
+                                map(any, t)))
+    gens = tuple(ring.poly_from_terms(t) for t in data.draw(
+        st.lists(terms, min_size=m, max_size=m)))
+    c = data.draw(st.integers(1, min(m, n) - 1))
+    X = VarietySpec(ring, gens, codim_override=c)
+    jac = jacobian(gens, ring.variables)
+    assert X.jacobian_minors() == (jac.minors(c), jac.minors(c + 1))
 
 
 @pytest.mark.parametrize("field", [PrimeField(), RationalField()])
@@ -565,19 +613,57 @@ def test_bound_systems_are_the_symbolic_ones_at_u(field):
         _, symbolic, ws = system(None)
         small, bound, ws_bound = system(u)
         assert ws and ws_bound == ws
-        work = small.extend(ws)
-        assert bound == [g.substitute(point).transfer(work)
-                         for g in symbolic]
+        assert bound.ring == small.extend(ws).with_order(
+            OrderSpec("block", ws))
+        assert bound.generators == _bound_at(symbolic, point, bound.ring)
     for names, gens, p in [(("x1", "x2", "x3"), ["x1^2+x2^2-3*x3^2"], 3),
                            (("x1", "x2", "x3", "x4"), TWISTED_CUBIC, 2)]:
         X = variety(RingContext(names, field=field), *gens)
         system, _, _ = critical._projective_chart_system(X, p, None)
-        _, symbolic = system(None)
+        symbolic = system(None)
         u = tuple(range(5, 5 + X.n))
-        work, bound = system(u)
+        bound = system(u)
         point = {f"u{i + 1}": v for i, v in enumerate(u)}
-        assert bound == [g.substitute(point).transfer(work)
-                         for g in symbolic]
+        assert bound.generators == _bound_at(symbolic, point, bound.ring)
+
+
+def _bound_at(ideal, point, ring):
+    """The nonzero generators of the ideal with u bound to the point, in
+    `ring`."""
+    bound = (g.substitute(point).transfer(ring) for g in ideal.generators)
+    return tuple(g for g in bound if g)
+
+
+def test_a_second_trial_packs_and_transfers_no_cached_minor(monkeypatch):
+    """X's generators and Jacobian minors are packed into the count's
+    (x, b) ring on the first trial only: building a later trial's cut
+    system packs no monomial and transfers no polynomial."""
+    X = variety(RingContext(("x1", "x2", "x3", "x4"), field=PrimeField()),
+                *TWISTED_CUBIC)
+    system, bname, _ = critical._projective_chart_system(X, 2, None)
+    work = X.ring.extend((bname,)).with_order(OrderSpec("block", (bname,)))
+    calls = {"pack": 0, "transfer": 0}
+
+    def counted(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(cls, name, wrapper)
+    counted(MonomialPacker, "pack")
+    counted(Polynomial, "transfer")
+    rng = random.Random(0)
+    made = []
+    for u in [(3, 5, 7, 11), (13, 17, 19, 23)]:
+        slice_ = random_linear_form(work, X.ring.variables, rng) - work.one()
+        cut = _linear_cut(work, [slice_], None)
+        before = dict(calls)
+        ideal = system(u, cut)
+        made.append({k: calls[k] - before[k] for k in calls})
+        assert ideal.ring == cut[0] and not ideal.is_zero()
+    assert made[0]["pack"] > 0 and made[0]["transfer"] > 0
+    assert made[1] == {"pack": 0, "transfer": 0}
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from optdeg import (GREVLEX, LEX, BudgetExceeded, Ideal, NotZeroDimensional,
                     OrderSpec, PrimeField, RingContext, SizeOutOfRange,
                     affine_degree, degree_zero_dim, dimension, eliminate,
-                    groebner_basis, intersect, normal_form, parse_polynomial,
+                    groebner_basis, normal_form, parse_polynomial,
                     saturate, vanishes_on_variety)
 from optdeg import groebner
 from optdeg.groebner import (DEFAULT_BUDGET, _Budget, _count_points,
-                             _cut_linear, _dehomogenizer, _hilbert_numerator,
-                             _hilbert_value, _minimal, _multidegree,
-                             _numerator_plus)
+                             _cut_linear, _field_drop, _hilbert_numerator,
+                             _hilbert_value, _linear_cut, _minimal,
+                             _multidegree, _numerator_plus, _pack_polys,
+                             _unpack_polys)
 
 from slicing import sections_degree
 
@@ -183,7 +184,7 @@ def test_eliminate_soundness(rxy):
         assert all(e[drop_idx] == 0 for e in lifted.terms)
 
 
-# --- saturation and intersection ---------------------------------------------------
+# --- saturation ---------------------------------------------------------------------
 
 def test_saturate_principal(rxy):
     assert saturate(I(rxy, "x^2*y"), I(rxy, "x")).generators == (P("y", rxy),)
@@ -223,17 +224,7 @@ def test_saturate_by_unit_is_identity(rxy):
     assert out.equals(ideal)
 
 
-def test_intersect_basic(rxy):
-    assert intersect(I(rxy, "x"), I(rxy, "y")).generators == (P("x*y", rxy),)
-    assert intersect(I(rxy, "x"), I(rxy, "1")).generators == (P("x", rxy),)
-
-
-def test_intersect_idempotent(rxy):
-    a = I(rxy, "x^2-y", "y^2")
-    assert intersect(a, a).equals(a)
-
-
-def test_saturate_and_intersect_stay_in_a_lex_ring():
+def test_saturate_stays_in_a_lex_ring():
     ring = RingContext(("x", "y"), order=LEX)
     # one fresh w, eliminated from the ideal plus 1 - w*x
     sat = saturate(I(ring, "x^2*y-x^2", "x*y^2"), I(ring, "x"))
@@ -244,9 +235,6 @@ def test_saturate_and_intersect_stay_in_a_lex_ring():
     sat = saturate(I(ring, "x*y", "x^2+y^2-1"), I(ring, "x", "y"))
     assert sat.ring == ring
     assert sat.equals(I(ring, "x*y", "x^2+y^2-1"))
-    cap = intersect(I(ring, "x"), I(ring, "y"))
-    assert cap.ring == ring
-    assert cap.equals(I(ring, "x*y"))
 
 
 # --- dimension and degree -----------------------------------------------------------
@@ -594,6 +582,16 @@ def test_eliminate_matches_sympy_by_membership(field, data):
 
 # --- saturation against the intersection of single saturations ---------------------
 
+def _intersect(a, b):
+    """a ∩ b: t is eliminated from t*a + (1 - t)*b."""
+    t = a.ring.fresh_name("t")
+    big = a.ring.extend([t])
+    tv = big.var(t)
+    gens = [tv * g.transfer(big) for g in a.generators]
+    gens += [(big.one() - tv) * g.transfer(big) for g in b.generators]
+    return eliminate(Ideal(big, gens), [t])
+
+
 def _saturate_by_intersection(ideal, other):
     """(ideal : other^infinity) the long way: one Rabinowitsch run per
     generator g of other's reduced basis, eliminating w from
@@ -606,7 +604,7 @@ def _saturate_by_intersection(ideal, other):
         gens = [f.transfer(big) for f in ideal.generators]
         gens.append(big.one() - big.var(w) * g.transfer(big))
         part = eliminate(Ideal(big, gens), [w])
-        result = part if result is None else intersect(result, part)
+        result = part if result is None else _intersect(result, part)
     return result
 
 
@@ -907,7 +905,27 @@ def test_dehomogenizer_drops_h_on_packed_values(front, e):
     work = RingContext(("a", "b", "c", "d"),
                        order=LEX if front is None else OrderSpec("block", front))
     packer = work.extend(["h"]).packer()
-    assert _dehomogenizer(packer)(packer.pack(e)) == work.packer().pack(e[:-1])
+    assert _field_drop(packer, 4)(packer.pack(e)) == work.packer().pack(e[:-1])
+
+
+@pytest.mark.parametrize("front", [None, (), ("a", "b"), ("d",)],
+                         ids=["lex", "grevlex", "block-front", "block-back"])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(0, 3),
+       st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, 4095))] * 4))
+def test_field_drop_sets_a_variable_to_one(front, i, e):
+    """Dropping any variable's field packs the monomial's other exponents in
+    the ring without that variable, a block's degree fields included."""
+    order = (LEX if front is None else GREVLEX if not front
+             else OrderSpec("block", front))
+    ring = RingContext(("a", "b", "c", "d"), order=order)
+    name = ring.variables[i]
+    if order.kind == "block" and order.front == (name,):
+        return
+    packer = ring.packer()
+    small = ring.without([name])
+    assert _field_drop(packer, i)(packer.pack(e)) == \
+        small.packer().pack(e[:i] + e[i + 1:])
 
 
 def _converted(ideal, order, budget=None):
@@ -1048,6 +1066,42 @@ def test_cut_linear_in_the_dropped_block_keeps_eliminate(field, data):
     assert got.ring == want.ring
     assert [g.terms for g in got.generators] == \
         [g.terms for g in want.generators]
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
+@pytest.mark.parametrize("front", [None, (), ("b",)],
+                         ids=["lex", "grevlex", "block"])
+@pytest.mark.parametrize("k", [0, 1, 2], ids=["first", "middle", "last"])
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.data())
+def test_linear_cut_substitutes_the_solved_pivot(field, front, k, data):
+    """On packed terms, the cut by one affine-linear form in x1..x3 sends a
+    polynomial of (x1, x2, x3, b) to that polynomial with the form solved
+    for its pivot substituted, packed in the ring without the pivot.  The
+    pivot is the first, the middle or the last x, the form's constant may
+    be zero, and under the block order b ranks first."""
+    coeffs = _COEFFS if field is None else _GF_COEFFS
+    order = (LEX if front is None else GREVLEX if not front
+             else OrderSpec("block", front))
+    ring = RingContext(("x1", "x2", "x3", "b"), field, order)
+    rest = {f"x{j + 1}": data.draw(st.one_of(st.just(0), coeffs))
+            for j in range(k + 1, 3)}
+    lead, const = data.draw(coeffs), data.draw(st.one_of(st.just(0), coeffs))
+    form = ring.const(const) + ring.var(f"x{k + 1}").scale(lead)
+    for name, c in rest.items():
+        form = form + ring.var(name).scale(c)
+    exps = st.tuples(*[st.integers(0, 3)] * 4).filter(lambda e: sum(e) <= 4)
+    polys = [_poly(ring, g) for g in data.draw(st.lists(
+        st.dictionaries(exps, coeffs, max_size=5), min_size=1, max_size=3))]
+    small, cut, added = _linear_cut(ring, [form], None)
+    assert small.variables == tuple(v for v in ring.variables
+                                    if v != f"x{k + 1}")
+    assert small.order.kind == ring.order.kind and added == []
+    solved = form - ring.var(f"x{k + 1}").scale(lead)
+    solved = solved.scale(ring.field.neg(ring.field.inv(ring.coeff(lead))))
+    want = [g.substitute({f"x{k + 1}": solved}).transfer(small)
+            for g in polys]
+    assert _unpack_polys(cut(_pack_polys(polys, ring)), small) == want
 
 
 @pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
