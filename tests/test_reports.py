@@ -41,6 +41,8 @@ def _job(variables, field, generators, seed=1, trials=2, **extra):
            "ring": {"variables": list(variables), "field": field},
            "variety": {"generators": list(generators)},
            "seed": seed, "trials": trials}
+    if trials is None:
+        del doc["trials"]
     doc.update(extra)
     return doc
 
@@ -71,6 +73,20 @@ JOBS = {
     "joint": ("joint", _job(XYZ, GF, [CONIC], options={"p": 2})),
     "evolute": ("evolute", _job(XY, "rational", ["x1^2+4*x2^2-1"],
                                 options={"p": 2})),
+    # the cusp's singular locus is not the unit ideal, so both of the
+    # evolute's eliminations run
+    "evolute-cusp-p3": ("evolute", _job(XY, "rational", ["x2^2-x1^3"],
+                                        options={"p": 3})),
+    # the three jobs of the evolute-qq benchmark at seed 1
+    "evolute-seeded-ellipse-a3-b1": ("evolute", _job(
+        XY, "rational", ["x1^2+3*x2^2-1"], seed=743479564, trials=None,
+        options={"p": 3})),
+    "evolute-seeded-ellipse-a5-b1": ("evolute", _job(
+        XY, "rational", ["x1^2+5*x2^2-1"], seed=907843224, trials=None,
+        options={"p": 3})),
+    "evolute-seeded-ellipse-a4-b2": ("evolute", _job(
+        XY, "rational", ["x1^2+4*x2^2-2"], seed=204661426, trials=None,
+        options={"p": 3})),
     "gb": ("gb", _job(XY, "rational", ["x1^2+4*x2^2-1"])),
     "crossvalidate-affine": ("crossvalidate",
                              _job(XY, "rational", ["x2^2-x1^2*(x1+1)"],
@@ -122,6 +138,14 @@ HASHES = {
         "2e676ceabecb8f1e1f65d00a79e8cc7d30d084248fc4b1ae4b3ccc7c7b53ae00",
     "evolute":
         "e22f63f547c1d48bb9e978cd77f97077688eb9d4ea4c68dc74c41ecbe69ef29f",
+    "evolute-cusp-p3":
+        "3f51320964681b990a0f460b121f5281dd3307501e5f0bae6c11505efe23aeec",
+    "evolute-seeded-ellipse-a3-b1":
+        "d6926bede1820b73b0fcfe936c674f28effda35b515980e17202e671fb536ea1",
+    "evolute-seeded-ellipse-a5-b1":
+        "e091313951a9bb99733ea0f23005083dab3b2e12e0da1cc7b05d0462ed871978",
+    "evolute-seeded-ellipse-a4-b2":
+        "012998f74bc456c9e8eb3d720a3451e686c72d425d232861cddd242b04771686",
     "gb":
         "de600da478fd230b83c9d02b932ea306ed596360d255092b795e761b66b6bde8",
     "crossvalidate-affine":
