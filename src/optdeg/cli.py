@@ -170,7 +170,8 @@ def _load_point(values, ring, where):
 
 
 def _option_p(options, least=1):
-    """options.p; the projective constructions need p >= 2."""
+    """options.p; the projective constructions and the evolute need
+    p >= 2."""
     p = options.get("p")
     if not _is_int(p) or p < least:
         raise SchemaError(f"options.p must be an integer >= {least}")
@@ -333,7 +334,7 @@ def _cmd_formula(job, timings):
 
 
 def _cmd_evolute(job, variety, budget, timings):
-    p = _option_p(job.get("options", {}))
+    p = _option_p(job.get("options", {}), 2)
     if variety.n != 2 or len(variety.generators) != 1:
         raise SchemaError("evolute needs a plane curve: one generator in two "
                           "variables")

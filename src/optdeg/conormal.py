@@ -119,7 +119,11 @@ def bidegree_class(ideal: Ideal, x_names, y_names, budget=None) -> BidegreeClass
     and n-1-b in y.  Terms with a = n or b = n come from components inside
     {x = 0} or {y = 0}, empty in the product of projective spaces, and are
     dropped; polar_classes relies on this to read an unsaturated conormal
-    ideal, whose component {x = 0} x A^n adds only the (n, 0) term."""
+    ideal, whose component {x = 0} x A^n adds only the (n, 0) term.
+
+    NotHomogeneous unless the ideal is bihomogeneous, which is read off the
+    same reduced grevlex basis: an ideal is bihomogeneous iff that basis
+    is, so generators that are not may still generate one."""
     budget = as_budget(budget)
     ring = ideal.ring
     x_names = tuple(x_names)
@@ -132,7 +136,7 @@ def bidegree_class(ideal: Ideal, x_names, y_names, budget=None) -> BidegreeClass
     n = len(x_names)
     xi = [ring.index(v) for v in x_names]
     yi = [ring.index(v) for v in y_names]
-    for g in ideal.generators:
+    for g in ideal.groebner(GREVLEX, budget).basis:
         xdegs = {sum(e[i] for i in xi) for e in g.terms}
         ydegs = {sum(e[i] for i in yi) for e in g.terms}
         if len(xdegs) > 1 or len(ydegs) > 1:

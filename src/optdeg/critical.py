@@ -29,7 +29,7 @@ from .groebner import (GREVLEX, Ideal, _count_points, _eliminate, _linear_cut,
                        _localizer, _pack_polys, _packed_const, _packed_power,
                        _packed_sum, _rabinowitsch, _saturand, _unpack_polys,
                        as_budget, dimension, eliminate, groebner_basis,
-                       normal_form, saturate, vanishes_on_variety)
+                       saturate, vanishes_on_variety)
 from .matrices import jacobian
 from .rings import (OrderSpec, Polynomial, RationalFunction, RingContext,
                     random_linear_form)
@@ -674,32 +674,31 @@ def ci_degree_bound_check(X: VarietySpec, p, report: DegreeReport,
     return report.degree <= ci_bound(degrees, X.n, p)
 
 
-def _univariate_squarefree_degree(f, budget):
-    """Degree of the squarefree part of a univariate polynomial via gcd with
-    its derivative (monic Euclid)."""
-    tname = f.ring.variables[0]
-    a, b = f, f.derivative(tname)
-    while not b.is_zero():
-        gb = groebner_basis(Ideal(b.ring, [b]), budget=budget)
-        a, b = b, normal_form(a, gb, budget)
-    return f.total_degree() - a.total_degree()
-
-
 def evolute_curve(X: VarietySpec, p, seed=0, budget=None) -> EvolutePolynomial:
     """Envelope of the critical-point fibers of a plane curve: the classical
-    evolute for p = 2 and its p-norm generalization otherwise.
+    evolute for p = 2 and its p-norm generalization for p > 2; ValueError
+    for p < 2, where the envelope does not depend on the data point.
 
     The locus where the data point coincides with the curve point solves the
     envelope system trivially for p >= 3 and is saturated away so that the
-    reduced degree measures the envelope alone.  That degree is the
-    squarefree degree of the evolute restricted to a drawn line on which it
-    keeps its total degree; EvoluteLinesDegenerate if none of four does.
+    reduced degree measures the envelope alone.  The two eliminations
+    finish only the elements they keep (see groebner_basis).
+
+    The reduced degree is the squarefree degree of the evolute f restricted
+    to a drawn line u = a + b*t on which it keeps its total degree;
+    EvoluteLinesDegenerate if none of four does.  The line is substituted
+    for u1 and u2 on packed terms (see _line_restriction).  In k[t],
+    <f, f'> = <gcd(f, f')>, whose quotient has dimension deg gcd(f, f'), so
+    the squarefree degree is deg f less the points of <f, f'>, counted by
+    one Groebner run (see _count_points).
     """
     budget = as_budget(budget)
     if X.n != 2:
         raise ValueError("evolutes are defined for plane curves")
     if len(X.generators) != 1:
         raise ValueError("the plane curve must be given by a single generator")
+    if p < 2:
+        raise ValueError("evolutes need p >= 2")
     ring = X.ring
     x1, x2 = ring.variables
     big, (u1, u2) = data_ring(ring)
@@ -726,24 +725,31 @@ def evolute_curve(X: VarietySpec, p, seed=0, budget=None) -> EvolutePolynomial:
     poly = gens[0]
 
     rng = random.Random(f"evolute|{seed}")
-    lifted = result.ring.extend(["t"])
-    t = lifted.var("t")
-    tring = RingContext(("t",), field=ring.field)
-    poly_t = poly.transfer(lifted)
     target = poly.total_degree()
     for _ in range(4):
         a1, a2 = rng.randint(-60, 60), rng.randint(-60, 60)
         b1, b2 = rng.randint(1, 60), rng.randint(1, 60)
-        # the forms hold t alone, so substituting them one at a time is the
-        # same and multiplies no two polynomials
-        restricted = poly_t.substitute(
-            {u1: lifted.const(a1) + t.scale(b1)}).substitute(
-            {u2: lifted.const(a2) + t.scale(b2)}).transfer(tring)
+        restricted = _line_restriction(poly, (a1, a2), (b1, b2), budget)
         if restricted.total_degree() == target:
             break
     else:
         raise EvoluteLinesDegenerate(
             "every drawn line lowered the degree of the restricted evolute")
-    reduced = _univariate_squarefree_degree(restricted, budget)
-    return EvolutePolynomial(poly=poly, reduced_degree=reduced,
+    shared = _count_points(
+        Ideal(restricted.ring, [restricted, restricted.derivative("t")]),
+        budget)
+    return EvolutePolynomial(poly=poly, reduced_degree=target - shared,
                              generators=gens, warnings=warn)
+
+
+def _line_restriction(poly, a, b, budget):
+    """poly on the line u = a + b*t, as a polynomial of the ring k[t], for
+    poly in a grevlex ring (u1, .., un) without a variable t: the line's
+    forms u_i - a_i - b_i*t, led by u_i, are substituted for their pivots on
+    packed terms (see _linear_cut)."""
+    lifted = poly.ring.extend(["t"])
+    t = lifted.var("t")
+    line = [lifted.var(u) - lifted.const(ai) - t.scale(bi)
+            for u, ai, bi in zip(poly.ring.variables, a, b)]
+    tring, cut, _ = _linear_cut(lifted, line, budget)
+    return _unpack_polys(cut(_pack_polys([poly], lifted)), tring)[0]

@@ -3,9 +3,10 @@
 Buchberger's algorithm with Gebauer-Moeller pair pruning and sugar-degree
 pair selection, plus the derived operations everything else is built on:
 normal forms; elimination, saturation and radical membership, which are
-all block-order eliminations through one routine (a saturation by
-<g_1..g_m> is one Rabinowitsch run that adjoins a w_i per g_i and eliminates
-them from ideal + <1 - sum_i w_i*g_i>); and Krull dimensions, point counts,
+all block-order eliminations through one routine that finishes only the
+basis elements it keeps (a saturation by <g_1..g_m> is one Rabinowitsch
+run that adjoins a w_i per g_i and eliminates them from
+ideal + <1 - sum_i w_i*g_i>); and Krull dimensions, point counts,
 degrees and multidegrees, all read off the one cached grevlex basis.
 Affine-linear sections are substituted for their pivot variables rather
 than adjoined as generators, on packed terms, the pivots' fields then
@@ -712,12 +713,37 @@ def _field_drop(packer, i):
     return drop
 
 
-def _convert_grevlex(gb, work_ring, budget):
+def _kept(kernel, packer, drop):
+    """The kernel lists (leads, lcs, tails) of packer's ring restricted to
+    the elements whose lead holds no variable of `drop`, for an order that
+    ranks `drop` first (an elimination order), in their order.
+
+    Each monomial with a dropped variable is a multiple of one of them, so
+    no smaller than the least x_v, v in drop; in an elimination order each
+    monomial without one is smaller still.  So a lead is drop-free iff its
+    packed value lies below the least packed x_v, and such an element has
+    only drop-free terms."""
+    if not drop:
+        return kernel
+    ring = packer.ring
+    units = [tuple(int(j == ring.index(v)) for j in range(ring.nvars))
+             for v in drop]
+    bound = min(map(packer.pack, units))
+    leads, lcs, tails = kernel
+    keep = [i for i, lead in enumerate(leads) if lead < bound]
+    return ([leads[i] for i in keep], [lcs[i] for i in keep],
+            [tails[i] for i in keep])
+
+
+def _convert_grevlex(gb, work_ring, budget, drop=()):
     """A Groebner basis for the order of `work_ring` (lex or block) of the
     ideal whose reduced grevlex basis is `gb`, as kernel lists for
     _autoreduce: the homogenized basis, run under that order with the
     Hilbert numerator of the grevlex leads as the driver's target, then
-    dehomogenized on the packed values (_field_drop).
+    dehomogenized on the packed values (_field_drop).  For an order that
+    ranks the variables `drop` first, only the elements whose lead is free
+    of them are dehomogenized and returned (see _kept); h is not among
+    them, and a lead is free of them iff its dehomogenization is.
 
     This is exact, in three steps.  (1) The homogenized grevlex basis of I
     is a grevlex basis of I^h, h last (Cox-Little-O'Shea, Ideals,
@@ -743,14 +769,16 @@ def _convert_grevlex(gb, work_ring, budget):
         d = g.total_degree()
         seed.append(_pack_terms({e + (d - sum(e),): c
                                  for e, c in g.terms.items()}, packer))
-    leads, lcs, tails = _buchberger(seed, ring, budget,
-                                    _hilbert_numerator(gb.lead_exponents()))
-    drop = _field_drop(packer, ring.nvars - 1)
-    return ([drop(e) for e in leads], lcs,
-            [{drop(e): c for e, c in t.items()} for t in tails])
+    leads, lcs, tails = _kept(
+        _buchberger(seed, ring, budget,
+                    _hilbert_numerator(gb.lead_exponents())), packer, drop)
+    drop_h = _field_drop(packer, ring.nvars - 1)
+    return ([drop_h(e) for e in leads], lcs,
+            [{drop_h(e): c for e, c in t.items()} for t in tails])
 
 
-def groebner_basis(ideal, order=None, budget=None, based=0) -> GroebnerBasis:
+def groebner_basis(ideal, order=None, budget=None, based=0,
+                   drop=()) -> GroebnerBasis:
     """Reduced Groebner basis of an ideal for the given monomial order.
 
     Deterministic and canonical: any generating list of the same ideal yields
@@ -766,17 +794,30 @@ def groebner_basis(ideal, order=None, budget=None, based=0) -> GroebnerBasis:
     reduced basis for `order`, Buchberger's algorithm forms no pair of two
     of them (see _buchberger).  The packed generators of an ideal built by
     Ideal.packed seed a run for its ring's order as they are.
+
+    With `drop`, the front block of a block `order`, only the elements of
+    the reduced basis free of those variables are returned: a Groebner
+    basis of the elimination ideal (Cox-Little-O'Shea, ch. 3 §1), still in
+    the ring of `order`.  Only the unreduced elements whose lead is free of
+    them are tail-reduced and unpacked (see _kept).  That gives exactly
+    those elements of the full reduced basis, in order: a drop-free lead
+    is divisible only by drop-free leads, which are all smaller than the
+    others, so _autoreduce treats them first and reduces them against one
+    another alone.
     """
     budget = as_budget(budget)
     ring = ideal.ring
     order = order if order is not None else ring.order
+    drop = tuple(drop)
+    if drop and (order.kind != "block" or set(order.front) != set(drop)):
+        raise ValueError("drop must be the front block of a block order")
     work_ring = ring.with_order(order)
     packer = work_ring.packer()
     grevlex = ideal._gb_cache.get(GREVLEX) if order != GREVLEX else None
     kernel = None
     if grevlex is not None:
         try:
-            kernel = _convert_grevlex(grevlex, work_ring, budget)
+            kernel = _convert_grevlex(grevlex, work_ring, budget, drop)
         except SizeOutOfRange:
             pass
     if kernel is None:
@@ -784,7 +825,8 @@ def groebner_basis(ideal, order=None, budget=None, based=0) -> GroebnerBasis:
             seed = ideal._seeds
         else:
             seed = _pack_polys(ideal.generators, work_ring)
-        kernel = _buchberger(seed, work_ring, budget, based=based)
+        kernel = _kept(_buchberger(seed, work_ring, budget, based=based),
+                       packer, drop)
     basis = _unpack_polys(_autoreduce(*kernel, packer, budget), work_ring)
     return GroebnerBasis(work_ring, basis, order)
 
@@ -842,14 +884,13 @@ def _packed_remainders(basis, ring, budget):
 # --------------------------------------------------------------------------
 
 def _eliminate(ideal, drop, small, budget) -> Ideal:
-    """The elements free of `drop` in the reduced basis for the block order
-    that ranks `drop` first, as an ideal of the ring `small`.  Within the
-    back block that order is grevlex, so they are cached as the reduced
-    grevlex basis when `small` is grevlex."""
-    gb = ideal.groebner(OrderSpec("block", drop), budget)
-    drop_idx = [gb.ring._pos[name] for name in drop]
-    kept = [g.transfer(small) for g in gb.basis
-            if all(all(e[i] == 0 for i in drop_idx) for e in g.terms)]
+    """ideal ∩ k[rest], as an ideal of the ring `small` on the other
+    variables: the elements free of `drop` of the reduced basis for the
+    block order that ranks `drop` first, the only ones groebner_basis
+    finishes.  Within the back block that order is grevlex, so they are
+    cached as the reduced grevlex basis when `small` is grevlex."""
+    gb = groebner_basis(ideal, OrderSpec("block", drop), budget, drop=drop)
+    kept = [g.transfer(small) for g in gb.basis]
     out = Ideal(small, kept)
     if small.order == GREVLEX:
         out._gb_cache[GREVLEX] = GroebnerBasis(small, kept, GREVLEX)

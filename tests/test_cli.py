@@ -238,6 +238,23 @@ def test_projective_commands_need_p_at_least_two(tmp_path, capsys, command):
     assert "options.p must be an integer >= 2" in err
 
 
+@pytest.mark.parametrize("field", ["rational", "prime:2147483647"])
+def test_evolute_needs_p_at_least_two(tmp_path, capsys, field):
+    """At p = 1 the envelope does not depend on u; the evolute of the
+    circle used to report "1" with reduced degree 0."""
+    job = {
+        "schema_version": 1,
+        "ring": {"variables": ["x1", "x2"], "field": field},
+        "variety": {"generators": ["x1^2+x2^2-1"]},
+        "options": {"p": 1},
+        "seed": 0,
+    }
+    rc = run_cli(tmp_path, "evolute", job)
+    err = capsys.readouterr().err
+    assert rc == EXIT_SCHEMA
+    assert "options.p must be an integer >= 2" in err
+
+
 def _crossvalidate_ellipse():
     return {"schema_version": 1,
             "ring": {"variables": ["x1", "x2"], "field": "rational"},

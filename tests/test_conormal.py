@@ -94,6 +94,29 @@ def test_bidegree_groups_must_partition_the_ring(gf_ring3):
         {(2, 1): 2, (1, 2): 2}
 
 
+@pytest.mark.parametrize("gen", ["x1-y1", "x1*y1-1", "x1*y2+x3^2"])
+def test_bidegree_class_rejects_an_ideal_that_is_not_bihomogeneous(gf_ring3,
+                                                                   gen):
+    """x1 - y1 and x1*y2 + x3^2 are homogeneous but not bihomogeneous, and
+    x1*y1 - 1 is neither."""
+    xnames, ynames = ("x1", "x2", "x3"), ("y1", "y2", "y3")
+    big = gf_ring3.extend(ynames)
+    with pytest.raises(NotHomogeneous):
+        bidegree_class(Ideal(big, [P(gen, big)]), xnames, ynames)
+
+
+def test_bidegree_class_reads_bihomogeneity_off_the_ideal(gf_ring3):
+    """g1 has bidegree (2, 0) and g2 bidegree (1, 1), so g1 + g2 is not
+    bihomogeneous, but <g1, g1 + g2> = <g1, g2> is, and has its class."""
+    xnames, ynames = ("x1", "x2", "x3"), ("y1", "y2", "y3")
+    big = gf_ring3.extend(ynames)
+    g1, g2 = P("x1^2+x2^2+2*x3^2", big), P("x1*y2-x2*y1", big)
+    want = bidegree_class(Ideal(big, [g1, g2]), xnames, ynames)
+    assert want.as_dict() == {(0, 2): 0, (1, 1): 2, (2, 0): 2}
+    assert bidegree_class(Ideal(big, [g1, g1 + g2]), xnames,
+                          ynames) == want
+
+
 def test_bidegree_line(gf_ring3):
     line = variety(gf_ring3, "x3")
     N = s_conormal_ideal(line, 1)

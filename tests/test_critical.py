@@ -15,7 +15,8 @@ from optdeg import (BudgetExceeded, ContainedInIsotropic, Ideal,
                     vanishes_on_variety)
 from optdeg import critical, groebner
 from optdeg.critical import (DegreeReport, PNorm, RationalGradient,
-                             VarietySpec, _singular_beyond_vertex,
+                             VarietySpec, _line_restriction,
+                             _singular_beyond_vertex,
                              algebraic_degree, ci_degree_bound_check,
                              critical_ideal_affine, data_ring, evolute_curve,
                              projective_critical_ideal,
@@ -30,6 +31,8 @@ from optdeg.rings import (MonomialPacker, OrderSpec, Polynomial,
 
 from conftest import (affine_plane_curve_twins, plane_curve_cones,
                       plane_curve_twins, variety)
+from squarefree import (euclid_squarefree_degree, reduced_degree,
+                        substituted_line)
 from ysystem import saturating_counts, saturating_critical_ideal
 
 
@@ -335,7 +338,7 @@ def test_projective_conic_p3_tight_budget(prime_field):
 
 
 @pytest.mark.parametrize("names, gens, p, degree, steps", [
-    (("x1", "x2", "x3"), ["x1^2+x2^2-3*x3^2"], 3, 12, 656),
+    (("x1", "x2", "x3"), ["x1^2+x2^2-3*x3^2"], 3, 12, 654),
     (("x1", "x2", "x3", "x4"), ["x1*x3-x2^2", "x1*x4-x2*x3", "x2*x4-x3^2"],
      2, 7, 1_144),
 ], ids=["conic-p3", "twisted-cubic-p2"])
@@ -349,7 +352,10 @@ def test_projective_reduction_steps_pinned_over_gf(prime_field, names, gens,
     them to 668 and 1,286.  Cutting the Jacobian minors and the row rather
     than the assembled system took the cut's own steps from 52 to 40 and
     from 204 to 62, and so the totals to 656 and 1,144; the Groebner runs
-    still take 616 and 1,082."""
+    took 616 and 1,082.  Eliminations that tail-reduce only the elements
+    they keep took the conic's runs to 614, by the 2 steps the dropped
+    elements' tails took, and left the twisted cubic's, whose dropped
+    elements took none."""
     X = variety(RingContext(names, field=prime_field), *gens)
     budget = _Budget(DEFAULT_BUDGET)
     rep = projective_pnorm_degree(X, p, seed=0, budget=budget)
@@ -444,9 +450,9 @@ def test_count_eliminates_b_without_a_localizer(monkeypatch, prime_field):
     runs = []
     original_gb = groebner.groebner_basis
 
-    def recorded_gb(ideal, order=None, budget=None, based=0):
+    def recorded_gb(ideal, order=None, budget=None, based=0, drop=()):
         runs.append((ideal.ring.variables, order, based))
-        return original_gb(ideal, order, budget, based)
+        return original_gb(ideal, order, budget, based, drop)
 
     monkeypatch.setattr(groebner, "groebner_basis", recorded_gb)
     monkeypatch.setattr(critical, "groebner_basis", recorded_gb)
@@ -856,15 +862,16 @@ def test_projective_critical_ideal_matches_saturating_oracle_at_p3(
 
 
 def test_projective_critical_ideal_steps_pinned_over_gf(prime_field):
-    """The twisted cubic's correspondence ideal takes 677 steps in the chart
-    y = u + b*x (921 when it localized before eliminating b); the
-    y-system's saturations and chart took 574,490."""
+    """The twisted cubic's correspondence ideal takes 666 steps in the chart
+    y = u + b*x (921 when it localized before eliminating b, and 677 when
+    its eliminations also tail-reduced the 11 steps' worth of elements they
+    drop); the y-system's saturations and chart took 574,490."""
     X = variety(RingContext(("x1", "x2", "x3", "x4"), field=prime_field),
                 "x1*x3-x2^2", "x1*x4-x2*x3", "x2*x4-x3^2")
     budget = _Budget(DEFAULT_BUDGET)
     corr = projective_critical_ideal(X, 2, budget=budget)
     assert corr.ring.variables == X.ring.variables + ("u1", "u2", "u3", "u4")
-    assert DEFAULT_BUDGET - budget.remaining == 677
+    assert DEFAULT_BUDGET - budget.remaining == 666
 
 
 def test_veronese_conic_ed_degree(prime_field):
@@ -1018,17 +1025,76 @@ def test_singular_evolute_reductions_agree_across_fields(curve, p):
     assert steps[0] == steps[1]
 
 
-def test_evolute_squarefree_loop_draws_on_the_job_budget(ring_x12):
-    """The classical evolute takes 172 steps up to and through its
-    elimination, converted from the cached grevlex basis, and 12 in the
-    Euclid loop of its reduced degree, which spends the job's budget, not a
-    fresh one.  Each call gets a fresh spec, because a spec keeps its
-    singular locus and a second call would skip that run."""
+def test_evolute_reduced_degree_draws_on_the_job_budget(ring_x12):
+    """The classical evolute takes 170 steps up to and through its
+    elimination, converted from the cached grevlex basis, and 60 for its
+    reduced degree: 55 for cutting the drawn line and 5 for the run on
+    <f, f'>.  Those spend the job's budget, not a fresh one.  Each call gets
+    a fresh spec, because a spec keeps its singular locus and a second call
+    would skip that run."""
     ellipse = variety(ring_x12, "x1^2+4*x2^2-1")
-    assert evolute_curve(ellipse, 2, seed=1, budget=184).reduced_degree == 6
+    assert evolute_curve(ellipse, 2, seed=1, budget=230).reduced_degree == 6
     ellipse = variety(ring_x12, "x1^2+4*x2^2-1")
     with pytest.raises(BudgetExceeded):
-        evolute_curve(ellipse, 2, seed=1, budget=183)
+        evolute_curve(ellipse, 2, seed=1, budget=229)
+
+
+_FIELDS = st.sampled_from((PrimeField(), RationalField()))
+# a factor of degree 1 or 2, lowest coefficient first
+_FACTORS = st.integers(1, 2).flatmap(
+    lambda d: st.lists(st.integers(-5, 5), min_size=d + 1, max_size=d + 1)
+    .filter(lambda c: c[-1]))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_FIELDS, st.lists(st.tuples(_FACTORS, st.integers(1, 3)), min_size=1,
+                         max_size=3).filter(
+    lambda fs: any(k > 1 for _, k in fs)))
+def test_reduced_degree_of_drawn_univariates_matches_euclid(field, factors):
+    """deg f less the points of <f, f'> is the Euclid oracle's squarefree
+    degree, on products of drawn factors with repeated ones."""
+    ring = RingContext(("t",), field=field)
+    f = ring.one()
+    for coeffs, k in factors:
+        f = f * ring.poly_from_terms({(i,): ring.coeff(c)
+                                      for i, c in enumerate(coeffs) if c}) ** k
+    shared = _count_points(Ideal(ring, [f, f.derivative("t")]), None)
+    assert f.total_degree() - shared == euclid_squarefree_degree(f)
+    assert f.total_degree() - shared <= sum(len(c) - 1 for c, _ in factors)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_FIELDS,
+       st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4))
+                       .filter(lambda e: sum(e) <= 4),
+                       st.integers(-9, 9).filter(bool), min_size=1,
+                       max_size=6),
+       st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
+       st.tuples(st.integers(1, 60), st.integers(1, 60)))
+def test_line_restriction_matches_substitution(field, terms, a, b):
+    ring = RingContext(("u1", "u2"), field=field)
+    poly = ring.poly_from_terms({e: ring.coeff(c) for e, c in terms.items()})
+    assert _line_restriction(poly, a, b, None) == substituted_line(poly, a, b)
+
+
+@pytest.mark.parametrize("field", [PrimeField(), RationalField()])
+def test_line_restriction_that_lowers_the_degree(field):
+    """The leading form u1^2 - u2^2 vanishes on the direction (7, 7)."""
+    ring = RingContext(("u1", "u2"), field=field)
+    poly = P("u1^2-u2^2+u1-3*u2+5", ring)
+    restricted = _line_restriction(poly, (4, -2), (7, 7), None)
+    assert restricted == substituted_line(poly, (4, -2), (7, 7))
+    assert restricted.total_degree() == 1
+
+
+@pytest.mark.parametrize("field", [PrimeField(), RationalField()])
+@pytest.mark.parametrize("curve, p", [("x1^2+4*x2^2-1", 2),
+                                      ("x1^2+4*x2^2-1", 3),
+                                      ("x2^2-x1^2*(x1+1)", 2)])
+def test_evolute_reduced_degree_matches_the_euclid_oracle(field, curve, p):
+    ev = evolute_curve(variety(RingContext(("x1", "x2"), field=field), curve),
+                       p, seed=1)
+    assert ev.reduced_degree == reduced_degree(ev.poly, 1)
 
 
 class _EqualSlopes(random.Random):
@@ -1053,6 +1119,12 @@ def test_evolute_lines_that_all_lower_the_degree_raise(ring_x12,
     hyperbola = variety(ring_x12, "x1^2-x2^2-1")
     with pytest.raises(EvoluteLinesDegenerate):
         evolute_curve(hyperbola, 2, seed=1)
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_evolute_requires_p_at_least_two(ring_x12, p):
+    with pytest.raises(ValueError, match="p >= 2"):
+        evolute_curve(variety(ring_x12, "x1^2+x2^2-1"), p)
 
 
 def test_evolute_requires_plane_curve():

@@ -19,6 +19,7 @@ from optdeg.groebner import (DEFAULT_BUDGET, _Budget, _count_points,
                              _hilbert_value, _linear_cut, _minimal,
                              _multidegree, _numerator_plus, _pack_polys,
                              _unpack_polys)
+from optdeg.rings import MonomialPacker
 
 from slicing import sections_degree
 
@@ -578,6 +579,137 @@ def test_eliminate_matches_sympy_by_membership(field, data):
         if all(not any(e[:len(drop)]) for e in terms):
             free = {e[len(drop):]: c for e, c in terms.items()}
             assert normal_form(_poly(ours.ring, free), gb).is_zero()
+
+
+def _full_block_kept(ideal, drop, small):
+    """The reference for _eliminate: the elements free of `drop` in the full
+    reduced basis for the block order ranking `drop` first, in its order,
+    as term dicts of `small`."""
+    full = groebner_basis(ideal, OrderSpec("block", tuple(drop)))
+    idx = [full.ring.index(v) for v in drop]
+    return [g.transfer(small).terms for g in full.basis
+            if not any(e[i] for e in g.terms for i in idx)]
+
+
+def _assert_eliminate_keeps_the_full_basis_part(ring, gens, drop, cached):
+    """_eliminate on one ideal against the reference on another of the same
+    generators; with `cached`, both first cache their grevlex basis, so both
+    convert it (see _convert_grevlex)."""
+    small = ring.restrict([v for v in ring.variables if v not in drop])
+    ours, ref = Ideal(ring, gens), Ideal(ring, gens)
+    if cached:
+        ours.groebner(GREVLEX)
+        ref.groebner(GREVLEX)
+    got = groebner._eliminate(ours, tuple(drop), small, _Budget(DEFAULT_BUDGET))
+    want = _full_block_kept(ref, drop, small)
+    assert got.ring == small
+    assert [g.terms for g in got.generators] == want
+    return want
+
+
+@pytest.mark.parametrize("cached", [False, True],
+                         ids=["from-generators", "converted"])
+@pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_eliminate_is_the_drop_free_part_of_the_full_basis(field, cached,
+                                                           data):
+    """An elimination finishes only the elements whose lead is free of the
+    dropped variables; they are exactly those of the full reduced block
+    basis, generator for generator and in order, whether the basis is run
+    from the generators or converted from the cached grevlex basis."""
+    coeffs = _COEFFS if field is None else _GF_COEFFS
+    n, gens = data.draw(_ideals(coeffs, n=data.draw(st.integers(2, 3))))
+    ring, ideal = _optdeg_ideal(n, gens, GREVLEX, field)
+    drop = data.draw(st.lists(st.sampled_from(ring.variables), min_size=1,
+                              max_size=n - 1, unique=True))
+    _assert_eliminate_keeps_the_full_basis_part(ring, ideal.generators, drop,
+                                                cached)
+
+
+@pytest.mark.parametrize("cached", [False, True],
+                         ids=["from-generators", "converted"])
+@pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
+@pytest.mark.parametrize("names, gens, drop, kind", [
+    (("t", "x"), ["t*x-1", "x"], ["t"], "unit"),
+    (("s", "t", "x"), ["s*x-1", "s-t", "t*x-2"], ["s", "t"], "unit"),
+    (("t", "x"), ["t*x-1"], ["t"], "zero"),
+    (("s", "t", "x"), ["s-x^2", "t-x^3"], ["s", "t"], "zero"),
+    (("t", "x", "y"), ["x-t^2", "y-t^3"], ["t"], "curve"),
+    (("s", "t", "x", "y", "z"), ["x-s*t", "y-s^2", "z-t^2"], ["s", "t"],
+     "curve"),
+])
+def test_eliminate_unit_and_zero_against_the_full_basis(field, cached, names,
+                                                        gens, drop, kind):
+    """Eliminations to <1>, to <0> and to a curve of one and two dropped
+    variables, on both paths and over both fields."""
+    ring = RingContext(names, field)
+    kept = _assert_eliminate_keeps_the_full_basis_part(
+        ring, [P(g, ring) for g in gens], drop, cached)
+    small_one = {(0,) * (len(names) - len(drop)): ring.field.one}
+    assert {"unit": kept == [small_one], "zero": kept == [],
+            "curve": len(kept) == 1 and kept != [small_one]}[kind]
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, OrderSpec("block", ("x",))])
+def test_drop_must_be_the_front_block(order):
+    ring = RingContext(("t", "x", "y"))
+    with pytest.raises(ValueError, match="front block"):
+        groebner_basis(I(ring, "x-t^2", "y-t^3"), order, drop=("t",))
+
+
+@pytest.mark.parametrize("cached", [False, True],
+                         ids=["from-generators", "converted"])
+@pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
+def test_dropped_elements_are_never_finished(monkeypatch, field, cached):
+    """The block basis of this ideal has five elements whose lead holds s
+    or t, and one that is free of both.  Only that one reaches _autoreduce,
+    and only its terms are unpacked: from the generators no other monomial
+    is unpacked at all, and the conversion unpacks only the leads it folds
+    into its Hilbert numerator."""
+    ring = RingContext(("s", "t", "x", "y"), field)
+    gens = [P(g, ring) for g in ("x-t^2-s", "y-t^3+s^2", "s*t-1")]
+    drop = ("s", "t")
+    full = groebner_basis(Ideal(ring, gens), OrderSpec("block", drop))
+    assert len(full) == 6
+    ideal = Ideal(ring, gens)
+    if cached:
+        ideal.groebner(GREVLEX)
+    finished, unpacked = [], []
+    original_autoreduce = groebner._autoreduce
+    original_unpack = groebner._unpack_polys
+    original_unpack_one = MonomialPacker.unpack
+    calls = []
+
+    def recorded_autoreduce(leads, lcs, tails, packer, budget):
+        finished.append((list(leads), packer))
+        return original_autoreduce(leads, lcs, tails, packer, budget)
+
+    def recorded_unpack(terms, ring):
+        unpacked.extend(terms)
+        return original_unpack(terms, ring)
+
+    def counted_unpack(self, packed):
+        calls.append(self.ring)
+        return original_unpack_one(self, packed)
+
+    monkeypatch.setattr(groebner, "_autoreduce", recorded_autoreduce)
+    monkeypatch.setattr(groebner, "_unpack_polys", recorded_unpack)
+    monkeypatch.setattr(MonomialPacker, "unpack", counted_unpack)
+    small = ring.restrict(["x", "y"])
+    out = groebner._eliminate(ideal, drop, small, _Budget(DEFAULT_BUDGET))
+    monkeypatch.undo()
+    (kept,) = out.generators
+    ((leads, packer),) = finished
+    assert len(leads) == 1
+    lead = packer.unpack(leads[0])
+    assert not any(lead[packer.ring.index(v)] for v in drop)
+    assert len(unpacked) == 1 and len(unpacked[0]) == len(kept.terms)
+    in_block_ring = [r for r in calls if r.order.kind == "block"
+                     and "hom_h" not in "".join(r.variables)]
+    assert len(in_block_ring) == len(kept.terms)
+    if not cached:
+        assert len(calls) == len(kept.terms)
 
 
 # --- saturation against the intersection of single saturations ---------------------
