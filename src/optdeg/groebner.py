@@ -713,22 +713,17 @@ def _field_drop(packer, i):
     return drop
 
 
-def _kept(kernel, packer, drop):
-    """The kernel lists (leads, lcs, tails) of packer's ring restricted to
-    the elements whose lead holds no variable of `drop`, for an order that
-    ranks `drop` first (an elimination order), in their order.
+def _kept(kernel, packer):
+    """The kernel lists (leads, lcs, tails) of a block order's packer
+    restricted, in their order, to the elements whose lead is free of the
+    front block.
 
-    Each monomial with a dropped variable is a multiple of one of them, so
-    no smaller than the least x_v, v in drop; in an elimination order each
-    monomial without one is smaller still.  So a lead is drop-free iff its
-    packed value lies below the least packed x_v, and such an element has
-    only drop-free terms."""
-    if not drop:
-        return kernel
-    ring = packer.ring
-    units = [tuple(int(j == ring.index(v)) for j in range(ring.nvars))
-             for v in drop]
-    bound = min(map(packer.pack, units))
+    The front block's degree field is the top field of a packed value (see
+    MonomialPacker), so a monomial is free of the front block iff its packed
+    value lies below that field: every monomial with a front variable is
+    larger than every monomial without one.  So an element whose lead is
+    free of it has only terms free of it."""
+    bound = 1 << packer._deg_shifts[-1][0]
     leads, lcs, tails = kernel
     keep = [i for i, lead in enumerate(leads) if lead < bound]
     return ([leads[i] for i in keep], [lcs[i] for i in keep],
@@ -740,10 +735,10 @@ def _convert_grevlex(gb, work_ring, budget, drop=()):
     ideal whose reduced grevlex basis is `gb`, as kernel lists for
     _autoreduce: the homogenized basis, run under that order with the
     Hilbert numerator of the grevlex leads as the driver's target, then
-    dehomogenized on the packed values (_field_drop).  For an order that
-    ranks the variables `drop` first, only the elements whose lead is free
-    of them are dehomogenized and returned (see _kept); h is not among
-    them, and a lead is free of them iff its dehomogenization is.
+    dehomogenized on the packed values (_field_drop).  With `drop`, the
+    front block of a block order, only the elements whose lead is free of
+    it are dehomogenized and returned (see _kept); h lies in the back
+    block, and a lead is free of the front iff its dehomogenization is.
 
     This is exact, in three steps.  (1) The homogenized grevlex basis of I
     is a grevlex basis of I^h, h last (Cox-Little-O'Shea, Ideals,
@@ -769,9 +764,10 @@ def _convert_grevlex(gb, work_ring, budget, drop=()):
         d = g.total_degree()
         seed.append(_pack_terms({e + (d - sum(e),): c
                                  for e, c in g.terms.items()}, packer))
-    leads, lcs, tails = _kept(
-        _buchberger(seed, ring, budget,
-                    _hilbert_numerator(gb.lead_exponents())), packer, drop)
+    leads, lcs, tails = _buchberger(seed, ring, budget,
+                                    _hilbert_numerator(gb.lead_exponents()))
+    if drop:
+        leads, lcs, tails = _kept((leads, lcs, tails), packer)
     drop_h = _field_drop(packer, ring.nvars - 1)
     return ([drop_h(e) for e in leads], lcs,
             [{drop_h(e): c for e, c in t.items()} for t in tails])
@@ -825,8 +821,9 @@ def groebner_basis(ideal, order=None, budget=None, based=0,
             seed = ideal._seeds
         else:
             seed = _pack_polys(ideal.generators, work_ring)
-        kernel = _kept(_buchberger(seed, work_ring, budget, based=based),
-                       packer, drop)
+        kernel = _buchberger(seed, work_ring, budget, based=based)
+        if drop:
+            kernel = _kept(kernel, packer)
     basis = _unpack_polys(_autoreduce(*kernel, packer, budget), work_ring)
     return GroebnerBasis(work_ring, basis, order)
 
