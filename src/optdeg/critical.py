@@ -674,6 +674,19 @@ def ci_degree_bound_check(X: VarietySpec, p, report: DegreeReport,
     return report.degree <= ci_bound(degrees, X.n, p)
 
 
+def _line_restriction(poly, a, b, budget):
+    """poly on the line u = a + b*t, as a polynomial of the ring k[t], for
+    poly in a grevlex ring (u1, .., un) without a variable t: the line's
+    forms u_i - a_i - b_i*t, led by u_i, are substituted for their pivots on
+    packed terms (see _linear_cut)."""
+    lifted = poly.ring.extend(["t"])
+    t = lifted.var("t")
+    line = [lifted.var(u) - lifted.const(ai) - t.scale(bi)
+            for u, ai, bi in zip(poly.ring.variables, a, b)]
+    tring, cut, _ = _linear_cut(lifted, line, budget)
+    return _unpack_polys(cut(_pack_polys([poly], lifted)), tring)[0]
+
+
 def evolute_curve(X: VarietySpec, p, seed=0, budget=None) -> EvolutePolynomial:
     """Envelope of the critical-point fibers of a plane curve: the classical
     evolute for p = 2 and its p-norm generalization for p > 2; ValueError
@@ -741,15 +754,3 @@ def evolute_curve(X: VarietySpec, p, seed=0, budget=None) -> EvolutePolynomial:
     return EvolutePolynomial(poly=poly, reduced_degree=target - shared,
                              generators=gens, warnings=warn)
 
-
-def _line_restriction(poly, a, b, budget):
-    """poly on the line u = a + b*t, as a polynomial of the ring k[t], for
-    poly in a grevlex ring (u1, .., un) without a variable t: the line's
-    forms u_i - a_i - b_i*t, led by u_i, are substituted for their pivots on
-    packed terms (see _linear_cut)."""
-    lifted = poly.ring.extend(["t"])
-    t = lifted.var("t")
-    line = [lifted.var(u) - lifted.const(ai) - t.scale(bi)
-            for u, ai, bi in zip(poly.ring.variables, a, b)]
-    tring, cut, _ = _linear_cut(lifted, line, budget)
-    return _unpack_polys(cut(_pack_polys([poly], lifted)), tring)[0]

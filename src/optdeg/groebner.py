@@ -714,7 +714,7 @@ def _field_drop(packer, i):
 
 
 def _kept(kernel, packer):
-    """The kernel lists (leads, lcs, tails) of a block order's packer
+    """The kernel lists (leads, lcs, tails), packed for a block order,
     restricted, in their order, to the elements whose lead is free of the
     front block.
 
@@ -764,10 +764,11 @@ def _convert_grevlex(gb, work_ring, budget, drop=()):
         d = g.total_degree()
         seed.append(_pack_terms({e + (d - sum(e),): c
                                  for e, c in g.terms.items()}, packer))
-    leads, lcs, tails = _buchberger(seed, ring, budget,
-                                    _hilbert_numerator(gb.lead_exponents()))
+    kernel = _buchberger(seed, ring, budget,
+                         _hilbert_numerator(gb.lead_exponents()))
     if drop:
-        leads, lcs, tails = _kept((leads, lcs, tails), packer)
+        kernel = _kept(kernel, packer)
+    leads, lcs, tails = kernel
     drop_h = _field_drop(packer, ring.nvars - 1)
     return ([drop_h(e) for e in leads], lcs,
             [{drop_h(e): c for e, c in t.items()} for t in tails])
