@@ -30,7 +30,7 @@ from .groebner import (GREVLEX, Ideal, _count_points, _eliminate, _linear_cut,
                        _packed_sum, _rabinowitsch, _saturand, _unpack_polys,
                        as_budget, dimension, eliminate, groebner_basis,
                        saturate, vanishes_on_variety)
-from .matrices import jacobian
+from .matrices import _laplace_minors, jacobian, packed_minors
 from .rings import (OrderSpec, Polynomial, RationalFunction, RingContext,
                     random_linear_form)
 
@@ -39,8 +39,8 @@ from .rings import (OrderSpec, Polynomial, RationalFunction, RingContext,
 class VarietySpec:
     """A variety given by generators, with optional codimension and singular
     ideal overrides for inputs the automatic computation would misjudge.
-    Its ideal, codimension, Jacobian minors and singular locus are built
-    once and shared by every caller."""
+    Its ideal, codimension, Jacobian, Jacobian minors (packed once per
+    ring) and singular locus are built once and shared by every caller."""
 
     ring: RingContext
     generators: tuple
@@ -48,7 +48,7 @@ class VarietySpec:
     singular_ideal_override: Ideal = None
     _ideal: Ideal = dc_field(init=False, repr=False, compare=False)
     _codim: int = dc_field(init=False, repr=False, compare=False)
-    _minors: tuple = dc_field(init=False, repr=False, compare=False)
+    _jacobian: object = dc_field(init=False, repr=False, compare=False)
     _packed: dict = dc_field(init=False, repr=False, compare=False)
     _singular: Ideal = dc_field(init=False, repr=False, compare=False)
 
@@ -65,9 +65,13 @@ class VarietySpec:
         n = self.ring.nvars
         if self.codim_override is not None and not 1 <= self.codim_override <= n:
             raise ValueError("codimension override out of range")
+        if (self.singular_ideal_override is not None
+                and self.singular_ideal_override.is_zero()):
+            raise ValueError("the singular ideal override has no nonzero "
+                             "generator")
         self._ideal = Ideal(self.ring, gens)
         self._codim = self.codim_override
-        self._minors = None
+        self._jacobian = jacobian(gens, self.ring.variables)
         self._packed = {}
         self._singular = self.singular_ideal_override
 
@@ -86,42 +90,23 @@ class VarietySpec:
             self._codim = self.n - dimension(self.ideal(), budget)
         return self._codim
 
-    def jacobian_minors(self, budget=None):
-        """The c x c and the (c+1) x (c+1) minors of the Jacobian of the
-        generators in x, for c the codimension, each list in the order of
-        PolyMatrix.minors and empty when the size exceeds the Jacobian's:
-        taken on the first call and kept.  Only the c-minors are expanded;
-        each (c+1)-minor is their Laplace sum along its first row (see
-        _laplace_minors).  The singular locus reads the first, and every
-        stacked system both (see packed_minors)."""
-        if self._minors is None:
-            c = self.codimension(budget)
-            ring = self.ring
-            jac = jacobian(self.generators, ring.variables)
-            m, n = jac.rows, jac.cols
-            lower = jac.minors(c) if c <= min(m, n) else []
-            upper = []
-            if c + 1 <= min(m, n):
-                keyed = dict(zip(product(combinations(range(m), c),
-                                         combinations(range(n), c)),
-                                 _pack_polys(lower, ring)))
-                for r in range(m):
-                    upper += _laplace_minors(
-                        _pack_polys(jac.entries[r], ring),
-                        combinations(range(r + 1, m), c), keyed, n, ring)
-                upper = _unpack_polys(upper, ring)
-            self._minors = (lower, upper)
-        return self._minors
-
     def packed_minors(self, ring, budget=None):
-        """The generators and the two lists of jacobian_minors as packed
-        term dicts of ring's packer, packed on the first call for each ring
-        and kept: every later trial in that ring packs and transfers none of
-        them (see _stacked_generators)."""
+        """The generators, and the c x c and (c+1) x (c+1) minors of their
+        Jacobian in x, for c the codimension, as packed term dicts of
+        ring's packer: the minors in lexicographic (row set, column set)
+        order, each list empty when its size exceeds the Jacobian's.  The
+        Jacobian's entries are packed into ring and its minors taken up to
+        c + 1 on the first call for each ring (see matrices.packed_minors),
+        and kept: every later trial in that ring packs and transfers none
+        of them (see _stacked_generators)."""
         packed = self._packed.get(ring)
         if packed is None:
-            packed = tuple(_pack_polys(polys, ring) for polys in
-                           (self.generators, *self.jacobian_minors(budget)))
+            c = self.codimension(budget)
+            minors = packed_minors([_pack_polys(row, ring) for row in
+                                    self._jacobian.entries], c + 1, ring)
+            lower, upper = (list(minors[k - 1].values())
+                            if k <= len(minors) else [] for k in (c, c + 1))
+            packed = (_pack_polys(self.generators, ring), lower, upper)
             self._packed[ring] = packed
         return packed
 
@@ -185,13 +170,13 @@ def data_ring(ring):
 
 def singular_locus_ideal(X: VarietySpec, budget=None) -> Ideal:
     """Ideal cutting out the singular locus: I(X) plus the c x c minors of the
-    Jacobian of the generators (see VarietySpec.jacobian_minors),
-    regenerated by its reduced grevlex basis (or the user override).  It is
-    built on the first call and kept on X."""
+    Jacobian of the generators (see VarietySpec.packed_minors), seeded on
+    packed terms and regenerated by its reduced grevlex basis (or the user
+    override).  It is built on the first call and kept on X."""
     if X._singular is None:
         budget = as_budget(budget)
-        gens = list(X.generators) + X.jacobian_minors(budget)[0]
-        X._singular = Ideal(X.ring, gens).normalized(budget)
+        gens, lower, _ = X.packed_minors(X.ring, budget)
+        X._singular = Ideal.packed(X.ring, gens + lower).normalized(budget)
     return X._singular
 
 
@@ -391,23 +376,6 @@ def _packed_row(row, ring):
             g = RationalFunction(g)
         den = None if g.den == g.ring.one() else _pack_polys([g.den], ring)[0]
         out.append((_pack_polys([g.num], ring)[0], den))
-    return out
-
-
-def _laplace_minors(top, row_sets, lower, n, ring):
-    """For each k-row set R of `row_sets` and each (k+1)-subset C of the n
-    columns, in lexicographic (R, C) order, the determinant of the rows R
-    below the row `top`, through the columns C, expanded along `top`:
-    sum_t (-1)^t * top[C_t] * lower[R, C - C_t], for `lower` the k-minors
-    keyed by (row set, column set).  Entries, minors and results are packed
-    term dicts of ring's packer (see _packed_sum)."""
-    out = []
-    for rows in row_sets:
-        for cols in combinations(range(n), len(rows) + 1):
-            out.append(_packed_sum(
-                [(-1 if t % 2 else 1, top[j],
-                  lower[rows, cols[:t] + cols[t + 1:]])
-                 for t, j in enumerate(cols)], ring))
     return out
 
 

@@ -1,5 +1,5 @@
-"""Polynomial matrices: Jacobians, exact minors, derationalized stacking,
-and random invertible coordinate changes."""
+"""Polynomial matrices: Jacobians, minors as Laplace sums on packed terms,
+derationalized stacking, and random invertible coordinate changes."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ import random
 from itertools import combinations
 
 from .errors import RingMismatch, SizeOutOfRange
-from .rings import Polynomial, RationalFunction
+from .groebner import _pack_polys, _packed_sum, _unpack_polys
+from .rings import RationalFunction
 
 
 class PolyMatrix:
@@ -39,104 +40,61 @@ class PolyMatrix:
     def transpose(self):
         return PolyMatrix(tuple(zip(*self.entries)))
 
-    def submatrix(self, row_idx, col_idx):
-        return PolyMatrix(tuple(tuple(self.entries[i][j] for j in col_idx)
-                                for i in row_idx))
-
     def det(self):
         if self.rows != self.cols:
             raise SizeOutOfRange("determinant of a non-square matrix")
-        if self.rows <= 3:
-            return _det_cofactor(self.entries, self.ring)
-        return _det_bareiss(self.entries, self.ring)
+        return self.minors(self.rows)[0]
 
     def minors(self, k):
-        """All k x k minors, in lexicographic (row-set, col-set) order."""
+        """All k x k minors, in lexicographic (row-set, col-set) order: the
+        entries are packed into the matrix's ring, and only size k of
+        packed_minors is unpacked."""
         if k < 1 or k > min(self.rows, self.cols):
             raise SizeOutOfRange(
                 f"minor size {k} out of range for {self.rows}x{self.cols} matrix")
-        out = []
-        for ri in combinations(range(self.rows), k):
-            for ci in combinations(range(self.cols), k):
-                out.append(self.submatrix(ri, ci).det())
-        return out
+        entries = [_pack_polys(row, self.ring) for row in self.entries]
+        return _unpack_polys(packed_minors(entries, k, self.ring)[-1].values(),
+                             self.ring)
 
     def __repr__(self):
         return f"PolyMatrix({self.rows}x{self.cols} over {self.ring!r})"
 
 
-def _det_cofactor(rows, ring):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    det = ring.zero()
-    for j, head in enumerate(rows[0]):
-        if head.is_zero():
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-        cof = head * _det_cofactor(minor, ring)
-        det = det + cof if j % 2 == 0 else det - cof
-    return det
+def packed_minors(entries, k, ring):
+    """The minors of a matrix of packed term dicts of ring's packer: for
+    j = 1 .. min(k, rows, cols), a dict from (row set, column set) to the
+    packed j x j minor, in lexicographic order.  Size 1 is the entries;
+    each size j > 1 is the Laplace sum, along its first row, of the
+    (j-1)-minors (see _laplace_minors)."""
+    m, n = len(entries), len(entries[0])
+    out = [{((i,), (j,)): entries[i][j] for i in range(m) for j in range(n)}]
+    for size in range(2, min(k, m, n) + 1):
+        keyed = {}
+        for r in range(m):
+            row_sets = list(combinations(range(r + 1, m), size - 1))
+            keys = [((r,) + rows, cols) for rows in row_sets
+                    for cols in combinations(range(n), size)]
+            keyed.update(zip(keys, _laplace_minors(entries[r], row_sets,
+                                                   out[-1], n, ring)))
+        out.append(keyed)
+    return out
 
 
-def poly_exact_div(f, g):
-    """Quotient f/g when g divides f exactly (used by fraction-free elimination)."""
-    ring = f.ring
-    if g.is_zero():
-        raise ZeroDivisionError("exact division by zero polynomial")
-    if f.is_zero():
-        return f
-    fld = ring.field
-    ge, gc = g.lead_term()
-    ginv = fld.inv(gc)
-    rem = dict(f.terms)
-    out = {}
-    key = ring.key
-    while rem:
-        e = max(rem, key=key)
-        c = rem[e]
-        qe = tuple(x - y for x, y in zip(e, ge))
-        if any(v < 0 for v in qe):
-            raise ArithmeticError("inexact polynomial division")
-        qc = fld.mul(c, ginv)
-        out[qe] = qc
-        for te, tc in g.terms.items():
-            ne = tuple(x + y for x, y in zip(qe, te))
-            prev = rem.get(ne)
-            val = fld.neg(fld.mul(qc, tc)) if prev is None else fld.sub(prev, fld.mul(qc, tc))
-            if fld.is_zero(val):
-                rem.pop(ne, None)
-            else:
-                rem[ne] = val
-    return Polynomial(ring, out)
-
-
-def _det_bareiss(rows, ring):
-    """Fraction-free Gaussian elimination with exact division."""
-    n = len(rows)
-    m = [list(row) for row in rows]
-    sign = 1
-    prev = ring.one()
-    for r in range(n - 1):
-        if m[r][r].is_zero():
-            for i in range(r + 1, n):
-                if not m[i][r].is_zero():
-                    m[r], m[i] = m[i], m[r]
-                    sign = -sign
-                    break
-            else:
-                return ring.zero()
-        pivot = m[r][r]
-        for i in range(r + 1, n):
-            for j in range(r + 1, n):
-                num = m[i][j] * pivot - m[i][r] * m[r][j]
-                m[i][j] = poly_exact_div(num, prev)
-            m[i][r] = ring.zero()
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+def _laplace_minors(top, row_sets, lower, n, ring):
+    """For each k-row set R of `row_sets` and each (k+1)-subset C of the n
+    columns, in lexicographic (R, C) order, the determinant of the rows R
+    below the row `top`, through the columns C, expanded along `top`:
+    sum_t (-1)^t * top[C_t] * lower[R, C - C_t], for `lower` the k-minors
+    keyed by (row set, column set).  Entries, minors and results are packed
+    term dicts of ring's packer (see _packed_sum)."""
+    out = []
+    for rows in row_sets:
+        for cols in combinations(range(n), len(rows) + 1):
+            out.append(_packed_sum(
+                [(-1 if t % 2 else 1, top[j],
+                  lower[rows, cols[:t] + cols[t + 1:]])
+                 for t, j in enumerate(cols)], ring))
+    return out
 
 
 def jacobian(polys, variables):
@@ -183,9 +141,9 @@ def random_linear_change(ring, variables, seed):
     """Random invertible integer change of coordinates on `variables`.
 
     Returns (matrix, substitution) where the matrix has integer entries drawn
-    uniformly from [-5, 5] (resampled until invertible) and the substitution
-    maps variables[i] to the corresponding integer linear form.  Deterministic
-    per seed.
+    uniformly from [-5, 5] (resampled until invertible over the ring's
+    field) and the substitution maps variables[i] to the corresponding
+    integer linear form.  Deterministic per seed.
     """
     variables = list(variables)
     k = len(variables)
@@ -194,9 +152,9 @@ def random_linear_change(ring, variables, seed):
     rng = random.Random(f"linchange|{seed}")
     while True:
         m = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(k)]
-        if _int_det(m) != 0:
+        entries = [[ring.const(m[i][j]) for j in range(k)] for i in range(k)]
+        if not PolyMatrix(entries).det().is_zero():
             break
-    entries = [[ring.const(m[i][j]) for j in range(k)] for i in range(k)]
     subs = {}
     for i, v in enumerate(variables):
         form = ring.zero()
@@ -205,25 +163,3 @@ def random_linear_change(ring, variables, seed):
                 form = form + ring.var(w).scale(m[i][j])
         subs[v] = form
     return PolyMatrix(entries), subs
-
-
-def _int_det(m):
-    from fractions import Fraction
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for r in range(n):
-        pivot_row = next((i for i in range(r, n) if a[i][r] != 0), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != r:
-            a[r], a[pivot_row] = a[pivot_row], a[r]
-            det = -det
-        det *= a[r][r]
-        inv = 1 / a[r][r]
-        for i in range(r + 1, n):
-            factor = a[i][r] * inv
-            if factor:
-                for j in range(r, n):
-                    a[i][j] -= factor * a[r][j]
-    return det

@@ -406,6 +406,19 @@ def _evolute(variables, *generators):
             "options": {"p": 2}}
 
 
+def _overridden(generator, singular, **job):
+    """A GF(2^31 - 1) job whose singular ideal override holds no nonzero
+    generator."""
+    variables = ["x1", "x2", "x3"] if "x3" in generator else ["x1", "x2"]
+    return {"schema_version": 1,
+            "ring": {"variables": variables, "field": "prime:2147483647"},
+            "variety": {"generators": [generator],
+                        "singular_ideal": singular}, **job}
+
+
+_CONIC = "x1^2+x2^2-2*x3^2"
+
+
 # job documents of the wrong shape used to end in AttributeError, TypeError
 # or ValueError tracebacks, or (euler's p, a tower base name) be accepted
 @pytest.mark.parametrize("command, job, extra, message", [
@@ -433,10 +446,24 @@ def _evolute(variables, *generators):
      "evolute needs a plane curve"),
     ("tower-check", _tower_job(parametrization=["x1", "x1+D1"]), (),
      "needs more coordinates than tower.base has variables"),
+    # a zero override used to end in a ValueError traceback
+    # (projective-degree, crossvalidate) or give wrong counts (polar [0, 0],
+    # the nodal cubic's degree 7 for 5)
+    ("projective-degree", _overridden(_CONIC, [], options={"p": 3}), (),
+     "singular ideal override has no nonzero generator"),
+    ("crossvalidate", _overridden(_CONIC, ["0"], options={"p": 3}), (),
+     "singular ideal override has no nonzero generator"),
+    ("polar", _overridden(_CONIC, []), (),
+     "singular ideal override has no nonzero generator"),
+    ("degree", _overridden("x2^2-x1^2*(x1+1)", ["0"],
+                           objective={"pnorm": 2}), (),
+     "singular ideal override has no nonzero generator"),
 ], ids=["options-list", "formula-options-list", "job-list-field-override",
         "field-int", "tower-field-int", "pnorms-int", "branch-int",
         "base-name-int", "euler-p-bool", "evolute-two-generators",
-        "evolute-three-variables", "tower-too-few-coordinates"])
+        "evolute-three-variables", "tower-too-few-coordinates",
+        "projective-degree-empty-singular", "crossvalidate-zero-singular",
+        "polar-empty-singular", "degree-zero-singular"])
 def test_job_shape_errors_exit_2(tmp_path, capsys, command, job, extra,
                                  message):
     rc = run_cli(tmp_path, command, job, *extra)

@@ -13,7 +13,7 @@ from optdeg import (BudgetExceeded, ContainedInIsotropic, Ideal,
                     normal_form, parse_polynomial, parse_rational_function,
                     pnorm_degree_via_polar, random_linear_change,
                     vanishes_on_variety)
-from optdeg import critical, groebner
+from optdeg import critical, groebner, matrices
 from optdeg.critical import (DegreeReport, PNorm, RationalGradient,
                              VarietySpec, _line_restriction,
                              _singular_beyond_vertex,
@@ -25,12 +25,13 @@ from optdeg.errors import (DenominatorVanishesOnX, EvoluteLinesDegenerate,
                            ZeroDenominator)
 from optdeg.groebner import (DEFAULT_BUDGET, _Budget, _count_points,
                              _cut_linear, _linear_cut, _unpack_polys)
-from optdeg.matrices import PolyMatrix, derationalize, jacobian
+from optdeg.matrices import derationalize, jacobian
 from optdeg.rings import (MonomialPacker, OrderSpec, Polynomial,
                           RationalFunction, random_linear_form)
 
 from conftest import (affine_plane_curve_twins, plane_curve_cones,
                       plane_curve_twins, variety)
+from minors_oracle import sympy_minors
 from squarefree import (euclid_squarefree_degree, reduced_degree,
                         substituted_line)
 from ysystem import saturating_counts, saturating_critical_ideal
@@ -385,33 +386,35 @@ def test_affine_degree_builds_the_data_independent_part_once(monkeypatch,
                                                              prime_field):
     """Three trials on the nodal cubic take five Groebner runs: the
     codimension, the singular locus and one saturating elimination per
-    trial.  The Jacobian's 1 x 1 minors are taken once per variety, for
-    the singular locus and every trial's stacked system, and no minor is
-    taken per trial or per job: a second job on the same variety takes
-    none."""
+    trial.  The Jacobian's minors are taken once per variety and ring: in
+    the x-ring for the singular locus and in the ring with w for every
+    trial's stacked system, and none per trial or per job: a second job
+    on the same variety takes none."""
     runs = []
-    minors = []
+    rings = []
     original_gb = groebner.groebner_basis
-    original_minors = PolyMatrix.minors
+    original_minors = matrices.packed_minors
 
     def counted_gb(*args, **kwargs):
         runs.append(1)
         return original_gb(*args, **kwargs)
 
-    def counted_minors(self, k):
-        minors.append(k)
-        return original_minors(self, k)
+    def counted_minors(entries, k, ring):
+        rings.append(ring)
+        return original_minors(entries, k, ring)
 
     monkeypatch.setattr(groebner, "groebner_basis", counted_gb)
-    monkeypatch.setattr(PolyMatrix, "minors", counted_minors)
+    monkeypatch.setattr(matrices, "packed_minors", counted_minors)
+    monkeypatch.setattr(critical, "packed_minors", counted_minors)
     nodal = variety(RingContext(("x1", "x2"), field=prime_field),
                     "x2^2-x1^2*(x1+1)")
     rep = algebraic_degree(nodal, PNorm(2), trials=3, seed=1)
     assert rep.degree == 5
     assert len(runs) == 5
-    assert minors == [1]
+    assert len(rings) == 2 and rings[0] == nodal.ring
+    assert set(rings[1].variables) > set(nodal.ring.variables)
     assert algebraic_degree(nodal, PNorm(3), trials=3, seed=2).degree == 8
-    assert minors == [1]
+    assert len(rings) == 2
 
 
 @pytest.mark.parametrize("field", [PrimeField(), RationalField()])
@@ -580,11 +583,12 @@ def test_stacked_generators_are_the_stacked_minors(data):
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.data())
-def test_jacobian_minors_are_the_expanded_minors(data):
-    """X keeps the c-minors PolyMatrix.minors expands and the (c+1)-minors
-    as Laplace sums over them, which are the expanded ones, in the same
-    order: for drawn generators and a drawn codimension below the
-    Jacobian's rank bound, over QQ and GF(2^31 - 1)."""
+def test_packed_jacobian_minors_are_the_sympy_minors(data):
+    """X keeps, packed into a ring, its generators and the c- and
+    (c+1)-minors of their Jacobian, which unpack to the ones
+    sympy.Matrix.det takes, in the same order: for drawn generators and a
+    drawn codimension below the Jacobian's rank bound, over QQ and
+    GF(2^31 - 1), in X's ring and in a block-ordered extension of it."""
     field = data.draw(st.sampled_from((PrimeField(), RationalField())))
     n = data.draw(st.integers(2, 4))
     m = data.draw(st.integers(2, 3))
@@ -597,8 +601,13 @@ def test_jacobian_minors_are_the_expanded_minors(data):
         st.lists(terms, min_size=m, max_size=m)))
     c = data.draw(st.integers(1, min(m, n) - 1))
     X = VarietySpec(ring, gens, codim_override=c)
-    jac = jacobian(gens, ring.variables)
-    assert X.jacobian_minors() == (jac.minors(c), jac.minors(c + 1))
+    jac = jacobian(gens, ring.variables).entries
+    for big in (ring, ring.extend(("w1", "w2")).with_order(
+            OrderSpec("block", ("w1", "w2")))):
+        want = [[g.transfer(big) for g in polys] for polys in
+                (gens, sympy_minors(jac, c), sympy_minors(jac, c + 1))]
+        assert [_unpack_polys(polys, big)
+                for polys in X.packed_minors(big)] == want
 
 
 @pytest.mark.parametrize("field", [PrimeField(), RationalField()])

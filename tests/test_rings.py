@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,8 +11,11 @@ from optdeg import (GREVLEX, LEX, OptdegError, OrderSpec, PrimeField,
                     VariableCollision, derationalize, jacobian,
                     parse_polynomial, parse_rational_function,
                     random_linear_change)
-from optdeg.matrices import PolyMatrix, poly_exact_div
+from optdeg.groebner import _pack_polys
+from optdeg.matrices import PolyMatrix, packed_minors
 from optdeg.rings import RationalFunction
+
+from minors_oracle import sympy_minors
 
 
 @pytest.fixture
@@ -163,20 +167,43 @@ def test_minors_transpose(ring):
     assert m.minors(2) == m.transpose().minors(2)
 
 
-def test_bareiss_matches_cofactor(ring):
-    rng = random.Random(11)
-    rows = [[_random_poly(ring, rng, 2, 1) for _ in range(4)] for _ in range(4)]
-    m = PolyMatrix(rows)
-    from optdeg.matrices import _det_cofactor
-    assert m.det() == _det_cofactor(rows, ring)
-
-
-def test_exact_division(ring):
-    f = P("(x1+x2)^3*(u1-2)", ring)
-    g = P("(x1+x2)^2", ring)
-    assert poly_exact_div(f, g) == P("(x1+x2)*(u1-2)", ring)
-    with pytest.raises(ArithmeticError):
-        poly_exact_div(P("x1^2+1", ring), P("x2", ring))
+@pytest.mark.parametrize("field", [RationalField(), PrimeField()],
+                         ids=["QQ", "GF"])
+@pytest.mark.parametrize("rows, cols", [(1, 1), (2, 2), (3, 3), (4, 4),
+                                        (5, 5), (1, 4), (2, 5), (4, 1),
+                                        (5, 3)])
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_minors_match_sympy(field, rows, cols, data):
+    """packed_minors keys every size j up to k by (row set, column set) in
+    lexicographic order; the k-minors PolyMatrix.minors unpacks, and the
+    determinant of a square matrix, are the ones sympy.Matrix.det takes,
+    for drawn matrices with zero and repeated rows, over QQ and
+    GF(2^31 - 1)."""
+    ring = RingContext(("x1", "x2", "x3"), field=field)
+    polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3),
+                            st.integers(-3, 3), max_size=3).map(
+                                ring.poly_from_terms)
+    entries = []
+    for _ in range(rows):
+        kind = data.draw(st.sampled_from(("drawn", "zero", "repeat")))
+        if kind == "zero":
+            entries.append([ring.zero()] * cols)
+        elif kind == "repeat" and entries:
+            entries.append(list(data.draw(st.sampled_from(entries))))
+        else:
+            entries.append([data.draw(polys) for _ in range(cols)])
+    m = PolyMatrix(entries)
+    k = data.draw(st.integers(1, min(rows, cols)))
+    keyed = packed_minors([_pack_polys(row, ring) for row in entries], k,
+                          ring)
+    assert [list(d) for d in keyed] == [
+        list(product(combinations(range(rows), j),
+                     combinations(range(cols), j)))
+        for j in range(1, k + 1)]
+    assert m.minors(k) == sympy_minors(entries, k)
+    if rows == cols:
+        assert m.det() == sympy_minors(entries, rows)[0]
 
 
 # --- derationalize -----------------------------------------------------------
