@@ -406,17 +406,16 @@ def _evolute(variables, *generators):
             "options": {"p": 2}}
 
 
-def _overridden(generator, singular, **job):
+def _overridden(variables, generator, singular, **job):
     """A GF(2^31 - 1) job whose singular ideal override holds no nonzero
     generator."""
-    variables = ["x1", "x2", "x3"] if "x3" in generator else ["x1", "x2"]
     return {"schema_version": 1,
             "ring": {"variables": variables, "field": "prime:2147483647"},
             "variety": {"generators": [generator],
                         "singular_ideal": singular}, **job}
 
 
-_CONIC = "x1^2+x2^2-2*x3^2"
+_CONIC = (["x1", "x2", "x3"], "x1^2+x2^2-2*x3^2")
 
 
 # job documents of the wrong shape used to end in AttributeError, TypeError
@@ -449,13 +448,13 @@ _CONIC = "x1^2+x2^2-2*x3^2"
     # a zero override used to end in a ValueError traceback
     # (projective-degree, crossvalidate) or give wrong counts (polar [0, 0],
     # the nodal cubic's degree 7 for 5)
-    ("projective-degree", _overridden(_CONIC, [], options={"p": 3}), (),
+    ("projective-degree", _overridden(*_CONIC, [], options={"p": 3}), (),
      "singular ideal override has no nonzero generator"),
-    ("crossvalidate", _overridden(_CONIC, ["0"], options={"p": 3}), (),
+    ("crossvalidate", _overridden(*_CONIC, ["0"], options={"p": 3}), (),
      "singular ideal override has no nonzero generator"),
-    ("polar", _overridden(_CONIC, []), (),
+    ("polar", _overridden(*_CONIC, []), (),
      "singular ideal override has no nonzero generator"),
-    ("degree", _overridden("x2^2-x1^2*(x1+1)", ["0"],
+    ("degree", _overridden(["x1", "x2"], "x2^2-x1^2*(x1+1)", ["0"],
                            objective={"pnorm": 2}), (),
      "singular ideal override has no nonzero generator"),
 ], ids=["options-list", "formula-options-list", "job-list-field-override",
