@@ -10,6 +10,8 @@ one (in the direction chart y = u + b*x) saturated once b is eliminated,
 and in the count only when the saturation removes something.  Every system
 is assembled on packed terms that seed its Groebner run as they are, and
 the projective count assembles its system in the ring its slice cuts.
+Each trial's eliminated basis is handed on packed to its unit check and
+its point count, which read only its leads.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ from .errors import (ContainedInIsotropic, DenominatorVanishesOnX,
                      NotHomogeneous, NotPrincipalWarning,
                      PositiveDimensionalFiber, RingMismatch, ZeroDenominator)
 from .fields import PrimeField
-from .groebner import (GREVLEX, Ideal, _count_points, _eliminate, _linear_cut,
-                       _localizer, _pack_polys, _packed_const, _packed_power,
-                       _packed_sum, _rabinowitsch, _saturand, _unpack_polys,
-                       as_budget, dimension, eliminate, groebner_basis,
-                       saturate, vanishes_on_variety)
+from .groebner import (GREVLEX, Ideal, _count_points, _eliminate, _front_mask,
+                       _linear_cut, _localizer, _masked, _pack_polys,
+                       _packed_const, _packed_power, _packed_sum,
+                       _rabinowitsch, _saturand, _unpack_polys, as_budget,
+                       dimension, eliminate, groebner_basis, saturate,
+                       vanishes_on_variety)
 from .matrices import _laplace_minors, jacobian, packed_minors
 from .rings import (OrderSpec, Polynomial, RationalFunction, RingContext,
                     random_linear_form)
@@ -219,8 +222,9 @@ def _affine_system(X: VarietySpec, objective, budget):
     The generators are I(X), the (c+1)-minors of the gradient row stacked
     over the Jacobian of X (see _stacked_generators) and, last,
     1 - sum_i w_i*f_i (see _localizer).  The row is built at the point
-    itself: (u_i - x_i)^(p-1), or the partials with u bound, so no symbolic
-    system is evaluated per trial.  The f_i are the generators that
+    itself, so no symbolic system is evaluated per trial: the packed powers
+    (u_i - x_i)^(p-1) (see _packed_power), 1 for p = 1, or the partials
+    with u bound.  The f_i are the generators that
     _saturand gives for the singular locus times the product d of the
     gradient denominators; f is d alone if there are none, and there is no
     f_i at all if d is constant too.  Eliminating w saturates by
@@ -254,24 +258,27 @@ def _affine_system(X: VarietySpec, objective, budget):
         def bind(g):
             return g.substitute(point).transfer(small)
         d = bind(den)
-        if isinstance(objective, PNorm):
-            row = [(a - small.var(xn)) ** (objective.p - 1)
-                   for a, xn in zip(data, ring.variables)]
-        else:
-            # d is the product of the bound denominators, so this is the
-            # check that none of them is zero at u
-            if d.is_zero():
-                raise ZeroDenominator("a gradient denominator vanishes at "
-                                      "the data point")
-            row = [RationalFunction(bind(g.num), bind(g.den))
-                   for g in objective.partials]
+        # d is the product of the bound denominators, so this is the check
+        # that none of them is zero at u
+        if d.is_zero():
+            raise ZeroDenominator("a gradient denominator vanishes at the "
+                                  "data point")
         fs = [g.transfer(small) for g in sat]
         if not den.is_constant():
             fs = [g * d for g in fs] or [d]
         big, ws, localizer = _localizer(small, fs)
         if ws:
             big = big.with_order(OrderSpec("block", ws))
-        seeds = _stacked_generators(X, _packed_row(row, big), big, budget)
+        if isinstance(objective, PNorm):
+            k = objective.p - 1
+            bases = _pack_polys([a - small.var(xn)
+                                 for a, xn in zip(data, ring.variables)], big)
+            row = [(_packed_power(base, k, big) if k
+                    else _packed_const(1, big), None) for base in bases]
+        else:
+            row = _packed_row([RationalFunction(bind(g.num), bind(g.den))
+                               for g in objective.partials], big)
+        seeds = _stacked_generators(X, row, big, budget)
         if ws:
             seeds += _pack_polys([localizer], big)
         return small, Ideal.packed(big, seeds), ws
@@ -544,23 +551,24 @@ def projective_critical_ideal(X: VarietySpec, p, budget=None) -> Ideal:
 
 
 def _saturate_unless_unit(ideal, fs, budget) -> Ideal:
-    """(ideal : <f_1..f_m>^inf), which is the ideal itself when
-    ideal + <f_1..f_m> is the unit ideal; only otherwise is it taken, in one
-    _rabinowitsch run.
+    """(ideal : <f_1..f_m>^inf), for an ideal of a grevlex ring and the f_i
+    packed term dicts of its packer, which is the ideal itself when
+    ideal + <f_1..f_m> is the unit ideal; only otherwise are the f_i
+    unpacked and the saturation taken, in one _rabinowitsch run.
 
     The check is exact.  If 1 = a + s with a in the ideal and s in
     J = <f_1..f_m>, and h*J^k lies in the ideal, then
     h = h*(a + s)^k = h*s^k + h*a*r for some r, and both terms lie in the
     ideal.  The check's grevlex run starts from the ideal's reduced basis,
     forms only the pairs with the f_i, and stops at the first constant
-    (see groebner_basis).
+    (see groebner_basis); the packed basis and the packed f_i seed it as
+    they are.
     """
-    basis = [g.transfer(ideal.ring)
-             for g in ideal.groebner(GREVLEX, budget).basis]
-    total = Ideal(ideal.ring, basis + list(fs))
-    if groebner_basis(total, GREVLEX, budget, based=len(basis)).is_unit():
+    gb = ideal.groebner(GREVLEX, budget)
+    total = Ideal.packed(ideal.ring, gb.packed + list(fs))
+    if groebner_basis(total, GREVLEX, budget, based=len(gb)).is_unit():
         return ideal
-    return _rabinowitsch(ideal, fs, budget)
+    return _rabinowitsch(ideal, _unpack_polys(fs, ideal.ring), budget)
 
 
 def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
@@ -576,7 +584,9 @@ def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
     assembles the system's Laplace sums in the cut ring (see
     _stacked_generators), on packed terms that seed the block-order run
     eliminating b.  It cuts the f_i, packed once per job, by the same map,
-    and saturates what is left by them in x before counting it.  For phi
+    masks them into the x-ring as the elimination masks its kept basis (see
+    _front_mask), and saturates what is left by them in x before counting
+    it; neither is unpacked for the unit check.  For phi
     the cut and S the system, that is (phi(S) : phi(J)^inf) ∩ k[x'], the
     count of the localization (see _projective_chart_system).  The
     saturation is skipped when it removes nothing (see
@@ -619,8 +629,7 @@ def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
         cut = _linear_cut(work, [slice_], budget)
         eliminated = eliminate(system(u, cut), (bname,), budget)
         small, substitute, _ = cut
-        cut_fs = [f.transfer(eliminated.ring)
-                  for f in _unpack_polys(substitute(packed_fs), small)]
+        cut_fs = _masked(substitute(packed_fs), _front_mask(small.packer()))
         return _count_points(_saturate_unless_unit(eliminated, cut_fs,
                                                    budget), budget)
 

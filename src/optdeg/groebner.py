@@ -16,6 +16,13 @@ a sum of their packed values (_packed_sum).  A run whose first generators
 are a reduced basis pairs only the others with them (groebner_basis's
 `based`), and every run stops at the first constant it finds.
 
+Bases stay packed from run to run.  A GroebnerBasis keeps the packed term
+dicts its run ends with and unpacks its polynomials only when they are
+read; the counts below read its packed leads.  An elimination hands its
+kept elements on packed, masked into the packer of the grevlex ring on the
+remaining variables (_front_mask) and cached as that ring's basis, and an
+ideal regenerated by its basis is generated by those packed elements.
+
 One routine reads the lead monomials: the Hilbert numerator N, by pivot
 recursion (_hilbert_numerator), graded by degree or by groups of
 variables.  A multidegree is that of the initial ideal under any term
@@ -106,10 +113,25 @@ class Ideal:
         ideal._seeds = [t for t in terms if t]
         return ideal
 
+    @classmethod
+    def _generated_by(cls, gb):
+        """The ideal of gb.ring generated by gb, a reduced grevlex basis,
+        which it caches: gb's packed elements are its packed generators, and
+        reading either unpacks them once (see GroebnerBasis)."""
+        ideal = cls.packed(gb.ring, ())
+        ideal._seeds = gb.packed
+        ideal._gb_cache[GREVLEX] = gb
+        return ideal
+
     @property
     def generators(self):
         if self._generators is None:
-            self._generators = tuple(_unpack_polys(self._seeds, self.ring))
+            gb = self._gb_cache.get(GREVLEX)
+            if gb is not None and gb.packed is self._seeds:
+                self._generators = tuple(gb.basis)
+            else:
+                self._generators = tuple(_unpack_polys(self._seeds,
+                                                       self.ring))
         return self._generators
 
     def groebner(self, order=None, budget=None):
@@ -122,8 +144,12 @@ class Ideal:
         return gb
 
     def normalized(self, budget=None):
-        """Ideal regenerated by its reduced grevlex Groebner basis."""
+        """Ideal regenerated by its reduced grevlex Groebner basis, which it
+        caches: handed on packed (see _generated_by) in a grevlex ring, and
+        transferred as polynomials to a ring of another order."""
         gb = self.groebner(GREVLEX, budget)
+        if gb.ring == self.ring:
+            return Ideal._generated_by(gb)
         out = Ideal(self.ring, [p.transfer(self.ring) for p in gb.basis])
         out._gb_cache[GREVLEX] = gb
         return out
@@ -150,7 +176,7 @@ class Ideal:
             return False
         a = self.groebner(GREVLEX, budget)
         b = other.groebner(GREVLEX, budget)
-        return [p.terms for p in a.basis] == [p.terms for p in b.basis]
+        return a.packed == b.packed
 
     def __repr__(self):
         inner = ", ".join(repr(g) for g in self.generators) or "0"
@@ -158,26 +184,44 @@ class Ideal:
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis: monic, auto-reduced, sorted leading-first."""
+    """Reduced Groebner basis: monic, auto-reduced, sorted leading-first.
 
-    __slots__ = ("ring", "basis", "order")
+    It is kept packed, as the term dicts of its ring's packer that
+    _autoreduce returns (`packed`); `basis`, its polynomials, is unpacked on
+    first read, with the leads set (see _unpack_polys).  A packed dict's
+    largest key is its lead, so the leads, the unit check and the length
+    are read off the packed values, and no point count, dimension or degree
+    unpacks more of a basis than its leads."""
 
-    def __init__(self, ring, basis, order):
+    __slots__ = ("ring", "packed", "order", "_basis")
+
+    def __init__(self, ring, packed, order):
         self.ring = ring
-        self.basis = list(basis)
+        self.packed = packed
         self.order = order
+        self._basis = None
+
+    @property
+    def basis(self):
+        if self._basis is None:
+            self._basis = _unpack_polys(self.packed, self.ring)
+        return self._basis
 
     def is_unit(self):
-        return len(self.basis) == 1 and self.basis[0].is_constant()
+        return (len(self.packed) == 1
+                and max(self.packed[0]) == self.ring.packer().one)
 
     def lead_exponents(self):
-        return [g.lead_monomial() for g in self.basis]
+        if self._basis is not None:
+            return [g.lead_monomial() for g in self._basis]
+        unpack = self.ring.packer().unpack
+        return [unpack(max(t)) for t in self.packed]
 
     def __iter__(self):
         return iter(self.basis)
 
     def __len__(self):
-        return len(self.basis)
+        return len(self.packed)
 
     def __repr__(self):
         return f"GroebnerBasis[{', '.join(repr(g) for g in self.basis)}]"
@@ -622,11 +666,6 @@ def _pack_terms(terms, packer):
     return {pack(e): c for e, c in terms.items()}
 
 
-def _unpack_terms(terms, packer):
-    unpack = packer.unpack
-    return {unpack(e): c for e, c in terms.items()}
-
-
 def _pack_polys(polys, ring):
     """The polynomials, transferred to `ring`, as packed term dicts of its
     packer."""
@@ -635,9 +674,20 @@ def _pack_polys(polys, ring):
 
 
 def _unpack_polys(terms, ring):
-    """The packed term dicts of ring's packer as polynomials of `ring`."""
-    packer = ring.packer()
-    return [Polynomial(ring, _unpack_terms(t, packer)) for t in terms]
+    """The packed term dicts of ring's packer as polynomials of `ring`.  A
+    packed dict's largest key is its lead, so each polynomial's lead term
+    is set as it is unpacked, not searched for again by the ring's key."""
+    unpack = ring.packer().unpack
+    out = []
+    for t in terms:
+        keys = list(t)
+        exps = [unpack(e) for e in keys]
+        poly = Polynomial(ring, dict(zip(exps, t.values())))
+        if keys:
+            lead = max(keys)
+            poly._lead = (exps[keys.index(lead)], t[lead])
+        out.append(poly)
+    return out
 
 
 def _packed_const(c, ring):
@@ -825,16 +875,15 @@ def groebner_basis(ideal, order=None, budget=None, based=0,
         kernel = _buchberger(seed, work_ring, budget, based=based)
         if drop:
             kernel = _kept(kernel, packer)
-    basis = _unpack_polys(_autoreduce(*kernel, packer, budget), work_ring)
-    return GroebnerBasis(work_ring, basis, order)
+    return GroebnerBasis(work_ring, _autoreduce(*kernel, packer, budget),
+                         order)
 
 
 def normal_form(f, gb: GroebnerBasis, budget=None) -> Polynomial:
     """Remainder of multivariate division by a Groebner basis (zero iff member).
     """
     ring = gb.ring
-    divide = _packed_remainders(_pack_polys(gb.basis, ring), ring,
-                                as_budget(budget))
+    divide = _packed_remainders(gb.packed, ring, as_budget(budget))
     return _unpack_polys(divide(_pack_polys([f], ring)), ring)[0].transfer(
         f.ring)
 
@@ -881,18 +930,38 @@ def _packed_remainders(basis, ring, budget):
 # elimination and saturation
 # --------------------------------------------------------------------------
 
+def _front_mask(packer):
+    """The mask of the low fields of a block order's packed values, those of
+    the back block's variables and degree.  It sends the packed value of a
+    monomial free of the front block to that of the grevlex ring on the back
+    block's variables, in their order (see MonomialPacker): the fields cut
+    off hold only the front's complemented zero exponents and its zero
+    degree."""
+    return (1 << (packer._deg_shifts[0][0] + packer.WIDTH)) - 1
+
+
+def _masked(terms, mask):
+    """Packed term dicts with every packed monomial masked by `mask`."""
+    return [{e & mask: c for e, c in t.items()} for t in terms]
+
+
 def _eliminate(ideal, drop, small, budget) -> Ideal:
     """ideal ∩ k[rest], as an ideal of the ring `small` on the other
     variables: the elements free of `drop` of the reduced basis for the
     block order that ranks `drop` first, the only ones groebner_basis
-    finishes.  Within the back block that order is grevlex, so they are
-    cached as the reduced grevlex basis when `small` is grevlex."""
+    finishes.  Within the back block that order is grevlex, so for the
+    grevlex `small` on the back block's variables in their order, which
+    eliminate and the counts pass, they are its reduced grevlex basis: their
+    packed terms are mapped into small's packer by _front_mask and handed
+    on packed, cached as that basis (see Ideal._generated_by).  For a
+    `small` of another order they are transferred as polynomials."""
     gb = groebner_basis(ideal, OrderSpec("block", drop), budget, drop=drop)
-    kept = [g.transfer(small) for g in gb.basis]
-    out = Ideal(small, kept)
-    if small.order == GREVLEX:
-        out._gb_cache[GREVLEX] = GroebnerBasis(small, kept, GREVLEX)
-    return out
+    back = tuple(v for v in gb.ring.variables if v not in set(drop))
+    if small.order != GREVLEX or small.variables != back:
+        return Ideal(small, [g.transfer(small) for g in gb.basis])
+    mask = _front_mask(gb.ring.packer())
+    return Ideal._generated_by(GroebnerBasis(small, _masked(gb.packed, mask),
+                                             GREVLEX))
 
 
 def eliminate(ideal, drop, budget=None) -> Ideal:
@@ -1079,12 +1148,14 @@ def saturate(ideal: Ideal, other: Ideal, budget=None) -> Ideal:
 
 def vanishes_on_variety(f, ideal: Ideal, budget=None) -> bool:
     """True iff f vanishes on the zero set of the ideal (radical membership):
-    (ideal : f^infinity) is the unit ideal."""
+    (ideal : f^infinity) is the unit ideal, read off its reduced grevlex
+    basis, which the elimination hands on packed in a grevlex ring (see
+    _eliminate)."""
     budget = as_budget(budget)
     if f.is_zero():
         return True
-    gens = _rabinowitsch(ideal, [f], budget).generators
-    return len(gens) == 1 and gens[0].is_constant()
+    return _rabinowitsch(ideal, [f], budget).groebner(GREVLEX,
+                                                      budget).is_unit()
 
 
 # --------------------------------------------------------------------------

@@ -65,12 +65,19 @@ def packed_minors(entries, k, ring):
     j = 1 .. min(k, rows, cols), a dict from (row set, column set) to the
     packed j x j minor, in lexicographic order.  Size 1 is the entries;
     each size j > 1 is the Laplace sum, along its first row, of the
-    (j-1)-minors (see _laplace_minors)."""
+    (j-1)-minors (see _laplace_minors).
+
+    Sizes k - 1 and k hold every row set.  A smaller size j holds only the
+    row sets whose first row is at least k - 1 - j: a minor of size j + 1
+    reads the j-minors on the rows below its first, so those are the ones
+    the larger sizes read.  An n x n determinant so takes about
+    (n/2 + 1)*2^n minors, not C(2n, n) - 1."""
     m, n = len(entries), len(entries[0])
-    out = [{((i,), (j,)): entries[i][j] for i in range(m) for j in range(n)}]
+    out = [{((i,), (j,)): entries[i][j]
+            for i in range(max(k - 2, 0), m) for j in range(n)}]
     for size in range(2, min(k, m, n) + 1):
         keyed = {}
-        for r in range(m):
+        for r in range(max(k - 1 - size, 0), m):
             row_sets = list(combinations(range(r + 1, m), size - 1))
             keys = [((r,) + rows, cols) for rows in row_sets
                     for cols in combinations(range(n), size)]

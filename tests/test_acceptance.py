@@ -9,14 +9,11 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
-from optdeg import (GREVLEX, Ideal, PrimeField, RingContext, affine_degree,
+from optdeg import (Ideal, PrimeField, RingContext, affine_degree,
                     degree_zero_dim, dimension, eliminate, groebner_basis,
                     normal_form, parse_polynomial, parse_rational_function,
                     random_linear_change, saturate)
-from optdeg.conormal import (bidegree_class, polar_classes,
-                             pnorm_degree_via_polar, s_conormal_ideal)
+from optdeg.conormal import bidegree_class, polar_classes, s_conormal_ideal
 from optdeg.critical import (PNorm, RationalGradient, VarietySpec,
                              algebraic_degree, critical_ideal_affine, data_ring,
                              evolute_curve, projective_pnorm_degree,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from optdeg import (BudgetExceeded, ContainedInIsotropic, Ideal,
+from optdeg import (GREVLEX, BudgetExceeded, ContainedInIsotropic, Ideal,
                     NotHomogeneous, PositiveDimensionalFiber, PrimeField,
                     RationalField, RingContext, degree_zero_dim, dimension,
                     normal_form, parse_polynomial, parse_rational_function,
@@ -795,10 +795,112 @@ def test_saturation_runs_when_an_isotropic_point_is_critical(monkeypatch,
     assert count() == [3, 3]
     assert checks == [False, False]
     assert len(saturations) == 2
-    assert count(lambda ideal, fs, budget:
-                 original_rabinowitsch(ideal, fs, budget)) == [3, 3]
+    assert count(lambda ideal, fs, budget: original_rabinowitsch(
+        ideal, _unpack_polys(fs, ideal.ring), budget)) == [3, 3]
     assert count(lambda ideal, fs, budget: ideal) == [4, 4]
     assert saturating_counts(X, 2, 1, [u]) == [3]
+
+
+def test_a_projective_unit_check_unpacks_nothing(monkeypatch, prime_field):
+    """For generic data on a smooth cone the unit check passes, and it runs
+    on the packed basis of the eliminated ideal and the packed cut f_i: it
+    unpacks no monomial, and the count after it only the basis's leads."""
+    X = variety(RingContext(("x1", "x2", "x3"), field=prime_field),
+                "x1^2+x2^2-3*x3^2")
+    unpacked, checks, counts = [], [], []
+    original_unpack = MonomialPacker.unpack
+    original_check = critical._saturate_unless_unit
+    original_count = critical._count_points
+
+    def counted_unpack(self, packed):
+        unpacked.append(self.ring)
+        return original_unpack(self, packed)
+
+    def recorded_check(ideal, fs, budget):
+        before = len(unpacked)
+        out = original_check(ideal, fs, budget)
+        checks.append((out is ideal, len(unpacked) - before))
+        return out
+
+    def recorded_count(ideal, budget):
+        before = len(unpacked)
+        out = original_count(ideal, budget)
+        counts.append((len(unpacked) - before,
+                       len(ideal.groebner(GREVLEX, budget))))
+        return out
+
+    monkeypatch.setattr(MonomialPacker, "unpack", counted_unpack)
+    monkeypatch.setattr(critical, "_saturate_unless_unit", recorded_check)
+    monkeypatch.setattr(critical, "_count_points", recorded_count)
+    report = projective_pnorm_degree(X, 3, trials=2, seed=1)
+    assert report.agreement
+    assert checks == [(True, 0)] * 2
+    assert [a for a, _ in counts] == [b for _, b in counts]
+
+
+@pytest.mark.parametrize("text", ["x1^2+4*x2^2-1", "x2^2-x1^2*(x1+1)"],
+                         ids=["smooth", "nodal"])
+def test_affine_trials_unpack_only_leads(monkeypatch, prime_field, text):
+    """Each trial of an affine count builds and eliminates its system on
+    packed terms and hands the basis on packed: no monomial is unpacked
+    while its critical ideal is taken, and its point count unpacks one
+    lead per basis element.  The smooth curve's system needs no localizer,
+    so its basis is regenerated (Ideal.normalized); the nodal curve's
+    eliminates the w_i."""
+    X = variety(RingContext(("x1", "x2"), field=prime_field), text)
+    unpacked, built, counts = [], [], []
+    original_unpack = MonomialPacker.unpack
+    original_ideal = critical._critical_ideal
+    original_count = critical._count_points
+
+    def counted_unpack(self, packed):
+        unpacked.append(self.ring)
+        return original_unpack(self, packed)
+
+    def recorded_ideal(system, u, budget):
+        before = len(unpacked)
+        out = original_ideal(system, u, budget)
+        built.append(len(unpacked) - before)
+        return out
+
+    def recorded_count(ideal, budget):
+        before = len(unpacked)
+        out = original_count(ideal, budget)
+        counts.append((len(unpacked) - before,
+                       len(ideal.groebner(GREVLEX, budget))))
+        return out
+
+    monkeypatch.setattr(MonomialPacker, "unpack", counted_unpack)
+    monkeypatch.setattr(critical, "_critical_ideal", recorded_ideal)
+    monkeypatch.setattr(critical, "_count_points", recorded_count)
+    report = algebraic_degree(X, PNorm(3), trials=3, seed=1)
+    assert report.agreement
+    assert built == [0] * 3
+    assert len(counts) == 3
+    assert [a for a, _ in counts] == [b for _, b in counts]
+
+
+@pytest.mark.parametrize("field", [PrimeField(), RationalField()],
+                         ids=["GF", "QQ"])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_packed_pnorm_row_is_the_power(field, p):
+    """The affine count builds its p-norm row as packed powers (see
+    _packed_power), 1 for p = 1: the system it seeds is the one stacked on
+    the row of polynomials (u_i - x_i)^(p-1), at a data point and with u
+    symbolic."""
+    ring = RingContext(("x1", "x2"), field=field)
+    X = variety(ring, "x1^2+4*x2^2-1")
+    xu, unames = data_ring(ring)
+    system = critical._affine_system(X, PNorm(p), None)
+    for u, small, data in [((7, -3), ring, [ring.const(7), ring.const(-3)]),
+                           (None, xu, [xu.var(v) for v in unames])]:
+        got, ideal, ws = system(u)
+        assert got == small and not ws
+        row = [(a - small.var(x)) ** (p - 1)
+               for a, x in zip(data, ring.variables)]
+        want = critical._stacked_generators(
+            X, critical._packed_row(row, small), small, None)
+        assert ideal.generators == tuple(_unpack_polys(want, small))
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)

@@ -663,9 +663,11 @@ def test_drop_must_be_the_front_block(order):
 @pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
 def test_dropped_elements_are_never_finished(monkeypatch, field, cached):
     """The block basis of this ideal has five elements whose lead holds s
-    or t, and one that is free of both.  Only that one reaches _autoreduce,
-    and only its terms are unpacked, besides the leads a conversion folds
-    into its Hilbert numerator in the ring with h."""
+    or t, and one that is free of both.  Only that one reaches _autoreduce.
+    It is handed on packed: no term in the block ring or in the ring on x
+    and y is unpacked until `generators` is read, which unpacks its terms
+    once.  Only a conversion unpacks during the elimination, in the ring
+    with h and in the grevlex ring it converts from."""
     ring = RingContext(("s", "t", "x", "y"), field)
     gens = [P(g, ring) for g in ("x-t^2-s", "y-t^3+s^2", "s*t-1")]
     drop = ("s", "t")
@@ -674,6 +676,7 @@ def test_dropped_elements_are_never_finished(monkeypatch, field, cached):
     ideal = Ideal(ring, gens)
     if cached:
         ideal.groebner(GREVLEX)
+    small = ring.restrict(["x", "y"])
     finished, unpacked = [], []
     original_autoreduce = groebner._autoreduce
     original_unpack = MonomialPacker.unpack
@@ -688,15 +691,17 @@ def test_dropped_elements_are_never_finished(monkeypatch, field, cached):
 
     monkeypatch.setattr(groebner, "_autoreduce", recorded_autoreduce)
     monkeypatch.setattr(MonomialPacker, "unpack", counted_unpack)
-    out = groebner._eliminate(ideal, drop, ring.restrict(["x", "y"]),
-                              _Budget(DEFAULT_BUDGET))
-    monkeypatch.undo()
+    out = groebner._eliminate(ideal, drop, small, _Budget(DEFAULT_BUDGET))
+    during = list(unpacked)
     (kept,) = out.generators
+    monkeypatch.undo()
     ((leads, packer),) = finished
     assert len(leads) == 1
     lead = packer.unpack(leads[0])
     assert not any(lead[packer.ring.index(v)] for v in drop)
-    assert sum("hom_h" not in r.variables for r in unpacked) == len(kept.terms)
+    assert all("hom_h" in r.variables or r == ring for r in during)
+    assert cached or not during
+    assert unpacked[len(during):] == [small] * len(kept.terms)
 
 
 # --- saturation against the intersection of single saturations ---------------------
@@ -1127,6 +1132,72 @@ def test_conversion_past_the_packed_widths_runs_from_the_generators():
     order = OrderSpec("block", ("x",))
     (g,) = _converted(ideal, order).basis
     assert g.terms == P("x^17000-y", ring).terms
+
+
+# --- packed bases against the eager route -----------------------------------------
+
+def _eager_basis(ideal, order, drop=()):
+    """The reduced basis as groebner_basis computes it, from the ideal's
+    generators or converted from its cached grevlex basis, with every
+    element unpacked into a polynomial as it leaves _autoreduce."""
+    budget = _Budget(DEFAULT_BUDGET)
+    work = ideal.ring.with_order(order)
+    packer = work.packer()
+    grevlex = ideal._gb_cache.get(GREVLEX) if order != GREVLEX else None
+    if grevlex is not None:
+        kernel = groebner._convert_grevlex(grevlex, work, budget, drop)
+    else:
+        kernel = groebner._buchberger(_pack_polys(ideal.generators, work),
+                                      work, budget)
+        if drop:
+            kernel = groebner._kept(kernel, packer)
+    return _unpack_polys(groebner._autoreduce(*kernel, packer, budget), work)
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data())
+def test_packed_bases_read_as_the_eager_ones(field, data):
+    """A basis kept packed reads as the eagerly unpacked one: its length,
+    unit check and packed leads before any unpack, then its polynomials
+    and, from them, the same leads; for drawn ideals over QQ and
+    GF(2^31 - 1), from the generators and converted from a cached grevlex
+    basis, under grevlex, lex and block orders, with and without dropping
+    the front block.  An elimination's
+    masked hand-off is the transfer of the kept polynomials, cached as the
+    reduced grevlex basis they are, and an ideal regenerated by its basis
+    is generated by it."""
+    coeffs = _COEFFS if field is None else _GF_COEFFS
+    n, gens = data.draw(_ideals(coeffs))
+    ring, ideal = _optdeg_ideal(n, gens, GREVLEX, field)
+    if data.draw(st.booleans()):
+        ideal.groebner(GREVLEX)
+    front = tuple(data.draw(st.lists(st.sampled_from(ring.variables),
+                                     min_size=1, max_size=n - 1,
+                                     unique=True)))
+    order = data.draw(st.sampled_from((GREVLEX, LEX,
+                                       OrderSpec("block", front))))
+    drop = front if order.kind == "block" and data.draw(st.booleans()) else ()
+    want = _eager_basis(ideal, order, drop)
+    gb = groebner_basis(ideal, order, drop=drop)
+    assert len(gb) == len(want)
+    assert gb.is_unit() == (len(want) == 1 and want[0].is_constant())
+    leads = [max(g.terms, key=g.ring.key) for g in want]
+    assert gb.lead_exponents() == leads
+    assert gb.basis == want
+    assert gb.lead_exponents() == leads
+    if drop:
+        small = ring.restrict([v for v in ring.variables if v not in drop])
+        out = groebner._eliminate(ideal, drop, small, _Budget(DEFAULT_BUDGET))
+        handed = [g.transfer(small) for g in want]
+        assert list(out.generators) == handed
+        cached = out.groebner(GREVLEX)
+        assert cached.ring == small and cached.basis == handed
+        assert cached.packed == _pack_polys(handed, small)
+        assert groebner_basis(Ideal(small, handed)).basis == handed
+    normalized = ideal.normalized()
+    assert normalized.groebner(GREVLEX) is ideal.groebner(GREVLEX)
+    assert list(normalized.generators) == ideal.groebner(GREVLEX).basis
 
 
 # --- linear cuts against the adjoined forms -----------------------------------------

@@ -1,9 +1,9 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package and of its tests uses each name it imports.
 
 A stdlib-`ast` check in place of a linter: it collects the names each
 import statement binds and the names the module reads anywhere, and reports
-the imported names never read.  `__init__.py` re-exports what it imports,
-and `from __future__` imports bind nothing, so both are skipped.
+the imported names never read.  The package's `__init__.py` re-exports what
+it imports, and `from __future__` imports bind nothing, so both are skipped.
 """
 
 import ast
@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "optdeg"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "optdeg"
+MODULES = (sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+           + sorted(TESTS.glob("*.py")))
 
 
 def _unused_imports(source):

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +12,8 @@ from optdeg import (GREVLEX, LEX, OptdegError, OrderSpec, PrimeField,
                     VariableCollision, derationalize, jacobian,
                     parse_polynomial, parse_rational_function,
                     random_linear_change)
-from optdeg.groebner import _pack_polys
+from optdeg import matrices
+from optdeg.groebner import _pack_polys, _unpack_polys
 from optdeg.matrices import PolyMatrix, packed_minors
 from optdeg.rings import RationalFunction
 
@@ -68,6 +70,21 @@ def test_difference_of_squares(ring):
 
 def test_power_zero_is_one(ring):
     assert P("(x1+1)^0", ring) == ring.one()
+
+
+@pytest.mark.parametrize("field", [RationalField(), PrimeField()],
+                         ids=["QQ", "GF"])
+def test_power_of_a_term_is_a_term(field):
+    """A one-term polynomial's power is built as one term; it equals the
+    product of its factors."""
+    ring = RingContext(("x1", "u1"), field=field)
+    term = ring.monomial((1, 2), Fraction(-2, 3))
+    for k in range(5):
+        want = ring.one()
+        for _ in range(k):
+            want = want * term
+        assert term ** k == want
+    assert P("x1^3", ring).terms == {(3, 0): field.one}
 
 
 def test_power_rejects_negative(ring):
@@ -176,8 +193,10 @@ def test_minors_transpose(ring):
 @given(data=st.data())
 def test_minors_match_sympy(field, rows, cols, data):
     """packed_minors keys every size j up to k by (row set, column set) in
-    lexicographic order; the k-minors PolyMatrix.minors unpacks, and the
-    determinant of a square matrix, are the ones sympy.Matrix.det takes,
+    lexicographic order, sizes k - 1 and k on every row set and a smaller
+    size j on the row sets whose first row is at least k - 1 - j.  The
+    sizes callers read, k - 1 and k (unpacked by PolyMatrix.minors), and
+    the determinant of a square matrix are the ones sympy.Matrix.det takes,
     for drawn matrices with zero and repeated rows, over QQ and
     GF(2^31 - 1)."""
     ring = RingContext(("x1", "x2", "x3"), field=field)
@@ -198,12 +217,38 @@ def test_minors_match_sympy(field, rows, cols, data):
     keyed = packed_minors([_pack_polys(row, ring) for row in entries], k,
                           ring)
     assert [list(d) for d in keyed] == [
-        list(product(combinations(range(rows), j),
+        list(product((r for r in combinations(range(rows), j)
+                      if r[0] >= k - 1 - j),
                      combinations(range(cols), j)))
         for j in range(1, k + 1)]
+    if k > 1:
+        assert _unpack_polys(keyed[k - 2].values(), ring) == sympy_minors(
+            entries, k - 1)
     assert m.minors(k) == sympy_minors(entries, k)
     if rows == cols:
         assert m.det() == sympy_minors(entries, rows)[0]
+
+
+def test_a_determinant_takes_only_the_minors_it_reads(monkeypatch):
+    """An 8 x 8 determinant keeps 1,271 minors: 2*8 entries, then for each
+    size j < 7 the (j + 1)*C(8, j) minors on the last j + 1 rows, all 64
+    7-minors and the determinant; every size from 2 up is a Laplace sum.
+    On every row set it would take C(16, 8) - 1 = 12,869."""
+    ring = RingContext(tuple(f"x{i}" for i in range(8)))
+    rng = random.Random(8)
+    ints = [[rng.randint(-5, 5) for _ in range(8)] for _ in range(8)]
+    entries = [[ring.const(c) for c in row] for row in ints]
+    sums = []
+    original = matrices._packed_sum
+    monkeypatch.setattr(matrices, "_packed_sum",
+                        lambda *args: sums.append(1) or original(*args))
+    keyed = packed_minors([_pack_polys(row, ring) for row in entries], 8,
+                          ring)
+    assert [len(d) for d in keyed] == [16, 84, 224, 350, 336, 196, 64, 1]
+    assert len(sums) == 1271 - 16
+    (det,) = keyed[-1].values()
+    assert _unpack_polys([det], ring)[0] == ring.const(
+        int(sympy.Matrix(ints).det()))
 
 
 # --- derationalize -----------------------------------------------------------

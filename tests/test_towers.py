@@ -1,14 +1,12 @@
 import pytest
 
-from optdeg import RingContext, dimension, normal_form, parse_polynomial, \
-    parse_rational_function
+from optdeg import RingContext, parse_polynomial, parse_rational_function
 from optdeg.errors import RestrictionIllDefined, ZeroAlpha
 from optdeg.groebner import DEFAULT_BUDGET, _Budget
 from optdeg.towers import (ParametrizationSpec, TowerLevel, TowerSpec,
                            build_tower_system, tower_dimension_check,
                            tower_incidence_ideals, tower_jacobian_rank,
                            tower_ring)
-from optdeg.critical import VarietySpec
 
 from conftest import variety
 
