@@ -223,12 +223,11 @@ def _affine_system(X: VarietySpec, objective, budget):
     over the Jacobian of X (see _stacked_generators) and, last,
     1 - sum_i w_i*f_i (see _localizer).  The row is built at the point
     itself, so no symbolic system is evaluated per trial: the packed powers
-    (u_i - x_i)^(p-1) (see _packed_power), 1 for p = 1, or the partials
-    with u bound.  The f_i are the generators that
-    _saturand gives for the singular locus times the product d of the
-    gradient denominators; f is d alone if there are none, and there is no
-    f_i at all if d is constant too.  Eliminating w saturates by
-    <f_1..f_m> (see _rabinowitsch).
+    (u_i - x_i)^(p-1) (see _packed_power) or the partials with u bound.
+    The f_i are the generators that _saturand gives for the singular locus
+    times the product d of the gradient denominators; f is d alone if there
+    are none, and there is no f_i at all if d is constant too.  Eliminating
+    w saturates by <f_1..f_m> (see _rabinowitsch).
     """
     ring = X.ring
     xu, unames = data_ring(ring)
@@ -270,11 +269,10 @@ def _affine_system(X: VarietySpec, objective, budget):
         if ws:
             big = big.with_order(OrderSpec("block", ws))
         if isinstance(objective, PNorm):
-            k = objective.p - 1
             bases = _pack_polys([a - small.var(xn)
                                  for a, xn in zip(data, ring.variables)], big)
-            row = [(_packed_power(base, k, big) if k
-                    else _packed_const(1, big), None) for base in bases]
+            row = [(_packed_power(base, objective.p - 1, big), None)
+                   for base in bases]
         else:
             row = _packed_row([RationalFunction(bind(g.num), bind(g.den))
                                for g in objective.partials], big)

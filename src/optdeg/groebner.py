@@ -188,10 +188,9 @@ class GroebnerBasis:
 
     It is kept packed, as the term dicts of its ring's packer that
     _autoreduce returns (`packed`); `basis`, its polynomials, is unpacked on
-    first read, with the leads set (see _unpack_polys).  A packed dict's
-    largest key is its lead, so the leads, the unit check and the length
-    are read off the packed values, and no point count, dimension or degree
-    unpacks more of a basis than its leads."""
+    first read.  A packed dict's largest key is its lead, so the leads, the
+    unit check and the length are read off the packed values, and no point
+    count, dimension or degree unpacks more of a basis than its leads."""
 
     __slots__ = ("ring", "packed", "order", "_basis")
 
@@ -212,8 +211,6 @@ class GroebnerBasis:
                 and max(self.packed[0]) == self.ring.packer().one)
 
     def lead_exponents(self):
-        if self._basis is not None:
-            return [g.lead_monomial() for g in self._basis]
         unpack = self.ring.packer().unpack
         return [unpack(max(t)) for t in self.packed]
 
@@ -674,20 +671,10 @@ def _pack_polys(polys, ring):
 
 
 def _unpack_polys(terms, ring):
-    """The packed term dicts of ring's packer as polynomials of `ring`.  A
-    packed dict's largest key is its lead, so each polynomial's lead term
-    is set as it is unpacked, not searched for again by the ring's key."""
+    """The packed term dicts of ring's packer as polynomials of `ring`."""
     unpack = ring.packer().unpack
-    out = []
-    for t in terms:
-        keys = list(t)
-        exps = [unpack(e) for e in keys]
-        poly = Polynomial(ring, dict(zip(exps, t.values())))
-        if keys:
-            lead = max(keys)
-            poly._lead = (exps[keys.index(lead)], t[lead])
-        out.append(poly)
-    return out
+    return [Polynomial(ring, {unpack(e): c for e, c in t.items()})
+            for t in terms]
 
 
 def _packed_const(c, ring):
@@ -732,7 +719,9 @@ def _packed_sum(products, ring):
 
 
 def _packed_power(base, k, ring):
-    """base^k for a packed term dict of ring's packer and k >= 1."""
+    """base^k for a packed term dict of ring's packer and k >= 0."""
+    if not k:
+        return _packed_const(1, ring)
     out = base
     for _ in range(k - 1):
         out = _packed_sum([(1, out, base)], ring)
@@ -784,7 +773,8 @@ def _convert_grevlex(gb, work_ring, budget, drop=()):
     """A Groebner basis for the order of `work_ring` (lex or block) of the
     ideal whose reduced grevlex basis is `gb`, as kernel lists for
     _autoreduce: the homogenized basis, run under that order with the
-    Hilbert numerator of the grevlex leads as the driver's target, then
+    Hilbert numerator of the grevlex leads as the driver's target (read off
+    the polynomials it homogenizes, which are unpacked already), then
     dehomogenized on the packed values (_field_drop).  With `drop`, the
     front block of a block order, only the elements whose lead is free of
     it are dehomogenized and returned (see _kept); h lies in the back
@@ -809,13 +799,14 @@ def _convert_grevlex(gb, work_ring, budget, drop=()):
     """
     ring = work_ring.extend([work_ring.fresh_name("hom_h")])
     packer = ring.packer()
+    basis = gb.basis
     seed = []
-    for g in gb.basis:
+    for g in basis:
         d = g.total_degree()
         seed.append(_pack_terms({e + (d - sum(e),): c
                                  for e, c in g.terms.items()}, packer))
-    kernel = _buchberger(seed, ring, budget,
-                         _hilbert_numerator(gb.lead_exponents()))
+    kernel = _buchberger(seed, ring, budget, _hilbert_numerator(
+        [g.lead_monomial() for g in basis]))
     if drop:
         kernel = _kept(kernel, packer)
     leads, lcs, tails = kernel

@@ -526,14 +526,6 @@ class Polynomial:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial power must be a non-negative integer")
-        if len(self.terms) == 1:
-            # a term's power is one term, as the parser's x1^3 is
-            ((e, c),) = self.terms.items()
-            fld = self.ring.field
-            ck = fld.one
-            for _ in range(k):
-                ck = fld.mul(ck, c)
-            return Polynomial(self.ring, {tuple(k * v for v in e): ck})
         result = self.ring.one()
         base = self
         while k:

@@ -885,9 +885,9 @@ def test_affine_trials_unpack_only_leads(monkeypatch, prime_field, text):
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 def test_packed_pnorm_row_is_the_power(field, p):
     """The affine count builds its p-norm row as packed powers (see
-    _packed_power), 1 for p = 1: the system it seeds is the one stacked on
-    the row of polynomials (u_i - x_i)^(p-1), at a data point and with u
-    symbolic."""
+    _packed_power), the packed 1 for p = 1: the system it seeds is the one
+    stacked on the row of polynomials (u_i - x_i)^(p-1), at a data point
+    and with u symbolic."""
     ring = RingContext(("x1", "x2"), field=field)
     X = variety(ring, "x1^2+4*x2^2-1")
     xu, unames = data_ring(ring)

@@ -72,21 +72,6 @@ def test_power_zero_is_one(ring):
     assert P("(x1+1)^0", ring) == ring.one()
 
 
-@pytest.mark.parametrize("field", [RationalField(), PrimeField()],
-                         ids=["QQ", "GF"])
-def test_power_of_a_term_is_a_term(field):
-    """A one-term polynomial's power is built as one term; it equals the
-    product of its factors."""
-    ring = RingContext(("x1", "u1"), field=field)
-    term = ring.monomial((1, 2), Fraction(-2, 3))
-    for k in range(5):
-        want = ring.one()
-        for _ in range(k):
-            want = want * term
-        assert term ** k == want
-    assert P("x1^3", ring).terms == {(3, 0): field.one}
-
-
 def test_power_rejects_negative(ring):
     with pytest.raises(ValueError):
         P("x1+1", ring) ** -1
