@@ -46,6 +46,8 @@ def _is_int(value):
 
 
 def _require(doc, key, kind, where):
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where} must be an object")
     if key not in doc:
         raise SchemaError(f"missing {key!r} in {where}")
     value = doc[key]
@@ -162,7 +164,11 @@ def _load_point(values, ring, where):
         if _is_int(v):
             out.append(v)
         elif isinstance(v, str):
-            out.append(_parse(parse_polynomial, v, ring, where).constant_value())
+            value = _parse(parse_polynomial, v, ring, where)
+            if not value.is_constant():
+                raise SchemaError(
+                    f"{where} coordinate {v!r} is not a constant")
+            out.append(value.constant_value())
         else:
             raise SchemaError(f"{where} coordinates must be integers or "
                               "rational strings")
@@ -356,6 +362,9 @@ def _load_tower(job, ring_field):
     if not all(isinstance(v, str) for v in base):
         raise SchemaError("tower.base must be a list of names")
     levels_doc = _require(doc, "levels", list, "tower")
+    if not base and not levels_doc:
+        raise SchemaError("tower.base and tower.levels are both empty, so the "
+                          "tower ring has no variables")
     ring = tower_ring(tuple(base), len(levels_doc), ring_field)
     levels = []
     for i, level_doc in enumerate(levels_doc):

@@ -27,12 +27,11 @@ from .errors import (ContainedInIsotropic, DenominatorVanishesOnX,
                      NotHomogeneous, NotPrincipalWarning,
                      PositiveDimensionalFiber, RingMismatch, ZeroDenominator)
 from .fields import PrimeField
-from .groebner import (GREVLEX, Ideal, _count_points, _eliminate, _front_mask,
-                       _linear_cut, _localizer, _masked, _pack_polys,
-                       _packed_const, _packed_power, _packed_sum,
-                       _rabinowitsch, _saturand, _unpack_polys, as_budget,
-                       dimension, eliminate, groebner_basis, saturate,
-                       vanishes_on_variety)
+from .groebner import (GREVLEX, Ideal, _count_points, _eliminate, _linear_cut,
+                       _localizer, _masked, _pack_polys, _packed_const,
+                       _packed_power, _packed_sum, _rabinowitsch, _saturand,
+                       _unpack_polys, as_budget, dimension, eliminate,
+                       groebner_basis, saturate, vanishes_on_variety)
 from .matrices import _laplace_minors, jacobian, packed_minors
 from .rings import (OrderSpec, Polynomial, RationalFunction, RingContext,
                     random_linear_form)
@@ -583,8 +582,8 @@ def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
     _stacked_generators), on packed terms that seed the block-order run
     eliminating b.  It cuts the f_i, packed once per job, by the same map,
     masks them into the x-ring as the elimination masks its kept basis (see
-    _front_mask), and saturates what is left by them in x before counting
-    it; neither is unpacked for the unit check.  For phi
+    MonomialPacker.back_mask), and saturates what is left by them in x
+    before counting it; neither is unpacked for the unit check.  For phi
     the cut and S the system, that is (phi(S) : phi(J)^inf) ∩ k[x'], the
     count of the localization (see _projective_chart_system).  The
     saturation is skipped when it removes nothing (see
@@ -627,7 +626,7 @@ def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
         cut = _linear_cut(work, [slice_], budget)
         eliminated = eliminate(system(u, cut), (bname,), budget)
         small, substitute, _ = cut
-        cut_fs = _masked(substitute(packed_fs), _front_mask(small.packer()))
+        cut_fs = _masked(substitute(packed_fs), small.packer().back_mask)
         return _count_points(_saturate_unless_unit(eliminated, cut_fs,
                                                    budget), budget)
 

@@ -20,8 +20,9 @@ Bases stay packed from run to run.  A GroebnerBasis keeps the packed term
 dicts its run ends with and unpacks its polynomials only when they are
 read; the counts below read its packed leads.  An elimination hands its
 kept elements on packed, masked into the packer of the grevlex ring on the
-remaining variables (_front_mask) and cached as that ring's basis, and an
-ideal regenerated by its basis is generated by those packed elements.
+remaining variables (MonomialPacker.back_mask) and cached as that ring's
+basis, and an ideal regenerated by its basis is generated by those packed
+elements.
 
 One routine reads the lead monomials: the Hilbert numerator N, by pivot
 recursion (_hilbert_numerator), graded by degree or by groups of
@@ -252,7 +253,7 @@ def _reduce_full(fterms, leads, lcs, tails, packer, budget, sugar=0,
     fld = packer.ring.field
     integral = fld.kind == "rational"
     q = None if integral else fld.q
-    plain = packer._plain
+    plain = packer.plain
     guards = packer.guards
     div_off = packer.div_offset
     degree = packer.degree
@@ -728,30 +729,6 @@ def _packed_power(base, k, ring):
     return out
 
 
-def _field_drop(packer, i):
-    """The map from packed monomials of `packer`'s ring to packed monomials
-    of that ring without variable i (RingContext.without), setting x_i = 1
-    on the packed values: the field of x_i is cut out, and the fields above
-    it move down by one.  Under lex that is all.  Under a graded order x_i's
-    exponent, VMASK less its complemented field, is also taken off the
-    degree field of its block, which lies above it.  Setting the last
-    variable h = 1 dehomogenizes (see _convert_grevlex); for a variable the
-    packed values do not hold, it only re-packs them in the smaller ring
-    (see _linear_cut)."""
-    width, vmask = packer.WIDTH, packer.VMASK
-    kind, shift = next((kind, s) for kind, j, s in packer._layout if j == i)
-    low = (1 << shift) - 1
-    up = shift + width
-    if kind == "plain":
-        return lambda e: (e & low) | ((e >> up) << shift)
-    deg = next(s for s, block in packer._deg_shifts if i in block) - width
-
-    def drop(e):
-        return (((e & low) | ((e >> up) << shift))
-                - ((vmask - ((e >> shift) & vmask)) << deg))
-    return drop
-
-
 def _kept(kernel, packer):
     """The kernel lists (leads, lcs, tails), packed for a block order,
     restricted, in their order, to the elements whose lead is free of the
@@ -760,9 +737,9 @@ def _kept(kernel, packer):
     The front block's degree field is the top field of a packed value (see
     MonomialPacker), so a monomial is free of the front block iff its packed
     value lies below that field: every monomial with a front variable is
-    larger than every monomial without one.  So an element whose lead is
-    free of it has only terms free of it."""
-    bound = 1 << packer._deg_shifts[-1][0]
+    larger than every monomial without one (MonomialPacker.front_bound).
+    So an element whose lead is free of it has only terms free of it."""
+    bound = packer.front_bound
     leads, lcs, tails = kernel
     keep = [i for i, lead in enumerate(leads) if lead < bound]
     return ([leads[i] for i in keep], [lcs[i] for i in keep],
@@ -773,12 +750,14 @@ def _convert_grevlex(gb, work_ring, budget, drop=()):
     """A Groebner basis for the order of `work_ring` (lex or block) of the
     ideal whose reduced grevlex basis is `gb`, as kernel lists for
     _autoreduce: the homogenized basis, run under that order with the
-    Hilbert numerator of the grevlex leads as the driver's target (read off
-    the polynomials it homogenizes, which are unpacked already), then
-    dehomogenized on the packed values (_field_drop).  With `drop`, the
-    front block of a block order, only the elements whose lead is free of
-    it are dehomogenized and returned (see _kept); h lies in the back
-    block, and a lead is free of the front iff its dehomogenization is.
+    Hilbert numerator of the grevlex leads as the driver's target, then
+    dehomogenized on the packed values (MonomialPacker.drop).  It
+    homogenizes gb's packed elements, unpacking each term once, and takes
+    each element's lead, whose degree is the element's, as its largest
+    packed key, unpacked.  With `drop`, the front block of a block order,
+    only the elements whose lead is free of it are dehomogenized and
+    returned (see _kept); h lies in the back block, and a lead is free of
+    the front iff its dehomogenization is.
 
     This is exact, in three steps.  (1) The homogenized grevlex basis of I
     is a grevlex basis of I^h, h last (Cox-Little-O'Shea, Ideals,
@@ -799,18 +778,20 @@ def _convert_grevlex(gb, work_ring, budget, drop=()):
     """
     ring = work_ring.extend([work_ring.fresh_name("hom_h")])
     packer = ring.packer()
-    basis = gb.basis
-    seed = []
-    for g in basis:
-        d = g.total_degree()
-        seed.append(_pack_terms({e + (d - sum(e),): c
-                                 for e, c in g.terms.items()}, packer))
-    kernel = _buchberger(seed, ring, budget, _hilbert_numerator(
-        [g.lead_monomial() for g in basis]))
+    unpack, pack = gb.ring.packer().unpack, packer.pack
+    seed, gb_leads = [], []
+    for terms in gb.packed:
+        exps = {e: unpack(e) for e in terms}
+        lead = exps[max(terms)]
+        gb_leads.append(lead)
+        d = sum(lead)
+        seed.append({pack((*a, d - sum(a))): terms[e]
+                     for e, a in exps.items()})
+    kernel = _buchberger(seed, ring, budget, _hilbert_numerator(gb_leads))
     if drop:
         kernel = _kept(kernel, packer)
     leads, lcs, tails = kernel
-    drop_h = _field_drop(packer, ring.nvars - 1)
+    drop_h = packer.drop(ring.nvars - 1)
     return ([drop_h(e) for e in leads], lcs,
             [{drop_h(e): c for e, c in t.items()} for t in tails])
 
@@ -921,16 +902,6 @@ def _packed_remainders(basis, ring, budget):
 # elimination and saturation
 # --------------------------------------------------------------------------
 
-def _front_mask(packer):
-    """The mask of the low fields of a block order's packed values, those of
-    the back block's variables and degree.  It sends the packed value of a
-    monomial free of the front block to that of the grevlex ring on the back
-    block's variables, in their order (see MonomialPacker): the fields cut
-    off hold only the front's complemented zero exponents and its zero
-    degree."""
-    return (1 << (packer._deg_shifts[0][0] + packer.WIDTH)) - 1
-
-
 def _masked(terms, mask):
     """Packed term dicts with every packed monomial masked by `mask`."""
     return [{e & mask: c for e, c in t.items()} for t in terms]
@@ -943,14 +914,15 @@ def _eliminate(ideal, drop, small, budget) -> Ideal:
     finishes.  Within the back block that order is grevlex, so for the
     grevlex `small` on the back block's variables in their order, which
     eliminate and the counts pass, they are its reduced grevlex basis: their
-    packed terms are mapped into small's packer by _front_mask and handed
-    on packed, cached as that basis (see Ideal._generated_by).  For a
-    `small` of another order they are transferred as polynomials."""
+    packed terms are mapped into small's packer by the block packer's
+    back_mask and handed on packed, cached as that basis (see
+    Ideal._generated_by).  For a `small` of another order they are
+    transferred as polynomials."""
     gb = groebner_basis(ideal, OrderSpec("block", drop), budget, drop=drop)
     back = tuple(v for v in gb.ring.variables if v not in set(drop))
     if small.order != GREVLEX or small.variables != back:
         return Ideal(small, [g.transfer(small) for g in gb.basis])
-    mask = _front_mask(gb.ring.packer())
+    mask = gb.ring.packer().back_mask
     return Ideal._generated_by(GroebnerBasis(small, _masked(gb.packed, mask),
                                              GREVLEX))
 
@@ -977,12 +949,14 @@ def _linear_rows(ring, forms):
     constant last: one (pivot index, row) per rank, the row monic at its
     pivot, which is its lead in the ring's order, with the constant term as
     its last entry, sorted by pivot in that order; and whether the forms are
-    inconsistent (some combination is a nonzero constant).  Under grevlex
-    and lex the pivots are the leftmost variables."""
+    inconsistent (some combination is a nonzero constant).  The variables
+    are ranked by their packed values, which compare as the order does;
+    under grevlex and lex the pivots are the leftmost variables."""
     fld = ring.field
     n = ring.nvars
     sub, mul, is_zero = fld.sub, fld.mul, fld.is_zero
-    rank = sorted(range(n), key=lambda i: ring.key(
+    pack = ring.packer().pack
+    rank = sorted(range(n), key=lambda i: pack(
         tuple(int(j == i) for j in range(n))), reverse=True)
     pivots = []
     inconsistent = False
@@ -1024,8 +998,8 @@ def _linear_cut(ring, forms, budget):
     by its pivot, which no other row holds: so they are the reduced basis
     of <forms> for that order, and a remainder against them (see
     _packed_remainders) is the substitution, free of every pivot, on the
-    job's budget.  Each pivot's field is then dropped (_field_drop).  Two
-    lists cut by the same map, such as a system and the polynomials to
+    job's budget.  Each pivot's field is then dropped (MonomialPacker.drop).
+    Two lists cut by the same map, such as a system and the polynomials to
     saturate it by, keep their positions; one Ideal of both would not, as
     it drops zero generators.
     """
@@ -1040,7 +1014,7 @@ def _linear_cut(ring, forms, budget):
     small, drops = ring, []
     for col, _ in pivots[:len(rows)]:
         name = ring.variables[col]
-        drops.append(_field_drop(small.packer(), small.index(name)))
+        drops.append(small.packer().drop(small.index(name)))
         small = small.without([name])
 
     def dropped(terms):
@@ -1117,7 +1091,7 @@ def _saturand(other, budget):
         return []
     fs = list(gb.basis)
     if all(len(g) == 1 for g in fs):
-        exps = [tuple(1 if v else 0 for v in g.lead_monomial()) for g in fs]
+        exps = [tuple(1 if v else 0 for v in e) for g in fs for e in g.terms]
         fs = [other.ring.monomial(e) for e in _minimal(exps)]
     return fs
 

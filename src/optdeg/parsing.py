@@ -194,6 +194,9 @@ def format_polynomial(p: Polynomial) -> str:
     """Canonical text: terms in decreasing ring order, leading term first.
 
     The output re-parses to the same polynomial (round-trip fixed point).
+    The terms are sorted by their packed values, which define the order
+    (see MonomialPacker), so an exponent or degree past the packed field
+    widths raises SizeOutOfRange, as every computation on it would.
     """
     if p.is_zero():
         return "0"

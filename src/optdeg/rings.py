@@ -3,6 +3,11 @@
 A monomial is an exponent tuple (one entry per ring variable).  A polynomial
 is a dict mapping exponent tuples to nonzero field elements.  Values are
 immutable after construction and freely shareable.
+
+A ring's monomial order has one definition, the layout of its
+MonomialPacker: packed values compare as the monomials do, so terms are
+sorted, and leads read, on packed values.  Only this module reads that
+layout; other modules use the maps on packed values the packer exports.
 """
 
 from __future__ import annotations
@@ -37,17 +42,10 @@ GREVLEX = OrderSpec("grevlex")
 LEX = OrderSpec("lex")
 
 
-def _grevlex_key(exp):
-    total = 0
-    for e in exp:
-        total += e
-    return (total, *(-e for e in reversed(exp)))
-
-
 class RingContext:
     """An ordered polynomial ring: variable names, coefficient field, order."""
 
-    __slots__ = ("variables", "field", "order", "nvars", "_pos", "key",
+    __slots__ = ("variables", "field", "order", "nvars", "_pos",
                  "_zero_exp", "_hash", "_packer")
 
     def __init__(self, variables, field=None, order=GREVLEX):
@@ -64,8 +62,12 @@ class RingContext:
         self.nvars = len(variables)
         self._pos = {name: i for i, name in enumerate(variables)}
         self._zero_exp = (0,) * self.nvars
+        if order.kind == "block":
+            for name in order.front:
+                if name not in self._pos:
+                    raise ValueError(
+                        f"block-front variable {name!r} not in ring")
         self.order = order
-        self.key = self._make_key(order)
         self._hash = hash((variables, self.field, order))
         self._packer = None
 
@@ -73,29 +75,6 @@ class RingContext:
         if self._packer is None:
             self._packer = MonomialPacker(self)
         return self._packer
-
-    def _make_key(self, order):
-        if order.kind == "grevlex":
-            return _grevlex_key
-        if order.kind == "lex":
-            return lambda exp: exp
-        # block: grevlex on front variables, then grevlex on the rest
-        front_idx = []
-        for name in order.front:
-            if name not in self._pos:
-                raise ValueError(f"block-front variable {name!r} not in ring")
-            front_idx.append(self._pos[name])
-        front_set = set(front_idx)
-        back_idx = [i for i in range(self.nvars) if i not in front_set]
-        fi = tuple(front_idx)
-        bi = tuple(back_idx)
-
-        def key(exp, fi=fi, bi=bi):
-            f = tuple(exp[i] for i in fi)
-            b = tuple(exp[i] for i in bi)
-            return _grevlex_key(f) + _grevlex_key(b)
-
-        return key
 
     # -- constructors ------------------------------------------------------
 
@@ -205,21 +184,31 @@ class RingContext:
 
 
 class MonomialPacker:
-    """Packs exponent tuples into single integers so that the hot loops of
-    Buchberger's algorithm run on machine integers.
+    """Packs exponent tuples into single integers: the one definition of the
+    ring's monomial order, and the machine integers the hot loops of
+    Buchberger's algorithm run on.
 
-    The layout is chosen per monomial order so that integer comparison of
-    packed values agrees with the order, packed(a) + packed(b) - packed(c) is
-    the packed a*b/c when c divides b (so a shift by a difference of packed
-    values multiplies by a monomial, and packed(a) + packed(b) - one is the
-    packed a*b), a masked subtraction tests divisibility, and one more picks
-    the fields of an lcm (lcm).  Each variable gets a 16-bit field (15-bit
-    value plus a guard bit that traps borrows); degree fields ride above the
-    complemented exponent fields for the graded orders.  Exponents and the
-    topmost degree field hold at most VMASK; an inner degree field (the back
-    block of a block order) holds less than 2^14, so the divisibility offset
-    never borrows across it.  pack and lcm raise SizeOutOfRange beyond these
-    widths.
+    Integer comparison of packed values is the order.  Each variable gets a
+    16-bit field (15-bit value plus a guard bit that traps borrows).  Under
+    lex the fields hold the exponents, x_1 most significant.  Under grevlex
+    they hold the complemented exponents VMASK - e, x_n most significant,
+    below a total-degree field: a larger degree wins, then a smaller
+    exponent of the last variable where two monomials differ.  A block
+    order stacks the front block's grevlex fields above the back block's,
+    each with its own degree field.
+
+    The layout also makes monomial arithmetic integer arithmetic:
+    packed(a) + packed(b) - packed(c) is the packed a*b/c when c divides b
+    (so a shift by a difference of packed values multiplies by a monomial,
+    and packed(a) + packed(b) - one is the packed a*b), a masked
+    subtraction tests divisibility, and one more picks the fields of an lcm
+    (lcm).  Exponents and the topmost degree field hold at most VMASK; an
+    inner degree field (the back block of a block order) holds less than
+    2^14, so the divisibility offset never borrows across it.  pack and lcm
+    raise SizeOutOfRange beyond these widths.  Other modules read no field
+    directly: `plain` says the fields hold plain exponents (lex), drop(i)
+    sets a variable to 1, and for a block order `front_bound` and
+    `back_mask` split off the front block (None otherwise).
     """
 
     WIDTH = 16
@@ -263,7 +252,15 @@ class MonomialPacker:
         self.div_offset = 0
         for shift, _vars in self._deg_shifts:
             self.div_offset += (1 << 14) << shift
-        self._plain = all(kind == "plain" for kind, _i, _s in self._layout)
+        self.plain = order.kind == "lex"
+        # a monomial is free of the front block iff its packed value lies
+        # below the front degree field, on top; masked to the back block's
+        # fields and degree, it packs in the grevlex ring on the back
+        # block's variables, in their order
+        self.front_bound = self.back_mask = None
+        if order.kind == "block":
+            self.front_bound = 1 << front_deg
+            self.back_mask = (1 << (back_deg + W)) - 1
         # the packed monomial 1, so that packed(a) + packed(b) - one is the
         # packed a*b
         self.one = sum(self.VMASK << shift
@@ -333,9 +330,31 @@ class MonomialPacker:
         this per packer with a read of their degree field(s)."""
         return sum(self.unpack(packed))
 
+    def drop(self, i):
+        """The map from packed monomials of this ring to packed monomials of
+        that ring without variable i (RingContext.without), setting x_i = 1
+        on the packed values: the field of x_i is cut out, and the fields
+        above it move down by one.  Under lex that is all.  Under a graded
+        order x_i's exponent, VMASK less its complemented field, is also
+        taken off the degree field of its block, which lies above it.  For
+        a variable the packed values do not hold, it only re-packs them in
+        the smaller ring."""
+        width, vmask = self.WIDTH, self.VMASK
+        kind, shift = next((kind, s) for kind, j, s in self._layout if j == i)
+        low = (1 << shift) - 1
+        up = shift + width
+        if kind == "plain":
+            return lambda e: (e & low) | ((e >> up) << shift)
+        deg = next(s for s, block in self._deg_shifts if i in block) - width
+
+        def drop(e):
+            return (((e & low) | ((e >> up) << shift))
+                    - ((vmask - ((e >> shift) & vmask)) << deg))
+        return drop
+
     def divides(self, small, big):
         """True iff the monomial `small` divides `big` (packed values)."""
-        if self._plain:
+        if self.plain:
             return not ((big - small) & self.guards)
         return not ((small - big + self.div_offset) & self.guards)
 
@@ -352,7 +371,7 @@ class MonomialPacker:
         block degree past its field."""
         ge = ((a | self.guards) - b) & self.guards
         pick = (a ^ b) & (ge - (ge >> 15))
-        if self._plain:
+        if self.plain:
             return b ^ pick
         v = (a ^ pick) & self._fields
         vmask = self.VMASK
@@ -383,12 +402,11 @@ def random_linear_form(ring, names, rng):
 class Polynomial:
     """Sparse exact multivariate polynomial bound to a RingContext."""
 
-    __slots__ = ("ring", "terms", "_lead")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
-        self._lead = None
 
     # -- basics -------------------------------------------------------------
 
@@ -406,21 +424,11 @@ class Polynomial:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def lead_term(self):
-        """(exponent, coefficient) of the leading term in the ring order."""
-        if self._lead is None:
-            if not self.terms:
-                raise ValueError("zero polynomial has no leading term")
-            exp = max(self.terms, key=self.ring.key)
-            self._lead = (exp, self.terms[exp])
-        return self._lead
-
-    def lead_monomial(self):
-        return self.lead_term()[0]
-
     def sorted_terms(self):
-        """Terms ordered leading-first."""
-        return sorted(self.terms.items(), key=lambda t: self.ring.key(t[0]),
+        """Terms ordered leading-first: by packed value (see MonomialPacker),
+        so SizeOutOfRange past the packed field widths."""
+        pack = self.ring.packer().pack
+        return sorted(self.terms.items(), key=lambda t: pack(t[0]),
                       reverse=True)
 
     def coefficient(self, exp):

@@ -183,6 +183,8 @@ def test_tower_base_name_collision_is_domain_error(tmp_path, capsys):
     ("tower-check", {"tower": {"base": ["x1", "D1"],
                                "levels": [{"power": 2, "alpha": "x1"}],
                                "parametrization": ["x1", "D1"]}}, "D1"),
+    ("tower-check", {"tower": {"base": ["x1", "x1"], "levels": [],
+                               "parametrization": ["x1", "x1", "1"]}}, "x1"),
 ])
 def test_repeated_variable_name_is_domain_error(tmp_path, capsys, command,
                                                 job_part, name):
@@ -457,12 +459,26 @@ _CONIC = (["x1", "x2", "x3"], "x1^2+x2^2-2*x3^2")
     ("degree", _overridden(["x1", "x2"], "x2^2-x1^2*(x1+1)", ["0"],
                            objective={"pnorm": 2}), (),
      "singular ideal override has no nonzero generator"),
+    # these used to end in ValueError and TypeError tracebacks, or ("oops")
+    # report a missing 'power'
+    ("degree", _pinned_job("x1^2+4*x2^2-1", {"pnorm": 2}, ["x1", "1"]), (),
+     "options.u coordinate 'x1' is not a constant"),
+    ("tower-check", _tower_job(levels=["power"]), (),
+     "tower.levels[0] must be an object"),
+    ("tower-check", _tower_job(levels=[["power"]]), (),
+     "tower.levels[0] must be an object"),
+    ("tower-check", _tower_job(levels=["oops"]), (),
+     "tower.levels[0] must be an object"),
+    ("tower-check", _tower_job(base=[], levels=[]), (),
+     "the tower ring has no variables"),
 ], ids=["options-list", "formula-options-list", "job-list-field-override",
         "field-int", "tower-field-int", "pnorms-int", "branch-int",
         "base-name-int", "euler-p-bool", "evolute-two-generators",
         "evolute-three-variables", "tower-too-few-coordinates",
         "projective-degree-empty-singular", "crossvalidate-zero-singular",
-        "polar-empty-singular", "degree-zero-singular"])
+        "polar-empty-singular", "degree-zero-singular", "pinned-u-variable",
+        "tower-level-string", "tower-level-list", "tower-level-oops",
+        "tower-empty-ring"])
 def test_job_shape_errors_exit_2(tmp_path, capsys, command, job, extra,
                                  message):
     rc = run_cli(tmp_path, command, job, *extra)

@@ -15,12 +15,13 @@ from optdeg import (GREVLEX, LEX, BudgetExceeded, Ideal, NotZeroDimensional,
                     saturate, vanishes_on_variety)
 from optdeg import groebner
 from optdeg.groebner import (DEFAULT_BUDGET, _Budget, _count_points,
-                             _cut_linear, _field_drop, _hilbert_numerator,
+                             _cut_linear, _hilbert_numerator,
                              _hilbert_value, _linear_cut, _minimal,
                              _multidegree, _numerator_plus, _pack_polys,
                              _unpack_polys)
 from optdeg.rings import MonomialPacker
 
+from orders import order_key
 from slicing import sections_degree
 
 
@@ -1029,7 +1030,7 @@ def test_dehomogenizer_drops_h_on_packed_values(front, e):
     work = RingContext(("a", "b", "c", "d"),
                        order=LEX if front is None else OrderSpec("block", front))
     packer = work.extend(["h"]).packer()
-    assert _field_drop(packer, 4)(packer.pack(e)) == work.packer().pack(e[:-1])
+    assert packer.drop(4)(packer.pack(e)) == work.packer().pack(e[:-1])
 
 
 @pytest.mark.parametrize("front", [None, (), ("a", "b"), ("d",)],
@@ -1048,7 +1049,7 @@ def test_field_drop_sets_a_variable_to_one(front, i, e):
         return
     packer = ring.packer()
     small = ring.without([name])
-    assert _field_drop(packer, i)(packer.pack(e)) == \
+    assert packer.drop(i)(packer.pack(e)) == \
         small.packer().pack(e[:i] + e[i + 1:])
 
 
@@ -1160,13 +1161,13 @@ def _eager_basis(ideal, order, drop=()):
 def test_packed_bases_read_as_the_eager_ones(field, data):
     """A basis kept packed reads as the eagerly unpacked one: its length,
     unit check and packed leads before any unpack, then its polynomials
-    and, from them, the same leads; for drawn ideals over QQ and
+    and the same leads, which are the polynomials' largest terms under the
+    reference order (tests/orders.py); for drawn ideals over QQ and
     GF(2^31 - 1), from the generators and converted from a cached grevlex
     basis, under grevlex, lex and block orders, with and without dropping
-    the front block.  An elimination's
-    masked hand-off is the transfer of the kept polynomials, cached as the
-    reduced grevlex basis they are, and an ideal regenerated by its basis
-    is generated by it."""
+    the front block.  An elimination's masked hand-off is the transfer of
+    the kept polynomials, cached as the reduced grevlex basis they are, and
+    an ideal regenerated by its basis is generated by it."""
     coeffs = _COEFFS if field is None else _GF_COEFFS
     n, gens = data.draw(_ideals(coeffs))
     ring, ideal = _optdeg_ideal(n, gens, GREVLEX, field)
@@ -1182,7 +1183,7 @@ def test_packed_bases_read_as_the_eager_ones(field, data):
     gb = groebner_basis(ideal, order, drop=drop)
     assert len(gb) == len(want)
     assert gb.is_unit() == (len(want) == 1 and want[0].is_constant())
-    leads = [max(g.terms, key=g.ring.key) for g in want]
+    leads = [max(g.terms, key=order_key(g.ring)) for g in want]
     assert gb.lead_exponents() == leads
     assert gb.basis == want
     assert gb.lead_exponents() == leads

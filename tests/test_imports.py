@@ -1,15 +1,24 @@
-"""Every module of the package and of its tests uses each name it imports.
+"""Every module of the package and of its tests uses each name it imports,
+and only `optdeg.rings` reads the packed monomial layout.
 
 A stdlib-`ast` check in place of a linter: it collects the names each
 import statement binds and the names the module reads anywhere, and reports
 the imported names never read.  The package's `__init__.py` re-exports what
 it imports, and `from __future__` imports bind nothing, so both are skipped.
+
+The packed layout of a MonomialPacker is the one definition of a ring's
+monomial order, so no package module but `rings.py` reads a private
+attribute of a packer, its field constants WIDTH and VMASK, or a tuple
+sort key `.key` of a ring.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from optdeg import GREVLEX, LEX, OrderSpec, RingContext
+from optdeg.rings import MonomialPacker
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "optdeg"
@@ -38,3 +47,39 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _layout_names():
+    """The private attributes of packers of each order kind and of their
+    class, WIDTH and VMASK."""
+    names = {"WIDTH", "VMASK"}
+    names.update(a for a in vars(MonomialPacker)
+                 if a.startswith("_") and not a.startswith("__"))
+    for order in (GREVLEX, LEX, OrderSpec("block", ("y",))):
+        packer = RingContext(("x", "y"), order=order).packer()
+        names.update(a for a in vars(packer) if a.startswith("_"))
+    return names
+
+
+LAYOUT = _layout_names()
+
+
+def _layout_reads(source):
+    """The attributes of LAYOUT, and `key`, that the source reads."""
+    return sorted({node.attr for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute)
+                   and (node.attr in LAYOUT or node.attr == "key")})
+
+
+def test_the_check_sees_a_layout_read():
+    assert {"_layout", "_deg_shifts", "_blocks"} <= LAYOUT
+    source = ("shift = packer._layout[0][2] + packer.WIDTH\n"
+              "rank = sorted(exps, key=ring.key)\n")
+    assert _layout_reads(source) == ["WIDTH", "_layout", "key"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.parent == PACKAGE
+                                  and p.name != "rings.py"],
+                         ids=lambda p: p.name)
+def test_only_rings_reads_the_packed_layout(path):
+    assert _layout_reads(path.read_text()) == []

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from optdeg import (ExpressionSyntaxError, NegativeExponent, PrimeField,
-                    RingContext, UndeclaredVariable, ZeroDenominator,
-                    format_polynomial, parse_polynomial,
+                    RingContext, SizeOutOfRange, UndeclaredVariable,
+                    ZeroDenominator, format_polynomial, parse_polynomial,
                     parse_rational_function)
 
 
@@ -103,6 +103,15 @@ def test_format_canonical_order():
     ring = RingContext(("x1", "x2"))
     p = parse_polynomial("4*x2^2+x1^2-1", ring)
     assert format_polynomial(p) == "x1^2+4*x2^2-1"
+
+
+def test_format_stops_at_the_packed_widths():
+    """Terms are ordered by their packed values, so a degree past the packed
+    field widths cannot be formatted."""
+    ring = RingContext(("x1", "x2"))
+    assert format_polynomial(ring.monomial((32767, 0))) == "x1^32767"
+    with pytest.raises(SizeOutOfRange):
+        format_polynomial(ring.monomial((32767, 1)))
 
 
 def test_roundtrip_fixed_point(ring):

@@ -18,6 +18,7 @@ from optdeg.matrices import PolyMatrix, packed_minors
 from optdeg.rings import RationalFunction
 
 from minors_oracle import sympy_minors
+from orders import order_key
 
 
 @pytest.fixture
@@ -392,6 +393,46 @@ def test_packer_degree_and_lcm(order, a, b):
     got = packer.lcm(pa, pb)
     assert got == want
     assert (got == pa + pb - packer.one) == (not any(map(min, a, b)))
+
+
+# exponents whose block degrees all fit their packed fields, with small ones
+# often enough that degrees tie and pairs share exponents
+_FITTING = st.tuples(*[st.one_of(st.integers(0, 3),
+                                 st.integers(0, 4095))] * 4)
+_ORDERS = pytest.mark.parametrize(
+    "order", [GREVLEX, LEX, OrderSpec("block", ("w",)),
+              OrderSpec("block", ("x", "z")), OrderSpec("block", ("z", "x")),
+              OrderSpec("block", ("w", "x", "y", "z"))],
+    ids=["grevlex", "lex", "block-w", "block-xz", "block-zx", "block-all"])
+
+
+@_ORDERS
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_FITTING, _FITTING)
+def test_packed_values_compare_as_the_order(order, a, b):
+    """The packer is the order: pack(a) < pack(b) exactly when a precedes b
+    under the reference definition (tests/orders.py), and packing is
+    one-to-one."""
+    ring = RingContext(("w", "x", "y", "z"), order=order)
+    pack, key = ring.packer().pack, order_key(ring)
+    assert (pack(a) < pack(b)) == (key(a) < key(b))
+    assert (pack(a) == pack(b)) == (a == b)
+
+
+@_ORDERS
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.lists(_FITTING, min_size=1, max_size=8, unique=True))
+def test_sorted_terms_follow_the_order(order, exps):
+    ring = RingContext(("w", "x", "y", "z"), order=order)
+    poly = ring.poly_from_terms({e: k + 1 for k, e in enumerate(exps)})
+    assert [e for e, _ in poly.sorted_terms()] == sorted(
+        exps, key=order_key(ring), reverse=True)
+
+
+def test_block_front_must_lie_in_the_ring():
+    with pytest.raises(ValueError,
+                       match="block-front variable 'v' not in ring"):
+        RingContext(("w", "x"), order=OrderSpec("block", ("x", "v")))
 
 
 @pytest.mark.parametrize("order, a, b", [
