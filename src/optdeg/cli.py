@@ -528,7 +528,8 @@ _VARIETY_COMMANDS = {
 
 
 def run_job(command, job, timings_wanted=False):
-    """Execute one job document; returns (report_dict, exit_code)."""
+    """Execute one job document; returns its report, a dict.  A job that
+    fails raises its OptdegError; `main` turns that into an exit code."""
     if not isinstance(job, dict):
         raise SchemaError("job document must be a JSON object")
     version = job.get("schema_version", SCHEMA_VERSION)

@@ -7,11 +7,14 @@ per side gives both the correspondence ideal (u symbolic) and the count,
 which builds it at each trial's data point from the Jacobian minors the
 variety keeps: the affine one localized at its saturand, the projective
 one (in the direction chart y = u + b*x) saturated once b is eliminated,
-and in the count only when the saturation removes something.  Every system
-is assembled on packed terms that seed its Groebner run as they are, and
-the projective count assembles its system in the ring its slice cuts.
-Each trial's eliminated basis is handed on packed to its unit check and
-its point count, which read only its leads.
+and in the count only when the saturation removes something.  The affine
+count localizes nothing when the saturand's zero set on the variety is
+finite: it subtracts from the points of the system the length they have
+there, read by linear algebra in quotients built once per job.  Every
+system is assembled on packed terms that seed its Groebner run as they
+are, and the projective count assembles its system in the ring its slice
+cuts.  Each trial's eliminated basis is handed on packed to its unit check
+and its point count, which read only its leads.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import random
 import time
 import warnings as _warnings
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, product
+from itertools import combinations, count, product
 
 from .errors import (ContainedInIsotropic, DenominatorVanishesOnX,
                      EvoluteDegenerate, EvoluteLinesDegenerate,
@@ -29,10 +32,11 @@ from .errors import (ContainedInIsotropic, DenominatorVanishesOnX,
 from .fields import PrimeField
 from .groebner import (GREVLEX, Ideal, _count_points, _eliminate, _linear_cut,
                        _localizer, _masked, _pack_polys, _packed_const,
-                       _packed_power, _packed_sum, _rabinowitsch, _saturand,
+                       _packed_power, _packed_remainders, _packed_sum,
+                       _rabinowitsch, _saturand, _standard_monomials,
                        _unpack_polys, as_budget, dimension, eliminate,
                        groebner_basis, saturate, vanishes_on_variety)
-from .matrices import _laplace_minors, jacobian, packed_minors
+from .matrices import _laplace_minors, _rank, jacobian, packed_minors
 from .rings import (OrderSpec, Polynomial, RationalFunction, RingContext,
                     random_linear_form)
 
@@ -212,11 +216,14 @@ def _check_rational_gradient(obj: RationalGradient, big_ring, unames):
 
 def _affine_system(X: VarietySpec, objective, budget):
     """The critical system of X for the objective, checked once per job, as a
-    function of the data point: for u=None the ring (x, u) with u symbolic,
-    and for a point u the x-ring with u bound; each time that ring, the
-    system as an ideal of it extended by the w_i, seeded with packed terms
-    for the block order that ranks the w_i first (see Ideal.packed), and
-    the names w_i.
+    function system(u, localized=True) of the data point: for u=None the
+    ring (x, u) with u symbolic, and for a point u the x-ring with u bound;
+    each time that ring, the system as an ideal of it extended by the w_i,
+    seeded with packed terms for the block order that ranks the w_i first
+    (see Ideal.packed), and the names w_i.  With localized=False there is
+    no w_i and the ideal lives in that ring with the grevlex order.  Also
+    generators in the x-ring of the ideal J the system is saturated by,
+    when J does not depend on the data point, and otherwise None.
 
     The generators are I(X), the (c+1)-minors of the gradient row stacked
     over the Jacobian of X (see _stacked_generators) and, last,
@@ -226,7 +233,10 @@ def _affine_system(X: VarietySpec, objective, budget):
     The f_i are the generators that _saturand gives for the singular locus
     times the product d of the gradient denominators; f is d alone if there
     are none, and there is no f_i at all if d is constant too.  Eliminating
-    w saturates by <f_1..f_m> (see _rabinowitsch).
+    w saturates by <f_1..f_m> (see _rabinowitsch).  A d free of x is a
+    nonzero constant at every data point, so J = <f_1..f_m> is then
+    generated by the singular locus's generators alone, which are returned
+    (none for a smooth X, J then being the unit ideal).
     """
     ring = X.ring
     xu, unames = data_ring(ring)
@@ -243,7 +253,7 @@ def _affine_system(X: VarietySpec, objective, budget):
             "gradient denominators vanish identically on the variety")
     sat = _saturand(singular_locus_ideal(X, budget), budget)
 
-    def system(u):
+    def system(u, localized=True):
         if u is None:
             small, point = xu, {}
             data = [xu.var(un) for un in unames]
@@ -261,12 +271,14 @@ def _affine_system(X: VarietySpec, objective, budget):
         if d.is_zero():
             raise ZeroDenominator("a gradient denominator vanishes at the "
                                   "data point")
-        fs = [g.transfer(small) for g in sat]
-        if not den.is_constant():
-            fs = [g * d for g in fs] or [d]
-        big, ws, localizer = _localizer(small, fs)
-        if ws:
-            big = big.with_order(OrderSpec("block", ws))
+        big, ws = small.with_order(GREVLEX), ()
+        if localized:
+            fs = [g.transfer(small) for g in sat]
+            if not den.is_constant():
+                fs = [g * d for g in fs] or [d]
+            big, ws, localizer = _localizer(small, fs)
+            if ws:
+                big = big.with_order(OrderSpec("block", ws))
         if isinstance(objective, PNorm):
             bases = _pack_polys([a - small.var(xn)
                                  for a, xn in zip(data, ring.variables)], big)
@@ -279,7 +291,8 @@ def _affine_system(X: VarietySpec, objective, budget):
         if ws:
             seeds += _pack_polys([localizer], big)
         return small, Ideal.packed(big, seeds), ws
-    return system
+    moving = den.variables_used() & set(ring.variables)
+    return system, None if moving else sat
 
 
 def _critical_ideal(system, u, budget) -> Ideal:
@@ -301,7 +314,8 @@ def critical_ideal_affine(X: VarietySpec, objective, u=None, budget=None) -> Ide
     in the x-ring and cuts out the critical locus itself.
     """
     budget = as_budget(budget)
-    return _critical_ideal(_affine_system(X, objective, budget), u, budget)
+    system, _ = _affine_system(X, objective, budget)
+    return _critical_ideal(system, u, budget)
 
 
 def _sample_point(field, n, rng):
@@ -345,20 +359,128 @@ def _count_trials(count_for_u, X, trials, seed, budget, extra_warnings):
     )
 
 
+def _local_length(base, fs, budget):
+    """For J = <f_1..f_m>, the function sending packed term dicts g_j of
+    base's grevlex ring, such that I = base + <g_1..g_r> has a quotient
+    k[x]/I of finite length, to the length of k[x]/I at V(J):
+    len(k[x]/I) less len(k[x]/(I : J^inf)).  None when base + J is not
+    zero-dimensional; with no f_i, J is the unit ideal (see _saturand),
+    V(J) is empty and the length is 0.
+
+    The identity.  A = k[x]/I is the product of its localizations A_Q at
+    its points, and saturating by J drops those at the points of V(J), so
+    len(k[x]/(I : J^inf)) = len(A) less the sum of len(A_Q) over Q in V(J).
+    That sum is L_k = len(A/J^k*A) = len(k[x]/(I + J^k)) once it stops
+    growing: away from V(J), J*A_Q = A_Q; at Q in V(J), J*A_Q lies in the
+    maximal ideal, which is nilpotent in the Artinian ring A_Q.  The
+    lengths L_k do not decrease, and L_k = L_(k-1) means
+    J^(k-1)*A = J^k*A, so J^(k-1)*A_Q = J*(J^(k-1)*A_Q), which is 0 by
+    Nakayama's lemma for Q in V(J) (Greuel-Pfister, A Singular
+    Introduction to Commutative Algebra, ch. 1).  So the first k, from
+    L_0 = 0, with L_k = L_(k-1) gives the length exactly.
+
+    The algebra is done in the quotient B_k = k[x]/(base + J^k), which
+    does not depend on I.  The gate: base + J is zero-dimensional (read off
+    its basis, the first one built), so base + J^k, which has the same
+    radical, is too.  B_k's reduced grevlex basis is built the first time
+    a call needs it, and kept: from base's cached basis and the packed
+    products of k of the f_i, a run that pairs only those products with
+    base's basis (groebner_basis's `based`).  Its standard monomials b span
+    B_k, and the image of I there is spanned by the normal forms of g_j*b,
+    so L_k = dim B_k less their rank (see _rank).  Each g_j is reduced once
+    per k on one divider of B_k (see _packed_remainders), fraction-free
+    over QQ: modulo the largest B_k built before the call, and from there
+    down, as B_k is a quotient of B_(k+1).  The normal form of g_j*x_i*b
+    is that of x_i times the normal form of g_j*b, so each is one shift
+    and one division.  Every step is charged to the budget.
+    """
+    if not fs:
+        return lambda gens: 0
+    gb = base.groebner(GREVLEX, budget)
+    ring, fld = gb.ring, gb.ring.field
+    gens = _pack_polys(fs, ring)
+    # the products of k of the f_i, each with the index of its last factor
+    powers = list(enumerate(gens))
+
+    def run():
+        return groebner_basis(
+            Ideal.packed(ring, gb.packed + [t for _, t in powers]), GREVLEX,
+            budget, based=len(gb))
+
+    def quotient(basis):
+        return (_standard_monomials(basis),
+                _packed_remainders(basis.packed, ring, budget, scaled=True))
+
+    first = run()
+    if dimension(Ideal._generated_by(first), budget) > 0:
+        return None
+    quotients = [quotient(first)]
+
+    def length(polys):
+        nonlocal powers
+        reduced = [quotients[-1][1](polys)]
+        for _, divide in reversed(quotients[:-1]):
+            reduced.insert(0, divide(reduced[0]))
+        last = 0
+        for k in count(1):
+            if len(quotients) < k:
+                powers = [(j, _packed_sum([(1, prod, gens[j])], ring))
+                          for i, prod in powers for j in range(i, len(gens))]
+                quotients.append(quotient(run()))
+                reduced.append(quotients[-1][1](polys))
+            standard, divide = quotients[k - 1]
+            rows = []
+            for r in reduced[k - 1]:
+                if not r:
+                    continue
+                block = [r]
+                for _, j, step in standard[1:]:
+                    block += divide([{e + step: c
+                                      for e, c in block[j].items()}])
+                rows += block
+            local = len(standard) - _rank(rows, fld, budget)
+            if local == last:
+                return local
+            last = local
+    return length
+
+
 def algebraic_degree(X: VarietySpec, objective, trials=2, seed=0,
                      budget=None) -> DegreeReport:
     """Number of critical points of the objective on X over random data,
-    reported per trial with an agreement flag; one _affine_system per job."""
+    reported per trial with an agreement flag; one _affine_system per job.
+
+    A trial counts the points of its system I without the localizer (one
+    grevlex run) and subtracts their length at V(J), J the saturand, which
+    saturating by J would remove (see _local_length): no point for a unit
+    basis, and no count (None) for a positive-dimensional one, which
+    saturating by J keeps positive-dimensional, J's zero set on X being
+    finite.  The quotients by I(X) + J^k that the lengths are read in are
+    built once per job.  This route is taken when J does not depend on the
+    data point and I(X) + J is zero-dimensional, as for every reduced plane
+    curve; a smooth X has no f_i, so nothing is local and the count is the
+    points of I.  Otherwise each trial eliminates w from its localized
+    system (see _critical_ideal)."""
     budget = as_budget(budget)
     warn = []
     if isinstance(objective, PNorm) and objective.p == 1:
         warn.append("p=1 is outside the supported objective family; "
                     "counts are reported as-is")
 
-    system = _affine_system(X, objective, budget)
-    return _count_trials(
-        lambda u: _count_points(_critical_ideal(system, u, budget), budget),
-        X, trials, seed, budget, warn)
+    system, sat = _affine_system(X, objective, budget)
+    local = None if sat is None else _local_length(X.ideal(), sat, budget)
+
+    def count_for(u):
+        if local is None:
+            return _count_points(_critical_ideal(system, u, budget), budget)
+        _, ideal, _ = system(u, localized=False)
+        points = _count_points(ideal, budget)
+        if not points:
+            return points
+        # the packed generators of I(X) come first, and are 0 in every
+        # quotient by I(X) + J^k
+        return points - local(ideal._seeds[len(X.generators):])
+    return _count_trials(count_for, X, trials, seed, budget, warn)
 
 
 def isotropic_polynomial(ring, p):
@@ -556,7 +678,7 @@ def _saturate_unless_unit(ideal, fs, budget) -> Ideal:
     The check is exact.  If 1 = a + s with a in the ideal and s in
     J = <f_1..f_m>, and h*J^k lies in the ideal, then
     h = h*(a + s)^k = h*s^k + h*a*r for some r, and both terms lie in the
-    ideal.  The check's grevlex run starts from the ideal's reduced basis,
+    ideal.  (It is the case k = 1 of the stopping rule in _local_length.)  The check's grevlex run starts from the ideal's reduced basis,
     forms only the pairs with the f_i, and stops at the first constant
     (see groebner_basis); the packed basis and the packed f_i seed it as
     they are.

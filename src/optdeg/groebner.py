@@ -860,7 +860,7 @@ def normal_form(f, gb: GroebnerBasis, budget=None) -> Polynomial:
         f.ring)
 
 
-def _packed_remainders(basis, ring, budget):
+def _packed_remainders(basis, ring, budget, scaled=False):
     """The function sending packed term dicts of ring's packer to their
     remainders, one per dict, divided by `basis`, packed term dicts of a
     Groebner basis for the ring's order: the basis is split once, then one
@@ -868,7 +868,8 @@ def _packed_remainders(basis, ring, budget):
 
     Over QQ each division runs fraction-free on the dict times its common
     denominator; the remainder is divided by the accumulated scale on
-    exit."""
+    exit, unless `scaled`: each remainder is then returned times that
+    nonzero integer, on integer coefficients."""
     fld = ring.field
     integral = fld.kind == "rational"
     packer = ring.packer()
@@ -890,12 +891,40 @@ def _packed_remainders(basis, ring, budget):
             red, _, scale = _reduce_full(terms, leads, lcs, tails, packer,
                                          budget)
             packer.check_fits(red)
-            if integral:
+            if integral and not scaled:
                 red = {e: fld.fraction(c, den * scale)
                        for e, c in red.items()}
             out.append(red)
         return out
     return divide
+
+
+def _standard_monomials(gb):
+    """The monomials no lead of gb divides, for gb a reduced basis of a
+    zero-dimensional ideal (none for the unit ideal), listed from 1 up:
+    they form an order ideal, so each but the first is x_i times one listed
+    before it.  Returned as triples (m, j, step): m packed in gb's ring,
+    m = x_i * m_j, and step = packed(x_i) - one, so that shifting the terms
+    of a packed term dict by it multiplies the dict by x_i (see
+    MonomialPacker); j and step are None for m = 1."""
+    packer = gb.ring.packer()
+    divides, one = packer.divides, packer.one
+    leads = [max(t) for t in gb.packed]
+    n = gb.ring.nvars
+    steps = [packer.pack(tuple(int(j == i) for j in range(n))) - one
+             for i in range(n)]
+    out, seen, todo = [], {one}, [(one, None, None)]
+    while todo:
+        entry = todo.pop()
+        m = entry[0]
+        if any(divides(lead, m) for lead in leads):
+            continue
+        out.append(entry)
+        for step in steps:
+            if m + step not in seen:
+                seen.add(m + step)
+                todo.append((m + step, len(out) - 1, step))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -985,23 +1014,26 @@ def _linear_rows(ring, forms):
 
 
 def _linear_cut(ring, forms, budget):
-    """The substitution of affine-linear forms for their pivot variables
-    (see _cut_linear), on packed term dicts: the ring `small` of `ring`
-    without the pivots, in its order (RingContext.without); a function
-    sending a list of packed term dicts of ring's packer to their
-    substitutions, packed term dicts of small's packer, one per dict with
-    empty ones kept; and the packed generators the cut itself adds (the
-    kept row, or 1 for inconsistent forms, which send every polynomial to
-    0).
+    """The substitution of affine-linear forms for their pivot variables,
+    on packed term dicts: the ring `small` of `ring` without the pivots, in
+    its order (RingContext.without); a function sending a list of packed
+    term dicts of ring's packer to their substitutions, packed term dicts
+    of small's packer, one per dict with empty ones kept; and the packed
+    generators the cut itself adds (the kept row, or 1 for inconsistent
+    forms, which send every polynomial to 0).
 
     The forms' rows (_linear_rows) are monic, each led in the ring's order
     by its pivot, which no other row holds: so they are the reduced basis
     of <forms> for that order, and a remainder against them (see
     _packed_remainders) is the substitution, free of every pivot, on the
     job's budget.  Each pivot's field is then dropped (MonomialPacker.drop).
-    Two lists cut by the same map, such as a system and the polynomials to
-    saturate it by, keep their positions; one Ideal of both would not, as
-    it drops zero generators.
+    The cut is exact: it is a surjection phi: k[x] -> k[x'] with kernel
+    <forms>, so k[x]/(I + <forms>) and k[x']/phi(I) are isomorphic, with
+    the same points, multiplicities and dimension.  Should the forms fix
+    every variable, the last pivot is kept, its row the one generator
+    added, so that a ring remains.  Two lists cut by the same map, such as
+    a system and the polynomials to saturate it by, keep their positions;
+    one Ideal of both would not, as it drops zero generators.
     """
     budget = as_budget(budget)
     pivots, inconsistent = _linear_rows(ring, forms)
@@ -1029,27 +1061,6 @@ def _linear_cut(ring, forms, budget):
     def cut(polys):
         return [dropped(t) for t in divide(polys)]
     return small, cut, cut(kept)
-
-
-def _cut_linear(ideal, forms, budget) -> Ideal:
-    """ideal + <forms>, for affine-linear forms, as an ideal of the grevlex
-    ring without the forms' pivot variables: the forms are solved for their
-    pivots and substituted, and inconsistent forms give <1>.
-
-    The forms are row-reduced over the field, the pivot of each row being
-    the grevlex-leading variable it involves, so the rows are the reduced
-    grevlex basis of <forms>.  Each generator is reduced against those
-    rows on the job's budget; that remainder is the substitution (see
-    _linear_cut).  This is exact: the substitution is a surjection
-    phi: k[x] -> k[x'] with kernel <forms>, so k[x]/(ideal + <forms>) and
-    k[x']/phi(ideal) are isomorphic, with the same points, multiplicities
-    and dimension.  Should the forms fix every variable, the last pivot is
-    kept, its row the one generator added, so that a ring remains.
-    """
-    ring = ideal.ring.with_order(GREVLEX)
-    small, cut, added = _linear_cut(ring, forms, budget)
-    return Ideal.packed(small, cut(_pack_polys(ideal.generators, ring))
-                        + added)
 
 
 def _localizer(ring, fs):

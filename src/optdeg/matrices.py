@@ -1,10 +1,12 @@
 """Polynomial matrices: Jacobians, minors as Laplace sums on packed terms,
-derationalized stacking, and random invertible coordinate changes."""
+derationalized stacking, random invertible coordinate changes, and the
+rank of packed term dicts as vectors."""
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import gcd
 
 from .errors import RingMismatch, SizeOutOfRange
 from .groebner import _pack_polys, _packed_sum, _unpack_polys
@@ -36,9 +38,6 @@ class PolyMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def transpose(self):
-        return PolyMatrix(tuple(zip(*self.entries)))
 
     def det(self):
         if self.rows != self.cols:
@@ -170,3 +169,37 @@ def random_linear_change(ring, variables, seed):
                 form = form + ring.var(w).scale(m[i][j])
         subs[v] = form
     return PolyMatrix(entries), subs
+
+
+def _rank(rows, field, budget):
+    """The rank of packed term dicts as vectors over the field, their
+    coefficients ints mod q over GF(q) and ints over QQ, any nonzero
+    multiples of the rational rows.  Each row is reduced by its lead
+    against the pivot rows of other leads.  A step is a*row - b*pivot, for
+    a and b the pivot's and the row's lead coefficients (divided by their
+    gcd over QQ), so the lead cancels; the result is reduced mod q over
+    GF(q) and divided by its content over QQ.  Each step ticks the budget
+    once."""
+    q = None if field.kind == "rational" else field.q
+    pivots = {}
+    for row in rows:
+        while row:
+            lead = max(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            budget.tick()
+            a, b = pivot[lead], row[lead]
+            if q is None:
+                g = gcd(a, b)
+                a, b = a // g, b // g
+            out = {e: a * v for e, v in row.items()}
+            for e, v in pivot.items():
+                out[e] = out.get(e, 0) - b * v
+            row = {e: v if q is None else v % q for e, v in out.items()}
+            row = {e: v for e, v in row.items() if v}
+            if q is None and row:
+                g = gcd(*row.values())
+                row = {e: v // g for e, v in row.items()}
+    return len(pivots)

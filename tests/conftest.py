@@ -89,3 +89,28 @@ def affine_plane_curve_twins():
         lambda d: _curve_coefficients(d).map(
             lambda coeffs: tuple(_affine_plane_curve(field, d, coeffs)
                                  for field in (PrimeField(), RationalField()))))
+
+
+def _singular_affine_plane_curve(field, point, coeffs):
+    ring = RingContext(("x1", "x2"), field=field)
+    a, b = (ring.var(x) - ring.const(c) for x, c in zip(ring.variables, point))
+    exps = [(i, j) for d in range(2, 5) for i in range(d + 1)
+            for j in (d - i,)]
+    g = ring.zero()
+    for (i, j), c in zip(exps, coeffs):
+        if c:
+            g = g + (a ** i * b ** j).scale(c)
+    return VarietySpec(ring, (g,))
+
+
+def singular_affine_plane_curves():
+    """Affine plane curves of degree at most 4 in x1, x2 with a singular
+    point drawn from [-2, 2]^2: sums c_ij*(x1 - a)^i*(x2 - b)^j over
+    2 <= i + j <= 4 with c_ij in [-3, 3], over GF(2^31 - 1) or QQ.  Mostly
+    reduced with finitely many singular points, some with more than one;
+    sometimes reducible, or non-reduced and so singular along a curve."""
+    return st.builds(_singular_affine_plane_curve,
+                     st.sampled_from((PrimeField(), RationalField())),
+                     st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                     st.lists(st.integers(-3, 3), min_size=12,
+                              max_size=12).filter(any))

@@ -2,23 +2,34 @@
 multidegrees that the library reads off one Groebner basis.
 
 Each count cuts the ideal with random affine-linear forms, substitutes them
-for their pivots (groebner._cut_linear) and counts the points left with
-multiplicity.  Every count is taken under two independent draws that must
-agree; a slicing that does not reach dimension zero, or two that disagree,
-raise SlicingFailed.
+for their pivots (cut_linear) and counts the points left with multiplicity.
+Every count is taken under two independent draws that must agree; a
+slicing that does not reach dimension zero, or two that disagree, raise
+SlicingFailed.
 """
 
 import random
 
-from optdeg import Ideal, saturate
+from optdeg import GREVLEX, Ideal, saturate
 from optdeg.critical import (_packed_row, _stacked_generators,
                              singular_locus_ideal)
-from optdeg.groebner import _count_points, _cut_linear, dimension
+from optdeg.groebner import _count_points, _linear_cut, _pack_polys, dimension
 from optdeg.rings import random_linear_form
 
 
 class SlicingFailed(Exception):
     pass
+
+
+def cut_linear(ideal, forms, budget):
+    """ideal + <forms>, for affine-linear forms, as an ideal of the grevlex
+    ring without the forms' pivot variables: the forms are solved for their
+    pivots and substituted on packed terms (see groebner._linear_cut), and
+    inconsistent forms give <1>."""
+    ring = ideal.ring.with_order(GREVLEX)
+    small, cut, added = _linear_cut(ring, forms, budget)
+    return Ideal.packed(small, cut(_pack_polys(ideal.generators, ring))
+                        + added)
 
 
 def _agreed(counts, what):
@@ -41,7 +52,7 @@ def sections_degree(ideal, seed):
         # each constant term is drawn after its form's coefficients
         forms = [random_linear_form(ideal.ring, ideal.ring.variables, rng)
                  + rng.randint(-100, 100) for _ in range(k)]
-        counts.append(_count_points(_cut_linear(ideal, forms, None), None))
+        counts.append(_count_points(cut_linear(ideal, forms, None), None))
     return _agreed(counts, "sections")
 
 
@@ -54,7 +65,7 @@ def _sliced_count(ideal, x_names, y_names, a, b, rng):
     forms += [random_linear_form(ring, y_names, rng) for _ in range(n - 1 - b)]
     forms.append(random_linear_form(ring, x_names, rng) - ring.one())
     forms.append(random_linear_form(ring, y_names, rng) - ring.one())
-    return _count_points(_cut_linear(ideal, forms, None), None)
+    return _count_points(cut_linear(ideal, forms, None), None)
 
 
 def sliced_bidegree(ideal, x_names, y_names, seed):

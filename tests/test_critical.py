@@ -24,14 +24,16 @@ from optdeg.critical import (DegreeReport, PNorm, RationalGradient,
 from optdeg.errors import (DenominatorVanishesOnX, EvoluteLinesDegenerate,
                            ZeroDenominator)
 from optdeg.groebner import (DEFAULT_BUDGET, _Budget, _count_points,
-                             _cut_linear, _linear_cut, _unpack_polys)
+                             _linear_cut, _unpack_polys)
 from optdeg.matrices import derationalize, jacobian
 from optdeg.rings import (MonomialPacker, OrderSpec, Polynomial,
                           RationalFunction, random_linear_form)
 
 from conftest import (affine_plane_curve_twins, plane_curve_cones,
-                      plane_curve_twins, variety)
+                      plane_curve_twins, singular_affine_plane_curves,
+                      variety)
 from minors_oracle import sympy_minors
+from slicing import cut_linear
 from squarefree import (euclid_squarefree_degree, reduced_degree,
                         substituted_line)
 from ysystem import saturating_counts, saturating_critical_ideal
@@ -165,6 +167,166 @@ def test_constant_fiber_cardinality_five_samples(ellipse):
     rep = algebraic_degree(ellipse, PNorm(3), trials=5, seed=5)
     assert rep.agreement
     assert rep.degree == 6
+
+
+# --- singular trials: local lengths against the saturating oracle -------------
+
+def _assert_trials_match_the_saturating_oracle(X, objective, seed):
+    """Each trial's count is the points of its critical ideal at its data
+    point, which eliminates w from the localized system (see
+    critical_ideal_affine); PositiveDimensionalFiber is rejected."""
+    try:
+        rep = algebraic_degree(X, objective, trials=2, seed=seed)
+    except PositiveDimensionalFiber:
+        reject()
+    for u, count in rep.trials:
+        want = _count_points(critical_ideal_affine(X, objective, u=u), None)
+        assert count == want
+
+
+def _rational_gradient(X, denominators):
+    """The gradient ((u_i - x_i)^3 / den_i)_i in the data ring of X."""
+    xu, _ = data_ring(X.ring)
+    return RationalGradient(tuple(
+        parse_rational_function(f"(u{i}-x{i})^3/({den})", xu)
+        for i, den in enumerate(denominators, start=1)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(singular_affine_plane_curves(), st.sampled_from(
+    ("p2", "p3", "u-denominators", "x-denominators")))
+def test_singular_counts_match_the_saturating_oracle(X, objective):
+    """On drawn curves with a singular point, over both fields, each trial
+    counts what saturating its system counts: for p-norms and for a
+    rational gradient whose denominators involve only u, which take the
+    local-length route whenever the singular locus is finite, and for one
+    whose denominators involve x, whose saturand moves with the data point
+    and which eliminates w."""
+    objective = {"p2": PNorm(2), "p3": PNorm(3),
+                 "u-denominators": _rational_gradient(X, ["u1^2+1", "u2"]),
+                 "x-denominators": _rational_gradient(X, ["x1^2+1", "u2"]),
+                 }[objective]
+    _assert_trials_match_the_saturating_oracle(X, objective, seed=1)
+
+
+@pytest.mark.parametrize("field", [PrimeField(), RationalField()],
+                         ids=["GF", "QQ"])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("names, gens", [
+    (("x1", "x2"), ["x2^2-(x1^2+1)^2*(x1+2)"]),
+    (("x1", "x2"), ["(x2-1)^2-(x1-1)^4"]),
+    (("x1", "x2"), ["(x1^2+x2^2)^2-x1^3+3*x1*x2^2"]),
+    (("x1", "x2"), ["(x2-1)^2-(x1-1)^3"]),
+    (("x1", "x2", "x3"), ["x2^2-x1^2*(x1+1)", "x3-x1-2*x2"]),
+    (("x1", "x2", "x3"), ["x1^2+x2^2-x3^2"]),
+], ids=["conjugate-nodes", "tacnode", "triple-point", "shifted-cusp",
+        "space-node", "quadric-cone"])
+def test_singular_points_counted_by_local_length(monkeypatch, field, p,
+                                                names, gens):
+    """Two nodes conjugate over the field, a tacnode, an ordinary triple
+    point, a cusp whose singular ideal <x2 - 1, (x1 - 1)^2> is not
+    radical, a node on a space curve (codimension 2) and the vertex of a
+    quadric cone (a surface): each trial counts what saturating its system
+    counts, and no trial eliminates w."""
+    eliminations = []
+    original = critical._eliminate
+
+    def recorded(*args):
+        eliminations.append(1)
+        return original(*args)
+    X = variety(RingContext(names, field=field), *gens)
+    monkeypatch.setattr(critical, "_eliminate", recorded)
+    rep = algebraic_degree(X, PNorm(p), trials=2, seed=1)
+    assert rep.agreement and not eliminations
+    monkeypatch.setattr(critical, "_eliminate", original)
+    for u, count in rep.trials:
+        assert count == _count_points(critical_ideal_affine(X, PNorm(p), u=u),
+                                      None)
+
+
+@pytest.mark.parametrize("field", [PrimeField(), RationalField()],
+                         ids=["GF", "QQ"])
+def test_a_cone_singular_along_a_line_falls_back(monkeypatch, field):
+    """The affine cone over the nodal cubic is singular along the x3-axis,
+    so I(X) + J is not zero-dimensional and no length is local: each trial
+    eliminates w from its localized system, and counts what the oracle
+    counts."""
+    X = variety(RingContext(("x1", "x2", "x3"), field=field),
+                "x2^2*x3-x1^2*(x1+x3)")
+    assert dimension(singular_locus_ideal(X)) == 1
+    gates, eliminations = [], []
+    original_gate = critical._local_length
+    original_eliminate = critical._eliminate
+
+    def recorded_gate(*args):
+        gates.append(original_gate(*args))
+        return gates[-1]
+
+    def recorded_eliminate(*args):
+        eliminations.append(1)
+        return original_eliminate(*args)
+    monkeypatch.setattr(critical, "_local_length", recorded_gate)
+    monkeypatch.setattr(critical, "_eliminate", recorded_eliminate)
+    rep = algebraic_degree(X, PNorm(2), trials=2, seed=1)
+    assert gates == [None] and len(eliminations) == 2
+    assert rep.degree == 7
+    monkeypatch.undo()
+    for u, count in rep.trials:
+        assert count == _count_points(critical_ideal_affine(X, PNorm(2), u=u),
+                                      None)
+
+
+def test_nodal_cubic_trials_run_nothing_in_a_ring_with_w(monkeypatch,
+                                                        prime_field):
+    """No Groebner run of a nodal-cubic count, and so no elimination, has a
+    ring with a sat_w variable."""
+    rings = []
+    original_gb = groebner.groebner_basis
+
+    def recorded_gb(ideal, *args, **kwargs):
+        rings.append(ideal.ring.variables)
+        return original_gb(ideal, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "groebner_basis", recorded_gb)
+    monkeypatch.setattr(critical, "groebner_basis", recorded_gb)
+    X = variety(RingContext(("x1", "x2"), field=prime_field),
+                "x2^2-x1^2*(x1+1)")
+    rep = algebraic_degree(X, PNorm(3), trials=3, seed=1)
+    assert rep.degree == 8
+    assert rings and all(names == ("x1", "x2") for names in rings)
+
+
+@pytest.mark.parametrize("field", [PrimeField(), RationalField()],
+                         ids=["GF", "QQ"])
+def test_rank_step_is_charged_to_the_budget(monkeypatch, field):
+    """The rank step ticks the budget once per row operation: a budget that
+    is spent when the first rank with a row operation starts runs out
+    inside it."""
+    entries, raised = [], []
+    original = critical._rank
+
+    def recorded(rows, fld, budget):
+        before = budget.remaining
+        try:
+            out = original(rows, fld, budget)
+        except BudgetExceeded:
+            raised.append(before)
+            raise
+        entries.append((before, before - budget.remaining))
+        return out
+
+    def count(budget):
+        # a new variety each time, so that no cached basis saves steps
+        X = variety(RingContext(("x1", "x2"), field=field),
+                    "x2^2-x1^2*(x1+1)")
+        return algebraic_degree(X, PNorm(3), seed=1, budget=budget)
+
+    monkeypatch.setattr(critical, "_rank", recorded)
+    assert count(DEFAULT_BUDGET).degree == 8
+    start = next(before for before, ops in entries if ops)
+    with pytest.raises(BudgetExceeded):
+        count(DEFAULT_BUDGET - start)
+    assert raised == [0]
 
 
 # --- plane curve law -------------------------------------------------------------------
@@ -364,14 +526,17 @@ def test_projective_reduction_steps_pinned_over_gf(prime_field, names, gens,
     assert DEFAULT_BUDGET - budget.remaining == steps
 
 
-@pytest.mark.parametrize("p, degree, steps", [(2, 5, 143), (3, 8, 167)],
+@pytest.mark.parametrize("p, degree, steps", [(2, 5, 81), (3, 8, 93)],
                          ids=["p2", "p3"])
 def test_affine_nodal_cubic_reduction_steps_pinned_over_gf(prime_field, p,
                                                           degree, steps):
-    """The node's singular ideal is <x1, x2>, built once per job, so every
-    trial saturates by <x1, x2> in one elimination of w_1, w_2 from the
-    critical ideal plus 1 - w_1*x1 - w_2*x2; the steps of the job are
-    pinned."""
+    """The node's singular ideal is <x1, x2>, built once per job.  Each
+    trial counts the points of its system without a localizer in one
+    grevlex run and subtracts their length at the node, read in the
+    quotients by I(X) + <x1, x2>^k for k = 1, 2, 3, built once per job (see
+    critical._local_length); the steps of the job are pinned.  Eliminating
+    w_1, w_2 from the system plus 1 - w_1*x1 - w_2*x2 in every trial took
+    143 and 167 steps."""
     ring = RingContext(("x1", "x2"), field=prime_field)
     nodal = variety(ring, "x2^2-x1^2*(x1+1)")
     budget = _Budget(DEFAULT_BUDGET)
@@ -384,12 +549,13 @@ def test_affine_nodal_cubic_reduction_steps_pinned_over_gf(prime_field, p,
 
 def test_affine_degree_builds_the_data_independent_part_once(monkeypatch,
                                                              prime_field):
-    """Three trials on the nodal cubic take five Groebner runs: the
-    codimension, the singular locus and one saturating elimination per
-    trial.  The Jacobian's minors are taken once per variety and ring: in
-    the x-ring for the singular locus and in the ring with w for every
-    trial's stacked system, and none per trial or per job: a second job
-    on the same variety takes none."""
+    """Three trials on the nodal cubic take eight Groebner runs: the
+    codimension, the singular locus, the quotients by I(X) + <x1, x2>^k
+    for k = 1, 2, 3 (see critical._local_length) and one grevlex run per
+    trial, which has no localizer.  The Jacobian's minors are taken once
+    per variety and ring, and every system of this count lives in the
+    x-ring: they are taken once for the singular locus, and none per trial
+    or per job: a second job on the same variety takes none."""
     runs = []
     rings = []
     original_gb = groebner.groebner_basis
@@ -404,17 +570,17 @@ def test_affine_degree_builds_the_data_independent_part_once(monkeypatch,
         return original_minors(entries, k, ring)
 
     monkeypatch.setattr(groebner, "groebner_basis", counted_gb)
+    monkeypatch.setattr(critical, "groebner_basis", counted_gb)
     monkeypatch.setattr(matrices, "packed_minors", counted_minors)
     monkeypatch.setattr(critical, "packed_minors", counted_minors)
     nodal = variety(RingContext(("x1", "x2"), field=prime_field),
                     "x2^2-x1^2*(x1+1)")
     rep = algebraic_degree(nodal, PNorm(2), trials=3, seed=1)
     assert rep.degree == 5
-    assert len(runs) == 5
-    assert len(rings) == 2 and rings[0] == nodal.ring
-    assert set(rings[1].variables) > set(nodal.ring.variables)
+    assert len(runs) == 8
+    assert rings == [nodal.ring]
     assert algebraic_degree(nodal, PNorm(3), trials=3, seed=2).degree == 8
-    assert len(rings) == 2
+    assert rings == [nodal.ring]
 
 
 @pytest.mark.parametrize("field", [PrimeField(), RationalField()])
@@ -554,7 +720,7 @@ def test_stacked_generators_are_the_stacked_minors(data):
     I(X) and the (c+1)-minors of the derationalized stacked matrix,
     generator for generator and in the same order.  Assembled in the ring a
     drawn slice cuts, from the cut minors and row, it is that system cut by
-    the slice (see _cut_linear)."""
+    the slice (see slicing.cut_linear)."""
     X = data.draw(_varieties())
     big, row = data.draw(_rows(X))
     c = X.codimension()
@@ -575,7 +741,7 @@ def test_stacked_generators_are_the_stacked_minors(data):
     cut = _linear_cut(big, [slice_], None)
     got = Ideal.packed(cut[0], critical._stacked_generators(
         X, packed, big, None, cut) + cut[2])
-    want = _cut_linear(Ideal(big, assembled), [slice_], None)
+    want = cut_linear(Ideal(big, assembled), [slice_], None)
     assert got.ring == want.ring
     assert [g.terms for g in got.generators] == \
         [g.terms for g in want.generators]
@@ -614,8 +780,10 @@ def test_packed_jacobian_minors_are_the_sympy_minors(data):
 def test_bound_systems_are_the_symbolic_ones_at_u(field):
     """Each trial builds its system at its data point; that is the system
     with u symbolic evaluated at the point, generator for generator, for
-    the affine count (p-norm and rational gradient, localizer included) and
-    for the projective one."""
+    the affine count (p-norm and rational gradient, localizer included, and
+    without it) and for the projective one.  The affine saturand is the
+    node's <x1, x2> for the p-norm; the gradient's denominators involve x,
+    so its saturand moves with the data point and none is returned."""
     ring = RingContext(("x1", "x2"), field=field)
     nodal = variety(ring, "x2^2-x1^2*(x1+1)")
     xu, unames = data_ring(ring)
@@ -623,14 +791,20 @@ def test_bound_systems_are_the_symbolic_ones_at_u(field):
     point = dict(zip(unames, u))
     gradient = RationalGradient((parse_rational_function("u1/x1", xu),
                                  parse_rational_function("u2/(x2+1)", xu)))
-    for objective in (PNorm(3), gradient):
-        system = critical._affine_system(nodal, objective, None)
+    for objective, saturand in ((PNorm(3), ["x2", "x1"]), (gradient, None)):
+        system, sat = critical._affine_system(nodal, objective, None)
+        assert sat == (saturand if saturand is None
+                       else [P(t, ring) for t in saturand])
         _, symbolic, ws = system(None)
         small, bound, ws_bound = system(u)
         assert ws and ws_bound == ws
         assert bound.ring == small.extend(ws).with_order(
             OrderSpec("block", ws))
         assert bound.generators == _bound_at(symbolic, point, bound.ring)
+        _, plain, none = system(u, localized=False)
+        assert not none and plain.ring == small
+        assert tuple(g.transfer(bound.ring) for g in plain.generators) == (
+            bound.generators[:-1])
     for names, gens, p in [(("x1", "x2", "x3"), ["x1^2+x2^2-3*x3^2"], 3),
                            (("x1", "x2", "x3", "x4"), TWISTED_CUBIC, 2)]:
         X = variety(RingContext(names, field=field), *gens)
@@ -841,27 +1015,28 @@ def test_a_projective_unit_check_unpacks_nothing(monkeypatch, prime_field):
 @pytest.mark.parametrize("text", ["x1^2+4*x2^2-1", "x2^2-x1^2*(x1+1)"],
                          ids=["smooth", "nodal"])
 def test_affine_trials_unpack_only_leads(monkeypatch, prime_field, text):
-    """Each trial of an affine count builds and eliminates its system on
-    packed terms and hands the basis on packed: no monomial is unpacked
-    while its critical ideal is taken, and its point count unpacks one
-    lead per basis element.  The smooth curve's system needs no localizer,
-    so its basis is regenerated (Ideal.normalized); the nodal curve's
-    eliminates the w_i."""
+    """Each trial of an affine count builds its system and counts its
+    points on packed terms, and its point count unpacks one lead per basis
+    element; nothing else in the trial is unpacked.  The nodal curve's
+    trials also take its length at the node on packed terms (see
+    critical._local_length), which unpacks nothing."""
     X = variety(RingContext(("x1", "x2"), field=prime_field), text)
-    unpacked, built, counts = [], [], []
+    unpacked, trials, counts = [], [], []
     original_unpack = MonomialPacker.unpack
-    original_ideal = critical._critical_ideal
+    original_trials = critical._count_trials
     original_count = critical._count_points
 
     def counted_unpack(self, packed):
         unpacked.append(self.ring)
         return original_unpack(self, packed)
 
-    def recorded_ideal(system, u, budget):
-        before = len(unpacked)
-        out = original_ideal(system, u, budget)
-        built.append(len(unpacked) - before)
-        return out
+    def recorded_trials(count_for, *args):
+        def recorded(u):
+            before = len(unpacked)
+            out = count_for(u)
+            trials.append(len(unpacked) - before)
+            return out
+        return original_trials(recorded, *args)
 
     def recorded_count(ideal, budget):
         before = len(unpacked)
@@ -871,13 +1046,12 @@ def test_affine_trials_unpack_only_leads(monkeypatch, prime_field, text):
         return out
 
     monkeypatch.setattr(MonomialPacker, "unpack", counted_unpack)
-    monkeypatch.setattr(critical, "_critical_ideal", recorded_ideal)
+    monkeypatch.setattr(critical, "_count_trials", recorded_trials)
     monkeypatch.setattr(critical, "_count_points", recorded_count)
     report = algebraic_degree(X, PNorm(3), trials=3, seed=1)
     assert report.agreement
-    assert built == [0] * 3
     assert len(counts) == 3
-    assert [a for a, _ in counts] == [b for _, b in counts]
+    assert [a for a, _ in counts] == [b for _, b in counts] == trials
 
 
 @pytest.mark.parametrize("field", [PrimeField(), RationalField()],
@@ -891,7 +1065,8 @@ def test_packed_pnorm_row_is_the_power(field, p):
     ring = RingContext(("x1", "x2"), field=field)
     X = variety(ring, "x1^2+4*x2^2-1")
     xu, unames = data_ring(ring)
-    system = critical._affine_system(X, PNorm(p), None)
+    system, sat = critical._affine_system(X, PNorm(p), None)
+    assert sat == []
     for u, small, data in [((7, -3), ring, [ring.const(7), ring.const(-3)]),
                            (None, xu, [xu.var(v) for v in unames])]:
         got, ideal, ws = system(u)

@@ -15,14 +15,13 @@ from optdeg import (GREVLEX, LEX, BudgetExceeded, Ideal, NotZeroDimensional,
                     saturate, vanishes_on_variety)
 from optdeg import groebner
 from optdeg.groebner import (DEFAULT_BUDGET, _Budget, _count_points,
-                             _cut_linear, _hilbert_numerator,
-                             _hilbert_value, _linear_cut, _minimal,
-                             _multidegree, _numerator_plus, _pack_polys,
-                             _unpack_polys)
+                             _hilbert_numerator, _hilbert_value, _linear_cut,
+                             _minimal, _multidegree, _numerator_plus,
+                             _pack_polys, _unpack_polys)
 from optdeg.rings import MonomialPacker
 
 from orders import order_key
-from slicing import sections_degree
+from slicing import cut_linear, sections_degree
 
 
 def _divides(a, b):
@@ -382,18 +381,18 @@ def test_multidegree_sums_the_minimum_hitting_sets(drawn):
 
 def test_cut_linear_substitutes_the_pivots(rxy):
     """x = (y - 1)/3 substituted exactly, not up to a scalar."""
-    cut = _cut_linear(I(rxy, "x^2+y^2-1"), [P("3*x-y+1", rxy)], None)
+    cut = cut_linear(I(rxy, "x^2+y^2-1"), [P("3*x-y+1", rxy)], None)
     assert cut.ring.variables == ("y",)
     assert cut.generators == (P("10/9*y^2-2/9*y-8/9", cut.ring),)
 
 
 def test_cut_linear_inconsistent_and_fixing_every_variable(rxy):
     circle = I(rxy, "x^2+y^2-1")
-    cut = _cut_linear(circle, [P("x+y", rxy), P("2*x+2*y-1", rxy)], None)
+    cut = cut_linear(circle, [P("x+y", rxy), P("2*x+2*y-1", rxy)], None)
     assert cut.ring.variables == ("y",)
     assert cut.generators == (cut.ring.one(),)
     # both variables fixed: the last pivot stays, with its row
-    cut = _cut_linear(circle, [P("x-1", rxy), P("y", rxy)], None)
+    cut = cut_linear(circle, [P("x-1", rxy), P("y", rxy)], None)
     assert cut.ring.variables == ("y",)
     assert cut.generators == (P("y^2", cut.ring), P("y", cut.ring))
     assert _count_points(cut, None) == 1
@@ -1234,7 +1233,7 @@ def test_cut_linear_counts_like_the_adjoined_forms(field, data):
     n, gens = data.draw(_ideals(coeffs))
     ring, ideal = _optdeg_ideal(n, gens, GREVLEX, field)
     forms = data.draw(_linear_forms(ring, ring.variables, coeffs, n))
-    cut = _cut_linear(ideal, forms, None)
+    cut = cut_linear(ideal, forms, None)
     assert _count_points(cut, None) == _count_points(ideal + forms, None)
 
 
@@ -1251,7 +1250,7 @@ def test_cut_linear_in_the_dropped_block_keeps_eliminate(field, data):
     drop = data.draw(st.lists(st.sampled_from(ring.variables), min_size=1,
                               max_size=n - 1, unique=True))
     forms = data.draw(_linear_forms(ring, drop, coeffs, len(drop) - 1))
-    cut = _cut_linear(ideal, forms, None)
+    cut = cut_linear(ideal, forms, None)
     got = eliminate(cut, [v for v in drop if v in cut.ring.variables])
     want = eliminate(ideal + forms, drop)
     assert got.ring == want.ring

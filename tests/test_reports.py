@@ -35,6 +35,21 @@ SEEDED_TWISTED_CUBIC = [
     "-6*x3*x4-7*x4^2",
 ]
 
+# the cuspidal and limacon curves of the affine-sweep benchmark at seed 1, in
+# its coordinates, with the seeds of their p = 3 jobs over QQ and over GF
+SEEDED_SINGULAR_CURVES = [
+    ("cusp-1", "-64*x1^3-96*x1^2*x2-40*x1^2-48*x1*x2^2-32*x1*x2-4*x1-8*x2^3"
+     "-4*x2^2+2*x2+1", (313742405, 263322001)),
+    ("cusp-2", "-32*x1^3+48*x1^2*x2-22*x1^2-24*x1*x2^2+20*x1*x2-4*x1+4*x2^3"
+     "-4*x2^2+x2", (757707454, 41128814)),
+    ("limacon-1", "25*x1^4+60*x1^3*x2+10*x1^3+56*x1^2*x2^2+22*x1^2*x2-9*x1^2"
+     "+24*x1*x2^3+16*x1*x2^2-10*x1*x2-6*x1+4*x2^4+4*x2^3-3*x2^2-4*x2-1",
+     (537383785, 105160436)),
+    ("limacon-2", "16*x1^4-96*x1^3*x2+224*x1^2*x2^2-16*x1^2*x2-32*x1^2"
+     "-240*x1*x2^3+48*x1*x2^2+96*x1*x2+24*x1+100*x2^4-40*x2^3-76*x2^2-32*x2"
+     "-5", (77662732, 919743564)),
+]
+
 
 def _job(variables, field, generators, seed=1, trials=2, **extra):
     doc = {"schema_version": 1,
@@ -94,6 +109,10 @@ JOBS = {
     "crossvalidate-projective": ("crossvalidate",
                                  _job(XYZ, GF, [CONIC], seed=5,
                                       options={"p": 3})),
+    **{f"crossvalidate-seeded-{name}-p3-{tag}": ("crossvalidate", _job(
+        XY, field, [curve], seed=seed, options={"p": 3}))
+       for name, curve, seeds in SEEDED_SINGULAR_CURVES
+       for (tag, field), seed in zip((("qq", "rational"), ("gf", GF)), seeds)},
     "crossvalidate-nodal-cone": ("crossvalidate",
                                  _job(XYZ, GF, [NODAL_CONE],
                                       options={"p": 2,
@@ -152,6 +171,22 @@ HASHES = {
         "a6d06baf37eed94db1e1243e748bd0333c252c1f2964df85117143a23823d666",
     "crossvalidate-projective":
         "a787fd3e75354230fb3b92422dc26209142337ea897c6a4f52ca1f888ec8646c",
+    "crossvalidate-seeded-cusp-1-p3-qq":
+        "dc81012b504d6ab0d782966b1dfbf62aa0805695bd4cca5a0c0ce1abee705064",
+    "crossvalidate-seeded-cusp-1-p3-gf":
+        "9793ba208154b3a7db6d353807767cb91d8b80109e344456c95075b92fbadbfc",
+    "crossvalidate-seeded-cusp-2-p3-qq":
+        "8dedecee9a46ec001ee72d83271e54fef1912fcfcaadc9e3906c8dcb8ac1adf3",
+    "crossvalidate-seeded-cusp-2-p3-gf":
+        "c594d53918302f500e1cdc23677e1819965427205ea056ffc04b65708bf1d424",
+    "crossvalidate-seeded-limacon-1-p3-qq":
+        "705d270d2c772aa0b5a236541e03e54f9c45372310e597f3e74aa817206ce00a",
+    "crossvalidate-seeded-limacon-1-p3-gf":
+        "eb77d1e64376ac257edf48b06d9b3663cc4afec70b5d5b78ac7a1f3b2538ba3b",
+    "crossvalidate-seeded-limacon-2-p3-qq":
+        "0d897808a2e116d0e1d07575aa19250c9a034fd35416e20f388ae17ee93722fd",
+    "crossvalidate-seeded-limacon-2-p3-gf":
+        "a6ed8e76c0b5b7e85a16de554496fd9924dac965aa62addc23ba23b10c120b4b",
     "crossvalidate-nodal-cone":
         "9d3e9f1dbc4c43d7300e655aefa964a6ac2c5cac61697db7c6ec768cae99e5f8",
     "crossvalidate-seeded-twisted-cubic":
