@@ -8,7 +8,7 @@ from .rings import (GREVLEX, LEX, OrderSpec, Polynomial, RationalFunction,
                     RingContext)
 from .parsing import (format_polynomial, format_rational_function,
                       parse_polynomial, parse_rational_function)
-from .matrices import PolyMatrix, derationalize, jacobian, random_linear_change
+from .matrices import PolyMatrix, derationalize, jacobian
 from .groebner import (DEFAULT_BUDGET, GroebnerBasis, Ideal, affine_degree,
                        degree_zero_dim, dimension, eliminate, groebner_basis,
                        normal_form, saturate, vanishes_on_variety)

@@ -22,7 +22,7 @@ from .critical import (PNorm, RationalGradient, VarietySpec,
                        critical_ideal_affine, data_ring, evolute_curve,
                        projective_pnorm_degree, singular_locus_ideal)
 from .errors import (BudgetExceeded, OptdegError, PositiveDimensionalFiber,
-                     SchemaError, ZeroDenominator)
+                     SchemaError, SizeOutOfRange, ZeroDenominator)
 from .fields import field_from_spec
 from .groebner import (DEFAULT_BUDGET, GREVLEX, Ideal, _count_points,
                        as_budget, dimension)
@@ -93,12 +93,13 @@ def _load_ring(doc):
 
 def _parse(parse, text, ring, where):
     """parse(text, ring), with a grammar error reported as a schema error; a
-    zero denominator stays a domain error."""
+    zero denominator and a monomial past the packed field widths stay
+    domain errors."""
     if not isinstance(text, str):
         raise SchemaError(f"{where} must be a string in the polynomial grammar")
     try:
         return parse(text, ring)
-    except ZeroDenominator:
+    except (ZeroDenominator, SizeOutOfRange):
         raise
     except OptdegError as exc:
         raise SchemaError(f"{where}: {exc}") from None

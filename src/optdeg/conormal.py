@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CollapsedToUnit, NotHomogeneous
-from .critical import (VarietySpec, _packed_row, _singular_beyond_vertex,
+from .critical import (VarietySpec, _singular_beyond_vertex,
                        _stacked_generators, isotropic_polynomial,
                        singular_locus_ideal)
 from .formulas import polar_formula
@@ -64,8 +64,7 @@ def _conormal_system(X: VarietySpec, s, budget):
     ynames = tuple(f"y{i + 1}" for i in range(X.n))
     big = X.ring.extend(ynames)
     row = [big.var(yn) ** s for yn in ynames]
-    return Ideal.packed(big, _stacked_generators(X, _packed_row(row, big),
-                                                 big, budget)), ynames
+    return Ideal(big, _stacked_generators(X, row, big, budget)), ynames
 
 
 def s_conormal_ideal(X: VarietySpec, s, budget=None) -> Ideal:
@@ -134,11 +133,13 @@ def bidegree_class(ideal: Ideal, x_names, y_names, budget=None) -> BidegreeClass
         raise ValueError("the two variable groups must partition the ring "
                          "variables")
     n = len(x_names)
-    xi = [ring.index(v) for v in x_names]
-    yi = [ring.index(v) for v in y_names]
-    for g in ideal.groebner(GREVLEX, budget).basis:
-        xdegs = {sum(e[i] for i in xi) for e in g.terms}
-        ydegs = {sum(e[i] for i in yi) for e in g.terms}
+    gb = ideal.groebner(GREVLEX, budget)
+    exponent = gb.ring.packer().exponent
+    xs = [exponent(ring.index(v)) for v in x_names]
+    ys = [exponent(ring.index(v)) for v in y_names]
+    for g in gb.basis:
+        xdegs = {sum(read(e) for read in xs) for e in g.terms}
+        ydegs = {sum(read(e) for read in ys) for e in g.terms}
         if len(xdegs) > 1 or len(ydegs) > 1:
             raise NotHomogeneous("ideal is not bihomogeneous in the given "
                                  "variable split")

@@ -11,10 +11,10 @@ and in the count only when the saturation removes something.  The affine
 count localizes nothing when the saturand's zero set on the variety is
 finite: it subtracts from the points of the system the length they have
 there, read by linear algebra in quotients built once per job.  Every
-system is assembled on packed terms that seed its Groebner run as they
-are, and the projective count assembles its system in the ring its slice
-cuts.  Each trial's eliminated basis is handed on packed to its unit check
-and its point count, which read only its leads.
+system's polynomials seed its Groebner run as they are, and the projective
+count assembles its system in the ring its slice cuts.  Each trial's
+eliminated basis is handed on to its unit check and its point count, which
+read only its leads.
 """
 
 from __future__ import annotations
@@ -30,13 +30,12 @@ from .errors import (ContainedInIsotropic, DenominatorVanishesOnX,
                      NotHomogeneous, NotPrincipalWarning,
                      PositiveDimensionalFiber, RingMismatch, ZeroDenominator)
 from .fields import PrimeField
-from .groebner import (GREVLEX, Ideal, _count_points, _eliminate, _linear_cut,
-                       _localizer, _masked, _pack_polys, _packed_const,
-                       _packed_power, _packed_remainders, _packed_sum,
-                       _rabinowitsch, _saturand, _standard_monomials,
-                       _unpack_polys, as_budget, dimension, eliminate,
+from .groebner import (GREVLEX, Ideal, _basis_ideal, _count_points,
+                       _eliminate, _linear_cut, _localizer,
+                       _packed_remainders, _rabinowitsch, _saturand,
+                       _standard_monomials, as_budget, dimension, eliminate,
                        groebner_basis, saturate, vanishes_on_variety)
-from .matrices import _laplace_minors, _rank, jacobian, packed_minors
+from .matrices import _laplace_minors, _rank, jacobian, minors_by_size
 from .rings import (OrderSpec, Polynomial, RationalFunction, RingContext,
                     random_linear_form)
 
@@ -45,8 +44,8 @@ from .rings import (OrderSpec, Polynomial, RationalFunction, RingContext,
 class VarietySpec:
     """A variety given by generators, with optional codimension and singular
     ideal overrides for inputs the automatic computation would misjudge.
-    Its ideal, codimension, Jacobian, Jacobian minors (packed once per
-    ring) and singular locus are built once and shared by every caller."""
+    Its ideal, codimension, Jacobian, Jacobian minors (taken once per ring)
+    and singular locus are built once and shared by every caller."""
 
     ring: RingContext
     generators: tuple
@@ -55,7 +54,7 @@ class VarietySpec:
     _ideal: Ideal = dc_field(init=False, repr=False, compare=False)
     _codim: int = dc_field(init=False, repr=False, compare=False)
     _jacobian: object = dc_field(init=False, repr=False, compare=False)
-    _packed: dict = dc_field(init=False, repr=False, compare=False)
+    _minors: dict = dc_field(init=False, repr=False, compare=False)
     _singular: Ideal = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -78,7 +77,7 @@ class VarietySpec:
         self._ideal = Ideal(self.ring, gens)
         self._codim = self.codim_override
         self._jacobian = jacobian(gens, self.ring.variables)
-        self._packed = {}
+        self._minors = {}
         self._singular = self.singular_ideal_override
 
     @property
@@ -96,25 +95,25 @@ class VarietySpec:
             self._codim = self.n - dimension(self.ideal(), budget)
         return self._codim
 
-    def packed_minors(self, ring, budget=None):
+    def minors(self, ring, budget=None):
         """The generators, and the c x c and (c+1) x (c+1) minors of their
-        Jacobian in x, for c the codimension, as packed term dicts of
-        ring's packer: the minors in lexicographic (row set, column set)
-        order, each list empty when its size exceeds the Jacobian's.  The
-        Jacobian's entries are packed into ring and its minors taken up to
-        c + 1 on the first call for each ring (see matrices.packed_minors),
-        and kept: every later trial in that ring packs and transfers none
-        of them (see _stacked_generators)."""
-        packed = self._packed.get(ring)
-        if packed is None:
+        Jacobian in x, for c the codimension, as polynomials of `ring`: the
+        minors in lexicographic (row set, column set) order, each list
+        empty when its size exceeds the Jacobian's.  The Jacobian's entries
+        are transferred to ring and its minors taken up to c + 1 on the
+        first call for each ring (see matrices.minors_by_size), and kept:
+        every later trial in that ring transfers none of them (see
+        _stacked_generators)."""
+        kept = self._minors.get(ring)
+        if kept is None:
             c = self.codimension(budget)
-            minors = packed_minors([_pack_polys(row, ring) for row in
-                                    self._jacobian.entries], c + 1, ring)
+            minors = minors_by_size([[g.transfer(ring) for g in row] for row
+                                     in self._jacobian.entries], c + 1, ring)
             lower, upper = (list(minors[k - 1].values())
                             if k <= len(minors) else [] for k in (c, c + 1))
-            packed = (_pack_polys(self.generators, ring), lower, upper)
-            self._packed[ring] = packed
-        return packed
+            kept = ([g.transfer(ring) for g in self.generators], lower, upper)
+            self._minors[ring] = kept
+        return kept
 
     def is_homogeneous(self):
         return all(g.is_homogeneous() for g in self.generators)
@@ -176,13 +175,13 @@ def data_ring(ring):
 
 def singular_locus_ideal(X: VarietySpec, budget=None) -> Ideal:
     """Ideal cutting out the singular locus: I(X) plus the c x c minors of the
-    Jacobian of the generators (see VarietySpec.packed_minors), seeded on
-    packed terms and regenerated by its reduced grevlex basis (or the user
-    override).  It is built on the first call and kept on X."""
+    Jacobian of the generators (see VarietySpec.minors), regenerated
+    by its reduced grevlex basis (or the user override).  It is built on
+    the first call and kept on X."""
     if X._singular is None:
         budget = as_budget(budget)
-        gens, lower, _ = X.packed_minors(X.ring, budget)
-        X._singular = Ideal.packed(X.ring, gens + lower).normalized(budget)
+        gens, lower, _ = X.minors(X.ring, budget)
+        X._singular = Ideal(X.ring, gens + lower).normalized(budget)
     return X._singular
 
 
@@ -219,8 +218,8 @@ def _affine_system(X: VarietySpec, objective, budget):
     function system(u, localized=True) of the data point: for u=None the
     ring (x, u) with u symbolic, and for a point u the x-ring with u bound;
     each time that ring, the system as an ideal of it extended by the w_i,
-    seeded with packed terms for the block order that ranks the w_i first
-    (see Ideal.packed), and the names w_i.  With localized=False there is
+    in the block order that ranks the w_i first, and the names w_i.  With
+    localized=False there is
     no w_i and the ideal lives in that ring with the grevlex order.  Also
     generators in the x-ring of the ideal J the system is saturated by,
     when J does not depend on the data point, and otherwise None.
@@ -228,8 +227,8 @@ def _affine_system(X: VarietySpec, objective, budget):
     The generators are I(X), the (c+1)-minors of the gradient row stacked
     over the Jacobian of X (see _stacked_generators) and, last,
     1 - sum_i w_i*f_i (see _localizer).  The row is built at the point
-    itself, so no symbolic system is evaluated per trial: the packed powers
-    (u_i - x_i)^(p-1) (see _packed_power) or the partials with u bound.
+    itself, so no symbolic system is evaluated per trial: the powers
+    (u_i - x_i)^(p-1) or the partials with u bound.
     The f_i are the generators that _saturand gives for the singular locus
     times the product d of the gradient denominators; f is d alone if there
     are none, and there is no f_i at all if d is constant too.  Eliminating
@@ -280,17 +279,16 @@ def _affine_system(X: VarietySpec, objective, budget):
             if ws:
                 big = big.with_order(OrderSpec("block", ws))
         if isinstance(objective, PNorm):
-            bases = _pack_polys([a - small.var(xn)
-                                 for a, xn in zip(data, ring.variables)], big)
-            row = [(_packed_power(base, objective.p - 1, big), None)
-                   for base in bases]
+            row = [(a - small.var(xn)).transfer(big) ** (objective.p - 1)
+                   for a, xn in zip(data, ring.variables)]
         else:
-            row = _packed_row([RationalFunction(bind(g.num), bind(g.den))
-                               for g in objective.partials], big)
+            row = [RationalFunction(bind(g.num).transfer(big),
+                                    bind(g.den).transfer(big))
+                   for g in objective.partials]
         seeds = _stacked_generators(X, row, big, budget)
         if ws:
-            seeds += _pack_polys([localizer], big)
-        return small, Ideal.packed(big, seeds), ws
+            seeds.append(localizer.transfer(big))
+        return small, Ideal(big, seeds), ws
     moving = den.variables_used() & set(ring.variables)
     return system, None if moving else sat
 
@@ -360,8 +358,8 @@ def _count_trials(count_for_u, X, trials, seed, budget, extra_warnings):
 
 
 def _local_length(base, fs, budget):
-    """For J = <f_1..f_m>, the function sending packed term dicts g_j of
-    base's grevlex ring, such that I = base + <g_1..g_r> has a quotient
+    """For J = <f_1..f_m>, the function sending polynomials g_j of base's
+    grevlex ring, such that I = base + <g_1..g_r> has a quotient
     k[x]/I of finite length, to the length of k[x]/I at V(J):
     len(k[x]/I) less len(k[x]/(I : J^inf)).  None when base + J is not
     zero-dimensional; with no f_i, J is the unit ideal (see _saturand),
@@ -383,9 +381,9 @@ def _local_length(base, fs, budget):
     does not depend on I.  The gate: base + J is zero-dimensional (read off
     its basis, the first one built), so base + J^k, which has the same
     radical, is too.  B_k's reduced grevlex basis is built the first time
-    a call needs it, and kept: from base's cached basis and the packed
-    products of k of the f_i, a run that pairs only those products with
-    base's basis (groebner_basis's `based`).  Its standard monomials b span
+    a call needs it, and kept: from base's cached basis and the products
+    of k of the f_i, a run that pairs only those products with base's
+    basis (groebner_basis's `based`).  Its standard monomials b span
     B_k, and the image of I there is spanned by the normal forms of g_j*b,
     so L_k = dim B_k less their rank (see _rank).  Each g_j is reduced once
     per k on one divider of B_k (see _packed_remainders), fraction-free
@@ -398,33 +396,35 @@ def _local_length(base, fs, budget):
         return lambda gens: 0
     gb = base.groebner(GREVLEX, budget)
     ring, fld = gb.ring, gb.ring.field
-    gens = _pack_polys(fs, ring)
+    gens = [f.transfer(ring) for f in fs]
     # the products of k of the f_i, each with the index of its last factor
     powers = list(enumerate(gens))
 
     def run():
         return groebner_basis(
-            Ideal.packed(ring, gb.packed + [t for _, t in powers]), GREVLEX,
-            budget, based=len(gb))
+            Ideal(ring, gb.basis + [g for _, g in powers]), GREVLEX, budget,
+            based=len(gb))
 
     def quotient(basis):
         return (_standard_monomials(basis),
-                _packed_remainders(basis.packed, ring, budget, scaled=True))
+                _packed_remainders([g.terms for g in basis], ring, budget,
+                                   scaled=True))
 
     first = run()
-    if dimension(Ideal._generated_by(first), budget) > 0:
+    if dimension(_basis_ideal(first, ring), budget) > 0:
         return None
     quotients = [quotient(first)]
 
     def length(polys):
         nonlocal powers
+        polys = [g.terms for g in polys]
         reduced = [quotients[-1][1](polys)]
         for _, divide in reversed(quotients[:-1]):
             reduced.insert(0, divide(reduced[0]))
         last = 0
         for k in count(1):
             if len(quotients) < k:
-                powers = [(j, _packed_sum([(1, prod, gens[j])], ring))
+                powers = [(j, prod * gens[j])
                           for i, prod in powers for j in range(i, len(gens))]
                 quotients.append(quotient(run()))
                 reduced.append(quotients[-1][1](polys))
@@ -477,9 +477,9 @@ def algebraic_degree(X: VarietySpec, objective, trials=2, seed=0,
         points = _count_points(ideal, budget)
         if not points:
             return points
-        # the packed generators of I(X) come first, and are 0 in every
-        # quotient by I(X) + J^k
-        return points - local(ideal._seeds[len(X.generators):])
+        # the generators of I(X) come first, and are 0 in every quotient by
+        # I(X) + J^k
+        return points - local(ideal.generators[len(X.generators):])
     return _count_trials(count_for, X, trials, seed, budget, warn)
 
 
@@ -491,32 +491,17 @@ def isotropic_polynomial(ring, p):
     return out
 
 
-def _packed_row(row, ring):
-    """A row of polynomials or rational functions, in a ring whose
-    variables `ring` has, as the (numerator, denominator) pairs of packed
-    term dicts of ring's packer that _stacked_generators takes; the
-    denominator is None for 1."""
-    out = []
-    for g in row:
-        if not isinstance(g, RationalFunction):
-            g = RationalFunction(g)
-        den = None if g.den == g.ring.one() else _pack_polys([g.den], ring)[0]
-        out.append((_pack_polys([g.num], ring)[0], den))
-    return out
-
-
 def _stacked_generators(X: VarietySpec, row, ring, budget, cut=None):
     """I(X) and the (c+1) x (c+1) minors of the Jacobian of its generators
     stacked under `row`, whose denominators are cleared column by column
-    (see derationalize), in the order of PolyMatrix.minors, as packed term
-    dicts of ring's packer; for `cut` a triple of _linear_cut on ring, of
-    the cut ring's packer instead.  `row` holds one (numerator,
-    denominator) pair of packed term dicts of ring's packer per variable,
-    the denominator None for 1 (see _packed_row).  Every caller seeds its
-    Groebner run with the result (see Ideal.packed).
+    (see derationalize), in the order of PolyMatrix.minors, as a new list
+    of polynomials of `ring`; for `cut` a triple of _linear_cut on ring, of
+    the cut ring instead.  `row` holds one polynomial or rational function
+    of `ring` per variable.  Every caller seeds its Groebner run with the
+    result.
 
     No minor is expanded: each is assembled from the Jacobian minors X
-    keeps, packed once per ring (see VarietySpec.packed_minors).  Clearing
+    keeps, taken once per ring (see VarietySpec.minors).  Clearing
     the denominator d_j scales column j, so a minor through the columns C
     is scaled by d_C, the product of the d_j over C.  A minor on rows R of
     the Jacobian alone is d_C*M(R, C), for M the (c+1)-minors of X.  One on
@@ -527,13 +512,14 @@ def _stacked_generators(X: VarietySpec, row, ring, budget, cut=None):
     the sums are assembled in the cut ring.
     """
     c = X.codimension(budget)
-    gens, lower, large = X.packed_minors(ring, budget)
+    gens, lower, large = X.minors(ring, budget)
     m, n = len(gens), X.n
     if len(row) != n:
         raise ValueError("one row entry per variable is required")
     stacked = c + 1 <= min(m + 1, n)
-    nums = [num for num, _ in row]
-    dens = [den for _, den in row]
+    nums = [g.num if isinstance(g, RationalFunction) else g for g in row]
+    dens = [None if not isinstance(g, RationalFunction) or g.is_polynomial()
+            else g.den for g in row]
     if cut is not None:
         ring, substitute, _ = cut
         gens = substitute(gens)
@@ -543,12 +529,12 @@ def _stacked_generators(X: VarietySpec, row, ring, budget, cut=None):
             dens = [den if den is None else substitute([den])[0]
                     for den in dens]
     if not stacked:
-        return gens
+        return list(gens)
 
     def cleared(minor, cols):
         for j in cols:
             if dens[j] is not None:
-                minor = _packed_sum([(1, minor, dens[j])], ring)
+                minor = minor * dens[j]
         return minor
 
     row_sets = list(combinations(range(m), c))
@@ -576,18 +562,17 @@ def _projective_isotropic(X: VarietySpec, p, budget):
 def _projective_chart_system(X: VarietySpec, p, budget):
     """The p-norm critical system of a projective variety in the chart
     y = u + b*x, checked once per job, as a function system(u, cut=None) of
-    the data point: an ideal seeded with packed terms for the block order
-    that ranks b first (see Ideal.packed), of the ring (x, b, u) with u
-    symbolic for u=None, and of the ring (x, b) with u bound for a point u,
-    or of the ring a triple `cut` of _linear_cut on (x, b) leaves.  Also the
-    name b and the polynomials f_i of the x-ring to saturate by.
+    the data point: an ideal in the block order that ranks b first, of the
+    ring (x, b, u) with u symbolic for u=None, and of the ring (x, b) with
+    u bound for a point u, or of the ring a triple `cut` of _linear_cut on
+    (x, b) leaves.  Also the name b and the polynomials f_i of the x-ring
+    to saturate by.
 
     The generators are I(X) and the (c+1)-minors of the row
     ((u_i + b*x_i)^(p-1))_i stacked over the Jacobian of X (see
     _stacked_generators), built from the row at the point itself, whose
-    entries are packed powers of u_i + b*x_i, with b*x_i packed once per
-    job.  The f_i
-    are q_p alone when the cone is singular at most at its vertex (see
+    entries are powers of u_i + b*x_i, with b*x_i built once per job.  The
+    f_i are q_p alone when the cone is singular at most at its vertex (see
     _singular_beyond_vertex), and otherwise q_p*g_i over the reduced basis
     g_i of the singular locus; saturating by <f_1..f_m> saturates by q_p
     and by the singular locus.
@@ -605,25 +590,23 @@ def _projective_chart_system(X: VarietySpec, p, budget):
     unames = tuple(f"u{i + 1}" for i in range(X.n))
     xb = ring.extend((bname,)).with_order(OrderSpec("block", (bname,)))
     xbu = xb.extend(unames)
-    bx = _pack_polys([xb.var(bname) * xb.var(xn) for xn in ring.variables],
-                     xb)
+    bx = [xb.var(bname) * xb.var(xn) for xn in ring.variables]
 
     def system(u, cut=None):
         if u is None:
             work = xbu
             b = xbu.var(bname)
-            bases = _pack_polys([xbu.var(un) + b * xbu.var(xn)
-                                 for un, xn in zip(unames, ring.variables)],
-                                xbu)
+            bases = [xbu.var(un) + b * xbu.var(xn)
+                     for un, xn in zip(unames, ring.variables)]
         else:
             work = xb
-            bases = [{**_packed_const(v, xb), **t} for v, t in zip(u, bx)]
-        row = [(_packed_power(base, p - 1, work), None) for base in bases]
+            bases = [t + v for v, t in zip(u, bx)]
+        row = [base ** (p - 1) for base in bases]
         seeds = _stacked_generators(X, row, work, budget, cut)
         if cut is None:
-            return Ideal.packed(work, seeds)
+            return Ideal(work, seeds)
         small, _, added = cut
-        return Ideal.packed(small, seeds + added)
+        return Ideal(small, seeds + added)
 
     fs = [q_p]
     if _singular_beyond_vertex(X, budget):
@@ -671,23 +654,23 @@ def projective_critical_ideal(X: VarietySpec, p, budget=None) -> Ideal:
 
 def _saturate_unless_unit(ideal, fs, budget) -> Ideal:
     """(ideal : <f_1..f_m>^inf), for an ideal of a grevlex ring and the f_i
-    packed term dicts of its packer, which is the ideal itself when
-    ideal + <f_1..f_m> is the unit ideal; only otherwise are the f_i
-    unpacked and the saturation taken, in one _rabinowitsch run.
+    polynomials of that ring, which is the ideal itself when
+    ideal + <f_1..f_m> is the unit ideal; only otherwise is the saturation
+    taken, in one _rabinowitsch run.
 
     The check is exact.  If 1 = a + s with a in the ideal and s in
     J = <f_1..f_m>, and h*J^k lies in the ideal, then
     h = h*(a + s)^k = h*s^k + h*a*r for some r, and both terms lie in the
-    ideal.  (It is the case k = 1 of the stopping rule in _local_length.)  The check's grevlex run starts from the ideal's reduced basis,
-    forms only the pairs with the f_i, and stops at the first constant
-    (see groebner_basis); the packed basis and the packed f_i seed it as
-    they are.
+    ideal.  (It is the case k = 1 of the stopping rule in _local_length.)
+    The check's grevlex run starts from the ideal's reduced basis, forms
+    only the pairs with the f_i, and stops at the first constant (see
+    groebner_basis); the basis and the f_i seed it as they are.
     """
     gb = ideal.groebner(GREVLEX, budget)
-    total = Ideal.packed(ideal.ring, gb.packed + list(fs))
+    total = Ideal(ideal.ring, gb.basis + list(fs))
     if groebner_basis(total, GREVLEX, budget, based=len(gb)).is_unit():
         return ideal
-    return _rabinowitsch(ideal, _unpack_polys(fs, ideal.ring), budget)
+    return _rabinowitsch(ideal, fs, budget)
 
 
 def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
@@ -698,14 +681,13 @@ def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
 
     Each trial builds the system of projective_critical_ideal, in the chart
     y = u + b*x (see _projective_chart_system), at its data point, cut by a
-    slice.  X's generators and Jacobian minors are packed into the ring
+    slice.  X's generators and Jacobian minors are transferred to the ring
     (x, b) once per job; each trial cuts them and its row by the slice and
     assembles the system's Laplace sums in the cut ring (see
-    _stacked_generators), on packed terms that seed the block-order run
-    eliminating b.  It cuts the f_i, packed once per job, by the same map,
-    masks them into the x-ring as the elimination masks its kept basis (see
-    MonomialPacker.back_mask), and saturates what is left by them in x
-    before counting it; neither is unpacked for the unit check.  For phi
+    _stacked_generators), which seed the block-order run eliminating b.  It
+    cuts the f_i, transferred to (x, b) once per job, by the same map,
+    transfers them to the x-ring the elimination hands its kept basis on
+    in, and saturates what is left by them in x before counting it.  For phi
     the cut and S the system, that is (phi(S) : phi(J)^inf) ∩ k[x'], the
     count of the localization (see _projective_chart_system).  The
     saturation is skipped when it removes nothing (see
@@ -736,7 +718,7 @@ def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
     system, bname, fs = _projective_chart_system(X, p, budget)
     ring = X.ring
     work = ring.extend((bname,)).with_order(OrderSpec("block", (bname,)))
-    packed_fs = _pack_polys(fs, work)
+    work_fs = [f.transfer(work) for f in fs]
     rng_forms = random.Random(f"projdeg|{seed}|forms")
 
     def count_for(u):
@@ -747,8 +729,7 @@ def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
                   - work.one())
         cut = _linear_cut(work, [slice_], budget)
         eliminated = eliminate(system(u, cut), (bname,), budget)
-        small, substitute, _ = cut
-        cut_fs = _masked(substitute(packed_fs), small.packer().back_mask)
+        cut_fs = [f.transfer(eliminated.ring) for f in cut[1](work_fs)]
         return _count_points(_saturate_unless_unit(eliminated, cut_fs,
                                                    budget), budget)
 
@@ -773,14 +754,14 @@ def ci_degree_bound_check(X: VarietySpec, p, report: DegreeReport,
 def _line_restriction(poly, a, b, budget):
     """poly on the line u = a + b*t, as a polynomial of the ring k[t], for
     poly in a grevlex ring (u1, .., un) without a variable t: the line's
-    forms u_i - a_i - b_i*t, led by u_i, are substituted for their pivots on
-    packed terms (see _linear_cut)."""
+    forms u_i - a_i - b_i*t, led by u_i, are substituted for their pivots
+    (see _linear_cut)."""
     lifted = poly.ring.extend(["t"])
     t = lifted.var("t")
     line = [lifted.var(u) - lifted.const(ai) - t.scale(bi)
             for u, ai, bi in zip(poly.ring.variables, a, b)]
-    tring, cut, _ = _linear_cut(lifted, line, budget)
-    return _unpack_polys(cut(_pack_polys([poly], lifted)), tring)[0]
+    _, cut, _ = _linear_cut(lifted, line, budget)
+    return cut([poly.transfer(lifted)])[0]
 
 
 def evolute_curve(X: VarietySpec, p, seed=0, budget=None) -> EvolutePolynomial:
@@ -796,7 +777,7 @@ def evolute_curve(X: VarietySpec, p, seed=0, budget=None) -> EvolutePolynomial:
     The reduced degree is the squarefree degree of the evolute f restricted
     to a drawn line u = a + b*t on which it keeps its total degree;
     EvoluteLinesDegenerate if none of four does.  The line is substituted
-    for u1 and u2 on packed terms (see _line_restriction).  In k[t],
+    for u1 and u2 (see _line_restriction).  In k[t],
     <f, f'> = <gcd(f, f')>, whose quotient has dimension deg gcd(f, f'), so
     the squarefree degree is deg f less the points of <f, f'>, counted by
     one Groebner run (see _count_points).

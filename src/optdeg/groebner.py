@@ -9,20 +9,18 @@ run that adjoins a w_i per g_i and eliminates them from
 ideal + <1 - sum_i w_i*g_i>); and Krull dimensions, point counts,
 degrees and multidegrees, all read off the one cached grevlex basis.
 Affine-linear sections are substituted for their pivot variables rather
-than adjoined as generators, on packed terms, the pivots' fields then
-dropped (_linear_cut).  An ideal may hold packed generators, which seed
-its run as they are (Ideal.packed); the packed product of two monomials is
-a sum of their packed values (_packed_sum).  A run whose first generators
-are a reduced basis pairs only the others with them (groebner_basis's
-`based`), and every run stops at the first constant it finds.
+than adjoined as generators, the pivots' fields then dropped (_linear_cut).
+A run whose first generators are a reduced basis pairs only the others
+with them (groebner_basis's `based`), and every run stops at the first
+constant it finds.
 
-Bases stay packed from run to run.  A GroebnerBasis keeps the packed term
-dicts its run ends with and unpacks its polynomials only when they are
-read; the counts below read its packed leads.  An elimination hands its
-kept elements on packed, masked into the packer of the grevlex ring on the
-remaining variables (MonomialPacker.back_mask) and cached as that ring's
-basis, and an ideal regenerated by its basis is generated by those packed
-elements.
+The kernel runs on the term dicts of polynomials, which map packed
+monomials to coefficients (see rings): a run is seeded with its
+generators' dicts as they are, and a GroebnerBasis holds the polynomials
+its run ends with, whose leads are their largest keys, so the counts below
+read no more of a basis than its leads.  An elimination hands its kept
+elements on, transferred into the grevlex ring on the remaining variables
+and cached as that ring's basis (_basis_ideal).
 
 One routine reads the lead monomials: the Hilbert numerator N, by pivot
 recursion (_hilbert_numerator), graded by degree or by groups of
@@ -86,12 +84,10 @@ def as_budget(budget):
 
 class Ideal:
     """A polynomial ideal given by generators; zero generators are dropped.
+    Its Groebner runs are seeded with the generators' term dicts as they
+    are."""
 
-    An ideal built by Ideal.packed holds its generators as packed term dicts
-    of its ring's packer: they seed its Groebner runs for the ring's own
-    order as they are, and are unpacked only when `generators` is read."""
-
-    __slots__ = ("ring", "_generators", "_seeds", "_gb_cache")
+    __slots__ = ("ring", "generators", "_gb_cache")
 
     def __init__(self, ring, generators):
         gens = []
@@ -101,39 +97,8 @@ class Ideal:
             if not g.is_zero():
                 gens.append(g)
         self.ring = ring
-        self._generators = tuple(gens)
-        self._seeds = None
+        self.generators = tuple(gens)
         self._gb_cache = {}
-
-    @classmethod
-    def packed(cls, ring, terms):
-        """The ideal generated by packed term dicts of ring's packer; empty
-        ones are dropped."""
-        ideal = cls(ring, ())
-        ideal._generators = None
-        ideal._seeds = [t for t in terms if t]
-        return ideal
-
-    @classmethod
-    def _generated_by(cls, gb):
-        """The ideal of gb.ring generated by gb, a reduced grevlex basis,
-        which it caches: gb's packed elements are its packed generators, and
-        reading either unpacks them once (see GroebnerBasis)."""
-        ideal = cls.packed(gb.ring, ())
-        ideal._seeds = gb.packed
-        ideal._gb_cache[GREVLEX] = gb
-        return ideal
-
-    @property
-    def generators(self):
-        if self._generators is None:
-            gb = self._gb_cache.get(GREVLEX)
-            if gb is not None and gb.packed is self._seeds:
-                self._generators = tuple(gb.basis)
-            else:
-                self._generators = tuple(_unpack_polys(self._seeds,
-                                                       self.ring))
-        return self._generators
 
     def groebner(self, order=None, budget=None):
         order = order if order is not None else self.ring.order
@@ -146,18 +111,11 @@ class Ideal:
 
     def normalized(self, budget=None):
         """Ideal regenerated by its reduced grevlex Groebner basis, which it
-        caches: handed on packed (see _generated_by) in a grevlex ring, and
-        transferred as polynomials to a ring of another order."""
-        gb = self.groebner(GREVLEX, budget)
-        if gb.ring == self.ring:
-            return Ideal._generated_by(gb)
-        out = Ideal(self.ring, [p.transfer(self.ring) for p in gb.basis])
-        out._gb_cache[GREVLEX] = gb
-        return out
+        caches (see _basis_ideal)."""
+        return _basis_ideal(self.groebner(GREVLEX, budget), self.ring)
 
     def is_zero(self):
-        return not (self._seeds if self._generators is None
-                    else self._generators)
+        return not self.generators
 
     def __add__(self, other):
         if isinstance(other, Ideal):
@@ -177,7 +135,7 @@ class Ideal:
             return False
         a = self.groebner(GREVLEX, budget)
         b = other.groebner(GREVLEX, budget)
-        return a.packed == b.packed
+        return a.basis == b.basis
 
     def __repr__(self):
         inner = ", ".join(repr(g) for g in self.generators) or "0"
@@ -187,39 +145,33 @@ class Ideal:
 class GroebnerBasis:
     """Reduced Groebner basis: monic, auto-reduced, sorted leading-first.
 
-    It is kept packed, as the term dicts of its ring's packer that
-    _autoreduce returns (`packed`); `basis`, its polynomials, is unpacked on
-    first read.  A packed dict's largest key is its lead, so the leads, the
-    unit check and the length are read off the packed values, and no point
-    count, dimension or degree unpacks more of a basis than its leads."""
+    `basis` holds the polynomials of `ring` whose term dicts _autoreduce
+    returns.  A polynomial's largest packed key is its lead, so the leads,
+    the unit check and the length are read off the packed values, and no
+    point count, dimension or degree reads more of a basis than its
+    leads."""
 
-    __slots__ = ("ring", "packed", "order", "_basis")
+    __slots__ = ("ring", "basis", "order")
 
-    def __init__(self, ring, packed, order):
+    def __init__(self, ring, basis, order):
         self.ring = ring
-        self.packed = packed
+        self.basis = basis
         self.order = order
-        self._basis = None
-
-    @property
-    def basis(self):
-        if self._basis is None:
-            self._basis = _unpack_polys(self.packed, self.ring)
-        return self._basis
 
     def is_unit(self):
-        return (len(self.packed) == 1
-                and max(self.packed[0]) == self.ring.packer().one)
+        return (len(self.basis) == 1
+                and max(self.basis[0].terms) == self.ring.packer().one)
 
     def lead_exponents(self):
+        """The leads' exponent tuples, which the Hilbert numerator reads."""
         unpack = self.ring.packer().unpack
-        return [unpack(max(t)) for t in self.packed]
+        return [unpack(max(g.terms)) for g in self.basis]
 
     def __iter__(self):
         return iter(self.basis)
 
     def __len__(self):
-        return len(self.packed)
+        return len(self.basis)
 
     def __repr__(self):
         return f"GroebnerBasis[{', '.join(repr(g) for g in self.basis)}]"
@@ -659,76 +611,6 @@ def _autoreduce(leads, lcs, tails, packer, budget):
     return reduced
 
 
-def _pack_terms(terms, packer):
-    pack = packer.pack
-    return {pack(e): c for e, c in terms.items()}
-
-
-def _pack_polys(polys, ring):
-    """The polynomials, transferred to `ring`, as packed term dicts of its
-    packer."""
-    packer = ring.packer()
-    return [_pack_terms(g.transfer(ring).terms, packer) for g in polys]
-
-
-def _unpack_polys(terms, ring):
-    """The packed term dicts of ring's packer as polynomials of `ring`."""
-    unpack = ring.packer().unpack
-    return [Polynomial(ring, {unpack(e): c for e, c in t.items()})
-            for t in terms]
-
-
-def _packed_const(c, ring):
-    """The constant c as a packed term dict of ring's packer."""
-    c = ring.coeff(c)
-    return {} if ring.field.is_zero(c) else {ring.packer().one: c}
-
-
-def _packed_sum(products, ring):
-    """sum_k s_k * a_k * b_k over the triples (s_k, a_k, b_k) of
-    `products`, s_k = 1 or -1 and a_k, b_k packed term dicts of ring's
-    packer, as one such dict.  A product of packed monomials is
-    a + b - one (see MonomialPacker); over GF(q) the coefficients are
-    reduced once, at the end.  The sum is checked against the packer's
-    field widths, which the packed arithmetic does not check."""
-    packer = ring.packer()
-    one = packer.one
-    acc = {}
-    get = acc.get
-    for sign, a, b in products:
-        if len(a) > len(b):
-            a, b = b, a
-        for ea, ca in a.items():
-            shift = ea - one
-            if sign < 0:
-                ca = -ca
-            for eb, cb in b.items():
-                e = eb + shift
-                acc[e] = get(e, 0) + ca * cb
-    fld = ring.field
-    if fld.kind == "rational":
-        out = {e: c for e, c in acc.items() if c}
-    else:
-        q = fld.q
-        out = {}
-        for e, c in acc.items():
-            c %= q
-            if c:
-                out[e] = c
-    packer.check_fits(out)
-    return out
-
-
-def _packed_power(base, k, ring):
-    """base^k for a packed term dict of ring's packer and k >= 0."""
-    if not k:
-        return _packed_const(1, ring)
-    out = base
-    for _ in range(k - 1):
-        out = _packed_sum([(1, out, base)], ring)
-    return out
-
-
 def _kept(kernel, packer):
     """The kernel lists (leads, lcs, tails), packed for a block order,
     restricted, in their order, to the elements whose lead is free of the
@@ -752,9 +634,10 @@ def _convert_grevlex(gb, work_ring, budget, drop=()):
     _autoreduce: the homogenized basis, run under that order with the
     Hilbert numerator of the grevlex leads as the driver's target, then
     dehomogenized on the packed values (MonomialPacker.drop).  It
-    homogenizes gb's packed elements, unpacking each term once, and takes
-    each element's lead, whose degree is the element's, as its largest
-    packed key, unpacked.  With `drop`, the front block of a block order,
+    homogenizes gb's elements on the packed values: each term is mapped
+    into the ring with h (MonomialPacker.into) and shifted by h to the
+    degree of the element's lead, its largest key.  With `drop`, the front
+    block of a block order,
     only the elements whose lead is free of it are dehomogenized and
     returned (see _kept); h lies in the back block, and a lead is free of
     the front iff its dehomogenization is.
@@ -778,16 +661,16 @@ def _convert_grevlex(gb, work_ring, budget, drop=()):
     """
     ring = work_ring.extend([work_ring.fresh_name("hom_h")])
     packer = ring.packer()
-    unpack, pack = gb.ring.packer().unpack, packer.pack
-    seed, gb_leads = [], []
-    for terms in gb.packed:
-        exps = {e: unpack(e) for e in terms}
-        lead = exps[max(terms)]
-        gb_leads.append(lead)
-        d = sum(lead)
-        seed.append({pack((*a, d - sum(a))): terms[e]
-                     for e, a in exps.items()})
-    kernel = _buchberger(seed, ring, budget, _hilbert_numerator(gb_leads))
+    source = gb.ring.packer()
+    move, degree, h = source.into(packer), source.degree, packer.steps[-1]
+    seed = []
+    for g in gb.basis:
+        d = degree(max(g.terms))
+        terms = {move(e) + (d - degree(e)) * h: c for e, c in g.terms.items()}
+        packer.check_fits(terms)
+        seed.append(terms)
+    kernel = _buchberger(seed, ring, budget,
+                         _hilbert_numerator(gb.lead_exponents()))
     if drop:
         kernel = _kept(kernel, packer)
     leads, lcs, tails = kernel
@@ -811,14 +694,14 @@ def groebner_basis(ideal, order=None, budget=None, based=0,
     front degree, and that field holds less than 2^14.  The steps the
     conversion took stay spent.  When the first `based` generators are a
     reduced basis for `order`, Buchberger's algorithm forms no pair of two
-    of them (see _buchberger).  The packed generators of an ideal built by
-    Ideal.packed seed a run for its ring's order as they are.
+    of them (see _buchberger).  The generators' term dicts seed a run for
+    their ring's order as they are.
 
     With `drop`, the front block of a block `order`, only the elements of
     the reduced basis free of those variables are returned: a Groebner
     basis of the elimination ideal (Cox-Little-O'Shea, ch. 3 §1), still in
     the ring of `order`.  Only the unreduced elements whose lead is free of
-    them are tail-reduced and unpacked (see _kept).  That gives exactly
+    them are tail-reduced (see _kept).  That gives exactly
     those elements of the full reduced basis, in order: a drop-free lead
     is divisible only by drop-free leads, which are all smaller than the
     others, so _autoreduce treats them first and reduces them against one
@@ -840,14 +723,12 @@ def groebner_basis(ideal, order=None, budget=None, based=0,
         except SizeOutOfRange:
             pass
     if kernel is None:
-        if ideal._seeds is not None and work_ring == ring:
-            seed = ideal._seeds
-        else:
-            seed = _pack_polys(ideal.generators, work_ring)
+        seed = [g.transfer(work_ring).terms for g in ideal.generators]
         kernel = _buchberger(seed, work_ring, budget, based=based)
         if drop:
             kernel = _kept(kernel, packer)
-    return GroebnerBasis(work_ring, _autoreduce(*kernel, packer, budget),
+    return GroebnerBasis(work_ring, [Polynomial(work_ring, t) for t in
+                                     _autoreduce(*kernel, packer, budget)],
                          order)
 
 
@@ -855,9 +736,10 @@ def normal_form(f, gb: GroebnerBasis, budget=None) -> Polynomial:
     """Remainder of multivariate division by a Groebner basis (zero iff member).
     """
     ring = gb.ring
-    divide = _packed_remainders(gb.packed, ring, as_budget(budget))
-    return _unpack_polys(divide(_pack_polys([f], ring)), ring)[0].transfer(
-        f.ring)
+    divide = _packed_remainders([g.terms for g in gb.basis], ring,
+                                as_budget(budget))
+    (red,) = divide([f.transfer(ring).terms])
+    return Polynomial(ring, red).transfer(f.ring)
 
 
 def _packed_remainders(basis, ring, budget, scaled=False):
@@ -909,10 +791,7 @@ def _standard_monomials(gb):
     MonomialPacker); j and step are None for m = 1."""
     packer = gb.ring.packer()
     divides, one = packer.divides, packer.one
-    leads = [max(t) for t in gb.packed]
-    n = gb.ring.nvars
-    steps = [packer.pack(tuple(int(j == i) for j in range(n))) - one
-             for i in range(n)]
+    leads = [max(g.terms) for g in gb.basis]
     out, seen, todo = [], {one}, [(one, None, None)]
     while todo:
         entry = todo.pop()
@@ -920,7 +799,7 @@ def _standard_monomials(gb):
         if any(divides(lead, m) for lead in leads):
             continue
         out.append(entry)
-        for step in steps:
+        for step in packer.steps:
             if m + step not in seen:
                 seen.add(m + step)
                 todo.append((m + step, len(out) - 1, step))
@@ -931,29 +810,30 @@ def _standard_monomials(gb):
 # elimination and saturation
 # --------------------------------------------------------------------------
 
-def _masked(terms, mask):
-    """Packed term dicts with every packed monomial masked by `mask`."""
-    return [{e & mask: c for e, c in t.items()} for t in terms]
+def _basis_ideal(gb, ring):
+    """The ideal of `ring` generated by gb, a reduced grevlex basis of its
+    ideal, which it caches as its grevlex basis; gb's polynomials are
+    transferred to `ring`, so they are its generators as they are when gb
+    lies in `ring`."""
+    ideal = Ideal(ring, [g.transfer(ring) for g in gb.basis])
+    ideal._gb_cache[GREVLEX] = gb
+    return ideal
 
 
 def _eliminate(ideal, drop, small, budget) -> Ideal:
     """ideal ∩ k[rest], as an ideal of the ring `small` on the other
     variables: the elements free of `drop` of the reduced basis for the
     block order that ranks `drop` first, the only ones groebner_basis
-    finishes.  Within the back block that order is grevlex, so for the
-    grevlex `small` on the back block's variables in their order, which
-    eliminate and the counts pass, they are its reduced grevlex basis: their
-    packed terms are mapped into small's packer by the block packer's
-    back_mask and handed on packed, cached as that basis (see
-    Ideal._generated_by).  For a `small` of another order they are
-    transferred as polynomials."""
+    finishes, transferred to `small`.  Within the back block that order is
+    grevlex, so for the grevlex `small` on the back block's variables in
+    their order, which eliminate and the counts pass, they are its reduced
+    grevlex basis, and are cached as that basis (see _basis_ideal)."""
     gb = groebner_basis(ideal, OrderSpec("block", drop), budget, drop=drop)
+    basis = [g.transfer(small) for g in gb.basis]
     back = tuple(v for v in gb.ring.variables if v not in set(drop))
     if small.order != GREVLEX or small.variables != back:
-        return Ideal(small, [g.transfer(small) for g in gb.basis])
-    mask = gb.ring.packer().back_mask
-    return Ideal._generated_by(GroebnerBasis(small, _masked(gb.packed, mask),
-                                             GREVLEX))
+        return Ideal(small, basis)
+    return _basis_ideal(GroebnerBasis(small, basis, GREVLEX), small)
 
 
 def eliminate(ideal, drop, budget=None) -> Ideal:
@@ -979,14 +859,17 @@ def _linear_rows(ring, forms):
     pivot, which is its lead in the ring's order, with the constant term as
     its last entry, sorted by pivot in that order; and whether the forms are
     inconsistent (some combination is a nonzero constant).  The variables
-    are ranked by their packed values, which compare as the order does;
-    under grevlex and lex the pivots are the leftmost variables."""
+    are ranked by their packed values one + steps[i], which compare as the
+    order does; under grevlex and lex the pivots are the leftmost
+    variables."""
     fld = ring.field
     n = ring.nvars
     sub, mul, is_zero = fld.sub, fld.mul, fld.is_zero
-    pack = ring.packer().pack
-    rank = sorted(range(n), key=lambda i: pack(
-        tuple(int(j == i) for j in range(n))), reverse=True)
+    one, steps = ring.packer().one, ring.packer().steps
+    rank = sorted(range(n), key=steps.__getitem__, reverse=True)
+    # a term's packed value less one is a variable's step, or 0 for 1
+    column = {step: i for i, step in enumerate(steps)}
+    column[0] = n
     pivots = []
     inconsistent = False
     for f in forms:
@@ -994,7 +877,7 @@ def _linear_rows(ring, forms):
             raise ValueError("a linear cut needs forms of degree at most 1")
         row = [fld.zero] * (n + 1)
         for e, c in f.terms.items():
-            row[e.index(1) if any(e) else n] = c
+            row[column[e - one]] = c
         for col, prow in pivots:
             c = row[col]
             if not is_zero(c):
@@ -1014,13 +897,13 @@ def _linear_rows(ring, forms):
 
 
 def _linear_cut(ring, forms, budget):
-    """The substitution of affine-linear forms for their pivot variables,
-    on packed term dicts: the ring `small` of `ring` without the pivots, in
-    its order (RingContext.without); a function sending a list of packed
-    term dicts of ring's packer to their substitutions, packed term dicts
-    of small's packer, one per dict with empty ones kept; and the packed
-    generators the cut itself adds (the kept row, or 1 for inconsistent
-    forms, which send every polynomial to 0).
+    """The substitution of affine-linear forms for their pivot variables:
+    the ring `small` of `ring` without the pivots, in its order
+    (RingContext.without); a function sending a list of polynomials of
+    `ring` to their substitutions, polynomials of `small`, one per
+    polynomial with zero ones kept; and the generators the cut itself adds
+    (the kept row, or 1 for inconsistent forms, which send every polynomial
+    to 0).
 
     The forms' rows (_linear_rows) are monic, each led in the ring's order
     by its pivot, which no other row holds: so they are the reduced basis
@@ -1038,10 +921,12 @@ def _linear_cut(ring, forms, budget):
     budget = as_budget(budget)
     pivots, inconsistent = _linear_rows(ring, forms)
     n = ring.nvars
+    packer = ring.packer()
+    is_zero = ring.field.is_zero
     # x_1 .. x_n, then the monomial 1 for the constant term
-    units = [tuple(int(j == i) for j in range(n)) for i in range(n + 1)]
-    rows = _pack_polys([ring.poly_from_terms(dict(zip(units, row)))
-                        for _, row in pivots], ring)
+    units = [packer.one + step for step in packer.steps] + [packer.one]
+    rows = [{e: c for e, c in zip(units, row) if not is_zero(c)}
+            for _, row in pivots]
     kept = [rows.pop()] if len(rows) == n else []
     small, drops = ring, []
     for col, _ in pivots[:len(rows)]:
@@ -1052,15 +937,15 @@ def _linear_cut(ring, forms, budget):
     def dropped(terms):
         for drop in drops:
             terms = {drop(e): c for e, c in terms.items()}
-        return terms
+        return Polynomial(small, terms)
     if inconsistent:
-        return (small, lambda polys: [{} for _ in polys],
-                [_packed_const(1, small)])
+        return (small, lambda polys: [small.zero() for _ in polys],
+                [small.one()])
     divide = _packed_remainders(rows, ring, budget)
 
     def cut(polys):
-        return [dropped(t) for t in divide(polys)]
-    return small, cut, cut(kept)
+        return [dropped(t) for t in divide([g.terms for g in polys])]
+    return small, cut, [dropped(t) for t in divide(kept)]
 
 
 def _localizer(ring, fs):
@@ -1102,7 +987,8 @@ def _saturand(other, budget):
         return []
     fs = list(gb.basis)
     if all(len(g) == 1 for g in fs):
-        exps = [tuple(1 if v else 0 for v in e) for g in fs for e in g.terms]
+        exps = [tuple(1 if v else 0 for v in e)
+                for e in gb.lead_exponents()]
         fs = [other.ring.monomial(e) for e in _minimal(exps)]
     return fs
 
@@ -1125,7 +1011,7 @@ def saturate(ideal: Ideal, other: Ideal, budget=None) -> Ideal:
 def vanishes_on_variety(f, ideal: Ideal, budget=None) -> bool:
     """True iff f vanishes on the zero set of the ideal (radical membership):
     (ideal : f^infinity) is the unit ideal, read off its reduced grevlex
-    basis, which the elimination hands on packed in a grevlex ring (see
+    basis, which the elimination hands on in a grevlex ring (see
     _eliminate)."""
     budget = as_budget(budget)
     if f.is_zero():

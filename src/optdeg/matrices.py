@@ -1,16 +1,13 @@
-"""Polynomial matrices: Jacobians, minors as Laplace sums on packed terms,
-derationalized stacking, random invertible coordinate changes, and the
-rank of packed term dicts as vectors."""
+"""Polynomial matrices: Jacobians, minors as Laplace sums, derationalized
+stacking, and the rank of term dicts as vectors."""
 
 from __future__ import annotations
 
-import random
 from itertools import combinations
 from math import gcd
 
 from .errors import RingMismatch, SizeOutOfRange
-from .groebner import _pack_polys, _packed_sum, _unpack_polys
-from .rings import RationalFunction
+from .rings import RationalFunction, _sum_of_products
 
 
 class PolyMatrix:
@@ -45,24 +42,21 @@ class PolyMatrix:
         return self.minors(self.rows)[0]
 
     def minors(self, k):
-        """All k x k minors, in lexicographic (row-set, col-set) order: the
-        entries are packed into the matrix's ring, and only size k of
-        packed_minors is unpacked."""
+        """All k x k minors, in lexicographic (row-set, col-set) order: size
+        k of minors_by_size."""
         if k < 1 or k > min(self.rows, self.cols):
             raise SizeOutOfRange(
                 f"minor size {k} out of range for {self.rows}x{self.cols} matrix")
-        entries = [_pack_polys(row, self.ring) for row in self.entries]
-        return _unpack_polys(packed_minors(entries, k, self.ring)[-1].values(),
-                             self.ring)
+        return list(minors_by_size(self.entries, k, self.ring)[-1].values())
 
     def __repr__(self):
         return f"PolyMatrix({self.rows}x{self.cols} over {self.ring!r})"
 
 
-def packed_minors(entries, k, ring):
-    """The minors of a matrix of packed term dicts of ring's packer: for
+def minors_by_size(entries, k, ring):
+    """The minors of a matrix of polynomials of `ring`: for
     j = 1 .. min(k, rows, cols), a dict from (row set, column set) to the
-    packed j x j minor, in lexicographic order.  Size 1 is the entries;
+    j x j minor, in lexicographic order.  Size 1 is the entries;
     each size j > 1 is the Laplace sum, along its first row, of the
     (j-1)-minors (see _laplace_minors).
 
@@ -91,12 +85,13 @@ def _laplace_minors(top, row_sets, lower, n, ring):
     columns, in lexicographic (R, C) order, the determinant of the rows R
     below the row `top`, through the columns C, expanded along `top`:
     sum_t (-1)^t * top[C_t] * lower[R, C - C_t], for `lower` the k-minors
-    keyed by (row set, column set).  Entries, minors and results are packed
-    term dicts of ring's packer (see _packed_sum)."""
+    keyed by (row set, column set).  Entries, minors and results are
+    polynomials of `ring`, each result one sum of products (see
+    rings._sum_of_products)."""
     out = []
     for rows in row_sets:
         for cols in combinations(range(n), len(rows) + 1):
-            out.append(_packed_sum(
+            out.append(_sum_of_products(
                 [(-1 if t % 2 else 1, top[j],
                   lower[rows, cols[:t] + cols[t + 1:]])
                  for t, j in enumerate(cols)], ring))
@@ -143,36 +138,8 @@ def derationalize(gradients, jac):
     return PolyMatrix(rows)
 
 
-def random_linear_change(ring, variables, seed):
-    """Random invertible integer change of coordinates on `variables`.
-
-    Returns (matrix, substitution) where the matrix has integer entries drawn
-    uniformly from [-5, 5] (resampled until invertible over the ring's
-    field) and the substitution maps variables[i] to the corresponding
-    integer linear form.  Deterministic per seed.
-    """
-    variables = list(variables)
-    k = len(variables)
-    if k < 1:
-        raise ValueError("need at least one variable")
-    rng = random.Random(f"linchange|{seed}")
-    while True:
-        m = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(k)]
-        entries = [[ring.const(m[i][j]) for j in range(k)] for i in range(k)]
-        if not PolyMatrix(entries).det().is_zero():
-            break
-    subs = {}
-    for i, v in enumerate(variables):
-        form = ring.zero()
-        for j, w in enumerate(variables):
-            if m[i][j]:
-                form = form + ring.var(w).scale(m[i][j])
-        subs[v] = form
-    return PolyMatrix(entries), subs
-
-
 def _rank(rows, field, budget):
-    """The rank of packed term dicts as vectors over the field, their
+    """The rank of term dicts as vectors over the field, their
     coefficients ints mod q over GF(q) and ints over QQ, any nonzero
     multiples of the rational rows.  Each row is reduced by its lead
     against the pivot rows of other leads.  A step is a*row - b*pivot, for

@@ -195,8 +195,8 @@ def format_polynomial(p: Polynomial) -> str:
 
     The output re-parses to the same polynomial (round-trip fixed point).
     The terms are sorted by their packed values, which define the order
-    (see MonomialPacker), so an exponent or degree past the packed field
-    widths raises SizeOutOfRange, as every computation on it would.
+    (see MonomialPacker).  A polynomial holds no monomial past the packed
+    field widths, which its construction checks, so each one formats.
     """
     if p.is_zero():
         return "0"

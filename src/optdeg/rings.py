@@ -1,13 +1,16 @@
 """Polynomial rings: monomial orders, sparse exact polynomials, rational functions.
 
-A monomial is an exponent tuple (one entry per ring variable).  A polynomial
-is a dict mapping exponent tuples to nonzero field elements.  Values are
-immutable after construction and freely shareable.
-
 A ring's monomial order has one definition, the layout of its
-MonomialPacker: packed values compare as the monomials do, so terms are
-sorted, and leads read, on packed values.  Only this module reads that
-layout; other modules use the maps on packed values the packer exports.
+MonomialPacker, which packs a monomial into one integer: packed values
+compare as the monomials do, and multiplying monomials adds them.  A
+polynomial is a dict mapping the packed monomials of its ring's packer to
+nonzero field elements, its one representation: its arithmetic runs on the
+packed values, and the Groebner kernel takes and returns such dicts as
+they are.  Exponent tuples appear only at the boundary: the constructors
+(var, monomial, poly_from_terms) pack them, and sorted_terms, the one
+exponent view, unpacks the terms for formatting.  Only this module reads
+the packed layout; other modules use the maps on packed values the packer
+exports.  Values are immutable after construction and freely shareable.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ LEX = OrderSpec("lex")
 class RingContext:
     """An ordered polynomial ring: variable names, coefficient field, order."""
 
-    __slots__ = ("variables", "field", "order", "nvars", "_pos",
-                 "_zero_exp", "_hash", "_packer")
+    __slots__ = ("variables", "field", "order", "nvars", "_pos", "_hash",
+                 "_packer")
 
     def __init__(self, variables, field=None, order=GREVLEX):
         variables = tuple(variables)
@@ -61,7 +64,6 @@ class RingContext:
         self.field = field if field is not None else RationalField()
         self.nvars = len(variables)
         self._pos = {name: i for i, name in enumerate(variables)}
-        self._zero_exp = (0,) * self.nvars
         if order.kind == "block":
             for name in order.front:
                 if name not in self._pos:
@@ -76,19 +78,19 @@ class RingContext:
             self._packer = MonomialPacker(self)
         return self._packer
 
-    # -- constructors ------------------------------------------------------
+    # -- constructors: exponents are packed here ----------------------------
 
     def zero(self):
         return Polynomial(self, {})
 
     def one(self):
-        return Polynomial(self, {self._zero_exp: self.field.one})
+        return Polynomial(self, {self.packer().one: self.field.one})
 
     def const(self, c):
         c = self.coeff(c)
         if self.field.is_zero(c):
             return self.zero()
-        return Polynomial(self, {self._zero_exp: c})
+        return Polynomial(self, {self.packer().one: c})
 
     def coeff(self, c):
         """Coerce an int/Fraction/native field element to a field element."""
@@ -102,24 +104,28 @@ class RingContext:
     def var(self, name):
         if name not in self._pos:
             raise ValueError(f"variable {name!r} not in ring {self.variables}")
-        exp = [0] * self.nvars
-        exp[self._pos[name]] = 1
-        return Polynomial(self, {tuple(exp): self.field.one})
+        packer = self.packer()
+        return Polynomial(self, {packer.one + packer.steps[self._pos[name]]:
+                                 self.field.one})
 
     def monomial(self, exp, c=1):
+        """c times the monomial with exponent tuple `exp`; SizeOutOfRange past
+        the packed field widths."""
         c = self.coeff(c)
         if self.field.is_zero(c):
             return self.zero()
-        return Polynomial(self, {tuple(exp): c})
+        return Polynomial(self, {self.packer().pack(tuple(exp)): c})
 
     def poly_from_terms(self, terms):
-        """Polynomial from an exponent -> coefficient dict; coefficients are
-        coerced to field elements and the ones that become zero dropped."""
+        """Polynomial from an exponent tuple -> coefficient dict; coefficients
+        are coerced to field elements and the ones that become zero dropped,
+        and SizeOutOfRange past the packed field widths."""
+        pack = self.packer().pack
         clean = {}
         for e, c in terms.items():
             c = self.coeff(c)
             if not self.field.is_zero(c):
-                clean[e] = c
+                clean[pack(tuple(e))] = c
         return Polynomial(self, clean)
 
     def index(self, name):
@@ -205,10 +211,16 @@ class MonomialPacker:
     (lcm).  Exponents and the topmost degree field hold at most VMASK; an
     inner degree field (the back block of a block order) holds less than
     2^14, so the divisibility offset never borrows across it.  pack and lcm
-    raise SizeOutOfRange beyond these widths.  Other modules read no field
-    directly: `plain` says the fields hold plain exponents (lex), drop(i)
-    sets a variable to 1, and for a block order `front_bound` and
-    `back_mask` split off the front block (None otherwise).
+    raise SizeOutOfRange beyond these widths, and check_fits checks
+    computed values against them.  A packed value is affine in the
+    exponents: one + sum_i e_i*steps[i], for steps[i] = packed(x_i) - one,
+    so a shift by steps[i] multiplies by x_i.  Other modules read no field
+    directly.  They use `one`, `steps`, `degree`, exponent(i), which reads
+    x_i's exponent, into(target), which maps packed values into another
+    ring's packer by variable name, drop(i), which sets x_i to 1, `plain`,
+    which says the fields hold plain exponents (lex), and for a block order
+    `front_bound` (None otherwise), below which a monomial is free of the
+    front block.
     """
 
     WIDTH = 16
@@ -254,13 +266,10 @@ class MonomialPacker:
             self.div_offset += (1 << 14) << shift
         self.plain = order.kind == "lex"
         # a monomial is free of the front block iff its packed value lies
-        # below the front degree field, on top; masked to the back block's
-        # fields and degree, it packs in the grevlex ring on the back
-        # block's variables, in their order
-        self.front_bound = self.back_mask = None
+        # below the front degree field, on top
+        self.front_bound = None
         if order.kind == "block":
             self.front_bound = 1 << front_deg
-            self.back_mask = (1 << (back_deg + W)) - 1
         # the packed monomial 1, so that packed(a) + packed(b) - one is the
         # packed a*b
         self.one = sum(self.VMASK << shift
@@ -279,11 +288,18 @@ class MonomialPacker:
             self._overflow |= (3 << 14) << shift
         self._fields = sum(self.VMASK << shift
                            for _kind, _i, shift in self._layout)
-        field_shift = {i: shift for _kind, i, shift in self._layout}
-        self._blocks = [(shift, tuple(field_shift[i] for i in var_idx),
+        self._field = {i: (kind, shift) for kind, i, shift in self._layout}
+        self._blocks = [(shift, tuple(self._field[i][1] for i in var_idx),
                          len(var_idx) * self.VMASK, cap)
                         for (shift, var_idx), cap
                         in zip(self._deg_shifts, self._deg_caps)]
+        # a unit of x_i's exponent adds 1 to a plain field, and takes 1 off
+        # a complemented one while adding 1 to its block's degree field
+        deg_of = {i: shift for shift, var_idx in self._deg_shifts
+                  for i in var_idx}
+        self.steps = [1 << shift if kind == "plain"
+                      else (1 << deg_of[i]) - (1 << shift)
+                      for i, (kind, shift) in sorted(self._field.items())]
         vmask = self.VMASK
         if len(deg_fields) == 1:
             (shift,) = deg_fields
@@ -326,9 +342,52 @@ class MonomialPacker:
         return tuple(out)
 
     def degree(self, packed):
-        """Total degree of a packed lex monomial; the graded orders replace
-        this per packer with a read of their degree field(s)."""
-        return sum(self.unpack(packed))
+        """Total degree of a packed lex monomial, the sum of its fields; the
+        graded orders replace this per packer with a read of their degree
+        field(s)."""
+        vmask = self.VMASK
+        return sum((packed >> shift) & vmask
+                   for _kind, _i, shift in self._layout)
+
+    def exponent(self, i):
+        """The map reading x_i's exponent off packed monomials."""
+        kind, shift = self._field[i]
+        vmask = self.VMASK
+        if kind == "plain":
+            return lambda e: (e >> shift) & vmask
+        return lambda e: vmask - ((e >> shift) & vmask)
+
+    def into(self, target):
+        """The map sending packed monomials of this ring to the packed
+        monomials, of the same exponents by variable name, of target's ring
+        (target a packer): each field read here adds its exponent times
+        target's step of that variable to target's one.  It raises
+        RingMismatch for a monomial holding a variable target's ring lacks;
+        values past target's widths are left to check_fits."""
+        vmask = self.VMASK
+        pos = target.ring._pos
+        names = self.ring.variables
+        base, reads, absent = target.one, [], []
+        for kind, i, shift in self._layout:
+            j = pos.get(names[i])
+            if j is None:
+                absent.append((self.exponent(i), names[i]))
+            elif kind == "plain":
+                reads.append((shift, target.steps[j]))
+            else:
+                base += vmask * target.steps[j]
+                reads.append((shift, -target.steps[j]))
+
+        def move(e):
+            for exponent, name in absent:
+                if exponent(e):
+                    raise RingMismatch(
+                        f"variable {name!r} missing from target ring")
+            v = base
+            for shift, step in reads:
+                v += ((e >> shift) & vmask) * step
+            return v
+        return move
 
     def drop(self, i):
         """The map from packed monomials of this ring to packed monomials of
@@ -340,7 +399,7 @@ class MonomialPacker:
         a variable the packed values do not hold, it only re-packs them in
         the smaller ring."""
         width, vmask = self.WIDTH, self.VMASK
-        kind, shift = next((kind, s) for kind, j, s in self._layout if j == i)
+        kind, shift = self._field[i]
         low = (1 << shift) - 1
         up = shift + width
         if kind == "plain":
@@ -399,8 +458,47 @@ def random_linear_form(ring, names, rng):
     return form
 
 
+def _sum_of_products(products, ring):
+    """sum_k s_k * a_k * b_k over the triples (s_k, a_k, b_k) of
+    `products`, s_k = 1 or -1 and a_k, b_k polynomials of `ring`, as one
+    polynomial: the one product routine, which Polynomial's * and ** and
+    the Laplace sums of the minors run on.  A product of packed monomials
+    is a + b - one (see MonomialPacker); over GF(q) the coefficients are
+    reduced once, at the end.  The sum is checked against the packer's
+    field widths, which the packed arithmetic does not check."""
+    packer = ring.packer()
+    one = packer.one
+    acc = {}
+    get = acc.get
+    for sign, a, b in products:
+        a, b = a.terms, b.terms
+        if len(a) > len(b):
+            a, b = b, a
+        for ea, ca in a.items():
+            shift = ea - one
+            if sign < 0:
+                ca = -ca
+            for eb, cb in b.items():
+                e = eb + shift
+                acc[e] = get(e, 0) + ca * cb
+    fld = ring.field
+    if fld.kind == "rational":
+        out = {e: c for e, c in acc.items() if c}
+    else:
+        q = fld.q
+        out = {}
+        for e, c in acc.items():
+            c %= q
+            if c:
+                out[e] = c
+    packer.check_fits(out)
+    return Polynomial(ring, out)
+
+
 class Polynomial:
-    """Sparse exact multivariate polynomial bound to a RingContext."""
+    """Sparse exact multivariate polynomial bound to a RingContext: `terms`
+    maps the packed monomials of the ring's packer to nonzero field
+    elements."""
 
     __slots__ = ("ring", "terms")
 
@@ -422,42 +520,39 @@ class Polynomial:
     def total_degree(self):
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(self.ring.packer().degree, self.terms))
 
     def sorted_terms(self):
-        """Terms ordered leading-first: by packed value (see MonomialPacker),
-        so SizeOutOfRange past the packed field widths."""
-        pack = self.ring.packer().pack
-        return sorted(self.terms.items(), key=lambda t: pack(t[0]),
-                      reverse=True)
+        """The terms as (exponent tuple, coefficient) pairs, leading first:
+        the one exponent view of a polynomial, which formatting reads."""
+        unpack = self.ring.packer().unpack
+        return [(unpack(e), c)
+                for e, c in sorted(self.terms.items(), reverse=True)]
 
     def coefficient(self, exp):
-        return self.terms.get(tuple(exp), self.ring.field.zero)
+        return self.terms.get(self.ring.packer().pack(tuple(exp)),
+                              self.ring.field.zero)
 
     def constant_value(self):
         """Field value of a constant polynomial."""
         if not self.terms:
             return self.ring.field.zero
-        if len(self.terms) == 1 and self.ring._zero_exp in self.terms:
-            return self.terms[self.ring._zero_exp]
+        one = self.ring.packer().one
+        if len(self.terms) == 1 and one in self.terms:
+            return self.terms[one]
         raise ValueError("polynomial is not constant")
 
     def is_constant(self):
-        return not self.terms or self.terms.keys() == {self.ring._zero_exp}
+        return (not self.terms
+                or self.terms.keys() == {self.ring.packer().one})
 
     def is_homogeneous(self):
-        if not self.terms:
-            return True
-        degrees = {sum(e) for e in self.terms}
-        return len(degrees) == 1
+        return len(set(map(self.ring.packer().degree, self.terms))) <= 1
 
     def variables_used(self):
-        used = set()
-        for e in self.terms:
-            for i, v in enumerate(e):
-                if v:
-                    used.add(self.ring.variables[i])
-        return used
+        packer = self.ring.packer()
+        return {name for i, name in enumerate(self.ring.variables)
+                if any(map(packer.exponent(i), self.terms))}
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -515,18 +610,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = self.ring.const(other)
         self._check(other)
-        fld = self.ring.field
-        mul, add, is_zero = fld.mul, fld.add, fld.is_zero
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                prev = out.get(e)
-                out[e] = mul(ca, cb) if prev is None else add(prev, mul(ca, cb))
-        return Polynomial(self.ring, {e: c for e, c in out.items() if not is_zero(c)})
+        return _sum_of_products([(1, self, other)], self.ring)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -563,18 +647,19 @@ class Polynomial:
     # -- calculus and substitution ---------------------------------------------
 
     def derivative(self, var):
+        """d/d var: a term with x_i's exponent k > 0 is shifted down by
+        steps[i] (see MonomialPacker) and scaled by k."""
         i = self.ring.index(var)
+        packer = self.ring.packer()
+        exponent, step = packer.exponent(i), packer.steps[i]
         fld = self.ring.field
         out = {}
         for e, c in self.terms.items():
-            k = e[i]
-            if k == 0:
-                continue
-            ne = e[:i] + (k - 1,) + e[i + 1:]
-            nc = fld.mul(c, fld.from_int(k))
-            if not fld.is_zero(nc):
-                prev = out.get(ne)
-                out[ne] = nc if prev is None else fld.add(prev, nc)
+            k = exponent(e)
+            if k:
+                nc = fld.mul(c, fld.from_int(k))
+                if not fld.is_zero(nc):
+                    out[e - step] = nc
         return Polynomial(self.ring, out)
 
     def substitute(self, bindings):
@@ -582,7 +667,8 @@ class Polynomial:
         in this ring or to numeric values.  When every value is constant (a
         number or a constant polynomial) each term is evaluated directly on
         field elements; otherwise powers of the bound polynomials are
-        multiplied out."""
+        multiplied out, each term's bound variables divided out by shifts
+        of the packed values (see MonomialPacker)."""
         if not bindings:
             return self
         ring = self.ring
@@ -598,16 +684,20 @@ class Polynomial:
         if all(v.is_constant() for v in subs.values()):
             return self._evaluate({i: v.constant_value()
                                    for i, v in subs.items()})
+        packer = ring.packer()
+        one = packer.one
+        reads = [(i, packer.exponent(i), packer.steps[i], value)
+                 for i, value in subs.items()]
         powers = {i: {0: ring.one()} for i in subs}
         fld = ring.field
         add, mul, is_zero = fld.add, fld.mul, fld.is_zero
         acc = {}
         for e, c in self.terms.items():
-            rest = list(e)
+            rest = e
             factor = None
-            for i, value in subs.items():
-                k = e[i]
-                rest[i] = 0
+            for i, exponent, step, value in reads:
+                k = exponent(e)
+                rest -= k * step
                 cache = powers[i]
                 if k not in cache:
                     top = max(cache)
@@ -617,13 +707,9 @@ class Polynomial:
                         cache[j] = pk
                 p = cache[k]
                 factor = p if factor is None else factor * p
-            rest = tuple(rest)
-            if factor is None:
-                pieces = ((rest, c),)
-            else:
-                pieces = tuple((tuple(x + y for x, y in zip(rest, fe)), mul(c, fc))
-                               for fe, fc in factor.terms.items())
-            for ne, nc in pieces:
+            shift = rest - one
+            for fe, fc in factor.terms.items():
+                ne, nc = fe + shift, mul(c, fc)
                 prev = acc.get(ne)
                 if prev is None:
                     acc[ne] = nc
@@ -633,28 +719,29 @@ class Polynomial:
                         del acc[ne]
                     else:
                         acc[ne] = s
+        packer.check_fits(acc)
         return Polynomial(ring, acc)
 
     def _evaluate(self, values):
         """substitute for constant bindings: values maps variable indices to
         field elements, whose powers are cached as they are needed."""
+        packer = self.ring.packer()
         fld = self.ring.field
         add, mul, is_zero = fld.add, fld.mul, fld.is_zero
-        powers = {i: [fld.one] for i in values}
+        reads = [(packer.exponent(i), packer.steps[i], val, [fld.one])
+                 for i, val in values.items()]
         acc = {}
         for e, c in self.terms.items():
-            rest = list(e)
-            for i, val in values.items():
-                k = e[i]
+            ne = e
+            for exponent, step, val, pw in reads:
+                k = exponent(e)
                 if k:
-                    rest[i] = 0
-                    pw = powers[i]
+                    ne -= k * step
                     while len(pw) <= k:
                         pw.append(mul(pw[-1], val))
                     c = mul(c, pw[k])
             if is_zero(c):
                 continue
-            ne = tuple(rest)
             prev = acc.get(ne)
             if prev is None:
                 acc[ne] = c
@@ -667,30 +754,21 @@ class Polynomial:
         return Polynomial(self.ring, acc)
 
     def transfer(self, target):
-        """Re-express this polynomial in another ring by variable name.
+        """Re-express this polynomial in another ring by variable name, by
+        one map of packed values (MonomialPacker.into).
 
         Every variable actually used must exist in the target ring; the
-        coefficient fields must agree.
+        coefficient fields must agree; SizeOutOfRange past the target's
+        packed field widths.
         """
         if target == self.ring:
             return self
         if target.field != self.ring.field:
             raise RingMismatch("transfer across different coefficient fields")
-        src_vars = self.ring.variables
-        mapping = []
-        for i, name in enumerate(src_vars):
-            mapping.append(target._pos.get(name))
-        out = {}
-        for e, c in self.terms.items():
-            ne = [0] * target.nvars
-            for i, v in enumerate(e):
-                if v:
-                    j = mapping[i]
-                    if j is None:
-                        raise RingMismatch(
-                            f"variable {src_vars[i]!r} missing from target ring")
-                    ne[j] = v
-            out[tuple(ne)] = c
+        packer = target.packer()
+        move = self.ring.packer().into(packer)
+        out = {move(e): c for e, c in self.terms.items()}
+        packer.check_fits(out)
         return Polynomial(target, out)
 
     def __repr__(self):

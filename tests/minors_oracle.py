@@ -1,5 +1,5 @@
 """Minors of polynomial matrices taken by sympy.Matrix.det, kept as the
-oracle for optdeg's one Laplace routine (matrices.packed_minors).
+oracle for optdeg's one Laplace routine (matrices.minors_by_size).
 
 Entries are read as sympy expressions with rational coefficients; over
 GF(q) the residues in [0, q) are read as integers, so sympy's determinant
@@ -15,7 +15,7 @@ import sympy
 def _expr(poly, syms):
     return sympy.Add(*(sympy.Rational(c) * sympy.Mul(*(s ** k for s, k in
                                                        zip(syms, e)))
-                       for e, c in poly.terms.items()))
+                       for e, c in poly.sorted_terms()))
 
 
 def sympy_minors(entries, k):

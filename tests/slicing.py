@@ -11,9 +11,8 @@ SlicingFailed.
 import random
 
 from optdeg import GREVLEX, Ideal, saturate
-from optdeg.critical import (_packed_row, _stacked_generators,
-                             singular_locus_ideal)
-from optdeg.groebner import _count_points, _linear_cut, _pack_polys, dimension
+from optdeg.critical import _stacked_generators, singular_locus_ideal
+from optdeg.groebner import _count_points, _linear_cut, dimension
 from optdeg.rings import random_linear_form
 
 
@@ -24,12 +23,12 @@ class SlicingFailed(Exception):
 def cut_linear(ideal, forms, budget):
     """ideal + <forms>, for affine-linear forms, as an ideal of the grevlex
     ring without the forms' pivot variables: the forms are solved for their
-    pivots and substituted on packed terms (see groebner._linear_cut), and
-    inconsistent forms give <1>."""
+    pivots and substituted (see groebner._linear_cut), and inconsistent
+    forms give <1>."""
     ring = ideal.ring.with_order(GREVLEX)
     small, cut, added = _linear_cut(ring, forms, budget)
-    return Ideal.packed(small, cut(_pack_polys(ideal.generators, ring))
-                        + added)
+    return Ideal(small, cut([g.transfer(ring) for g in ideal.generators])
+                 + added)
 
 
 def _agreed(counts, what):
@@ -87,9 +86,8 @@ def saturated_conormal(X):
     """The conormal ideal saturated by the singular locus, and its y names."""
     ynames = tuple(f"y{i + 1}" for i in range(X.n))
     big = X.ring.extend(ynames)
-    row = _packed_row([big.var(yn) for yn in ynames], big)
-    conormal = saturate(Ideal.packed(big, _stacked_generators(X, row, big,
-                                                              None)),
+    row = [big.var(yn) for yn in ynames]
+    conormal = saturate(Ideal(big, _stacked_generators(X, row, big, None)),
                         singular_locus_ideal(X).transfer(big))
     return conormal, ynames
 

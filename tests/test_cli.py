@@ -141,6 +141,27 @@ def test_denominator_zero_mod_q_is_domain_error(tmp_path, capsys, job_part):
     assert err.startswith("error:") and "zero in GF(2147483647)" in err
 
 
+@pytest.mark.parametrize("generator", [
+    "x1^40000+x2^2-1",
+    "x1^40000-x1^40000+x2^2-1",
+], ids=["kept", "cancelled"])
+def test_exponent_past_the_packed_widths_is_domain_error(tmp_path, capsys,
+                                                        generator):
+    """A parsed monomial past the packed field widths raises as it is
+    built, before any term cancels it."""
+    job = {
+        "schema_version": 1,
+        "ring": {"variables": ["x1", "x2"], "field": "rational"},
+        "variety": {"generators": [generator]},
+        "objective": {"pnorm": 2},
+        "seed": 0,
+    }
+    rc = run_cli(tmp_path, "degree", job)
+    err = capsys.readouterr().err
+    assert rc == EXIT_DOMAIN
+    assert err.startswith("error:") and "packed field widths" in err
+
+
 @pytest.mark.parametrize("command, variables, generator, name", [
     ("crossvalidate", ["x1", "y1", "x3"], "x1^2+y1^2-2*x3^2", "y1"),
     ("degree", ["x1", "u1"], "x1^2+4*u1^2-1", "u1"),

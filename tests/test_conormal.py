@@ -2,18 +2,18 @@ import pytest
 from hypothesis import given, settings
 
 from optdeg import (Ideal, NotHomogeneous, OptdegError, PrimeField,
-                    RationalField, RingContext, dimension, parse_polynomial,
-                    random_linear_change)
+                    RationalField, RingContext, dimension, parse_polynomial)
 from optdeg.conormal import (bidegree_class, joint_correspondence_ideal,
                              polar_classes, pnorm_degree_via_polar,
                              s_conormal_ideal)
-from optdeg.critical import (VarietySpec, _packed_row, _stacked_generators,
+from optdeg.critical import (VarietySpec, _stacked_generators,
                              projective_pnorm_degree, singular_locus_ideal)
 from optdeg.formulas import ChernDegrees, polar_from_chern
 from optdeg.groebner import DEFAULT_BUDGET, _Budget
 
 from conftest import (plane_curve_cones, plane_curve_twins,
                       reducible_plane_curve_cones, variety)
+from linear_change import random_linear_change
 from slicing import (SlicingFailed, saturated_conormal, sliced_bidegree,
                      sliced_polar_classes)
 
@@ -55,7 +55,7 @@ def test_s2_conormal_has_squared_rows(gf_ring3):
     N2 = s_conormal_ideal(conic, 2)
     used = set()
     for g in N2.generators:
-        for e, _ in g.terms.items():
+        for e, _ in g.sorted_terms():
             for i, v in enumerate(N2.ring.variables):
                 if v.startswith("y") and e[i]:
                     used.add(e[i])
@@ -83,8 +83,8 @@ def test_bidegree_groups_must_partition_the_ring(gf_ring3):
     conic = variety(gf_ring3, "x1^2+x2^2+2*x3^2")
     xnames, ynames = ("x1", "x2", "x3"), ("y1", "y2", "y3")
     big = gf_ring3.extend(ynames + ("z",))
-    row = _packed_row([big.var(yn) for yn in ynames], big)
-    N = Ideal.packed(big, _stacked_generators(conic, row, big, None))
+    row = [big.var(yn) for yn in ynames]
+    N = Ideal(big, _stacked_generators(conic, row, big, None))
     with pytest.raises(ValueError, match="partition"):
         bidegree_class(N, xnames, ynames)
     with pytest.raises(ValueError, match="partition"):

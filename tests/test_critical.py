@@ -11,8 +11,7 @@ from optdeg import (GREVLEX, BudgetExceeded, ContainedInIsotropic, Ideal,
                     NotHomogeneous, PositiveDimensionalFiber, PrimeField,
                     RationalField, RingContext, degree_zero_dim, dimension,
                     normal_form, parse_polynomial, parse_rational_function,
-                    pnorm_degree_via_polar, random_linear_change,
-                    vanishes_on_variety)
+                    pnorm_degree_via_polar, vanishes_on_variety)
 from optdeg import critical, groebner, matrices
 from optdeg.critical import (DegreeReport, PNorm, RationalGradient,
                              VarietySpec, _line_restriction,
@@ -23,8 +22,7 @@ from optdeg.critical import (DegreeReport, PNorm, RationalGradient,
                              projective_pnorm_degree, singular_locus_ideal)
 from optdeg.errors import (DenominatorVanishesOnX, EvoluteLinesDegenerate,
                            ZeroDenominator)
-from optdeg.groebner import (DEFAULT_BUDGET, _Budget, _count_points,
-                             _linear_cut, _unpack_polys)
+from optdeg.groebner import DEFAULT_BUDGET, _Budget, _count_points, _linear_cut
 from optdeg.matrices import derationalize, jacobian
 from optdeg.rings import (MonomialPacker, OrderSpec, Polynomial,
                           RationalFunction, random_linear_form)
@@ -32,6 +30,7 @@ from optdeg.rings import (MonomialPacker, OrderSpec, Polynomial,
 from conftest import (affine_plane_curve_twins, plane_curve_cones,
                       plane_curve_twins, singular_affine_plane_curves,
                       variety)
+from linear_change import random_linear_change
 from minors_oracle import sympy_minors
 from slicing import cut_linear
 from squarefree import (euclid_squarefree_degree, reduced_degree,
@@ -412,7 +411,7 @@ def test_projective_cone_fibers():
     xnames = {"x1", "x2", "x3"}
     xi = [corr.ring.index(v) for v in ("x1", "x2", "x3")]
     for g in corr.generators:
-        degs = {sum(e[i] for i in xi) for e in g.terms}
+        degs = {sum(e[i] for i in xi) for e, _ in g.sorted_terms()}
         assert len(degs) == 1
     assert corr.ring.variables == ("x1", "x2", "x3", "u1", "u2", "u3")
     # specializing random u leaves a one-dimensional cone in x
@@ -559,7 +558,7 @@ def test_affine_degree_builds_the_data_independent_part_once(monkeypatch,
     runs = []
     rings = []
     original_gb = groebner.groebner_basis
-    original_minors = matrices.packed_minors
+    original_minors = matrices.minors_by_size
 
     def counted_gb(*args, **kwargs):
         runs.append(1)
@@ -571,8 +570,8 @@ def test_affine_degree_builds_the_data_independent_part_once(monkeypatch,
 
     monkeypatch.setattr(groebner, "groebner_basis", counted_gb)
     monkeypatch.setattr(critical, "groebner_basis", counted_gb)
-    monkeypatch.setattr(matrices, "packed_minors", counted_minors)
-    monkeypatch.setattr(critical, "packed_minors", counted_minors)
+    monkeypatch.setattr(matrices, "minors_by_size", counted_minors)
+    monkeypatch.setattr(critical, "minors_by_size", counted_minors)
     nodal = variety(RingContext(("x1", "x2"), field=prime_field),
                     "x2^2-x1^2*(x1+1)")
     rep = algebraic_degree(nodal, PNorm(2), trials=3, seed=1)
@@ -728,9 +727,7 @@ def test_stacked_generators_are_the_stacked_minors(data):
     stacked = derationalize(row, jacobian(gens, X.ring.variables))
     minors = (stacked.minors(c + 1)
               if c + 1 <= min(stacked.rows, stacked.cols) else [])
-    packed = critical._packed_row(row, big)
-    assembled = _unpack_polys(
-        critical._stacked_generators(X, packed, big, None), big)
+    assembled = critical._stacked_generators(X, row, big, None)
     assert assembled == gens + minors
     coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=X.n + 1,
                                 max_size=X.n + 1).filter(
@@ -739,20 +736,20 @@ def test_stacked_generators_are_the_stacked_minors(data):
     for name, a in zip(X.ring.variables, coeffs[1:]):
         slice_ = slice_ + big.var(name).scale(a)
     cut = _linear_cut(big, [slice_], None)
-    got = Ideal.packed(cut[0], critical._stacked_generators(
-        X, packed, big, None, cut) + cut[2])
+    got = Ideal(cut[0], critical._stacked_generators(
+        X, row, big, None, cut) + cut[2])
     want = cut_linear(Ideal(big, assembled), [slice_], None)
     assert got.ring == want.ring
-    assert [g.terms for g in got.generators] == \
-        [g.terms for g in want.generators]
+    assert [g.sorted_terms() for g in got.generators] == \
+        [g.sorted_terms() for g in want.generators]
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.data())
 def test_packed_jacobian_minors_are_the_sympy_minors(data):
-    """X keeps, packed into a ring, its generators and the c- and
-    (c+1)-minors of their Jacobian, which unpack to the ones
-    sympy.Matrix.det takes, in the same order: for drawn generators and a
+    """X keeps, transferred to a ring, its generators and the c- and
+    (c+1)-minors of their Jacobian, which are the ones sympy.Matrix.det
+    takes, in the same order: for drawn generators and a
     drawn codimension below the Jacobian's rank bound, over QQ and
     GF(2^31 - 1), in X's ring and in a block-ordered extension of it."""
     field = data.draw(st.sampled_from((PrimeField(), RationalField())))
@@ -772,8 +769,21 @@ def test_packed_jacobian_minors_are_the_sympy_minors(data):
             OrderSpec("block", ("w1", "w2")))):
         want = [[g.transfer(big) for g in polys] for polys in
                 (gens, sympy_minors(jac, c), sympy_minors(jac, c + 1))]
-        assert [_unpack_polys(polys, big)
-                for polys in X.packed_minors(big)] == want
+        assert [list(polys) for polys in X.minors(big)] == want
+
+
+def test_trials_on_points_localize_at_their_own_denominators():
+    """Two points have no (c+1)-minor to stack, so the system is I(X) and
+    the localizer alone.  Each trial's localizer is built at its own data
+    point and must not stay in I(X)'s generators, which X keeps for every
+    later trial: both points are critical at every data point."""
+    ring = RingContext(("x1", "x2"))
+    X = variety(ring, "x1^2-1", "x2-2")
+    xu, _ = data_ring(ring)
+    gradient = RationalGradient((parse_rational_function("u1/(x1+u1)", xu),
+                                 parse_rational_function("u2/(x2+u2)", xu)))
+    report = algebraic_degree(X, gradient, trials=3, seed=0)
+    assert [c for _, c in report.trials] == [2, 2, 2]
 
 
 @pytest.mark.parametrize("field", [PrimeField(), RationalField()])
@@ -824,9 +834,10 @@ def _bound_at(ideal, point, ring):
 
 
 def test_a_second_trial_packs_and_transfers_no_cached_minor(monkeypatch):
-    """X's generators and Jacobian minors are packed into the count's
+    """X's generators and Jacobian minors are transferred to the count's
     (x, b) ring on the first trial only: building a later trial's cut
-    system packs no monomial and transfers no polynomial."""
+    system transfers no polynomial.  No trial packs a monomial: the
+    polynomials hold packed terms from their construction on."""
     X = variety(RingContext(("x1", "x2", "x3", "x4"), field=PrimeField()),
                 *TWISTED_CUBIC)
     system, bname, _ = critical._projective_chart_system(X, 2, None)
@@ -851,7 +862,8 @@ def test_a_second_trial_packs_and_transfers_no_cached_minor(monkeypatch):
         ideal = system(u, cut)
         made.append({k: calls[k] - before[k] for k in calls})
         assert ideal.ring == cut[0] and not ideal.is_zero()
-    assert made[0]["pack"] > 0 and made[0]["transfer"] > 0
+    assert made[0] == {"pack": 0, "transfer": made[0]["transfer"]}
+    assert made[0]["transfer"] > 0
     assert made[1] == {"pack": 0, "transfer": 0}
 
 
@@ -970,15 +982,16 @@ def test_saturation_runs_when_an_isotropic_point_is_critical(monkeypatch,
     assert checks == [False, False]
     assert len(saturations) == 2
     assert count(lambda ideal, fs, budget: original_rabinowitsch(
-        ideal, _unpack_polys(fs, ideal.ring), budget)) == [3, 3]
+        ideal, fs, budget)) == [3, 3]
     assert count(lambda ideal, fs, budget: ideal) == [4, 4]
     assert saturating_counts(X, 2, 1, [u]) == [3]
 
 
 def test_a_projective_unit_check_unpacks_nothing(monkeypatch, prime_field):
     """For generic data on a smooth cone the unit check passes, and it runs
-    on the packed basis of the eliminated ideal and the packed cut f_i: it
-    unpacks no monomial, and the count after it only the basis's leads."""
+    on the basis of the eliminated ideal and the cut f_i as they are: it
+    reads no exponent tuple (MonomialPacker.unpack), and the count after
+    it reads only the basis's leads, one per element (lead_exponents)."""
     X = variety(RingContext(("x1", "x2", "x3"), field=prime_field),
                 "x1^2+x2^2-3*x3^2")
     unpacked, checks, counts = [], [], []
@@ -1016,10 +1029,11 @@ def test_a_projective_unit_check_unpacks_nothing(monkeypatch, prime_field):
                          ids=["smooth", "nodal"])
 def test_affine_trials_unpack_only_leads(monkeypatch, prime_field, text):
     """Each trial of an affine count builds its system and counts its
-    points on packed terms, and its point count unpacks one lead per basis
-    element; nothing else in the trial is unpacked.  The nodal curve's
-    trials also take its length at the node on packed terms (see
-    critical._local_length), which unpacks nothing."""
+    points on packed terms, and its point count reads the exponent tuple
+    (MonomialPacker.unpack) of one lead per basis element
+    (lead_exponents); nothing else in the trial reads one.  The nodal
+    curve's trials also take its length at the node (see
+    critical._local_length), which reads none."""
     X = variety(RingContext(("x1", "x2"), field=prime_field), text)
     unpacked, trials, counts = [], [], []
     original_unpack = MonomialPacker.unpack
@@ -1058,10 +1072,9 @@ def test_affine_trials_unpack_only_leads(monkeypatch, prime_field, text):
                          ids=["GF", "QQ"])
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
 def test_packed_pnorm_row_is_the_power(field, p):
-    """The affine count builds its p-norm row as packed powers (see
-    _packed_power), the packed 1 for p = 1: the system it seeds is the one
-    stacked on the row of polynomials (u_i - x_i)^(p-1), at a data point
-    and with u symbolic."""
+    """The affine count builds its p-norm row as powers, 1 for p = 1: the
+    system it seeds is the one stacked on the row of polynomials
+    (u_i - x_i)^(p-1), at a data point and with u symbolic."""
     ring = RingContext(("x1", "x2"), field=field)
     X = variety(ring, "x1^2+4*x2^2-1")
     xu, unames = data_ring(ring)
@@ -1073,9 +1086,8 @@ def test_packed_pnorm_row_is_the_power(field, p):
         assert got == small and not ws
         row = [(a - small.var(x)) ** (p - 1)
                for a, x in zip(data, ring.variables)]
-        want = critical._stacked_generators(
-            X, critical._packed_row(row, small), small, None)
-        assert ideal.generators == tuple(_unpack_polys(want, small))
+        want = critical._stacked_generators(X, row, small, None)
+        assert ideal.generators == tuple(want)
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
@@ -1115,8 +1127,8 @@ def _assert_critical_ideal_matches_y_system(X, p):
     got = projective_critical_ideal(X, p)
     want = saturating_critical_ideal(X, p)
     assert got.ring == want.ring
-    assert [g.terms for g in got.generators] == [g.terms
-                                                 for g in want.generators]
+    assert [g.sorted_terms() for g in got.generators] == [
+        g.sorted_terms() for g in want.generators]
 
 
 @pytest.mark.parametrize("field", [PrimeField(), RationalField()])

@@ -16,9 +16,8 @@ from optdeg import (GREVLEX, LEX, BudgetExceeded, Ideal, NotZeroDimensional,
 from optdeg import groebner
 from optdeg.groebner import (DEFAULT_BUDGET, _Budget, _count_points,
                              _hilbert_numerator, _hilbert_value, _linear_cut,
-                             _minimal, _multidegree, _numerator_plus,
-                             _pack_polys, _unpack_polys)
-from optdeg.rings import MonomialPacker
+                             _minimal, _multidegree, _numerator_plus)
+from optdeg.rings import MonomialPacker, Polynomial
 
 from orders import order_key
 from slicing import cut_linear, sections_degree
@@ -182,7 +181,7 @@ def test_eliminate_soundness(rxy):
     for g in out.generators:
         lifted = g.transfer(ring)
         assert normal_form(lifted, gb).is_zero()
-        assert all(e[drop_idx] == 0 for e in lifted.terms)
+        assert all(e[drop_idx] == 0 for e, _ in lifted.sorted_terms())
 
 
 # --- saturation ---------------------------------------------------------------------
@@ -415,7 +414,7 @@ def test_poly_from_terms_reduces_prime_field_coefficients():
     raw = ring.poly_from_terms({(2, 0): 1, (0, 0): q + 3, (1, 0): q,
                                 (0, 1): -1})
     reduced = ring.poly_from_terms({(2, 0): 1, (0, 0): 3, (0, 1): q - 1})
-    assert raw.terms == {(2, 0): 1, (0, 0): 3, (0, 1): q - 1}
+    assert dict(raw.sorted_terms()) == {(2, 0): 1, (0, 0): 3, (0, 1): q - 1}
     assert raw == reduced
     ours = groebner_basis(Ideal(ring, [raw, P("z", ring)])).basis
     assert ours == groebner_basis(Ideal(ring, [reduced, P("z", ring)])).basis
@@ -490,7 +489,7 @@ def test_gb_matches_sympy_over_qq(order, name, ideal):
     _, ours = _optdeg_ideal(n, gens, order)
     syms, exprs = _sympy_exprs(n, gens)
     theirs = sympy.groebner(exprs, *syms, order=name, domain="QQ")
-    got = sorted(sorted(g.terms.items()) for g in groebner_basis(ours, order))
+    got = sorted(sorted(g.sorted_terms()) for g in groebner_basis(ours, order))
     want = sorted(sorted(_sympy_terms(p).items()) for p in theirs.polys)
     assert got == want
 
@@ -509,7 +508,8 @@ def test_normal_form_matches_sympy_reduced(ideal, f):
                            domain="QQ")
     got = normal_form(ring.poly_from_terms(f), groebner_basis(ours))
     want = sympy.Poly(rem, *syms, domain="QQ")
-    assert got.terms == ({} if want.is_zero else _sympy_terms(want))
+    assert dict(got.sorted_terms()) == ({} if want.is_zero
+                                        else _sympy_terms(want))
 
 
 def _gf_terms(poly):
@@ -525,7 +525,7 @@ def test_gb_matches_sympy_over_gf(order, name, ideal):
     _, ours = _optdeg_ideal(n, gens, order, PrimeField(_Q))
     syms, exprs = _sympy_exprs(n, gens)
     theirs = sympy.groebner(exprs, *syms, order=name, modulus=_Q)
-    got = sorted(sorted(g.terms.items()) for g in groebner_basis(ours, order))
+    got = sorted(sorted(g.sorted_terms()) for g in groebner_basis(ours, order))
     want = sorted(sorted(_gf_terms(p).items()) for p in theirs.polys)
     assert got == want
 
@@ -545,14 +545,15 @@ def test_normal_form_matches_sympy_reduced_over_gf(ideal, f):
                            modulus=_Q)
     got = normal_form(_poly(ring, f), groebner_basis(ours))
     want = sympy.Poly(rem, *syms, modulus=_Q)
-    assert got.terms == ({} if want.is_zero else _gf_terms(want))
+    assert dict(got.sorted_terms()) == ({} if want.is_zero
+                                        else _gf_terms(want))
 
 
 def _sympy_expr(poly):
     syms = sympy.symbols(poly.ring.variables)
     return sympy.Add(*(sympy.Rational(c) * sympy.Mul(*(s ** k for s, k in
                                                        zip(syms, e)))
-                       for e, c in poly.terms.items()))
+                       for e, c in poly.sorted_terms()))
 
 
 @pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
@@ -584,11 +585,12 @@ def test_eliminate_matches_sympy_by_membership(field, data):
 def _full_block_kept(ideal, drop, small):
     """The reference for _eliminate: the elements free of `drop` in the full
     reduced basis for the block order ranking `drop` first, in its order,
-    as term dicts of `small`."""
+    as polynomials of `small` read as exponent tuple -> coefficient
+    dicts."""
     full = groebner_basis(ideal, OrderSpec("block", tuple(drop)))
     idx = [full.ring.index(v) for v in drop]
-    return [g.transfer(small).terms for g in full.basis
-            if not any(e[i] for e in g.terms for i in idx)]
+    return [dict(g.transfer(small).sorted_terms()) for g in full.basis
+            if not any(e[i] for e, _ in g.sorted_terms() for i in idx)]
 
 
 def _assert_eliminate_keeps_the_full_basis_part(ring, gens, drop, cached):
@@ -603,7 +605,7 @@ def _assert_eliminate_keeps_the_full_basis_part(ring, gens, drop, cached):
     got = groebner._eliminate(ours, tuple(drop), small, _Budget(DEFAULT_BUDGET))
     want = _full_block_kept(ref, drop, small)
     assert got.ring == small
-    assert [g.terms for g in got.generators] == want
+    assert [dict(g.sorted_terms()) for g in got.generators] == want
     return want
 
 
@@ -664,10 +666,11 @@ def test_drop_must_be_the_front_block(order):
 def test_dropped_elements_are_never_finished(monkeypatch, field, cached):
     """The block basis of this ideal has five elements whose lead holds s
     or t, and one that is free of both.  Only that one reaches _autoreduce.
-    It is handed on packed: no term in the block ring or in the ring on x
-    and y is unpacked until `generators` is read, which unpacks its terms
-    once.  Only a conversion unpacks during the elimination, in the ring
-    with h and in the grevlex ring it converts from."""
+    No term in the block ring or in the ring on x and y is unpacked: the
+    kept element is handed on as it is, and only reading its exponents
+    (sorted_terms) unpacks its terms, once each.  Only a conversion
+    unpacks during the elimination, the leads for its Hilbert numerator,
+    in the ring with h and in the grevlex ring it converts from."""
     ring = RingContext(("s", "t", "x", "y"), field)
     gens = [P(g, ring) for g in ("x-t^2-s", "y-t^3+s^2", "s*t-1")]
     drop = ("s", "t")
@@ -694,6 +697,8 @@ def test_dropped_elements_are_never_finished(monkeypatch, field, cached):
     out = groebner._eliminate(ideal, drop, small, _Budget(DEFAULT_BUDGET))
     during = list(unpacked)
     (kept,) = out.generators
+    assert unpacked == during
+    kept.sorted_terms()
     monkeypatch.undo()
     ((leads, packer),) = finished
     assert len(leads) == 1
@@ -701,7 +706,7 @@ def test_dropped_elements_are_never_finished(monkeypatch, field, cached):
     assert not any(lead[packer.ring.index(v)] for v in drop)
     assert all("hom_h" in r.variables or r == ring for r in during)
     assert cached or not during
-    assert unpacked[len(during):] == [small] * len(kept.terms)
+    assert unpacked[len(during):] == [small] * len(kept)
 
 
 # --- saturation against the intersection of single saturations ---------------------
@@ -736,8 +741,8 @@ def _assert_saturate_matches_intersection(ideal, other):
     got = saturate(ideal, other)
     want = _saturate_by_intersection(ideal, other)
     assert got.ring == want.ring == ideal.ring
-    assert [g.terms for g in got.generators] == \
-        [g.terms for g in want.generators]
+    assert [g.sorted_terms() for g in got.generators] == \
+        [g.sorted_terms() for g in want.generators]
     return got
 
 
@@ -837,8 +842,8 @@ def test_saturating_after_eliminating_b_is_localizing_before(field, data):
     got = groebner._rabinowitsch(eliminate(system, ["b"]), fs, None)
     want = _localize_then_eliminate(system, fs)
     assert got.ring == want.ring
-    assert [g.terms for g in got.generators] == \
-        [g.terms for g in want.generators]
+    assert [g.sorted_terms() for g in got.generators] == \
+        [g.sorted_terms() for g in want.generators]
 
 
 @pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
@@ -857,8 +862,8 @@ def test_saturating_after_eliminating_b_on_a_whole_b_line(field, fs,
     fs = [P(f, x_ring) for f in fs]
     got = groebner._rabinowitsch(eliminate(system, ["b"]), fs, None)
     want = _localize_then_eliminate(system, fs)
-    assert [g.terms for g in got.generators] == \
-        [g.terms for g in want.generators]
+    assert [g.sorted_terms() for g in got.generators] == \
+        [g.sorted_terms() for g in want.generators]
     assert got.equals(I(x_ring, expected))
 
 
@@ -909,7 +914,8 @@ def test_sum_runs_from_the_cached_basis(field, data):
     got = groebner_basis(Ideal(J.ring, basis + fs), GREVLEX,
                          based=len(basis))
     assert got.is_unit() == plain.is_unit()
-    assert [g.terms for g in got] == [g.terms for g in plain]
+    assert [g.sorted_terms() for g in got] == [g.sorted_terms()
+                                              for g in plain]
 
 
 @pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
@@ -1081,7 +1087,8 @@ def test_converted_bases_match_the_plain_driver(field, data):
         got = _converted(ideal, order)
         want = groebner_basis(Ideal(ring, ideal.generators), order)
         assert got.ring == want.ring
-        assert [g.terms for g in got.basis] == [g.terms for g in want.basis]
+        assert [g.sorted_terms() for g in got.basis] == [
+            g.sorted_terms() for g in want.basis]
 
 
 @pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
@@ -1095,7 +1102,7 @@ def test_converted_lex_basis_matches_sympy(field, data):
     domain = {"domain": "QQ"} if field is None else {"modulus": _Q}
     theirs = sympy.groebner(exprs, *syms, order="lex", **domain)
     terms = _sympy_terms if field is None else _gf_terms
-    got = sorted(sorted(g.terms.items()) for g in _converted(ideal, LEX))
+    got = sorted(sorted(g.sorted_terms()) for g in _converted(ideal, LEX))
     want = sorted(sorted(terms(p).items()) for p in theirs.polys)
     assert got == want
 
@@ -1131,15 +1138,15 @@ def test_conversion_past_the_packed_widths_runs_from_the_generators():
     ideal = I(ring, "x^17000-y")
     order = OrderSpec("block", ("x",))
     (g,) = _converted(ideal, order).basis
-    assert g.terms == P("x^17000-y", ring).terms
+    assert g.sorted_terms() == P("x^17000-y", ring).sorted_terms()
 
 
-# --- packed bases against the eager route -----------------------------------------
+# --- bases against the kernel's output ----------------------------------------------
 
-def _eager_basis(ideal, order, drop=()):
+def _kernel_basis(ideal, order, drop=()):
     """The reduced basis as groebner_basis computes it, from the ideal's
-    generators or converted from its cached grevlex basis, with every
-    element unpacked into a polynomial as it leaves _autoreduce."""
+    generators or converted from its cached grevlex basis, as the
+    polynomials of the term dicts _autoreduce returns."""
     budget = _Budget(DEFAULT_BUDGET)
     work = ideal.ring.with_order(order)
     packer = work.packer()
@@ -1147,26 +1154,27 @@ def _eager_basis(ideal, order, drop=()):
     if grevlex is not None:
         kernel = groebner._convert_grevlex(grevlex, work, budget, drop)
     else:
-        kernel = groebner._buchberger(_pack_polys(ideal.generators, work),
-                                      work, budget)
+        kernel = groebner._buchberger(
+            [g.transfer(work).terms for g in ideal.generators], work, budget)
         if drop:
             kernel = groebner._kept(kernel, packer)
-    return _unpack_polys(groebner._autoreduce(*kernel, packer, budget), work)
+    return [Polynomial(work, t)
+            for t in groebner._autoreduce(*kernel, packer, budget)]
 
 
 @pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(st.data())
-def test_packed_bases_read_as_the_eager_ones(field, data):
-    """A basis kept packed reads as the eagerly unpacked one: its length,
-    unit check and packed leads before any unpack, then its polynomials
-    and the same leads, which are the polynomials' largest terms under the
-    reference order (tests/orders.py); for drawn ideals over QQ and
+def test_bases_read_as_the_kernel_output(field, data):
+    """A basis reads as the polynomials of the kernel's output: its length,
+    its unit check and its leads, read off the largest packed keys, which
+    are the polynomials' largest terms under the reference order
+    (tests/orders.py), and its polynomials; for drawn ideals over QQ and
     GF(2^31 - 1), from the generators and converted from a cached grevlex
     basis, under grevlex, lex and block orders, with and without dropping
-    the front block.  An elimination's masked hand-off is the transfer of
-    the kept polynomials, cached as the reduced grevlex basis they are, and
-    an ideal regenerated by its basis is generated by it."""
+    the front block.  An elimination's hand-off is the transfer of the
+    kept polynomials, cached as the reduced grevlex basis they are, and an
+    ideal regenerated by its basis is generated by it."""
     coeffs = _COEFFS if field is None else _GF_COEFFS
     n, gens = data.draw(_ideals(coeffs))
     ring, ideal = _optdeg_ideal(n, gens, GREVLEX, field)
@@ -1178,14 +1186,14 @@ def test_packed_bases_read_as_the_eager_ones(field, data):
     order = data.draw(st.sampled_from((GREVLEX, LEX,
                                        OrderSpec("block", front))))
     drop = front if order.kind == "block" and data.draw(st.booleans()) else ()
-    want = _eager_basis(ideal, order, drop)
+    want = _kernel_basis(ideal, order, drop)
     gb = groebner_basis(ideal, order, drop=drop)
     assert len(gb) == len(want)
     assert gb.is_unit() == (len(want) == 1 and want[0].is_constant())
-    leads = [max(g.terms, key=order_key(g.ring)) for g in want]
+    leads = [max((e for e, _ in g.sorted_terms()), key=order_key(g.ring))
+             for g in want]
     assert gb.lead_exponents() == leads
     assert gb.basis == want
-    assert gb.lead_exponents() == leads
     if drop:
         small = ring.restrict([v for v in ring.variables if v not in drop])
         out = groebner._eliminate(ideal, drop, small, _Budget(DEFAULT_BUDGET))
@@ -1193,7 +1201,6 @@ def test_packed_bases_read_as_the_eager_ones(field, data):
         assert list(out.generators) == handed
         cached = out.groebner(GREVLEX)
         assert cached.ring == small and cached.basis == handed
-        assert cached.packed == _pack_polys(handed, small)
         assert groebner_basis(Ideal(small, handed)).basis == handed
     normalized = ideal.normalized()
     assert normalized.groebner(GREVLEX) is ideal.groebner(GREVLEX)
@@ -1254,8 +1261,8 @@ def test_cut_linear_in_the_dropped_block_keeps_eliminate(field, data):
     got = eliminate(cut, [v for v in drop if v in cut.ring.variables])
     want = eliminate(ideal + forms, drop)
     assert got.ring == want.ring
-    assert [g.terms for g in got.generators] == \
-        [g.terms for g in want.generators]
+    assert [g.sorted_terms() for g in got.generators] == \
+        [g.sorted_terms() for g in want.generators]
 
 
 @pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
@@ -1265,9 +1272,9 @@ def test_cut_linear_in_the_dropped_block_keeps_eliminate(field, data):
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(st.data())
 def test_linear_cut_substitutes_the_solved_pivot(field, front, k, data):
-    """On packed terms, the cut by one affine-linear form in x1..x3 sends a
-    polynomial of (x1, x2, x3, b) to that polynomial with the form solved
-    for its pivot substituted, packed in the ring without the pivot.  The
+    """The cut by one affine-linear form in x1..x3 sends a polynomial of
+    (x1, x2, x3, b) to that polynomial with the form solved for its pivot
+    substituted, in the ring without the pivot.  The
     pivot is the first, the middle or the last x, the form's constant may
     be zero, and under the block order b ranks first."""
     coeffs = _COEFFS if field is None else _GF_COEFFS
@@ -1291,7 +1298,7 @@ def test_linear_cut_substitutes_the_solved_pivot(field, front, k, data):
     solved = solved.scale(ring.field.neg(ring.field.inv(ring.coeff(lead))))
     want = [g.substitute({f"x{k + 1}": solved}).transfer(small)
             for g in polys]
-    assert _unpack_polys(cut(_pack_polys(polys, ring)), small) == want
+    assert cut(polys) == want
 
 
 @pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
@@ -1311,6 +1318,6 @@ def test_substitute_constants_match_the_general_path(field, data):
     spare = next(v for v in ring.variables if v not in values)
     fast = f.substitute(values)
     general = f.substitute({**values, spare: ring.var(spare)})
-    assert fast.terms == general.terms
+    assert fast.sorted_terms() == general.sorted_terms()
     consts = {v: ring.const(c) for v, c in values.items()}
-    assert f.substitute(consts).terms == fast.terms
+    assert f.substitute(consts).sorted_terms() == fast.sorted_terms()

@@ -1,5 +1,6 @@
 """Every module of the package and of its tests uses each name it imports,
-and only `optdeg.rings` reads the packed monomial layout.
+only `optdeg.rings` reads the packed monomial layout, and a polynomial has
+one representation.
 
 A stdlib-`ast` check in place of a linter: it collects the names each
 import statement binds and the names the module reads anywhere, and reports
@@ -10,6 +11,12 @@ The packed layout of a MonomialPacker is the one definition of a ring's
 monomial order, so no package module but `rings.py` reads a private
 attribute of a packer, its field constants WIDTH and VMASK, or a tuple
 sort key `.key` of a ring.
+
+A polynomial's terms are keyed by packed monomials, so outside `rings.py`
+no package module converts between exponent tuples and packed values,
+except at the few sites that read single exponents (EXPONENT_READS): it
+reads no `pack`, `unpack`, `poly_from_terms`, `monomial` or `sorted_terms`
+of anything, called or not.
 """
 
 import ast
@@ -83,3 +90,48 @@ def test_the_check_sees_a_layout_read():
                          ids=lambda p: p.name)
 def test_only_rings_reads_the_packed_layout(path):
     assert _layout_reads(path.read_text()) == []
+
+
+CONVERSIONS = {"pack", "unpack", "poly_from_terms", "monomial", "sorted_terms"}
+# (module, function) -> the conversions it may read: the Hilbert numerator
+# of the leads, _saturand's monomial case and formatting
+EXPONENT_READS = {
+    ("groebner.py", "lead_exponents"): {"unpack"},
+    ("groebner.py", "_buchberger"): {"unpack"},
+    ("groebner.py", "_saturand"): {"monomial"},
+    ("parsing.py", "format_polynomial"): {"sorted_terms"},
+}
+
+
+def _conversions(source):
+    """(function, attribute) for each read of a CONVERSIONS attribute, the
+    function being the innermost one around it (None at module level)."""
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Attribute) and node.attr in CONVERSIONS:
+            found.add((function, node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+    visit(ast.parse(source), None)
+    return sorted(found, key=str)
+
+
+def test_the_check_sees_a_conversion():
+    source = ("def f(ring, e):\n"
+              "    unpack = ring.packer().unpack\n"
+              "    return ring.poly_from_terms({unpack(e): 1})\n"
+              "ONE = ring.packer().pack((0, 0))\n")
+    assert _conversions(source) == [
+        ("f", "poly_from_terms"), ("f", "unpack"), (None, "pack")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.parent == PACKAGE
+                                  and p.name != "rings.py"],
+                         ids=lambda p: p.name)
+def test_only_the_exponent_reads_convert_outside_rings(path):
+    for function, attr in _conversions(path.read_text()):
+        assert attr in EXPONENT_READS.get((path.name, function), ()), \
+            f"{path.name}: {function} reads .{attr}"

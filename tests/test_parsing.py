@@ -106,12 +106,15 @@ def test_format_canonical_order():
 
 
 def test_format_stops_at_the_packed_widths():
-    """Terms are ordered by their packed values, so a degree past the packed
-    field widths cannot be formatted."""
+    """A polynomial holds packed monomials, so no degree past the packed
+    field widths reaches formatting: building such a monomial raises, and
+    so does parsing it, even where it would cancel."""
     ring = RingContext(("x1", "x2"))
     assert format_polynomial(ring.monomial((32767, 0))) == "x1^32767"
     with pytest.raises(SizeOutOfRange):
         format_polynomial(ring.monomial((32767, 1)))
+    with pytest.raises(SizeOutOfRange):
+        parse_polynomial("x1^32767*x2-x1^32767*x2+1", ring)
 
 
 def test_roundtrip_fixed_point(ring):

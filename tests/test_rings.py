@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from operator import mul
 
 import pytest
 import sympy
@@ -10,13 +11,12 @@ from hypothesis import strategies as st
 from optdeg import (GREVLEX, LEX, OptdegError, OrderSpec, PrimeField,
                     RationalField, RingContext, RingMismatch, SizeOutOfRange,
                     VariableCollision, derationalize, jacobian,
-                    parse_polynomial, parse_rational_function,
-                    random_linear_change)
+                    parse_polynomial, parse_rational_function)
 from optdeg import matrices
-from optdeg.groebner import _pack_polys, _unpack_polys
-from optdeg.matrices import PolyMatrix, packed_minors
+from optdeg.matrices import PolyMatrix, minors_by_size
 from optdeg.rings import RationalFunction
 
+from linear_change import random_linear_change
 from minors_oracle import sympy_minors
 from orders import order_key
 
@@ -178,10 +178,10 @@ def test_minors_transpose(ring):
 @settings(derandomize=True, max_examples=15, deadline=None)
 @given(data=st.data())
 def test_minors_match_sympy(field, rows, cols, data):
-    """packed_minors keys every size j up to k by (row set, column set) in
+    """minors_by_size keys every size j up to k by (row set, column set) in
     lexicographic order, sizes k - 1 and k on every row set and a smaller
     size j on the row sets whose first row is at least k - 1 - j.  The
-    sizes callers read, k - 1 and k (unpacked by PolyMatrix.minors), and
+    sizes callers read, k - 1 and k (the latter PolyMatrix.minors), and
     the determinant of a square matrix are the ones sympy.Matrix.det takes,
     for drawn matrices with zero and repeated rows, over QQ and
     GF(2^31 - 1)."""
@@ -200,16 +200,14 @@ def test_minors_match_sympy(field, rows, cols, data):
             entries.append([data.draw(polys) for _ in range(cols)])
     m = PolyMatrix(entries)
     k = data.draw(st.integers(1, min(rows, cols)))
-    keyed = packed_minors([_pack_polys(row, ring) for row in entries], k,
-                          ring)
+    keyed = minors_by_size(entries, k, ring)
     assert [list(d) for d in keyed] == [
         list(product((r for r in combinations(range(rows), j)
                       if r[0] >= k - 1 - j),
                      combinations(range(cols), j)))
         for j in range(1, k + 1)]
     if k > 1:
-        assert _unpack_polys(keyed[k - 2].values(), ring) == sympy_minors(
-            entries, k - 1)
+        assert list(keyed[k - 2].values()) == sympy_minors(entries, k - 1)
     assert m.minors(k) == sympy_minors(entries, k)
     if rows == cols:
         assert m.det() == sympy_minors(entries, rows)[0]
@@ -225,16 +223,14 @@ def test_a_determinant_takes_only_the_minors_it_reads(monkeypatch):
     ints = [[rng.randint(-5, 5) for _ in range(8)] for _ in range(8)]
     entries = [[ring.const(c) for c in row] for row in ints]
     sums = []
-    original = matrices._packed_sum
-    monkeypatch.setattr(matrices, "_packed_sum",
+    original = matrices._sum_of_products
+    monkeypatch.setattr(matrices, "_sum_of_products",
                         lambda *args: sums.append(1) or original(*args))
-    keyed = packed_minors([_pack_polys(row, ring) for row in entries], 8,
-                          ring)
+    keyed = minors_by_size(entries, 8, ring)
     assert [len(d) for d in keyed] == [16, 84, 224, 350, 336, 196, 64, 1]
     assert len(sums) == 1271 - 16
     (det,) = keyed[-1].values()
-    assert _unpack_polys([det], ring)[0] == ring.const(
-        int(sympy.Matrix(ints).det()))
+    assert det == ring.const(int(sympy.Matrix(ints).det()))
 
 
 # --- derationalize -----------------------------------------------------------
@@ -451,3 +447,61 @@ def test_packed_lcm_raises_where_packing_does(order, a, b):
         packer.pack(tuple(map(max, a, b)))
     with pytest.raises(SizeOutOfRange):
         packer.lcm(pa, pb)
+
+
+@_ORDERS
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_FITTING, st.integers(0, 3))
+def test_packed_steps_and_exponent_reads(order, e, i):
+    """A packed value is one + sum_j e_j*steps[j], so a shift by steps[i]
+    multiplies by x_i, and exponent(i) reads e_i back."""
+    packer = RingContext(("w", "x", "y", "z"), order=order).packer()
+    assert packer.pack(e) == packer.one + sum(map(mul, e, packer.steps))
+    up = tuple(a + (j == i) for j, a in enumerate(e))
+    assert packer.pack(e) + packer.steps[i] == packer.pack(up)
+    assert packer.exponent(i)(packer.pack(e)) == e[i]
+
+
+@pytest.mark.parametrize("target_order", [GREVLEX, LEX,
+                                          OrderSpec("block", ("z", "x"))],
+                         ids=["grevlex", "lex", "block"])
+@_ORDERS
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(_FITTING)
+def test_packer_map_into_another_ring_is_repacking(order, target_order, e):
+    """into(target) sends a packed monomial to the packed monomial of the
+    same exponents by name in target's ring, which may reorder the
+    variables and add some; a monomial of a variable target's ring lacks
+    raises RingMismatch."""
+    ring = RingContext(("w", "x", "y", "z"), order=order)
+    target = RingContext(("z", "v", "x", "w", "y"), order=target_order)
+    move = ring.packer().into(target.packer())
+    exps = dict(zip(ring.variables, e))
+    assert move(ring.packer().pack(e)) == target.packer().pack(
+        tuple(exps.get(v, 0) for v in target.variables))
+    small = RingContext(("x", "y", "z"), order=target_order)
+    move = ring.packer().into(small.packer())
+    if e[0]:
+        with pytest.raises(RingMismatch, match="'w' missing"):
+            move(ring.packer().pack(e))
+    else:
+        assert move(ring.packer().pack(e)) == small.packer().pack(e[1:])
+
+
+def test_polynomials_stay_within_the_packed_widths():
+    """Every way to build a polynomial checks the packed widths: a product
+    or power past them, a substitution that raises a degree past them and a
+    transfer into a block order whose back degree cannot hold a term all
+    raise SizeOutOfRange, where exponent tuples would have gone on."""
+    ring = RingContext(("x", "y"))
+    x, y = ring.var("x"), ring.var("y")
+    with pytest.raises(SizeOutOfRange):
+        x ** 20000 * x ** 20000
+    with pytest.raises(SizeOutOfRange):
+        (x * y) ** 20000
+    with pytest.raises(SizeOutOfRange):
+        (x ** 20000).substitute({"x": y ** 2})
+    block = RingContext(("x", "y", "z"), order=OrderSpec("block", ("z",)))
+    with pytest.raises(SizeOutOfRange):
+        (x ** 10000 * y ** 10000).transfer(block)
+    assert (x ** 16383).transfer(block) == block.var("x") ** 16383

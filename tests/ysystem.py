@@ -11,9 +11,9 @@ l(y) = 1 for y != 0.
 import random
 
 from optdeg import GREVLEX, Ideal, eliminate, saturate
-from optdeg.critical import (_packed_row, _projective_isotropic,
-                             _stacked_generators, singular_locus_ideal)
-from optdeg.groebner import _count_points, _unpack_polys
+from optdeg.critical import (_projective_isotropic, _stacked_generators,
+                             singular_locus_ideal)
+from optdeg.groebner import _count_points
 from optdeg.matrices import PolyMatrix
 from optdeg.rings import random_linear_form
 
@@ -29,8 +29,8 @@ def y_system(X, p):
     ynames = tuple(f"y{i + 1}" for i in range(n))
     unames = tuple(f"u{i + 1}" for i in range(n))
     big = ring.extend(ynames + unames)
-    row = _packed_row([big.var(yn) ** (p - 1) for yn in ynames], big)
-    gens = _unpack_polys(_stacked_generators(X, row, big, None), big)
+    row = [big.var(yn) ** (p - 1) for yn in ynames]
+    gens = _stacked_generators(X, row, big, None)
     collinear = []
     if n >= 3:
         rows = [[big.var(yn) for yn in ynames],
