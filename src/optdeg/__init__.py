@@ -13,7 +13,7 @@ from .groebner import (DEFAULT_BUDGET, GroebnerBasis, Ideal, affine_degree,
                        degree_zero_dim, dimension, eliminate, groebner_basis,
                        normal_form, saturate, vanishes_on_variety)
 from .critical import (DegreeReport, EvolutePolynomial, PNorm, RationalGradient,
-                       VarietySpec, algebraic_degree, ci_degree_bound_check,
+                       VarietySpec, affine_counter, algebraic_degree,
                        critical_ideal_affine, data_ring, evolute_curve,
                        projective_critical_ideal, projective_pnorm_degree,
                        singular_locus_ideal)

@@ -18,14 +18,13 @@ from . import formulas
 from .conormal import (bidegree_class, joint_correspondence_ideal,
                        polar_classes, pnorm_degree_via_polar, s_conormal_ideal)
 from .critical import (PNorm, RationalGradient, VarietySpec,
-                       _singular_beyond_vertex, algebraic_degree,
-                       critical_ideal_affine, data_ring, evolute_curve,
+                       _singular_beyond_vertex, affine_counter,
+                       algebraic_degree, data_ring, evolute_curve,
                        projective_pnorm_degree, singular_locus_ideal)
 from .errors import (BudgetExceeded, OptdegError, PositiveDimensionalFiber,
                      SchemaError, SizeOutOfRange, ZeroDenominator)
 from .fields import field_from_spec
-from .groebner import (DEFAULT_BUDGET, GREVLEX, Ideal, _count_points,
-                       as_budget, dimension)
+from .groebner import DEFAULT_BUDGET, GREVLEX, Ideal, as_budget, dimension
 from .parsing import format_polynomial, parse_polynomial, parse_rational_function
 from .rings import RingContext
 from .towers import (ParametrizationSpec, TowerLevel, TowerSpec,
@@ -94,13 +93,15 @@ def _load_ring(doc):
 def _parse(parse, text, ring, where):
     """parse(text, ring), with a grammar error reported as a schema error; a
     zero denominator and a monomial past the packed field widths stay
-    domain errors."""
+    domain errors, the latter named by `where` as a grammar error is."""
     if not isinstance(text, str):
         raise SchemaError(f"{where} must be a string in the polynomial grammar")
     try:
         return parse(text, ring)
-    except (ZeroDenominator, SizeOutOfRange):
+    except ZeroDenominator:
         raise
+    except SizeOutOfRange as exc:
+        raise SizeOutOfRange(f"{where}: {exc}") from None
     except OptdegError as exc:
         raise SchemaError(f"{where}: {exc}") from None
 
@@ -212,9 +213,7 @@ def _cmd_degree(job, variety, budget, timings):
     if "u" in options:
         u = _load_point(options["u"], variety.ring, "options.u")
         u_text = [str(c) for c in u]
-        count = _count_points(
-            critical_ideal_affine(variety, objective, u=u, budget=budget),
-            budget)
+        count = affine_counter(variety, objective, budget)(u)
         if count is None:
             raise PositiveDimensionalFiber(
                 f"the critical locus at the pinned data point u = {u_text} "

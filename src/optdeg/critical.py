@@ -5,16 +5,17 @@ for which they are critical, counts the generic fiber size (the algebraic
 degree), and computes p-norm evolutes of plane curves.  One construction
 per side gives both the correspondence ideal (u symbolic) and the count,
 which builds it at each trial's data point from the Jacobian minors the
-variety keeps: the affine one localized at its saturand, the projective
+variety keeps: the affine one saturated by its saturand, the projective
 one (in the direction chart y = u + b*x) saturated once b is eliminated,
-and in the count only when the saturation removes something.  The affine
-count localizes nothing when the saturand's zero set on the variety is
-finite: it subtracts from the points of the system the length they have
-there, read by linear algebra in quotients built once per job.  Every
-system's polynomials seed its Groebner run as they are, and the projective
-count assembles its system in the ring its slice cuts.  Each trial's
-eliminated basis is handed on to its unit check and its point count, which
-read only its leads.
+and in the count only when the saturation removes something.  Every
+saturation is one _rabinowitsch run.  The affine count saturates nothing
+when the saturand's zero set on the variety is finite: it subtracts from
+the points of the system the length they have there, read by linear
+algebra in quotients built once per job; one affine_counter counts every
+data point of a job, drawn or pinned.  Every system's polynomials seed its
+Groebner run as they are, and the projective count assembles its system
+in the ring its slice cuts.  Each trial's eliminated basis is handed on to
+its unit check and its point count, which read only its leads.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from .errors import (ContainedInIsotropic, DenominatorVanishesOnX,
                      PositiveDimensionalFiber, RingMismatch, ZeroDenominator)
 from .fields import PrimeField
 from .groebner import (GREVLEX, Ideal, _basis_ideal, _count_points,
-                       _eliminate, _linear_cut, _localizer,
-                       _packed_remainders, _rabinowitsch, _saturand,
-                       _standard_monomials, as_budget, dimension, eliminate,
-                       groebner_basis, saturate, vanishes_on_variety)
+                       _linear_cut, _packed_remainders, _rabinowitsch,
+                       _saturand, _standard_monomials, as_budget, dimension,
+                       eliminate, groebner_basis, saturate,
+                       vanishes_on_variety)
 from .matrices import _laplace_minors, _rank, jacobian, minors_by_size
 from .rings import (OrderSpec, Polynomial, RationalFunction, RingContext,
                     random_linear_form)
@@ -215,27 +216,24 @@ def _check_rational_gradient(obj: RationalGradient, big_ring, unames):
 
 def _affine_system(X: VarietySpec, objective, budget):
     """The critical system of X for the objective, checked once per job, as a
-    function system(u, localized=True) of the data point: for u=None the
-    ring (x, u) with u symbolic, and for a point u the x-ring with u bound;
-    each time that ring, the system as an ideal of it extended by the w_i,
-    in the block order that ranks the w_i first, and the names w_i.  With
-    localized=False there is
-    no w_i and the ideal lives in that ring with the grevlex order.  Also
-    generators in the x-ring of the ideal J the system is saturated by,
-    when J does not depend on the data point, and otherwise None.
+    function system(u) of the data point: for u=None in the ring (x, u)
+    with u symbolic, and for a point u in the x-ring with u bound, each
+    time with the grevlex order.  system(u) returns the system, unlocalized,
+    as an ideal of that ring, and the polynomials f_i of that ring to
+    saturate it by (see _rabinowitsch).  Also generators in the x-ring of
+    the ideal J = <f_1..f_m>, when J does not depend on the data point, and
+    otherwise None.
 
-    The generators are I(X), the (c+1)-minors of the gradient row stacked
-    over the Jacobian of X (see _stacked_generators) and, last,
-    1 - sum_i w_i*f_i (see _localizer).  The row is built at the point
-    itself, so no symbolic system is evaluated per trial: the powers
-    (u_i - x_i)^(p-1) or the partials with u bound.
+    The generators are I(X) and the (c+1)-minors of the gradient row
+    stacked over the Jacobian of X (see _stacked_generators).  The row is
+    built at the point itself, so no symbolic system is evaluated per
+    trial: the powers (u_i - x_i)^(p-1) or the partials with u bound.
     The f_i are the generators that _saturand gives for the singular locus
     times the product d of the gradient denominators; f is d alone if there
-    are none, and there is no f_i at all if d is constant too.  Eliminating
-    w saturates by <f_1..f_m> (see _rabinowitsch).  A d free of x is a
-    nonzero constant at every data point, so J = <f_1..f_m> is then
-    generated by the singular locus's generators alone, which are returned
-    (none for a smooth X, J then being the unit ideal).
+    are none, and there is no f_i at all if d is constant too.  A d free of
+    x is a nonzero constant at every data point, so J is then generated by
+    the singular locus's generators alone, which are returned (none for a
+    smooth X, J then being the unit ideal).
     """
     ring = X.ring
     xu, unames = data_ring(ring)
@@ -252,15 +250,15 @@ def _affine_system(X: VarietySpec, objective, budget):
             "gradient denominators vanish identically on the variety")
     sat = _saturand(singular_locus_ideal(X, budget), budget)
 
-    def system(u, localized=True):
+    def system(u):
         if u is None:
-            small, point = xu, {}
-            data = [xu.var(un) for un in unames]
+            small, point = xu.with_order(GREVLEX), {}
+            data = [small.var(un) for un in unames]
         elif len(u) != X.n:
             raise ValueError("data point has wrong length")
         else:
-            small, point = ring, dict(zip(unames, u))
-            data = [ring.const(v) for v in u]
+            small, point = ring.with_order(GREVLEX), dict(zip(unames, u))
+            data = [small.const(v) for v in u]
 
         def bind(g):
             return g.substitute(point).transfer(small)
@@ -270,42 +268,24 @@ def _affine_system(X: VarietySpec, objective, budget):
         if d.is_zero():
             raise ZeroDenominator("a gradient denominator vanishes at the "
                                   "data point")
-        big, ws = small.with_order(GREVLEX), ()
-        if localized:
-            fs = [g.transfer(small) for g in sat]
-            if not den.is_constant():
-                fs = [g * d for g in fs] or [d]
-            big, ws, localizer = _localizer(small, fs)
-            if ws:
-                big = big.with_order(OrderSpec("block", ws))
+        fs = [g.transfer(small) for g in sat]
+        if not den.is_constant():
+            fs = [g * d for g in fs] or [d]
         if isinstance(objective, PNorm):
-            row = [(a - small.var(xn)).transfer(big) ** (objective.p - 1)
+            row = [(a - small.var(xn)) ** (objective.p - 1)
                    for a, xn in zip(data, ring.variables)]
         else:
-            row = [RationalFunction(bind(g.num).transfer(big),
-                                    bind(g.den).transfer(big))
+            row = [RationalFunction(bind(g.num), bind(g.den))
                    for g in objective.partials]
-        seeds = _stacked_generators(X, row, big, budget)
-        if ws:
-            seeds.append(localizer.transfer(big))
-        return small, Ideal(big, seeds), ws
+        return Ideal(small, _stacked_generators(X, row, small, budget)), fs
     moving = den.variables_used() & set(ring.variables)
     return system, None if moving else sat
-
-
-def _critical_ideal(system, u, budget) -> Ideal:
-    """The ideal of _affine_system's system at u with w eliminated: in the
-    ring (x, u) for u=None, and otherwise in the x-ring, with u bound."""
-    small, ideal, ws = system(u)
-    if not ws:
-        return ideal.normalized(budget)
-    return _eliminate(ideal, ws, small, budget)
 
 
 def critical_ideal_affine(X: VarietySpec, objective, u=None, budget=None) -> Ideal:
     """The critical ideal of X for the objective: I(X) plus the maximal minors
     of the derationalized augmented Jacobian, saturated by the singular locus
-    and the gradient denominators (see _affine_system).
+    and the gradient denominators (see _affine_system and _rabinowitsch).
 
     With u=None the result lives in the combined (point, data) ring and cuts
     out the optimization correspondence; with a bound data point u it lives
@@ -313,7 +293,7 @@ def critical_ideal_affine(X: VarietySpec, objective, u=None, budget=None) -> Ide
     """
     budget = as_budget(budget)
     system, _ = _affine_system(X, objective, budget)
-    return _critical_ideal(system, u, budget)
+    return _rabinowitsch(*system(u), budget)
 
 
 def _sample_point(field, n, rng):
@@ -445,13 +425,13 @@ def _local_length(base, fs, budget):
     return length
 
 
-def algebraic_degree(X: VarietySpec, objective, trials=2, seed=0,
-                     budget=None) -> DegreeReport:
-    """Number of critical points of the objective on X over random data,
-    reported per trial with an agreement flag; one _affine_system per job.
+def affine_counter(X: VarietySpec, objective, budget=None):
+    """The function counting the critical points of the objective on X at a
+    data point u, built once per job from one _affine_system: None when the
+    critical locus at u is positive-dimensional.
 
-    A trial counts the points of its system I without the localizer (one
-    grevlex run) and subtracts their length at V(J), J the saturand, which
+    It counts the points of the system I at u, unlocalized (one grevlex
+    run), and subtracts their length at V(J), J the saturand, which
     saturating by J would remove (see _local_length): no point for a unit
     basis, and no count (None) for a positive-dimensional one, which
     saturating by J keeps positive-dimensional, J's zero set on X being
@@ -459,28 +439,37 @@ def algebraic_degree(X: VarietySpec, objective, trials=2, seed=0,
     built once per job.  This route is taken when J does not depend on the
     data point and I(X) + J is zero-dimensional, as for every reduced plane
     curve; a smooth X has no f_i, so nothing is local and the count is the
-    points of I.  Otherwise each trial eliminates w from its localized
-    system (see _critical_ideal)."""
+    points of I.  Otherwise it counts the points of I saturated by its f_i
+    (see _rabinowitsch)."""
     budget = as_budget(budget)
-    warn = []
-    if isinstance(objective, PNorm) and objective.p == 1:
-        warn.append("p=1 is outside the supported objective family; "
-                    "counts are reported as-is")
-
     system, sat = _affine_system(X, objective, budget)
     local = None if sat is None else _local_length(X.ideal(), sat, budget)
 
     def count_for(u):
+        ideal, fs = system(u)
         if local is None:
-            return _count_points(_critical_ideal(system, u, budget), budget)
-        _, ideal, _ = system(u, localized=False)
+            return _count_points(_rabinowitsch(ideal, fs, budget), budget)
         points = _count_points(ideal, budget)
         if not points:
             return points
         # the generators of I(X) come first, and are 0 in every quotient by
         # I(X) + J^k
         return points - local(ideal.generators[len(X.generators):])
-    return _count_trials(count_for, X, trials, seed, budget, warn)
+    return count_for
+
+
+def algebraic_degree(X: VarietySpec, objective, trials=2, seed=0,
+                     budget=None) -> DegreeReport:
+    """Number of critical points of the objective on X over random data,
+    reported per trial with an agreement flag; each trial is counted by
+    the one affine_counter of the job."""
+    budget = as_budget(budget)
+    warn = []
+    if isinstance(objective, PNorm) and objective.p == 1:
+        warn.append("p=1 is outside the supported objective family; "
+                    "counts are reported as-is")
+    return _count_trials(affine_counter(X, objective, budget), X, trials,
+                         seed, budget, warn)
 
 
 def isotropic_polynomial(ring, p):
@@ -565,8 +554,8 @@ def _projective_chart_system(X: VarietySpec, p, budget):
     the data point: an ideal in the block order that ranks b first, of the
     ring (x, b, u) with u symbolic for u=None, and of the ring (x, b) with
     u bound for a point u, or of the ring a triple `cut` of _linear_cut on
-    (x, b) leaves.  Also the name b and the polynomials f_i of the x-ring
-    to saturate by.
+    (x, b) leaves.  Also the name b and the polynomials f_i of the ring
+    (x, b) to saturate by, which hold no b.
 
     The generators are I(X) and the (c+1)-minors of the row
     ((u_i + b*x_i)^(p-1))_i stacked over the Jacobian of X (see
@@ -612,7 +601,7 @@ def _projective_chart_system(X: VarietySpec, p, budget):
     if _singular_beyond_vertex(X, budget):
         sing = singular_locus_ideal(X, budget).groebner(GREVLEX, budget)
         fs = [q_p * g for g in sing.basis]
-    return system, bname, fs
+    return system, bname, [f.transfer(xb) for f in fs]
 
 
 def projective_critical_ideal(X: VarietySpec, p, budget=None) -> Ideal:
@@ -717,8 +706,8 @@ def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
     budget = as_budget(budget)
     system, bname, fs = _projective_chart_system(X, p, budget)
     ring = X.ring
-    work = ring.extend((bname,)).with_order(OrderSpec("block", (bname,)))
-    work_fs = [f.transfer(work) for f in fs]
+    # the ring (x, b) of the chart system, which holds the f_i
+    work = fs[0].ring
     rng_forms = random.Random(f"projdeg|{seed}|forms")
 
     def count_for(u):
@@ -729,26 +718,11 @@ def projective_pnorm_degree(X: VarietySpec, p, trials=2, seed=0,
                   - work.one())
         cut = _linear_cut(work, [slice_], budget)
         eliminated = eliminate(system(u, cut), (bname,), budget)
-        cut_fs = [f.transfer(eliminated.ring) for f in cut[1](work_fs)]
+        cut_fs = [f.transfer(eliminated.ring) for f in cut[1](fs)]
         return _count_points(_saturate_unless_unit(eliminated, cut_fs,
                                                    budget), budget)
 
     return _count_trials(count_for, X, trials, seed, budget, [])
-
-
-def ci_degree_bound_check(X: VarietySpec, p, report: DegreeReport,
-                          budget=None) -> bool:
-    """True iff the reported degree respects the complete-intersection
-    bound; the codimension is computed on the given budget."""
-    from .formulas import ci_bound
-    if report.degree is None:
-        raise ValueError("the trials disagree, so there is no degree to "
-                         "bound: counts "
-                         f"{sorted({c for _, c in report.trials})}")
-    degrees = [g.total_degree() for g in X.generators]
-    if len(degrees) != X.codimension(as_budget(budget)):
-        raise ValueError("the bound applies to complete intersections only")
-    return report.degree <= ci_bound(degrees, X.n, p)
 
 
 def _line_restriction(poly, a, b, budget):

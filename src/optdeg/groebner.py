@@ -948,23 +948,13 @@ def _linear_cut(ring, forms, budget):
     return small, cut, [dropped(t) for t in divide(kept)]
 
 
-def _localizer(ring, fs):
-    """The ring with one fresh w_i per f_i appended (a single f keeps the one
-    name sat_w), the w names, and 1 - sum_i w_i*f_i in that ring."""
-    big, ws = ring, ()
-    for _ in fs:
-        ws += (big.fresh_name("sat_w"),)
-        big = big.extend(ws[-1:])
-    rel = big.one()
-    for w, f in zip(ws, fs):
-        rel = rel - big.var(w) * f.transfer(big)
-    return big, ws, rel
-
-
 def _rabinowitsch(ideal, fs, budget) -> Ideal:
     """(ideal : <f_1..f_m>^infinity) in the ring of the ideal: adjoin one
-    fresh w_i per f_i and eliminate them all from ideal + <1 - s>, where
-    s = sum_i w_i*f_i, in one block-order run (see _localizer).
+    fresh w_i per f_i (a single f keeps the one name sat_w) and eliminate
+    them all from ideal + <1 - s>, where s = sum_i w_i*f_i, in one
+    block-order run.  With no f_i, J is the unit ideal (see _saturand),
+    which saturates nothing away: the ideal is returned regenerated by its
+    reduced grevlex basis, and no run has a w.
 
     This is exact.  If h*J^k lies in the ideal, J = <f_1..f_m>, then so does
     h*s^k, and h = h*(1 - s^k) + h*s^k with 1 - s^k a multiple of 1 - s.
@@ -973,7 +963,15 @@ def _rabinowitsch(ideal, fs, budget) -> Ideal:
     that puts h in (ideal : J^infinity).  A zero f_i adds nothing to J, and
     a constant one makes J the unit ideal, which saturates nothing away.
     """
-    big, ws, rel = _localizer(ideal.ring, fs)
+    if not fs:
+        return ideal.normalized(budget)
+    big, ws = ideal.ring, ()
+    for _ in fs:
+        ws += (big.fresh_name("sat_w"),)
+        big = big.extend(ws[-1:])
+    rel = big.one()
+    for w, f in zip(ws, fs):
+        rel = rel - big.var(w) * f.transfer(big)
     gens = [g.transfer(big) for g in ideal.generators] + [rel]
     return _eliminate(Ideal(big, gens), ws, ideal.ring, budget)
 
@@ -1002,10 +1000,7 @@ def saturate(ideal: Ideal, other: Ideal, budget=None) -> Ideal:
         raise RingMismatch("saturate across rings")
     if other.is_zero():
         return Ideal(ideal.ring, [ideal.ring.one()])
-    sat_gens = _saturand(other, budget)
-    if not sat_gens:
-        return ideal.normalized(budget)
-    return _rabinowitsch(ideal, sat_gens, budget)
+    return _rabinowitsch(ideal, _saturand(other, budget), budget)
 
 
 def vanishes_on_variety(f, ideal: Ideal, budget=None) -> bool:

@@ -211,8 +211,9 @@ class MonomialPacker:
     (lcm).  Exponents and the topmost degree field hold at most VMASK; an
     inner degree field (the back block of a block order) holds less than
     2^14, so the divisibility offset never borrows across it.  pack and lcm
-    raise SizeOutOfRange beyond these widths, and check_fits checks
-    computed values against them.  A packed value is affine in the
+    raise SizeOutOfRange beyond these widths, check_fits checks computed
+    values against them, and check_power checks a power before it is
+    expanded.  A packed value is affine in the
     exponents: one + sum_i e_i*steps[i], for steps[i] = packed(x_i) - one,
     so a shift by steps[i] multiplies by x_i.  Other modules read no field
     directly.  They use `one`, `steps`, `degree`, exponent(i), which reads
@@ -289,6 +290,9 @@ class MonomialPacker:
         self._fields = sum(self.VMASK << shift
                            for _kind, _i, shift in self._layout)
         self._field = {i: (kind, shift) for kind, i, shift in self._layout}
+        self._gradings = (list(zip(deg_fields, self._deg_caps))
+                          or [(shift, self.VMASK) for _kind, _i, shift
+                              in self._layout])
         self._blocks = [(shift, tuple(self._field[i][1] for i in var_idx),
                          len(var_idx) * self.VMASK, cap)
                         for (shift, var_idx), cap
@@ -332,6 +336,21 @@ class MonomialPacker:
         for v in packed_values:
             if v >= limit or v & overflow:
                 raise SizeOutOfRange("monomial exceeds the packed field widths")
+
+    def check_power(self, packed_values, k):
+        """Raise SizeOutOfRange unless the k-th power of a polynomial with the
+        monomials packed_values fits the field widths.  Each field is a
+        grading, an exponent or a block degree, and over a field the k-th
+        power's top form in a grading is the k-th power of the base's, so
+        the power's largest value in a field is k times the base's.  An
+        exponent is at most its block's degree, so the degree fields decide
+        when there are any, and the plain exponent fields of lex otherwise."""
+        vmask = self.VMASK
+        for shift, cap in self._gradings:
+            if k * max(((e >> shift) & vmask for e in packed_values),
+                       default=0) > cap:
+                raise SizeOutOfRange(f"power {k} exceeds the packed field "
+                                     "widths")
 
     def unpack(self, packed):
         n = self.ring.nvars
@@ -618,6 +637,8 @@ class Polynomial:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial power must be a non-negative integer")
+        if k > 1:
+            self.ring.packer().check_power(self.terms, k)
         result = self.ring.one()
         base = self
         while k:

@@ -1,11 +1,15 @@
 import json
+import time
 
 import pytest
 
-from optdeg import cli
+from optdeg import (PNorm, RingContext, VarietySpec, cli, critical,
+                    critical_ideal_affine, field_from_spec, groebner,
+                    parse_polynomial)
 from optdeg.cli import (EXIT_BUDGET, EXIT_DOMAIN, EXIT_OK, EXIT_SCHEMA, main,
                         run_job)
 from optdeg.errors import SchemaError
+from optdeg.groebner import _count_points
 
 
 def write_job(tmp_path, doc, name="job.json"):
@@ -66,6 +70,33 @@ def test_degree_pinned_u_without_critical_points(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert rc == EXIT_OK
     assert out["result"] == {"degree": 0, "u": ["1", "-1"], "pinned": True}
+
+
+@pytest.mark.parametrize("field", ["rational", "prime:2147483647"],
+                         ids=["QQ", "GF"])
+def test_degree_pinned_u_on_a_singular_curve(monkeypatch, field):
+    """A pinned count on the nodal cubic is counted as a trial is: it
+    subtracts the length at the node, so no Groebner run has a ring with a
+    sat_w variable, and it counts what the saturating oracle counts, whose
+    saturation does."""
+    generator, u = "x2^2-x1^2*(x1+1)", (7, -3)
+    runs = []
+    original = groebner.groebner_basis
+
+    def recorded(ideal, *args, **kwargs):
+        runs.append("sat_w" in ideal.ring.variables)
+        return original(ideal, *args, **kwargs)
+    monkeypatch.setattr(groebner, "groebner_basis", recorded)
+    monkeypatch.setattr(critical, "groebner_basis", recorded)
+    job = _pinned_job(generator, {"pnorm": 2}, list(u))
+    job["ring"]["field"] = field
+    result = run_job("degree", job)["result"]
+    assert runs and not any(runs)
+    ring = RingContext(("x1", "x2"), field_from_spec(field))
+    X = VarietySpec(ring, (parse_polynomial(generator, ring),))
+    want = _count_points(critical_ideal_affine(X, PNorm(2), u=u), None)
+    assert any(runs)
+    assert result == {"degree": want, "u": ["7", "-3"], "pinned": True}
 
 
 def test_degree_pinned_u_positive_dimensional_fiber(tmp_path, capsys):
@@ -144,11 +175,13 @@ def test_denominator_zero_mod_q_is_domain_error(tmp_path, capsys, job_part):
 @pytest.mark.parametrize("generator", [
     "x1^40000+x2^2-1",
     "x1^40000-x1^40000+x2^2-1",
-], ids=["kept", "cancelled"])
+    "(x1+x2)^40000+x2^2-1",
+], ids=["kept", "cancelled", "power"])
 def test_exponent_past_the_packed_widths_is_domain_error(tmp_path, capsys,
                                                         generator):
     """A parsed monomial past the packed field widths raises as it is
-    built, before any term cancels it."""
+    built, before any term cancels it, and a power that cannot fit raises
+    before it is expanded; the error names the input."""
     job = {
         "schema_version": 1,
         "ring": {"variables": ["x1", "x2"], "field": "rational"},
@@ -156,10 +189,13 @@ def test_exponent_past_the_packed_widths_is_domain_error(tmp_path, capsys,
         "objective": {"pnorm": 2},
         "seed": 0,
     }
+    t0 = time.perf_counter()
     rc = run_cli(tmp_path, "degree", job)
+    assert time.perf_counter() - t0 < 5
     err = capsys.readouterr().err
     assert rc == EXIT_DOMAIN
-    assert err.startswith("error:") and "packed field widths" in err
+    assert err.startswith("error: variety.generators[0]: ")
+    assert "packed field widths" in err
 
 
 @pytest.mark.parametrize("command, variables, generator, name", [

@@ -13,10 +13,10 @@ from optdeg import (GREVLEX, BudgetExceeded, ContainedInIsotropic, Ideal,
                     normal_form, parse_polynomial, parse_rational_function,
                     pnorm_degree_via_polar, vanishes_on_variety)
 from optdeg import critical, groebner, matrices
-from optdeg.critical import (DegreeReport, PNorm, RationalGradient,
+from optdeg.critical import (PNorm, RationalGradient,
                              VarietySpec, _line_restriction,
                              _singular_beyond_vertex,
-                             algebraic_degree, ci_degree_bound_check,
+                             algebraic_degree,
                              critical_ideal_affine, data_ring, evolute_curve,
                              projective_critical_ideal,
                              projective_pnorm_degree, singular_locus_ideal)
@@ -172,7 +172,7 @@ def test_constant_fiber_cardinality_five_samples(ellipse):
 
 def _assert_trials_match_the_saturating_oracle(X, objective, seed):
     """Each trial's count is the points of its critical ideal at its data
-    point, which eliminates w from the localized system (see
+    point, which saturates the system by its f_i (see
     critical_ideal_affine); PositiveDimensionalFiber is rejected."""
     try:
         rep = algebraic_degree(X, objective, trials=2, seed=seed)
@@ -200,7 +200,7 @@ def test_singular_counts_match_the_saturating_oracle(X, objective):
     rational gradient whose denominators involve only u, which take the
     local-length route whenever the singular locus is finite, and for one
     whose denominators involve x, whose saturand moves with the data point
-    and which eliminates w."""
+    and which saturates each trial's system."""
     objective = {"p2": PNorm(2), "p3": PNorm(3),
                  "u-denominators": _rational_gradient(X, ["u1^2+1", "u2"]),
                  "x-denominators": _rational_gradient(X, ["x1^2+1", "u2"]),
@@ -226,18 +226,18 @@ def test_singular_points_counted_by_local_length(monkeypatch, field, p,
     point, a cusp whose singular ideal <x2 - 1, (x1 - 1)^2> is not
     radical, a node on a space curve (codimension 2) and the vertex of a
     quadric cone (a surface): each trial counts what saturating its system
-    counts, and no trial eliminates w."""
-    eliminations = []
-    original = critical._eliminate
+    counts, and no trial saturates."""
+    saturations = []
+    original = critical._rabinowitsch
 
     def recorded(*args):
-        eliminations.append(1)
+        saturations.append(1)
         return original(*args)
     X = variety(RingContext(names, field=field), *gens)
-    monkeypatch.setattr(critical, "_eliminate", recorded)
+    monkeypatch.setattr(critical, "_rabinowitsch", recorded)
     rep = algebraic_degree(X, PNorm(p), trials=2, seed=1)
-    assert rep.agreement and not eliminations
-    monkeypatch.setattr(critical, "_eliminate", original)
+    assert rep.agreement and not saturations
+    monkeypatch.setattr(critical, "_rabinowitsch", original)
     for u, count in rep.trials:
         assert count == _count_points(critical_ideal_affine(X, PNorm(p), u=u),
                                       None)
@@ -248,26 +248,26 @@ def test_singular_points_counted_by_local_length(monkeypatch, field, p,
 def test_a_cone_singular_along_a_line_falls_back(monkeypatch, field):
     """The affine cone over the nodal cubic is singular along the x3-axis,
     so I(X) + J is not zero-dimensional and no length is local: each trial
-    eliminates w from its localized system, and counts what the oracle
-    counts."""
+    saturates its system by its f_i in one _rabinowitsch run, and counts
+    what the oracle counts."""
     X = variety(RingContext(("x1", "x2", "x3"), field=field),
                 "x2^2*x3-x1^2*(x1+x3)")
     assert dimension(singular_locus_ideal(X)) == 1
-    gates, eliminations = [], []
+    gates, saturations = [], []
     original_gate = critical._local_length
-    original_eliminate = critical._eliminate
+    original_rabinowitsch = critical._rabinowitsch
 
     def recorded_gate(*args):
         gates.append(original_gate(*args))
         return gates[-1]
 
-    def recorded_eliminate(*args):
-        eliminations.append(1)
-        return original_eliminate(*args)
+    def recorded_rabinowitsch(ideal, fs, budget):
+        saturations.append(len(fs))
+        return original_rabinowitsch(ideal, fs, budget)
     monkeypatch.setattr(critical, "_local_length", recorded_gate)
-    monkeypatch.setattr(critical, "_eliminate", recorded_eliminate)
+    monkeypatch.setattr(critical, "_rabinowitsch", recorded_rabinowitsch)
     rep = algebraic_degree(X, PNorm(2), trials=2, seed=1)
-    assert gates == [None] and len(eliminations) == 2
+    assert gates == [None] and len(saturations) == 2 and all(saturations)
     assert rep.degree == 7
     monkeypatch.undo()
     for u, count in rep.trials:
@@ -355,38 +355,6 @@ def test_plane_curve_degree_law(ring_x12):
         for p in (2, 3):
             rep = algebraic_degree(curve, PNorm(p), trials=2, seed=6)
             assert rep.degree == d * (d + p - 2)
-
-
-# --- complete intersection bound ---------------------------------------------------------
-
-def test_ci_bound_check_ellipse(ellipse):
-    rep = algebraic_degree(ellipse, PNorm(3), trials=2, seed=7)
-    assert rep.degree == 6
-    assert ci_degree_bound_check(ellipse, 3, rep)
-    rep2 = algebraic_degree(ellipse, PNorm(2), trials=2, seed=7)
-    assert rep2.degree == 4
-    assert ci_degree_bound_check(ellipse, 2, rep2)
-
-
-def test_ci_bound_check_rejects_disagreeing_trials(ellipse):
-    """Trials that disagree report no degree; the check names that instead
-    of comparing None with the bound."""
-    rep = algebraic_degree(ellipse, PNorm(3), trials=2, seed=7)
-    rep.trials[1] = (rep.trials[1][0], 5)
-    rep.degree, rep.agreement = None, False
-    with pytest.raises(ValueError, match="trials disagree"):
-        ci_degree_bound_check(ellipse, 3, rep)
-
-
-def test_ci_bound_check_spends_the_given_budget():
-    """The codimension is computed on the caller's budget."""
-    ring = RingContext(("x1", "x2", "x3"))
-    report = DegreeReport(degree=4, trials=[], field="rational", seed=0,
-                          agreement=True, elapsed=[])
-    X = variety(ring, "x1^2+x2^2+x3^2-1", "x1*x2-x3")
-    with pytest.raises(BudgetExceeded):
-        ci_degree_bound_check(X, 2, report, budget=1)
-    assert ci_degree_bound_check(X, 2, report, budget=1_000)
 
 
 # --- projective constructions --------------------------------------------------------------
@@ -773,10 +741,11 @@ def test_packed_jacobian_minors_are_the_sympy_minors(data):
 
 
 def test_trials_on_points_localize_at_their_own_denominators():
-    """Two points have no (c+1)-minor to stack, so the system is I(X) and
-    the localizer alone.  Each trial's localizer is built at its own data
-    point and must not stay in I(X)'s generators, which X keeps for every
-    later trial: both points are critical at every data point."""
+    """Two points have no (c+1)-minor to stack, so the system is I(X)
+    alone, saturated by the denominators.  Each trial's f_i are built at
+    its own data point and must not stay in I(X)'s generators, which X
+    keeps for every later trial: both points are critical at every data
+    point."""
     ring = RingContext(("x1", "x2"))
     X = variety(ring, "x1^2-1", "x2-2")
     xu, _ = data_ring(ring)
@@ -790,8 +759,8 @@ def test_trials_on_points_localize_at_their_own_denominators():
 def test_bound_systems_are_the_symbolic_ones_at_u(field):
     """Each trial builds its system at its data point; that is the system
     with u symbolic evaluated at the point, generator for generator, for
-    the affine count (p-norm and rational gradient, localizer included, and
-    without it) and for the projective one.  The affine saturand is the
+    the affine count (p-norm and rational gradient, and the f_i it is
+    saturated by) and for the projective one.  The affine saturand is the
     node's <x1, x2> for the p-norm; the gradient's denominators involve x,
     so its saturand moves with the data point and none is returned."""
     ring = RingContext(("x1", "x2"), field=field)
@@ -805,16 +774,12 @@ def test_bound_systems_are_the_symbolic_ones_at_u(field):
         system, sat = critical._affine_system(nodal, objective, None)
         assert sat == (saturand if saturand is None
                        else [P(t, ring) for t in saturand])
-        _, symbolic, ws = system(None)
-        small, bound, ws_bound = system(u)
-        assert ws and ws_bound == ws
-        assert bound.ring == small.extend(ws).with_order(
-            OrderSpec("block", ws))
-        assert bound.generators == _bound_at(symbolic, point, bound.ring)
-        _, plain, none = system(u, localized=False)
-        assert not none and plain.ring == small
-        assert tuple(g.transfer(bound.ring) for g in plain.generators) == (
-            bound.generators[:-1])
+        symbolic, symbolic_fs = system(None)
+        bound, fs = system(u)
+        assert symbolic.ring == xu and bound.ring == ring
+        assert bound.generators == _bound_at(symbolic, point, ring)
+        assert fs and fs == [g.substitute(point).transfer(ring)
+                             for g in symbolic_fs]
     for names, gens, p in [(("x1", "x2", "x3"), ["x1^2+x2^2-3*x3^2"], 3),
                            (("x1", "x2", "x3", "x4"), TWISTED_CUBIC, 2)]:
         X = variety(RingContext(names, field=field), *gens)
@@ -837,11 +802,13 @@ def test_a_second_trial_packs_and_transfers_no_cached_minor(monkeypatch):
     """X's generators and Jacobian minors are transferred to the count's
     (x, b) ring on the first trial only: building a later trial's cut
     system transfers no polynomial.  No trial packs a monomial: the
-    polynomials hold packed terms from their construction on."""
+    polynomials hold packed terms from their construction on.  The f_i
+    the count saturates by come in that ring already."""
     X = variety(RingContext(("x1", "x2", "x3", "x4"), field=PrimeField()),
                 *TWISTED_CUBIC)
-    system, bname, _ = critical._projective_chart_system(X, 2, None)
+    system, bname, fs = critical._projective_chart_system(X, 2, None)
     work = X.ring.extend((bname,)).with_order(OrderSpec("block", (bname,)))
+    assert all(f.ring == work for f in fs)
     calls = {"pack": 0, "transfer": 0}
 
     def counted(cls, name):
@@ -1074,7 +1041,8 @@ def test_affine_trials_unpack_only_leads(monkeypatch, prime_field, text):
 def test_packed_pnorm_row_is_the_power(field, p):
     """The affine count builds its p-norm row as powers, 1 for p = 1: the
     system it seeds is the one stacked on the row of polynomials
-    (u_i - x_i)^(p-1), at a data point and with u symbolic."""
+    (u_i - x_i)^(p-1), at a data point and with u symbolic, and a smooth
+    curve gives it nothing to saturate by."""
     ring = RingContext(("x1", "x2"), field=field)
     X = variety(ring, "x1^2+4*x2^2-1")
     xu, unames = data_ring(ring)
@@ -1082,8 +1050,8 @@ def test_packed_pnorm_row_is_the_power(field, p):
     assert sat == []
     for u, small, data in [((7, -3), ring, [ring.const(7), ring.const(-3)]),
                            (None, xu, [xu.var(v) for v in unames])]:
-        got, ideal, ws = system(u)
-        assert got == small and not ws
+        ideal, fs = system(u)
+        assert ideal.ring == small and fs == []
         row = [(a - small.var(x)) ** (p - 1)
                for a, x in zip(data, ring.variables)]
         want = critical._stacked_generators(X, row, small, None)

@@ -867,6 +867,27 @@ def test_saturating_after_eliminating_b_on_a_whole_b_line(field, fs,
     assert got.equals(I(x_ring, expected))
 
 
+@pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_saturating_by_no_f_is_normalizing(monkeypatch, field, order):
+    """With no f_i, J is the unit ideal, which saturates nothing away: the
+    saturation is the ideal regenerated by its reduced grevlex basis, in
+    its own ring, from one grevlex run with no w."""
+    ring = RingContext(("x1", "x2"), field, order)
+    texts = ("x1^2*x2-x2", "x2^3+x1-2")
+    runs = []
+    original = groebner.groebner_basis
+
+    def recorded(ideal, *args, **kwargs):
+        runs.append(ideal.ring.variables)
+        return original(ideal, *args, **kwargs)
+    monkeypatch.setattr(groebner, "groebner_basis", recorded)
+    got = groebner._rabinowitsch(I(ring, *texts), [], None)
+    assert runs == [("x1", "x2")]
+    want = I(ring, *texts).normalized()
+    assert got.ring == ring and got.generators == want.generators
+
+
 # --- sums started from a cached grevlex basis ------------------------------------
 
 @st.composite

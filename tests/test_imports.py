@@ -1,6 +1,6 @@
 """Every module of the package and of its tests uses each name it imports,
-only `optdeg.rings` reads the packed monomial layout, and a polynomial has
-one representation.
+only `optdeg.groebner` imports `_eliminate`, only `optdeg.rings` reads the
+packed monomial layout, and a polynomial has one representation.
 
 A stdlib-`ast` check in place of a linter: it collects the names each
 import statement binds and the names the module reads anywhere, and reports
@@ -33,17 +33,23 @@ MODULES = (sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
            + sorted(TESTS.glob("*.py")))
 
 
-def _unused_imports(source):
-    tree = ast.parse(source)
-    imported = set()
+def _imported(tree):
+    """The names the import statements of the tree bind, with the names
+    they import (from __future__ left out)."""
+    imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            imported.update((a.asname or a.name).split(".")[0]
+            imported.update(((a.asname or a.name).split(".")[0], a.name)
                             for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            imported.update(a.asname or a.name for a in node.names)
+            imported.update((a.asname or a.name, a.name) for a in node.names)
+    return imported
+
+
+def _unused_imports(source):
+    tree = ast.parse(source)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted(imported - used)
+    return sorted(set(_imported(tree)) - used)
 
 
 def test_the_check_sees_an_unused_import():
@@ -54,6 +60,15 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name != "groebner.py"],
+                         ids=lambda p: p.name)
+def test_only_groebner_imports_eliminate(path):
+    """Every saturation is one groebner._rabinowitsch run, so no other
+    module imports the block-order elimination it runs on."""
+    assert "_eliminate" not in _imported(ast.parse(path.read_text())).values()
 
 
 def _layout_names():

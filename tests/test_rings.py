@@ -12,7 +12,7 @@ from optdeg import (GREVLEX, LEX, OptdegError, OrderSpec, PrimeField,
                     RationalField, RingContext, RingMismatch, SizeOutOfRange,
                     VariableCollision, derationalize, jacobian,
                     parse_polynomial, parse_rational_function)
-from optdeg import matrices
+from optdeg import matrices, rings
 from optdeg.matrices import PolyMatrix, minors_by_size
 from optdeg.rings import RationalFunction
 
@@ -486,6 +486,31 @@ def test_packer_map_into_another_ring_is_repacking(order, target_order, e):
             move(ring.packer().pack(e))
     else:
         assert move(ring.packer().pack(e)) == small.packer().pack(e[1:])
+
+
+@pytest.mark.parametrize("order, d, most", [
+    (GREVLEX, 7, 4681), (LEX, 7, 4681), (OrderSpec("block", ("y",)), 3, 5461),
+], ids=["grevlex", "lex", "block"])
+def test_a_power_is_refused_exactly_where_it_cannot_fit(monkeypatch, order,
+                                                        d, most):
+    """(x^d + y)^k has the term x^(d*k), so it fits exactly where x^(d*k)
+    packs: up to the total degree's width under grevlex, x's width under
+    lex, and the back block's degree width under the block order, which
+    d*most fills.  The power is checked before it is expanded: one past
+    that raises SizeOutOfRange and takes no product."""
+    ring = RingContext(("x", "y"), order=order)
+    f = P(f"x^{d}+y", ring)
+    packer = ring.packer()
+    packer.pack((d * most, 0))
+    with pytest.raises(SizeOutOfRange):
+        packer.pack((d * most + d, 0))
+    packer.check_power(f.terms, most)
+    products = []
+    monkeypatch.setattr(rings, "_sum_of_products",
+                        lambda *args: products.append(args))
+    with pytest.raises(SizeOutOfRange):
+        f ** (most + 1)
+    assert not products
 
 
 def test_polynomials_stay_within_the_packed_widths():
