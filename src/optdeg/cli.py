@@ -17,7 +17,7 @@ from dataclasses import replace
 from . import formulas
 from .conormal import (bidegree_class, joint_correspondence_ideal,
                        polar_classes, pnorm_degree_via_polar, s_conormal_ideal)
-from .critical import (PNorm, RationalGradient, VarietySpec,
+from .critical import (PNorm, RationalGradient, VarietySpec, _check_partial,
                        _singular_beyond_vertex, affine_counter,
                        algebraic_degree, data_ring, evolute_curve,
                        projective_pnorm_degree, singular_locus_ideal)
@@ -141,7 +141,7 @@ def _load_objective(doc, ring):
         if not isinstance(entries, list) or len(entries) != ring.nvars:
             raise SchemaError("objective.rational_gradient needs one entry "
                               "per ring variable")
-        big, _ = data_ring(ring)
+        big, unames = data_ring(ring)
         partials = []
         for i, entry in enumerate(entries):
             where = f"objective.rational_gradient[{i}]"
@@ -153,7 +153,12 @@ def _load_objective(doc, ring):
                 text = entry
             else:
                 raise SchemaError(f"{where} must be a string or num/den object")
-            partials.append(_parse(parse_rational_function, text, big, where))
+            partial = _parse(parse_rational_function, text, big, where)
+            try:
+                _check_partial(i, partial, big, unames)
+            except ValueError as exc:
+                raise SchemaError(f"{where}: {exc}") from None
+            partials.append(partial)
         return RationalGradient(tuple(partials))
     raise SchemaError("objective must contain 'pnorm' or 'rational_gradient'")
 

@@ -197,21 +197,28 @@ def _singular_beyond_vertex(X: VarietySpec, budget) -> bool:
         g.is_homogeneous() for g in sing.groebner(GREVLEX, budget).basis)
 
 
+def _check_partial(i, part, big_ring, unames):
+    """Partial derivative i (from 0) of a rational gradient lives in the
+    data ring and involves u_i and no other data variable; ValueError
+    otherwise, which the CLI reports against the job's entry i."""
+    if part.ring != big_ring:
+        raise RingMismatch("gradient entries must live in the data ring")
+    used = part.num.variables_used() | part.den.variables_used()
+    if unames[i] not in used:
+        raise ValueError(
+            f"partial derivative {i + 1} does not depend on {unames[i]}")
+    for j, un in enumerate(unames):
+        if j != i and un in used:
+            raise ValueError(
+                f"partial derivative {i + 1} may only involve {unames[i]} "
+                "among the data variables")
+
+
 def _check_rational_gradient(obj: RationalGradient, big_ring, unames):
     if len(obj.partials) != len(unames):
         raise ValueError("need exactly one partial per coordinate")
     for i, part in enumerate(obj.partials):
-        if part.ring != big_ring:
-            raise RingMismatch("gradient entries must live in the data ring")
-        used = part.num.variables_used() | part.den.variables_used()
-        if unames[i] not in used:
-            raise ValueError(
-                f"partial derivative {i + 1} does not depend on {unames[i]}")
-        for j, un in enumerate(unames):
-            if j != i and un in used:
-                raise ValueError(
-                    f"partial derivative {i + 1} may only involve {unames[i]} "
-                    "among the data variables")
+        _check_partial(i, part, big_ring, unames)
 
 
 def _affine_system(X: VarietySpec, objective, budget):
@@ -747,6 +754,10 @@ def evolute_curve(X: VarietySpec, p, seed=0, budget=None) -> EvolutePolynomial:
     envelope system trivially for p >= 3 and is saturated away so that the
     reduced degree measures the envelope alone.  The two eliminations
     finish only the elements they keep (see groebner_basis).
+    EvoluteDegenerate when the eliminant is the zero ideal or
+    zero-dimensional, as for a circle at p = 2, whose envelope is its
+    centre: the envelope is then not a curve.  The dimension is read off
+    the grevlex basis the elimination hands on, with no further run.
 
     The reduced degree is the squarefree degree of the evolute f restricted
     to a drawn line u = a + b*t on which it keeps its total degree;
@@ -782,6 +793,10 @@ def evolute_curve(X: VarietySpec, p, seed=0, budget=None) -> EvolutePolynomial:
     if not gens:
         raise EvoluteDegenerate("the evolute system eliminated to the zero "
                                 "ideal")
+    if dimension(result, budget) == 0:
+        raise EvoluteDegenerate("the evolute system eliminated to a "
+                                "zero-dimensional ideal: the envelope is "
+                                "finitely many points, not a curve")
     if len(gens) > 1:
         _warnings.warn("evolute elimination ideal is not principal; using its "
                        "first generator", NotPrincipalWarning)

@@ -16,9 +16,12 @@ constant it finds.
 
 The kernel runs on the term dicts of polynomials, which map packed
 monomials to coefficients (see rings): a run is seeded with its
-generators' dicts as they are, and a GroebnerBasis holds the polynomials
-its run ends with, whose leads are their largest keys, so the counts below
-read no more of a basis than its leads.  An elimination hands its kept
+generators' dicts as they are.  It ends with a minimal basis, whose leads
+are those of the reduced basis, and a GroebnerBasis is known by them: the
+counts below read no more of a basis than its leads, and its elements are
+tail-reduced into the reduced basis the first time something reads its
+polynomials (GroebnerBasis.basis), so a basis that is only counted, as an
+affine trial's is, is never finished.  An elimination hands its kept
 elements on, transferred into the grevlex ring on the remaining variables
 and cached as that ring's basis (_basis_ideal).
 
@@ -43,7 +46,7 @@ fraction-free: inputs are cleared of denominators, basis elements are
 primitive integer polynomials, and each reduction step scales by integers
 instead of dividing.  Every integer polynomial is a nonzero multiple of the
 rational one the field kernel would hold, so both take the same reduction
-steps; the monic rational basis is built only on exit.
+steps; the monic rational basis is built only when a basis is finished.
 """
 
 from __future__ import annotations
@@ -143,35 +146,50 @@ class Ideal:
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis: monic, auto-reduced, sorted leading-first.
+    """Reduced Groebner basis: monic, auto-reduced, sorted leading-first,
+    and finished the first time it is read.
 
-    `basis` holds the polynomials of `ring` whose term dicts _autoreduce
-    returns.  A polynomial's largest packed key is its lead, so the leads,
-    the unit check and the length are read off the packed values, and no
-    point count, dimension or degree reads more of a basis than its
-    leads."""
+    A run ends with a minimal basis, whose leads are those of the reduced
+    basis (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 2
+    §7): `leads` holds them packed, largest first.  The unit check, the
+    length and lead_exponents read them, so no point count, dimension,
+    degree or multidegree finishes a basis.  `basis`, the reduced
+    polynomials of `ring`, is what `finish` returns, called the first time
+    `basis` is read (also through iteration, Ideal.equals, normalized and
+    a conversion) and never again; a basis nothing reads is never
+    finished.  Finishing ticks the budget of the run that built the basis
+    when it is read, so the traced groebner.groebner_basis span excludes
+    it: its steps fall in whichever span first reads `basis`."""
 
-    __slots__ = ("ring", "basis", "order")
+    __slots__ = ("ring", "order", "leads", "_finish", "_basis")
 
-    def __init__(self, ring, basis, order):
+    def __init__(self, ring, order, leads, finish):
         self.ring = ring
-        self.basis = basis
         self.order = order
+        self.leads = leads
+        self._finish = finish
+        self._basis = None
+
+    @property
+    def basis(self):
+        if self._finish is not None:
+            self._basis = self._finish()
+            self._finish = None
+        return self._basis
 
     def is_unit(self):
-        return (len(self.basis) == 1
-                and max(self.basis[0].terms) == self.ring.packer().one)
+        return self.leads == [self.ring.packer().one]
 
     def lead_exponents(self):
         """The leads' exponent tuples, which the Hilbert numerator reads."""
         unpack = self.ring.packer().unpack
-        return [unpack(max(g.terms)) for g in self.basis]
+        return [unpack(lead) for lead in self.leads]
 
     def __iter__(self):
         return iter(self.basis)
 
     def __len__(self):
-        return len(self.basis)
+        return len(self.leads)
 
     def __repr__(self):
         return f"GroebnerBasis[{', '.join(repr(g) for g in self.basis)}]"
@@ -475,7 +493,7 @@ def _hilbert_value(numerator, m, d):
 
 def _buchberger(seed_terms, ring, budget, hilbert=None, based=0):
     """Core loop on packed term dicts; returns the unreduced basis as the
-    kernel lists (leads, lcs, tails) for _autoreduce.
+    kernel lists (leads, lcs, tails).
 
     Over QQ the seeds lose their denominators on entry and the loop runs on
     integer coefficients (see the kernel note above).  Pair selection follows
@@ -573,28 +591,37 @@ def _buchberger(seed_terms, ring, budget, hilbert=None, based=0):
     return leads, lcs, tails
 
 
-def _autoreduce(leads, lcs, tails, packer, budget):
-    """Minimalize then tail-reduce: the canonical reduced basis, as monic
-    field-coefficient term dicts.
-
-    Elements are processed in ascending lead order and reduced against the
-    already-reduced prefix; a tail monomial can only be divisible by a
-    smaller lead (a divisor precedes its multiple in any monomial order),
-    so one pass yields the reduced basis.  Over QQ the integer elements are
-    divided by their lead coefficients only here.
-    """
-    fld = packer.ring.field
+def _minimalized(kernel, packer):
+    """The kernel lists (leads, lcs, tails) of a minimal basis, in ascending
+    lead order: the elements whose lead no smaller lead divides.  Only
+    leads are tested, and the leads kept are those of the reduced basis."""
+    leads, lcs, tails = kernel
     divides = packer.divides
-    order_idx = sorted(range(len(leads)), key=lambda i: leads[i])
     minimal = []
-    for i in order_idx:
+    for i in sorted(range(len(leads)), key=leads.__getitem__):
         if not any(divides(leads[m], leads[i]) for m in minimal):
             minimal.append(i)
+    return ([leads[i] for i in minimal], [lcs[i] for i in minimal],
+            [tails[i] for i in minimal])
+
+
+def _autoreduce(leads, lcs, tails, packer, budget):
+    """Tail-reduce a minimal basis, kernel lists in ascending lead order
+    (see _minimalized): the canonical reduced basis, as monic
+    field-coefficient term dicts, leading first.
+
+    Each element is reduced against the already-reduced prefix; a tail
+    monomial can only be divisible by a smaller lead (a divisor precedes
+    its multiple in any monomial order), so one pass yields the reduced
+    basis.  Over QQ the integer elements are divided by their lead
+    coefficients only here.
+    """
+    fld = packer.ring.field
     red_leads, red_lcs, red_tails = [], [], []
-    for i in minimal:
-        red, _, scale = _reduce_full(tails[i], red_leads, red_lcs, red_tails,
+    for lead, lc, tail in zip(leads, lcs, tails):
+        red, _, scale = _reduce_full(tail, red_leads, red_lcs, red_tails,
                                      packer, budget)
-        red[leads[i]] = lcs[i] * scale
+        red[lead] = lc * scale
         lead, lc, tail = _split(red, fld)
         red_leads.append(lead)
         red_lcs.append(lc)
@@ -607,7 +634,7 @@ def _autoreduce(leads, lcs, tails, packer, budget):
             t = dict(tail)
         t[lead] = fld.one
         reduced.append(t)
-    reduced.sort(key=max, reverse=True)
+    reduced.reverse()
     return reduced
 
 
@@ -630,14 +657,13 @@ def _kept(kernel, packer):
 
 def _convert_grevlex(gb, work_ring, budget, drop=()):
     """A Groebner basis for the order of `work_ring` (lex or block) of the
-    ideal whose reduced grevlex basis is `gb`, as kernel lists for
-    _autoreduce: the homogenized basis, run under that order with the
-    Hilbert numerator of the grevlex leads as the driver's target, then
-    dehomogenized on the packed values (MonomialPacker.drop).  It
-    homogenizes gb's elements on the packed values: each term is mapped
-    into the ring with h (MonomialPacker.into) and shifted by h to the
-    degree of the element's lead, its largest key.  With `drop`, the front
-    block of a block order,
+    ideal whose reduced grevlex basis is `gb`, as kernel lists: the
+    homogenized basis, run under that order with the Hilbert numerator of
+    the grevlex leads as the driver's target, then dehomogenized on the
+    packed values (MonomialPacker.drop).  It homogenizes gb's elements on
+    the packed values: each term is mapped into the ring with h
+    (MonomialPacker.into) and shifted by h to the degree of the element's
+    lead, its largest key.  With `drop`, the front block of a block order,
     only the elements whose lead is free of it are dehomogenized and
     returned (see _kept); h lies in the back block, and a lead is free of
     the front iff its dehomogenization is.
@@ -684,11 +710,14 @@ def groebner_basis(ideal, order=None, budget=None, based=0,
     """Reduced Groebner basis of an ideal for the given monomial order.
 
     Deterministic and canonical: any generating list of the same ideal yields
-    the identical reduced basis.  A lex or block basis of an ideal that
-    already holds its reduced grevlex basis is converted from that basis
-    (_convert_grevlex), with the S-pairs the Hilbert function proves to
-    reduce to zero never reduced; otherwise Buchberger's algorithm starts
-    from the generators.  So it does too when the homogenized run leaves
+    the identical reduced basis.  The run ends with its minimal leads
+    (_minimalized); the kept kernel lists are tail-reduced (_autoreduce)
+    the first time the basis's polynomials are read, on this run's budget,
+    and never if nothing reads them (see GroebnerBasis).  A lex or block
+    basis of an ideal that already holds its reduced grevlex basis is
+    converted from that basis (_convert_grevlex), with the S-pairs the
+    Hilbert function proves to reduce to zero never reduced; otherwise
+    Buchberger's algorithm starts from the generators.  So it does too when the homogenized run leaves
     the packed field widths, which the affine run may not: with h, a
     term's back-block degree is the element's degree less the term's
     front degree, and that field holds less than 2^14.  The steps the
@@ -701,11 +730,11 @@ def groebner_basis(ideal, order=None, budget=None, based=0,
     the reduced basis free of those variables are returned: a Groebner
     basis of the elimination ideal (Cox-Little-O'Shea, ch. 3 §1), still in
     the ring of `order`.  Only the unreduced elements whose lead is free of
-    them are tail-reduced (see _kept).  That gives exactly
+    them are minimalized and finished (see _kept).  That gives exactly
     those elements of the full reduced basis, in order: a drop-free lead
     is divisible only by drop-free leads, which are all smaller than the
-    others, so _autoreduce treats them first and reduces them against one
-    another alone.
+    others, so minimalizing and _autoreduce treat them first and reduce
+    them against one another alone.
     """
     budget = as_budget(budget)
     ring = ideal.ring
@@ -727,9 +756,12 @@ def groebner_basis(ideal, order=None, budget=None, based=0,
         kernel = _buchberger(seed, work_ring, budget, based=based)
         if drop:
             kernel = _kept(kernel, packer)
-    return GroebnerBasis(work_ring, [Polynomial(work_ring, t) for t in
-                                     _autoreduce(*kernel, packer, budget)],
-                         order)
+    kernel = _minimalized(kernel, packer)
+
+    def finish():
+        return [Polynomial(work_ring, t)
+                for t in _autoreduce(*kernel, packer, budget)]
+    return GroebnerBasis(work_ring, order, kernel[0][::-1], finish)
 
 
 def normal_form(f, gb: GroebnerBasis, budget=None) -> Polynomial:
@@ -791,7 +823,7 @@ def _standard_monomials(gb):
     MonomialPacker); j and step are None for m = 1."""
     packer = gb.ring.packer()
     divides, one = packer.divides, packer.one
-    leads = [max(g.terms) for g in gb.basis]
+    leads = gb.leads
     out, seen, todo = [], {one}, [(one, None, None)]
     while todo:
         entry = todo.pop()
@@ -833,7 +865,9 @@ def _eliminate(ideal, drop, small, budget) -> Ideal:
     back = tuple(v for v in gb.ring.variables if v not in set(drop))
     if small.order != GREVLEX or small.variables != back:
         return Ideal(small, basis)
-    return _basis_ideal(GroebnerBasis(small, basis, GREVLEX), small)
+    handed = GroebnerBasis(small, GREVLEX, [max(g.terms) for g in basis],
+                           lambda: basis)
+    return _basis_ideal(handed, small)
 
 
 def eliminate(ideal, drop, budget=None) -> Ideal:
@@ -1087,7 +1121,11 @@ def degree_zero_dim(ideal: Ideal, budget=None) -> int:
 
 def _count_points(ideal, budget):
     """Points of the zero set, counted with multiplicity: 0 for the unit
-    ideal, None when the zero set has positive dimension."""
+    ideal, None when the zero set has positive dimension.  Both, and the
+    count, the number of standard monomials (Cox-Little-O'Shea, ch. 5 §3),
+    are read off the minimal leads of the ideal's grevlex basis, so a
+    basis built only to be counted is never finished (see
+    GroebnerBasis)."""
     if ideal.groebner(GREVLEX, budget).is_unit():
         return 0
     try:

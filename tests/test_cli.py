@@ -132,12 +132,37 @@ def test_missing_objective_is_schema_error(tmp_path, capsys, ellipse_job):
     assert rc == EXIT_SCHEMA
 
 
+# rational gradients whose partial i does not involve u_i alone among the
+# data variables used to end in a ValueError traceback
+@pytest.mark.parametrize("gradient, message", [
+    (["1/x1", "u2"], "partial derivative 1 does not depend on u1"),
+    (["u1*u2", "u2"], "partial derivative 1 may only involve u1"),
+], ids=["missing-own-variable", "other-variable"])
+def test_rational_gradient_entry_is_schema_error(tmp_path, capsys, gradient,
+                                                 message):
+    job = {
+        "schema_version": 1,
+        "ring": {"variables": ["x1", "x2"], "field": "rational"},
+        "variety": {"generators": ["x1^2+x2^2-1"]},
+        "objective": {"rational_gradient": gradient},
+        "seed": 0,
+    }
+    rc = run_cli(tmp_path, "degree", job)
+    err = capsys.readouterr().err
+    assert rc == EXIT_SCHEMA
+    assert err.startswith(
+        f"schema error: objective.rational_gradient[0]: {message}")
+
+
 # a line at p >= 3 has no evolute: the envelope condition fixes x2 = u2 and
-# leaves u1 free, and the elimination used to end in a ValueError traceback
+# leaves u1 free, and the elimination used to end in a ValueError traceback;
+# a circle's normals all meet at its centre, so at p = 2 its envelope is a
+# point, and the report used to give the polynomial u1
 @pytest.mark.parametrize("command, generator, p, message", [
     ("projective-degree", "x1^2+4*x2^2-1", 2, "must be homogeneous"),
     ("evolute", "x1-1", 3, "eliminated to the zero ideal"),
-], ids=["not-homogeneous", "evolute-of-a-line"])
+    ("evolute", "x1^2+x2^2-4", 2, "not a curve"),
+], ids=["not-homogeneous", "evolute-of-a-line", "evolute-of-a-circle"])
 def test_domain_error_exit_code(tmp_path, capsys, command, generator, p,
                                 message):
     job = {

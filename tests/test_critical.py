@@ -20,8 +20,8 @@ from optdeg.critical import (PNorm, RationalGradient,
                              critical_ideal_affine, data_ring, evolute_curve,
                              projective_critical_ideal,
                              projective_pnorm_degree, singular_locus_ideal)
-from optdeg.errors import (DenominatorVanishesOnX, EvoluteLinesDegenerate,
-                           ZeroDenominator)
+from optdeg.errors import (DenominatorVanishesOnX, EvoluteDegenerate,
+                           EvoluteLinesDegenerate, ZeroDenominator)
 from optdeg.groebner import DEFAULT_BUDGET, _Budget, _count_points, _linear_cut
 from optdeg.matrices import derationalize, jacobian
 from optdeg.rings import (MonomialPacker, OrderSpec, Polynomial,
@@ -1000,12 +1000,19 @@ def test_affine_trials_unpack_only_leads(monkeypatch, prime_field, text):
     (MonomialPacker.unpack) of one lead per basis element
     (lead_exponents); nothing else in the trial reads one.  The nodal
     curve's trials also take its length at the node (see
-    critical._local_length), which reads none."""
+    critical._local_length), which reads none.  No trial finishes its
+    system's basis (_autoreduce): a trial finishes only the bases of the
+    job's quotients at the node that it is the first to need, each built
+    by one groebner_basis run of critical's, and the smooth curve's
+    trials finish nothing."""
     X = variety(RingContext(("x1", "x2"), field=prime_field), text)
     unpacked, trials, counts = [], [], []
+    finished, runs = [], []
     original_unpack = MonomialPacker.unpack
     original_trials = critical._count_trials
     original_count = critical._count_points
+    original_autoreduce = groebner._autoreduce
+    original_gb = critical.groebner_basis
 
     def counted_unpack(self, packed):
         unpacked.append(self.ring)
@@ -1013,9 +1020,10 @@ def test_affine_trials_unpack_only_leads(monkeypatch, prime_field, text):
 
     def recorded_trials(count_for, *args):
         def recorded(u):
-            before = len(unpacked)
+            before = len(unpacked), len(finished), len(runs)
             out = count_for(u)
-            trials.append(len(unpacked) - before)
+            trials.append(len(unpacked) - before[0])
+            assert len(finished) - before[1] == len(runs) - before[2]
             return out
         return original_trials(recorded, *args)
 
@@ -1029,10 +1037,15 @@ def test_affine_trials_unpack_only_leads(monkeypatch, prime_field, text):
     monkeypatch.setattr(MonomialPacker, "unpack", counted_unpack)
     monkeypatch.setattr(critical, "_count_trials", recorded_trials)
     monkeypatch.setattr(critical, "_count_points", recorded_count)
+    monkeypatch.setattr(groebner, "_autoreduce", lambda *args: (
+        finished.append(args) or original_autoreduce(*args)))
+    monkeypatch.setattr(critical, "groebner_basis", lambda *args, **kw: (
+        runs.append(args) or original_gb(*args, **kw)))
     report = algebraic_degree(X, PNorm(3), trials=3, seed=1)
     assert report.agreement
     assert len(counts) == 3
     assert [a for a, _ in counts] == [b for _, b in counts] == trials
+    assert (text == "x1^2+4*x2^2-1") == (runs == [])
 
 
 @pytest.mark.parametrize("field", [PrimeField(), RationalField()],
@@ -1385,6 +1398,18 @@ def test_evolute_lines_that_all_lower_the_degree_raise(ring_x12,
     hyperbola = variety(ring_x12, "x1^2-x2^2-1")
     with pytest.raises(EvoluteLinesDegenerate):
         evolute_curve(hyperbola, 2, seed=1)
+
+
+@pytest.mark.parametrize("field", [PrimeField(), RationalField()],
+                         ids=["GF", "QQ"])
+@pytest.mark.parametrize("curve", ["x1^2+x2^2-1", "x1^2+x2^2-4"])
+def test_evolute_of_a_circle_is_not_a_curve(field, curve):
+    """Every normal of a circle passes through its centre, so at p = 2 the
+    eliminant is <u1, u2>, zero-dimensional, and no evolute polynomial is
+    reported."""
+    X = variety(RingContext(("x1", "x2"), field=field), curve)
+    with pytest.raises(EvoluteDegenerate, match="not a curve"):
+        evolute_curve(X, 2, seed=1)
 
 
 @pytest.mark.parametrize("p", [0, 1])

@@ -665,7 +665,10 @@ def test_drop_must_be_the_front_block(order):
 @pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
 def test_dropped_elements_are_never_finished(monkeypatch, field, cached):
     """The block basis of this ideal has five elements whose lead holds s
-    or t, and one that is free of both.  Only that one reaches _autoreduce.
+    or t, and one that is free of both.  Of the block basis only that one
+    reaches _autoreduce, on the elimination's budget.  A conversion first
+    finishes the cached grevlex basis it reads, on the budget of the run
+    that built it.
     No term in the block ring or in the ring on x and y is unpacked: the
     kept element is handed on as it is, and only reading its exponents
     (sorted_terms) unpacks its terms, once each.  Only a conversion
@@ -685,7 +688,7 @@ def test_dropped_elements_are_never_finished(monkeypatch, field, cached):
     original_unpack = MonomialPacker.unpack
 
     def recorded_autoreduce(leads, lcs, tails, packer, budget):
-        finished.append((list(leads), packer))
+        finished.append((list(leads), packer, budget))
         return original_autoreduce(leads, lcs, tails, packer, budget)
 
     def counted_unpack(self, packed):
@@ -694,13 +697,20 @@ def test_dropped_elements_are_never_finished(monkeypatch, field, cached):
 
     monkeypatch.setattr(groebner, "_autoreduce", recorded_autoreduce)
     monkeypatch.setattr(MonomialPacker, "unpack", counted_unpack)
-    out = groebner._eliminate(ideal, drop, small, _Budget(DEFAULT_BUDGET))
+    budget = _Budget(DEFAULT_BUDGET)
+    out = groebner._eliminate(ideal, drop, small, budget)
     during = list(unpacked)
     (kept,) = out.generators
     assert unpacked == during
     kept.sorted_terms()
     monkeypatch.undo()
-    ((leads, packer),) = finished
+    if cached:
+        (leads, packer, spent), *finished = finished
+        grevlex = ideal._gb_cache[GREVLEX]
+        assert packer.ring == grevlex.ring and leads[::-1] == grevlex.leads
+        assert spent is not budget
+    ((leads, packer, spent),) = finished
+    assert spent is budget
     assert len(leads) == 1
     lead = packer.unpack(leads[0])
     assert not any(lead[packer.ring.index(v)] for v in drop)
@@ -1129,15 +1139,22 @@ def test_converted_lex_basis_matches_sympy(field, data):
 
 
 def test_budget_exceeded_inside_a_conversion(monkeypatch):
-    """The conversion ticks the caller's budget: it completes on exactly
-    the steps it takes, and one step short it raises BudgetExceeded from
-    inside the conversion and caches nothing."""
+    """The conversion ticks the caller's budget, and so does finishing the
+    converted basis, when it is read; finishing the cached grevlex basis
+    the conversion reads ticks the budget of the run that built it.  The
+    conversion and the finishing complete on exactly the steps they take.
+    One step short of the conversion's, it raises BudgetExceeded from
+    inside the conversion and caches nothing; one step short of both, the
+    converted basis is cached and raises BudgetExceeded when read."""
     ring = RingContext(("x", "y", "z"))
     ideal = I(ring, "x^5+y^4+z^3-1", "x^3+y^3+z^2-1")
     order = OrderSpec("block", ("x",))
     budget = _Budget(DEFAULT_BUDGET)
     want = _converted(ideal, order, budget)
+    run = DEFAULT_BUDGET - budget.remaining
+    assert want.basis
     steps = DEFAULT_BUDGET - budget.remaining
+    assert 0 < run < steps
     calls = []
     convert = groebner._convert_grevlex
     monkeypatch.setattr(groebner, "_convert_grevlex",
@@ -1146,9 +1163,42 @@ def test_budget_exceeded_inside_a_conversion(monkeypatch):
     copy = Ideal(ring, ideal.generators)
     copy.groebner(GREVLEX)
     with pytest.raises(BudgetExceeded):
-        copy.groebner(order, steps - 1)
+        copy.groebner(order, run - 1)
     assert len(calls) == 2
     assert order not in copy._gb_cache
+    short = copy.groebner(order, steps - 1)
+    assert len(calls) == 3 and copy._gb_cache[order] is short
+    assert short.lead_exponents() == want.lead_exponents()
+    with pytest.raises(BudgetExceeded):
+        short.basis
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
+def test_a_basis_is_finished_once_on_first_read(monkeypatch, field):
+    """Building a basis finishes nothing, and reading its leads, length
+    and unit check does not either.  Its polynomials are finished on the
+    first read, ticking the budget of the run that built it, and every
+    later read, through basis, iteration, Ideal.equals or normalized,
+    finishes nothing and takes no step."""
+    ring = RingContext(("x", "y", "z"), field)
+    ideal = I(ring, "y^2+3*y*z+2", "y^2+y+2*z", "x^2+3*y*z+1")
+    calls = []
+    original = groebner._autoreduce
+    monkeypatch.setattr(groebner, "_autoreduce",
+                        lambda *args: calls.append(args) or original(*args))
+    budget = _Budget(DEFAULT_BUDGET)
+    gb = ideal.groebner(GREVLEX, budget)
+    built = budget.remaining
+    assert (len(gb), gb.is_unit()) == (len(gb.lead_exponents()), False)
+    assert calls == [] and budget.remaining == built
+    basis = gb.basis
+    assert len(calls) == 1 and calls[0][-1] is budget
+    finished = budget.remaining
+    assert finished < built
+    assert gb.basis is basis and list(gb) == basis
+    assert ideal.equals(ideal)
+    assert list(ideal.normalized().generators) == basis
+    assert len(calls) == 1 and budget.remaining == finished
 
 
 def test_conversion_past_the_packed_widths_runs_from_the_generators():
@@ -1167,7 +1217,8 @@ def test_conversion_past_the_packed_widths_runs_from_the_generators():
 def _kernel_basis(ideal, order, drop=()):
     """The reduced basis as groebner_basis computes it, from the ideal's
     generators or converted from its cached grevlex basis, as the
-    polynomials of the term dicts _autoreduce returns."""
+    polynomials of the term dicts _autoreduce returns on the minimalized
+    kernel lists."""
     budget = _Budget(DEFAULT_BUDGET)
     work = ideal.ring.with_order(order)
     packer = work.packer()
@@ -1179,6 +1230,7 @@ def _kernel_basis(ideal, order, drop=()):
             [g.transfer(work).terms for g in ideal.generators], work, budget)
         if drop:
             kernel = groebner._kept(kernel, packer)
+    kernel = groebner._minimalized(kernel, packer)
     return [Polynomial(work, t)
             for t in groebner._autoreduce(*kernel, packer, budget)]
 
@@ -1188,9 +1240,10 @@ def _kernel_basis(ideal, order, drop=()):
 @given(st.data())
 def test_bases_read_as_the_kernel_output(field, data):
     """A basis reads as the polynomials of the kernel's output: its length,
-    its unit check and its leads, read off the largest packed keys, which
-    are the polynomials' largest terms under the reference order
-    (tests/orders.py), and its polynomials; for drawn ideals over QQ and
+    its unit check and its leads, read off the minimal packed leads before
+    the basis is finished and the same after, which are the polynomials'
+    largest terms under the reference order (tests/orders.py), and its
+    polynomials, finished on first read; for drawn ideals over QQ and
     GF(2^31 - 1), from the generators and converted from a cached grevlex
     basis, under grevlex, lex and block orders, with and without dropping
     the front block.  An elimination's hand-off is the transfer of the
@@ -1209,12 +1262,13 @@ def test_bases_read_as_the_kernel_output(field, data):
     drop = front if order.kind == "block" and data.draw(st.booleans()) else ()
     want = _kernel_basis(ideal, order, drop)
     gb = groebner_basis(ideal, order, drop=drop)
-    assert len(gb) == len(want)
-    assert gb.is_unit() == (len(want) == 1 and want[0].is_constant())
     leads = [max((e for e, _ in g.sorted_terms()), key=order_key(g.ring))
              for g in want]
-    assert gb.lead_exponents() == leads
+    read = (len(gb), gb.is_unit(), gb.lead_exponents())
+    assert read == (len(want), len(want) == 1 and want[0].is_constant(),
+                    leads)
     assert gb.basis == want
+    assert (len(gb), gb.is_unit(), gb.lead_exponents()) == read
     if drop:
         small = ring.restrict([v for v in ring.variables if v not in drop])
         out = groebner._eliminate(ideal, drop, small, _Budget(DEFAULT_BUDGET))

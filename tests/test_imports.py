@@ -17,6 +17,10 @@ no package module converts between exponent tuples and packed values,
 except at the few sites that read single exponents (EXPONENT_READS): it
 reads no `pack`, `unpack`, `poly_from_terms`, `monomial` or `sorted_terms`
 of anything, called or not.
+
+A Groebner basis is finished on one path: the package calls `_autoreduce`
+only in the finishing that groebner_basis hands its GroebnerBasis, and no
+module but `groebner.py` constructs a GroebnerBasis.
 """
 
 import ast
@@ -150,3 +154,45 @@ def test_only_the_exponent_reads_convert_outside_rings(path):
     for function, attr in _conversions(path.read_text()):
         assert attr in EXPONENT_READS.get((path.name, function), ()), \
             f"{path.name}: {function} reads .{attr}"
+
+
+def _call_sites(source, name):
+    """The chain of functions around each call of `name`, called by its
+    bare name or as an attribute (() at module level)."""
+    found = []
+
+    def visit(node, chain):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            chain += (node.name,)
+        if isinstance(node, ast.Call):
+            called = node.func
+            if (isinstance(called, ast.Name) and called.id == name
+                    or isinstance(called, ast.Attribute)
+                    and called.attr == name):
+                found.append(chain)
+        for child in ast.iter_child_nodes(node):
+            visit(child, chain)
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_the_check_sees_a_call_site():
+    source = ("def f(kernel):\n"
+              "    def g():\n"
+              "        return groebner._autoreduce(*kernel)\n"
+              "    return _autoreduce, g\n"
+              "_autoreduce()\n")
+    assert _call_sites(source, "_autoreduce") == [("f", "g"), ()]
+
+
+def test_one_finishing_path():
+    sites = [(path.name, chain) for path in MODULES if path.parent == PACKAGE
+             for chain in _call_sites(path.read_text(), "_autoreduce")]
+    assert sites == [("groebner.py", ("groebner_basis", "finish"))]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name != "groebner.py"],
+                         ids=lambda p: p.name)
+def test_only_groebner_constructs_a_basis(path):
+    assert _call_sites(path.read_text(), "GroebnerBasis") == []
