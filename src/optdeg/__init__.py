@@ -6,9 +6,9 @@ from .errors import *  # noqa: F401,F403
 from .fields import DEFAULT_PRIME, PrimeField, RationalField, field_from_spec
 from .rings import (GREVLEX, LEX, OrderSpec, Polynomial, RationalFunction,
                     RingContext)
-from .parsing import (format_polynomial, format_rational_function,
-                      parse_polynomial, parse_rational_function)
-from .matrices import PolyMatrix, derationalize, jacobian
+from .parsing import (format_polynomial, parse_polynomial,
+                      parse_rational_function)
+from .matrices import PolyMatrix, jacobian
 from .groebner import (DEFAULT_BUDGET, GroebnerBasis, Ideal, affine_degree,
                        degree_zero_dim, dimension, eliminate, groebner_basis,
                        normal_form, saturate, vanishes_on_variety)

@@ -21,7 +21,6 @@ its unit check and its point count, which read only its leads.
 from __future__ import annotations
 
 import random
-import time
 import warnings as _warnings
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations, count, product
@@ -153,7 +152,6 @@ class DegreeReport:
     field: str
     seed: int
     agreement: bool
-    elapsed: list
     warnings: list = dc_field(default_factory=list)
 
 
@@ -314,14 +312,11 @@ def _count_trials(count_for_u, X, trials, seed, budget, extra_warnings):
         raise ValueError("at least two trials are required")
     rng = random.Random(f"degree|{seed}")
     records = []
-    elapsed = []
     for _ in range(trials):
         count = None
         for attempt in (0, 1):
             u = _sample_point(X.ring.field, X.n, rng)
-            t0 = time.perf_counter()
             count = count_for_u(u)
-            dt = time.perf_counter() - t0
             if count is not None:
                 break
         if count is None:
@@ -330,7 +325,6 @@ def _count_trials(count_for_u, X, trials, seed, budget, extra_warnings):
                 "gave a positive-dimensional critical locus or lay on the "
                 "cone of a projective count")
         records.append((u, count))
-        elapsed.append(dt)
     counts = {c for _, c in records}
     agreement = len(counts) == 1
     return DegreeReport(
@@ -339,7 +333,6 @@ def _count_trials(count_for_u, X, trials, seed, budget, extra_warnings):
         field=X.ring.field.spec_str(),
         seed=seed,
         agreement=agreement,
-        elapsed=elapsed,
         warnings=list(extra_warnings),
     )
 
@@ -490,11 +483,11 @@ def isotropic_polynomial(ring, p):
 def _stacked_generators(X: VarietySpec, row, ring, budget, cut=None):
     """I(X) and the (c+1) x (c+1) minors of the Jacobian of its generators
     stacked under `row`, whose denominators are cleared column by column
-    (see derationalize), in the order of PolyMatrix.minors, as a new list
-    of polynomials of `ring`; for `cut` a triple of _linear_cut on ring, of
-    the cut ring instead.  `row` holds one polynomial or rational function
-    of `ring` per variable.  Every caller seeds its Groebner run with the
-    result.
+    (column j times the denominator of row[j]), in the order of
+    PolyMatrix.minors, as a new list of polynomials of `ring`; for `cut` a
+    triple of _linear_cut on ring, of the cut ring instead.  `row` holds
+    one polynomial or rational function of `ring` per variable.  Every
+    caller seeds its Groebner run with the result.
 
     No minor is expanded: each is assembled from the Jacobian minors X
     keeps, taken once per ring (see VarietySpec.minors).  Clearing

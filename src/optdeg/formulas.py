@@ -83,20 +83,6 @@ def chern_formula(p, chern: ChernDegrees) -> int:
                for k in range(m + 1))
 
 
-def polar_from_chern(chern: ChernDegrees, n) -> tuple:
-    """Polar classes from Chern degrees:
-    delta_i = sum_{k=i}^m (-1)^(m-k) C(k+1, i+1) deg(c_{m-k}); zero above m."""
-    m = chern.m
-    out = []
-    for i in range(n - 1):
-        if i > m:
-            out.append(0)
-            continue
-        out.append(sum((-1) ** (m - k) * comb(k + 1, i + 1) * chern.degs[m - k]
-                       for k in range(i, m + 1)))
-    return tuple(out)
-
-
 def hypersurface_formula(d, n, p) -> int:
     """Count for a general projective hypersurface of degree d in P^(n-1),
     in the geometric-sum form d(p-1) * sum_i (d-1)^i (p-1)^(n-2-i) that is
@@ -105,15 +91,6 @@ def hypersurface_formula(d, n, p) -> int:
         raise ValueError("need d >= 1, n >= 2, p >= 1")
     return d * (p - 1) * sum((d - 1) ** i * (p - 1) ** (n - 2 - i)
                              for i in range(n - 1))
-
-
-def hypersurface_chern_degrees(d, n) -> ChernDegrees:
-    """Chern degrees of a smooth degree-d hypersurface in P^(n-1):
-    deg c_k = d * sum_{i<=k} C(n, i) (-d)^(k-i)."""
-    m = n - 2
-    degs = [d * sum(comb(n, i) * (-d) ** (k - i) for i in range(k + 1))
-            for k in range(m + 1)]
-    return ChernDegrees(m, tuple(degs))
 
 
 def _complete_homogeneous(bases, k) -> int:
@@ -210,15 +187,3 @@ def euler_formula(mode, m, chi, p=None) -> int:
     if mode == "affine":
         return (-1) ** m * chi
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def chi_plane_curve_complement(d, p) -> int:
-    """chi of a smooth degree-d plane curve minus the isotropic curve and a
-    general line: d(3-d) - d(p+1)."""
-    return d * (3 - d) - d * (p + 1)
-
-
-def chi_rational_normal_curve_complement(d, p) -> int:
-    """chi of a rational normal curve of degree d minus the isotropic
-    hypersurface and a general hyperplane: 2 - d(p+1)."""
-    return 2 - d * (p + 1)

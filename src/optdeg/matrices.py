@@ -1,5 +1,5 @@
-"""Polynomial matrices: Jacobians, minors as Laplace sums, derationalized
-stacking, and the rank of term dicts as vectors."""
+"""Polynomial matrices: Jacobians, minors as Laplace sums, and the rank of
+term dicts as vectors."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from itertools import combinations
 from math import gcd
 
 from .errors import RingMismatch, SizeOutOfRange
-from .rings import RationalFunction, _sum_of_products
+from .rings import _sum_of_products
 
 
 class PolyMatrix:
@@ -31,10 +31,6 @@ class PolyMatrix:
         self.rows = len(entries)
         self.cols = width
         self.ring = ring
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
 
     def det(self):
         if self.rows != self.cols:
@@ -108,34 +104,6 @@ def jacobian(polys, variables):
         if p.ring != ring:
             raise RingMismatch("jacobian inputs in different rings")
     return PolyMatrix([[p.derivative(v) for v in variables] for p in polys])
-
-
-def derationalize(gradients, jac):
-    """Stack a rational gradient row on top of a Jacobian and clear denominators
-    column by column.
-
-    gradients[j] = (num_j, den_j) as a RationalFunction; column j of the stacked
-    matrix is multiplied by den_j, so the result is a polynomial matrix whose
-    top row holds the gradient numerators.
-    """
-    if len(gradients) != jac.cols:
-        raise ValueError("one gradient entry per Jacobian column is required")
-    ring = jac.ring
-    top = []
-    dens = []
-    for g in gradients:
-        if not isinstance(g, RationalFunction):
-            g = RationalFunction(g)
-        if g.num.ring != ring:
-            raise RingMismatch("gradient entries must live in the Jacobian ring")
-        top.append(g.num)
-        dens.append(g.den)
-    rows = [tuple(top)]
-    for i in range(jac.rows):
-        rows.append(tuple(jac[i, j] if dens[j].is_constant() and
-                          dens[j] == ring.one() else jac[i, j] * dens[j]
-                          for j in range(jac.cols)))
-    return PolyMatrix(rows)
 
 
 def _rank(rows, field, budget):

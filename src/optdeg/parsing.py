@@ -1,4 +1,4 @@
-"""Parse and format polynomial and rational-function expressions.
+"""Parse polynomial and rational-function expressions, and format polynomials.
 
 Grammar: integer or rational literals (a or a/b), declared variables, +, -,
 *, ^ with non-negative integer exponents, and parentheses.  There is no
@@ -218,12 +218,3 @@ def format_polynomial(p: Polynomial) -> str:
             out.append(f"-{body}" if negative else f"+{body}")
     return "".join(out)
 
-
-def format_rational_function(r: RationalFunction) -> str:
-    if r.is_polynomial():
-        return format_polynomial(r.num)
-    num = format_polynomial(r.num)
-    den = format_polynomial(r.den)
-    num_str = f"({num})" if ("+" in num or "-" in num[1:]) else num
-    den_str = f"({den})" if len(r.den) > 1 or "-" in den else den
-    return f"{num_str}/{den_str}"

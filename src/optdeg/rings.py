@@ -800,8 +800,10 @@ class Polynomial:
 class RationalFunction:
     """Quotient num/den of polynomials in one ring; den is nonzero.
 
-    No simplification is attempted (multivariate GCD is out of scope), but a
-    constant denominator is folded into the numerator.
+    A parsed objective entry, tower level or coordinate, held as it was
+    written: no simplification is attempted (multivariate GCD is out of
+    scope), but a constant denominator is folded into the numerator.  It
+    has no arithmetic: callers compute with num and den, as polynomials.
     """
 
     __slots__ = ("num", "den")
@@ -828,49 +830,6 @@ class RationalFunction:
 
     def is_polynomial(self):
         return self.den.is_constant()
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return RationalFunction(self.num * other.den - other.num * self.den,
-                                self.den * other.den)
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other.num.is_zero():
-            raise ZeroDenominator("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def _coerce(self, other):
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, Polynomial):
-            return RationalFunction(other)
-        return RationalFunction(self.ring.const(other))
-
-    def derivative(self, var):
-        n, d = self.num, self.den
-        return RationalFunction(n.derivative(var) * d - n * d.derivative(var),
-                                d * d)
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return (self.num * other.den) == (other.num * self.den)
 
     def __repr__(self):
         if self.is_polynomial():

@@ -6,6 +6,14 @@ The associated polynomial system (one relation per root, one per coordinate,
 plus the denominator-clearing relation) cuts out the incidence variety whose
 projection closure is the parametrized variety, optionally restricted to a
 variety in the base variables.
+
+Every computation here is on polynomials: the cleared root relations
+D_i^(d_i) * b_i - a_i, for alpha_i = a_i / b_i, are built once by
+TowerSpec.root_relations and serve the incidence system, the restriction
+check's locus and the Jacobian rank's locus.  The rank is read off
+polynomial rows, fraction-free eliminated along the roots, through the
+minors of matrices (see tower_jacobian_rank); rational functions are only
+held, never computed with.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from dataclasses import dataclass, field as dc_field
 from .critical import VarietySpec
 from .errors import RestrictionIllDefined, RingMismatch, ZeroAlpha
 from .groebner import Ideal, as_budget, dimension, eliminate, vanishes_on_variety
+from .matrices import PolyMatrix
 from .rings import RationalFunction, RingContext
 
 
@@ -72,6 +81,13 @@ class TowerSpec:
     def delta_names(self):
         return tuple(f"D{i + 1}" for i in range(self.m))
 
+    def root_relations(self):
+        """The cleared root relations D_i^(d_i) * b_i - a_i, for
+        alpha_i = a_i / b_i, in the tower ring."""
+        return [self.ring.var(dname) ** level.power * level.alpha.den
+                - level.alpha.num
+                for dname, level in zip(self.delta_names, self.levels)]
+
 
 @dataclass(frozen=True)
 class ParametrizationSpec:
@@ -102,10 +118,6 @@ class TowerSystem:
     tower: TowerSpec
     parametrization: ParametrizationSpec
 
-    @property
-    def y_names(self):
-        return tuple(f"Y{j + 1}" for j in range(len(self.coordinate_relations)))
-
 
 def tower_ring(base_names, m, field=None) -> RingContext:
     """Ring over the base variables and the root variables D1..Dm."""
@@ -133,14 +145,10 @@ def build_tower_system(tower: TowerSpec, parametrization: ParametrizationSpec,
     zname = "Z"
     big = tower.ring.extend(ynames + (zname,))
 
-    roots = []
+    roots = [rel.transfer(big) for rel in tower.root_relations()]
     den_product = big.one()
-    for dname, level in zip(tower.delta_names, tower.levels):
-        dvar = big.var(dname)
-        num = level.alpha.num.transfer(big)
-        den = level.alpha.den.transfer(big)
-        roots.append(dvar ** level.power * den - num)
-        den_product = den_product * den
+    for level in tower.levels:
+        den_product = den_product * level.alpha.den.transfer(big)
     coords = []
     for j, y in enumerate(parametrization.coordinates):
         num = y.num.transfer(big)
@@ -181,7 +189,7 @@ def tower_incidence_ideals(system: TowerSystem, X: VarietySpec = None,
                                "variables")
         troot = system.tower.ring
         locus = Ideal(troot, [g.transfer(troot) for g in X.generators]
-                      + [rel.transfer(troot) for rel in system.root_relations])
+                      + system.tower.root_relations())
         # over an empty restriction the obstruction check is vacuous; the
         # dimension check downstream reports the emptiness instead
         if not locus.groebner(budget=budget).is_unit():
@@ -227,75 +235,53 @@ def tower_dimension_check(system: TowerSystem, X: VarietySpec = None,
     return TowerCheckReport(dim, expected, dim == expected, "", warns)
 
 
-def _total_derivative(rf: RationalFunction, tname, delta_partials):
-    """d(rf)/dt through the chain rule over the recorded root derivatives."""
-    out = rf.derivative(tname)
-    for dname, partials in delta_partials.items():
-        ddn = rf.derivative(dname)
-        if not ddn.num.is_zero():
-            out = out + ddn * partials[tname]
-    return out
-
-
 def tower_jacobian_rank(tower: TowerSpec, parametrization: ParametrizationSpec,
                         X: VarietySpec = None, budget=None) -> int:
-    """Generic rank of the Jacobian of the parametrization with respect to
-    the base variables, on the root locus (restricted to X when given).
+    """Generic rank of the Jacobian J = dy/dt of the parametrization with
+    respect to the base variables, on the components of the root locus
+    (restricted to X when given) where J is defined: where no
+    delta_i = d(R_i)/d(D_i) = d_i * D_i^(d_i - 1) * b_i and no coordinate
+    denominator e_j vanishes identically.  An empty base has rank 0.
 
-    Root derivatives are obtained recursively from
-    d_i D_i^(d_i - 1) dD_i/dt = d(alpha_i)/dt.
+    J is never formed.  For R_i = D_i^(d_i) * b_i - a_i the cleared root
+    relations and y_j = c_j / e_j, there is one polynomial row per
+    coordinate, e_j * grad(c_j) - c_j * grad(e_j) = e_j^2 * grad(y_j), and
+    one per level, grad(R_i), over the columns (D_1..D_m, t_1..t_n).  R_i
+    involves no D_k with k > i, so for i = m down to 1 each coordinate row
+    with a nonzero D_i entry rho becomes delta_i * row - rho * grad(R_i),
+    which clears its D_i entry and puts entries only in earlier D columns
+    (fraction-free elimination, Bareiss 1968).  R_i vanishes on the locus,
+    so each step multiplies the row's total derivative along the locus by
+    delta_i: its t-entries end as a product of delta_i, times e_j^2, times
+    dy_j/dt (the implicit function theorem, in Schur-complement form).
+    On the locus, each k-minor of the t-columns, from PolyMatrix.minors, is
+    therefore the k-minor of J times a product of the delta_i and e_j, so
+    on the components above it vanishes identically exactly when that
+    minor does.  The rank is the largest k with a minor that does not vanish on
+    the locus (vanishes_on_variety), the minors tried size by size, each
+    size in lexicographic (row set, column set) order.
     """
     budget = as_budget(budget)
+    if not tower.base:
+        return 0
     ring = tower.ring
-    base = tower.base
-    delta_partials = {}
-    for dname, level in zip(tower.delta_names, tower.levels):
-        dvar = ring.var(dname)
-        denom = RationalFunction(dvar ** (level.power - 1) * ring.const(level.power))
-        partials = {}
-        for tname in base:
-            dalpha = _total_derivative(level.alpha, tname, delta_partials)
-            partials[tname] = dalpha / denom
-        delta_partials[dname] = partials
-
-    rows = []
-    for y in parametrization.coordinates:
-        rows.append([_total_derivative(y, tname, delta_partials)
-                     for tname in base])
-
-    locus_gens = []
-    for dname, level in zip(tower.delta_names, tower.levels):
-        dvar = ring.var(dname)
-        locus_gens.append(dvar ** level.power * level.alpha.den.transfer(ring)
-                          - level.alpha.num.transfer(ring))
+    relations = tower.root_relations()
+    columns = tower.delta_names + tower.base
+    rows = [[y.den * y.num.derivative(v) - y.num * y.den.derivative(v)
+             for v in columns] for y in parametrization.coordinates]
+    for i in reversed(range(tower.m)):
+        grad = [relations[i].derivative(v) for v in columns]
+        delta = grad[i]
+        rows = [row if row[i].is_zero() else
+                [delta * a - row[i] * b for a, b in zip(row, grad)]
+                for row in rows]
+    matrix = PolyMatrix([row[tower.m:] for row in rows])
+    gens = list(relations)
     if X is not None:
-        locus_gens += [g.transfer(ring) for g in X.generators]
-    locus = Ideal(ring, locus_gens)
-
-    from itertools import combinations
-    r, n = len(rows), len(base)
-    for k in range(min(r, n), 0, -1):
-        for ri in combinations(range(r), k):
-            for ci in combinations(range(n), k):
-                minor = _rf_det([[rows[i][j] for j in ci] for i in ri])
-                if minor.num.is_zero():
-                    continue
-                if not vanishes_on_variety(minor.num, locus, budget):
-                    return k
+        gens += [g.transfer(ring) for g in X.generators]
+    locus = Ideal(ring, gens)
+    for k in range(min(matrix.rows, matrix.cols), 0, -1):
+        for minor in matrix.minors(k):
+            if not vanishes_on_variety(minor, locus, budget):
+                return k
     return 0
-
-
-def _rf_det(matrix):
-    """Determinant of a small matrix of rational functions by cofactors."""
-    k = len(matrix)
-    if k == 1:
-        return matrix[0][0]
-    ring = matrix[0][0].ring
-    det = RationalFunction(ring.zero())
-    for j, head in enumerate(matrix[0]):
-        if head.num.is_zero():
-            continue
-        minor = [[row[c] for c in range(k) if c != j] for row in matrix[1:]]
-        cof = head * _rf_det(minor)
-        det = det + cof if j % 2 == 0 else det - cof
-    return det

@@ -19,14 +19,14 @@ from optdeg.critical import (PNorm, RationalGradient, VarietySpec,
                              evolute_curve, projective_pnorm_degree,
                              singular_locus_ideal)
 from optdeg.formulas import (ChernDegrees, SegreVeroneseSpec, ToricVolumes,
-                             chern_formula, hypersurface_chern_degrees,
-                             hypersurface_formula, polar_formula,
-                             polar_from_chern, segre_veronese_formula,
+                             chern_formula, hypersurface_formula,
+                             polar_formula, segre_veronese_formula,
                              toric_formula, veronese_formula)
 from optdeg.towers import (ParametrizationSpec, TowerLevel, TowerSpec,
                            build_tower_system, tower_dimension_check,
                            tower_jacobian_rank, tower_ring)
 
+from closed_forms import hypersurface_chern_degrees, polar_from_chern
 from linear_change import random_linear_change
 
 GF = PrimeField()

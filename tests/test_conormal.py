@@ -8,9 +8,10 @@ from optdeg.conormal import (bidegree_class, joint_correspondence_ideal,
                              s_conormal_ideal)
 from optdeg.critical import (VarietySpec, _stacked_generators,
                              projective_pnorm_degree, singular_locus_ideal)
-from optdeg.formulas import ChernDegrees, polar_from_chern
+from optdeg.formulas import ChernDegrees
 from optdeg.groebner import DEFAULT_BUDGET, _Budget
 
+from closed_forms import polar_from_chern
 from conftest import (plane_curve_cones, plane_curve_twins,
                       reducible_plane_curve_cones, variety)
 from linear_change import random_linear_change

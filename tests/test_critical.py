@@ -23,13 +23,14 @@ from optdeg.critical import (PNorm, RationalGradient,
 from optdeg.errors import (DenominatorVanishesOnX, EvoluteDegenerate,
                            EvoluteLinesDegenerate, ZeroDenominator)
 from optdeg.groebner import DEFAULT_BUDGET, _Budget, _count_points, _linear_cut
-from optdeg.matrices import derationalize, jacobian
+from optdeg.matrices import jacobian
 from optdeg.rings import (MonomialPacker, OrderSpec, Polynomial,
                           RationalFunction, random_linear_form)
 
 from conftest import (affine_plane_curve_twins, plane_curve_cones,
                       plane_curve_twins, singular_affine_plane_curves,
                       variety)
+from derationalize import derationalize
 from linear_change import random_linear_change
 from minors_oracle import sympy_minors
 from slicing import cut_linear

@@ -2,12 +2,14 @@ import pytest
 
 from optdeg import LengthMismatch
 from optdeg.formulas import (ChernDegrees, SegreVeroneseSpec, ToricVolumes,
-                             chern_formula, chi_plane_curve_complement,
-                             chi_rational_normal_curve_complement, ci_bound,
-                             euler_formula, hypersurface_chern_degrees,
+                             chern_formula, ci_bound, euler_formula,
                              hypersurface_formula, polar_formula,
-                             polar_from_chern, segre_veronese_formula,
-                             toric_formula, veronese_formula)
+                             segre_veronese_formula, toric_formula,
+                             veronese_formula)
+
+from closed_forms import (chi_plane_curve_complement,
+                          chi_rational_normal_curve_complement,
+                          hypersurface_chern_degrees, polar_from_chern)
 
 
 # --- polar formula ---------------------------------------------------------

@@ -21,6 +21,11 @@ of anything, called or not.
 A Groebner basis is finished on one path: the package calls `_autoreduce`
 only in the finishing that groebner_basis hands its GroebnerBasis, and no
 module but `groebner.py` constructs a GroebnerBasis.
+
+Rational functions are held, never computed with: RationalFunction defines
+no arithmetic operator and no derivative, and the tower Jacobian rank is
+read off polynomial rows with no recursion of its own (no function of
+`towers.py` calls itself).
 """
 
 import ast
@@ -196,3 +201,44 @@ def test_one_finishing_path():
                          ids=lambda p: p.name)
 def test_only_groebner_constructs_a_basis(path):
     assert _call_sites(path.read_text(), "GroebnerBasis") == []
+
+
+def _methods(source, cls):
+    """The names of the functions the class `cls` defines in its body."""
+    (node,) = [n for n in ast.walk(ast.parse(source))
+               if isinstance(n, ast.ClassDef) and n.name == cls]
+    return {n.name for n in node.body
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def test_rational_functions_have_no_arithmetic():
+    methods = _methods((PACKAGE / "rings.py").read_text(), "RationalFunction")
+    assert "__init__" in methods
+    assert not methods & {"__add__", "__sub__", "__mul__", "__truediv__",
+                          "__neg__", "derivative"}
+
+
+def _recursive(source):
+    """The functions of the module that call themselves, by name or as an
+    attribute, directly or from a function nested in them."""
+    tree = ast.parse(source)
+    names = {n.name for n in ast.walk(tree)
+             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    return sorted(name for name in names
+                  if any(name in chain for chain in _call_sites(source, name)))
+
+
+def test_the_check_sees_a_recursive_function():
+    source = ("def det(m):\n"
+              "    return m[0] if len(m) == 1 else det(m[1:])\n"
+              "def f(x):\n"
+              "    def g():\n"
+              "        return self.f(x)\n"
+              "    return g\n"
+              "def h():\n"
+              "    return det([1])\n")
+    assert _recursive(source) == ["det", "f"]
+
+
+def test_towers_define_no_recursive_function():
+    assert _recursive((PACKAGE / "towers.py").read_text()) == []

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from optdeg import (GREVLEX, LEX, OptdegError, OrderSpec, PrimeField,
                     RationalField, RingContext, RingMismatch, SizeOutOfRange,
-                    VariableCollision, derationalize, jacobian,
+                    VariableCollision, jacobian,
                     parse_polynomial, parse_rational_function)
 from optdeg import matrices, rings
 from optdeg.matrices import PolyMatrix, minors_by_size
 from optdeg.rings import RationalFunction
 
+from derationalize import derationalize
 from linear_change import random_linear_change
 from minors_oracle import sympy_minors
 from orders import order_key
@@ -94,8 +95,8 @@ def test_ring_mismatch(ring):
 
 def test_jacobian_ellipse(ring):
     jac = jacobian([P("x1^2+4*x2^2-1", ring)], ["x1", "x2"])
-    assert jac[0, 0] == P("2*x1", ring)
-    assert jac[0, 1] == P("8*x2", ring)
+    assert jac.entries[0][0] == P("2*x1", ring)
+    assert jac.entries[0][1] == P("8*x2", ring)
 
 
 def test_jacobian_twisted_cubic():
@@ -107,12 +108,12 @@ def test_jacobian_twisted_cubic():
                 ["2*x1", "-1", "0"]]
     for i in range(3):
         for j in range(3):
-            assert jac[i, j] == P(expected[i][j], ring)
+            assert jac.entries[i][j] == P(expected[i][j], ring)
 
 
 def test_jacobian_constant_row(ring):
     jac = jacobian([ring.const(5)], ["x1", "x2"])
-    assert jac[0, 0].is_zero() and jac[0, 1].is_zero()
+    assert jac.entries[0][0].is_zero() and jac.entries[0][1].is_zero()
 
 
 def test_jacobian_linearity(ring):
@@ -124,7 +125,7 @@ def test_jacobian_linearity(ring):
         jg = jacobian([g], ring.variables)
         jfg = jacobian([f + g], ring.variables)
         for j in range(len(ring.variables)):
-            assert jfg[0, j] == jf[0, j] + jg[0, j]
+            assert jfg.entries[0][j] == jf.entries[0][j] + jg.entries[0][j]
 
 
 def _random_poly(ring, rng, nterms=4, maxdeg=3):
@@ -241,8 +242,8 @@ def test_derationalize_ml_line(ring):
     jac = PolyMatrix([[ring.one(), ring.one()]])
     out = derationalize(grads, jac)
     assert out.rows == 2 and out.cols == 2
-    assert out[0, 0] == P("u1", ring) and out[0, 1] == P("u2", ring)
-    assert out[1, 0] == P("x1", ring) and out[1, 1] == P("x2", ring)
+    assert out.entries == ((P("u1", ring), P("u2", ring)),
+                           (P("x1", ring), P("x2", ring)))
 
 
 def test_derationalize_polynomial_identity_stacking(ring):
@@ -250,9 +251,9 @@ def test_derationalize_polynomial_identity_stacking(ring):
              parse_rational_function("(u2-x2)^3", ring)]
     jac = PolyMatrix([[P("2*x1", ring), P("8*x2", ring)]])
     out = derationalize(grads, jac)
-    assert out[0, 0] == P("(u1-x1)^3", ring)
-    assert out[1, 0] == P("2*x1", ring)
-    assert out[1, 1] == P("8*x2", ring)
+    assert out.entries[0][0] == P("(u1-x1)^3", ring)
+    assert out.entries[1][0] == P("2*x1", ring)
+    assert out.entries[1][1] == P("8*x2", ring)
     minors = out.minors(2)
     assert minors[0] == P("2*(4*x2*(u1-x1)^3-x1*(u2-x2)^3)", ring)
 
@@ -286,8 +287,7 @@ def test_substitute_rational_point(ring):
 def test_random_linear_change_deterministic(ring):
     m1, s1 = random_linear_change(ring, ("x1", "x2"), seed=5)
     m2, s2 = random_linear_change(ring, ("x1", "x2"), seed=5)
-    assert [[m1[i, j] for j in range(2)] for i in range(2)] == \
-           [[m2[i, j] for j in range(2)] for i in range(2)]
+    assert m1.entries == m2.entries
     assert all(s1[v] == s2[v] for v in ("x1", "x2"))
 
 
@@ -305,24 +305,6 @@ def test_linear_change_by_explicit_matrix():
 
 
 # --- rational functions -------------------------------------------------------
-
-def test_rational_function_arithmetic(ring):
-    a = parse_rational_function("u1/x1", ring)
-    b = parse_rational_function("u2/x2", ring)
-    s = a + b
-    assert s.num == P("u1*x2+u2*x1", ring)
-    assert s.den == P("x1*x2", ring)
-    q = a / b
-    assert q.num == P("u1*x2", ring)
-    assert q.den == P("x1*u2", ring)
-
-
-def test_rational_function_derivative(ring):
-    a = parse_rational_function("u1/x1", ring)
-    d = a.derivative("x1")
-    # derivative is -u1/x1^2 up to unreduced representation
-    assert d.num * P("x1^2", ring) == P("-u1", ring) * d.den
-
 
 def test_rational_function_constant_denominator_folds(ring):
     r = RationalFunction(P("2*x1", ring), ring.const(2))

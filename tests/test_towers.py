@@ -1,8 +1,20 @@
-import pytest
+import json
+from fractions import Fraction
+from itertools import combinations
 
-from optdeg import RingContext, parse_polynomial, parse_rational_function
+import pytest
+import sympy
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+
+from optdeg import (OrderSpec, PrimeField, RationalField, RingContext,
+                    parse_polynomial, parse_rational_function)
+from optdeg.cli import EXIT_OK, main
+from optdeg.critical import VarietySpec
 from optdeg.errors import RestrictionIllDefined, ZeroAlpha
-from optdeg.groebner import DEFAULT_BUDGET, _Budget
+from optdeg.groebner import (DEFAULT_BUDGET, Ideal, _Budget, normal_form,
+                             saturate, vanishes_on_variety)
+from optdeg.rings import RationalFunction
 from optdeg.towers import (ParametrizationSpec, TowerLevel, TowerSpec,
                            build_tower_system, tower_dimension_check,
                            tower_incidence_ideals, tower_jacobian_rank,
@@ -179,3 +191,217 @@ def test_branch_metadata_never_affects_ideals(ellipse_tower, ellipse_restriction
     _, a = tower_incidence_ideals(sys_a, ellipse_restriction)
     _, b = tower_incidence_ideals(sys_b, ellipse_restriction)
     assert a.equals(b)
+
+
+def test_jacobian_rank_empty_base():
+    """With no base variable there is nothing to differentiate by."""
+    ring = tower_ring((), 1)
+    tower = TowerSpec(ring, (), (TowerLevel(2, RF("3", ring)),))
+    param = ParametrizationSpec((RF("D1", ring),))
+    assert tower_jacobian_rank(tower, param) == 0
+
+
+# D1^2 = 2*t3^2/(t2 - 3*t1), D2^2 = -3*t2 - 3*t3 - 3, restricted to
+# t2*t3 + 2*t2 + 2: minors of the rational total derivatives, never
+# cancelled, take this rank past 2,000,000 steps; minors of the eliminated
+# polynomial rows take it in a few thousand.
+HARD_TOWER = {
+    "base": ["t1", "t2", "t3"],
+    "levels": [{"power": 2, "alpha": "2*t3^2/(t2-3*t1)"},
+               {"power": 2, "alpha": "-3*t2-3*t3-3"}],
+    "parametrization": ["-t1*D1-t1+D2", "3*t3*D1+D2", "D1/(2-2*D2)", "6",
+                        "t3*D2+5"],
+}
+HARD_RESTRICTION = "t2*t3+2*t2+2"
+
+
+@pytest.mark.parametrize("field", [PrimeField(), RationalField()],
+                         ids=["GF", "QQ"])
+def test_jacobian_rank_of_the_hard_tower(field):
+    ring = tower_ring(HARD_TOWER["base"], 2, field)
+    tower = TowerSpec(ring, tuple(HARD_TOWER["base"]),
+                      tuple(TowerLevel(lv["power"], RF(lv["alpha"], ring))
+                            for lv in HARD_TOWER["levels"]))
+    param = ParametrizationSpec(tuple(RF(y, ring)
+                                      for y in HARD_TOWER["parametrization"]))
+    X = variety(RingContext(tower.base, field), HARD_RESTRICTION)
+    assert tower_jacobian_rank(tower, param, X, _Budget(20_000)) == 3
+
+
+@pytest.mark.parametrize("field", ["prime:2147483647", "rational"])
+def test_tower_check_of_the_hard_tower(tmp_path, capsys, field):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "budget": 2_000_000, "ring": {"field": field},
+        "tower": HARD_TOWER, "variety": {"generators": [HARD_RESTRICTION]}}))
+    assert main(["tower-check", "--job", str(path)]) == EXIT_OK
+    out = json.loads(capsys.readouterr().out)["result"]
+    assert (out["dimension"], out["dimension_ok"]) == (2, True)
+    assert out["jacobian_rank"] == 3
+
+
+# --- the rank against implicit differentiation in sympy ------------------------
+
+def _sympy(poly, syms):
+    """A polynomial as a sympy expression; over GF(q) each residue is read
+    as its representative of least absolute value, so small drawn
+    coefficients stay small."""
+    q = getattr(poly.ring.field, "q", None)
+
+    def lift(c):
+        c = Fraction(c)
+        return c - q if q is not None and c > q // 2 else c
+    return sympy.Add(*(sympy.Rational(lift(c)) * sympy.Mul(
+        *(s ** k for s, k in zip(syms, e))) for e, c in poly.sorted_terms()))
+
+
+def _from_sympy(expr, ring, syms):
+    poly = sympy.Poly(expr, *syms, domain="QQ")
+    return ring.poly_from_terms({e: Fraction(int(c.p), int(c.q))
+                                 for e, c in poly.terms()})
+
+
+def _locus(tower, X):
+    ring = tower.ring
+    gens = [ring.var(f"D{i + 1}") ** level.power * level.alpha.den
+            - level.alpha.num for i, level in enumerate(tower.levels)]
+    if X is not None:
+        gens += [g.transfer(ring) for g in X.generators]
+    return Ideal(ring, gens)
+
+
+def _oracle_rank(tower, param, X):
+    """The largest k with a k-minor of dy/dt whose numerator does not vanish
+    on the root locus.  dD_i/dt is taken by implicit differentiation of
+    R_i = D_i^(d_i) * b_i - a_i, with the earlier dD_k/dt substituted, and
+    the minors by sympy's determinant of the rational entries, cancelled."""
+    ring = tower.ring
+    syms = sympy.symbols(ring.variables)
+    by_name = dict(zip(ring.variables, syms))
+    base = [by_name[t] for t in tower.base]
+    roots = [by_name[d] for d in tower.delta_names]
+    droots = []
+    for D, level in zip(roots, tower.levels):
+        R = (D ** level.power * _sympy(level.alpha.den, syms)
+             - _sympy(level.alpha.num, syms))
+        droots.append([sympy.cancel(-(R.diff(t) + sum(
+            R.diff(E) * dE[j] for E, dE in zip(roots, droots))) / R.diff(D))
+            for j, t in enumerate(base)])
+    jac = []
+    for y in param.coordinates:
+        f = _sympy(y.num, syms) / _sympy(y.den, syms)
+        jac.append([f.diff(t) + sum(f.diff(E) * dE[j]
+                                    for E, dE in zip(roots, droots))
+                    for j, t in enumerate(base)])
+    jac = sympy.Matrix(jac)
+    locus = _locus(tower, X)
+    for k in range(min(jac.rows, jac.cols), 0, -1):
+        for rows in combinations(range(jac.rows), k):
+            for cols in combinations(range(jac.cols), k):
+                num, _ = sympy.fraction(sympy.cancel(
+                    jac.extract(list(rows), list(cols)).det()))
+                if not vanishes_on_variety(_from_sympy(num, ring, syms),
+                                           locus):
+                    return k
+    return 0
+
+
+def _drawn_poly(draw, ring, names, nonzero=False):
+    """At most three terms in the named variables, each exponent at most 2,
+    coefficients in [-3, 3]."""
+    at = [ring.index(v) for v in names]
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(at)),
+                                 st.integers(-3, 3), min_size=int(nonzero),
+                                 max_size=3))
+    out = {}
+    for e, c in terms.items():
+        full = [0] * ring.nvars
+        for i, k in zip(at, e):
+            full[i] = k
+        out[tuple(full)] = c
+    poly = ring.poly_from_terms(out)
+    if nonzero and poly.is_zero():
+        reject()
+    return poly
+
+
+@st.composite
+def _towers(draw):
+    """Towers of 1-2 base variables and 0-2 levels of power 2 or 3, with
+    polynomial alpha or alpha over one base variable t.  Coordinates are
+    drawn over 1 or over t from one subset of the tower's variables, or,
+    for half the towers with a level, they are quadrics in max(n - 1, 1)
+    drawn polynomials through the last root, reduced by the root
+    relations; both ways, ranks below full occur.  Half are restricted to
+    a drawn curve or point set.  A numerator over t is not divisible by t,
+    and no restriction lies in a coordinate hyperplane, so most towers have
+    no component of the root locus in some {delta_i = 0} or {e_j = 0},
+    where the Jacobian is not defined; the others are rejected."""
+    field = draw(st.sampled_from([PrimeField(), RationalField()]))
+    n = draw(st.integers(1, 2))
+    m = draw(st.integers(0, 2))
+    base = tuple(f"t{j + 1}" for j in range(n))
+    ring = tower_ring(base, m, field)
+    over = st.sampled_from((None,) + base)
+
+    def rational(names, nonzero=False):
+        num = _drawn_poly(draw, ring, names, nonzero)
+        den = draw(over)
+        if den is None or num.substitute({den: 0}).is_zero():
+            return RationalFunction(num)
+        return RationalFunction(num, ring.var(den))
+    levels = tuple(TowerLevel(draw(st.integers(2, 3)),
+                              rational(base + ring.variables[n:n + i], True))
+                   for i in range(m))
+    tower = TowerSpec(ring, base, levels)
+    used = draw(st.lists(st.sampled_from(ring.variables), min_size=1,
+                         unique=True))
+    r = draw(st.integers(n + 1, n + 2))
+    if m == 0 or draw(st.booleans()):
+        param = ParametrizationSpec(tuple(rational(used) for _ in range(r)))
+    else:
+        # polynomials in fewer inner polynomials than base variables (for
+        # n = 2), each reduced by the root relations with the roots first,
+        # so that D_i^(d_i) * b_i becomes a_i and the rank falls short
+        # through the roots and not only through the terms
+        roots = _locus(tower, None).groebner(
+            OrderSpec("block", tower.delta_names))
+        top = ring.var(tower.delta_names[-1])
+        inner = [top + _drawn_poly(draw, ring, ring.variables)
+                 for _ in range(max(n - 1, 1))]
+        coeff = st.integers(-2, 2)
+        param = ParametrizationSpec(tuple(
+            RationalFunction(normal_form(sum(
+                (w * (ring.const(draw(coeff)) + w.scale(draw(coeff)))
+                 for w in inner), ring.const(draw(coeff))), roots))
+            for _ in range(r)))
+    X = None
+    if draw(st.booleans()):
+        small = RingContext(base, field)
+        g = (_drawn_poly(draw, small, base, nonzero=True)
+             + small.const(draw(st.sampled_from((-2, -1, 1, 2)))))
+        if g.is_constant() or any(g.substitute({t: 0}).is_zero()
+                                  for t in base):
+            reject()
+        X = VarietySpec(small, (g,))
+    locus = _locus(tower, X)
+    if not locus.groebner().is_unit():
+        # D_i * b_i vanishes where delta_i does; no component of the locus
+        # lies in the zero set of `bad` when the locus saturated by it
+        # has the same zero set
+        bad = ring.one()
+        for D, level in zip(tower.delta_names, levels):
+            bad = bad * ring.var(D) * level.alpha.den
+        for y in param.coordinates:
+            bad = bad * y.den
+        kept = saturate(locus, Ideal(ring, [bad]))
+        if not all(vanishes_on_variety(h, locus) for h in kept.generators):
+            reject()
+    return tower, param, X
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_towers())
+def test_jacobian_rank_matches_implicit_differentiation(drawn):
+    tower, param, X = drawn
+    assert tower_jacobian_rank(tower, param, X) == _oracle_rank(tower, param, X)
