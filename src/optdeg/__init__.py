@@ -9,9 +9,9 @@ from .rings import (GREVLEX, LEX, OrderSpec, Polynomial, RationalFunction,
 from .parsing import (format_polynomial, parse_polynomial,
                       parse_rational_function)
 from .matrices import PolyMatrix, jacobian
-from .groebner import (DEFAULT_BUDGET, GroebnerBasis, Ideal, affine_degree,
-                       degree_zero_dim, dimension, eliminate, groebner_basis,
-                       normal_form, saturate, vanishes_on_variety)
+from .groebner import (DEFAULT_BUDGET, GroebnerBasis, Ideal, degree_zero_dim,
+                       dimension, eliminate, groebner_basis, saturate,
+                       vanishes_on_variety)
 from .critical import (DegreeReport, EvolutePolynomial, PNorm, RationalGradient,
                        VarietySpec, affine_counter, algebraic_degree,
                        critical_ideal_affine, data_ring, evolute_curve,

@@ -1,12 +1,17 @@
 """Exact coefficient fields.
 
-Two fields are supported: the rationals (`fractions.Fraction`) and large
-prime fields with machine-word arithmetic.  The prime field is a fast generic
-proxy for characteristic-zero computations; counts obtained over both fields
-should agree for generic inputs.  Groebner runs use neither class's arithmetic
-methods in their inner loop: over GF(q) the kernel in `groebner` computes on
-plain ints mod q itself, and over the rationals it clears denominators and
-works fraction-free on integers, building rationals only for its results.
+Two fields are supported: the rationals and large prime fields with
+machine-word arithmetic.  A rational element is a Python int when its value
+is integral and a `fractions.Fraction` only otherwise, so integer input stays
+on int arithmetic; a sum or product of Fractions may be an integral Fraction,
+which compares and hashes equal to the int and is left as it is.  `fraction`
+is the one place that forms a quotient, and `inv` and `div` go through it.
+The prime field is a fast generic proxy for characteristic-zero
+computations; counts obtained over both fields should agree for generic
+inputs.  Groebner runs use neither class's arithmetic methods in their inner
+loop: over GF(q) the kernel in `groebner` computes on plain ints mod q
+itself, and over the rationals it clears denominators and works
+fraction-free on integers, building rationals only for its results.
 """
 
 from __future__ import annotations
@@ -43,21 +48,26 @@ def _is_probable_prime(n: int) -> bool:
 
 
 class RationalField:
-    """The field of rational numbers with exact arithmetic."""
+    """The field of rational numbers with exact arithmetic.  An element is an
+    int when its value is integral and a Fraction otherwise; an integral
+    Fraction left by + or * is an element too, equal to its int."""
 
     kind = "rational"
 
     def __init__(self):
-        self.zero = _ratio(0)
-        self.one = _ratio(1)
+        self.zero = 0
+        self.one = 1
 
     def from_int(self, a):
-        return _ratio(a)
+        return int(a)
 
     def fraction(self, num, den):
+        """num/den for rational num and den: the numerator when it is
+        integral, else a Fraction."""
         if den == 0:
-            raise ZeroDivisionError("zero denominator in rational literal")
-        return _ratio(num, den)
+            raise ZeroDivisionError("division by zero in QQ")
+        r = _ratio(num, den)
+        return r.numerator if r.denominator == 1 else r
 
     def add(self, a, b):
         return a + b
@@ -72,10 +82,10 @@ class RationalField:
         return -a
 
     def inv(self, a):
-        return self.one / a
+        return self.fraction(1, a)
 
     def div(self, a, b):
-        return a / b
+        return self.fraction(a, b)
 
     def is_zero(self, a):
         return not a

@@ -2,10 +2,10 @@
 
 Buchberger's algorithm with Gebauer-Moeller pair pruning and sugar-degree
 pair selection, plus the derived operations everything else is built on:
-normal forms; elimination, saturation and radical membership, which are
-all block-order eliminations through one routine that finishes only the
-basis elements it keeps (a saturation by <g_1..g_m> is one Rabinowitsch
-run that adjoins a w_i per g_i and eliminates them from
+remainders by a basis; elimination, saturation and radical membership,
+which are all block-order eliminations through one routine that finishes
+only the basis elements it keeps (a saturation by <g_1..g_m> is one
+Rabinowitsch run that adjoins a w_i per g_i and eliminates them from
 ideal + <1 - sum_i w_i*g_i>); and Krull dimensions, point counts,
 degrees and multidegrees, all read off the one cached grevlex basis.
 Affine-linear sections are substituted for their pivot variables rather
@@ -30,8 +30,8 @@ recursion (_hilbert_numerator), graded by degree or by groups of
 variables.  A multidegree is that of the initial ideal under any term
 order, and for a monomial ideal it is the lowest-degree part of its
 K-polynomial N(1 - s) (Miller-Sturmfels, Combinatorial Commutative Algebra,
-ch. 8); its degree is the codimension, so dimensions, zero-dimensional
-point counts and affine degrees are one-group multidegrees (_multidegree).
+ch. 8); its degree is the codimension, so dimensions and zero-dimensional
+point counts are one-group multidegrees (_multidegree).
 
 A lex or block basis of an ideal that already caches its grevlex basis is
 converted from it rather than computed from the generators: the grevlex
@@ -42,11 +42,13 @@ _convert_grevlex).
 
 Over GF(q) the kernel runs on monic polynomials whose coefficients are plain
 ints reduced mod q inline, with no field-method calls.  Over QQ it is
-fraction-free: inputs are cleared of denominators, basis elements are
-primitive integer polynomials, and each reduction step scales by integers
-instead of dividing.  Every integer polynomial is a nonzero multiple of the
-rational one the field kernel would hold, so both take the same reduction
-steps; the monic rational basis is built only when a basis is finished.
+fraction-free: inputs are cleared of denominators (an input whose
+coefficients are all ints, as integral QQ elements are, is taken as it
+is), basis elements are primitive integer polynomials, and each reduction
+step scales by integers instead of dividing.  Every integer polynomial is
+a nonzero multiple of the rational one the field kernel would hold, so
+both take the same reduction steps; the monic rational basis is built only
+when a basis is finished.
 """
 
 from __future__ import annotations
@@ -303,7 +305,9 @@ def _reduce_full(fterms, leads, lcs, tails, packer, budget, sugar=0,
 
 def _clear_denominators(terms):
     """(integer terms, d): d times the rational term dict, d the lcm of its
-    denominators."""
+    denominators; the dict itself, and d = 1, when it holds only ints."""
+    if all(type(c) is int for c in terms.values()):
+        return terms, 1
     d = lcm(*(c.denominator for c in terms.values()))
     return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
 
@@ -764,16 +768,6 @@ def groebner_basis(ideal, order=None, budget=None, based=0,
     return GroebnerBasis(work_ring, order, kernel[0][::-1], finish)
 
 
-def normal_form(f, gb: GroebnerBasis, budget=None) -> Polynomial:
-    """Remainder of multivariate division by a Groebner basis (zero iff member).
-    """
-    ring = gb.ring
-    divide = _packed_remainders([g.terms for g in gb.basis], ring,
-                                as_budget(budget))
-    (red,) = divide([f.transfer(ring).terms])
-    return Polynomial(ring, red).transfer(f.ring)
-
-
 def _packed_remainders(basis, ring, budget, scaled=False):
     """The function sending packed term dicts of ring's packer to their
     remainders, one per dict, divided by `basis`, packed term dicts of a
@@ -1132,16 +1126,3 @@ def _count_points(ideal, budget):
         return degree_zero_dim(ideal, budget)
     except NotZeroDimensional:
         return None
-
-
-def affine_degree(ideal: Ideal, budget=None) -> int:
-    """Degree of the top-dimensional part of the affine zero set, with
-    multiplicity: the points dim-many generic affine-linear sections cut
-    out.  It is the one-group multidegree, as for a degree-compatible order
-    the affine Hilbert function of an ideal is that of its initial ideal
-    (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 9 §3).
-    """
-    top = _codim_degree(ideal, budget)
-    if top is None:
-        raise NotZeroDimensional("degree of the empty variety is undefined")
-    return top[1]

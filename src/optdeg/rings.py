@@ -16,6 +16,7 @@ exports.  Values are immutable after construction and freely shareable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Rational
 
 from .errors import (RingMismatch, SizeOutOfRange, VariableCollision,
                      ZeroDenominator)
@@ -93,13 +94,15 @@ class RingContext:
         return Polynomial(self, {self.packer().one: c})
 
     def coeff(self, c):
-        """Coerce an int/Fraction/native field element to a field element."""
-        if isinstance(c, int):
+        """Coerce an int or other exact rational (a Fraction, or a native
+        field element) to a field element; TypeError for anything inexact,
+        such as a float, and for a bool."""
+        if type(c) is int:
             return self.field.from_int(c)
-        num = getattr(c, "numerator", None)
-        if num is not None:
-            return self.field.fraction(int(num), int(c.denominator))
-        return c
+        if isinstance(c, bool) or not isinstance(c, Rational):
+            raise TypeError(f"coefficient {c!r} is not an int or an exact "
+                            "rational")
+        return self.field.fraction(c.numerator, c.denominator)
 
     def var(self, name):
         if name not in self._pos:

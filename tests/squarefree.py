@@ -9,7 +9,9 @@ Euclid algorithm: one Groebner run and one normal form per step.
 
 import random
 
-from optdeg import Ideal, RingContext, groebner_basis, normal_form
+from optdeg import Ideal, RingContext, groebner_basis
+
+from ideal_reads import normal_form
 
 
 def substituted_line(poly, a, b):

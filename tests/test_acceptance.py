@@ -9,10 +9,9 @@ import random
 import time
 from fractions import Fraction
 
-from optdeg import (Ideal, PrimeField, RingContext, affine_degree,
-                    degree_zero_dim, dimension, eliminate, groebner_basis,
-                    normal_form, parse_polynomial, parse_rational_function,
-                    saturate)
+from optdeg import (Ideal, PrimeField, RingContext, degree_zero_dim, dimension,
+                    eliminate, groebner_basis, parse_polynomial,
+                    parse_rational_function, saturate)
 from optdeg.conormal import bidegree_class, polar_classes, s_conormal_ideal
 from optdeg.critical import (PNorm, RationalGradient, VarietySpec,
                              algebraic_degree, critical_ideal_affine, data_ring,
@@ -27,6 +26,7 @@ from optdeg.towers import (ParametrizationSpec, TowerLevel, TowerSpec,
                            tower_jacobian_rank, tower_ring)
 
 from closed_forms import hypersurface_chern_degrees, polar_from_chern
+from ideal_reads import affine_degree, normal_form
 from linear_change import random_linear_change
 
 GF = PrimeField()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from optdeg import (GREVLEX, BudgetExceeded, ContainedInIsotropic, Ideal,
                     NotHomogeneous, PositiveDimensionalFiber, PrimeField,
                     RationalField, RingContext, degree_zero_dim, dimension,
-                    normal_form, parse_polynomial, parse_rational_function,
+                    parse_polynomial, parse_rational_function,
                     pnorm_degree_via_polar, vanishes_on_variety)
 from optdeg import critical, groebner, matrices
 from optdeg.critical import (PNorm, RationalGradient,
@@ -31,6 +31,7 @@ from conftest import (affine_plane_curve_twins, plane_curve_cones,
                       plane_curve_twins, singular_affine_plane_curves,
                       variety)
 from derationalize import derationalize
+from ideal_reads import normal_form
 from linear_change import random_linear_change
 from minors_oracle import sympy_minors
 from slicing import cut_linear

@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 
 from optdeg import (GREVLEX, LEX, BudgetExceeded, Ideal, NotZeroDimensional,
                     OrderSpec, PrimeField, RingContext, SizeOutOfRange,
-                    affine_degree, degree_zero_dim, dimension, eliminate,
-                    groebner_basis, normal_form, parse_polynomial,
-                    saturate, vanishes_on_variety)
+                    degree_zero_dim, dimension, eliminate, groebner_basis,
+                    parse_polynomial, saturate, vanishes_on_variety)
 from optdeg import groebner
 from optdeg.groebner import (DEFAULT_BUDGET, _Budget, _count_points,
                              _hilbert_numerator, _hilbert_value, _linear_cut,
                              _minimal, _multidegree, _numerator_plus)
 from optdeg.rings import MonomialPacker, Polynomial
 
+from ideal_reads import affine_degree, normal_form
 from orders import order_key
 from slicing import cut_linear, sections_degree
 

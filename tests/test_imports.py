@@ -26,6 +26,10 @@ Rational functions are held, never computed with: RationalFunction defines
 no arithmetic operator and no derivative, and the tower Jacobian rank is
 read off polynomial rows with no recursion of its own (no function of
 `towers.py` calls itself).
+
+A rational field element is an int whenever it is integral, and int / int
+is a float, so no package module but `fields.py`, where `fraction` forms
+every quotient, uses true division `/`.
 """
 
 import ast
@@ -242,3 +246,25 @@ def test_the_check_sees_a_recursive_function():
 
 def test_towers_define_no_recursive_function():
     assert _recursive((PACKAGE / "towers.py").read_text()) == []
+
+
+def _true_divisions(source):
+    """The line numbers of the source's true divisions, `/` and `/=`."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.Div))
+
+
+def test_the_check_sees_a_true_division():
+    source = ("half = a / 2\n"
+              "whole = a // 2\n"
+              "x /= b\n"
+              "text = '1/2'\n")
+    assert _true_divisions(source) == [1, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.parent == PACKAGE
+                                  and p.name != "fields.py"],
+                         ids=lambda p: p.name)
+def test_no_true_division_outside_fields(path):
+    assert _true_divisions(path.read_text()) == []

@@ -12,8 +12,8 @@ from optdeg import (OrderSpec, PrimeField, RationalField, RingContext,
 from optdeg.cli import EXIT_OK, main
 from optdeg.critical import VarietySpec
 from optdeg.errors import RestrictionIllDefined, ZeroAlpha
-from optdeg.groebner import (DEFAULT_BUDGET, Ideal, _Budget, normal_form,
-                             saturate, vanishes_on_variety)
+from optdeg.groebner import (DEFAULT_BUDGET, Ideal, _Budget, saturate,
+                             vanishes_on_variety)
 from optdeg.rings import RationalFunction
 from optdeg.towers import (ParametrizationSpec, TowerLevel, TowerSpec,
                            build_tower_system, tower_dimension_check,
@@ -21,6 +21,7 @@ from optdeg.towers import (ParametrizationSpec, TowerLevel, TowerSpec,
                            tower_ring)
 
 from conftest import variety
+from ideal_reads import normal_form
 
 
 def RF(text, ring):
