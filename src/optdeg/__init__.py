@@ -20,7 +20,6 @@ from .critical import (DegreeReport, EvolutePolynomial, PNorm, RationalGradient,
 from .conormal import (BidegreeClass, PolarClassVector, bidegree_class,
                        joint_correspondence_ideal, polar_classes,
                        pnorm_degree_via_polar, s_conormal_ideal)
-from .towers import (ParametrizationSpec, TowerLevel, TowerSpec, TowerSystem,
-                     build_tower_system, tower_dimension_check,
-                     tower_incidence_ideals, tower_jacobian_rank, tower_ring)
+from .towers import (ParametrizationSpec, TowerLevel, TowerSpec,
+                     tower_dimension_check, tower_jacobian_rank, tower_ring)
 from . import formulas

@@ -28,8 +28,7 @@ from .groebner import DEFAULT_BUDGET, GREVLEX, Ideal, as_budget, dimension
 from .parsing import format_polynomial, parse_polynomial, parse_rational_function
 from .rings import RingContext
 from .towers import (ParametrizationSpec, TowerLevel, TowerSpec,
-                     build_tower_system, tower_dimension_check,
-                     tower_jacobian_rank, tower_ring)
+                     tower_dimension_check, tower_jacobian_rank, tower_ring)
 
 SCHEMA_VERSION = 1
 
@@ -412,8 +411,7 @@ def _cmd_tower_check(job, budget, timings):
         base_ring = RingContext(tower.base, field)
         variety = _load_variety(job, base_ring)
     t0 = time.perf_counter()
-    system = build_tower_system(tower, param)
-    check = tower_dimension_check(system, variety, budget)
+    check = tower_dimension_check(tower, param, variety, budget)
     timings.stage("tower-dimension", t0)
     t0 = time.perf_counter()
     rank = tower_jacobian_rank(tower, param, variety, budget)

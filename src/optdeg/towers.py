@@ -1,17 +1,19 @@
-"""Radical towers and their incidence systems.
+"""Radical towers: their dimension checks and Jacobian ranks.
 
 A tower adjoins nested roots D_i^(d_i) = alpha_i(t, D_1..D_{i-1}) to the base
-variables; a parametrization is a tuple of rational functions in the tower.
-The associated polynomial system (one relation per root, one per coordinate,
-plus the denominator-clearing relation) cuts out the incidence variety whose
-projection closure is the parametrized variety, optionally restricted to a
-variety in the base variables.
+variables t; a parametrization is a tuple of rational functions in the tower.
+Its incidence variety, cut out by the root relations, Y_j = y_j and the
+clearing Z * d = 1 for d the product of the denominators (optionally
+restricted to a variety X in the base variables), projects onto the
+parametrized variety.  Off V(d) that incidence variety is the graph of
+(Y, Z) over the root locus, so its dimension is that of the root locus
+saturated by d (see tower_dimension_check), and no incidence ideal is built.
 
-Every computation here is on polynomials: the cleared root relations
-D_i^(d_i) * b_i - a_i, for alpha_i = a_i / b_i, are built once by
-TowerSpec.root_relations and serve the incidence system, the restriction
-check's locus and the Jacobian rank's locus.  The rank is read off
-polynomial rows, fraction-free eliminated along the roots, through the
+Every computation here is on polynomials in the (t, D) ring: the cleared
+root relations D_i^(d_i) * b_i - a_i, for alpha_i = a_i / b_i, are built
+once by TowerSpec.root_relations and serve as the locus of the dimension
+check, of the restriction check and of the Jacobian rank.  The rank is read
+off polynomial rows, fraction-free eliminated along the roots, through the
 minors of matrices (see tower_jacobian_rank); rational functions are only
 held, never computed with.
 """
@@ -19,10 +21,12 @@ held, never computed with.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from math import prod
 
 from .critical import VarietySpec
 from .errors import RestrictionIllDefined, RingMismatch, ZeroAlpha
-from .groebner import Ideal, as_budget, dimension, eliminate, vanishes_on_variety
+from .groebner import (Ideal, _rabinowitsch, as_budget, dimension,
+                       vanishes_on_variety)
 from .matrices import PolyMatrix
 from .rings import RationalFunction, RingContext
 
@@ -106,111 +110,66 @@ class ParametrizationSpec:
         return len(self.coordinates)
 
 
-@dataclass(frozen=True)
-class TowerSystem:
-    """The polynomial system of a tower and parametrization in the extended
-    ring over (base, D, Y, Z)."""
-
-    ring: RingContext
-    root_relations: tuple      # D_i^(d_i) * alpha_den - alpha_num
-    coordinate_relations: tuple  # Y_j * y_den - y_num
-    denominator_relation: object  # Z * (product of denominators) - 1
-    tower: TowerSpec
-    parametrization: ParametrizationSpec
-
-
 def tower_ring(base_names, m, field=None) -> RingContext:
     """Ring over the base variables and the root variables D1..Dm."""
     dnames = tuple(f"D{i + 1}" for i in range(m))
     return RingContext(tuple(base_names) + dnames, field)
 
 
-def build_tower_system(tower: TowerSpec, parametrization: ParametrizationSpec,
-                       ) -> TowerSystem:
-    """Assemble the root, coordinate, and denominator-clearing relations.
-
-    The denominator-clearing relation multiplies Z by the plain product of
-    all alpha- and coordinate-denominators (same zero set as their lcm, which
-    would need multivariate gcd).
-    """
-    n = len(tower.base)
-    r = parametrization.r
-    if r <= n:
+def _check_inputs(tower, param, X):
+    """Refuse what neither tower operation takes: no more coordinates than
+    base variables (ValueError), a coordinate outside the tower ring, or a
+    restriction whose variables are not the base (RingMismatch)."""
+    if param.r <= len(tower.base):
         raise ValueError("need more coordinates than base variables")
-    for y in parametrization.coordinates:
-        if y.ring != tower.ring:
-            raise RingMismatch("parametrization entries must live in the "
-                               "tower ring")
-    ynames = tuple(f"Y{j + 1}" for j in range(r))
-    zname = "Z"
-    big = tower.ring.extend(ynames + (zname,))
-
-    roots = [rel.transfer(big) for rel in tower.root_relations()]
-    den_product = big.one()
-    for level in tower.levels:
-        den_product = den_product * level.alpha.den.transfer(big)
-    coords = []
-    for j, y in enumerate(parametrization.coordinates):
-        num = y.num.transfer(big)
-        den = y.den.transfer(big)
-        coords.append(big.var(ynames[j]) * den - num)
-        den_product = den_product * den
-    clearing = big.var(zname) * den_product - big.one()
-    return TowerSystem(big, tuple(roots), tuple(coords), clearing,
-                       tower, parametrization)
+    if any(y.ring != tower.ring for y in param.coordinates):
+        raise RingMismatch("parametrization entries must live in the tower "
+                           "ring")
+    if X is not None and set(X.ring.variables) != set(tower.base):
+        raise RingMismatch("restriction variety must use the tower base "
+                           "variables")
 
 
-def _restriction_obstruction(system: TowerSystem):
-    """Product of the alpha numerators/denominators and coordinate
-    denominators, in the (t, D) ring."""
-    ring = system.tower.ring
-    prod = ring.one()
-    for level in system.tower.levels:
-        prod = prod * level.alpha.num * level.alpha.den
-    for y in system.parametrization.coordinates:
-        prod = prod * y.den
-    return prod
+def _denominators(tower, param):
+    """The alpha denominators, then the coordinate denominators."""
+    return ([level.alpha.den for level in tower.levels]
+            + [y.den for y in param.coordinates])
 
 
-def tower_incidence_ideals(system: TowerSystem, X: VarietySpec = None,
-                           budget=None):
-    """The incidence ideal (all relations plus I(X)) and its Z-free
-    projection.
+def _restriction_obstruction(tower, param):
+    """Product of the alpha numerators and of every denominator, in the
+    (t, D) ring."""
+    return prod([level.alpha.num for level in tower.levels]
+                + _denominators(tower, param), start=tower.ring.one())
+
+
+def _graph_base(tower, param, X, budget):
+    """L : d^infinity in the (t, D) ring, for L the cleared root relations
+    plus I(X) and d the product of the denominators: one Rabinowitsch run,
+    or L itself when d is a constant.
 
     With a restriction X, the defining numerators and denominators must not
-    vanish identically on X (checked on the root locus over X).
-    """
-    budget = as_budget(budget)
-    big = system.ring
-    gens = []
-    if X is not None:
-        if set(X.ring.variables) != set(system.tower.base):
-            raise RingMismatch("restriction variety must use the tower base "
-                               "variables")
-        troot = system.tower.ring
-        locus = Ideal(troot, [g.transfer(troot) for g in X.generators]
-                      + system.tower.root_relations())
-        # over an empty restriction the obstruction check is vacuous; the
-        # dimension check downstream reports the emptiness instead
-        if not locus.groebner(budget=budget).is_unit():
-            obstruction = _restriction_obstruction(system)
-            if vanishes_on_variety(obstruction, locus, budget):
-                raise RestrictionIllDefined(
-                    "tower numerators or denominators vanish identically on "
-                    "the restriction variety")
-        gens += [g.transfer(big) for g in X.generators]
-    gens += list(system.root_relations)
-    gens += list(system.coordinate_relations)
-    gens.append(system.denominator_relation)
-    incidence = Ideal(big, gens)
-    projected = eliminate(incidence, ["Z"], budget)
-    return incidence, projected
+    vanish identically on X (checked on the root locus L, whose grevlex
+    basis the dimension then reads too)."""
+    ring = tower.ring
+    gens = [] if X is None else [g.transfer(ring) for g in X.generators]
+    locus = Ideal(ring, gens + tower.root_relations())
+    # over an empty restriction the obstruction check is vacuous; the
+    # dimension check reports the emptiness instead
+    if X is not None and not locus.groebner(budget=budget).is_unit():
+        if vanishes_on_variety(_restriction_obstruction(tower, param), locus,
+                               budget):
+            raise RestrictionIllDefined(
+                "tower numerators or denominators vanish identically on "
+                "the restriction variety")
+    d = prod(_denominators(tower, param), start=ring.one())
+    return locus if d.is_constant() else _rabinowitsch(locus, [d], budget)
 
 
 @dataclass
 class TowerCheckReport:
-    """Dimension check of the Z-free incidence ideal against the expected
-    base dimension."""
+    """Dimension check of the incidence variety against the expected base
+    dimension."""
 
     dimension: int
     expected: int
@@ -219,13 +178,33 @@ class TowerCheckReport:
     warnings: list = dc_field(default_factory=list)
 
 
-def tower_dimension_check(system: TowerSystem, X: VarietySpec = None,
+def tower_dimension_check(tower: TowerSpec, param: ParametrizationSpec,
+                          X: VarietySpec = None,
                           budget=None) -> TowerCheckReport:
+    """Dimension of the incidence variety of the tower and parametrization
+    (over X when given), against that of the base (of X).
+
+    The incidence ideal, in (t, D, Y, Z), is L plus Y_j * e_j - c_j for
+    each coordinate y_j = c_j / e_j and Z * d - 1, for L the cleared root
+    relations plus I(X) and d the product of the alpha and coordinate
+    denominators.  Its variety is the graph of (Y, Z) = (c / e, 1 / d) over
+    V(L) minus V(d), so the closure of its projection to (t, D, Y) has the
+    dimension of V(L) minus V(d), whose closure is V(L : d^infinity)
+    (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 4 §4).  The
+    identity holds for the Krull dimension over any field, GF(q) included,
+    and with no assumption on the tower: d is a non-zero-divisor both on
+    k[t, D]/(L : d^infinity) and on the quotient ring of the projected
+    ideal, both become (k[t, D]/L)_d once d is inverted, and a finitely
+    generated algebra has the dimension of its localization at a
+    non-zero-divisor.  So the dimension is read off L : d^infinity (see
+    _graph_base), and the incidence ideal is never built.
+    """
     budget = as_budget(budget)
-    _, projected = tower_incidence_ideals(system, X, budget)
-    n = len(system.tower.base)
+    _check_inputs(tower, param, X)
+    base = _graph_base(tower, param, X, budget)
+    n = len(tower.base)
     expected = n if X is None else n - X.codimension(budget)
-    dim = dimension(projected, budget)
+    dim = dimension(base, budget)
     warns = ["only the supplied tower is checked, not every branch system",
              "total dimension is checked; equidimensionality needs primary "
              "decomposition"]
@@ -262,6 +241,7 @@ def tower_jacobian_rank(tower: TowerSpec, parametrization: ParametrizationSpec,
     size in lexicographic (row set, column set) order.
     """
     budget = as_budget(budget)
+    _check_inputs(tower, parametrization, X)
     if not tower.base:
         return 0
     ring = tower.ring

@@ -243,19 +243,22 @@ def test_auxiliary_name_collision_is_domain_error(tmp_path, capsys, command,
     assert err.startswith("error:") and f"{name!r} collides" in err
 
 
-def test_tower_base_name_collision_is_domain_error(tmp_path, capsys):
-    job = {
-        "schema_version": 1,
-        "tower": {
-            "base": ["x1", "Z"],
-            "levels": [{"power": 2, "alpha": "Z*x1"}],
-            "parametrization": ["x1", "Z", "x1+D1"],
-        },
-    }
-    rc = run_cli(tmp_path, "tower-check", job)
-    err = capsys.readouterr().err
-    assert rc == EXIT_DOMAIN
-    assert err.startswith("error:") and "'Z' collides" in err
+def test_tower_base_may_name_a_variable_z(tmp_path, capsys):
+    """The tower check adjoins no Y1..Yr or Z, so a base variable may carry
+    those names and reports what any other name reports."""
+    results = []
+    for name in ("Z", "t"):
+        job = {
+            "schema_version": 1,
+            "tower": {
+                "base": ["x1", name],
+                "levels": [{"power": 2, "alpha": f"{name}*x1"}],
+                "parametrization": ["x1", name, "x1+D1"],
+            },
+        }
+        assert run_cli(tmp_path, "tower-check", job) == EXIT_OK
+        results.append(json.loads(capsys.readouterr().out)["result"])
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("command, job_part, name", [

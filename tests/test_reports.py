@@ -1,4 +1,4 @@
-"""Pinned report bytes: one small job per variety command.
+"""Pinned report bytes: one small job per variety command, and tower checks.
 
 Each report of `cli.run_job` is serialized as `json.dumps(report,
 sort_keys=True)` and compared by its sha256 with the value it had when the
@@ -59,6 +59,28 @@ def _job(variables, field, generators, seed=1, trials=2, **extra):
     if trials is None:
         del doc["trials"]
     doc.update(extra)
+    return doc
+
+
+# the README's tower over the ellipse x1^2 + 4*x2^2 = 1
+ELLIPSE_TOWER = {"base": ["x1", "x2", "s"],
+                 "levels": [{"power": 2, "alpha": "s*x1"},
+                            {"power": 2, "alpha": "4*s*x2"}],
+                 "parametrization": ["x1", "x2", "x1+D1", "x2+D2"]}
+# the hard tower of test_towers.py, with a denominator in a root and in a
+# coordinate
+HARD_TOWER = {"base": ["t1", "t2", "t3"],
+              "levels": [{"power": 2, "alpha": "2*t3^2/(t2-3*t1)"},
+                         {"power": 2, "alpha": "-3*t2-3*t3-3"}],
+              "parametrization": ["-t1*D1-t1+D2", "3*t3*D1+D2", "D1/(2-2*D2)",
+                                  "6", "t3*D2+5"]}
+
+
+def _tower_job(tower, generators, field=None):
+    doc = {"schema_version": 1, "tower": tower,
+           "variety": {"generators": list(generators)}}
+    if field is not None:
+        doc["ring"] = {"field": field}
     return doc
 
 
@@ -136,6 +158,20 @@ JOBS = {
     "crossvalidate-seeded-fermat-cubic": ("crossvalidate", _job(
         XYZ, GF, [SEEDED_FERMAT_CUBIC], seed=463086742,
         options={"p": 2, "curve": {"d": 3, "g": 1}})),
+    # the tower job of the affine-sweep benchmark at seed 2
+    "tower-check-seeded": ("tower-check", _tower_job(
+        {"base": ["x1", "x2", "s"],
+         "levels": [{"power": 2, "alpha": "s*x1"},
+                    {"power": 2, "alpha": "8*s*x2"}],
+         "parametrization": ["x1", "x2", "x1+D1", "x2+D2"]},
+        ["x1^2+4*x2^2-6"])),
+    "tower-check-ellipse": ("tower-check", _tower_job(ELLIPSE_TOWER,
+                                                      ["x1^2+4*x2^2-1"])),
+    # an empty restriction: the note and the dimension -1
+    "tower-check-unit-restriction": ("tower-check",
+                                     _tower_job(ELLIPSE_TOWER, ["1"])),
+    "tower-check-hard": ("tower-check", _tower_job(HARD_TOWER,
+                                                   ["t2*t3+2*t2+2"], GF)),
 }
 
 HASHES = {
@@ -201,6 +237,14 @@ HASHES = {
         "5b0d69e0f977503626411f2b5d5bed6f972650b6e787148f24b239f0adc43868",
     "crossvalidate-seeded-fermat-cubic":
         "58d9cbb1db705ee02d67e51ff6c1dfaf55bbb6efc1b494e25696bc68ab4456ef",
+    "tower-check-seeded":
+        "82af52eafe5e82c229b02a2927238eec3c34258e85fe52e9e38cf14157910c91",
+    "tower-check-ellipse":
+        "39d95e3a5ec7b224ff7eb9c9b49cf7a3f7b3d55b854f9a5f8daad519ee7f8439",
+    "tower-check-unit-restriction":
+        "22d7f51abe26b2b641667e8b30253673dcdba579de0802c026f0dc834ba24c88",
+    "tower-check-hard":
+        "12be3ae36f82af0b9af40f276a10c88fe217f16bf44479bf954fd9b8dfcb85be",
 }
 
 

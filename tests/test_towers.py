@@ -11,17 +11,19 @@ from optdeg import (OrderSpec, PrimeField, RationalField, RingContext,
                     parse_polynomial, parse_rational_function)
 from optdeg.cli import EXIT_OK, main
 from optdeg.critical import VarietySpec
-from optdeg.errors import RestrictionIllDefined, ZeroAlpha
-from optdeg.groebner import (DEFAULT_BUDGET, Ideal, _Budget, saturate,
-                             vanishes_on_variety)
+from optdeg.errors import (BudgetExceeded, RestrictionIllDefined,
+                           RingMismatch, ZeroAlpha)
+from optdeg.groebner import (DEFAULT_BUDGET, Ideal, _Budget, eliminate,
+                             saturate, vanishes_on_variety)
 from optdeg.rings import RationalFunction
 from optdeg.towers import (ParametrizationSpec, TowerLevel, TowerSpec,
-                           build_tower_system, tower_dimension_check,
-                           tower_incidence_ideals, tower_jacobian_rank,
-                           tower_ring)
+                           _graph_base, tower_dimension_check,
+                           tower_jacobian_rank, tower_ring)
 
 from conftest import variety
 from ideal_reads import normal_form
+from incidence import (build_tower_system, incidence_dimension,
+                       tower_incidence_ideals)
 
 
 def RF(text, ring):
@@ -48,6 +50,7 @@ def ellipse_restriction():
 
 
 def test_build_tower_system_ellipse(ellipse_tower):
+    """The oracle's incidence system, relation by relation."""
     tower, param = ellipse_tower
     system = build_tower_system(tower, param)
     big = system.ring
@@ -58,24 +61,19 @@ def test_build_tower_system_ellipse(ellipse_tower):
     assert system.denominator_relation == parse_polynomial("Z-1", big)
 
 
-def test_build_tower_clears_denominators():
+def test_root_relations_clear_denominators():
     ring = tower_ring(("t",), 1)
     tower = TowerSpec(ring, ("t",), (TowerLevel(3, RF("1/t", ring)),))
-    param = ParametrizationSpec((RF("t", ring), RF("D1", ring)))
-    system = build_tower_system(tower, param)
-    assert system.root_relations[0] == parse_polynomial("D1^3*t-1", system.ring)
+    assert tower.root_relations() == [parse_polynomial("D1^3*t-1", ring)]
 
 
 def test_cardioid_style_level():
     ring = tower_ring(("x1", "x2", "s"), 1)
     alpha = RF("9-4*2*3+4*2*s*(2*x1^3+2*x1*x2^2+3*x1^2+x2^2)", ring)
     tower = TowerSpec(ring, ("x1", "x2", "s"), (TowerLevel(2, alpha),))
-    param = ParametrizationSpec(tuple(RF(t, ring) for t in
-                                      ("x1", "x2", "x1+D1", "x2")))
-    system = build_tower_system(tower, param)
     expected = parse_polynomial(
-        "D1^2-(9-24+8*s*(2*x1^3+2*x1*x2^2+3*x1^2+x2^2))", system.ring)
-    assert system.root_relations[0] == expected
+        "D1^2-(9-24+8*s*(2*x1^3+2*x1*x2^2+3*x1^2+x2^2))", ring)
+    assert tower.root_relations() == [expected]
 
 
 def test_zero_alpha_rejected():
@@ -93,8 +91,7 @@ def test_level_cannot_use_later_roots():
 
 def test_incidence_dimension_restricted(ellipse_tower, ellipse_restriction):
     tower, param = ellipse_tower
-    system = build_tower_system(tower, param)
-    report = tower_dimension_check(system, ellipse_restriction)
+    report = tower_dimension_check(tower, param, ellipse_restriction)
     assert report.dimension == 2
     assert report.expected == 2
     assert report.passed
@@ -104,18 +101,16 @@ def test_incidence_dimension_unrestricted_toy():
     ring = tower_ring(("t",), 1)
     tower = TowerSpec(ring, ("t",), (TowerLevel(2, RF("t", ring)),))
     param = ParametrizationSpec(tuple(RF(t, ring) for t in ("t", "D1", "D1+t")))
-    system = build_tower_system(tower, param)
-    report = tower_dimension_check(system)
+    report = tower_dimension_check(tower, param)
     assert report.dimension == 1 == report.expected
     assert report.passed
 
 
 def test_incidence_over_unit_restriction_fails(ellipse_tower):
     tower, param = ellipse_tower
-    system = build_tower_system(tower, param)
     ring = RingContext(("x1", "x2", "s"))
     empty = variety(ring, "1")
-    report = tower_dimension_check(system, empty)
+    report = tower_dimension_check(tower, param, empty)
     assert not report.passed
     assert report.note
 
@@ -124,16 +119,15 @@ def test_restriction_ill_defined():
     ring = tower_ring(("x1", "x2"), 1)
     tower = TowerSpec(ring, ("x1", "x2"), (TowerLevel(2, RF("x2/x1", ring)),))
     param = ParametrizationSpec(tuple(RF(t, ring) for t in ("x1", "x2", "D1")))
-    system = build_tower_system(tower, param)
     base_ring = RingContext(("x1", "x2"))
     axis = variety(base_ring, "x1")
     with pytest.raises(RestrictionIllDefined):
-        tower_incidence_ideals(system, axis)
+        tower_dimension_check(tower, param, axis)
 
 
 def test_projection_consistency(ellipse_tower, ellipse_restriction):
-    """Eliminating Z then the roots contains the block elimination of both."""
-    from optdeg import eliminate
+    """In the oracle's incidence system, eliminating Z then the roots gives
+    the block elimination of both."""
     tower, param = ellipse_tower
     system = build_tower_system(tower, param)
     incidence, z_free = tower_incidence_ideals(system, ellipse_restriction)
@@ -154,9 +148,9 @@ def test_benchmark_tower_reduction_steps_pinned():
                                       ("x1", "x2", "x1+D1", "x2+D2")))
     X = variety(RingContext(("x1", "x2", "s")), "x1^2+4*x2^2-6")
     budget = _Budget(DEFAULT_BUDGET)
-    report = tower_dimension_check(build_tower_system(tower, param), X, budget)
+    report = tower_dimension_check(tower, param, X, budget)
     assert (report.dimension, report.expected, report.passed) == (2, 2, True)
-    assert DEFAULT_BUDGET - budget.remaining == 195
+    assert DEFAULT_BUDGET - budget.remaining == 43
     budget = _Budget(DEFAULT_BUDGET)
     assert tower_jacobian_rank(tower, param, X, budget) == 3
     assert DEFAULT_BUDGET - budget.remaining == 38
@@ -187,10 +181,8 @@ def test_branch_metadata_never_affects_ideals(ellipse_tower, ellipse_restriction
                             branch=("1,1,1", "1", "2"))
     other_branch = TowerSpec(tower.ring, tower.base, tower.levels,
                              branch=("1,1,1", "-1", "-2"))
-    sys_a = build_tower_system(with_branch, param)
-    sys_b = build_tower_system(other_branch, param)
-    _, a = tower_incidence_ideals(sys_a, ellipse_restriction)
-    _, b = tower_incidence_ideals(sys_b, ellipse_restriction)
+    a = _graph_base(with_branch, param, ellipse_restriction, None)
+    b = _graph_base(other_branch, param, ellipse_restriction, None)
     assert a.equals(b)
 
 
@@ -200,6 +192,28 @@ def test_jacobian_rank_empty_base():
     tower = TowerSpec(ring, (), (TowerLevel(2, RF("3", ring)),))
     param = ParametrizationSpec((RF("D1", ring),))
     assert tower_jacobian_rank(tower, param) == 0
+
+
+def test_jacobian_rank_refuses_a_restriction_off_the_base(ellipse_tower):
+    """X must live in exactly the base variables, as for the dimension."""
+    tower, param = ellipse_tower
+    X = variety(RingContext(("x1", "x2")), "x1^2+4*x2^2-1")
+    with pytest.raises(RingMismatch):
+        tower_jacobian_rank(tower, param, X)
+    with pytest.raises(RingMismatch):
+        tower_dimension_check(tower, param, X)
+
+
+def test_jacobian_rank_refuses_too_few_coordinates():
+    """No more coordinates than base variables parametrize nothing larger
+    than the base, for the rank as for the dimension."""
+    ring = tower_ring(("t1", "t2"), 1)
+    tower = TowerSpec(ring, ("t1", "t2"), (TowerLevel(2, RF("t1", ring)),))
+    param = ParametrizationSpec((RF("t1", ring), RF("t2+D1", ring)))
+    with pytest.raises(ValueError):
+        tower_jacobian_rank(tower, param)
+    with pytest.raises(ValueError):
+        tower_dimension_check(tower, param)
 
 
 # D1^2 = 2*t3^2/(t2 - 3*t1), D2^2 = -3*t2 - 3*t3 - 3, restricted to
@@ -233,7 +247,7 @@ def test_jacobian_rank_of_the_hard_tower(field):
 def test_tower_check_of_the_hard_tower(tmp_path, capsys, field):
     path = tmp_path / "job.json"
     path.write_text(json.dumps({
-        "schema_version": 1, "budget": 2_000_000, "ring": {"field": field},
+        "schema_version": 1, "budget": 20_000, "ring": {"field": field},
         "tower": HARD_TOWER, "variety": {"generators": [HARD_RESTRICTION]}}))
     assert main(["tower-check", "--job", str(path)]) == EXIT_OK
     out = json.loads(capsys.readouterr().out)["result"]
@@ -307,13 +321,13 @@ def _oracle_rank(tower, param, X):
     return 0
 
 
-def _drawn_poly(draw, ring, names, nonzero=False):
-    """At most three terms in the named variables, each exponent at most 2,
+def _drawn_poly(draw, ring, names, nonzero=False, size=3):
+    """At most `size` terms in the named variables, each exponent at most 2,
     coefficients in [-3, 3]."""
     at = [ring.index(v) for v in names]
     terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(at)),
                                  st.integers(-3, 3), min_size=int(nonzero),
-                                 max_size=3))
+                                 max_size=size))
     out = {}
     for e, c in terms.items():
         full = [0] * ring.nvars
@@ -406,3 +420,69 @@ def _towers(draw):
 def test_jacobian_rank_matches_implicit_differentiation(drawn):
     tower, param, X = drawn
     assert tower_jacobian_rank(tower, param, X) == _oracle_rank(tower, param, X)
+
+
+# --- the dimension against the incidence system's Z elimination ---------------
+
+# the oracle's own budget: a draw whose Z elimination runs past it is
+# rejected, never one the dimension check finds hard
+ORACLE_BUDGET = 50_000
+
+
+@st.composite
+def _incidence_towers(draw):
+    """Towers of 1-2 base variables and 0-2 levels of power 2 or 3 over QQ
+    or GF(2^31-1).  Alphas and coordinates are quotients of drawn
+    polynomials, an alpha's in the base and the earlier roots (its
+    numerator 1 when drawn zero) and a coordinate's in every variable; a
+    denominator has at most two terms, and is 1 when drawn zero.  Two
+    thirds are restricted to a hypersurface in the base: a drawn one, which
+    may be empty, or the zero set of the first alpha's numerator or
+    denominator, on which the restriction is ill-defined unless it is
+    empty."""
+    field = draw(st.sampled_from([PrimeField(), RationalField()]))
+    n = draw(st.integers(1, 2))
+    m = draw(st.integers(0, 2))
+    base = tuple(f"t{j + 1}" for j in range(n))
+    ring = tower_ring(base, m, field)
+
+    def rational(names, nonzero=False):
+        num = _drawn_poly(draw, ring, names)
+        den = _drawn_poly(draw, ring, names, size=2)
+        if nonzero and num.is_zero():
+            num = ring.one()
+        return RationalFunction(num, ring.one() if den.is_zero() else den)
+    levels = tuple(TowerLevel(draw(st.integers(2, 3)),
+                              rational(base + ring.variables[n:n + i], True))
+                   for i in range(m))
+    tower = TowerSpec(ring, base, levels)
+    param = ParametrizationSpec(tuple(
+        rational(ring.variables) for _ in range(draw(st.integers(n + 1,
+                                                                 n + 2)))))
+    restriction = draw(st.sampled_from(("none", "drawn", "alpha")))
+    if restriction == "none":
+        return tower, param, None
+    small = RingContext(base, field)
+    if restriction == "alpha" and m:
+        alpha = levels[0].alpha
+        g = draw(st.sampled_from((alpha.num, alpha.den))).transfer(small)
+    else:
+        g = _drawn_poly(draw, small, base)
+    return tower, param, VarietySpec(small, (small.one() if g.is_zero()
+                                             else g,))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_incidence_towers())
+def test_dimension_check_matches_the_incidence_elimination(drawn):
+    tower, param, X = drawn
+    try:
+        expected = incidence_dimension(tower, param, X,
+                                       _Budget(ORACLE_BUDGET))
+    except BudgetExceeded:
+        reject()
+    except RestrictionIllDefined:
+        with pytest.raises(RestrictionIllDefined):
+            tower_dimension_check(tower, param, X)
+        return
+    assert tower_dimension_check(tower, param, X).dimension == expected
