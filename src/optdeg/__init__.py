@@ -4,7 +4,7 @@ extraction, closed-form degree formulas, and radical-tower checks."""
 
 from .errors import *  # noqa: F401,F403
 from .fields import DEFAULT_PRIME, PrimeField, RationalField, field_from_spec
-from .rings import (GREVLEX, LEX, OrderSpec, Polynomial, RationalFunction,
+from .rings import (GREVLEX, OrderSpec, Polynomial, RationalFunction,
                     RingContext)
 from .parsing import (format_polynomial, parse_polynomial,
                       parse_rational_function)

@@ -33,7 +33,7 @@ K-polynomial N(1 - s) (Miller-Sturmfels, Combinatorial Commutative Algebra,
 ch. 8); its degree is the codimension, so dimensions and zero-dimensional
 point counts are one-group multidegrees (_multidegree).
 
-A lex or block basis of an ideal that already caches its grevlex basis is
+A block basis of an ideal that already caches its grevlex basis is
 converted from it rather than computed from the generators: the grevlex
 basis is homogenized, its Hilbert function is known from its leads, and
 the one driver drops every S-pair that function proves to reduce to zero
@@ -225,7 +225,6 @@ def _reduce_full(fterms, leads, lcs, tails, packer, budget, sugar=0,
     fld = packer.ring.field
     integral = fld.kind == "rational"
     q = None if integral else fld.q
-    plain = packer.plain
     guards = packer.guards
     div_off = packer.div_offset
     degree = packer.degree
@@ -243,17 +242,11 @@ def _reduce_full(fterms, leads, lcs, tails, packer, budget, sugar=0,
         if c is None:
             continue
         hit = -1
-        if plain:
-            for idx, le in enumerate(leads):
-                if not ((e - le) & guards):
-                    hit = idx
-                    break
-        else:
-            probe = div_off - e
-            for idx, le in enumerate(leads):
-                if not ((le + probe) & guards):
-                    hit = idx
-                    break
+        probe = div_off - e
+        for idx, le in enumerate(leads):
+            if not ((le + probe) & guards):
+                hit = idx
+                break
         if hit < 0:
             del terms[e]
             out[e] = c
@@ -660,7 +653,7 @@ def _kept(kernel, packer):
 
 
 def _convert_grevlex(gb, work_ring, budget, drop=()):
-    """A Groebner basis for the order of `work_ring` (lex or block) of the
+    """A Groebner basis for the block order of `work_ring` of the
     ideal whose reduced grevlex basis is `gb`, as kernel lists: the
     homogenized basis, run under that order with the Hilbert numerator of
     the grevlex leads as the driver's target, then dehomogenized on the
@@ -682,12 +675,12 @@ def _convert_grevlex(gb, work_ring, budget, drop=()):
     degree d compare as the x^a do under the affine order (>_h): the front
     block decides first in both; on a tie the back degrees, h included,
     are equal, and a smaller power of h is a larger back x-degree; then
-    grevlex on the back x decides.  Lex with h last compares the a first.
-    So LT(f^h) = LT(f)*h^k, and for f in I an element of the >_h basis of
-    I^h whose lead divides LT(f^h) dehomogenizes to one whose lead divides
-    LT(f): the dehomogenized basis is a basis of I.  (3) The driver's
-    leads span a subspace of in(I^h)_d; when their counts agree they span
-    all of it, and a remainder of degree d has lead 0 (see _buchberger).
+    grevlex on the back x decides.  So LT(f^h) = LT(f)*h^k, and for f in I
+    an element of the >_h basis of I^h whose lead divides LT(f^h)
+    dehomogenizes to one whose lead divides LT(f): the dehomogenized basis
+    is a basis of I.  (3) The driver's leads span a subspace of in(I^h)_d;
+    when their counts agree they span all of it, and a remainder of degree
+    d has lead 0 (see _buchberger).
     """
     ring = work_ring.extend([work_ring.fresh_name("hom_h")])
     packer = ring.packer()
@@ -717,18 +710,18 @@ def groebner_basis(ideal, order=None, budget=None, based=0,
     the identical reduced basis.  The run ends with its minimal leads
     (_minimalized); the kept kernel lists are tail-reduced (_autoreduce)
     the first time the basis's polynomials are read, on this run's budget,
-    and never if nothing reads them (see GroebnerBasis).  A lex or block
-    basis of an ideal that already holds its reduced grevlex basis is
-    converted from that basis (_convert_grevlex), with the S-pairs the
-    Hilbert function proves to reduce to zero never reduced; otherwise
-    Buchberger's algorithm starts from the generators.  So it does too when the homogenized run leaves
-    the packed field widths, which the affine run may not: with h, a
-    term's back-block degree is the element's degree less the term's
-    front degree, and that field holds less than 2^14.  The steps the
-    conversion took stay spent.  When the first `based` generators are a
-    reduced basis for `order`, Buchberger's algorithm forms no pair of two
-    of them (see _buchberger).  The generators' term dicts seed a run for
-    their ring's order as they are.
+    and never if nothing reads them (see GroebnerBasis).  A block basis of
+    an ideal that already holds its reduced grevlex basis is converted from
+    that basis (_convert_grevlex), with the S-pairs the Hilbert function
+    proves to reduce to zero never reduced; otherwise Buchberger's
+    algorithm starts from the generators.  So it does too when the
+    homogenized run leaves the packed field widths, which the affine run
+    may not: with h, a term's back-block degree is the element's degree
+    less the term's front degree, and that field holds less than 2^14.
+    The steps the conversion took stay spent.  When the first `based`
+    generators are a reduced basis for `order`, Buchberger's algorithm
+    forms no pair of two of them (see _buchberger).  The generators' term
+    dicts seed a run for their ring's order as they are.
 
     With `drop`, the front block of a block `order`, only the elements of
     the reduced basis free of those variables are returned: a Groebner
@@ -888,8 +881,7 @@ def _linear_rows(ring, forms):
     its last entry, sorted by pivot in that order; and whether the forms are
     inconsistent (some combination is a nonzero constant).  The variables
     are ranked by their packed values one + steps[i], which compare as the
-    order does; under grevlex and lex the pivots are the leftmost
-    variables."""
+    order does; under grevlex the pivots are the leftmost variables."""
     fld = ring.field
     n = ring.nvars
     sub, mul, is_zero = fld.sub, fld.mul, fld.is_zero

@@ -1,16 +1,17 @@
 """Polynomial rings: monomial orders, sparse exact polynomials, rational functions.
 
-A ring's monomial order has one definition, the layout of its
-MonomialPacker, which packs a monomial into one integer: packed values
-compare as the monomials do, and multiplying monomials adds them.  A
-polynomial is a dict mapping the packed monomials of its ring's packer to
-nonzero field elements, its one representation: its arithmetic runs on the
-packed values, and the Groebner kernel takes and returns such dicts as
-they are.  Exponent tuples appear only at the boundary: the constructors
-(var, monomial, poly_from_terms) pack them, and sorted_terms, the one
-exponent view, unpacks the terms for formatting.  Only this module reads
-the packed layout; other modules use the maps on packed values the packer
-exports.  Values are immutable after construction and freely shareable.
+A ring's monomial order, grevlex or a block order of two grevlex blocks,
+has one definition, the layout of its MonomialPacker, which packs a
+monomial into one integer: packed values compare as the monomials do, and
+multiplying monomials adds them.  A polynomial is a dict mapping the packed
+monomials of its ring's packer to nonzero field elements, its one
+representation: its arithmetic runs on the packed values, and the Groebner
+kernel takes and returns such dicts as they are.  Exponent tuples appear
+only at the boundary: the constructors (var, monomial, poly_from_terms)
+pack them, and sorted_terms, the one exponent view, unpacks the terms for
+formatting.  Only this module reads the packed layout; other modules use
+the maps on packed values the packer exports.  Values are immutable after
+construction and freely shareable.
 """
 
 from __future__ import annotations
@@ -25,25 +26,29 @@ from .fields import RationalField
 
 @dataclass(frozen=True)
 class OrderSpec:
-    """Monomial order: grevlex, lex, or block (grevlex/grevlex elimination).
+    """Monomial order: grevlex, or block (grevlex/grevlex elimination).
 
-    For a block order, `front` lists the variable names that dominate;
-    within each block the comparison is grevlex.
+    For a block order, `front` lists the distinct variable names that
+    dominate; within each block the comparison is grevlex.
     """
 
     kind: str = "grevlex"
     front: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("grevlex", "lex", "block"):
-            raise ValueError(f"unknown order kind {self.kind!r}")
-        if self.kind == "block" and not self.front:
+        if self.kind not in ("grevlex", "block"):
+            raise ValueError(f"unknown order kind {self.kind!r}; the kinds "
+                             "are 'grevlex' and 'block'")
+        front = tuple(self.front)
+        if self.kind == "block" and not front:
             raise ValueError("block order needs a non-empty front variable set")
-        object.__setattr__(self, "front", tuple(self.front))
+        if len(set(front)) != len(front):
+            name = next(v for i, v in enumerate(front) if v in front[:i])
+            raise ValueError(f"block-front variable {name!r} named twice")
+        object.__setattr__(self, "front", front)
 
 
 GREVLEX = OrderSpec("grevlex")
-LEX = OrderSpec("lex")
 
 
 class RingContext:
@@ -198,13 +203,12 @@ class MonomialPacker:
     Buchberger's algorithm run on.
 
     Integer comparison of packed values is the order.  Each variable gets a
-    16-bit field (15-bit value plus a guard bit that traps borrows).  Under
-    lex the fields hold the exponents, x_1 most significant.  Under grevlex
-    they hold the complemented exponents VMASK - e, x_n most significant,
-    below a total-degree field: a larger degree wins, then a smaller
-    exponent of the last variable where two monomials differ.  A block
-    order stacks the front block's grevlex fields above the back block's,
-    each with its own degree field.
+    16-bit field (15-bit value plus a guard bit that traps borrows), which
+    holds its complemented exponent VMASK - e.  Under grevlex the fields
+    lie x_n most significant, below a total-degree field: a larger degree
+    wins, then a smaller exponent of the last variable where two monomials
+    differ.  A block order stacks the front block's grevlex fields above
+    the back block's, each with its own degree field.
 
     The layout also makes monomial arithmetic integer arithmetic:
     packed(a) + packed(b) - packed(c) is the packed a*b/c when c divides b
@@ -221,10 +225,9 @@ class MonomialPacker:
     so a shift by steps[i] multiplies by x_i.  Other modules read no field
     directly.  They use `one`, `steps`, `degree`, exponent(i), which reads
     x_i's exponent, into(target), which maps packed values into another
-    ring's packer by variable name, drop(i), which sets x_i to 1, `plain`,
-    which says the fields hold plain exponents (lex), and for a block order
-    `front_bound` (None otherwise), below which a monomial is free of the
-    front block.
+    ring's packer by variable name, drop(i), which sets x_i to 1, and for a
+    block order `front_bound` (None otherwise), below which a monomial is
+    free of the front block.
     """
 
     WIDTH = 16
@@ -235,83 +238,63 @@ class MonomialPacker:
         n = ring.nvars
         order = ring.order
         W = self.WIDTH
-        if order.kind == "lex":
-            # plain fields, x_1 most significant; compare = lex
-            shifts = [(n - 1 - i) * W for i in range(n)]
-            self._layout = [("plain", i, shifts[i]) for i in range(n)]
-            self._deg_shifts = []
-        elif order.kind == "grevlex":
-            # complemented fields, x_n most significant, total degree on top
-            shifts = [i * W for i in range(n)]
-            self._layout = [("compl", i, shifts[i]) for i in range(n)]
+        if order.kind == "grevlex":
+            # x_n most significant, total degree on top
+            self._layout = {i: i * W for i in range(n)}
             self._deg_shifts = [(n * W, tuple(range(n)))]
+            self.front_bound = None
         else:  # block: front block (grevlex) above back block (grevlex)
             front = [ring._pos[v] for v in order.front]
             fset = set(front)
             back = [i for i in range(n) if i not in fset]
-            layout = []
+            layout = {}
             pos = 0
             for i in back:
-                layout.append(("compl", i, pos))
+                layout[i] = pos
                 pos += W
             back_deg = pos
             pos += W
             for i in front:
-                layout.append(("compl", i, pos))
+                layout[i] = pos
                 pos += W
             front_deg = pos
             self._layout = layout
             self._deg_shifts = [(back_deg, tuple(back)), (front_deg, tuple(front))]
-        self.guards = 0
-        for _kind, _i, shift in self._layout:
-            self.guards |= (1 << 15) << shift
-        self.div_offset = 0
-        for shift, _vars in self._deg_shifts:
-            self.div_offset += (1 << 14) << shift
-        self.plain = order.kind == "lex"
-        # a monomial is free of the front block iff its packed value lies
-        # below the front degree field, on top
-        self.front_bound = None
-        if order.kind == "block":
+            # a monomial is free of the front block iff its packed value
+            # lies below the front degree field, on top
             self.front_bound = 1 << front_deg
-        # the packed monomial 1, so that packed(a) + packed(b) - one is the
-        # packed a*b
-        self.one = sum(self.VMASK << shift
-                       for kind, _i, shift in self._layout if kind == "compl")
-        # the last degree field, else the first variable's field, is on top;
-        # a packed value fits iff it lies below the top field's bit 15 and has
-        # no guard bit and no inner-degree bit 14 or 15 set
+        self.guards = sum((1 << 15) << shift
+                          for shift in self._layout.values())
+        self.div_offset = sum((1 << 14) << shift
+                              for shift, _vars in self._deg_shifts)
+        # the packed monomial 1, VMASK in every exponent field and 0 in the
+        # degree fields, so that packed(a) + packed(b) - one is the packed a*b
+        self.one = sum(self.VMASK << shift for shift in self._layout.values())
+        # the last degree field is on top; a packed value fits iff it lies
+        # below that field's bit 15 and has no guard bit and no inner-degree
+        # bit 14 or 15 set
         deg_fields = [shift for shift, _vars in self._deg_shifts]
         inner = deg_fields[:-1]
-        top = deg_fields[-1] if deg_fields else self._layout[0][2]
-        self._deg_caps = ([(1 << 14) - 1] * len(inner)
-                          + [self.VMASK] * len(deg_fields[-1:]))
-        self._limit = 1 << (top + 15)
+        self._deg_caps = [(1 << 14) - 1] * len(inner) + [self.VMASK]
+        self._limit = 1 << (deg_fields[-1] + 15)
         self._overflow = self.guards
         for shift in inner:
             self._overflow |= (3 << 14) << shift
-        self._fields = sum(self.VMASK << shift
-                           for _kind, _i, shift in self._layout)
-        self._field = {i: (kind, shift) for kind, i, shift in self._layout}
-        self._gradings = (list(zip(deg_fields, self._deg_caps))
-                          or [(shift, self.VMASK) for _kind, _i, shift
-                              in self._layout])
-        self._blocks = [(shift, tuple(self._field[i][1] for i in var_idx),
+        self._blocks = [(shift, tuple(self._layout[i] for i in var_idx),
                          len(var_idx) * self.VMASK, cap)
                         for (shift, var_idx), cap
                         in zip(self._deg_shifts, self._deg_caps)]
-        # a unit of x_i's exponent adds 1 to a plain field, and takes 1 off
-        # a complemented one while adding 1 to its block's degree field
+        # a unit of x_i's exponent takes 1 off its field and adds 1 to its
+        # block's degree field
         deg_of = {i: shift for shift, var_idx in self._deg_shifts
                   for i in var_idx}
-        self.steps = [1 << shift if kind == "plain"
-                      else (1 << deg_of[i]) - (1 << shift)
-                      for i, (kind, shift) in sorted(self._field.items())]
+        self.steps = [(1 << deg_of[i]) - (1 << shift)
+                      for i, shift in sorted(self._layout.items())]
         vmask = self.VMASK
         if len(deg_fields) == 1:
             (shift,) = deg_fields
             self.degree = lambda packed: (packed >> shift) & vmask
-        elif len(deg_fields) == 2:
+        else:
             lo, hi = deg_fields
             self.degree = lambda packed: (((packed >> lo) & vmask)
                                           + ((packed >> hi) & vmask))
@@ -320,9 +303,8 @@ class MonomialPacker:
         if max(exp) > self.VMASK:
             raise SizeOutOfRange(f"exponent in {exp} exceeds {self.VMASK}")
         v = 0
-        for kind, i, shift in self._layout:
-            e = exp[i]
-            v += (e if kind == "plain" else self.VMASK - e) << shift
+        for i, shift in self._layout.items():
+            v += (self.VMASK - exp[i]) << shift
         for (shift, var_idx), cap in zip(self._deg_shifts, self._deg_caps):
             d = 0
             for i in var_idx:
@@ -346,10 +328,10 @@ class MonomialPacker:
         grading, an exponent or a block degree, and over a field the k-th
         power's top form in a grading is the k-th power of the base's, so
         the power's largest value in a field is k times the base's.  An
-        exponent is at most its block's degree, so the degree fields decide
-        when there are any, and the plain exponent fields of lex otherwise."""
+        exponent is at most its block's degree, so the degree fields
+        decide."""
         vmask = self.VMASK
-        for shift, cap in self._gradings:
+        for (shift, _vars), cap in zip(self._deg_shifts, self._deg_caps):
             if k * max(((e >> shift) & vmask for e in packed_values),
                        default=0) > cap:
                 raise SizeOutOfRange(f"power {k} exceeds the packed field "
@@ -358,25 +340,14 @@ class MonomialPacker:
     def unpack(self, packed):
         n = self.ring.nvars
         out = [0] * n
-        for kind, i, shift in self._layout:
-            f = (packed >> shift) & self.VMASK
-            out[i] = f if kind == "plain" else self.VMASK - f
+        for i, shift in self._layout.items():
+            out[i] = self.VMASK - ((packed >> shift) & self.VMASK)
         return tuple(out)
-
-    def degree(self, packed):
-        """Total degree of a packed lex monomial, the sum of its fields; the
-        graded orders replace this per packer with a read of their degree
-        field(s)."""
-        vmask = self.VMASK
-        return sum((packed >> shift) & vmask
-                   for _kind, _i, shift in self._layout)
 
     def exponent(self, i):
         """The map reading x_i's exponent off packed monomials."""
-        kind, shift = self._field[i]
+        shift = self._layout[i]
         vmask = self.VMASK
-        if kind == "plain":
-            return lambda e: (e >> shift) & vmask
         return lambda e: vmask - ((e >> shift) & vmask)
 
     def into(self, target):
@@ -390,12 +361,10 @@ class MonomialPacker:
         pos = target.ring._pos
         names = self.ring.variables
         base, reads, absent = target.one, [], []
-        for kind, i, shift in self._layout:
+        for i, shift in self._layout.items():
             j = pos.get(names[i])
             if j is None:
                 absent.append((self.exponent(i), names[i]))
-            elif kind == "plain":
-                reads.append((shift, target.steps[j]))
             else:
                 base += vmask * target.steps[j]
                 reads.append((shift, -target.steps[j]))
@@ -414,18 +383,15 @@ class MonomialPacker:
     def drop(self, i):
         """The map from packed monomials of this ring to packed monomials of
         that ring without variable i (RingContext.without), setting x_i = 1
-        on the packed values: the field of x_i is cut out, and the fields
-        above it move down by one.  Under lex that is all.  Under a graded
-        order x_i's exponent, VMASK less its complemented field, is also
+        on the packed values: the field of x_i is cut out, the fields above
+        it move down by one, and x_i's exponent, VMASK less its field, is
         taken off the degree field of its block, which lies above it.  For
         a variable the packed values do not hold, it only re-packs them in
         the smaller ring."""
         width, vmask = self.WIDTH, self.VMASK
-        kind, shift = self._field[i]
+        shift = self._layout[i]
         low = (1 << shift) - 1
         up = shift + width
-        if kind == "plain":
-            return lambda e: (e & low) | ((e >> up) << shift)
         deg = next(s for s, block in self._deg_shifts if i in block) - width
 
         def drop(e):
@@ -435,8 +401,6 @@ class MonomialPacker:
 
     def divides(self, small, big):
         """True iff the monomial `small` divides `big` (packed values)."""
-        if self.plain:
-            return not ((big - small) & self.guards)
         return not ((small - big + self.div_offset) & self.guards)
 
     def lcm(self, a, b):
@@ -445,16 +409,14 @@ class MonomialPacker:
         where a's entry is at least b's; a field never borrows from the one
         above, and a degree field's borrow can only turn a tie in the field
         above it, whose pick is the same either way.  Spread over the value
-        bits, those guards pick the larger exponent of a plain field and the
-        smaller entry, so the larger exponent, of a complemented one.  Each
-        block degree is then summed from the picked fields.  Raises
+        bits, those guards pick each field's smaller entry, so the larger
+        exponent, and `one` masks the exponent fields.  Each block degree
+        is then summed from the picked fields.  Raises
         SizeOutOfRange exactly where packing the lcm's exponents would: a
         block degree past its field."""
         ge = ((a | self.guards) - b) & self.guards
         pick = (a ^ b) & (ge - (ge >> 15))
-        if self.plain:
-            return b ^ pick
-        v = (a ^ pick) & self._fields
+        v = (a ^ pick) & self.one
         vmask = self.VMASK
         for shift, fields, full, cap in self._blocks:
             d = full

@@ -19,8 +19,6 @@ def order_key(ring):
     order = ring.order
     if order.kind == "grevlex":
         return grevlex_key
-    if order.kind == "lex":
-        return tuple
     front = [ring.index(v) for v in order.front]
     back = [i for i in range(ring.nvars) if i not in front]
     return lambda exp: (grevlex_key([exp[i] for i in front]),

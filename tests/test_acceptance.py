@@ -306,9 +306,9 @@ def test_criterion_12_property_suites():
             assert normal_form(lifted, gb).is_zero()
             assert all(e[zi] == 0 for e, _ in lifted.sorted_terms())
 
-        # degree order invariance (grevlex vs lex)
-        from optdeg import LEX
-        ring_l = RingContext(("x", "y"), order=LEX)
+        # degree order invariance (grevlex vs a block order)
+        from optdeg import OrderSpec
+        ring_l = RingContext(("x", "y"), order=OrderSpec("block", ("x",)))
         zero_dim = ("x^2+y^2-4", "x*y-1")
         assert degree_zero_dim(Ideal(rxy, [parse_polynomial(s, rxy)
                                            for s in zero_dim])) == \

@@ -1,14 +1,15 @@
 import itertools
 import random
 from fractions import Fraction
-from operator import add, le
+from operator import add, itemgetter, le
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.orderings import ProductOrder, grevlex
 
-from optdeg import (GREVLEX, LEX, BudgetExceeded, Ideal, NotZeroDimensional,
+from optdeg import (GREVLEX, BudgetExceeded, Ideal, NotZeroDimensional,
                     OrderSpec, PrimeField, RingContext, SizeOutOfRange,
                     degree_zero_dim, dimension, eliminate, groebner_basis,
                     parse_polynomial, saturate, vanishes_on_variety)
@@ -53,8 +54,8 @@ def test_gb_single_generator(rxy):
     assert gb.basis == [P("x-1", rxy)]
 
 
-def test_gb_lex_elimination_shape():
-    ring = RingContext(("x", "y"), order=LEX)
+def test_gb_block_elimination_shape():
+    ring = RingContext(("x", "y"), order=OrderSpec("block", ("x",)))
     gb = groebner_basis(I(ring, "x+y", "x*y-1"))
     assert gb.basis == [P("x+y", ring), P("y^2+1", ring)]
 
@@ -112,10 +113,12 @@ def test_normal_form_no_reduction(rxy):
     assert normal_form(P("x", rxy), gb) == P("x", rxy)
 
 
-def test_normal_form_rejects_an_overflowing_remainder():
-    # x^2 reduces to y^40000 modulo x - y^20000, past the 15-bit field
-    ring = RingContext(("x", "y"), order=LEX)
-    gb = groebner_basis(I(ring, "x-y^20000"))
+@pytest.mark.parametrize("field", [None, PrimeField()], ids=["QQ", "GF"])
+def test_normal_form_rejects_an_overflowing_remainder(field):
+    # x^2 reduces to y^20000 modulo x - y^10000, past the back block's
+    # 14-bit degree field
+    ring = RingContext(("x", "y"), field, OrderSpec("block", ("x",)))
+    gb = groebner_basis(I(ring, "x-y^10000"))
     with pytest.raises(SizeOutOfRange):
         normal_form(P("x^2", ring), gb)
 
@@ -224,8 +227,8 @@ def test_saturate_by_unit_is_identity(rxy):
     assert out.equals(ideal)
 
 
-def test_saturate_stays_in_a_lex_ring():
-    ring = RingContext(("x", "y"), order=LEX)
+def test_saturate_stays_in_a_block_ring():
+    ring = RingContext(("x", "y"), order=OrderSpec("block", ("x",)))
     # one fresh w, eliminated from the ideal plus 1 - w*x
     sat = saturate(I(ring, "x^2*y-x^2", "x*y^2"), I(ring, "x"))
     assert sat.ring == ring
@@ -271,17 +274,19 @@ def test_point_counts_are_read_off_the_numerator():
     assert _count_points(ideal, None) == 2_250_000
 
 
-def test_buchberger_rejects_overflowing_basis_element():
-    # every input packs, but reducing x^2 by x - y^20000 yields y^40000
-    ring = RingContext(("x", "y"), order=LEX)
+@pytest.mark.parametrize("field", [None, PrimeField()], ids=["QQ", "GF"])
+def test_buchberger_rejects_overflowing_basis_element(field):
+    # every input packs, but reducing x^2 by x - y^10000 yields y^20000,
+    # past the back block's 14-bit degree field
+    ring = RingContext(("x", "y"), field, OrderSpec("block", ("x",)))
     with pytest.raises(SizeOutOfRange):
-        groebner_basis(I(ring, "x-y^20000", "x^2"))
+        groebner_basis(I(ring, "x-y^10000", "x^2"))
 
 
 def test_degree_order_invariance():
-    """degree_zero_dim agrees between grevlex and lex bases."""
+    """degree_zero_dim agrees between grevlex and block bases."""
     ring_g = RingContext(("x", "y", "z"))
-    ring_l = RingContext(("x", "y", "z"), order=LEX)
+    ring_l = RingContext(("x", "y", "z"), order=OrderSpec("block", ("x",)))
     texts = ("x^2+y-1", "y^2-z", "z^2-x*y+2*y")
     assert degree_zero_dim(I(ring_g, *texts)) == degree_zero_dim(I(ring_l, *texts))
 
@@ -481,17 +486,59 @@ def _sympy_terms(poly):
     return {e: Fraction(int(c.p), int(c.q)) for e, c in poly.terms()}
 
 
-@pytest.mark.parametrize("order, name", [(GREVLEX, "grevlex"), (LEX, "lex")])
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(_ideals())
-def test_gb_matches_sympy_over_qq(order, name, ideal):
-    n, gens = ideal
-    _, ours = _optdeg_ideal(n, gens, order)
+def _gf_terms(poly):
+    """sympy's symmetric residues mod q as optdeg's residues in [0, q)."""
+    return {e: int(c) % _Q for e, c in poly.terms()}
+
+
+def _drawn_block(data, n):
+    """A block order on x1..xn whose front is drawn: 1 to n - 1 distinct
+    variables, in drawn order."""
+    names = [f"x{i + 1}" for i in range(n)]
+    return OrderSpec("block", data.draw(st.lists(
+        st.sampled_from(names), min_size=1, max_size=n - 1, unique=True)))
+
+
+def _sympy_basis(n, gens, order, field=None):
+    """sympy's reduced basis of the ideal for `order`, each element its
+    sorted (exponent tuple, coefficient) pairs in optdeg's variable order,
+    the elements sorted.  A block order is sympy's ProductOrder of two
+    grevlex blocks on the symbols front first; its projections are
+    itemgetters, since PolyRing hashes the order, and the ones
+    build_product_order makes are not hashable."""
     syms, exprs = _sympy_exprs(n, gens)
-    theirs = sympy.groebner(exprs, *syms, order=name, domain="QQ")
+    perm, sympy_order = list(range(n)), "grevlex"
+    if order.kind == "block":
+        front = [int(v[1:]) - 1 for v in order.front]
+        perm = front + [i for i in perm if i not in front]
+        k = len(front)
+        sympy_order = ProductOrder((grevlex, itemgetter(slice(0, k))),
+                                   (grevlex, itemgetter(slice(k, n))))
+    domain = {"domain": "QQ"} if field is None else {"modulus": _Q}
+    theirs = sympy.groebner(exprs, *(syms[i] for i in perm),
+                            order=sympy_order, **domain)
+    terms = _sympy_terms if field is None else _gf_terms
+    basis = []
+    for p in theirs.polys:
+        poly = []
+        for e, c in terms(p).items():
+            exp = [0] * n
+            for j, i in enumerate(perm):
+                exp[i] = e[j]
+            poly.append((tuple(exp), c))
+        basis.append(sorted(poly))
+    return sorted(basis)
+
+
+@pytest.mark.parametrize("kind", ["grevlex", "block"])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_gb_matches_sympy_over_qq(kind, data):
+    n, gens = data.draw(_ideals())
+    order = GREVLEX if kind == "grevlex" else _drawn_block(data, n)
+    _, ours = _optdeg_ideal(n, gens, order)
     got = sorted(sorted(g.sorted_terms()) for g in groebner_basis(ours, order))
-    want = sorted(sorted(_sympy_terms(p).items()) for p in theirs.polys)
-    assert got == want
+    assert got == _sympy_basis(n, gens, order)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -512,22 +559,15 @@ def test_normal_form_matches_sympy_reduced(ideal, f):
                                         else _sympy_terms(want))
 
 
-def _gf_terms(poly):
-    """sympy's symmetric residues mod q as optdeg's residues in [0, q)."""
-    return {e: int(c) % _Q for e, c in poly.terms()}
-
-
-@pytest.mark.parametrize("order, name", [(GREVLEX, "grevlex"), (LEX, "lex")])
+@pytest.mark.parametrize("kind", ["grevlex", "block"])
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(_ideals(_GF_COEFFS))
-def test_gb_matches_sympy_over_gf(order, name, ideal):
-    n, gens = ideal
+@given(st.data())
+def test_gb_matches_sympy_over_gf(kind, data):
+    n, gens = data.draw(_ideals(_GF_COEFFS))
+    order = GREVLEX if kind == "grevlex" else _drawn_block(data, n)
     _, ours = _optdeg_ideal(n, gens, order, PrimeField(_Q))
-    syms, exprs = _sympy_exprs(n, gens)
-    theirs = sympy.groebner(exprs, *syms, order=name, modulus=_Q)
     got = sorted(sorted(g.sorted_terms()) for g in groebner_basis(ours, order))
-    want = sorted(sorted(_gf_terms(p).items()) for p in theirs.polys)
-    assert got == want
+    assert got == _sympy_basis(n, gens, order, PrimeField(_Q))
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -653,7 +693,7 @@ def test_eliminate_unit_and_zero_against_the_full_basis(field, cached, names,
             "curve": len(kept) == 1 and kept != [small_one]}[kind]
 
 
-@pytest.mark.parametrize("order", [GREVLEX, LEX, OrderSpec("block", ("x",))])
+@pytest.mark.parametrize("order", [GREVLEX, OrderSpec("block", ("x",))])
 def test_drop_must_be_the_front_block(order):
     ring = RingContext(("t", "x", "y"))
     with pytest.raises(ValueError, match="front block"):
@@ -878,7 +918,8 @@ def test_saturating_after_eliminating_b_on_a_whole_b_line(field, fs,
 
 
 @pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
-@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+@pytest.mark.parametrize("order", [GREVLEX, OrderSpec("block", ("x1",))],
+                         ids=["grevlex", "block"])
 def test_saturating_by_no_f_is_normalizing(monkeypatch, field, order):
     """With no f_i, J is the unit ideal, which saturates nothing away: the
     saturation is the ideal regenerated by its reduced grevlex basis, in
@@ -1054,31 +1095,29 @@ def test_incremental_numerator_matches_the_recomputed_one(seq):
         assert sorted(gens) == sorted(_minimal(seq[:k + 1]))
 
 
-@pytest.mark.parametrize("front", [None, ("a", "b", "c"), ("a", "c"), ("b",),
+@pytest.mark.parametrize("front", [("a", "b", "c"), ("a", "c"), ("b",),
                                    ("a", "b", "c", "d")],
-                         ids=["lex", "block-one-back", "block-two-back",
+                         ids=["block-one-back", "block-two-back",
                               "block-three-back", "block-no-back"])
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, 4095))] * 5))
 def test_dehomogenizer_drops_h_on_packed_values(front, e):
     """Setting h = 1 on a packed monomial of the ring with h last packs
     the monomial's other exponents in the ring without h."""
-    work = RingContext(("a", "b", "c", "d"),
-                       order=LEX if front is None else OrderSpec("block", front))
+    work = RingContext(("a", "b", "c", "d"), order=OrderSpec("block", front))
     packer = work.extend(["h"]).packer()
     assert packer.drop(4)(packer.pack(e)) == work.packer().pack(e[:-1])
 
 
-@pytest.mark.parametrize("front", [None, (), ("a", "b"), ("d",)],
-                         ids=["lex", "grevlex", "block-front", "block-back"])
+@pytest.mark.parametrize("front", [(), ("a", "b"), ("d",)],
+                         ids=["grevlex", "block-front", "block-back"])
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.integers(0, 3),
        st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, 4095))] * 4))
 def test_field_drop_sets_a_variable_to_one(front, i, e):
     """Dropping any variable's field packs the monomial's other exponents in
     the ring without that variable, a block's degree fields included."""
-    order = (LEX if front is None else GREVLEX if not front
-             else OrderSpec("block", front))
+    order = OrderSpec("block", front) if front else GREVLEX
     ring = RingContext(("a", "b", "c", "d"), order=order)
     name = ring.variables[i]
     if order.kind == "block" and order.front == (name,):
@@ -1101,20 +1140,20 @@ def _converted(ideal, order, budget=None):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.data())
 def test_converted_bases_match_the_plain_driver(field, data):
-    """Block and lex bases converted from the cached grevlex basis are the
-    ones Buchberger's algorithm computes from the generators of a fresh
-    copy.  Half the drawn ideals are multiplied by a drawn f, which adds
-    the surface f = 0; so points, curves, surfaces and mixtures of them
-    all occur."""
+    """Block bases, front first and back first, converted from the cached
+    grevlex basis are the ones Buchberger's algorithm computes from the
+    generators of a fresh copy.  Half the drawn ideals are multiplied by a
+    drawn f, which adds the surface f = 0; so points, curves, surfaces and
+    mixtures of them all occur."""
     coeffs = _COEFFS if field is None else _GF_COEFFS
     n, gens = data.draw(_ideals(coeffs))
     ring, ideal = _optdeg_ideal(n, gens, GREVLEX, field)
     if data.draw(st.booleans()):
         f = _poly(ring, data.draw(_ideals(coeffs, n=n))[1][0])
         ideal = Ideal(ring, [f * g for g in ideal.generators])
-    front = data.draw(st.lists(st.sampled_from(ring.variables), min_size=1,
-                               max_size=n - 1, unique=True))
-    for order in (OrderSpec("block", front), LEX):
+    block = _drawn_block(data, n)
+    back = [v for v in ring.variables if v not in block.front]
+    for order in (block, OrderSpec("block", back)):
         got = _converted(ideal, order)
         want = groebner_basis(Ideal(ring, ideal.generators), order)
         assert got.ring == want.ring
@@ -1125,16 +1164,35 @@ def test_converted_bases_match_the_plain_driver(field, data):
 @pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.data())
-def test_converted_lex_basis_matches_sympy(field, data):
+def test_converted_block_basis_matches_sympy(field, data):
     coeffs = _COEFFS if field is None else _GF_COEFFS
     n, gens = data.draw(_ideals(coeffs))
     _, ideal = _optdeg_ideal(n, gens, GREVLEX, field)
-    syms, exprs = _sympy_exprs(n, gens)
-    domain = {"domain": "QQ"} if field is None else {"modulus": _Q}
-    theirs = sympy.groebner(exprs, *syms, order="lex", **domain)
-    terms = _sympy_terms if field is None else _gf_terms
-    got = sorted(sorted(g.sorted_terms()) for g in _converted(ideal, LEX))
-    want = sorted(sorted(terms(p).items()) for p in theirs.polys)
+    order = _drawn_block(data, n)
+    got = sorted(sorted(g.sorted_terms()) for g in _converted(ideal, order))
+    assert got == _sympy_basis(n, gens, order, field)
+
+
+@pytest.mark.parametrize("cached", [False, True],
+                         ids=["from-generators", "converted"])
+@pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_dropped_block_basis_matches_sympy(field, cached, data):
+    """The basis with the front dropped, run from the generators or
+    converted from the cached grevlex basis, is the part of sympy's
+    reduced block basis free of the front."""
+    coeffs = _COEFFS if field is None else _GF_COEFFS
+    n, gens = data.draw(_ideals(coeffs, n=data.draw(st.integers(2, 4))))
+    ring, ideal = _optdeg_ideal(n, gens, GREVLEX, field)
+    if cached:
+        ideal.groebner(GREVLEX)
+    order = _drawn_block(data, n)
+    front = [ring.index(v) for v in order.front]
+    gb = groebner_basis(ideal, order, drop=order.front)
+    got = sorted(sorted(g.sorted_terms()) for g in gb)
+    want = [g for g in _sympy_basis(n, gens, order, field)
+            if not any(e[i] for e, _ in g for i in front)]
     assert got == want
 
 
@@ -1245,7 +1303,7 @@ def test_bases_read_as_the_kernel_output(field, data):
     largest terms under the reference order (tests/orders.py), and its
     polynomials, finished on first read; for drawn ideals over QQ and
     GF(2^31 - 1), from the generators and converted from a cached grevlex
-    basis, under grevlex, lex and block orders, with and without dropping
+    basis, under grevlex and block orders, with and without dropping
     the front block.  An elimination's hand-off is the transfer of the
     kept polynomials, cached as the reduced grevlex basis they are, and an
     ideal regenerated by its basis is generated by it."""
@@ -1254,12 +1312,9 @@ def test_bases_read_as_the_kernel_output(field, data):
     ring, ideal = _optdeg_ideal(n, gens, GREVLEX, field)
     if data.draw(st.booleans()):
         ideal.groebner(GREVLEX)
-    front = tuple(data.draw(st.lists(st.sampled_from(ring.variables),
-                                     min_size=1, max_size=n - 1,
-                                     unique=True)))
-    order = data.draw(st.sampled_from((GREVLEX, LEX,
-                                       OrderSpec("block", front))))
-    drop = front if order.kind == "block" and data.draw(st.booleans()) else ()
+    order = data.draw(st.sampled_from((GREVLEX, _drawn_block(data, n))))
+    drop = (order.front if order.kind == "block" and data.draw(st.booleans())
+            else ())
     want = _kernel_basis(ideal, order, drop)
     gb = groebner_basis(ideal, order, drop=drop)
     leads = [max((e for e, _ in g.sorted_terms()), key=order_key(g.ring))
@@ -1341,8 +1396,8 @@ def test_cut_linear_in_the_dropped_block_keeps_eliminate(field, data):
 
 
 @pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
-@pytest.mark.parametrize("front", [None, (), ("b",)],
-                         ids=["lex", "grevlex", "block"])
+@pytest.mark.parametrize("front", [(), ("b",), ("x1", "x2")],
+                         ids=["grevlex", "block-b", "block-x1x2"])
 @pytest.mark.parametrize("k", [0, 1, 2], ids=["first", "middle", "last"])
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(st.data())
@@ -1351,10 +1406,9 @@ def test_linear_cut_substitutes_the_solved_pivot(field, front, k, data):
     (x1, x2, x3, b) to that polynomial with the form solved for its pivot
     substituted, in the ring without the pivot.  The
     pivot is the first, the middle or the last x, the form's constant may
-    be zero, and under the block order b ranks first."""
+    be zero, and under the block orders b ranks first, or x1 and x2 do."""
     coeffs = _COEFFS if field is None else _GF_COEFFS
-    order = (LEX if front is None else GREVLEX if not front
-             else OrderSpec("block", front))
+    order = OrderSpec("block", front) if front else GREVLEX
     ring = RingContext(("x1", "x2", "x3", "b"), field, order)
     rest = {f"x{j + 1}": data.draw(st.one_of(st.just(0), coeffs))
             for j in range(k + 1, 3)}
