@@ -693,7 +693,8 @@ def test_eliminate_unit_and_zero_against_the_full_basis(field, cached, names,
             "curve": len(kept) == 1 and kept != [small_one]}[kind]
 
 
-@pytest.mark.parametrize("order", [GREVLEX, OrderSpec("block", ("x",))])
+@pytest.mark.parametrize("order", [GREVLEX, OrderSpec("block", ("x",)),
+                                   OrderSpec("block", ("t", "x"))])
 def test_drop_must_be_the_front_block(order):
     ring = RingContext(("t", "x", "y"))
     with pytest.raises(ValueError, match="front block"):
@@ -1096,9 +1097,10 @@ def test_incremental_numerator_matches_the_recomputed_one(seq):
 
 
 @pytest.mark.parametrize("front", [("a", "b", "c"), ("a", "c"), ("b",),
-                                   ("a", "b", "c", "d")],
+                                   ("d", "b"), ("a", "b", "c", "d")],
                          ids=["block-one-back", "block-two-back",
-                              "block-three-back", "block-no-back"])
+                              "block-three-back", "block-unordered-front",
+                              "block-no-back"])
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, 4095))] * 5))
 def test_dehomogenizer_drops_h_on_packed_values(front, e):
@@ -1109,8 +1111,9 @@ def test_dehomogenizer_drops_h_on_packed_values(front, e):
     assert packer.drop(4)(packer.pack(e)) == work.packer().pack(e[:-1])
 
 
-@pytest.mark.parametrize("front", [(), ("a", "b"), ("d",)],
-                         ids=["grevlex", "block-front", "block-back"])
+@pytest.mark.parametrize("front", [(), ("a", "b"), ("d",), ("c", "a")],
+                         ids=["grevlex", "block-front", "block-back",
+                              "block-unordered-front"])
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.integers(0, 3),
        st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, 4095))] * 4))

@@ -314,7 +314,8 @@ def test_rational_function_constant_denominator_folds(ring):
 
 # --- monomial packing ------------------------------------------------------
 
-@pytest.mark.parametrize("order", [GREVLEX, OrderSpec("block", ("y",))])
+@pytest.mark.parametrize("order", [GREVLEX, OrderSpec("block", ("x",)),
+                                   OrderSpec("block", ("y",))])
 def test_packer_round_trip_at_the_field_widths(order):
     packer = RingContext(("x", "y"), order=order).packer()
     for exp in [(0, 0), (3, 5), (16383, 0), (0, 16383)]:
@@ -347,6 +348,7 @@ _EXPS = st.tuples(*[st.one_of(st.integers(0, 3), st.integers(0, 32767))] * 4)
 
 @pytest.mark.parametrize("order", [GREVLEX, OrderSpec("block", ("w",)),
                                    OrderSpec("block", ("x", "z")),
+                                   OrderSpec("block", ("z", "x")),
                                    OrderSpec("block", ("z",)),
                                    OrderSpec("block", ("w", "x", "y", "z"))])
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -380,8 +382,10 @@ _FITTING = st.tuples(*[st.one_of(st.integers(0, 3),
 _ORDERS = pytest.mark.parametrize(
     "order", [GREVLEX, OrderSpec("block", ("w",)),
               OrderSpec("block", ("x", "z")), OrderSpec("block", ("z", "x")),
+              OrderSpec("block", ("y", "w")),
               OrderSpec("block", ("w", "x", "y", "z"))],
-    ids=["grevlex", "block-w", "block-xz", "block-zx", "block-all"])
+    ids=["grevlex", "block-w", "block-xz", "block-zx", "block-yw",
+         "block-all"])
 
 
 @_ORDERS
