@@ -403,8 +403,8 @@ def _load_tower(job, ring_field):
 
 
 def _cmd_tower_check(job, budget, timings):
-    ring_doc = job.get("ring", {})
-    field = _load_field(ring_doc if isinstance(ring_doc, dict) else {})
+    # the ring may be left out, but is an object when given
+    field = _load_field(_require({"ring": {}, **job}, "ring", dict, "job"))
     tower, param = _load_tower(job, field)
     variety = None
     if job.get("variety") is not None:
@@ -442,9 +442,13 @@ def _projective_formulas(options, p):
     values = {}
     if "curve" in options:
         cd = _require(options, "curve", dict, "options")
-        values["curve_formula"] = (p - 1) * (
-            (p + 1) * _require(cd, "d", int, "options.curve")
-            + 2 * _require(cd, "g", int, "options.curve") - 2)
+        d = _require(cd, "d", int, "options.curve")
+        g = _require(cd, "g", int, "options.curve")
+        if d < 1 or g < 0:
+            raise SchemaError("options.curve needs a degree d >= 1 and a "
+                              "genus g >= 0")
+        values["curve_formula"] = formulas.chern_formula(
+            p, formulas.ChernDegrees(1, (d, 2 - 2 * g)))
     try:
         if "toric_volumes" in options:
             volumes = _ints(options, "toric_volumes")

@@ -20,7 +20,8 @@ from .critical import (VarietySpec, _singular_beyond_vertex,
                        _stacked_generators, isotropic_polynomial,
                        singular_locus_ideal)
 from .formulas import polar_formula
-from .groebner import GREVLEX, Ideal, _multidegree, as_budget, saturate
+from .groebner import (GREVLEX, Ideal, _multidegree, _rabinowitsch,
+                       _saturand, as_budget, saturate)
 from .matrices import PolyMatrix
 
 
@@ -56,7 +57,7 @@ class PolarClassVector:
 
 
 def _conormal_system(X: VarietySpec, s, budget):
-    """The unsaturated s-conormal ideal in the ring (x, y), and the y names."""
+    """The unsaturated s-conormal ideal in the ring (x, y)."""
     if not isinstance(s, int) or s < 1:
         raise ValueError("the conormal power s must be an integer >= 1")
     if not X.is_homogeneous():
@@ -64,18 +65,18 @@ def _conormal_system(X: VarietySpec, s, budget):
     ynames = tuple(f"y{i + 1}" for i in range(X.n))
     big = X.ring.extend(ynames)
     row = [big.var(yn) ** s for yn in ynames]
-    return Ideal(big, _stacked_generators(X, row, big, budget)), ynames
+    return Ideal(big, _stacked_generators(X, row, big, budget))
 
 
 def s_conormal_ideal(X: VarietySpec, s, budget=None) -> Ideal:
     """Ideal of pairs (x, y) with x in the cone and y^s normal to T_x:
     I(X) plus the (c+1) x (c+1) minors of the Jacobian stacked under the row
-    (y_1^s .. y_n^s), saturated by the singular locus.  s = 1 gives the
-    classical conormal ideal."""
+    (y_1^s .. y_n^s), saturated by the singular locus's _saturand.  s = 1
+    gives the classical conormal ideal."""
     budget = as_budget(budget)
-    ideal, _ = _conormal_system(X, s, budget)
-    return saturate(ideal, singular_locus_ideal(X, budget).transfer(ideal.ring),
-                    budget)
+    ideal = _conormal_system(X, s, budget)
+    sat = _saturand(singular_locus_ideal(X, budget), budget)
+    return _rabinowitsch(ideal, [g.transfer(ideal.ring) for g in sat], budget)
 
 
 def joint_correspondence_ideal(X: VarietySpec, p, budget=None) -> Ideal:
@@ -117,8 +118,7 @@ def bidegree_class(ideal: Ideal, x_names, y_names, budget=None) -> BidegreeClass
     coefficient counts the points cut out by n-1-a generic hyperplanes in x
     and n-1-b in y.  Terms with a = n or b = n come from components inside
     {x = 0} or {y = 0}, empty in the product of projective spaces, and are
-    dropped; polar_classes relies on this to read an unsaturated conormal
-    ideal, whose component {x = 0} x A^n adds only the (n, 0) term.
+    dropped.
 
     NotHomogeneous unless the ideal is bihomogeneous, which is read off the
     same reduced grevlex basis: an ideal is bihomogeneous iff that basis
@@ -152,23 +152,22 @@ def bidegree_class(ideal: Ideal, x_names, y_names, budget=None) -> BidegreeClass
 
 
 def polar_classes(X: VarietySpec, budget=None) -> PolarClassVector:
-    """Polar classes read off the multidegree of the classical conormal ideal:
-    delta_k is the coefficient at (a, b) = (n-1-k, k+1).
+    """Polar classes read off the multidegree of the classical conormal ideal
+    (_multidegree, which reads only leads): delta_k is the coefficient at
+    (a, b) = (n-1-k, k+1).
 
     When the cone is singular at most at its vertex (see
     _singular_beyond_vertex), the conormal ideal agrees with its saturation
-    by the singular locus away from {x = 0}, and bidegree_class drops the
-    one term {x = 0} x A^n adds, so the unsaturated ideal is read directly.
-    Other cones are read after that saturation."""
+    by the singular locus away from {x = 0}, and {x = 0} x A^n adds only the
+    (n, 0) term, which is not read, so the unsaturated ideal is read
+    directly.  Other cones are read after that saturation."""
     budget = as_budget(budget)
-    conormal, ynames = _conormal_system(X, 1, budget)
-    n = X.n
-    if _singular_beyond_vertex(X, budget):
-        sing = singular_locus_ideal(X, budget).transfer(conormal.ring)
-        conormal = saturate(conormal, sing, budget)
-    table = bidegree_class(conormal, X.ring.variables, ynames,
-                           budget).as_dict()
-    return PolarClassVector(tuple(table.get((n - 1 - k, k + 1), 0)
+    read = (s_conormal_ideal if _singular_beyond_vertex(X, budget)
+            else _conormal_system)
+    conormal, n = read(X, 1, budget), X.n
+    xy = conormal.ring.variables
+    degrees = _multidegree(conormal, (xy[:n], xy[n:]), budget)
+    return PolarClassVector(tuple(degrees.get((n - 1 - k, k + 1), 0)
                                   for k in range(n - 1)))
 
 

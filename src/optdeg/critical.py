@@ -418,7 +418,7 @@ def _local_length(base, fs, budget):
                     block += divide([{e + step: c
                                       for e, c in block[j].items()}])
                 rows += block
-            local = len(standard) - _rank(rows, fld, budget)
+            local = len(standard) - len(_rank(rows, fld, budget))
             if local == last:
                 return local
             last = local
@@ -562,9 +562,9 @@ def _projective_chart_system(X: VarietySpec, p, budget):
     _stacked_generators), built from the row at the point itself, whose
     entries are powers of u_i + b*x_i, with b*x_i built once per job.  The
     f_i are q_p alone when the cone is singular at most at its vertex (see
-    _singular_beyond_vertex), and otherwise q_p*g_i over the reduced basis
-    g_i of the singular locus; saturating by <f_1..f_m> saturates by q_p
-    and by the singular locus.
+    _singular_beyond_vertex), and otherwise q_p*g_i over the _saturand g_i
+    of the singular locus; saturating by <f_1..f_m> saturates by q_p and
+    by the singular locus.
 
     The callers eliminate b first and saturate after, in the smaller ring:
     for S the system and J = <f_1..f_m>, (S : J^inf) ∩ k[x, u] is
@@ -599,8 +599,8 @@ def _projective_chart_system(X: VarietySpec, p, budget):
 
     fs = [q_p]
     if _singular_beyond_vertex(X, budget):
-        sing = singular_locus_ideal(X, budget).groebner(GREVLEX, budget)
-        fs = [q_p * g for g in sing.basis]
+        fs = [q_p * g
+              for g in _saturand(singular_locus_ideal(X, budget), budget)]
     return system, bname, [f.transfer(xb) for f in fs]
 
 
@@ -743,11 +743,14 @@ def evolute_curve(X: VarietySpec, p, seed=0, budget=None) -> EvolutePolynomial:
     evolute for p = 2 and its p-norm generalization for p > 2; ValueError
     for p < 2, where the envelope does not depend on the data point.
 
-    The locus where the data point coincides with the curve point solves the
+    The fibers are the affine critical system <g, h> with u symbolic (see
+    _affine_system); the envelope adds its Jacobian determinant in x.  The
+    locus where the data point coincides with the curve point solves the
     envelope system trivially for p >= 3 and is saturated away so that the
-    reduced degree measures the envelope alone.  The two eliminations
-    finish only the elements they keep (see groebner_basis).
-    EvoluteDegenerate when the eliminant is the zero ideal or
+    reduced degree measures the envelope alone, and then the singular
+    locus, by the system's f_i.  The two eliminations finish only the
+    elements they keep (see groebner_basis).  EvoluteDegenerate when the curve has
+    codimension other than 1, or the eliminant is the zero ideal or
     zero-dimensional, as for a circle at p = 2, whose envelope is its
     centre: the envelope is then not a curve.  The dimension is read off
     the grevlex basis the elimination hands on, with no further run.
@@ -767,19 +770,19 @@ def evolute_curve(X: VarietySpec, p, seed=0, budget=None) -> EvolutePolynomial:
         raise ValueError("the plane curve must be given by a single generator")
     if p < 2:
         raise ValueError("evolutes need p >= 2")
-    ring = X.ring
-    x1, x2 = ring.variables
-    big, (u1, u2) = data_ring(ring)
-    g = X.generators[0].transfer(big)
-    h = (g.derivative(x1) * (big.var(u2) - big.var(x2)) ** (p - 1)
-         - g.derivative(x2) * (big.var(u1) - big.var(x1)) ** (p - 1))
+    if X.codimension(budget) != 1:
+        raise EvoluteDegenerate("the variety is not a curve: its "
+                                "codimension is not 1")
+    system, _ = _affine_system(X, PNorm(p), budget)
+    ideal, fs = system(None)
+    (g, h), big = ideal.generators, ideal.ring
+    x1, x2, u1, u2 = big.variables
     envelope = jacobian([g, h], [x1, x2]).det()
-    system = Ideal(big, [g, h, envelope])
-    diagonal = Ideal(big, [big.var(u1) - big.var(x1), big.var(u2) - big.var(x2)])
-    system = saturate(system, diagonal, budget)
-    sing = singular_locus_ideal(X, budget).transfer(big)
-    system = saturate(system, sing, budget)
-    result = eliminate(system, [x1, x2], budget)
+    diagonal = Ideal(big, [big.var(u1) - big.var(x1),
+                           big.var(u2) - big.var(x2)])
+    off_diagonal = saturate(Ideal(big, [g, h, envelope]), diagonal, budget)
+    result = eliminate(_rabinowitsch(off_diagonal, fs, budget), [x1, x2],
+                       budget)
 
     warn = []
     gens = result.generators

@@ -79,8 +79,8 @@ class ContainedInIsotropic(OptdegError):
 
 class EvoluteDegenerate(OptdegError, ValueError):
     """The evolute system eliminated to the zero ideal (a line at p >= 3)
-    or to a zero-dimensional one (a circle at p = 2): the envelope is not a
-    curve."""
+    or to a zero-dimensional one (a circle at p = 2), or the variety is
+    not a curve (codimension other than 1): the envelope is not a curve."""
 
 
 class EvoluteLinesDegenerate(OptdegError):

@@ -60,6 +60,7 @@ from operator import le, mul
 
 from .errors import (BudgetExceeded, NotZeroDimensional, RingMismatch,
                      SizeOutOfRange)
+from .matrices import _rank
 from .rings import GREVLEX, OrderSpec, Polynomial
 
 DEFAULT_BUDGET = 10_000_000
@@ -873,49 +874,6 @@ def eliminate(ideal, drop, budget=None) -> Ideal:
     return _eliminate(ideal, drop, ring.restrict(keep), budget)
 
 
-def _linear_rows(ring, forms):
-    """The reduced row echelon form of affine-linear forms over the field,
-    its columns the variables in the ring's order, largest first, and the
-    constant last: one (pivot index, row) per rank, the row monic at its
-    pivot, which is its lead in the ring's order, with the constant term as
-    its last entry, sorted by pivot in that order; and whether the forms are
-    inconsistent (some combination is a nonzero constant).  The variables
-    are ranked by their packed values one + steps[i], which compare as the
-    order does; under grevlex the pivots are the leftmost variables."""
-    fld = ring.field
-    n = ring.nvars
-    sub, mul, is_zero = fld.sub, fld.mul, fld.is_zero
-    one, steps = ring.packer().one, ring.packer().steps
-    rank = sorted(range(n), key=steps.__getitem__, reverse=True)
-    # a term's packed value less one is a variable's step, or 0 for 1
-    column = {step: i for i, step in enumerate(steps)}
-    column[0] = n
-    pivots = []
-    inconsistent = False
-    for f in forms:
-        if f.total_degree() > 1:
-            raise ValueError("a linear cut needs forms of degree at most 1")
-        row = [fld.zero] * (n + 1)
-        for e, c in f.terms.items():
-            row[column[e - one]] = c
-        for col, prow in pivots:
-            c = row[col]
-            if not is_zero(c):
-                row = [sub(a, mul(c, b)) for a, b in zip(row, prow)]
-        col = next((j for j in rank + [n] if not is_zero(row[j])), None)
-        if col is None:
-            continue
-        if col == n:
-            inconsistent = True
-            continue
-        inv = fld.inv(row[col])
-        row = [mul(inv, a) for a in row]
-        pivots = [(pc, [sub(a, mul(pr[col], b)) for a, b in zip(pr, row)]
-                   if not is_zero(pr[col]) else pr) for pc, pr in pivots]
-        pivots.append((col, row))
-    return sorted(pivots, key=lambda pr: rank.index(pr[0])), inconsistent
-
-
 def _linear_cut(ring, forms, budget):
     """The substitution of affine-linear forms for their pivot variables:
     the ring `small` of `ring` without the pivots, in its order
@@ -925,32 +883,36 @@ def _linear_cut(ring, forms, budget):
     (the kept row, or 1 for inconsistent forms, which send every polynomial
     to 0).
 
-    The forms' rows (_linear_rows) are monic, each led in the ring's order
-    by its pivot, which no other row holds: so they are the reduced basis
-    of <forms> for that order, and a remainder against them (see
-    _packed_remainders) is the substitution, free of every pivot, on the
-    job's budget.  Each pivot's field is then dropped (MonomialPacker.drop).
-    The cut is exact: it is a surjection phi: k[x] -> k[x'] with kernel
-    <forms>, so k[x]/(I + <forms>) and k[x']/phi(I) are isomorphic, with
-    the same points, multiplicities and dimension.  Should the forms fix
-    every variable, the last pivot is kept, its row the one generator
-    added, so that a ring remains.  Two lists cut by the same map, such as
-    a system and the polynomials to saturate it by, keep their positions;
-    one Ideal of both would not, as it drops zero generators.
+    The forms' integer term dicts are brought to echelon form by
+    matrices._rank, as the local-length ranks are: each row is led in the
+    ring's order by its pivot, which leads no other row, and the forms are
+    inconsistent when a row is led by the monomial 1.  Linear rows with
+    distinct, so coprime, leads are a Groebner basis of <forms>, so a
+    remainder against them (see _packed_remainders) is the substitution,
+    free of every pivot, with no back-substitution, on the job's budget.
+    Each pivot's field is then dropped (MonomialPacker.drop).  The cut is
+    exact: it is a surjection phi: k[x] -> k[x'] with kernel <forms>, so
+    k[x]/(I + <forms>) and k[x']/phi(I) are isomorphic, with the same
+    points, multiplicities and dimension.  Should the forms fix every
+    variable, the last pivot is kept, so that a ring remains: its monic row
+    is the one generator added, and first divides the other rows.  Two
+    lists cut by the same map, such as a system and the polynomials to
+    saturate it by, keep their positions; one Ideal of both would not.
     """
     budget = as_budget(budget)
-    pivots, inconsistent = _linear_rows(ring, forms)
-    n = ring.nvars
-    packer = ring.packer()
-    is_zero = ring.field.is_zero
-    # x_1 .. x_n, then the monomial 1 for the constant term
-    units = [packer.one + step for step in packer.steps] + [packer.one]
-    rows = [{e: c for e, c in zip(units, row) if not is_zero(c)}
-            for _, row in pivots]
-    kept = [rows.pop()] if len(rows) == n else []
+    if any(f.total_degree() > 1 for f in forms):
+        raise ValueError("a linear cut needs forms of degree at most 1")
+    fld, packer = ring.field, ring.packer()
+    rows = _rank([_clear_denominators(f.terms)[0] for f in forms], fld,
+                 budget)
+    inconsistent = rows.pop(packer.one, None) is not None
+    # the leads, largest first, each a variable's packed value one + step
+    leads = sorted(rows, reverse=True)
+    pivots = leads[:-1] if len(leads) == ring.nvars else leads
     small, drops = ring, []
-    for col, _ in pivots[:len(rows)]:
-        name = ring.variables[col]
+    column = {packer.one + step: i for i, step in enumerate(packer.steps)}
+    for lead in pivots:
+        name = ring.variables[column[lead]]
         drops.append(small.packer().drop(small.index(name)))
         small = small.without([name])
 
@@ -961,11 +923,16 @@ def _linear_cut(ring, forms, budget):
     if inconsistent:
         return (small, lambda polys: [small.zero() for _ in polys],
                 [small.one()])
+    kept = [{e: fld.fraction(c, rows[lead][lead])
+             for e, c in rows[lead].items()} for lead in leads[len(pivots):]]
+    rows = [rows[lead] for lead in pivots]
+    if kept:
+        rows = _packed_remainders(kept, ring, budget)(rows)
     divide = _packed_remainders(rows, ring, budget)
 
     def cut(polys):
         return [dropped(t) for t in divide([g.terms for g in polys])]
-    return small, cut, [dropped(t) for t in divide(kept)]
+    return small, cut, [dropped(t) for t in kept]
 
 
 def _rabinowitsch(ideal, fs, budget) -> Ideal:

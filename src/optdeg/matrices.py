@@ -1,5 +1,5 @@
-"""Polynomial matrices: Jacobians, minors as Laplace sums, and the rank of
-term dicts as vectors."""
+"""Polynomial matrices: Jacobians, minors as Laplace sums, and the one
+echelon form of term dicts as vectors."""
 
 from __future__ import annotations
 
@@ -107,14 +107,14 @@ def jacobian(polys, variables):
 
 
 def _rank(rows, field, budget):
-    """The rank of term dicts as vectors over the field, their
-    coefficients ints mod q over GF(q) and ints over QQ, any nonzero
-    multiples of the rational rows.  Each row is reduced by its lead
-    against the pivot rows of other leads.  A step is a*row - b*pivot, for
-    a and b the pivot's and the row's lead coefficients (divided by their
-    gcd over QQ), so the lead cancels; the result is reduced mod q over
-    GF(q) and divided by its content over QQ.  Each step ticks the budget
-    once."""
+    """The echelon form of term dicts as vectors over the field, their
+    coefficients ints mod q over GF(q) and ints over QQ: a dict from each
+    lead to the one row it leads, its length the rank.  Each row is reduced
+    by its lead against the rows of other leads, never back-substituted.  A
+    step is a*row - b*pivot, for a and b the pivot's and the row's lead
+    coefficients (divided by their gcd over QQ), so the lead cancels; the
+    result is reduced mod q over GF(q) and divided by its content over QQ.
+    Each step ticks the budget once."""
     q = None if field.kind == "rational" else field.q
     pivots = {}
     for row in rows:
@@ -137,4 +137,4 @@ def _rank(rows, field, budget):
             if q is None and row:
                 g = gcd(*row.values())
                 row = {e: v // g for e, v in row.items()}
-    return len(pivots)
+    return pivots

@@ -29,7 +29,8 @@ class OrderSpec:
     """Monomial order: grevlex, or block (grevlex/grevlex elimination).
 
     For a block order, `front` lists the distinct variable names that
-    dominate; within each block the comparison is grevlex.
+    dominate; within each block the comparison is grevlex.  A grevlex order
+    has no front, so every grevlex OrderSpec equals GREVLEX.
     """
 
     kind: str = "grevlex"
@@ -42,6 +43,8 @@ class OrderSpec:
         front = tuple(self.front)
         if self.kind == "block" and not front:
             raise ValueError("block order needs a non-empty front variable set")
+        if self.kind == "grevlex" and front:
+            raise ValueError("a grevlex order has no front variable set")
         if len(set(front)) != len(front):
             name = next(v for i, v in enumerate(front) if v in front[:i])
             raise ValueError(f"block-front variable {name!r} named twice")
@@ -654,7 +657,8 @@ class Polynomial:
         number or a constant polynomial) each term is evaluated directly on
         field elements; otherwise powers of the bound polynomials are
         multiplied out, each term's bound variables divided out by shifts
-        of the packed values (see MonomialPacker)."""
+        of the packed values (see MonomialPacker), and the products summed
+        as one _sum_of_products."""
         if not bindings:
             return self
         ring = self.ring
@@ -671,42 +675,19 @@ class Polynomial:
             return self._evaluate({i: v.constant_value()
                                    for i, v in subs.items()})
         packer = ring.packer()
-        one = packer.one
         reads = [(i, packer.exponent(i), packer.steps[i], value)
                  for i, value in subs.items()]
-        powers = {i: {0: ring.one()} for i in subs}
-        fld = ring.field
-        add, mul, is_zero = fld.add, fld.mul, fld.is_zero
-        acc = {}
+        powers, products = {}, []
         for e, c in self.terms.items():
-            rest = e
-            factor = None
+            rest, factor = e, ring.one()
             for i, exponent, step, value in reads:
                 k = exponent(e)
                 rest -= k * step
-                cache = powers[i]
-                if k not in cache:
-                    top = max(cache)
-                    pk = cache[top]
-                    for j in range(top + 1, k + 1):
-                        pk = pk * value
-                        cache[j] = pk
-                p = cache[k]
-                factor = p if factor is None else factor * p
-            shift = rest - one
-            for fe, fc in factor.terms.items():
-                ne, nc = fe + shift, mul(c, fc)
-                prev = acc.get(ne)
-                if prev is None:
-                    acc[ne] = nc
-                else:
-                    s = add(prev, nc)
-                    if is_zero(s):
-                        del acc[ne]
-                    else:
-                        acc[ne] = s
-        packer.check_fits(acc)
-        return Polynomial(ring, acc)
+                if (i, k) not in powers:
+                    powers[i, k] = value ** k
+                factor = factor * powers[i, k]
+            products.append((1, Polynomial(ring, {rest: c}), factor))
+        return _sum_of_products(products, ring)
 
     def _evaluate(self, values):
         """substitute for constant bindings: values maps variable indices to

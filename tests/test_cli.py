@@ -178,6 +178,18 @@ def test_domain_error_exit_code(tmp_path, capsys, command, generator, p,
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("variety", [
+    {"generators": ["3"]},
+    {"generators": ["x1^2+4*x2^2-1"], "codim": 2},
+], ids=["constant", "codim-override"])
+def test_evolute_of_a_variety_that_is_not_a_curve(tmp_path, capsys, variety):
+    """Both used to report the evolute polynomial 1, of reduced degree 0."""
+    job = {"schema_version": 1, "ring": {"variables": ["x1", "x2"]},
+           "variety": variety, "options": {"p": 2}}
+    assert run_cli(tmp_path, "evolute", job) == EXIT_DOMAIN
+    assert "codimension is not 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("job_part", [
     {"variety": {"generators": ["x1^2+1/2147483647*x2^2-1"]}},
     {"variety": {"generators": ["x1^2+4*x2^2-1"]},
@@ -556,6 +568,18 @@ _CONIC = (["x1", "x2", "x3"], "x1^2+x2^2-2*x3^2")
      "tower.levels[0] must be an object"),
     ("tower-check", _tower_job(base=[], levels=[]), (),
      "the tower ring has no variables"),
+    # a ring that is not an object used to be ignored, the tower computed
+    # over QQ, even with --field naming GF(q)
+    ("tower-check", dict(_tower_job(), ring="prime:2147483647"), (),
+     "job.ring has the wrong type"),
+    ("tower-check", dict(_tower_job(), ring="prime:2147483647"),
+     ("--field", "prime:2147483647"), "job.ring has the wrong type"),
+    # a curve of degree 0 or negative genus used to be compared as the
+    # closed form -2, and the verdict read DISAGREE
+    (*_crossvalidate_line(curve={"d": 0, "g": 0}), (),
+     "options.curve needs a degree d >= 1 and a genus g >= 0"),
+    (*_crossvalidate_line(curve={"d": 2, "g": -3}), (),
+     "options.curve needs a degree d >= 1 and a genus g >= 0"),
 ], ids=["options-list", "formula-options-list", "job-list-field-override",
         "field-int", "tower-field-int", "pnorms-int", "branch-int",
         "base-name-int", "euler-p-bool", "evolute-two-generators",
@@ -563,7 +587,8 @@ _CONIC = (["x1", "x2", "x3"], "x1^2+x2^2-2*x3^2")
         "projective-degree-empty-singular", "crossvalidate-zero-singular",
         "polar-empty-singular", "degree-zero-singular", "pinned-u-variable",
         "tower-level-string", "tower-level-list", "tower-level-oops",
-        "tower-empty-ring"])
+        "tower-empty-ring", "tower-ring-string", "tower-ring-string-field",
+        "curve-degree-zero", "curve-negative-genus"])
 def test_job_shape_errors_exit_2(tmp_path, capsys, command, job, extra,
                                  message):
     rc = run_cli(tmp_path, command, job, *extra)

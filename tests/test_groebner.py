@@ -1433,6 +1433,92 @@ def test_linear_cut_substitutes_the_solved_pivot(field, front, k, data):
     assert cut(polys) == want
 
 
+def _by_order(ring, names):
+    """The names, largest variable first in the ring's order (packed values
+    compare as the order does)."""
+    return sorted(names, key=lambda v: max(ring.var(v).terms), reverse=True)
+
+
+def _combined(rows, coef, data):
+    """The rows combined by an upper unitriangular matrix, each combination
+    then scaled by a nonzero coefficient, in a drawn order: forms that share
+    the rows' variables and span what the rows span."""
+    forms = []
+    for j, row in enumerate(rows):
+        form = row
+        for other in rows[j + 1:]:
+            form = form + other.scale(data.draw(st.one_of(st.just(0), coef)))
+        forms.append(form.scale(data.draw(coef)))
+    return data.draw(st.permutations(forms))
+
+
+def _drawn_polys(ring, coeffs, data):
+    exps = st.tuples(*[st.integers(0, 3)] * ring.nvars).filter(
+        lambda e: sum(e) <= 4)
+    return [_poly(ring, g) for g in data.draw(st.lists(
+        st.dictionaries(exps, coeffs, max_size=5), min_size=1, max_size=3))]
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
+@pytest.mark.parametrize("front", [(), ("b",), ("x2", "b")],
+                         ids=["grevlex", "block-b", "block-x2b"])
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.data())
+def test_linear_cut_of_shared_forms_substitutes_the_solved_pivots(
+        field, front, data):
+    """Up to three forms in x1..x4 that share variables, combinations of
+    rows x_p - s_p for drawn pivots p, each s_p affine-linear in the x's
+    below p in the order that are no pivot: the cut sends a polynomial of
+    (x1, .., x4, b) to its substitution x_p = s_p, in the ring without the
+    pivots.  The echelon rows it divides by are not back-substituted, so
+    this checks that their remainders are the substitution all the same."""
+    coeffs = _COEFFS if field is None else _GF_COEFFS
+    coef = st.one_of(st.just(0), coeffs)
+    order = OrderSpec("block", front) if front else GREVLEX
+    ring = RingContext(("x1", "x2", "x3", "x4", "b"), field, order)
+    xs = _by_order(ring, ring.variables[:4])
+    pivots = data.draw(st.lists(st.sampled_from(xs), min_size=1, max_size=3,
+                                unique=True))
+    solved = {}
+    for p in pivots:
+        s = ring.const(data.draw(coef))
+        for v in xs[xs.index(p) + 1:]:
+            if v not in pivots:
+                s = s + ring.var(v).scale(data.draw(coef))
+        solved[p] = s
+    forms = _combined([ring.var(p) - solved[p] for p in pivots], coeffs, data)
+    polys = _drawn_polys(ring, coeffs, data)
+    small, cut, added = _linear_cut(ring, forms, None)
+    assert small.variables == tuple(v for v in ring.variables
+                                    if v not in pivots)
+    assert added == []
+    assert cut(polys) == [g.substitute(solved).transfer(small) for g in polys]
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.data())
+def test_linear_cut_of_forms_fixing_every_variable(field, data):
+    """Three forms fixing x1, x2, x3 at a drawn point c: the last pivot in
+    the order stays, its monic row x_l - c_l the one generator added, and
+    the cut sends a polynomial to its substitution x_p = c_p for the other
+    pivots."""
+    coeffs = _COEFFS if field is None else _GF_COEFFS
+    ring = RingContext(("x1", "x2", "x3"), field)
+    point = {v: data.draw(st.one_of(st.just(0), coeffs))
+             for v in ring.variables}
+    forms = _combined([ring.var(v) - ring.const(c) for v, c in point.items()],
+                      coeffs, data)
+    polys = _drawn_polys(ring, coeffs, data)
+    *others, last = _by_order(ring, ring.variables)
+    small, cut, added = _linear_cut(ring, forms, None)
+    assert small.variables == (last,)
+    assert added == [small.var(last) - small.const(point[last])]
+    assert added[0].terms[max(added[0].terms)] == 1
+    assert cut(polys) == [g.substitute({v: point[v] for v in others})
+                          .transfer(small) for g in polys]
+
+
 @pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.data())

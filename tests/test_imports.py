@@ -30,6 +30,12 @@ read off polynomial rows with no recursion of its own (no function of
 A rational field element is an int whenever it is integral, and int / int
 is a float, so no package module but `fields.py`, where `fraction` forms
 every quotient, uses true division `/`.
+
+Coefficient arithmetic has one home: outside `fields.py` and `rings.py`
+no package module reads a field's arithmetic methods (`add`, `sub`, `mul`,
+`neg`, `inv`, `div`, `is_zero` of a name `fld` or `field`, or of an
+attribute `.field`); the kernel works on plain ints, and the one echelon
+routine is `matrices._rank`.
 """
 
 import ast
@@ -268,3 +274,37 @@ def test_the_check_sees_a_true_division():
                          ids=lambda p: p.name)
 def test_no_true_division_outside_fields(path):
     assert _true_divisions(path.read_text()) == []
+
+
+FIELD_ARITHMETIC = {"add", "sub", "mul", "neg", "inv", "div", "is_zero"}
+
+
+def _field_arithmetic(source):
+    """The line numbers of the source's reads of FIELD_ARITHMETIC on `fld`,
+    `field` or an attribute `.field`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in FIELD_ARITHMETIC:
+            owner = node.value
+            if (isinstance(owner, ast.Name) and owner.id in ("fld", "field")
+                    or isinstance(owner, ast.Attribute)
+                    and owner.attr == "field"):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_the_check_sees_field_arithmetic():
+    source = ("sub, mul = fld.sub, fld.mul\n"
+              "c = field.inv(a)\n"
+              "if ring.field.is_zero(c):\n"
+              "    pass\n"
+              "q = fld.fraction(1, 2)\n"
+              "s = ideals.add(x)\n")
+    assert _field_arithmetic(source) == [1, 1, 2, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.parent == PACKAGE
+                                  and p.name not in ("fields.py", "rings.py")],
+                         ids=lambda p: p.name)
+def test_no_field_arithmetic_outside_fields_and_rings(path):
+    assert _field_arithmetic(path.read_text()) == []

@@ -416,6 +416,14 @@ def test_order_kinds_are_grevlex_and_block():
         OrderSpec("lex")
 
 
+def test_grevlex_has_no_front():
+    """A grevlex order with a front would compare unequal to GREVLEX, so a
+    ring with it would miss every grevlex cache."""
+    with pytest.raises(ValueError, match="grevlex order has no front"):
+        OrderSpec("grevlex", ("x",))
+    assert OrderSpec("grevlex") == GREVLEX
+
+
 def test_block_front_names_each_variable_once():
     """A front naming x twice would pack x^2 as degree 4 in its block."""
     with pytest.raises(ValueError,
