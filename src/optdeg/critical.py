@@ -32,9 +32,9 @@ from .errors import (ContainedInIsotropic, DenominatorVanishesOnX,
 from .fields import PrimeField
 from .groebner import (GREVLEX, Ideal, _basis_ideal, _count_points,
                        _linear_cut, _packed_remainders, _rabinowitsch,
-                       _saturand, _standard_monomials, as_budget, dimension,
-                       eliminate, groebner_basis, saturate,
-                       vanishes_on_variety)
+                       _saturand, as_budget, dimension, eliminate,
+                       groebner_basis, saturate, vanishes_on_variety)
+from .hilbert import _standard_monomials
 from .matrices import _laplace_minors, _rank, jacobian, minors_by_size
 from .rings import (OrderSpec, Polynomial, RationalFunction, RingContext,
                     random_linear_form)
@@ -750,7 +750,8 @@ def evolute_curve(X: VarietySpec, p, seed=0, budget=None) -> EvolutePolynomial:
     reduced degree measures the envelope alone, and then the singular
     locus, by the system's f_i.  The two eliminations finish only the
     elements they keep (see groebner_basis).  EvoluteDegenerate when the curve has
-    codimension other than 1, or the eliminant is the zero ideal or
+    codimension other than 1, or the eliminant is the zero ideal, the unit
+    ideal, as for a line at p = 2, whose normals are parallel, or
     zero-dimensional, as for a circle at p = 2, whose envelope is its
     centre: the envelope is then not a curve.  The dimension is read off
     the grevlex basis the elimination hands on, with no further run.
@@ -789,7 +790,11 @@ def evolute_curve(X: VarietySpec, p, seed=0, budget=None) -> EvolutePolynomial:
     if not gens:
         raise EvoluteDegenerate("the evolute system eliminated to the zero "
                                 "ideal")
-    if dimension(result, budget) == 0:
+    dim = dimension(result, budget)
+    if dim < 0:
+        raise EvoluteDegenerate("the evolute system eliminated to the unit "
+                                "ideal: the envelope is empty")
+    if dim == 0:
         raise EvoluteDegenerate("the evolute system eliminated to a "
                                 "zero-dimensional ideal: the envelope is "
                                 "finitely many points, not a curve")

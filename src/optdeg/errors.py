@@ -78,9 +78,11 @@ class ContainedInIsotropic(OptdegError):
 
 
 class EvoluteDegenerate(OptdegError, ValueError):
-    """The evolute system eliminated to the zero ideal (a line at p >= 3)
-    or to a zero-dimensional one (a circle at p = 2), or the variety is
-    not a curve (codimension other than 1): the envelope is not a curve."""
+    """The evolute system eliminated to the zero ideal (a line at p >= 3),
+    to the unit ideal (a line at p = 2, whose normals are parallel, so the
+    envelope is empty) or to a zero-dimensional one (a circle at p = 2),
+    or the variety is not a curve (codimension other than 1): the envelope
+    is not a curve."""
 
 
 class EvoluteLinesDegenerate(OptdegError):

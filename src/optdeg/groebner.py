@@ -1,17 +1,24 @@
 """Reduced Groebner bases and the ideal-theoretic toolbox.
 
-Buchberger's algorithm with Gebauer-Moeller pair pruning and sugar-degree
-pair selection, plus the derived operations everything else is built on:
-remainders by a basis; elimination, saturation and radical membership,
-which are all block-order eliminations through one routine that finishes
-only the basis elements it keeps (a saturation by <g_1..g_m> is one
-Rabinowitsch run that adjoins a w_i per g_i and eliminates them from
-ideal + <1 - sum_i w_i*g_i>); and Krull dimensions, point counts,
-degrees and multidegrees, all read off the one cached grevlex basis.
-Affine-linear sections are substituted for their pivot variables rather
-than adjoined as generators, the pivots' fields then dropped (_linear_cut).
-A run whose first generators are a reduced basis pairs only the others
-with them (groebner_basis's `based`), and every run stops at the first
+Buchberger's algorithm, plus the derived operations everything else is
+built on: remainders by a basis; elimination, saturation and radical
+membership, all block-order eliminations through one routine that
+finishes only the basis elements it keeps (a saturation by <g_1..g_m> is
+one Rabinowitsch run that adjoins a w_i per g_i and eliminates them from
+ideal + <1 - sum_i w_i*g_i>); and Krull dimensions, point counts, degrees
+and multidegrees, all read off the one cached grevlex basis.  Affine-linear
+sections are substituted for their pivot variables rather than adjoined,
+the pivots' fields then dropped (_linear_cut).
+
+A run from generators takes signature criteria (_signatures), which skip
+the S-pairs a syzygy proves to reduce to zero, unless its block order has
+many front variables; those runs, and a block basis converted from a
+cached grevlex basis, take Gebauer-Moeller pruning and sugar selection.
+The conversion homogenizes the grevlex basis, whose Hilbert function its
+leads give, and drops every S-pair that function proves to reduce to zero
+(Traverso's Hilbert-driven algorithm, JSC 1996; see _convert_grevlex).  A
+run whose first generators are a reduced basis pairs only the others with
+them (groebner_basis's `based`), and every run stops at the first
 constant it finds.
 
 The kernel runs on the term dicts of polynomials, which map packed
@@ -25,30 +32,19 @@ affine trial's is, is never finished.  An elimination hands its kept
 elements on, transferred into the grevlex ring on the remaining variables
 and cached as that ring's basis (_basis_ideal).
 
-One routine reads the lead monomials: the Hilbert numerator N, by pivot
-recursion (_hilbert_numerator), graded by degree or by groups of
-variables.  A multidegree is that of the initial ideal under any term
-order, and for a monomial ideal it is the lowest-degree part of its
-K-polynomial N(1 - s) (Miller-Sturmfels, Combinatorial Commutative Algebra,
-ch. 8); its degree is the codimension, so dimensions and zero-dimensional
-point counts are one-group multidegrees (_multidegree).
-
-A block basis of an ideal that already caches its grevlex basis is
-converted from it rather than computed from the generators: the grevlex
-basis is homogenized, its Hilbert function is known from its leads, and
-the one driver drops every S-pair that function proves to reduce to zero
-(Traverso's Hilbert-driven Buchberger algorithm, JSC 1996; see
-_convert_grevlex).
+The leads are read through their Hilbert numerator N (hilbert), graded by
+degree or by groups of variables: a multidegree is that of the initial
+ideal, the lowest-degree part of N(1 - s) (Miller-Sturmfels, ch. 8), and
+dimensions and point counts are one-group multidegrees (_multidegree).
 
 Over GF(q) the kernel runs on monic polynomials whose coefficients are plain
-ints reduced mod q inline, with no field-method calls.  Over QQ it is
-fraction-free: inputs are cleared of denominators (an input whose
-coefficients are all ints, as integral QQ elements are, is taken as it
-is), basis elements are primitive integer polynomials, and each reduction
-step scales by integers instead of dividing.  Every integer polynomial is
-a nonzero multiple of the rational one the field kernel would hold, so
-both take the same reduction steps; the monic rational basis is built only
-when a basis is finished.
+ints reduced mod q inline.  Over QQ it is fraction-free: inputs are
+cleared of denominators (integral ones are taken as they are), basis
+elements are primitive integer polynomials, and each reduction step scales
+by integers instead of dividing.  Every integer polynomial is a nonzero
+multiple of the rational one the field kernel would hold, so both take the
+same reduction steps; the monic rational basis is built only when a basis
+is finished.
 """
 
 from __future__ import annotations
@@ -56,10 +52,11 @@ from __future__ import annotations
 import heapq
 from itertools import groupby, product
 from math import comb, gcd, lcm, prod
-from operator import le, mul
 
 from .errors import (BudgetExceeded, NotZeroDimensional, RingMismatch,
                      SizeOutOfRange)
+from .hilbert import (_hilbert_numerator, _hilbert_value, _minimal,
+                      _numerator_plus)
 from .matrices import _rank
 from .rings import GREVLEX, OrderSpec, Polynomial
 
@@ -153,16 +150,14 @@ class GroebnerBasis:
     and finished the first time it is read.
 
     A run ends with a minimal basis, whose leads are those of the reduced
-    basis (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 2
-    §7): `leads` holds them packed, largest first.  The unit check, the
-    length and lead_exponents read them, so no point count, dimension,
-    degree or multidegree finishes a basis.  `basis`, the reduced
-    polynomials of `ring`, is what `finish` returns, called the first time
-    `basis` is read (also through iteration, Ideal.equals, normalized and
-    a conversion) and never again; a basis nothing reads is never
-    finished.  Finishing ticks the budget of the run that built the basis
-    when it is read, so the traced groebner.groebner_basis span excludes
-    it: its steps fall in whichever span first reads `basis`."""
+    basis (Cox-Little-O'Shea, ch. 2 §7): `leads` holds them packed,
+    largest first.  The unit check, the length and lead_exponents read
+    them, so no count finishes a basis.  `basis`, the reduced polynomials
+    of `ring`, is what `finish` returns, called the first time `basis` is
+    read, by any path, and never again.  Finishing ticks the budget of the
+    run that built the basis when it is read, so the traced
+    groebner.groebner_basis span excludes it: its steps fall in whichever
+    span first reads `basis`."""
 
     __slots__ = ("ring", "order", "leads", "_finish", "_basis")
 
@@ -210,7 +205,7 @@ class GroebnerBasis:
 # degrees and budget ticks are those of the rational computation.
 
 def _reduce_full(fterms, leads, lcs, tails, packer, budget, sugar=0,
-                 basis_sugars=None):
+                 basis_sugars=None, signature=None):
     """Full multivariate division remainder against a basis.
 
     Works on packed-monomial term dicts; returns (remainder, sugar, scale).
@@ -219,7 +214,9 @@ def _reduce_full(fterms, leads, lcs, tails, packer, budget, sugar=0,
     with a = lc/gcd(lc, c), b = c/gcd(lc, c), scaling the remainder terms
     already emitted too; the remainder is then scale times the rational one.
     The sugar degree is tracked through each cancellation when basis_sugars
-    is supplied.
+    is supplied.  With `signature` = (bound, offs, K), element idx reduces
+    the term e only when its multiple's signature (e << K) + offs[idx] lies
+    below bound (see _signatures).
     """
     if not fterms:
         return {}, sugar, 1
@@ -229,6 +226,8 @@ def _reduce_full(fterms, leads, lcs, tails, packer, budget, sugar=0,
     guards = packer.guards
     div_off = packer.div_offset
     degree = packer.degree
+    if signature is not None:
+        bound, offs, K = signature
     terms = dict(fterms)
     heap = [-e for e in terms]
     heapq.heapify(heap)
@@ -244,8 +243,10 @@ def _reduce_full(fterms, leads, lcs, tails, packer, budget, sugar=0,
             continue
         hit = -1
         probe = div_off - e
+        room = None if signature is None else bound - (e << K)
         for idx, le in enumerate(leads):
-            if not ((le + probe) & guards):
+            if not ((le + probe) & guards) and (room is None
+                                                or offs[idx] < room):
                 hit = idx
                 break
         if hit < 0:
@@ -403,95 +404,109 @@ def _pair_sugar(pair, L, lmG, sugars, degree):
                sugars[j] + degL - degree(lmG[j]))
 
 
-def _hilbert_numerator(monomials, weights=None):
-    """The numerator N of the Hilbert series of k[x]/M, for the monomial
-    ideal M generated by the exponent tuples, as {degree: coefficient} with
-    no zero coefficient; it does not depend on the number of variables.
-    x^a has degree sum_i a_i*weights[i], or |a| by default, where the
-    series is N(t)/(1-t)^m.  Weights holding one bit field per group of
-    variables make the degrees packed multidegrees (see _multidegree).
-    Computed by pivot recursion (Bigatti, JPAA 1997):
-    N(M) = N(M + <x_i^e>) + t^deg(x_i^e) * N(M : x_i^e), for the variable
-    x_i in most minimal generators and e the median of its positive
-    exponents among those that are not pure powers, down to pairwise
-    coprime generators, where N is the product of the 1 - t^deg."""
-    if weights is None:
-        degree = sum
-    else:
-        def degree(a):
-            return sum(map(mul, a, weights))
-    return _numerator(_minimal(monomials), degree)
+# Rabinowitsch systems in four or more w's grow signature bases of products
+# of the w's, up to 25 times the steps of Gebauer-Moeller pruning.
+_SIGNATURE_FRONT = 3
 
 
-def _numerator_plus(numerator, gens, a):
-    """(numerator, gens) for M + <a>, from those of the monomial ideal M:
-    its _hilbert_numerator and its minimal generators, exponent tuples.
-    N(M + <a>) = N(M) - t^|a| * N(M : a) (Bigatti, JPAA 1997), where M : a
-    is generated by the g/gcd(g, a); nothing changes for a in M."""
-    if any(all(map(le, g, a)) for g in gens):
-        return numerator, gens
-    colon = [tuple(x - y if x > y else 0 for x, y in zip(g, a)) for g in gens]
-    out = dict(numerator)
-    _shift_add(out, _hilbert_numerator(colon), sum(a), -1)
-    return out, [g for g in gens if not all(map(le, a, g))] + [a]
+def _signatures(seed_terms, ring, budget, based):
+    """Signature-based Buchberger algorithm (Gao-Volny-Wang, Math. Comp.
+    2016; Eder-Faugere, JSC 2017) for _buchberger.
 
+    Each element is some sum_i a_i*f_i of the seeds and carries the
+    signature of sum_i a_i*e_i under the Schreyer order: t*e_i ranks by the
+    packed t*LM(f_i), then i, one int packed << K | i, the seeds indexed by
+    ascending lead.  Seed i enters with signature e_i, an S-pair with the
+    larger of its sides'; they are taken in increasing signature, one per
+    signature, and reduced only by multiples of smaller signature, which
+    keeps it.  A zero remainder makes its signature a syzygy's, any other
+    is inserted.  A signature a syzygy's divides is skipped (each new
+    element's Koszul syzygy with every older one is recorded), and so is
+    an S-pair's signature T covered by an element g: sig(g) | T and
+    (T/sig(g))*LM(g) below the pair's lcm, or equal to it and g newer (the
+    rewrite criterion in the ratio order, which leaves no singular top
+    reduction).  No pair of two of the first `based` seeds is formed: it
+    reduces to zero by them below the lcm of their leads, so its
+    larger-index side is a syzygy's signature.
+    """
+    packer = ring.packer()
+    fld = ring.field
+    guards, div_off, one = packer.guards, packer.div_offset, packer.one
+    K = len(seed_terms).bit_length()
+    mask = (1 << K) - 1
+    leads, lcs, tails, sigs, offs, seeded = [], [], [], [], [], []
+    seeds, rewriters, syzygies, queue = {}, {}, {}, []
+    for i, terms in enumerate(seed_terms):
+        if terms:
+            seeds[i] = (_clear_denominators(terms)[0]
+                        if fld.kind == "rational" else terms)
+    for index, i in enumerate(sorted(seeds, key=lambda i: max(seeds[i]))):
+        queue.append((max(seeds[i]) << K | index, 0, 0, ~i))
+    heapq.heapify(queue)
 
-def _minimal(monomials):
-    """The minimal generators among exponent tuples, by ascending degree
-    and then ascending exponents."""
-    gens = []
-    for a in sorted(set(monomials), key=lambda a: (sum(a), a)):
-        if not any(all(map(le, b, a)) for b in gens):
-            gens.append(a)
-    return gens
+    def known(sig, add=False):
+        probe = div_off - (sig >> K)
+        found = syzygies.setdefault(sig & mask, [])
+        for z in found:
+            if not ((z + probe) & guards):
+                return True
+        if add:
+            found.append(sig >> K)
+        return False
 
-
-def _shift_add(out, poly, shift, sign):
-    """out += sign * t^shift * poly, in place, dropping zero terms."""
-    for k, c in poly.items():
-        k += shift
-        v = out.get(k, 0) + sign * c
-        if v:
-            out[k] = v
+    last = None
+    while queue:
+        sig, L, gen, j = heapq.heappop(queue)
+        if sig == last or known(sig):
+            continue
+        last, s, index = sig, sig >> K, sig & mask
+        if j < 0:
+            terms = seeds.pop(~j)
         else:
-            del out[k]
-
-
-def _numerator(gens, degree):
-    """_hilbert_numerator of minimal generators."""
-    used = [i for a in gens for i, v in enumerate(a) if v]
-    if len(used) == len(set(used)):
-        out = {0: 1}
-        for a in gens:
-            _shift_add(out, dict(out), degree(a), -1)
-        return out
-    counts = {}
-    for i in used:
-        counts[i] = counts.get(i, 0) + 1
-    i = max(counts, key=lambda v: (counts[v], -v))
-    powers = sorted(a[i] for a in gens if a[i] and sum(a) != a[i])
-    e = powers[len(powers) // 2]
-    pivot = tuple(e if k == i else 0 for k in range(len(gens[0])))
-    # x_i^e lies outside M (a pure power of x_i in M exceeds every e drawn),
-    # so adding it keeps the generators it does not divide minimal
-    out = _numerator([a for a in gens if a[i] < e] + [pivot], degree)
-    quotient = _numerator(_minimal(
-        [a[:i] + (max(a[i] - e, 0),) + a[i + 1:] for a in gens]), degree)
-    _shift_add(out, quotient, degree(pivot), 1)
-    return out
-
-
-def _hilbert_value(numerator, m, d):
-    """Coefficient of t^d in numerator(t)/(1-t)^m, for a standard-graded
-    numerator: the Hilbert function in degree d of the quotient of m
-    variables by the numerator's monomial ideal."""
-    return sum(c * comb(d - k + m - 1, m - 1)
-               for k, c in numerator.items() if k <= d)
+            gen, probe = -gen, div_off - s
+            mine = leads[gen] - (sigs[gen] >> K)
+            if any(not ((r + probe) & guards)
+                   and (ratio < mine or ratio == mine and k > gen)
+                   for k, r, ratio in rewriters[index]):
+                continue
+            terms = _spoly_terms(gen, j, L, leads, lcs, tails, packer)
+        red = _reduce_full(terms, leads, lcs, tails, packer, budget,
+                           signature=(sig, offs, K))[0]
+        if not red:
+            known(sig, True)
+            continue
+        packer.check_fits(red)
+        lead, lc, tail = _split(red, fld)
+        if not packer.degree(lead):
+            return [lead], [lc], [tail]
+        t = len(leads)
+        for column, part in zip((leads, lcs, tails, sigs, offs, seeded),
+                                (lead, lc, tail, sig, sig - (lead << K),
+                                 j < 0 and ~j < based)):
+            column.append(part)
+        rewriters.setdefault(index, []).append((t, s, lead - s))
+        for i in range(t):
+            li, si, xi = leads[i], sigs[i] >> K, sigs[i] & mask
+            a, b = (s + li - one) << K | index, (si + lead - one) << K | xi
+            if a != b:
+                known(max(a, b), True)
+            L = packer.lcm(li, lead)
+            if L == lead + li - one or seeded[i] and seeded[t]:
+                continue
+            a, b = s + L - lead, si + L - li
+            packer.check_fits((a, b))
+            a, b = a << K | index, b << K | xi
+            if a != b:
+                heapq.heappush(queue, (a, L, -t, i) if a > b
+                               else (b, L, -i, t))
+    return leads, lcs, tails
 
 
 def _buchberger(seed_terms, ring, budget, hilbert=None, based=0):
     """Core loop on packed term dicts; returns the unreduced basis as the
-    kernel lists (leads, lcs, tails).
+    kernel lists (leads, lcs, tails).  A run from generators (`hilbert`
+    None) with at most _SIGNATURE_FRONT front variables is _signatures';
+    the others prune pairs by Gebauer-Moeller, as follows.
 
     Over QQ the seeds lose their denominators on entry and the loop runs on
     integer coefficients (see the kernel note above).  Pair selection follows
@@ -517,6 +532,8 @@ def _buchberger(seed_terms, ring, budget, hilbert=None, based=0):
     The leads' numerator is kept from degree to degree: each lead inserted
     since the last degree is unpacked once and folded in (_numerator_plus).
     """
+    if hilbert is None and len(ring.order.front) <= _SIGNATURE_FRONT:
+        return _signatures(seed_terms, ring, budget, based)
     packer = ring.packer()
     fld = ring.field
     integral = fld.kind == "rational"
@@ -641,11 +658,10 @@ def _kept(kernel, packer):
     restricted, in their order, to the elements whose lead is free of the
     front block.
 
-    The front block's degree field is the top field of a packed value (see
-    MonomialPacker), so a monomial is free of the front block iff its packed
-    value lies below that field: every monomial with a front variable is
-    larger than every monomial without one (MonomialPacker.front_bound).
-    So an element whose lead is free of it has only terms free of it."""
+    The front block's degree field is the top field of a packed value, so
+    a monomial is free of the front block iff its packed value lies below
+    MonomialPacker.front_bound, and an element whose lead is free of it
+    has only terms free of it."""
     bound = packer.front_bound
     leads, lcs, tails = kernel
     keep = [i for i, lead in enumerate(leads) if lead < bound]
@@ -799,31 +815,6 @@ def _packed_remainders(basis, ring, budget, scaled=False):
             out.append(red)
         return out
     return divide
-
-
-def _standard_monomials(gb):
-    """The monomials no lead of gb divides, for gb a reduced basis of a
-    zero-dimensional ideal (none for the unit ideal), listed from 1 up:
-    they form an order ideal, so each but the first is x_i times one listed
-    before it.  Returned as triples (m, j, step): m packed in gb's ring,
-    m = x_i * m_j, and step = packed(x_i) - one, so that shifting the terms
-    of a packed term dict by it multiplies the dict by x_i (see
-    MonomialPacker); j and step are None for m = 1."""
-    packer = gb.ring.packer()
-    divides, one = packer.divides, packer.one
-    leads = gb.leads
-    out, seen, todo = [], {one}, [(one, None, None)]
-    while todo:
-        entry = todo.pop()
-        m = entry[0]
-        if any(divides(lead, m) for lead in leads):
-            continue
-        out.append(entry)
-        for step in packer.steps:
-            if m + step not in seen:
-                seen.add(m + step)
-                todo.append((m + step, len(out) - 1, step))
-    return out
 
 
 # --------------------------------------------------------------------------

@@ -161,12 +161,13 @@ class RingContext:
 
     def without(self, names):
         """This ring without the variables `names`, in the same order; a
-        block order keeps the rest of its front, which must not be empty."""
+        block order keeps the rest of its front, and is grevlex, a block
+        order with an empty front, when none of it is left."""
         drop = set(names)
         order = self.order
         if order.kind == "block":
-            order = OrderSpec("block", tuple(v for v in order.front
-                                             if v not in drop))
+            front = tuple(v for v in order.front if v not in drop)
+            order = OrderSpec("block", front) if front else GREVLEX
         return RingContext(tuple(v for v in self.variables if v not in drop),
                            self.field, order)
 

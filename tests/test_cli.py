@@ -157,12 +157,16 @@ def test_rational_gradient_entry_is_schema_error(tmp_path, capsys, gradient,
 # a line at p >= 3 has no evolute: the envelope condition fixes x2 = u2 and
 # leaves u1 free, and the elimination used to end in a ValueError traceback;
 # a circle's normals all meet at its centre, so at p = 2 its envelope is a
-# point, and the report used to give the polynomial u1
+# point, and the report used to give the polynomial u1; a line's normals
+# are parallel, so at p = 2 its envelope is empty, and the report used to
+# give the polynomial 1 of reduced degree 0
 @pytest.mark.parametrize("command, generator, p, message", [
     ("projective-degree", "x1^2+4*x2^2-1", 2, "must be homogeneous"),
     ("evolute", "x1-1", 3, "eliminated to the zero ideal"),
     ("evolute", "x1^2+x2^2-4", 2, "not a curve"),
-], ids=["not-homogeneous", "evolute-of-a-line", "evolute-of-a-circle"])
+    ("evolute", "x1+2*x2-1", 2, "eliminated to the unit ideal"),
+], ids=["not-homogeneous", "evolute-of-a-line", "evolute-of-a-circle",
+        "evolute-of-a-line-p2"])
 def test_domain_error_exit_code(tmp_path, capsys, command, generator, p,
                                 message):
     job = {

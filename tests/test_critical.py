@@ -459,20 +459,22 @@ def test_projective_conic_p3_reduction_budget(prime_field):
 
 
 def test_projective_conic_p3_tight_budget(prime_field):
-    """The count fits in 800 steps: it takes 689, where saturating by q_p
-    after eliminating b took 873 and localizing at q_p before it 1,941."""
+    """The count fits in 472 steps: it takes 361 under signature criteria
+    and took 689 under Gebauer-Moeller pruning and sugar selection, where
+    saturating by q_p after eliminating b took 873 and localizing at q_p
+    before it 1,941."""
     ring = RingContext(("x1", "x2", "x3"), field=prime_field)
     base = P("x1^2+x2^2+2*x3^2", ring)
     _, subs = random_linear_change(ring, ring.variables, seed=7)
     conic = VarietySpec(ring, (base.substitute(subs),))
-    rep = projective_pnorm_degree(conic, 3, trials=2, seed=3, budget=800)
+    rep = projective_pnorm_degree(conic, 3, trials=2, seed=3, budget=472)
     assert rep.degree == 12
 
 
 @pytest.mark.parametrize("names, gens, p, degree, steps", [
-    (("x1", "x2", "x3"), ["x1^2+x2^2-3*x3^2"], 3, 12, 654),
+    (("x1", "x2", "x3"), ["x1^2+x2^2-3*x3^2"], 3, 12, 312),
     (("x1", "x2", "x3", "x4"), ["x1*x3-x2^2", "x1*x4-x2*x3", "x2*x4-x3^2"],
-     2, 7, 1_144),
+     2, 7, 1_327),
 ], ids=["conic-p3", "twisted-cubic-p2"])
 def test_projective_reduction_steps_pinned_over_gf(prime_field, names, gens,
                                                    p, degree, steps):
@@ -487,7 +489,8 @@ def test_projective_reduction_steps_pinned_over_gf(prime_field, names, gens,
     took 616 and 1,082.  Eliminations that tail-reduce only the elements
     they keep took the conic's runs to 614, by the 2 steps the dropped
     elements' tails took, and left the twisted cubic's, whose dropped
-    elements took none."""
+    elements took none.  Signature criteria in the runs from generators
+    took them from 654 to 312 and from 1,144 to 1,327."""
     X = variety(RingContext(names, field=prime_field), *gens)
     budget = _Budget(DEFAULT_BUDGET)
     rep = projective_pnorm_degree(X, p, seed=0, budget=budget)
@@ -495,7 +498,7 @@ def test_projective_reduction_steps_pinned_over_gf(prime_field, names, gens,
     assert DEFAULT_BUDGET - budget.remaining == steps
 
 
-@pytest.mark.parametrize("p, degree, steps", [(2, 5, 81), (3, 8, 93)],
+@pytest.mark.parametrize("p, degree, steps", [(2, 5, 74), (3, 8, 84)],
                          ids=["p2", "p3"])
 def test_affine_nodal_cubic_reduction_steps_pinned_over_gf(prime_field, p,
                                                           degree, steps):
@@ -505,7 +508,8 @@ def test_affine_nodal_cubic_reduction_steps_pinned_over_gf(prime_field, p,
     quotients by I(X) + <x1, x2>^k for k = 1, 2, 3, built once per job (see
     critical._local_length); the steps of the job are pinned.  Eliminating
     w_1, w_2 from the system plus 1 - w_1*x1 - w_2*x2 in every trial took
-    143 and 167 steps."""
+    143 and 167 steps, and the runs without signature criteria 81 and
+    93."""
     ring = RingContext(("x1", "x2"), field=prime_field)
     nodal = variety(ring, "x2^2-x1^2*(x1+1)")
     budget = _Budget(DEFAULT_BUDGET)
@@ -1143,16 +1147,17 @@ def test_projective_critical_ideal_matches_saturating_oracle_at_p3(
 
 
 def test_projective_critical_ideal_steps_pinned_over_gf(prime_field):
-    """The twisted cubic's correspondence ideal takes 666 steps in the chart
-    y = u + b*x (921 when it localized before eliminating b, and 677 when
-    its eliminations also tail-reduced the 11 steps' worth of elements they
-    drop); the y-system's saturations and chart took 574,490."""
+    """The twisted cubic's correspondence ideal takes 440 steps in the chart
+    y = u + b*x (666 without signature criteria, 921 when it localized
+    before eliminating b, and 677 when its eliminations also tail-reduced
+    the 11 steps' worth of elements they drop); the y-system's saturations
+    and chart took 574,490."""
     X = variety(RingContext(("x1", "x2", "x3", "x4"), field=prime_field),
                 "x1*x3-x2^2", "x1*x4-x2*x3", "x2*x4-x3^2")
     budget = _Budget(DEFAULT_BUDGET)
     corr = projective_critical_ideal(X, 2, budget=budget)
     assert corr.ring.variables == X.ring.variables + ("u1", "u2", "u3", "u4")
-    assert DEFAULT_BUDGET - budget.remaining == 666
+    assert DEFAULT_BUDGET - budget.remaining == 440
 
 
 def test_veronese_conic_ed_degree(prime_field):
@@ -1293,6 +1298,40 @@ def test_evolute_reductions_agree_across_fields(ellipse, prime_field):
     assert _evolute_steps(ellipse, 3) == _evolute_steps(gf_ellipse, 3)
 
 
+@pytest.mark.parametrize("field", [RationalField(), PrimeField()],
+                         ids=["QQ", "GF"])
+def test_evolute_diagonal_saturation_zero_reductions_pinned(monkeypatch,
+                                                            field):
+    """The ellipse's evolute at p = 3 saturates its envelope system by the
+    diagonal u = x in one Rabinowitsch run from the generators.  Of that
+    run's 33 reductions, 3 end in zero under the signature criteria, in
+    both fields; Gebauer-Moeller pruning and sugar selection reduced 73
+    S-polynomials and seeds, 45 of them to zero."""
+    depth, zero = [0, 0], []
+    reduce_full, buchberger = groebner._reduce_full, groebner._buchberger
+
+    def inside(call, k):
+        def wrapped(*args, **kwargs):
+            depth[k] += 1
+            try:
+                return call(*args, **kwargs)
+            finally:
+                depth[k] -= 1
+        return wrapped
+
+    def counted(*args, **kwargs):
+        out = reduce_full(*args, **kwargs)
+        if all(depth):
+            zero.append(not out[0])
+        return out
+    monkeypatch.setattr(critical, "saturate", inside(critical.saturate, 0))
+    monkeypatch.setattr(groebner, "_buchberger", inside(buchberger, 1))
+    monkeypatch.setattr(groebner, "_reduce_full", counted)
+    X = variety(RingContext(("x1", "x2"), field=field), "x1^2+4*x2^2-1")
+    evolute_curve(X, 3, seed=1)
+    assert (len(zero), sum(zero)) == (33, 3)
+
+
 @pytest.mark.parametrize("curve, p", [("x2^2-x1^3", 3),
                                       ("x2^2-x1^2*(x1+1)", 2)],
                          ids=["cusp-p3", "node-p2"])
@@ -1307,17 +1346,17 @@ def test_singular_evolute_reductions_agree_across_fields(curve, p):
 
 
 def test_evolute_reduced_degree_draws_on_the_job_budget(ring_x12):
-    """The classical evolute takes 170 steps up to and through its
-    elimination, converted from the cached grevlex basis, and 60 for its
-    reduced degree: 55 for cutting the drawn line and 5 for the run on
-    <f, f'>.  Those spend the job's budget, not a fresh one.  Each call gets
-    a fresh spec, because a spec keeps its singular locus and a second call
-    would skip that run."""
+    """The classical evolute takes 57 steps up to and through its
+    elimination, converted from the cached grevlex basis, and 61 for its
+    reduced degree: 55 for cutting the drawn line and 6 for the run on
+    <f, f'> (170 and 60 without signature criteria).  Those spend the job's
+    budget, not a fresh one.  Each call gets a fresh spec, because a spec
+    keeps its singular locus and a second call would skip that run."""
     ellipse = variety(ring_x12, "x1^2+4*x2^2-1")
-    assert evolute_curve(ellipse, 2, seed=1, budget=230).reduced_degree == 6
+    assert evolute_curve(ellipse, 2, seed=1, budget=118).reduced_degree == 6
     ellipse = variety(ring_x12, "x1^2+4*x2^2-1")
     with pytest.raises(BudgetExceeded):
-        evolute_curve(ellipse, 2, seed=1, budget=229)
+        evolute_curve(ellipse, 2, seed=1, budget=117)
 
 
 _FIELDS = st.sampled_from((PrimeField(), RationalField()))

@@ -91,7 +91,7 @@ def test_budget_exceeded():
     ring = RingContext(("x", "y", "z"))
     ideal = I(ring, "x^5+y^4+z^3-1", "x^3+y^3+z^2-1")
     with pytest.raises(BudgetExceeded):
-        groebner_basis(ideal, budget=5)
+        groebner_basis(ideal, budget=1)
 
 
 # --- normal form ----------------------------------------------------------------
@@ -1003,6 +1003,79 @@ def test_sum_with_a_constant_stops_at_once(field):
     assert budget.remaining == 100
 
 
+@pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
+def test_a_reduced_basis_seeds_a_run_that_reduces_nothing(field):
+    """A run seeded with a reduced basis alone, every seed `based`, forms
+    no pair and takes no reduction step.  The twisted cubic's leads
+    overlap, so its S-pairs would take steps (2 of them)."""
+    ring = RingContext(("x", "y", "z", "w"), field)
+    basis = I(ring, "x*z-y^2", "x*w-y*z", "y*w-z^2").groebner(GREVLEX).basis
+    budget = _Budget(100)
+    got = groebner_basis(Ideal(ring, basis), GREVLEX, budget,
+                         based=len(basis))
+    assert got.basis == basis and budget.remaining == 100
+
+
+@st.composite
+def _based_ideals(draw, coeffs):
+    """(n, J, fs): 1-3 drawn generators of J and 0-2 drawn f_i in n = 2 or
+    3 variables, as _ideals draws them, with a constant f_i in about a
+    fifth of the draws."""
+    n, gens = draw(_ideals(coeffs))
+    _, fs = draw(_ideals(coeffs, n=n))
+    fs = fs[:draw(st.integers(0, 2))]
+    if draw(st.sampled_from((False, False, False, False, True))):
+        fs.append({(0,) * n: draw(coeffs)})
+    return n, gens, fs
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
+@pytest.mark.parametrize("kind", ["grevlex", "block"])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_based_runs_match_sympy(field, kind, data):
+    """J + <f_1..f_m> run from the reduced basis of J, `based`, then the
+    f_i, is sympy's reduced basis of all the generators, <1> included."""
+    coeffs = _COEFFS if field is None else _GF_COEFFS
+    n, gens, fs = data.draw(_based_ideals(coeffs))
+    order = GREVLEX if kind == "grevlex" else _drawn_block(data, n)
+    ring, J = _optdeg_ideal(n, gens, order, field)
+    basis = J.groebner(order).basis
+    total = Ideal(ring, basis + [_poly(ring, f) for f in fs])
+    got = groebner_basis(total, order, based=len(basis))
+    assert sorted(sorted(g.sorted_terms()) for g in got) == _sympy_basis(
+        n, gens + fs, order, field)
+
+
+_INTEGERS = st.one_of(st.integers(-12, -1), st.integers(1, 12))
+
+
+@pytest.mark.parametrize("kind", ["grevlex", "block", "based"])
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data())
+def test_runs_take_the_same_steps_over_qq_and_gf(kind, data):
+    """An integer ideal takes the same reduction steps over QQ as over
+    GF(2^31 - 1): the QQ kernel holds integer multiples of the polynomials
+    the GF(q) kernel holds, so every signature, criterion and divisor choice
+    is the same.  Grevlex, a drawn block order, and grevlex from the
+    reduced basis of the first generators, `based`."""
+    n, gens, fs = data.draw(_based_ideals(st.builds(Fraction, _INTEGERS)))
+    order = _drawn_block(data, n) if kind == "block" else GREVLEX
+    steps = []
+    for field in (None, PrimeField(_Q)):
+        ring, J = _optdeg_ideal(n, gens, order, field)
+        seeds = [_poly(ring, f) for f in fs]
+        budget = _Budget(DEFAULT_BUDGET)
+        if kind == "based":
+            basis = J.groebner(order).basis
+            gb = groebner_basis(Ideal(ring, basis + seeds), order, budget,
+                                based=len(basis))
+        else:
+            gb = groebner_basis(J + seeds, order, budget)
+        steps.append((DEFAULT_BUDGET - budget.remaining, gb.lead_exponents()))
+    assert steps[0] == steps[1]
+
+
 # --- affine degrees against random sections -----------------------------------------
 
 def _degree_outcome(fn, *args):
@@ -1399,8 +1472,8 @@ def test_cut_linear_in_the_dropped_block_keeps_eliminate(field, data):
 
 
 @pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
-@pytest.mark.parametrize("front", [(), ("b",), ("x1", "x2")],
-                         ids=["grevlex", "block-b", "block-x1x2"])
+@pytest.mark.parametrize("front", [(), ("b",), ("x1", "x2"), ("x1",)],
+                         ids=["grevlex", "block-b", "block-x1x2", "block-x1"])
 @pytest.mark.parametrize("k", [0, 1, 2], ids=["first", "middle", "last"])
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(st.data())
@@ -1409,7 +1482,9 @@ def test_linear_cut_substitutes_the_solved_pivot(field, front, k, data):
     (x1, x2, x3, b) to that polynomial with the form solved for its pivot
     substituted, in the ring without the pivot.  The
     pivot is the first, the middle or the last x, the form's constant may
-    be zero, and under the block orders b ranks first, or x1 and x2 do."""
+    be zero, and under the block orders b ranks first, or x1 and x2 do, or
+    x1 alone; a block order whose whole front is the pivot leaves the
+    grevlex ring on the other variables."""
     coeffs = _COEFFS if field is None else _GF_COEFFS
     order = OrderSpec("block", front) if front else GREVLEX
     ring = RingContext(("x1", "x2", "x3", "b"), field, order)
@@ -1425,7 +1500,9 @@ def test_linear_cut_substitutes_the_solved_pivot(field, front, k, data):
     small, cut, added = _linear_cut(ring, [form], None)
     assert small.variables == tuple(v for v in ring.variables
                                     if v != f"x{k + 1}")
-    assert small.order.kind == ring.order.kind and added == []
+    left = tuple(v for v in front if v != f"x{k + 1}")
+    assert small.order == (OrderSpec("block", left) if left else GREVLEX)
+    assert added == []
     solved = form - ring.var(f"x{k + 1}").scale(lead)
     solved = solved.scale(ring.field.neg(ring.field.inv(ring.coeff(lead))))
     want = [g.substitute({f"x{k + 1}": solved}).transfer(small)

@@ -31,6 +31,11 @@ A rational field element is an int whenever it is integral, and int / int
 is a float, so no package module but `fields.py`, where `fraction` forms
 every quotient, uses true division `/`.
 
+No definition outlives its last use: every module-level function and
+class of the package is referenced somewhere in the package outside its
+own definition (by name, as an attribute or in an import), or exported by
+the package's `__init__.py`.
+
 Coefficient arithmetic has one home: outside `fields.py` and `rings.py`
 no package module reads a field's arithmetic methods (`add`, `sub`, `mul`,
 `neg`, `inv`, `div`, `is_zero` of a name `fld` or `field`, or of an
@@ -308,3 +313,53 @@ def test_the_check_sees_field_arithmetic():
                          ids=lambda p: p.name)
 def test_no_field_arithmetic_outside_fields_and_rings(path):
     assert _field_arithmetic(path.read_text()) == []
+
+
+def _unreferenced(sources, exported=()):
+    """The module-level functions and classes of the modules `sources`
+    ({name: source}) that no module references outside their own
+    definition, as (module, name), leaving out the names `exported`."""
+    defined, used = [], set()
+
+    def visit(node, inside):
+        if isinstance(node, ast.Name) and node.id not in inside:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(a.name for a in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.append((module, node.name))
+                visit(node, {node.name})
+            else:
+                visit(node, set())
+    return sorted(d for d in defined
+                  if d[1] not in used and d[1] not in exported)
+
+
+def test_the_check_sees_an_unreferenced_definition():
+    sources = {
+        "a.py": ("def used():\n    return 1\n"
+                 "def recursive(n):\n    return recursive(n - 1)\n"
+                 "class Alone:\n    def me(self):\n        return Alone\n"
+                 "def shown():\n    pass\n"),
+        "b.py": ("from .a import used\n"
+                 "def attribute():\n    return a.used()\n"
+                 "def caller():\n    return attribute()\n"),
+    }
+    assert _unreferenced(sources, ("shown",)) == [
+        ("a.py", "Alone"), ("a.py", "recursive"), ("b.py", "caller")]
+
+
+def test_every_definition_is_used_or_exported():
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = set(_imported(init))
+    sources = {p.name: p.read_text() for p in MODULES
+               if p.parent == PACKAGE}
+    assert _unreferenced(sources, exported) == []
