@@ -1,25 +1,18 @@
 """Reduced Groebner bases and the ideal-theoretic toolbox.
 
-Buchberger's algorithm, plus the derived operations everything else is
-built on: remainders by a basis; elimination, saturation and radical
-membership, all block-order eliminations through one routine that
-finishes only the basis elements it keeps (a saturation by <g_1..g_m> is
-one Rabinowitsch run that adjoins a w_i per g_i and eliminates them from
-ideal + <1 - sum_i w_i*g_i>); and Krull dimensions, point counts, degrees
-and multidegrees, all read off the one cached grevlex basis.  Affine-linear
-sections are substituted for their pivot variables rather than adjoined,
-the pivots' fields then dropped (_linear_cut).
-
-A run from generators takes signature criteria (_signatures), which skip
-the S-pairs a syzygy proves to reduce to zero, unless its block order has
-many front variables; those runs, and a block basis converted from a
-cached grevlex basis, take Gebauer-Moeller pruning and sugar selection.
-The conversion homogenizes the grevlex basis, whose Hilbert function its
-leads give, and drops every S-pair that function proves to reduce to zero
-(Traverso's Hilbert-driven algorithm, JSC 1996; see _convert_grevlex).  A
-run whose first generators are a reduced basis pairs only the others with
-them (groebner_basis's `based`), and every run stops at the first
-constant it finds.
+Buchberger's algorithm with signature criteria, plus the derived
+operations everything else is built on: remainders by a basis;
+elimination, saturation and radical membership, which are all block-order
+eliminations through one routine that finishes only the basis elements it
+keeps (a saturation by <g_1..g_m> is one Rabinowitsch run that adjoins a
+w_i per g_i and eliminates them from ideal + <1 - sum_i w_i*g_i>); and
+Krull dimensions, point counts, degrees and multidegrees, all read off the
+one cached grevlex basis.  Affine-linear sections are substituted for
+their pivot variables rather than adjoined as generators, the pivots'
+fields then dropped (_linear_cut).  Every run from generators takes
+signature criteria (_signatures).  A run whose first generators are a
+reduced basis pairs only the others with them (groebner_basis's `based`),
+and every run stops at the first constant it finds.
 
 The kernel runs on the term dicts of polynomials, which map packed
 monomials to coefficients (see rings): a run is seeded with its
@@ -32,19 +25,30 @@ affine trial's is, is never finished.  An elimination hands its kept
 elements on, transferred into the grevlex ring on the remaining variables
 and cached as that ring's basis (_basis_ideal).
 
-The leads are read through their Hilbert numerator N (hilbert), graded by
-degree or by groups of variables: a multidegree is that of the initial
-ideal, the lowest-degree part of N(1 - s) (Miller-Sturmfels, ch. 8), and
-dimensions and point counts are one-group multidegrees (_multidegree).
+One routine reads the lead monomials: the Hilbert numerator N, by pivot
+recursion (hilbert._hilbert_numerator), graded by degree or by groups of
+variables.  A multidegree is that of the initial ideal under any term
+order, and for a monomial ideal it is the lowest-degree part of its
+K-polynomial N(1 - s) (Miller-Sturmfels, Combinatorial Commutative Algebra,
+ch. 8); its degree is the codimension, so dimensions and zero-dimensional
+point counts are one-group multidegrees (_multidegree).
+
+A block basis of an ideal that already caches its grevlex basis is
+converted from it rather than computed from the generators: the grevlex
+basis is homogenized, its Hilbert function is known from its leads, and
+a Gebauer-Moeller driver drops every S-pair that function proves to
+reduce to zero (Traverso's Hilbert-driven Buchberger algorithm, JSC 1996;
+see _convert_grevlex).
 
 Over GF(q) the kernel runs on monic polynomials whose coefficients are plain
-ints reduced mod q inline.  Over QQ it is fraction-free: inputs are
-cleared of denominators (integral ones are taken as they are), basis
-elements are primitive integer polynomials, and each reduction step scales
-by integers instead of dividing.  Every integer polynomial is a nonzero
-multiple of the rational one the field kernel would hold, so both take the
-same reduction steps; the monic rational basis is built only when a basis
-is finished.
+ints reduced mod q inline, with no field-method calls.  Over QQ it is
+fraction-free: inputs are cleared of denominators (an input whose
+coefficients are all ints, as integral QQ elements are, is taken as it
+is), basis elements are primitive integer polynomials, and each reduction
+step scales by integers instead of dividing.  Every integer polynomial is
+a nonzero multiple of the rational one the field kernel would hold, so
+both take the same reduction steps; the monic rational basis is built only
+when a basis is finished.
 """
 
 from __future__ import annotations
@@ -150,14 +154,16 @@ class GroebnerBasis:
     and finished the first time it is read.
 
     A run ends with a minimal basis, whose leads are those of the reduced
-    basis (Cox-Little-O'Shea, ch. 2 §7): `leads` holds them packed,
-    largest first.  The unit check, the length and lead_exponents read
-    them, so no count finishes a basis.  `basis`, the reduced polynomials
-    of `ring`, is what `finish` returns, called the first time `basis` is
-    read, by any path, and never again.  Finishing ticks the budget of the
-    run that built the basis when it is read, so the traced
-    groebner.groebner_basis span excludes it: its steps fall in whichever
-    span first reads `basis`."""
+    basis (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 2
+    §7): `leads` holds them packed, largest first.  The unit check, the
+    length and lead_exponents read them, so no point count, dimension,
+    degree or multidegree finishes a basis.  `basis`, the reduced
+    polynomials of `ring`, is what `finish` returns, called the first time
+    `basis` is read (also through iteration, Ideal.equals, normalized and
+    a conversion) and never again; a basis nothing reads is never
+    finished.  Finishing ticks the budget of the run that built the basis
+    when it is read, so the traced groebner.groebner_basis span excludes
+    it: its steps fall in whichever span first reads `basis`."""
 
     __slots__ = ("ring", "order", "leads", "_finish", "_basis")
 
@@ -201,31 +207,28 @@ class GroebnerBasis:
 # and packed tail term dict.  Over GF(q) it is monic (lc = 1) with int
 # coefficients in [0, q), and the kernel computes mod q = field.q itself.
 # Over QQ it is a primitive integer polynomial with lc > 0, a nonzero
-# multiple of the monic rational element, so supports, divisor choices, sugar
-# degrees and budget ticks are those of the rational computation.
+# multiple of the monic rational element, so supports, divisor choices and
+# budget ticks are those of the rational computation.
 
-def _reduce_full(fterms, leads, lcs, tails, packer, budget, sugar=0,
-                 basis_sugars=None, signature=None):
+def _reduce_full(fterms, leads, lcs, tails, packer, budget, signature=None):
     """Full multivariate division remainder against a basis.
 
-    Works on packed-monomial term dicts; returns (remainder, sugar, scale).
+    Works on packed-monomial term dicts; returns (remainder, scale).
     Over GF(q) each step is F <- F - c*x^shift*tail on ints mod q and scale
     is 1.  Over QQ F holds integers and each step is F <- a*F - b*x^shift*tail
     with a = lc/gcd(lc, c), b = c/gcd(lc, c), scaling the remainder terms
     already emitted too; the remainder is then scale times the rational one.
-    The sugar degree is tracked through each cancellation when basis_sugars
-    is supplied.  With `signature` = (bound, offs, K), element idx reduces
+    With `signature` = (bound, offs, K), element idx reduces
     the term e only when its multiple's signature (e << K) + offs[idx] lies
     below bound (see _signatures).
     """
     if not fterms:
-        return {}, sugar, 1
+        return {}, 1
     fld = packer.ring.field
     integral = fld.kind == "rational"
     q = None if integral else fld.q
     guards = packer.guards
     div_off = packer.div_offset
-    degree = packer.degree
     if signature is not None:
         bound, offs, K = signature
     terms = dict(fterms)
@@ -256,10 +259,6 @@ def _reduce_full(fterms, leads, lcs, tails, packer, budget, sugar=0,
         remaining.tick()
         del terms[e]
         shift = e - leads[hit]
-        if basis_sugars is not None:
-            s = degree(e) - degree(leads[hit]) + basis_sugars[hit]
-            if s > sugar:
-                sugar = s
         if integral:
             lc = lcs[hit]
             g = gcd(lc, c)
@@ -295,7 +294,7 @@ def _reduce_full(fterms, leads, lcs, tails, packer, budget, sugar=0,
                     terms[ne] = val
                 else:
                     del terms[ne]
-    return out, sugar, scale
+    return out, scale
 
 
 def _clear_denominators(terms):
@@ -364,7 +363,7 @@ def _spoly_terms(i, j, L, leads, lcs, tails, packer):
 def _gm_update(P, leads, t, packer):
     """Gebauer-Moeller pair update when basis element t is appended.
 
-    P maps pairs (i, j) to their cached (sugar, lcm) selection data.  Each
+    P maps pairs (i, j) to the lcm of their leads.  Each
     lcm(lead_i, lead_t) is taken once on the packed leads (packer.lcm), and
     lead_i is coprime to lead_t iff that lcm is their product, packed
     lead_i + lead_t - one: each unit of each exponent adds a positive
@@ -376,12 +375,11 @@ def _gm_update(P, leads, t, packer):
     one = packer.one
     lcms = [lcm(leads[i], lmf) for i in range(t)]
     kept = {}
-    for pair, data in P.items():
-        lij = data[1]
+    for pair, lij in P.items():
         if (not divides(lmf, lij)
                 or lij == lcms[pair[0]]
                 or lij == lcms[pair[1]]):
-            kept[pair] = data
+            kept[pair] = lij
     classes = {}
     for i, L in enumerate(lcms):
         classes.setdefault(L, []).append(i)
@@ -393,25 +391,14 @@ def _gm_update(P, leads, t, packer):
         members = classes[L]
         coprime = L - lmf + one
         if all(leads[i] != coprime for i in members):
-            kept[(min(members), t)] = (None, L)
+            kept[(min(members), t)] = L
     return kept
 
 
-def _pair_sugar(pair, L, lmG, sugars, degree):
-    i, j = pair
-    degL = degree(L)
-    return max(sugars[i] + degL - degree(lmG[i]),
-               sugars[j] + degL - degree(lmG[j]))
-
-
-# Rabinowitsch systems in four or more w's grow signature bases of products
-# of the w's, up to 25 times the steps of Gebauer-Moeller pruning.
-_SIGNATURE_FRONT = 3
-
-
-def _signatures(seed_terms, ring, budget, based):
+def _signatures(seed_terms, packer, budget, based, check):
     """Signature-based Buchberger algorithm (Gao-Volny-Wang, Math. Comp.
-    2016; Eder-Faugere, JSC 2017) for _buchberger.
+    2016; Eder-Faugere, JSC 2017) for _buchberger, on `packer`'s values;
+    `check` refuses a new element past the ring's widths.
 
     Each element is some sum_i a_i*f_i of the seeds and carries the
     signature of sum_i a_i*e_i under the Schreyer order: t*e_i ranks by the
@@ -421,17 +408,19 @@ def _signatures(seed_terms, ring, budget, based):
     signature, and reduced only by multiples of smaller signature, which
     keeps it.  A zero remainder makes its signature a syzygy's, any other
     is inserted.  A signature a syzygy's divides is skipped (each new
-    element's Koszul syzygy with every older one is recorded), and so is
-    an S-pair's signature T covered by an element g: sig(g) | T and
-    (T/sig(g))*LM(g) below the pair's lcm, or equal to it and g newer (the
-    rewrite criterion in the ratio order, which leaves no singular top
-    reduction).  No pair of two of the first `based` seeds is formed: it
-    reduces to zero by them below the lcm of their leads, so its
-    larger-index side is a syzygy's signature.
+    element's Koszul syzygy with every older one is recorded when its
+    signature fits the field widths), and so is an S-pair's signature T
+    covered by an element g: sig(g) | T and (T/sig(g))*LM(g) below the
+    pair's lcm, or equal to it and g newer (the rewrite criterion in the
+    ratio order, which leaves no singular top reduction).  No pair of two
+    of the first `based` seeds is formed: it reduces to zero by them below
+    the lcm of their leads, so its larger-index side is a syzygy's
+    signature.  A pair signature past the field widths, which no lcm need
+    reach, ends the run with None.
     """
-    packer = ring.packer()
-    fld = ring.field
+    fld = packer.ring.field
     guards, div_off, one = packer.guards, packer.div_offset, packer.one
+    fits = packer.fits
     K = len(seed_terms).bit_length()
     mask = (1 << K) - 1
     leads, lcs, tails, sigs, offs, seeded = [], [], [], [], [], []
@@ -475,7 +464,7 @@ def _signatures(seed_terms, ring, budget, based):
         if not red:
             known(sig, True)
             continue
-        packer.check_fits(red)
+        check(red)
         lead, lc, tail = _split(red, fld)
         if not packer.degree(lead):
             return [lead], [lc], [tail]
@@ -488,13 +477,14 @@ def _signatures(seed_terms, ring, budget, based):
         for i in range(t):
             li, si, xi = leads[i], sigs[i] >> K, sigs[i] & mask
             a, b = (s + li - one) << K | index, (si + lead - one) << K | xi
-            if a != b:
+            if a != b and fits(max(a, b) >> K):
                 known(max(a, b), True)
             L = packer.lcm(li, lead)
             if L == lead + li - one or seeded[i] and seeded[t]:
                 continue
             a, b = s + L - lead, si + L - li
-            packer.check_fits((a, b))
+            if not (fits(a) and fits(b)):
+                return None
             a, b = a << K | index, b << K | xi
             if a != b:
                 heapq.heappush(queue, (a, L, -t, i) if a > b
@@ -504,101 +494,96 @@ def _signatures(seed_terms, ring, budget, based):
 
 def _buchberger(seed_terms, ring, budget, hilbert=None, based=0):
     """Core loop on packed term dicts; returns the unreduced basis as the
-    kernel lists (leads, lcs, tails).  A run from generators (`hilbert`
-    None) with at most _SIGNATURE_FRONT front variables is _signatures';
-    the others prune pairs by Gebauer-Moeller, as follows.
+    kernel lists (leads, lcs, tails).  Over QQ the seeds lose their
+    denominators on entry and the loop runs on integer coefficients (see
+    the kernel note above).  Every new basis element is checked against the
+    field widths.  The loop stops at the first constant it inserts, which
+    alone is then the basis of the unit ideal.
 
-    Over QQ the seeds lose their denominators on entry and the loop runs on
-    integer coefficients (see the kernel note above).  Pair selection follows
-    the sugar strategy: min sugar degree, ties broken by the smaller lcm (the
-    normal strategy).  Every new basis element is checked against the
-    packer's field widths.  The loop stops at the first constant it
-    inserts, which alone is then the basis of the unit ideal.
+    `hilbert` is None for a run from generators, which is _signatures'.
+    It forms no pair of two of the first `based` seeds, a reduced basis
+    for the ring's order.  Should a
+    signature leave the field widths, the run is taken again with fields
+    twice as wide (MonomialPacker.widened), its elements checked against
+    and moved back into the ring's; the first try's steps stay spent.
 
-    The first `based` seeds form a reduced Groebner basis for the ring's
-    order.  They enter as they are, and no pair of two of them is formed:
-    each such S-pair reduces to zero against them, so against any superset.
-
-    `hilbert` is None when the Hilbert function is unknown.  Otherwise the
-    seeds are homogeneous and `hilbert` is the Hilbert numerator of the
-    ideal they generate (Traverso, JSC 1996).  Sugar is then degree, so
-    pairs come out degree by degree.  At the start of degree d the driver
-    counts the degree-d monomials the ideal's initial ideal has and the
-    current leads lack, HF_d(leads) - HF_d(ideal); each element inserted
-    at degree d adds exactly one degree-d lead.  The current leads lie in
-    the initial ideal, so once none is missing they span it in degree d,
-    and the remainder of a degree-d pair, homogeneous of degree d with no
-    lead among them, is zero: the remaining degree-d pairs are dropped.
-    The leads' numerator is kept from degree to degree: each lead inserted
-    since the last degree is unpacked once and folded in (_numerator_plus).
+    Otherwise the seeds are homogeneous and `hilbert` is the Hilbert
+    numerator of the ideal they generate (Traverso, JSC 1996).  S-pairs
+    are then pruned by Gebauer-Moeller (_gm_update) and come out degree by
+    degree, ties broken by the smaller lcm (the normal strategy).  At the
+    start of degree d the driver counts the degree-d monomials the ideal's
+    initial ideal has and the current leads lack, HF_d(leads) -
+    HF_d(ideal); each element inserted at degree d adds exactly one
+    degree-d lead.  The current leads lie in the initial ideal, so once
+    none is missing they span it in degree d, and the remainder of a
+    degree-d pair, homogeneous of degree d with no lead among them, is
+    zero: the remaining degree-d pairs are dropped.  The leads' numerator
+    is kept from degree to degree: each lead inserted since the last degree
+    is unpacked once and folded in (_numerator_plus).
     """
-    if hilbert is None and len(ring.order.front) <= _SIGNATURE_FRONT:
-        return _signatures(seed_terms, ring, budget, based)
     packer = ring.packer()
+    if hilbert is None:
+        kernel = _signatures(seed_terms, packer, budget, based,
+                             packer.check_fits)
+        if kernel is not None:
+            return kernel
+        wide = packer.widened()
+        up, down = packer.into(wide), wide.into(packer)
+        kernel = _signatures(
+            [{up(e): c for e, c in t.items()} for t in seed_terms], wide,
+            budget, based, lambda red: packer.check_fits(map(down, red)))
+        if kernel is None:
+            raise SizeOutOfRange("a signature exceeds the packed field widths")
+        leads, lcs, tails = kernel
+        return ([down(e) for e in leads], lcs,
+                [{down(e): c for e, c in t.items()} for t in tails])
     fld = ring.field
     integral = fld.kind == "rational"
     degree = packer.degree
     unpack = packer.unpack
     nvars = ring.nvars
-    leads, lcs, tails, sugars = [], [], [], []
+    leads, lcs, tails = [], [], []
     numerator, gens, folded = {0: 1}, [], 0
     P = {}
     current, missing = None, 0
 
-    def insert(terms, sugar):
-        red, sugar, _ = _reduce_full(terms, leads, lcs, tails, packer, budget,
-                                     sugar, sugars)
+    def insert(terms):
+        red = _reduce_full(terms, leads, lcs, tails, packer, budget)[0]
         if not red:
             return False
         packer.check_fits(red)
-        lead, lc, tail = _split(red, fld)
-        leads.append(lead)
-        lcs.append(lc)
-        tails.append(tail)
-        deg_red = max(degree(e) for e in red)
-        sugars.append(sugar if sugar > deg_red else deg_red)
+        for column, part in zip((leads, lcs, tails), _split(red, fld)):
+            column.append(part)
         return True
 
     def unit():
         return [leads[-1]], [lcs[-1]], [tails[-1]]
 
-    for k, terms in enumerate(seed_terms):
+    for terms in seed_terms:
         if not terms:
             continue
         if integral:
             terms = _clear_denominators(terms)[0]
-        if insert(terms, max(degree(e) for e in terms)):
+        if insert(terms):
             if not degree(leads[-1]):
                 return unit()
-            if k >= based:
-                P = _gm_update(P, leads, len(leads) - 1, packer)
+            P = _gm_update(P, leads, len(leads) - 1, packer)
     while P:
-        best = None
-        best_key = None
-        for pair, (sugar, L) in P.items():
-            if sugar is None:
-                sugar = _pair_sugar(pair, L, leads, sugars, degree)
-                P[pair] = (sugar, L)
-            k = (sugar, L, pair)
-            if best_key is None or k < best_key:
-                best, best_key = pair, k
-        sugar, L = P.pop(best)
-        if hilbert is not None:
-            if sugar != current:
-                current = sugar
-                for lead in leads[folded:]:
-                    numerator, gens = _numerator_plus(numerator, gens,
-                                                      unpack(lead))
-                folded = len(leads)
-                missing = (_hilbert_value(numerator, nvars, sugar)
-                           - _hilbert_value(hilbert, nvars, sugar))
-            if not missing:
-                P = {pair: data for pair, data in P.items()
-                     if data[0] != sugar}
-                continue
-        i, j = best
-        s = _spoly_terms(i, j, L, leads, lcs, tails, packer)
-        if insert(s, sugar):
+        best = min(P, key=lambda pair: (degree(P[pair]), P[pair], pair))
+        L = P.pop(best)
+        d = degree(L)
+        if d != current:
+            current = d
+            for lead in leads[folded:]:
+                numerator, gens = _numerator_plus(numerator, gens,
+                                                  unpack(lead))
+            folded = len(leads)
+            missing = (_hilbert_value(numerator, nvars, d)
+                       - _hilbert_value(hilbert, nvars, d))
+        if not missing:
+            P = {pair: L for pair, L in P.items() if degree(L) != d}
+            continue
+        if insert(_spoly_terms(*best, L, leads, lcs, tails, packer)):
             if not degree(leads[-1]):
                 return unit()
             missing -= 1
@@ -634,8 +619,8 @@ def _autoreduce(leads, lcs, tails, packer, budget):
     fld = packer.ring.field
     red_leads, red_lcs, red_tails = [], [], []
     for lead, lc, tail in zip(leads, lcs, tails):
-        red, _, scale = _reduce_full(tail, red_leads, red_lcs, red_tails,
-                                     packer, budget)
+        red, scale = _reduce_full(tail, red_leads, red_lcs, red_tails,
+                                  packer, budget)
         red[lead] = lc * scale
         lead, lc, tail = _split(red, fld)
         red_leads.append(lead)
@@ -658,10 +643,11 @@ def _kept(kernel, packer):
     restricted, in their order, to the elements whose lead is free of the
     front block.
 
-    The front block's degree field is the top field of a packed value, so
-    a monomial is free of the front block iff its packed value lies below
-    MonomialPacker.front_bound, and an element whose lead is free of it
-    has only terms free of it."""
+    The front block's degree field is the top field of a packed value (see
+    MonomialPacker), so a monomial is free of the front block iff its packed
+    value lies below that field: every monomial with a front variable is
+    larger than every monomial without one (MonomialPacker.front_bound).
+    So an element whose lead is free of it has only terms free of it."""
     bound = packer.front_bound
     leads, lcs, tails = kernel
     keep = [i for i, lead in enumerate(leads) if lead < bound]
@@ -806,8 +792,8 @@ def _packed_remainders(basis, ring, budget, scaled=False):
             den = 1
             if integral and terms:
                 terms, den = _clear_denominators(terms)
-            red, _, scale = _reduce_full(terms, leads, lcs, tails, packer,
-                                         budget)
+            red, scale = _reduce_full(terms, leads, lcs, tails, packer,
+                                      budget)
             packer.check_fits(red)
             if integral and not scaled:
                 red = {e: fld.fraction(c, den * scale)
@@ -927,31 +913,34 @@ def _linear_cut(ring, forms, budget):
 
 
 def _rabinowitsch(ideal, fs, budget) -> Ideal:
-    """(ideal : <f_1..f_m>^infinity) in the ring of the ideal: adjoin one
-    fresh w_i per f_i (a single f keeps the one name sat_w) and eliminate
-    them all from ideal + <1 - s>, where s = sum_i w_i*f_i, in one
-    block-order run.  With no f_i, J is the unit ideal (see _saturand),
-    which saturates nothing away: the ideal is returned regenerated by its
-    reduced grevlex basis, and no run has a w.
+    """(ideal : <f_1..f_m>^infinity) in the ring of the ideal: adjoin a
+    fresh sat_w, and for m > 1 a fresh sat_t, and eliminate them from
+    ideal + <1 - w*g>, g = sum_i t^(i-1)*f_i, in one block-order run.
+    With no f_i, J is the unit ideal (see _saturand), which saturates
+    nothing away: the ideal is returned regenerated by its reduced grevlex
+    basis, and no run has a w.
 
-    This is exact.  If h*J^k lies in the ideal, J = <f_1..f_m>, then so does
-    h*s^k, and h = h*(1 - s^k) + h*s^k with 1 - s^k a multiple of 1 - s.
-    Conversely, w_i -> 1/f_i and w_j -> 0 for j != i sends s to 1, so an h
-    in the elimination has h*f_i^k in the ideal for some k, for every i;
-    that puts h in (ideal : J^infinity).  A zero f_i adds nothing to J, and
-    a constant one makes J the unit ideal, which saturates nothing away.
+    This is exact.  Eliminating w alone gives ideal[t] : g^infinity
+    (Rabinowitsch).  For a primary decomposition ideal = ∩_j Q_j, P_j the
+    radical of Q_j, ideal[t] = ∩_j Q_j[t] with Q_j[t] primary to P_j[t],
+    and g lies in P_j[t] iff J = <f_1..f_m> lies in P_j; so ideal[t] :
+    g^infinity is the intersection of the Q_j[t] with J not in P_j,
+    (ideal : J^infinity)[t].  One w and one t keep the signature basis
+    small where a w_i per f_i grows it with products of the w_i.
     """
     if not fs:
         return ideal.normalized(budget)
-    big, ws = ideal.ring, ()
-    for _ in fs:
-        ws += (big.fresh_name("sat_w"),)
-        big = big.extend(ws[-1:])
-    rel = big.one()
-    for w, f in zip(ws, fs):
-        rel = rel - big.var(w) * f.transfer(big)
-    gens = [g.transfer(big) for g in ideal.generators] + [rel]
-    return _eliminate(Ideal(big, gens), ws, ideal.ring, budget)
+    small = ideal.ring
+    ws = (small.fresh_name("sat_w"),)
+    if len(fs) > 1:
+        ws += (small.extend(ws).fresh_name("sat_t"),)
+    big = small.extend(ws)
+    w, t = big.var(ws[0]), big.var(ws[-1])
+    g, power = big.zero(), big.one()
+    for f in fs:
+        g, power = g + power * f.transfer(big), power * t
+    gens = [h.transfer(big) for h in ideal.generators] + [big.one() - w * g]
+    return _eliminate(Ideal(big, gens), ws, small, budget)
 
 
 def _saturand(other, budget):

@@ -232,16 +232,19 @@ class MonomialPacker:
     ring's packer by variable name, drop(i), which sets x_i to 1, and for a
     block order `front_bound` (None otherwise), below which a monomial is
     free of the front block.
+
+    A packer built with a larger `width` lays out the same order in wider
+    fields (bit width - 1 the guard, width - 2 an inner degree field's
+    limit); `widened()` is the packer of the same ring with fields twice as
+    wide, and into() maps values between the two.
     """
 
-    WIDTH = 16
-    VMASK = (1 << 15) - 1
-
-    def __init__(self, ring):
+    def __init__(self, ring, width=16):
         self.ring = ring
         n = ring.nvars
         order = ring.order
-        W = self.WIDTH
+        self.WIDTH = W = width
+        self.VMASK = (1 << (W - 1)) - 1
         if order.kind == "grevlex":
             # x_n most significant, total degree on top
             self._layout = {i: i * W for i in range(n)}
@@ -267,23 +270,23 @@ class MonomialPacker:
             # a monomial is free of the front block iff its packed value
             # lies below the front degree field, on top
             self.front_bound = 1 << front_deg
-        self.guards = sum((1 << 15) << shift
+        self.guards = sum((1 << (W - 1)) << shift
                           for shift in self._layout.values())
-        self.div_offset = sum((1 << 14) << shift
+        self.div_offset = sum((1 << (W - 2)) << shift
                               for shift, _vars in self._deg_shifts)
         # the packed monomial 1, VMASK in every exponent field and 0 in the
         # degree fields, so that packed(a) + packed(b) - one is the packed a*b
         self.one = sum(self.VMASK << shift for shift in self._layout.values())
         # the last degree field is on top; a packed value fits iff it lies
-        # below that field's bit 15 and has no guard bit and no inner-degree
-        # bit 14 or 15 set
+        # below that field's guard bit and has no guard bit and no
+        # inner-degree bit W - 2 or W - 1 set
         deg_fields = [shift for shift, _vars in self._deg_shifts]
         inner = deg_fields[:-1]
-        self._deg_caps = [(1 << 14) - 1] * len(inner) + [self.VMASK]
-        self._limit = 1 << (deg_fields[-1] + 15)
+        self._deg_caps = [(1 << (W - 2)) - 1] * len(inner) + [self.VMASK]
+        self._limit = 1 << (deg_fields[-1] + W - 1)
         self._overflow = self.guards
         for shift in inner:
-            self._overflow |= (3 << 14) << shift
+            self._overflow |= (3 << (W - 2)) << shift
         self._blocks = [(shift, tuple(self._layout[i] for i in var_idx),
                          len(var_idx) * self.VMASK, cap)
                         for (shift, var_idx), cap
@@ -317,6 +320,14 @@ class MonomialPacker:
                 raise SizeOutOfRange(f"block degree {d} of {exp} exceeds {cap}")
             v += d << shift
         return v
+
+    def widened(self):
+        """The packer of the same ring with fields twice as wide."""
+        return MonomialPacker(self.ring, 2 * self.WIDTH)
+
+    def fits(self, v):
+        """True iff the packed value v lies within the field widths."""
+        return v < self._limit and not v & self._overflow
 
     def check_fits(self, packed_values):
         """Raise SizeOutOfRange unless every packed value lies within the
@@ -419,7 +430,7 @@ class MonomialPacker:
         SizeOutOfRange exactly where packing the lcm's exponents would: a
         block degree past its field."""
         ge = ((a | self.guards) - b) & self.guards
-        pick = (a ^ b) & (ge - (ge >> 15))
+        pick = (a ^ b) & (ge - (ge >> (self.WIDTH - 1)))
         v = (a ^ pick) & self.one
         vmask = self.VMASK
         for shift, fields, full, cap in self._blocks:

@@ -1303,10 +1303,11 @@ def test_evolute_reductions_agree_across_fields(ellipse, prime_field):
 def test_evolute_diagonal_saturation_zero_reductions_pinned(monkeypatch,
                                                             field):
     """The ellipse's evolute at p = 3 saturates its envelope system by the
-    diagonal u = x in one Rabinowitsch run from the generators.  Of that
-    run's 33 reductions, 3 end in zero under the signature criteria, in
-    both fields; Gebauer-Moeller pruning and sugar selection reduced 73
-    S-polynomials and seeds, 45 of them to zero."""
+    diagonal u = x in one Rabinowitsch run from the generators, with one w
+    and one t.  Of that run's 30 reductions, 2 end in zero under the
+    signature criteria, in both fields; Gebauer-Moeller pruning and sugar
+    selection, with a w per generator, reduced 73 S-polynomials and seeds,
+    45 of them to zero."""
     depth, zero = [0, 0], []
     reduce_full, buchberger = groebner._reduce_full, groebner._buchberger
 
@@ -1329,7 +1330,7 @@ def test_evolute_diagonal_saturation_zero_reductions_pinned(monkeypatch,
     monkeypatch.setattr(groebner, "_reduce_full", counted)
     X = variety(RingContext(("x1", "x2"), field=field), "x1^2+4*x2^2-1")
     evolute_curve(X, 3, seed=1)
-    assert (len(zero), sum(zero)) == (33, 3)
+    assert (len(zero), sum(zero)) == (30, 2)
 
 
 @pytest.mark.parametrize("curve, p", [("x2^2-x1^3", 3),
@@ -1346,17 +1347,17 @@ def test_singular_evolute_reductions_agree_across_fields(curve, p):
 
 
 def test_evolute_reduced_degree_draws_on_the_job_budget(ring_x12):
-    """The classical evolute takes 57 steps up to and through its
+    """The classical evolute takes 59 steps up to and through its
     elimination, converted from the cached grevlex basis, and 61 for its
     reduced degree: 55 for cutting the drawn line and 6 for the run on
     <f, f'> (170 and 60 without signature criteria).  Those spend the job's
     budget, not a fresh one.  Each call gets a fresh spec, because a spec
     keeps its singular locus and a second call would skip that run."""
     ellipse = variety(ring_x12, "x1^2+4*x2^2-1")
-    assert evolute_curve(ellipse, 2, seed=1, budget=118).reduced_degree == 6
+    assert evolute_curve(ellipse, 2, seed=1, budget=120).reduced_degree == 6
     ellipse = variety(ring_x12, "x1^2+4*x2^2-1")
     with pytest.raises(BudgetExceeded):
-        evolute_curve(ellipse, 2, seed=1, budget=117)
+        evolute_curve(ellipse, 2, seed=1, budget=119)
 
 
 _FIELDS = st.sampled_from((PrimeField(), RationalField()))

@@ -541,6 +541,37 @@ def test_gb_matches_sympy_over_qq(kind, data):
     assert got == _sympy_basis(n, gens, order)
 
 
+@pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
+@pytest.mark.parametrize("gens, runs", [
+    # x1^17000*x3 - x2 reduces to x3 - x2 under the signature x1^17000*x3,
+    # so its S-pair with x2*x3^16000 has a signature of degree 33001, past
+    # the 15-bit degree field, where every lcm fits: the run is taken again
+    # with wider fields
+    ([{(2, 0, 0): 1, (0, 0, 0): -1}, {(17000, 0, 1): 1, (0, 1, 0): -1},
+      {(0, 1, 16000): 1}], 2),
+    # the same element's Koszul syzygy with x4^16000 leaves the widths and
+    # is not recorded; every pair of it is coprime, so the run completes
+    ([{(2, 0, 0, 0): 1, (0, 0, 0, 0): -1},
+      {(17000, 0, 1, 0): 1, (0, 1, 0, 0): -1}, {(0, 0, 0, 16000): 1}], 1),
+], ids=["pair", "koszul"])
+def test_signatures_past_the_field_widths_match_sympy(monkeypatch, field,
+                                                      gens, runs):
+    """Signatures are multiples of leads and outgrow the packed fields where
+    the polynomials do not; the bases are sympy's all the same."""
+    calls = []
+    signatures = groebner._signatures
+
+    def counted(*args):
+        calls.append(1)
+        return signatures(*args)
+    monkeypatch.setattr(groebner, "_signatures", counted)
+    n = len(next(iter(gens[0])))
+    _, ours = _optdeg_ideal(n, gens, GREVLEX, field)
+    got = sorted(sorted(g.sorted_terms()) for g in groebner_basis(ours))
+    assert got == _sympy_basis(n, gens, GREVLEX, field)
+    assert len(calls) == runs
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(_ideals(), st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3),
                                   _COEFFS, min_size=1, max_size=5))
