@@ -204,6 +204,14 @@ def test_saturate_multigen_is_intersection(rxy):
     assert out.generators == (P("x*y", rxy),)
 
 
+def test_saturate_by_an_ideal_keeps_the_zeros_of_a_generator_sum(rxy):
+    """<x*(x + y)> : <x, y>^infinity keeps the line x + y = 0, on which the
+    sum of the saturand's generators vanishes: the run weights them by
+    powers of t."""
+    out = saturate(I(rxy, "x^2+x*y"), I(rxy, "x", "y"))
+    assert out.generators == (P("x^2+x*y", rxy),)
+
+
 def test_saturate_idempotent(rxy):
     ideal = I(rxy, "x^2*y^3-x^2*y")
     j = I(rxy, "y")
