@@ -23,6 +23,7 @@ from .formulas import polar_formula
 from .groebner import (GREVLEX, Ideal, _multidegree, _rabinowitsch,
                        _saturand, as_budget, saturate)
 from .matrices import PolyMatrix
+from .rings import _sum_of_products
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,23 @@ class PolarClassVector:
 
 
 def _conormal_system(X: VarietySpec, s, budget):
-    """The unsaturated s-conormal ideal in the ring (x, y)."""
+    """The unsaturated s-conormal ideal in the ring (x, y): I(X), the
+    (c+1)-minors of the Jacobian stacked under the row (y_1^s .. y_n^s)
+    (see _stacked_generators), and last the relation r = sum_i x_i*y_i^s.
+
+    The relation changes no saturation by the singular locus.  For M the
+    c-minor of the Jacobian on rows R and columns C, and A the row stacked
+    over J_R, det[A_C | A*x] is +-r*M modulo I(X), A*x being (r, J_R*x)
+    and J_R*x lying in I(X) by Euler's relation, and a sum of x_j times
+    (c+1)-minors of A: so r*M lies in the system S without r.  The
+    _saturand g_i of the singular locus vanish on V(I(X) + <c-minors>),
+    so some power of J = <g_1..g_m> lies in I(X) + <c-minors>, and r lies
+    in S : J^inf.  Unsaturated, as polar_classes reads it for a cone
+    singular at most at its vertex, some c-minor is a unit near each point
+    of V(S) off {x = 0}, so S + <r> and S have the same localizations
+    there: they differ only on {x = 0} x A^n, and their multidegrees at
+    most at (n, 0), which is not read.  The runs it seeds need not derive
+    it, which saves steps on most systems."""
     if not isinstance(s, int) or s < 1:
         raise ValueError("the conormal power s must be an integer >= 1")
     if not X.is_homogeneous():
@@ -65,7 +82,9 @@ def _conormal_system(X: VarietySpec, s, budget):
     ynames = tuple(f"y{i + 1}" for i in range(X.n))
     big = X.ring.extend(ynames)
     row = [big.var(yn) ** s for yn in ynames]
-    return Ideal(big, _stacked_generators(X, row, big, budget))
+    relation = _sum_of_products(
+        [(1, big.var(xn), y) for xn, y in zip(X.ring.variables, row)], big)
+    return Ideal(big, _stacked_generators(X, row, big, budget) + [relation])
 
 
 def s_conormal_ideal(X: VarietySpec, s, budget=None) -> Ideal:

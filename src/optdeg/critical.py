@@ -30,14 +30,15 @@ from .errors import (ContainedInIsotropic, DenominatorVanishesOnX,
                      NotHomogeneous, NotPrincipalWarning,
                      PositiveDimensionalFiber, RingMismatch, ZeroDenominator)
 from .fields import PrimeField
-from .groebner import (GREVLEX, Ideal, _basis_ideal, _count_points,
-                       _linear_cut, _packed_remainders, _rabinowitsch,
-                       _saturand, as_budget, dimension, eliminate,
-                       groebner_basis, saturate, vanishes_on_variety)
+from .groebner import (GREVLEX, Ideal, _basis_ideal, _clear_denominators,
+                       _count_points, _linear_cut, _packed_remainders,
+                       _rabinowitsch, _saturand, as_budget, dimension,
+                       eliminate, groebner_basis, saturate,
+                       vanishes_on_variety)
 from .hilbert import _standard_monomials
 from .matrices import _laplace_minors, _rank, jacobian, minors_by_size
 from .rings import (OrderSpec, Polynomial, RationalFunction, RingContext,
-                    random_linear_form)
+                    _sum_of_products, random_linear_form)
 
 
 @dataclass
@@ -376,7 +377,9 @@ def _local_length(base, fs, budget):
         return lambda gens: 0
     gb = base.groebner(GREVLEX, budget)
     ring, fld = gb.ring, gb.ring.field
-    gens = [f.transfer(ring) for f in fs]
+    # primitive integer multiples over QQ, so the products stay on ints
+    gens = [Polynomial(ring, _clear_denominators(f.transfer(ring).terms)[0])
+            for f in fs]
     # the products of k of the f_i, each with the index of its last factor
     powers = list(enumerate(gens))
 
@@ -560,18 +563,36 @@ def _projective_chart_system(X: VarietySpec, p, budget):
     The generators are I(X) and the (c+1)-minors of the row
     ((u_i + b*x_i)^(p-1))_i stacked over the Jacobian of X (see
     _stacked_generators), built from the row at the point itself, whose
-    entries are powers of u_i + b*x_i, with b*x_i built once per job.  The
-    f_i are q_p alone when the cone is singular at most at its vertex (see
-    _singular_beyond_vertex), and otherwise q_p*g_i over the _saturand g_i
-    of the singular locus; saturating by <f_1..f_m> saturates by q_p and
-    by the singular locus.
+    entries are powers of u_i + b*x_i, with b*x_i built once per job, and
+    last the Euler relation e = sum_i x_i*(u_i + b*x_i)^(p-1), cut by the
+    same map.  The f_i are q_p alone when the cone is singular at most at
+    its vertex (see _singular_beyond_vertex), and otherwise q_p*g_i over
+    the _saturand g_i of the singular locus; saturating by
+    <f_1..f_m> saturates by q_p and by the singular locus.
+
+    The relation changes no saturation, so no count.  For S the system
+    without it, M the c-minor of the Jacobian J_X on rows R and columns C,
+    and A the row stacked over J_R, expand det[A_C | A*x] along its last
+    column: A*x is (e, J_R*x), and J_R*x lies in I(X) by Euler's relation
+    on the homogeneous generators, so the determinant is +-e*M modulo
+    I(X); expanded by linearity in the last column instead, it is a sum of
+    x_j times (c+1)-minors of A.  So e*M lies in S for every c-minor M.
+    Each f_i vanishes on V(I(X) + <c-minors>), the cone's singular locus,
+    which lies in {x = 0} when the f_i are q_p alone: so J^k lies in
+    I(X) + <c-minors> for some k, e*J^k lies in S, and e lies in
+    S : J^inf.  So S : J^inf = (S + <e>) : J^inf; a ring map phi keeps
+    phi(e)*phi(J)^k inside phi(S), so a linear cut keeps it too, and
+    _saturate_unless_unit, exact either way, returns that saturation.  A
+    singular ideal override is taken to cut out the singular locus.  The
+    runs it seeds need not derive it, which saves steps on most systems.
 
     The callers eliminate b first and saturate after, in the smaller ring:
     for S the system and J = <f_1..f_m>, (S : J^inf) ∩ k[x, u] is
     (S ∩ k[x, u]) : J^inf, since J lies in k[x] and, for h in k[x, u],
     h*J^m lies in S exactly when it lies in S ∩ k[x, u].  So the block-order
-    run that eliminates b carries no localizer 1 - sum_i w_i*f_i, and the
-    w_i are eliminated from the eliminated ideal (see _rabinowitsch).
+    run that eliminates b carries no localizer 1 - w*g, and the localizer's
+    sat_w and sat_t are eliminated from the eliminated ideal (see
+    _rabinowitsch).
     """
     q_p = _projective_isotropic(X, p, budget)
     ring = X.ring
@@ -592,10 +613,13 @@ def _projective_chart_system(X: VarietySpec, p, budget):
             bases = [t + v for v, t in zip(u, bx)]
         row = [base ** (p - 1) for base in bases]
         seeds = _stacked_generators(X, row, work, budget, cut)
+        euler = _sum_of_products(
+            [(1, work.var(xn), r) for xn, r in zip(ring.variables, row)],
+            work)
         if cut is None:
-            return Ideal(work, seeds)
-        small, _, added = cut
-        return Ideal(small, seeds + added)
+            return Ideal(work, seeds + [euler])
+        small, substitute, added = cut
+        return Ideal(small, seeds + substitute([euler]) + added)
 
     fs = [q_p]
     if _singular_beyond_vertex(X, budget):

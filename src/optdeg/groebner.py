@@ -5,7 +5,7 @@ operations everything else is built on: remainders by a basis;
 elimination, saturation and radical membership, which are all block-order
 eliminations through one routine that finishes only the basis elements it
 keeps (a saturation by <g_1..g_m> is one Rabinowitsch run that adjoins a
-w_i per g_i and eliminates them from ideal + <1 - sum_i w_i*g_i>); and
+w and a t and eliminates them from ideal + <1 - w*sum_i t^(i-1)*g_i>); and
 Krull dimensions, point counts, degrees and multidegrees, all read off the
 one cached grevlex basis.  Affine-linear sections are substituted for
 their pivot variables rather than adjoined as generators, the pivots'
