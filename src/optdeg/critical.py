@@ -309,6 +309,11 @@ def _sample_point(field, n, rng):
 
 
 def _count_trials(count_for_u, X, trials, seed, budget, extra_warnings):
+    """The job's DegreeReport over `trials` data points drawn from the
+    stream "degree|{seed}", each counted by count_for_u.  A draw it cannot
+    count (None) or that lies on a pole of a rational gradient
+    (ZeroDenominator) is redrawn once; two such draws in a row raise
+    PositiveDimensionalFiber."""
     if trials < 2:
         raise ValueError("at least two trials are required")
     rng = random.Random(f"degree|{seed}")
@@ -317,14 +322,17 @@ def _count_trials(count_for_u, X, trials, seed, budget, extra_warnings):
         count = None
         for attempt in (0, 1):
             u = _sample_point(X.ring.field, X.n, rng)
-            count = count_for_u(u)
+            try:
+                count = count_for_u(u)
+            except ZeroDenominator:
+                continue
             if count is not None:
                 break
         if count is None:
             raise PositiveDimensionalFiber(
                 "two consecutive data samples could not be counted: each "
-                "gave a positive-dimensional critical locus or lay on the "
-                "cone of a projective count")
+                "gave a positive-dimensional critical locus, lay on a pole "
+                "of the gradient or lay on the cone of a projective count")
         records.append((u, count))
     counts = {c for _, c in records}
     agreement = len(counts) == 1
@@ -537,6 +545,24 @@ def _stacked_generators(X: VarietySpec, row, ring, budget, cut=None):
             + [cleared(g, cols[i % len(cols)]) for i, g in enumerate(large)])
 
 
+def _euler_relation(X: VarietySpec, row, ring):
+    """e = sum_i x_i*row_i, for `row` one polynomial of `ring` per variable
+    of X, a homogeneous variety; the chart and conormal systems append it
+    to their _stacked_generators.
+
+    For S those generators, M the c-minor of the Jacobian J_X on rows R
+    and columns C, and A the row stacked over J_R, expand det[A_C | A*x]
+    along its last column: A*x is (e, J_R*x), and J_R*x lies in I(X) by
+    Euler's relation on the homogeneous generators, so the determinant is
+    +-e*M modulo I(X); expanded by linearity in the last column instead,
+    it is a sum of x_j times (c+1)-minors of A.  So e*M lies in S for
+    every c-minor M, and e lies in S : J^inf for any J with a power in
+    I(X) + <c-minors>.  The runs it seeds need not derive it, which saves
+    steps on most systems."""
+    return _sum_of_products(
+        [(1, ring.var(xn), r) for xn, r in zip(X.ring.variables, row)], ring)
+
+
 def _projective_isotropic(X: VarietySpec, p, budget):
     """q_p of the projective constructions, once their input is checked: an
     integer p >= 2, homogeneous generators, and X not inside q_p = 0."""
@@ -571,20 +597,14 @@ def _projective_chart_system(X: VarietySpec, p, budget):
     <f_1..f_m> saturates by q_p and by the singular locus.
 
     The relation changes no saturation, so no count.  For S the system
-    without it, M the c-minor of the Jacobian J_X on rows R and columns C,
-    and A the row stacked over J_R, expand det[A_C | A*x] along its last
-    column: A*x is (e, J_R*x), and J_R*x lies in I(X) by Euler's relation
-    on the homogeneous generators, so the determinant is +-e*M modulo
-    I(X); expanded by linearity in the last column instead, it is a sum of
-    x_j times (c+1)-minors of A.  So e*M lies in S for every c-minor M.
+    without it, e*M lies in S for every c-minor M (see _euler_relation).
     Each f_i vanishes on V(I(X) + <c-minors>), the cone's singular locus,
     which lies in {x = 0} when the f_i are q_p alone: so J^k lies in
     I(X) + <c-minors> for some k, e*J^k lies in S, and e lies in
     S : J^inf.  So S : J^inf = (S + <e>) : J^inf; a ring map phi keeps
     phi(e)*phi(J)^k inside phi(S), so a linear cut keeps it too, and
     _saturate_unless_unit, exact either way, returns that saturation.  A
-    singular ideal override is taken to cut out the singular locus.  The
-    runs it seeds need not derive it, which saves steps on most systems.
+    singular ideal override is taken to cut out the singular locus.
 
     The callers eliminate b first and saturate after, in the smaller ring:
     for S the system and J = <f_1..f_m>, (S : J^inf) ∩ k[x, u] is
@@ -613,9 +633,7 @@ def _projective_chart_system(X: VarietySpec, p, budget):
             bases = [t + v for v, t in zip(u, bx)]
         row = [base ** (p - 1) for base in bases]
         seeds = _stacked_generators(X, row, work, budget, cut)
-        euler = _sum_of_products(
-            [(1, work.var(xn), r) for xn, r in zip(ring.variables, row)],
-            work)
+        euler = _euler_relation(X, row, work)
         if cut is None:
             return Ideal(work, seeds + [euler])
         small, substitute, added = cut

@@ -9,9 +9,10 @@ is the one place that forms a quotient, and `inv` and `div` go through it.
 The prime field is a fast generic proxy for characteristic-zero
 computations; counts obtained over both fields should agree for generic
 inputs.  Groebner runs use neither class's arithmetic methods in their inner
-loop: over GF(q) the kernel in `groebner` computes on plain ints mod q
-itself, and over the rationals it clears denominators and works
-fraction-free on integers, building rationals only for its results.
+loop: the kernel in `groebner` works fraction-free on plain ints, in one
+loop for both fields, reducing them mod q itself over GF(q) and clearing
+denominators first over the rationals, building rationals only for its
+results.
 """
 
 from __future__ import annotations

@@ -40,15 +40,17 @@ a Gebauer-Moeller driver drops every S-pair that function proves to
 reduce to zero (Traverso's Hilbert-driven Buchberger algorithm, JSC 1996;
 see _convert_grevlex).
 
-Over GF(q) the kernel runs on monic polynomials whose coefficients are plain
-ints reduced mod q inline, with no field-method calls.  Over QQ it is
-fraction-free: inputs are cleared of denominators (an input whose
-coefficients are all ints, as integral QQ elements are, is taken as it
-is), basis elements are primitive integer polynomials, and each reduction
-step scales by integers instead of dividing.  Every integer polynomial is
-a nonzero multiple of the rational one the field kernel would hold, so
-both take the same reduction steps; the monic rational basis is built only
-when a basis is finished.
+The kernel is fraction-free and has one reduction loop for both fields,
+on plain ints with no field-method calls.  Inputs are cleared of
+denominators (an input whose coefficients are all ints, as every GF(q)
+input and integral QQ elements are, is taken as it is), and each
+reduction step scales by integers instead of dividing.  Over QQ basis
+elements are primitive integer polynomials, each a nonzero multiple of the
+rational one the field kernel would hold, so both take the same reduction
+steps; the monic rational basis is built only when a basis is finished.
+Over GF(q) basis elements are monic, so a step scales nothing, and a
+working coefficient is reduced mod q only when its term is taken.  Only
+_split (monic or primitive) and _reduce_full (the modulus) read the field.
 """
 
 from __future__ import annotations
@@ -205,28 +207,31 @@ class GroebnerBasis:
 #
 # A basis element is kept as its packed lead monomial, lead coefficient lc
 # and packed tail term dict.  Over GF(q) it is monic (lc = 1) with int
-# coefficients in [0, q), and the kernel computes mod q = field.q itself.
-# Over QQ it is a primitive integer polynomial with lc > 0, a nonzero
-# multiple of the monic rational element, so supports, divisor choices and
-# budget ticks are those of the rational computation.
+# coefficients in [0, q).  Over QQ it is a primitive integer polynomial
+# with lc > 0, a nonzero multiple of the monic rational element, so
+# supports, divisor choices and budget ticks are those of the rational
+# computation.  One fraction-free loop serves both fields: with lc = 1 its
+# step is the GF(q) step, and over GF(q) a working coefficient is any int,
+# reduced mod q = field.q only when its term is taken.
 
 def _reduce_full(fterms, leads, lcs, tails, packer, budget, signature=None):
     """Full multivariate division remainder against a basis.
 
-    Works on packed-monomial term dicts; returns (remainder, scale).
-    Over GF(q) each step is F <- F - c*x^shift*tail on ints mod q and scale
-    is 1.  Over QQ F holds integers and each step is F <- a*F - b*x^shift*tail
-    with a = lc/gcd(lc, c), b = c/gcd(lc, c), scaling the remainder terms
-    already emitted too; the remainder is then scale times the rational one.
-    With `signature` = (bound, offs, K), element idx reduces
-    the term e only when its multiple's signature (e << K) + offs[idx] lies
-    below bound (see _signatures).
+    Works on packed-monomial term dicts; returns (remainder, scale).  F
+    holds integers and each step is F <- a*F - b*x^shift*tail with
+    a = lc/gcd(lc, c), b = c/gcd(lc, c), scaling the remainder terms
+    already emitted too; the remainder is then scale times the rational
+    one.  Over GF(q) every lc is 1, so a = 1, b = c and scale is 1: a
+    working value may be any int until its term is taken, when it is
+    reduced mod q, and a term that is 0 mod q is dropped before the
+    divisor scan and the budget tick.  With `signature` = (bound, offs, K),
+    element idx reduces the term e only when its multiple's signature
+    (e << K) + offs[idx] lies below bound (see _signatures).
     """
     if not fterms:
         return {}, 1
     fld = packer.ring.field
-    integral = fld.kind == "rational"
-    q = None if integral else fld.q
+    q = fld.q if fld.kind == "prime" else None
     guards = packer.guards
     div_off = packer.div_offset
     if signature is not None:
@@ -241,9 +246,13 @@ def _reduce_full(fterms, leads, lcs, tails, packer, budget, signature=None):
     remaining = budget
     while heap:
         e = -pop(heap)
-        c = terms.get(e)
+        c = terms.pop(e, None)
         if c is None:
             continue
+        if q is not None:
+            c %= q
+            if not c:
+                continue
         hit = -1
         probe = div_off - e
         room = None if signature is None else bound - (e << K)
@@ -253,14 +262,13 @@ def _reduce_full(fterms, leads, lcs, tails, packer, budget, signature=None):
                 hit = idx
                 break
         if hit < 0:
-            del terms[e]
             out[e] = c
             continue
         remaining.tick()
-        del terms[e]
         shift = e - leads[hit]
-        if integral:
-            lc = lcs[hit]
+        lc = lcs[hit]
+        b = c
+        if lc != 1:
             g = gcd(lc, c)
             if g != lc:
                 a = lc // g
@@ -268,28 +276,14 @@ def _reduce_full(fterms, leads, lcs, tails, packer, budget, signature=None):
                 terms = {te: tc * a for te, tc in terms.items()}
                 out = {te: tc * a for te, tc in out.items()}
             b = c // g
-            for te, tc in tails[hit].items():
-                ne = te + shift
-                prev = terms.get(ne)
-                if prev is None:
-                    terms[ne] = -b * tc
-                    push(heap, -ne)
-                else:
-                    val = prev - b * tc
-                    if val:
-                        terms[ne] = val
-                    else:
-                        del terms[ne]
-            continue
-        # q is prime and c, tc are nonzero residues, so a new term is nonzero
         for te, tc in tails[hit].items():
             ne = te + shift
             prev = terms.get(ne)
             if prev is None:
-                terms[ne] = -c * tc % q
+                terms[ne] = -b * tc
                 push(heap, -ne)
             else:
-                val = (prev - c * tc) % q
+                val = prev - b * tc
                 if val:
                     terms[ne] = val
                 else:
@@ -329,30 +323,19 @@ def _split(terms, field):
     return lead, lc, tail
 
 
-def _spoly_terms(i, j, L, leads, lcs, tails, packer):
+def _spoly_terms(i, j, L, leads, lcs, tails):
     """S-polynomial of basis elements i and j (packed term dicts) with lead
-    lcm L: over QQ (lc_j/g)*x^si*tail_i - (lc_i/g)*x^sj*tail_j with
-    g = gcd(lc_i, lc_j), over GF(q) x^si*tail_i - x^sj*tail_j mod q."""
-    fld = packer.ring.field
+    lcm L: (lc_j/g)*x^si*tail_i - (lc_i/g)*x^sj*tail_j with
+    g = gcd(lc_i, lc_j).  Over GF(q) both lcs are 1, and the coefficients
+    are ints that _reduce_full reduces mod q as it takes their terms."""
     si = L - leads[i]
     sj = L - leads[j]
-    if fld.kind == "rational":
-        g = gcd(lcs[i], lcs[j])
-        mi, mj = lcs[j] // g, lcs[i] // g
-        terms = {te + si: mi * tc for te, tc in tails[i].items()}
-        for te, tc in tails[j].items():
-            ne = te + sj
-            val = terms.get(ne, 0) - mj * tc
-            if val:
-                terms[ne] = val
-            else:
-                del terms[ne]
-        return terms
-    q = fld.q
-    terms = {te + si: tc for te, tc in tails[i].items()}
+    g = gcd(lcs[i], lcs[j])
+    mi, mj = lcs[j] // g, lcs[i] // g
+    terms = {te + si: mi * tc for te, tc in tails[i].items()}
     for te, tc in tails[j].items():
         ne = te + sj
-        val = (terms.get(ne, 0) - tc) % q
+        val = terms.get(ne, 0) - mj * tc
         if val:
             terms[ne] = val
         else:
@@ -427,8 +410,7 @@ def _signatures(seed_terms, packer, budget, based, check):
     seeds, rewriters, syzygies, queue = {}, {}, {}, []
     for i, terms in enumerate(seed_terms):
         if terms:
-            seeds[i] = (_clear_denominators(terms)[0]
-                        if fld.kind == "rational" else terms)
+            seeds[i] = _clear_denominators(terms)[0]
     for index, i in enumerate(sorted(seeds, key=lambda i: max(seeds[i]))):
         queue.append((max(seeds[i]) << K | index, 0, 0, ~i))
     heapq.heapify(queue)
@@ -458,7 +440,7 @@ def _signatures(seed_terms, packer, budget, based, check):
                    and (ratio < mine or ratio == mine and k > gen)
                    for k, r, ratio in rewriters[index]):
                 continue
-            terms = _spoly_terms(gen, j, L, leads, lcs, tails, packer)
+            terms = _spoly_terms(gen, j, L, leads, lcs, tails)
         red = _reduce_full(terms, leads, lcs, tails, packer, budget,
                            signature=(sig, offs, K))[0]
         if not red:
@@ -538,7 +520,6 @@ def _buchberger(seed_terms, ring, budget, hilbert=None, based=0):
         return ([down(e) for e in leads], lcs,
                 [{down(e): c for e, c in t.items()} for t in tails])
     fld = ring.field
-    integral = fld.kind == "rational"
     degree = packer.degree
     unpack = packer.unpack
     nvars = ring.nvars
@@ -560,11 +541,7 @@ def _buchberger(seed_terms, ring, budget, hilbert=None, based=0):
         return [leads[-1]], [lcs[-1]], [tails[-1]]
 
     for terms in seed_terms:
-        if not terms:
-            continue
-        if integral:
-            terms = _clear_denominators(terms)[0]
-        if insert(terms):
+        if insert(_clear_denominators(terms)[0]):
             if not degree(leads[-1]):
                 return unit()
             P = _gm_update(P, leads, len(leads) - 1, packer)
@@ -583,7 +560,7 @@ def _buchberger(seed_terms, ring, budget, hilbert=None, based=0):
         if not missing:
             P = {pair: L for pair, L in P.items() if degree(L) != d}
             continue
-        if insert(_spoly_terms(*best, L, leads, lcs, tails, packer)):
+        if insert(_spoly_terms(*best, L, leads, lcs, tails)):
             if not degree(leads[-1]):
                 return unit()
             missing -= 1
@@ -628,10 +605,8 @@ def _autoreduce(leads, lcs, tails, packer, budget):
         red_tails.append(tail)
     reduced = []
     for lead, lc, tail in zip(red_leads, red_lcs, red_tails):
-        if fld.kind == "rational":
-            t = {e: fld.fraction(c, lc) for e, c in tail.items()}
-        else:
-            t = dict(tail)
+        t = ({e: fld.fraction(c, lc) for e, c in tail.items()} if lc != 1
+             else dict(tail))
         t[lead] = fld.one
         reduced.append(t)
     reduced.reverse()
@@ -775,13 +750,10 @@ def _packed_remainders(basis, ring, budget, scaled=False):
     exit, unless `scaled`: each remainder is then returned times that
     nonzero integer, on integer coefficients."""
     fld = ring.field
-    integral = fld.kind == "rational"
     packer = ring.packer()
     leads, lcs, tails = [], [], []
     for terms in basis:
-        if integral:
-            terms = _clear_denominators(terms)[0]
-        lead, lc, tail = _split(terms, fld)
+        lead, lc, tail = _split(_clear_denominators(terms)[0], fld)
         leads.append(lead)
         lcs.append(lc)
         tails.append(tail)
@@ -789,13 +761,11 @@ def _packed_remainders(basis, ring, budget, scaled=False):
     def divide(polys):
         out = []
         for terms in polys:
-            den = 1
-            if integral and terms:
-                terms, den = _clear_denominators(terms)
+            terms, den = _clear_denominators(terms)
             red, scale = _reduce_full(terms, leads, lcs, tails, packer,
                                       budget)
             packer.check_fits(red)
-            if integral and not scaled:
+            if not scaled and den * scale != 1:
                 red = {e: fld.fraction(c, den * scale)
                        for e, c in red.items()}
             out.append(red)

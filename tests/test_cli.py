@@ -213,6 +213,38 @@ def test_denominator_zero_mod_q_is_domain_error(tmp_path, capsys, job_part):
     assert err.startswith("error:") and "zero in GF(2147483647)" in err
 
 
+def _pole_job(field):
+    """An ellipse with a rational gradient whose partial i has the pole
+    u_i = 0; over QQ seed 624 first draws u = (0, -298)."""
+    return {"schema_version": 1,
+            "ring": {"variables": ["x1", "x2"], "field": field},
+            "variety": {"generators": ["x1^2+2*x2^2-3"]},
+            "objective": {"rational_gradient": ["(x1-u1)/(u1*x1)",
+                                                "(x2-u2)/(u2*x2)"]},
+            "seed": 624}
+
+
+@pytest.mark.parametrize("field", ["rational", "prime:2147483647"],
+                         ids=["QQ", "GF"])
+def test_drawn_data_point_on_a_pole_is_redrawn(tmp_path, capsys, field):
+    """A drawn u on a pole of the gradient is redrawn once, as a draw that
+    cannot be counted is; the job used to exit with ZeroDenominator."""
+    rc = run_cli(tmp_path, "degree", _pole_job(field))
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert rc == EXIT_OK
+    assert result["degree"] == 6 and result["agreement"] is True
+    if field == "rational":
+        assert result["trials"][0]["u"] == ["454", "883"]
+
+
+def test_pinned_data_point_on_a_pole_is_domain_error(tmp_path, capsys):
+    job = {**_pole_job("rational"), "options": {"u": [0, -298]}}
+    rc = run_cli(tmp_path, "degree", job)
+    err = capsys.readouterr().err
+    assert rc == EXIT_DOMAIN
+    assert "vanishes at the data point" in err
+
+
 @pytest.mark.parametrize("generator", [
     "x1^40000+x2^2-1",
     "x1^40000-x1^40000+x2^2-1",

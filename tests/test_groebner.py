@@ -113,6 +113,20 @@ def test_normal_form_no_reduction(rxy):
     assert normal_form(P("x", rxy), gb) == P("x", rxy)
 
 
+def test_a_working_multiple_of_q_is_dropped_when_taken():
+    """Over GF(q) a working coefficient is reduced mod q only when its term
+    is taken: one step reduces 2*x*y + y by x + h, h = 1/2 = (q + 1)/2,
+    and leaves 1 - 2*h = -q on y, which is then dropped with no step."""
+    ring = RingContext(("x", "y"), PrimeField(_Q))
+    divisor = P("x+1/2", ring).terms
+    (h,) = (c for c in divisor.values() if c != 1)
+    assert 1 - 2 * h == -_Q
+    budget = _Budget(10)
+    divide = groebner._packed_remainders([divisor], ring, budget)
+    assert divide([P("2*x*y+y", ring).terms]) == [{}]
+    assert budget.remaining == 9
+
+
 @pytest.mark.parametrize("field", [None, PrimeField()], ids=["QQ", "GF"])
 def test_normal_form_rejects_an_overflowing_remainder(field):
     # x^2 reduces to y^20000 modulo x - y^10000, past the back block's
@@ -604,6 +618,25 @@ def test_normal_form_matches_sympy_reduced(ideal, f):
 def test_gb_matches_sympy_over_gf(kind, data):
     n, gens = data.draw(_ideals(_GF_COEFFS))
     order = GREVLEX if kind == "grevlex" else _drawn_block(data, n)
+    _, ours = _optdeg_ideal(n, gens, order, PrimeField(_Q))
+    got = sorted(sorted(g.sorted_terms()) for g in groebner_basis(ours, order))
+    assert got == _sympy_basis(n, gens, order, PrimeField(_Q))
+
+
+_H = (_Q + 1) // 2
+
+
+# ideals whose reductions leave working coefficients that are nonzero
+# multiples of q, h = 1/2 mod q: 2*x1*x2 + x2 by x1 + h leaves -q on x2
+@pytest.mark.parametrize("order", [GREVLEX, OrderSpec("block", ("x1",))],
+                         ids=["grevlex", "block"])
+@pytest.mark.parametrize("n, gens", [
+    (2, [{(1, 0): 1, (0, 0): _H}, {(1, 1): 2, (0, 1): 1, (0, 2): 1}]),
+    (3, [{(1, 0, 0): 1, (0, 1, 0): _H},
+         {(1, 1, 0): 2, (0, 2, 0): 1, (0, 0, 2): _Q - 1},
+         {(0, 1, 1): 2, (0, 0, 1): _Q + 1}]),
+], ids=["plane", "space"])
+def test_gb_matches_sympy_over_gf_through_multiples_of_q(order, n, gens):
     _, ours = _optdeg_ideal(n, gens, order, PrimeField(_Q))
     got = sorted(sorted(g.sorted_terms()) for g in groebner_basis(ours, order))
     assert got == _sympy_basis(n, gens, order, PrimeField(_Q))

@@ -41,6 +41,11 @@ no package module reads a field's arithmetic methods (`add`, `sub`, `mul`,
 `neg`, `inv`, `div`, `is_zero` of a name `fld` or `field`, or of an
 attribute `.field`); the kernel works on plain ints, and the one echelon
 routine is `matrices._rank`.
+
+The Groebner kernel has one reduction loop for both fields: in
+`groebner.py` only `_split` (monic or primitive) and `_reduce_full` (the
+modulus) read a field's `kind` (of a name `fld` or `field`, or of an
+attribute `.field`) or a `.q`; an order's `kind` is not a field read.
 """
 
 import ast
@@ -363,3 +368,44 @@ def test_every_definition_is_used_or_exported():
     sources = {p.name: p.read_text() for p in MODULES
                if p.parent == PACKAGE}
     assert _unreferenced(sources, exported) == []
+
+
+FIELD_READERS = {"_split", "_reduce_full"}
+
+
+def _field_reads(source):
+    """(function, line) for each read of `kind` on `fld`, `field` or an
+    attribute `.field`, and of any `.q`, the function being the innermost
+    one around it (None at module level)."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Attribute):
+            owner = node.value
+            on_field = (isinstance(owner, ast.Name)
+                        and owner.id in ("fld", "field")
+                        or isinstance(owner, ast.Attribute)
+                        and owner.attr == "field")
+            if node.attr == "q" or node.attr == "kind" and on_field:
+                found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+    visit(ast.parse(source), None)
+    return sorted(found, key=str)
+
+
+def test_the_check_sees_a_field_read():
+    source = ("def f(fld, order):\n"
+              "    if order.kind == 'block' and fld.kind == 'prime':\n"
+              "        return packer.ring.field.kind\n"
+              "def g(field):\n"
+              "    return field.q\n"
+              "q = ring.field.q\n")
+    assert _field_reads(source) == [("f", 2), ("f", 3), ("g", 5), (None, 6)]
+
+
+def test_only_split_and_reduce_full_read_the_field():
+    reads = _field_reads((PACKAGE / "groebner.py").read_text())
+    assert {function for function, _ in reads} == FIELD_READERS
