@@ -91,9 +91,15 @@ class VarietySpec:
 
     def codimension(self, budget=None):
         """The override, or n - dim I(X), computed on the first call and
-        kept."""
+        kept.  One nonconstant generator has codimension 1 by Krull's
+        principal ideal theorem, with no Groebner run; a constant one, or
+        several, are read off the grevlex basis of I(X)."""
         if self._codim is None:
-            self._codim = self.n - dimension(self.ideal(), budget)
+            gens = self.generators
+            if len(gens) == 1 and not gens[0].is_constant():
+                self._codim = 1
+            else:
+                self._codim = self.n - dimension(self.ideal(), budget)
         return self._codim
 
     def minors(self, ring, budget=None):

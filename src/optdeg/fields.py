@@ -13,6 +13,13 @@ loop: the kernel in `groebner` works fraction-free on plain ints, in one
 loop for both fields, reducing them mod q itself over GF(q) and clearing
 denominators first over the rationals, building rationals only for its
 results.
+
+A prime field's modulus is tested by Miller-Rabin with bases proven to
+decide primality in its range: {2, 7, 61} below 4,759,123,141 (Jaeschke,
+Math. Comp. 1993) and the twelve primes 2..37 below
+318,665,857,834,031,151,167,461 (Sorenson-Webster, Math. Comp. 2017), the
+least strong pseudoprime to all twelve.  A modulus at or past that bound
+is refused: it would be a probable prime only.
 """
 
 from __future__ import annotations
@@ -24,18 +31,27 @@ DEFAULT_PRIME = 2147483647  # 2^31 - 1, large enough for desk-scale genericity
 _MIN_PRIME = 1 << 20
 
 
-def _is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for 64-bit-ish inputs."""
+# {2, 7, 61} decide primality below _THREE_BASES_BOUND, the twelve primes
+# 2..37 below _PRIME_BOUND (see the module docstring)
+_THREE_BASES_BOUND = 4_759_123_141
+_PRIME_BOUND = 318_665_857_834_031_151_167_461
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < _PRIME_BOUND, with the bases
+    proven for n's range."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    bases = ((2, 7, 61) if n < _THREE_BASES_BOUND
+             else (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+    for p in bases:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -82,6 +98,10 @@ class RationalField:
     def neg(self, a):
         return -a
 
+    def pow(self, a, k):
+        """a^k for k >= 0; a^0 is the int 1, for a Fraction a too."""
+        return a ** k if k else 1
+
     def inv(self, a):
         return self.fraction(1, a)
 
@@ -108,12 +128,17 @@ class RationalField:
 
 
 class PrimeField:
-    """Integers modulo a prime q > 2^20; elements are ints in [0, q)."""
+    """Integers modulo a prime q > 2^20, below _PRIME_BOUND, where its
+    primality is proven (see _is_prime); elements are ints in [0, q)."""
 
     kind = "prime"
 
     def __init__(self, q: int = DEFAULT_PRIME):
-        if q <= _MIN_PRIME or not _is_probable_prime(q):
+        if q >= _PRIME_BOUND:
+            raise ValueError(f"prime field modulus must be below "
+                             f"{_PRIME_BOUND}, where primality is proven, "
+                             f"got {q}")
+        if q <= _MIN_PRIME or not _is_prime(q):
             raise ValueError(f"prime field modulus must be a prime > 2^20, got {q}")
         self.q = q
         self.zero = 0
@@ -139,6 +164,9 @@ class PrimeField:
 
     def neg(self, a):
         return -a % self.q
+
+    def pow(self, a, k):
+        return pow(a, k, self.q)
 
     def inv(self, a):
         if a == 0:

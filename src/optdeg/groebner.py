@@ -31,7 +31,8 @@ variables.  A multidegree is that of the initial ideal under any term
 order, and for a monomial ideal it is the lowest-degree part of its
 K-polynomial N(1 - s) (Miller-Sturmfels, Combinatorial Commutative Algebra,
 ch. 8); its degree is the codimension, so dimensions and zero-dimensional
-point counts are one-group multidegrees (_multidegree).
+point counts are one-group multidegrees, read directly as the order of
+N(t) at t = 1 and the value there of what is left (_codim_degree).
 
 A block basis of an ideal that already caches its grevlex basis is
 converted from it rather than computed from the generators: the grevlex
@@ -56,7 +57,7 @@ _split (monic or primitive) and _reduce_full (the modulus) read the field.
 from __future__ import annotations
 
 import heapq
-from itertools import groupby, product
+from itertools import accumulate, groupby, product
 from math import comb, gcd, lcm, prod
 
 from .errors import (BudgetExceeded, NotZeroDimensional, RingMismatch,
@@ -992,16 +993,29 @@ def _multidegree(ideal, groups, budget):
 
 
 def _codim_degree(ideal, budget):
-    """(codimension, degree) of the zero set, read off the one-group
-    multidegree; None for the unit ideal."""
-    degrees = _multidegree(ideal, [ideal.ring.variables], budget)
-    return next(((r, c) for (r,), c in degrees.items()), None)
+    """(codimension, degree) of the zero set, the one-group multidegree
+    read directly off the Hilbert numerator N of the grevlex leads; None
+    for the unit ideal, where N = 0.  N(t) = (1 - t)^c Q(t) with Q(1) > 0
+    for c the codimension, and the degree is Q(1) (see _multidegree).
+    Dividing by 1 - t takes the prefix sums of the coefficients, exact
+    while their total N(1) is 0."""
+    leads = ideal.groebner(GREVLEX, as_budget(budget)).lead_exponents()
+    numerator = _hilbert_numerator(leads)
+    if not numerator:
+        return None
+    coeffs = [0] * (max(numerator) + 1)
+    for k, c in numerator.items():
+        coeffs[k] = c
+    codim = 0
+    while not sum(coeffs):
+        coeffs = list(accumulate(coeffs[:-1]))
+        codim += 1
+    return codim, sum(coeffs)
 
 
 def dimension(ideal: Ideal, budget=None) -> int:
     """Krull dimension of the affine zero set; -1 for the unit ideal: the
-    number of variables less the codimension, the total degree of the
-    one-group multidegree (see _multidegree)."""
+    number of variables less the codimension (see _codim_degree)."""
     top = _codim_degree(ideal, budget)
     return -1 if top is None else ideal.ring.nvars - top[0]
 

@@ -8,6 +8,16 @@ a polynomial expression optionally followed by a single top-level division.
 This textual form is the wire format used by all CLI/JSON inputs, and
 format_polynomial produces a canonical string that re-parses to the same
 polynomial (leading term first in the ring's monomial order).
+
+Parsing is one pass of recursive descent over the tokens of one regex
+scan.  A term that is a product of powers of variables and literals is
+built as one rings.Term, packed and checked against the packed field
+widths factor by factor, and an expression sums its terms into one dict
+(rings._sum_of_terms), so a sum of monomials runs no polynomial product
+and parse time is linear in the input.  Polynomial arithmetic is left to
+parenthesized sums and their powers.  The coefficients, their types and
+the errors are those of building every term with Polynomial's * and **,
+which tests/arithmetic_parser.py keeps as the oracle.
 """
 
 from __future__ import annotations
@@ -16,136 +26,160 @@ import re
 
 from .errors import (ExpressionSyntaxError, NegativeExponent, UndeclaredVariable,
                      ZeroDenominator)
-from .rings import Polynomial, RationalFunction
+from .rings import Polynomial, RationalFunction, Term, _sum_of_terms
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*^/]))")
+_TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[()+\-*^/]")
+# a character in no integer, name or operator token, nor whitespace
+_STRAY = re.compile(r"[^\s\d()+\-*^/A-Za-z_]")
+_END = ""
 
 
 def _tokenize(text):
-    tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ExpressionSyntaxError(
-                f"unexpected character {stripped[0]!r}", n - len(stripped))
-        if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1)), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2), m.start(2)))
-        else:
-            tokens.append(("op", m.group(3), m.start(3)))
-        pos = m.end()
-    tokens.append(("end", None, n))
+    """The tokens of text as strings, ending with _END: integers, names and
+    one-character operators.  Positions are found again only for an error
+    message (_position)."""
+    stray = _STRAY.search(text)
+    if stray is not None:
+        raise ExpressionSyntaxError(
+            f"unexpected character {stray.group()!r}", stray.start())
+    tokens = _TOKEN.findall(text)
+    tokens.append(_END)
     return tokens
 
 
+def _position(text, j):
+    """The position of token j of text; len(text) for _END."""
+    for k, m in enumerate(_TOKEN.finditer(text)):
+        if k == j:
+            return m.start()
+    return len(text)
+
+
+def _value(token):
+    """The token as error messages show it: an int for an integer."""
+    return int(token) if token.isdecimal() else token
+
+
 class _Parser:
+    """Recursive descent in one pass (see the module docstring)."""
+
     def __init__(self, text, ring):
         if not text or not text.strip():
             raise ExpressionSyntaxError("empty expression", 0)
+        self.text = text
         self.ring = ring
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i]
+    def error(self, message, j):
+        return ExpressionSyntaxError(message, _position(self.text, j))
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, value, pos = self.next()
-        if kind != "op" or value != op:
-            raise ExpressionSyntaxError(f"expected {op!r}", pos)
+    def at_end(self):
+        return self.tokens[self.i] == _END
 
     # expr := term (('+'|'-') term)*
     def expr(self):
-        kind, value, _ = self.peek()
-        result = self.term()
+        tokens = self.tokens
+        pairs = []
+        negative = False
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.next()
-                rhs = self.term()
-                result = result + rhs if value == "+" else result - rhs
+            t = self.term()
+            if type(t) is Term:
+                if negative:
+                    t.negate()
+                pairs.append((t.packed, t.coeff))
             else:
-                return result
+                pairs.extend((-t if negative else t).terms.items())
+            op = tokens[self.i]
+            if op != "+" and op != "-":
+                return _sum_of_terms(pairs, self.ring)
+            self.i += 1
+            negative = op == "-"
 
-    # term := factor ('*' factor)*
+    # term := factor ('*' factor)*: one Term up to its first parenthesized
+    # factor, a Polynomial product from there on
     def term(self):
-        result = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "*":
-                self.next()
-                result = result * self.factor()
+        tokens = self.tokens
+        t = Term(self.ring)
+        poly = self.factor(t)
+        while tokens[self.i] == "*":
+            self.i += 1
+            if poly is None:
+                f = self.factor(t)
+                if f is not None:
+                    poly = t.polynomial() * f
             else:
-                return result
+                fresh = Term(self.ring)
+                f = self.factor(fresh)
+                poly = poly * (fresh.polynomial() if f is None else f)
+        return t if poly is None else poly
 
-    # factor := '-'* power
-    def factor(self):
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
-            self.next()
-            return -self.factor()
-        return self.power()
+    # factor := '-'* power; None when it multiplied itself into t, else the
+    # Polynomial of a parenthesized power
+    def factor(self, t):
+        if self.tokens[self.i] == "-":
+            self.i += 1
+            f = self.factor(t)
+            if f is None:
+                t.negate()
+                return None
+            return -f
+        return self.power(t)
 
-    # power := atom ('^' nat)?
-    def power(self):
-        base = self.atom()
-        kind, value, pos = self.peek()
-        if kind == "op" and value == "^":
-            self.next()
-            kind, value, pos = self.next()
-            if kind == "op" and value == "-":
-                raise NegativeExponent(f"negative exponent at position {pos}")
-            if kind != "int":
-                raise ExpressionSyntaxError("exponent must be an integer", pos)
-            return base ** value
-        return base
-
-    def atom(self):
-        kind, value, pos = self.next()
-        if kind == "int":
-            # rational literal a/b when immediately followed by '/int'
-            k2, v2, _ = self.peek()
-            if k2 == "op" and v2 == "/":
-                k3, v3, p3 = self.tokens[self.i + 1]
-                if k3 == "int":
-                    self.i += 2
-                    field = self.ring.field
-                    try:
-                        c = field.fraction(value, v3)
-                    except ZeroDivisionError:
-                        # 0, or a multiple of q over GF(q)
-                        raise ZeroDenominator(
-                            f"denominator {v3} of the literal at position "
-                            f"{p3} is zero in {field!r}") from None
-                    return self.ring.const(c)
-            return self.ring.const(value)
-        if kind == "name":
-            if value not in self.ring._pos:
-                raise UndeclaredVariable(value, pos)
-            return self.ring.var(value)
-        if kind == "op" and value == "(":
+    # power := atom ('^' nat)?, atom := int ('/' int)? | name | '(' expr ')'
+    def power(self, t):
+        j = self.i
+        token = self.tokens[j]
+        self.i = j + 1
+        if token.isidentifier():  # of the tokens, only a name
+            if token not in self.ring._pos:
+                raise UndeclaredVariable(token, _position(self.text, j))
+            t.times_var(token, self.exponent())
+            return None
+        if token.isdecimal():
+            t.times_const(self.literal(int(token)), self.exponent())
+            return None
+        if token == "(":
             inner = self.expr()
-            self.expect_op(")")
-            return inner
-        if kind == "op" and value == "-":
-            return -self.factor()
-        raise ExpressionSyntaxError(
-            f"unexpected token {value!r}" if value is not None else "unexpected end",
-            pos)
+            if self.tokens[self.i] != ")":
+                raise self.error("expected ')'", self.i)
+            self.i += 1
+            k = self.exponent()
+            return inner if k == 1 else inner ** k
+        raise self.error(f"unexpected token {token!r}" if token != _END
+                         else "unexpected end", j)
 
-    def at_end(self):
-        return self.peek()[0] == "end"
+    def exponent(self):
+        """The exponent after '^', 1 when there is none."""
+        if self.tokens[self.i] != "^":
+            return 1
+        j = self.i + 1
+        token = self.tokens[j]
+        self.i = j + 1
+        if token == "-":
+            raise NegativeExponent(
+                f"negative exponent at position {_position(self.text, j)}")
+        if not token.isdecimal():
+            raise self.error("exponent must be an integer", j)
+        return int(token)
+
+    def literal(self, value):
+        """The field element of the integer literal value, or of value/b
+        when an integer b follows as '/b'."""
+        j = self.i + 1
+        if self.tokens[self.i] == "/" and self.tokens[j].isdecimal():
+            self.i += 2
+            den = int(self.tokens[j])
+            field = self.ring.field
+            try:
+                return field.fraction(value, den)
+            except ZeroDivisionError:
+                # 0, or a multiple of q over GF(q)
+                at = _position(self.text, j)
+                raise ZeroDenominator(
+                    f"denominator {den} of the literal at position {at} "
+                    f"is zero in {field!r}") from None
+        return self.ring.coeff(value)
 
 
 def parse_polynomial(text, ring) -> Polynomial:
@@ -153,11 +187,10 @@ def parse_polynomial(text, ring) -> Polynomial:
     p = _Parser(text, ring)
     result = p.expr()
     if not p.at_end():
-        kind, value, pos = p.peek()
-        if kind == "op" and value == "/":
-            raise ExpressionSyntaxError(
-                "division is not allowed in a polynomial", pos)
-        raise ExpressionSyntaxError(f"unexpected token {value!r}", pos)
+        token = p.tokens[p.i]
+        if token == "/":
+            raise p.error("division is not allowed in a polynomial", p.i)
+        raise p.error(f"unexpected token {_value(token)!r}", p.i)
     return result
 
 
@@ -165,18 +198,18 @@ def parse_rational_function(text, ring) -> RationalFunction:
     """Parse 'num' or 'num/den' with a single top-level division."""
     p = _Parser(text, ring)
     num = p.expr()
-    kind, value, pos = p.peek()
-    if kind == "op" and value == "/":
-        p.next()
+    j = p.i
+    if p.tokens[j] == "/":
+        p.i += 1
         den = p.expr()
         if not p.at_end():
-            k, v, q = p.peek()
-            raise ExpressionSyntaxError(f"unexpected token {v!r}", q)
+            raise p.error(f"unexpected token {_value(p.tokens[p.i])!r}", p.i)
         if den.is_zero():
-            raise ZeroDenominator(f"zero denominator at position {pos}")
+            raise ZeroDenominator(
+                f"zero denominator at position {_position(p.text, j)}")
         return RationalFunction(num, den)
     if not p.at_end():
-        raise ExpressionSyntaxError(f"unexpected token {value!r}", pos)
+        raise p.error(f"unexpected token {_value(p.tokens[j])!r}", j)
     return RationalFunction(num)
 
 

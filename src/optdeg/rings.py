@@ -7,9 +7,10 @@ multiplying monomials adds them.  A polynomial is a dict mapping the packed
 monomials of its ring's packer to nonzero field elements, its one
 representation: its arithmetic runs on the packed values, and the Groebner
 kernel takes and returns such dicts as they are.  Exponent tuples appear
-only at the boundary: the constructors (var, monomial, poly_from_terms)
-pack them, and sorted_terms, the one exponent view, unpacks the terms for
-formatting.  Only this module reads the packed layout; other modules use
+only at the boundary: the constructors (var, monomial, poly_from_terms,
+and Term, which the parser builds a product of powers in) pack them, and
+sorted_terms, the one exponent view, unpacks the terms for formatting.
+Only this module reads the packed layout; other modules use
 the maps on packed values the packer exports.  Values are immutable after
 construction and freely shareable.
 """
@@ -189,10 +190,10 @@ class RingContext:
         return f"{stem}{i}"
 
     def __eq__(self, other):
-        return (isinstance(other, RingContext)
-                and self.variables == other.variables
-                and self.field == other.field
-                and self.order == other.order)
+        return other is self or (isinstance(other, RingContext)
+                                 and self.variables == other.variables
+                                 and self.field == other.field
+                                 and self.order == other.order)
 
     def __hash__(self):
         return self._hash
@@ -492,6 +493,75 @@ def _sum_of_products(products, ring):
                 out[e] = c
     packer.check_fits(out)
     return Polynomial(ring, out)
+
+
+def _sum_of_terms(pairs, ring):
+    """The polynomial of `ring` summing the (packed monomial, coefficient)
+    pairs, the coefficients field elements: the one sum of the parser,
+    which runs no product.  Terms add as Polynomial's + adds them, so a
+    coefficient that cancels is dropped and a later term re-enters its
+    monomial."""
+    add = ring.field.add
+    acc = {}
+    get = acc.get
+    for e, c in pairs:
+        if not c:
+            continue
+        prev = get(e)
+        if prev is None:
+            acc[e] = c
+        else:
+            c = add(prev, c)
+            if c:
+                acc[e] = c
+            else:
+                del acc[e]
+    return Polynomial(ring, acc)
+
+
+class Term:
+    """A term c * x^a of `ring` built factor by factor, as the parser reads a
+    product of powers of variables and constants: `packed` is x^a packed
+    and `coeff` the field element c.  Each factor is checked as
+    Polynomial's ** and * check it, with their messages: x_i^k before it is
+    taken, and a nonzero product as it is formed, so a monomial past the
+    packed field widths raises as it is built, before a later term could
+    cancel it."""
+
+    __slots__ = ("ring", "packer", "packed", "coeff")
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.packer = ring.packer()
+        self.packed = self.packer.one
+        self.coeff = ring.field.one
+
+    def times_var(self, name, k):
+        """Multiply by name^k.  For k <= VMASK the packed value, which fits,
+        shifted by k steps fits exactly when both checks pass (see
+        MonomialPacker); otherwise the first that fails raises."""
+        packer = self.packer
+        step = packer.steps[self.ring._pos[name]]
+        packed = self.packed + k * step
+        if k > packer.VMASK or not packer.fits(packed):
+            if k > 1:
+                packer.check_power((packer.one + step,), k)
+            if self.coeff:
+                packer.check_fits((packed,))
+        elif self.coeff:
+            self.packed = packed
+
+    def times_const(self, c, k):
+        """Multiply by c^k, c a field element."""
+        fld = self.ring.field
+        self.coeff = fld.mul(self.coeff, c if k == 1 else fld.pow(c, k))
+
+    def negate(self):
+        self.coeff = self.ring.field.neg(self.coeff)
+
+    def polynomial(self):
+        return Polynomial(self.ring,
+                          {self.packed: self.coeff} if self.coeff else {})
 
 
 class Polynomial:

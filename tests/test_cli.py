@@ -343,6 +343,22 @@ def test_tower_check_bad_field_is_schema_error(tmp_path, capsys):
     assert err.startswith("schema error:") and "91" in err
 
 
+def test_a_pseudoprime_modulus_is_schema_error(tmp_path, capsys):
+    """399165290221 * 798330580441, a strong pseudoprime to the twelve
+    bases 2..37, is refused as a field modulus: taken, it crashed the
+    Groebner run on the first lead coefficient with no inverse."""
+    q = 318665857834031151167461
+    job = {
+        "schema_version": 1,
+        "ring": {"variables": ["x1", "x2"], "field": f"prime:{q}"},
+        "variety": {"generators": ["399165290221*x1^2+x2^2-1"]},
+    }
+    rc = run_cli(tmp_path, "gb", job)
+    err = capsys.readouterr().err
+    assert rc == EXIT_SCHEMA
+    assert err.startswith("schema error:") and str(q) in err
+
+
 def test_tower_parametrization_must_be_text(tmp_path, capsys):
     job = {
         "schema_version": 1,

@@ -661,6 +661,37 @@ def test_codimension_is_computed_once(monkeypatch):
     assert len(calls) == 2
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((PrimeField(), RationalField())),
+       st.integers(1, 4).flatmap(lambda n: st.tuples(
+           st.just(n), st.dictionaries(st.tuples(*[st.integers(0, 3)] * n),
+                                       st.integers(-3, 3), min_size=1,
+                                       max_size=5))))
+def test_a_hypersurface_has_codimension_one_without_a_run(field, drawn):
+    """One nonconstant generator has codimension 1 (Krull's principal
+    ideal theorem), which VarietySpec.codimension takes with no Groebner
+    run; it is n - dimension of the ideal.  A constant generator still
+    takes its run, and the unit ideal has codimension n + 1."""
+    n, terms = drawn
+    ring = RingContext(tuple(f"x{i + 1}" for i in range(n)), field=field)
+    f = ring.poly_from_terms(terms)
+    if f.is_zero():
+        reject()
+    runs = []
+    original = groebner.groebner_basis
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return original(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groebner, "groebner_basis", counted)
+        codim = VarietySpec(ring, (f,)).codimension()
+    assert codim == n - dimension(Ideal(ring, [f]))
+    assert len(runs) == (1 if f.is_constant() else 0)
+    assert codim == (n + 1 if f.is_constant() else 1)
+
+
 # --- stacked systems built from the Jacobian minors ------------------------
 
 TWISTED_CUBIC = ("x1*x3-x2^2", "x1*x4-x2*x3", "x2*x4-x3^2")

@@ -12,12 +12,13 @@ on both fields.
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
 from optdeg import (PrimeField, RationalField, RingContext, jacobian,
                     parse_polynomial)
-from optdeg import critical
+from optdeg import critical, fields
 from optdeg.critical import PNorm
 from optdeg.rings import Polynomial
 
@@ -101,3 +102,38 @@ def test_an_integral_fraction_is_its_int():
     assert held == x1.scale(2)
     assert hash(held) == hash(x1.scale(2))
     assert type(ring.const(Fraction(6, 3)).constant_value()) is int
+
+
+# strong pseudoprimes: to all twelve primes 2..37, the least such, so the
+# bound of proven primality; to 2, 3, 5 and 7, below the three-base bound;
+# and the Carmichael number 5*13*19*23*37, above 2^20
+PSEUDOPRIME_12 = 399_165_290_221 * 798_330_580_441
+PSEUDOPRIME_4 = 3_215_031_751
+CARMICHAEL = 5 * 13 * 19 * 23 * 37
+
+
+@pytest.mark.parametrize("q", [PSEUDOPRIME_12, PSEUDOPRIME_4, CARMICHAEL,
+                               91, 1 << 20, PSEUDOPRIME_12 + 2])
+def test_prime_field_refuses_an_unproven_modulus(q):
+    """A composite modulus is refused, and so is every modulus from the
+    least strong pseudoprime to the twelve bases on, where Miller-Rabin
+    with them proves nothing."""
+    assert PSEUDOPRIME_12 == 318_665_857_834_031_151_167_461
+    with pytest.raises(ValueError, match=str(q)):
+        PrimeField(q)
+
+
+@pytest.mark.parametrize("q", [2_147_483_647, 4_759_123_141 - 12,
+                               4_759_123_141 + 10, (1 << 61) - 1])
+def test_prime_field_takes_a_prime_in_each_proven_range(q):
+    """2^31 - 1 and the largest prime below the three-base bound take
+    {2, 7, 61}; the least prime above it and 2^61 - 1 take twelve bases."""
+    assert PrimeField(q).q == q
+
+
+def test_the_prime_check_matches_sympy_near_the_bases():
+    """Below 2^16 and around the three-base bound _is_prime agrees with
+    sympy, so neither a base nor its multiples slip through."""
+    bound = 4_759_123_141
+    for n in list(range(1 << 16)) + list(range(bound - 500, bound + 500)):
+        assert fields._is_prime(n) == sympy.isprime(n), n

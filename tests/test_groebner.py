@@ -5,7 +5,7 @@ from operator import add, itemgetter, le
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.orderings import ProductOrder, grevlex
 
@@ -401,6 +401,25 @@ def test_multidegree_sums_the_minimum_hitting_sets(drawn):
             projected = [tuple(g[i] for i in sorted(hit)) for g in gens]
             want[key] = want.get(key, 0) + _standard_count(projected)
         assert _multidegree(ideal, groups, None) == want
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=6))))
+@example((2, []))
+@example((3, [(0, 0, 0)]))
+@example((2, [(2, 0), (0, 0)]))
+def test_the_one_group_read_is_the_binomial_formula(drawn):
+    """(codimension, degree) read off the Hilbert numerator by prefix sums
+    (_codim_degree) is the one-group multidegree of the binomial sums
+    (_multidegree): codimension 0 and degree 1 for the zero ideal, None
+    for the unit ideal, which has no multidegree."""
+    n, gens = drawn
+    ring = RingContext(tuple(f"x{i}" for i in range(n)))
+    ideal = Ideal(ring, [ring.monomial(g) for g in gens])
+    want = _multidegree(ideal, [ring.variables], None)
+    assert groebner._codim_degree(ideal, None) == next(
+        ((r, c) for (r,), c in want.items()), None)
 
 
 # --- linear cuts ----------------------------------------------------------------------

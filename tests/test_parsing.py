@@ -1,11 +1,23 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from optdeg import (ExpressionSyntaxError, NegativeExponent, PrimeField,
-                    RingContext, SizeOutOfRange, UndeclaredVariable,
-                    ZeroDenominator, format_polynomial, parse_polynomial,
-                    parse_rational_function)
+from optdeg import (ExpressionSyntaxError, NegativeExponent, OrderSpec,
+                    PrimeField, RingContext, SizeOutOfRange,
+                    UndeclaredVariable, ZeroDenominator, format_polynomial,
+                    parse_polynomial, parse_rational_function)
+from optdeg import rings
+from optdeg.errors import OptdegError
+from optdeg.rings import Polynomial
+
+import arithmetic_parser
+
+PARSERS = [(parse_polynomial, arithmetic_parser.parse_polynomial),
+           (parse_rational_function,
+            arithmetic_parser.parse_rational_function)]
 
 
 @pytest.fixture
@@ -176,3 +188,146 @@ def test_random_roundtrip(ring):
         t = _random_expr(rng)
         p = parse_polynomial(t, ring)
         assert parse_polynomial(format_polynomial(p), ring) == p
+
+
+# -- the one-pass parser against the Polynomial-arithmetic oracle -------------
+
+ORACLE_RINGS = [
+    RingContext(("x1", "x2", "u1")),
+    RingContext(("x1", "x2", "u1"), PrimeField()),
+    # a small modulus, where literals and products vanish mod q
+    RingContext(("x1", "x2", "u1"), PrimeField(1048583)),
+    # the inner (back) block's degree field is narrower
+    RingContext(("x1", "x2", "u1"), order=OrderSpec("block", ("u1",))),
+]
+_VARIABLES = st.sampled_from(["x1", "x2", "u1"])
+_LITERALS = st.one_of(
+    st.integers(0, 99).map(str), st.sampled_from(["1048583", "2147483647"]),
+    st.tuples(st.integers(0, 99), st.integers(0, 9)).map("{0[0]}/{0[1]}"
+                                                         .format))
+# powers of a variable up to and past the packed widths (2^14 - 1 in an
+# inner block, 2^15 - 1 on top); constants and sums take small ones
+_POWER = "{0[0]}^{0[1]}".format
+_ATOMS = st.one_of(
+    _VARIABLES,
+    st.tuples(_VARIABLES, st.sampled_from(
+        [0, 1, 2, 3, 16383, 16384, 20000, 32767, 40000])).map(_POWER),
+    _LITERALS,
+    st.tuples(_LITERALS, st.integers(0, 3)).map(_POWER))
+EXPRESSIONS = st.recursive(_ATOMS, lambda inner: st.one_of(
+    st.tuples(inner, st.sampled_from("+-*"), inner).map("".join),
+    st.tuples(inner, st.integers(0, 3)).map("({0[0]})^{0[1]}".format),
+    inner.map("({})".format),
+    inner.map("-{}".format)), max_leaves=10)
+
+
+def _outcome(parse, text, ring):
+    """What parsing text gives: the terms in order with their coefficient
+    types, or the error class and message, which holds the position."""
+    try:
+        r = parse(text, ring)
+    except OptdegError as exc:
+        return type(exc), str(exc)
+    polys = (r,) if isinstance(r, Polynomial) else (r.num, r.den)
+    return [[(e, c, type(c)) for e, c in p.terms.items()] for p in polys]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ORACLE_RINGS), EXPRESSIONS)
+def test_the_one_pass_parser_matches_the_oracle(ring, text):
+    """Nested parentheses, powers, unary minus and rational literals parse
+    to the oracle's term dicts, in its order and with its coefficient
+    types, and where it raises (a zero denominator, a monomial past the
+    packed widths) the parser raises the same error."""
+    for parse, oracle in PARSERS:
+        assert _outcome(parse, text, ring) == _outcome(oracle, text, ring)
+
+
+_NOISE = st.sampled_from(list("+-*^()/ 9#_") + ["x1", "x3", "٣", "²",
+                                                 "é", "\t", " "])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ORACLE_RINGS), EXPRESSIONS,
+       st.lists(st.tuples(st.integers(0, 10 ** 6), st.booleans(), _NOISE),
+                min_size=1, max_size=3))
+def test_malformed_text_raises_as_the_oracle_does(ring, text, edits):
+    """Characters inserted into or deleted from a well-formed expression
+    raise the same error class at the same position (both in the
+    message), or parse to the same terms."""
+    chars = list(text)
+    for at, insert, noise in edits:
+        at %= len(chars) + 1
+        if insert:
+            chars[at:at] = [noise]
+        elif at < len(chars):
+            del chars[at]
+    text = "".join(chars)
+    for parse, oracle in PARSERS:
+        assert _outcome(parse, text, ring) == _outcome(oracle, text, ring)
+
+
+def test_odd_variable_names_are_not_tokens():
+    """A ring variable named like a literal or an operator is never read as
+    that variable: the grammar's names are identifiers."""
+    ring = RingContext(("x1", "2", "("))
+    for text in ("2*x1", "(x1)", "x1^2", "3/2"):
+        for parse, oracle in PARSERS:
+            assert _outcome(parse, text, ring) == _outcome(oracle, text, ring)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x1^32767*x2-x1^32767*x2+1", "monomial exceeds"),
+    ("x1^20000*x1^20000-x1^20000*x1^20000", "monomial exceeds"),
+    ("x1^40000-x1^40000", "power 40000 exceeds"),
+    ("0*x1^40000", "power 40000 exceeds"),
+    ("x1^40000*zz", "power 40000 exceeds"),
+])
+def test_a_monomial_past_the_widths_raises_as_it_is_built(ring, text,
+                                                         message):
+    """Each factor is checked as it is multiplied in, so a later term that
+    cancels it, or a later error in its own term, comes too late."""
+    with pytest.raises(SizeOutOfRange, match=message):
+        parse_polynomial(text, ring)
+    # a zero factor before the overflowing product leaves nothing to check
+    assert parse_polynomial("0*x1^20000*x1^20000", ring).is_zero()
+
+
+def test_constant_powers_stay_modular():
+    """3^10000000 is one modular power over GF(q), not a 16-million-bit
+    integer."""
+    q = 2147483647
+    ring = RingContext(("x1", "x2"), PrimeField(q))
+    t0 = time.perf_counter()
+    p = parse_polynomial("3^10000000*x1-1/2^3", ring)
+    assert time.perf_counter() - t0 < 0.5
+    assert p.coefficient((1, 0)) == pow(3, 10 ** 7, q)
+    assert p.coefficient((0, 0)) == -pow(8, -1, q) % q
+
+
+def test_a_sum_of_monomials_multiplies_no_polynomials(ring, monkeypatch):
+    """A sum of products of powers of variables and literals is summed term
+    by term into one dict: rings._sum_of_products, the product behind
+    Polynomial's * and **, is never called, where the oracle calls it for
+    every factor."""
+    calls = []
+    product = rings._sum_of_products
+
+    def counted(products, r):
+        calls.append(1)
+        return product(products, r)
+    monkeypatch.setattr(rings, "_sum_of_products", counted)
+    text = "+".join(f"{c}*x1^{i}*x2^{4 - i - j}*u1^{j}" for c, (i, j) in
+                    enumerate(((i, j) for i in range(5)
+                               for j in range(5 - i)), start=-7))
+    text += "-x1*-2/3*u2^2"
+    oracle = arithmetic_parser.parse_polynomial(text, ring)
+    assert calls
+    calls.clear()
+    assert parse_polynomial(text, ring) == oracle
+    assert calls == []
+    # a parenthesized factor is a Polynomial, multiplied in once
+    want = ring.var("x1").scale(2) * (ring.var("x2") + 1)
+    calls.clear()
+    assert parse_polynomial("2*x1*(x2+1)", ring) == want
+    assert len(calls) == 1
