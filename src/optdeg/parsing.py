@@ -4,6 +4,8 @@ Grammar: integer or rational literals (a or a/b), declared variables, +, -,
 *, ^ with non-negative integer exponents, and parentheses.  There is no
 implicit multiplication, so "2x" is a syntax error.  A rational function is
 a polynomial expression optionally followed by a single top-level division.
+An integer longer than Python converts from a string (4300 digits unless
+the interpreter is set otherwise) is a syntax error at its position.
 
 This textual form is the wire format used by all CLI/JSON inputs, and
 format_polynomial produces a canonical string that re-parses to the same
@@ -55,11 +57,6 @@ def _position(text, j):
     return len(text)
 
 
-def _value(token):
-    """The token as error messages show it: an int for an integer."""
-    return int(token) if token.isdecimal() else token
-
-
 class _Parser:
     """Recursive descent in one pass (see the module docstring)."""
 
@@ -73,6 +70,25 @@ class _Parser:
 
     def error(self, message, j):
         return ExpressionSyntaxError(message, _position(self.text, j))
+
+    def too_long(self, j):
+        """The error for integer token j past Python's int-string conversion
+        limit, which int() raises as a bare ValueError."""
+        return self.error(f"an integer of {len(self.tokens[j])} digits is "
+                          f"too long", j)
+
+    def unexpected(self, j):
+        """The error for token j where it stands: an integer is shown as an
+        int, another token as its text."""
+        token = self.tokens[j]
+        if token == _END:
+            return self.error("unexpected end", j)
+        if token.isdecimal():
+            try:
+                token = int(token)
+            except ValueError:
+                return self.too_long(j)
+        return self.error(f"unexpected token {token!r}", j)
 
     def at_end(self):
         return self.tokens[self.i] == _END
@@ -137,7 +153,11 @@ class _Parser:
             t.times_var(token, self.exponent())
             return None
         if token.isdecimal():
-            t.times_const(self.literal(int(token)), self.exponent())
+            try:
+                value = int(token)
+            except ValueError:
+                raise self.too_long(j) from None
+            t.times_const(self.literal(value), self.exponent())
             return None
         if token == "(":
             inner = self.expr()
@@ -146,8 +166,7 @@ class _Parser:
             self.i += 1
             k = self.exponent()
             return inner if k == 1 else inner ** k
-        raise self.error(f"unexpected token {token!r}" if token != _END
-                         else "unexpected end", j)
+        raise self.unexpected(j)
 
     def exponent(self):
         """The exponent after '^', 1 when there is none."""
@@ -161,7 +180,10 @@ class _Parser:
                 f"negative exponent at position {_position(self.text, j)}")
         if not token.isdecimal():
             raise self.error("exponent must be an integer", j)
-        return int(token)
+        try:
+            return int(token)
+        except ValueError:
+            raise self.too_long(j) from None
 
     def literal(self, value):
         """The field element of the integer literal value, or of value/b
@@ -169,7 +191,10 @@ class _Parser:
         j = self.i + 1
         if self.tokens[self.i] == "/" and self.tokens[j].isdecimal():
             self.i += 2
-            den = int(self.tokens[j])
+            try:
+                den = int(self.tokens[j])
+            except ValueError:
+                raise self.too_long(j) from None
             field = self.ring.field
             try:
                 return field.fraction(value, den)
@@ -187,10 +212,9 @@ def parse_polynomial(text, ring) -> Polynomial:
     p = _Parser(text, ring)
     result = p.expr()
     if not p.at_end():
-        token = p.tokens[p.i]
-        if token == "/":
+        if p.tokens[p.i] == "/":
             raise p.error("division is not allowed in a polynomial", p.i)
-        raise p.error(f"unexpected token {_value(token)!r}", p.i)
+        raise p.unexpected(p.i)
     return result
 
 
@@ -203,13 +227,13 @@ def parse_rational_function(text, ring) -> RationalFunction:
         p.i += 1
         den = p.expr()
         if not p.at_end():
-            raise p.error(f"unexpected token {_value(p.tokens[p.i])!r}", p.i)
+            raise p.unexpected(p.i)
         if den.is_zero():
             raise ZeroDenominator(
                 f"zero denominator at position {_position(p.text, j)}")
         return RationalFunction(num, den)
     if not p.at_end():
-        raise p.error(f"unexpected token {_value(p.tokens[j])!r}", j)
+        raise p.unexpected(j)
     return RationalFunction(num)
 
 

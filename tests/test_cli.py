@@ -359,6 +359,24 @@ def test_a_pseudoprime_modulus_is_schema_error(tmp_path, capsys):
     assert err.startswith("schema error:") and str(q) in err
 
 
+@pytest.mark.parametrize("field", ["rational", "prime:2147483647"])
+def test_a_literal_past_the_conversion_limit_is_schema_error(tmp_path, capsys,
+                                                             field):
+    """A generator whose literal has 5001 digits, past the 4300 that Python
+    converts from a string, exits 2 with the literal's position; it used to
+    exit 1 with the raw ValueError of int()."""
+    job = {
+        "schema_version": 1,
+        "ring": {"variables": ["x1", "x2"], "field": field},
+        "variety": {"generators": ["x2^2+1" + "0" * 5000 + "*x1^2-1"]},
+    }
+    rc = run_cli(tmp_path, "gb", job)
+    err = capsys.readouterr().err
+    assert rc == EXIT_SCHEMA
+    assert err.startswith("schema error:")
+    assert "5001 digits is too long (at position 5)" in err
+
+
 def test_tower_parametrization_must_be_text(tmp_path, capsys):
     job = {
         "schema_version": 1,

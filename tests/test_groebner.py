@@ -19,6 +19,7 @@ from optdeg.groebner import (DEFAULT_BUDGET, _Budget, _count_points,
                              _minimal, _multidegree, _numerator_plus)
 from optdeg.rings import MonomialPacker, Polynomial
 
+import reduction_oracle
 from ideal_reads import affine_degree, normal_form
 from orders import order_key
 from slicing import cut_linear, sections_degree
@@ -678,6 +679,131 @@ def test_normal_form_matches_sympy_reduced_over_gf(ideal, f):
     want = sympy.Poly(rem, *syms, modulus=_Q)
     assert dict(got.sorted_terms()) == ({} if want.is_zero
                                         else _gf_terms(want))
+
+
+# --- the divisor memo against the memo-free loop -------------------------------
+
+# the lead counts from which _reduce_full reads its memo: the kernel's, and
+# 0, which puts every call of the small runs drawn below on the memo
+_MEMO_GATES = [groebner._MEMO_LEADS, 0]
+
+
+def _kernel_polys(data, n, coeffs, min_size, max_size):
+    """min_size to max_size nonzero polynomials in n variables, of degree
+    at most 3 in each, as exponent dicts."""
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    poly = st.dictionaries(exps, coeffs, min_size=1, max_size=5)
+    return data.draw(st.lists(poly, min_size=min_size, max_size=max_size))
+
+
+def _integer_terms(ring, terms):
+    return groebner._clear_denominators(_poly(ring, terms).terms)[0]
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_one_memo_keeps_every_reducer_while_the_leads_grow(field, data):
+    """One divisor memo serves a lead list that only grows, as a run's
+    does, past the count from which it is read: after each element is
+    appended, every dividend is reduced again with the same memo, once
+    free and once under a drawn signature bound, and each remainder, scale
+    and budget tick count is the memo-free oracle's.  The signatures are
+    multiples of drawn monomials, so the bound refuses some divisors of a
+    term and admits later ones."""
+    coeffs = _COEFFS if field is None else _GF_COEFFS
+    n = data.draw(st.integers(2, 3))
+    ring = RingContext(tuple(f"x{i + 1}" for i in range(n)), field)
+    packer = ring.packer()
+    monomials = st.tuples(*[st.integers(0, 3)] * n).map(packer.pack)
+    K = 2
+    low = st.integers(0, (1 << K) - 1)
+    divisors = _kernel_polys(data, n, coeffs, groebner._MEMO_LEADS + 1, 14)
+    dividends = [_integer_terms(ring, t)
+                 for t in _kernel_polys(data, n, coeffs, 1, 4)]
+    bound = (data.draw(monomials) << K) + data.draw(low)
+    leads, lcs, tails, offs, memo = [], [], [], [], {}
+    for terms in divisors:
+        for column, part in zip((leads, lcs, tails), groebner._split(
+                _integer_terms(ring, terms), ring.field)):
+            column.append(part)
+        offs.append(((data.draw(monomials) - packer.one) << K)
+                    + data.draw(low))
+        for f in dividends:
+            for signature in (None, (bound, offs, K)):
+                want_budget, budget = _Budget(10 ** 6), _Budget(10 ** 6)
+                want = reduction_oracle.reduce_full(
+                    f, leads, lcs, tails, packer, want_budget, signature)
+                got = groebner._reduce_full(f, leads, lcs, tails, packer,
+                                            budget, memo, signature)
+                assert got == want
+                assert budget.remaining == want_budget.remaining
+    assert memo
+
+
+@pytest.mark.parametrize("memo_leads", _MEMO_GATES)
+@pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_every_kernel_run_reduces_as_the_memo_free_loop(field, memo_leads,
+                                                        data):
+    """Every reduction of a signature run from generators, of a
+    Hilbert-driven conversion to a drawn block order, of both bases'
+    finishing and of a remainder by the grevlex basis, each on the memo its
+    owner keeps, gives the remainder, scale and budget ticks of the
+    memo-free oracle on the same lists at that moment."""
+    coeffs = _COEFFS if field is None else _GF_COEFFS
+    n, gens = data.draw(_ideals(coeffs))
+    ring, ideal = _optdeg_ideal(n, gens, GREVLEX, field)
+    order = _drawn_block(data, n)
+    (f,) = _kernel_polys(data, n, coeffs, 1, 1)
+    reduce_full, signed = groebner._reduce_full, set()
+
+    def checked(fterms, leads, lcs, tails, packer, budget, memo,
+                signature=None):
+        want_budget = _Budget(budget.remaining)
+        want = reduction_oracle.reduce_full(fterms, leads, lcs, tails, packer,
+                                            want_budget, signature)
+        got = reduce_full(fterms, leads, lcs, tails, packer, budget, memo,
+                          signature)
+        assert got == want
+        assert budget.remaining == want_budget.remaining
+        signed.add(signature is not None)
+        return got
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groebner, "_MEMO_LEADS", memo_leads)
+        patch.setattr(groebner, "_reduce_full", checked)
+        gb = ideal.groebner(GREVLEX)
+        normal_form(_poly(ring, f), gb)
+        ideal.groebner(order).basis
+    assert signed == {True, False}
+
+
+@pytest.mark.parametrize("field", [None, PrimeField(_Q)], ids=["QQ", "GF"])
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_one_divider_divides_as_a_fresh_one_per_call(field, data):
+    """A _packed_remainders divider keeps one memo for all its calls: called
+    on list after list, repeats included, it gives each list the remainders
+    of a fresh divider, and spends the same budget steps.  Its basis holds
+    enough elements for the memo to be read."""
+    coeffs = _COEFFS if field is None else _GF_COEFFS
+    n = data.draw(st.integers(2, 3))
+    ring = RingContext(tuple(f"x{i + 1}" for i in range(n)), field)
+    basis = [_poly(ring, t).terms for t in _kernel_polys(
+        data, n, coeffs, groebner._MEMO_LEADS, 12)]
+    scaled = data.draw(st.booleans())
+    pool = [_poly(ring, t).terms for t in _kernel_polys(data, n, coeffs, 1, 4)]
+    calls = data.draw(st.lists(st.lists(st.sampled_from(pool), min_size=1,
+                                        max_size=3), min_size=1, max_size=5))
+    budget = _Budget(10 ** 6)
+    divide = groebner._packed_remainders(basis, ring, budget, scaled)
+    for polys in calls:
+        fresh = _Budget(10 ** 6)
+        want = groebner._packed_remainders(basis, ring, fresh, scaled)(polys)
+        before = budget.remaining
+        assert divide(polys) == want
+        assert before - budget.remaining == 10 ** 6 - fresh.remaining
 
 
 def _sympy_expr(poly):

@@ -293,6 +293,31 @@ def test_a_monomial_past_the_widths_raises_as_it_is_built(ring, text,
     assert parse_polynomial("0*x1^20000*x1^20000", ring).is_zero()
 
 
+LONG = "7" * 5000
+
+
+@pytest.mark.parametrize("field", [None, PrimeField()], ids=["QQ", "GF"])
+@pytest.mark.parametrize("text, at", [
+    ("1" + "0" * 5000 + "*x1", 0),
+    ("x1^" + LONG, 3),
+    ("x1+" + LONG + "x2", 3),
+    ("3/" + LONG + "*x1", 2),
+    ("x1 " + LONG, 3),
+    ("(x1+1) " + LONG, 7),
+])
+def test_an_integer_past_the_conversion_limit_is_a_syntax_error(field, text,
+                                                                at):
+    """A literal, exponent or denominator longer than Python converts from
+    a string (4300 digits by default) is refused with its position, as is
+    an unexpected one, where the message would show it as an int."""
+    ring = RingContext(("x1", "x2"), field)
+    for parse, _ in PARSERS:
+        with pytest.raises(ExpressionSyntaxError,
+                           match=r"of \d+ digits is too long") as raised:
+            parse(text, ring)
+        assert raised.value.position == at
+
+
 def test_constant_powers_stay_modular():
     """3^10000000 is one modular power over GF(q), not a 16-million-bit
     integer."""

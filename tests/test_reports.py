@@ -4,6 +4,8 @@ Each report of `cli.run_job` is serialized as `json.dumps(report,
 sort_keys=True)` and compared by its sha256 with the value it had when the
 pin was taken.  A refactor that must keep reports byte-identical keeps these
 hashes; a change that alters a report on purpose re-pins it and says so.
+A few jobs also have their total budget steps pinned, which a report does
+not show.
 """
 
 import hashlib
@@ -12,6 +14,7 @@ import json
 import pytest
 
 from optdeg import cli
+from optdeg.groebner import DEFAULT_BUDGET, as_budget
 
 GF = "prime:2147483647"
 CONIC = "3*x1^2+2*x1*x2+5*x2^2+x2*x3+4*x3^2"
@@ -257,3 +260,42 @@ def report_sha256(command, doc):
 def test_report_bytes_pinned(name):
     command, doc = JOBS[name]
     assert report_sha256(command, doc) == HASHES[name]
+
+
+# Budget steps pinned for a few jobs: which lead reduces each term decides
+# the steps, so a change of reducer choice moves these totals even where
+# it keeps every report.  The seed-1 ellipse evolute at p = 3 over both
+# fields, the twisted cubic of the projective-gf benchmark, and the cusp of
+# the affine-sweep benchmark over QQ, whose local-length dividers are
+# called again in every trial.
+STEP_JOBS = {
+    "evolute-ellipse-p3-qq": ("evolute", _job(
+        XY, "rational", ["x1^2+4*x2^2-1"], options={"p": 3})),
+    "evolute-ellipse-p3-gf": ("evolute", _job(
+        XY, GF, ["x1^2+4*x2^2-1"], options={"p": 3})),
+    "crossvalidate-seeded-twisted-cubic":
+        JOBS["crossvalidate-seeded-twisted-cubic"],
+    "crossvalidate-seeded-cusp-1-p3-qq":
+        JOBS["crossvalidate-seeded-cusp-1-p3-qq"],
+}
+
+STEPS = {
+    "evolute-ellipse-p3-qq": 842,
+    "evolute-ellipse-p3-gf": 842,
+    "crossvalidate-seeded-twisted-cubic": 2629,
+    "crossvalidate-seeded-cusp-1-p3-qq": 293,
+}
+
+
+@pytest.mark.parametrize("name", list(STEP_JOBS))
+def test_budget_steps_pinned(monkeypatch, name):
+    budgets = []
+
+    def recorded(steps):
+        budgets.append(as_budget(steps))
+        return budgets[-1]
+    monkeypatch.setattr(cli, "as_budget", recorded)
+    command, doc = STEP_JOBS[name]
+    cli.run_job(command, json.loads(json.dumps(doc)))
+    (budget,) = budgets
+    assert DEFAULT_BUDGET - budget.remaining == STEPS[name]
