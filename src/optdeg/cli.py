@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 
 from . import formulas
 from .conormal import (bidegree_class, joint_correspondence_ideal,
@@ -24,7 +23,7 @@ from .critical import (PNorm, RationalGradient, VarietySpec, _check_partial,
 from .errors import (BudgetExceeded, OptdegError, PositiveDimensionalFiber,
                      SchemaError, SizeOutOfRange, ZeroDenominator)
 from .fields import field_from_spec
-from .groebner import DEFAULT_BUDGET, GREVLEX, Ideal, as_budget, dimension
+from .groebner import DEFAULT_BUDGET, GREVLEX, as_budget, dimension
 from .parsing import format_polynomial, parse_polynomial, parse_rational_function
 from .rings import RingContext
 from .towers import (ParametrizationSpec, TowerLevel, TowerSpec,
@@ -108,22 +107,13 @@ def _parse(parse, text, ring, where):
 def _load_variety(doc, ring):
     var_doc = _require(doc, "variety", dict, "job")
     gen_texts = _require(var_doc, "generators", list, "variety")
+    for key in var_doc:
+        if key != "generators":
+            raise SchemaError(f"unknown key {key!r} in variety")
     gens = [_parse(parse_polynomial, t, ring, f"variety.generators[{i}]")
             for i, t in enumerate(gen_texts)]
-    codim = var_doc.get("codim")
-    if codim is not None and not _is_int(codim):
-        raise SchemaError("variety.codim must be an integer")
-    sing = None
-    if var_doc.get("singular_ideal") is not None:
-        sing_texts = var_doc["singular_ideal"]
-        if not isinstance(sing_texts, list):
-            raise SchemaError("variety.singular_ideal must be a list")
-        sing = Ideal(ring, [_parse(parse_polynomial, t, ring,
-                                   "variety.singular_ideal")
-                            for t in sing_texts])
     try:
-        return VarietySpec(ring, tuple(gens), codim_override=codim,
-                           singular_ideal_override=sing)
+        return VarietySpec(ring, tuple(gens))
     except (ValueError, OptdegError) as exc:
         raise SchemaError(str(exc)) from None
 
@@ -482,11 +472,8 @@ def _cmd_crossvalidate(job, variety, budget, timings):
         timings.stage("polar-pipeline", t0)
         if len(variety.generators) == 1:
             # the closed form holds for a smooth hypersurface, whose cone is
-            # singular at the vertex alone; a codim override does not change
-            # which hypersurface the generator defines
-            hypersurface = (variety if variety.codim_override is None
-                            else replace(variety, codim_override=None))
-            if _singular_beyond_vertex(hypersurface, budget):
+            # singular at the vertex alone
+            if _singular_beyond_vertex(variety, budget):
                 notes.append("hypersurface is singular; hypersurface formula "
                              "skipped")
             else:
@@ -588,7 +575,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--trials", type=int, default=None)
     parser.add_argument("--field", default=None,
-                        help="rational or prime:<q>; overrides the job ring")
+                        help="rational or prime:<q>; replaces ring.field")
     parser.add_argument("--budget", type=int, default=None,
                         help="reduction-step budget")
     parser.add_argument("--out", default=None, help="write the report here")

@@ -43,15 +43,12 @@ from .rings import (OrderSpec, Polynomial, RationalFunction, RingContext,
 
 @dataclass
 class VarietySpec:
-    """A variety given by generators, with optional codimension and singular
-    ideal overrides for inputs the automatic computation would misjudge.
-    Its ideal, codimension, Jacobian, Jacobian minors (taken once per ring)
-    and singular locus are built once and shared by every caller."""
+    """A variety given by generators.  Its ideal, codimension, Jacobian,
+    Jacobian minors (taken once per ring) and singular locus are computed
+    from the generators, once, and shared by every caller."""
 
     ring: RingContext
     generators: tuple
-    codim_override: int = None
-    singular_ideal_override: Ideal = None
     _ideal: Ideal = dc_field(init=False, repr=False, compare=False)
     _codim: int = dc_field(init=False, repr=False, compare=False)
     _jacobian: object = dc_field(init=False, repr=False, compare=False)
@@ -68,18 +65,11 @@ class VarietySpec:
             if g.is_zero():
                 raise ValueError("zero generator in variety spec")
         self.generators = gens
-        n = self.ring.nvars
-        if self.codim_override is not None and not 1 <= self.codim_override <= n:
-            raise ValueError("codimension override out of range")
-        if (self.singular_ideal_override is not None
-                and self.singular_ideal_override.is_zero()):
-            raise ValueError("the singular ideal override has no nonzero "
-                             "generator")
         self._ideal = Ideal(self.ring, gens)
-        self._codim = self.codim_override
+        self._codim = None
         self._jacobian = jacobian(gens, self.ring.variables)
         self._minors = {}
-        self._singular = self.singular_ideal_override
+        self._singular = None
 
     @property
     def n(self):
@@ -90,10 +80,10 @@ class VarietySpec:
         return self._ideal
 
     def codimension(self, budget=None):
-        """The override, or n - dim I(X), computed on the first call and
-        kept.  One nonconstant generator has codimension 1 by Krull's
-        principal ideal theorem, with no Groebner run; a constant one, or
-        several, are read off the grevlex basis of I(X)."""
+        """n - dim I(X), computed on the first call and kept.  One
+        nonconstant generator has codimension 1 by Krull's principal ideal
+        theorem, with no Groebner run; a constant one, or several, are read
+        off the grevlex basis of I(X)."""
         if self._codim is None:
             gens = self.generators
             if len(gens) == 1 and not gens[0].is_constant():
@@ -182,8 +172,8 @@ def data_ring(ring):
 def singular_locus_ideal(X: VarietySpec, budget=None) -> Ideal:
     """Ideal cutting out the singular locus: I(X) plus the c x c minors of the
     Jacobian of the generators (see VarietySpec.minors), regenerated
-    by its reduced grevlex basis (or the user override).  It is built on
-    the first call and kept on X."""
+    by its reduced grevlex basis.  It is built on the first call and kept
+    on X."""
     if X._singular is None:
         budget = as_budget(budget)
         gens, lower, _ = X.minors(X.ring, budget)
@@ -192,14 +182,13 @@ def singular_locus_ideal(X: VarietySpec, budget=None) -> Ideal:
 
 
 def _singular_beyond_vertex(X: VarietySpec, budget) -> bool:
-    """False when the cone over X is singular at most at its vertex, that is
-    when its singular locus is homogeneous of dimension at most 0 and so lies
-    in {x = 0}, inside every isotropic hypersurface q_p = 0.  A saturation
-    depends only on the radical of the saturand, so then saturating by q_p
-    alone also saturates by the singular locus."""
-    sing = singular_locus_ideal(X, budget)
-    return dimension(sing, budget) > 0 or not all(
-        g.is_homogeneous() for g in sing.groebner(GREVLEX, budget).basis)
+    """Whether the cone over X is singular beyond its vertex, for X
+    homogeneous.  Its singular ideal is then homogeneous, since the
+    generators and the minors of their Jacobian are, so a singular locus of
+    dimension at most 0 lies in {x = 0}, inside every isotropic hypersurface
+    q_p = 0.  A saturation depends only on the radical of the saturand, so
+    then saturating by q_p alone also saturates by the singular locus."""
+    return dimension(singular_locus_ideal(X, budget), budget) > 0
 
 
 def _check_partial(i, part, big_ring, unames):
@@ -609,8 +598,7 @@ def _projective_chart_system(X: VarietySpec, p, budget):
     I(X) + <c-minors> for some k, e*J^k lies in S, and e lies in
     S : J^inf.  So S : J^inf = (S + <e>) : J^inf; a ring map phi keeps
     phi(e)*phi(J)^k inside phi(S), so a linear cut keeps it too, and
-    _saturate_unless_unit, exact either way, returns that saturation.  A
-    singular ideal override is taken to cut out the singular locus.
+    _saturate_unless_unit, exact either way, returns that saturation.
 
     The callers eliminate b first and saturate after, in the smaller ring:
     for S the system and J = <f_1..f_m>, (S : J^inf) ∩ k[x, u] is

@@ -27,6 +27,8 @@ from __future__ import annotations
 # the rational type; the benchmark records its module as the field backend
 from fractions import Fraction as _ratio
 
+from .errors import SizeOutOfRange
+
 DEFAULT_PRIME = 2147483647  # 2^31 - 1, large enough for desk-scale genericity
 _MIN_PRIME = 1 << 20
 
@@ -62,6 +64,19 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _digit_count(n: int) -> int:
+    """The decimal digits of |n|, for n != 0, with no conversion to text:
+    the least k with 10^k > |n|, searched from the estimate from its bit
+    length."""
+    n = abs(n)
+    k = max(1, int(n.bit_length() * 0.30103))
+    while 10 ** k <= n:
+        k += 1
+    while k > 1 and 10 ** (k - 1) > n:
+        k -= 1
+    return k
 
 
 class RationalField:
@@ -112,7 +127,17 @@ class RationalField:
         return not a
 
     def coeff_str(self, a) -> str:
-        return str(a)
+        """a as text; SizeOutOfRange, naming its digit count, when its
+        numerator or denominator is longer than Python converts to a string
+        (4300 digits unless the interpreter is set otherwise), as the
+        parser refuses such a literal, so every formatted polynomial parses
+        back."""
+        try:
+            return str(a)
+        except ValueError:
+            digits = max(map(_digit_count, (a.numerator, a.denominator)))
+            raise SizeOutOfRange(f"a coefficient of {digits} digits is past "
+                                 "the int-string conversion limit") from None
 
     def spec_str(self) -> str:
         return "rational"

@@ -20,6 +20,13 @@ and parse time is linear in the input.  Polynomial arithmetic is left to
 parenthesized sums and their powers.  The coefficients, their types and
 the errors are those of building every term with Polynomial's * and **,
 which tests/arithmetic_parser.py keeps as the oracle.
+
+A product is checked against the packed field widths left to right, as
+Polynomial's * evaluates it.  A power x_i^k past the widths is refused
+wherever it stands, so "0*x1^40000" raises SizeOutOfRange.  A partial
+product is checked as it is formed, and a zero one has no monomial left to
+check: "0*x1^20000*x1^20000" parses to 0, while "x1^20000*x1^20000*0"
+raises SizeOutOfRange when its second factor is multiplied in.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ construction and freely shareable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from numbers import Rational
 
 from .errors import (RingMismatch, SizeOutOfRange, VariableCollision,
@@ -497,10 +498,9 @@ def _sum_of_products(products, ring):
 
 def _sum_of_terms(pairs, ring):
     """The polynomial of `ring` summing the (packed monomial, coefficient)
-    pairs, the coefficients field elements: the one sum of the parser,
-    which runs no product.  Terms add as Polynomial's + adds them, so a
-    coefficient that cancels is dropped and a later term re-enters its
-    monomial."""
+    pairs, the coefficients field elements: the one sum of Polynomial's +
+    and of the parser, which runs no product.  A coefficient that cancels
+    is dropped and a later term re-enters its monomial."""
     add = ring.field.add
     acc = {}
     get = acc.get
@@ -633,40 +633,14 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = self.ring.const(other)
         self._check(other)
-        fld = self.ring.field
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            prev = out.get(e)
-            if prev is None:
-                out[e] = c
-            else:
-                s = fld.add(prev, c)
-                if fld.is_zero(s):
-                    del out[e]
-                else:
-                    out[e] = s
-        return Polynomial(self.ring, out)
+        return _sum_of_terms(chain(self.terms.items(), other.terms.items()),
+                             self.ring)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            other = self.ring.const(other)
-        self._check(other)
-        fld = self.ring.field
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            prev = out.get(e)
-            if prev is None:
-                out[e] = fld.neg(c)
-            else:
-                s = fld.sub(prev, c)
-                if fld.is_zero(s):
-                    del out[e]
-                else:
-                    out[e] = s
-        return Polynomial(self.ring, out)
+        return self + -other
 
     def __rsub__(self, other):
         return (-self).__add__(other)

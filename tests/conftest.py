@@ -1,8 +1,13 @@
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from optdeg import PrimeField, RationalField, RingContext, parse_polynomial
 from optdeg.critical import VarietySpec
+
+# every run draws the same examples; a test's own settings keep its counts
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture
@@ -25,8 +30,8 @@ def prime_field():
     return PrimeField()
 
 
-def variety(ring, *texts, **kw):
-    return VarietySpec(ring, tuple(parse_polynomial(t, ring) for t in texts), **kw)
+def variety(ring, *texts):
+    return VarietySpec(ring, tuple(parse_polynomial(t, ring) for t in texts))
 
 
 def _plane_curve_cone(field, d, coeffs):

@@ -184,10 +184,9 @@ def test_domain_error_exit_code(tmp_path, capsys, command, generator, p,
 
 @pytest.mark.parametrize("variety", [
     {"generators": ["3"]},
-    {"generators": ["x1^2+4*x2^2-1"], "codim": 2},
-], ids=["constant", "codim-override"])
+], ids=["constant"])
 def test_evolute_of_a_variety_that_is_not_a_curve(tmp_path, capsys, variety):
-    """Both used to report the evolute polynomial 1, of reduced degree 0."""
+    """It used to report the evolute polynomial 1, of reduced degree 0."""
     job = {"schema_version": 1, "ring": {"variables": ["x1", "x2"]},
            "variety": variety, "options": {"p": 2}}
     assert run_cli(tmp_path, "evolute", job) == EXIT_DOMAIN
@@ -443,8 +442,6 @@ def _set(doc, path, value):
 @pytest.mark.parametrize("command, path, value, message", [
     ("crossvalidate", ("options", "p"), True, "options.p must be an integer"),
     ("crossvalidate", ("options", "p"), 2.0, "options.p must be an integer"),
-    ("crossvalidate", ("variety", "codim"), True,
-     "variety.codim must be an integer"),
     ("crossvalidate", ("seed",), True, "seed must be an integer"),
     ("crossvalidate", ("seed",), 1.5, "seed must be an integer"),
     ("crossvalidate", ("trials",), True, "trials must be an integer"),
@@ -456,7 +453,7 @@ def _set(doc, path, value):
      "options.u coordinates must be integers"),
     ("degree", ("objective", "pnorm"), True,
      "objective.pnorm must be an integer"),
-], ids=["p-bool", "p-float", "codim-bool", "seed-bool", "seed-float",
+], ids=["p-bool", "p-float", "seed-bool", "seed-float",
         "trials-bool", "trials-float", "budget-float", "budget-bool",
         "budget-string", "u-bool", "pnorm-bool"])
 def test_job_integers_reject_bools_floats_and_strings(tmp_path, capsys,
@@ -576,8 +573,8 @@ def _evolute(variables, *generators):
 
 
 def _overridden(variables, generator, singular, **job):
-    """A GF(2^31 - 1) job whose singular ideal override holds no nonzero
-    generator."""
+    """A GF(2^31 - 1) job written for the old schema, with a singular ideal
+    override that holds no nonzero generator."""
     return {"schema_version": 1,
             "ring": {"variables": variables, "field": "prime:2147483647"},
             "variety": {"generators": [generator],
@@ -585,6 +582,17 @@ def _overridden(variables, generator, singular, **job):
 
 
 _CONIC = (["x1", "x2", "x3"], "x1^2+x2^2-2*x3^2")
+_GENERIC_CONIC = {
+    "schema_version": 1,
+    "ring": {"variables": ["x1", "x2", "x3"], "field": "prime:2147483647"},
+    "variety": {"generators": ["x1^2+2*x2^2+3*x3^2+x1*x2+x2*x3"]},
+    "options": {"p": 2},
+    "seed": 1,
+}
+
+
+def _with_variety_key(job, key, value):
+    return dict(job, variety=dict(job["variety"], **{key: value}))
 
 
 # job documents of the wrong shape used to end in AttributeError, TypeError
@@ -616,16 +624,34 @@ _CONIC = (["x1", "x2", "x3"], "x1^2+x2^2-2*x3^2")
      "needs more coordinates than tower.base has variables"),
     # a zero override used to end in a ValueError traceback
     # (projective-degree, crossvalidate) or give wrong counts (polar [0, 0],
-    # the nodal cubic's degree 7 for 5)
+    # the nodal cubic's degree 7 for 5); the singular locus is now always
+    # computed, and every command refuses the key
     ("projective-degree", _overridden(*_CONIC, [], options={"p": 3}), (),
-     "singular ideal override has no nonzero generator"),
+     "unknown key 'singular_ideal' in variety"),
     ("crossvalidate", _overridden(*_CONIC, ["0"], options={"p": 3}), (),
-     "singular ideal override has no nonzero generator"),
+     "unknown key 'singular_ideal' in variety"),
     ("polar", _overridden(*_CONIC, []), (),
-     "singular ideal override has no nonzero generator"),
+     "unknown key 'singular_ideal' in variety"),
     ("degree", _overridden(["x1", "x2"], "x2^2-x1^2*(x1+1)", ["0"],
                            objective={"pnorm": 2}), (),
-     "singular ideal override has no nonzero generator"),
+     "unknown key 'singular_ideal' in variety"),
+    # wrong overrides used to turn the twisted cubic's degree 5 and the
+    # conic's 4 into 0, and call the smooth conic singular
+    ("degree", {"schema_version": 1,
+                "ring": {"variables": ["x1", "x2", "x3"],
+                         "field": "prime:2147483647"},
+                "variety": {"generators": ["x2-x1^2", "x3-x1^3"],
+                            "codim": 1},
+                "objective": {"pnorm": 2}, "seed": 1}, (),
+     "unknown key 'codim' in variety"),
+    ("projective-degree", _with_variety_key(_GENERIC_CONIC, "codim", 2), (),
+     "unknown key 'codim' in variety"),
+    ("crossvalidate",
+     _with_variety_key(_GENERIC_CONIC, "singular_ideal", ["x1"]), (),
+     "unknown key 'singular_ideal' in variety"),
+    ("degree", _with_variety_key(_pinned_job("x1^2+4*x2^2-1", {"pnorm": 2},
+                                             [1, 1]), "name", "ellipse"), (),
+     "unknown key 'name' in variety"),
     # these used to end in ValueError and TypeError tracebacks, or ("oops")
     # report a missing 'power'
     ("degree", _pinned_job("x1^2+4*x2^2-1", {"pnorm": 2}, ["x1", "1"]), (),
@@ -655,7 +681,9 @@ _CONIC = (["x1", "x2", "x3"], "x1^2+x2^2-2*x3^2")
         "base-name-int", "euler-p-bool", "evolute-two-generators",
         "evolute-three-variables", "tower-too-few-coordinates",
         "projective-degree-empty-singular", "crossvalidate-zero-singular",
-        "polar-empty-singular", "degree-zero-singular", "pinned-u-variable",
+        "polar-empty-singular", "degree-zero-singular", "degree-codim",
+        "projective-degree-codim", "crossvalidate-singular-point",
+        "variety-extra-key", "pinned-u-variable",
         "tower-level-string", "tower-level-list", "tower-level-oops",
         "tower-empty-ring", "tower-ring-string", "tower-ring-string-field",
         "curve-degree-zero", "curve-negative-genus"])
@@ -665,6 +693,20 @@ def test_job_shape_errors_exit_2(tmp_path, capsys, command, job, extra,
     err = capsys.readouterr().err
     assert rc == EXIT_SCHEMA
     assert err.startswith("schema error:") and message in err
+
+
+def test_a_basis_coefficient_past_the_conversion_limit_exits_3(tmp_path,
+                                                               capsys):
+    """Every literal fits, but the monic basis holds 1/10^5000, whose
+    denominator Python will not convert to a string: formatting it used
+    to crash with a raw ValueError."""
+    big = "1" + "0" * 2500
+    job = {"schema_version": 1,
+           "ring": {"variables": ["x1", "x2"], "field": "rational"},
+           "variety": {"generators": [f"({big}*x1+1)^2+x2"]}}
+    assert run_cli(tmp_path, "gb", job) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "a coefficient of 5001 digits" in err
 
 
 def test_budget_exit_code(tmp_path, capsys):
@@ -750,24 +792,24 @@ def test_crossvalidate_affine_agree(tmp_path, capsys, ellipse_job):
     assert out["result"]["verdict"] == "AGREE"
 
 
-def test_crossvalidate_wrong_codim_disagrees(tmp_path, capsys):
-    """Deliberately wrong codimension override: negative control."""
-    job = {
-        "schema_version": 1,
-        "ring": {"variables": ["x1", "x2", "x3"], "field": "prime:2147483647"},
-        "variety": {"generators": ["3*x1^2+2*x1*x2+5*x2^2+x2*x3+4*x3^2"],
-                    "codim": 2},
-        "objective": {"pnorm": 3},
-        "options": {"p": 3},
-        "seed": 5,
-        "trials": 2,
-    }
+@pytest.mark.parametrize("genus, verdict, curve_formula", [
+    (0, "AGREE", 4),
+    (1, "DISAGREE", 6),
+])
+def test_crossvalidate_wrong_genus_disagrees(tmp_path, capsys, genus,
+                                             verdict, curve_formula):
+    """Negative control: the counts, the polar pipeline and the
+    hypersurface formula give the smooth conic's 4, and the curve formula
+    agrees at its genus 0 only."""
+    job = dict(_GENERIC_CONIC, options={"p": 2,
+                                        "curve": {"d": 2, "g": genus}})
     rc = run_cli(tmp_path, "crossvalidate", job)
-    out = json.loads(capsys.readouterr().out)
+    result = json.loads(capsys.readouterr().out)["result"]
     assert rc == EXIT_OK
-    assert out["result"]["verdict"] == "DISAGREE"
-    assert out["result"]["values"]["hypersurface_formula"] == 12
-    assert out["result"]["values"]["symbolic_projective"] != 12
+    assert result["values"] == {
+        "symbolic_projective": 4, "polar_pipeline": 4,
+        "hypersurface_formula": 4, "curve_formula": curve_formula}
+    assert result["verdict"] == verdict
 
 
 def test_crossvalidate_projective_conic(tmp_path, capsys):

@@ -65,12 +65,6 @@ def test_singular_locus_line(ring_x12):
     assert singular_locus_ideal(line).groebner().is_unit()
 
 
-def test_singular_ideal_override(ring_x12):
-    override = Ideal(ring_x12, [P("x1", ring_x12)])
-    v = variety(ring_x12, "x1^2+4*x2^2-1", singular_ideal_override=override)
-    assert singular_locus_ideal(v) is override
-
-
 # --- affine critical ideals ------------------------------------------------------
 
 def test_critical_ideal_matches_hand_derived_generators(ellipse):
@@ -600,17 +594,12 @@ def test_nodal_cubic_cone_singular_saturand(field):
 
 
 def test_vertex_rule():
-    """A cone is singular beyond its vertex unless its singular locus is
-    homogeneous of dimension at most 0."""
+    """A cone is singular beyond its vertex unless its singular locus, which
+    is homogeneous, has dimension at most 0."""
     ring = RingContext(("x1", "x2", "x3"))
     assert not _singular_beyond_vertex(variety(ring, "x1^2+x2^2-2*x3^2"),
                                        None)
     assert _singular_beyond_vertex(variety(ring, "x2^2*x3-x1^2*(x1+x3)"), None)
-    # an override naming the point (1, 1, 1) of the cone is zero-dimensional
-    # but not at the vertex
-    point = Ideal(ring, [P(t, ring) for t in ("x1-1", "x2-1", "x3-1")])
-    assert _singular_beyond_vertex(
-        variety(ring, "x1^2+x2^2-2*x3^2", singular_ideal_override=point), None)
 
 
 def test_count_eliminates_b_without_a_localizer(monkeypatch, prime_field):
@@ -640,8 +629,8 @@ def test_count_eliminates_b_without_a_localizer(monkeypatch, prime_field):
 
 
 def test_codimension_is_computed_once(monkeypatch):
-    """The codimension is read off I(X) on the first call and kept; an
-    override is kept as given, and a copy without it computes its own."""
+    """The codimension is read off I(X) on the first call and kept, and a
+    copy computes its own."""
     calls = []
     original = critical.dimension
 
@@ -654,10 +643,7 @@ def test_codimension_is_computed_once(monkeypatch):
                 "x1*x2-x3")
     assert [X.codimension() for _ in range(3)] == [2, 2, 2]
     assert len(calls) == 1
-    wrong = replace(X, codim_override=1)
-    assert wrong.codimension() == 1
-    assert len(calls) == 1
-    assert replace(wrong, codim_override=None).codimension() == 2
+    assert replace(X).codimension() == 2
     assert len(calls) == 2
 
 
@@ -784,9 +770,12 @@ def test_stacked_generators_are_the_stacked_minors(data):
 def test_packed_jacobian_minors_are_the_sympy_minors(data):
     """X keeps, transferred to a ring, its generators and the c- and
     (c+1)-minors of their Jacobian, which are the ones sympy.Matrix.det
-    takes, in the same order: for drawn generators and a
-    drawn codimension below the Jacobian's rank bound, over QQ and
-    GF(2^31 - 1), in X's ring and in a block-ordered extension of it."""
+    takes, in the same order, each list empty when its size exceeds the
+    Jacobian's: for drawn generators at their computed codimension, over
+    QQ and GF(2^31 - 1), in X's ring and in a block-ordered extension of
+    it.  Drawn generators are mostly a complete intersection, with no
+    (c+1)-minor; a drawn common factor puts X in a hypersurface, of
+    codimension 1, where both sizes of minors are there."""
     field = data.draw(st.sampled_from((PrimeField(), RationalField())))
     n = data.draw(st.integers(2, 4))
     m = data.draw(st.integers(2, 3))
@@ -797,8 +786,11 @@ def test_packed_jacobian_minors_are_the_sympy_minors(data):
                                 map(any, t)))
     gens = tuple(ring.poly_from_terms(t) for t in data.draw(
         st.lists(terms, min_size=m, max_size=m)))
-    c = data.draw(st.integers(1, min(m, n) - 1))
-    X = VarietySpec(ring, gens, codim_override=c)
+    if data.draw(st.booleans()):
+        common = ring.poly_from_terms(data.draw(terms))
+        gens = tuple(common * g for g in gens)
+    X = VarietySpec(ring, gens)
+    c = X.codimension()
     jac = jacobian(gens, ring.variables).entries
     for big in (ring, ring.extend(("w1", "w2")).with_order(
             OrderSpec("block", ("w1", "w2")))):

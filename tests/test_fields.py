@@ -20,6 +20,7 @@ from optdeg import (PrimeField, RationalField, RingContext, jacobian,
                     parse_polynomial)
 from optdeg import critical, fields
 from optdeg.critical import PNorm
+from optdeg.errors import SizeOutOfRange
 from optdeg.rings import Polynomial
 
 from conftest import variety
@@ -137,3 +138,21 @@ def test_the_prime_check_matches_sympy_near_the_bases():
     bound = 4_759_123_141
     for n in list(range(1 << 16)) + list(range(bound - 500, bound + 500)):
         assert fields._is_prime(n) == sympy.isprime(n), n
+
+
+@pytest.mark.parametrize("value, digits", [
+    (10 ** 4300, 4301),
+    (1 - 10 ** 4400, 4400),
+    (Fraction(1, 10 ** 5000), 5001),
+    (Fraction(10 ** 4300 + 1, 3), 4301),
+    (Fraction(3, 10 ** 4301 - 1), 4301),
+], ids=["int", "negative-int", "denominator", "numerator", "nines"])
+def test_a_coefficient_past_the_conversion_limit_is_out_of_range(value,
+                                                                 digits):
+    """A coefficient whose numerator or denominator Python will not convert
+    to a string (4300 digits) raises SizeOutOfRange with the longer part's
+    digit count, as the parser refuses such a literal; one of 4300 digits
+    is formatted."""
+    with pytest.raises(SizeOutOfRange, match=f"of {digits} digits"):
+        QQ.coeff_str(value)
+    assert QQ.coeff_str(Fraction(1, 10 ** 4300 - 1)) == "1/" + "9" * 4300

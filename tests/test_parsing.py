@@ -282,6 +282,7 @@ def test_odd_variable_names_are_not_tokens():
     ("x1^40000-x1^40000", "power 40000 exceeds"),
     ("0*x1^40000", "power 40000 exceeds"),
     ("x1^40000*zz", "power 40000 exceeds"),
+    ("x1^20000*x1^20000*0", "monomial exceeds"),
 ])
 def test_a_monomial_past_the_widths_raises_as_it_is_built(ring, text,
                                                          message):
